@@ -22,6 +22,7 @@ then get one of four verdicts:
 Verdicts never assert more than their attached evidence re-verifies.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -157,7 +158,7 @@ def _rational_roots(poly, v):
     denlcm = 1
     for c in coeffs:
         q = Fraction(c).denominator
-        denlcm = denlcm * q // _gcd_int(denlcm, q)
+        denlcm = denlcm * q // math.gcd(denlcm, q)
     ints = [int(Fraction(c) * denlcm) for c in coeffs]
     out = []
     if ints[0] == 0:
@@ -185,12 +186,6 @@ def _vars_of(f):
         for e in part.terms:
             out.update(v for v, k in enumerate(e) if k)
     return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors_int(n):
@@ -237,7 +232,8 @@ def _witness_candidates(pair):
 
 def _best_bounded_certificate(pair, b, max_len, diagnostics,
                               limit=DEFAULT_LIMITS):
-    """Certificate at the largest length <= max_len that stays Independent.
+    """(certificate, related): the largest length <= max_len that stays
+    Independent, and whether some length up to max_len found a relation.
 
     Lengths go up one at a time; by row-subset monotonicity the first
     Dependent length settles all longer ones, and its relation is worth
@@ -245,6 +241,7 @@ def _best_bounded_certificate(pair, b, max_len, diagnostics,
     certificate itself.
     """
     best = None
+    related = False
     for L in range(1, max_len + 1):
         try:
             cert = freeness_certify(pair, b, L, limit)
@@ -258,13 +255,14 @@ def _best_bounded_certificate(pair, b, max_len, diagnostics,
                 for w, c in sorted(cert.relation.items()))
             diagnostics.append(
                 "bounded relation at length %d: %s = 0" % (L, rel))
+            related = True
             break
         best = cert
     if best is not None:
         diagnostics.append(
             "words of length <= %d are k-independent (rank %d)"
             % (best.max_length, best.rank))
-    return best
+    return best, related
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ def classify_automorphism(spec):
     if all(r.kind == "finite" for r in reports):
         n = 1
         for r in reports:
-            n = n * r.period // _gcd_int(n, r.period)
+            n = n * r.period // math.gcd(n, r.period)
         if sigma.fixed_power_check(n) and central_power_check(pair, n):
             diags.append("sigma^%d = 1 and x^%d is central, both verified"
                          % (n, n))
@@ -332,8 +330,8 @@ def classify_automorphism(spec):
             diags.append("Weyl pair verified: y = %s, z = y x^{-1}, "
                          "x z - z x = 1" % (g / alpha))
             b = (g / alpha).inverse()
-            cert = _best_bounded_certificate(pair, b, opts.word_length,
-                                             diags)
+            cert, _ = _best_bounded_certificate(pair, b, opts.word_length,
+                                                diags)
             return Verdict("Free", theorem_tag="weyl-pair-embedding",
                            witness=b, certificate=cert, diagnostics=diags)
     # valuation witness route
@@ -344,20 +342,33 @@ def classify_automorphism(spec):
         places = extra + places
     else:
         places, pool = _witness_candidates(pair)
+    # a witness whose own words carry a relation up to word_length cannot
+    # carry the freeness claim: it is rejected and the next place tried
+    rejected = []
     for place in places:
         b = valuation_witness(sigma, place, opts.window, pool)
-        if b is None:
+        if b is None or b in rejected:
             continue
         diags.append("witness %s has finite support at place %s"
                      % (b, place))
-        cert = _best_bounded_certificate(pair, b, opts.word_length, diags)
+        cert, related = _best_bounded_certificate(pair, b, opts.word_length,
+                                                  diags)
+        if related:
+            diags.append("witness %s rejected: its words carry a relation"
+                         % b)
+            rejected.append(b)
+            continue
         if cert is not None:
             return Verdict("Free",
                            theorem_tag="infinite-orbit-valuation-witness",
                            witness=b, certificate=cert, diagnostics=diags)
         diags.append("witness found but no independent bounded certificate")
         return Verdict("Unknown", diagnostics=diags)
-    diags.append("no witness with finite valuation support in the pool")
+    if rejected:
+        diags.append("every witness with finite valuation support carries "
+                     "a bounded relation")
+    else:
+        diags.append("no witness with finite valuation support in the pool")
     return Verdict("Unknown", diagnostics=diags)
 
 
@@ -404,7 +415,7 @@ def classify_derivation(spec):
         assert outcome, "x delta(a)^{-1} failed the Weyl relation"
         diags.append("Weyl pair verified: y = %s, z = x (%s)^{-1}"
                      % (a, da))
-        cert = _best_bounded_certificate(pair, a, opts.word_length, diags)
+        cert, _ = _best_bounded_certificate(pair, a, opts.word_length, diags)
         return Verdict("Free", theorem_tag="weyl-pair-embedding",
                        witness=a, certificate=cert, diagnostics=diags)
     for i in range(ff.nvars):
@@ -431,8 +442,8 @@ def classify_derivation(spec):
             diags.append(
                 "delta iterates of %s generate a strictly growing tower "
                 "to depth %d" % (ff.names[i], opts.tower_depth - 1))
-            cert = _best_bounded_certificate(pair, a, opts.word_length,
-                                             diags)
+            cert, _ = _best_bounded_certificate(pair, a, opts.word_length,
+                                                diags)
             return Verdict("Free", theorem_tag="derivation-tower-growth",
                            witness=a, certificate=cert, diagnostics=diags)
     diags.append("no generator produced a strict tower; growth undecided")

@@ -18,17 +18,30 @@ the prime field k, and rank.  Full rank certifies that no k-relation exists
 up to length L; a rank deficit yields an explicit relation, which is
 re-evaluated against the fractions themselves before being reported.
 
-Two coordinatizations are in use, and they provably compute the same
-nullspace.  The general route brings all words over one common left
-denominator and flattens the numerator coefficient vectors.  For a pure
-derivation with polynomial witness and nilpotent-triangular images, words
-expand instead in the power series ring K[[x]] with x a = a x + delta(a),
-truncated at an order past the degree any relation numerator can reach
-(each word admits a left denominator of degree = word length, so the
-common denominator degree is at most the sum of the lengths); vanishing
-of a combination through that order then forces the exact element to be
-zero, which makes the truncated coordinate matrix faithful in both
-directions while its entries stay polynomial.
+Three coordinatizations are in use, and they decide the same rank.  Two
+of them expand words as power series truncated at order N = sum of all
+word lengths, past the degree any relation numerator can reach (each word
+admits a left denominator of degree = word length, so the common
+denominator degree is at most N); vanishing of a combination through that
+order then forces the exact element to be zero.
+
+* Pure automorphisms over Q: in K[[x; sigma]] appending c(1-x)^{-1} to a
+  word is a prefix sum, new[m] = sum_{i<=m} a_i sigma^i(c), and
+  sigma^i(c)(P) = c(s^i(P)) for the point map s of sigma.  The series are
+  evaluated along the orbits of a fixed list of integer points, modulo
+  the prime q = 2^61 - 1.  Truncation and evaluation are Z_(q)-linear and
+  a primitive integer relation stays nonzero mod q, so the evaluated rank
+  is a lower bound: full rank proves independence.  On a deficit d every
+  vector of a reduced mod-q nullspace basis is lifted by rational
+  reconstruction and re-verified by exact fraction arithmetic; d verified
+  independent relations bound the rank from above, so it is exact.  Any
+  failed lift or check falls back to the common-denominator route.
+* Pure derivations with polynomial witness and nilpotent-triangular
+  images: words expand in K[[x]] with x a = a x + delta(a), entries stay
+  polynomial, and the truncated coordinate matrix is faithful in both
+  directions.
+* Everything else brings all words over one common left denominator by
+  an lclm fold and flattens the numerator coefficient vectors.
 
 Independence at bound L says nothing about longer words.  The certificate
 stores the bound, the rank, and a digest of the flattened matrix so runs
@@ -39,6 +52,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .config import DEFAULT_LIMITS
 from .errors import (
@@ -46,7 +60,9 @@ from .errors import (
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
 from .field import RatFunc
-from .linalg import flatten_to_k, rank_over_k
+from .linalg import (
+    _normalize_int_vector, _rank_modp, flatten_to_k, rank_over_k,
+)
 from .orefrac import OreFraction, _lclm_with_probe, weyl_check
 from .orepoly import OrePoly
 from .valuation import length_profile
@@ -143,27 +159,32 @@ def _numerator_rows(nums):
     return flatten_to_k([[n.coeff(j) for j in range(width)] for n in nums])
 
 
-def _matrix_digest(rows, base):
+def _matrix_digest(rows, header):
     h = hashlib.sha256()
     ncols = len(rows[0]) if rows else 0
-    h.update(("k:%d;%dx%d" % (base.p, len(rows), ncols)).encode())
+    h.update(("%s;%dx%d" % (header, len(rows), ncols)).encode())
     for row in rows:
         h.update(b"|")
         h.update(",".join(str(x) for x in row).encode())
     return h.hexdigest()
 
 
-def _verify_relation(fracs, lam):
-    """Assert that sum(lam[i] * fracs[i]) really is the zero fraction."""
+def _relation_vanishes(fracs, lam):
+    """True when sum(lam[i] * fracs[i]) is the zero fraction."""
     ctx = fracs[0].ctx
     acc = OreFraction.zero(ctx)
-    nontrivial = False
     for c, f in zip(lam, fracs):
         if c:
-            nontrivial = True
             acc = acc + OreFraction.from_ratfunc(ctx, ctx.ff.const(c)) * f
-    assert nontrivial, "nullspace produced the zero relation"
-    assert acc.is_zero(), "relation does not annihilate the fractions"
+    return acc.is_zero()
+
+
+def _verify_relation(fracs, lam):
+    """Raise unless lam is nonzero and sum(lam[i] * fracs[i]) is zero."""
+    if not any(lam):
+        raise AssertionError("nullspace produced the zero relation")
+    if not _relation_vanishes(fracs, lam):
+        raise AssertionError("relation does not annihilate the fractions")
 
 
 def independence_check(fracs, limit=DEFAULT_LIMITS):
@@ -301,21 +322,28 @@ def _series_mul_delta(ff, A, B, delta, weights):
     return out
 
 
+def _truncation_order(L):
+    """Series order N = sum of the lengths of all words of length <= L.
+
+    A common left denominator of the word set has degree at most N, so
+    any k-relation has a polynomial numerator of degree at most N and is
+    already visible, exactly, in the orders up to N.
+    """
+    return sum(r * 2 ** r for r in range(1, L + 1))
+
+
 def _series_word_rows(ctx, words, b, L):
     """Coordinate rows (series orders 0..N) for every word, prefix-shared.
 
-    N is the sum of all word lengths: a common left denominator of the
-    word set has degree at most N, so any k-relation has a polynomial
-    numerator of degree at most N and is already visible, exactly, in the
-    orders up to N.  The working truncation adds L times the witness
-    weight because each multiplication by b^i (1-x)^{-1} lets high orders
-    bleed down by at most weight(b).
+    N is :func:`_truncation_order`.  The working truncation adds L times
+    the witness weight because each multiplication by b^i (1-x)^{-1} lets
+    high orders bleed down by at most weight(b).
     """
     delta = ctx.delta
     weights = _delta_weights(delta)
     assert weights is not None
     ff = ctx.ff
-    N = sum(r * 2 ** r for r in range(1, L + 1))
+    N = _truncation_order(L)
     M = N + L * _poly_weight(b, weights)
     geom = [ff.one()] * (M + 1)
     scaled = [b] * (M + 1)
@@ -327,17 +355,190 @@ def _series_word_rows(ctx, words, b, L):
     return [cache[w][: N + 1] for w in words]
 
 
+# q = 2^61 - 1 is prime.  No proof rests on its size, since a failed lift
+# falls back to the fold; the size makes that rare, as rational
+# reconstruction recovers coefficients up to about 10^9
+_EVAL_PRIME = (1 << 61) - 1
+# orbit starts tried in this order; a multivariate point takes consecutive
+# entries, cyclically.  Signs alternate so that a shift-like orbit, which
+# runs one way, misses poles on the other side of the origin.
+_EVAL_STARTS = (2, -3, 5, -7, 11, -13, 17, -19, 23, -29, 31, -37)
+_EVAL_POINTS = 4
+
+
+def _eval_poly_mod(p, point, q):
+    """p(point) mod q, or None when a coefficient denominator is 0 mod q."""
+    acc = 0
+    for e, c in p.terms.items():
+        if c.denominator % q == 0:
+            return None
+        term = c.numerator * pow(c.denominator, -1, q)
+        for v, k in zip(point, e):
+            if k:
+                term = term * pow(v, k, q)
+        acc = (acc + term) % q
+    return acc
+
+
+def _eval_mod(f, point, q):
+    """f(point) mod q for a Q-rational function, or None where undefined."""
+    den = _eval_poly_mod(f.den, point, q)
+    if not den:
+        return None
+    num = _eval_poly_mod(f.num, point, q)
+    if num is None:
+        return None
+    return num * pow(den, -1, q) % q
+
+
+def _orbit_values(images, b, point, N, q):
+    """b(s^i(P)) mod q for i = 0..N, s the point map of sigma.
+
+    None when b or a generator image meets a denominator along the orbit,
+    which is exactly when sigma^i(b)(P) = b(s^i(P)) could fail.
+    """
+    vals = []
+    for i in range(N + 1):
+        v = _eval_mod(b, point, q)
+        if v is None:
+            return None
+        vals.append(v)
+        if i < N:
+            point = tuple(_eval_mod(g, point, q) for g in images)
+            if None in point:
+                return None
+    return vals
+
+
+def _evaluated_word_rows(pair, words, b, N):
+    """Word series at orders 0..N, evaluated mod q at _EVAL_POINTS points.
+
+    Returns (rows, points) with one row per word, the points' blocks
+    concatenated in order, or None when fewer points are usable.  In
+    K[[x; sigma]] appending c(1-x)^{-1} to a word with coefficients a_i is
+    the prefix sum new[m] = sum_{i<=m} a_i sigma^i(c), and at a point P
+    sigma^i(c)(P) = c(s^i(P)); prefixes are shared as in _expand_words.
+    """
+    q = _EVAL_PRIME
+    n = pair.ff.nvars
+    images = pair.sigma.images
+    rows = [[] for _ in words]
+    points = []
+    for k in range(len(_EVAL_STARTS)):
+        point = tuple(_EVAL_STARTS[(k + j) % len(_EVAL_STARTS)]
+                      for j in range(n))
+        bvals = _orbit_values(images, b, tuple(v % q for v in point), N, q)
+        if bvals is None:
+            continue
+        cache = {(): [1] + [0] * N}
+        for w in words:
+            if w:
+                acc = 0
+                new = []
+                if w[-1]:
+                    for a, c in zip(cache[w[:-1]], bvals):
+                        acc = (acc + a * c) % q
+                        new.append(acc)
+                else:
+                    for a in cache[w[:-1]]:
+                        acc = (acc + a) % q
+                        new.append(acc)
+                cache[w] = new
+        for row, w in zip(rows, words):
+            row.extend(cache[w])
+        points.append(point)
+        if len(points) == _EVAL_POINTS:
+            return rows, points
+    return None
+
+
+def _reduced_echelon_modp(vectors, p):
+    """Reduced row echelon form of linearly independent vectors mod p."""
+    m = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return m
+
+
+def _rational_reconstruct(a, p):
+    """The fraction r/s = a mod p with |r|, s <= sqrt(p/2), or None."""
+    bound = math.isqrt(p // 2)
+    r0, r1 = p, a % p
+    s0, s1 = 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        s0, s1 = s1, s0 - quo * s1
+    if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _certify_by_evaluation(pair, words, b, L):
+    """Certificate from the evaluated series, or None to run the fold.
+
+    Full rank mod q proves independence.  On a deficit d the reduced
+    nullspace basis is lifted to Q and all d vectors must re-verify on the
+    exact words, which pins the rank; the first one is reported.
+    """
+    found = _evaluated_word_rows(pair, words, b, _truncation_order(L))
+    if found is None:
+        return None
+    rows, points = found
+    q = _EVAL_PRIME
+    rank, null = _rank_modp(rows, q)
+    digest = _matrix_digest(rows, "q:%d;points:%s" % (q, points))
+    if rank == len(words):
+        return FreenessCertificate(b, L, len(words), rank, digest,
+                                   "Independent")
+    lifted = []
+    for vec in _reduced_echelon_modp(null, q):
+        lam = [_rational_reconstruct(x, q) for x in vec]
+        if None in lam:
+            return None
+        lifted.append(_normalize_int_vector(lam))
+    fracs = _expand_words(pair, words, b)
+    if not all(_relation_vanishes(fracs, lam) for lam in lifted):
+        return None
+    relation = {w: c for w, c in zip(words, lifted[0]) if c}
+    return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
+                               relation)
+
+
 def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
     """Certificate for all words of length <= L (count 2^{L+1} - 1).
 
     Independent means exactly that the bounded set carries no nontrivial
     k-relation; Dependent refutes freeness outright and carries the
-    relation, re-verified by exact fraction arithmetic either way the rank
-    was obtained.  Pure-derivation contexts whose images are
-    nilpotent-triangular polynomials and whose witness is polynomial take
-    the series coordinatization; everything else goes through the common
-    left denominator.  Raises ResourceBoundExceeded when the word count or
-    the denominator crosses the configured limits.
+    relation, re-verified by exact fraction arithmetic whichever way the
+    rank was obtained.  The route is fixed by the input:
+
+    * pure automorphisms over Q with N = sum_{r<=L} r 2^r at most
+      ``limit.max_den_degree`` take the evaluated series mod q = 2^61 - 1
+      (module docstring); a Dependent result there re-verifies every
+      vector of the reduced nullspace basis, so the rank is exact, and
+      the digest covers the evaluated matrix, its q and its points.  Too
+      few usable points, a failed lift or a failed check run the fold;
+    * pure derivations whose images are nilpotent-triangular polynomials,
+      with a polynomial witness, take the K[[x]] series;
+    * everything else, and every fallback, goes through the common left
+      denominator.
+
+    Raises ResourceBoundExceeded when the word count or the fold's
+    denominator crosses the configured limits.
     """
     if L < 1:
         raise UsageError("certificate needs L >= 1")
@@ -352,13 +553,18 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
     if pair.is_pure_derivation() and b.is_poly():
         if _delta_weights(pair.delta) is not None:
             rows = flatten_to_k(_series_word_rows(pair, words, b, L))
+    elif (pair.is_pure_automorphism() and pair.ff.char == 0
+          and _truncation_order(L) <= limit.max_den_degree):
+        cert = _certify_by_evaluation(pair, words, b, L)
+        if cert is not None:
+            return cert
     if rows is None:
         fracs = _expand_words(pair, words, b)
         den, nums = common_left_denominator(fracs, limit)
         rows = _numerator_rows(nums)
     base = pair.ff.base
     rank, null = rank_over_k(rows, base)
-    digest = _matrix_digest(rows, base)
+    digest = _matrix_digest(rows, "k:%d" % base.p)
     if rank == len(words):
         return FreenessCertificate(b, L, len(words), rank, digest,
                                    "Independent")

@@ -29,7 +29,7 @@ from .classify import ClassifyOptions, ProblemSpec
 from .errors import (
     BadCharacteristic, NotAnAutomorphism, ParseError, UndeclaredVariable,
 )
-from .field import FunctionField
+from .field import FunctionField, _is_prime
 from .orefrac import OreFraction
 from .orepoly import OrePoly
 from .skew import SkewDerivation, SkewEndo, SkewPair
@@ -238,17 +238,6 @@ def parse_field_expr(ff, text, line=1, col0=0):
 def parse_ore_expr(pair, text, line=1, col0=0):
     """One Ore-fraction expression, with X for the skew variable."""
     return _ExprParser(text, line, col0, _OreOps(pair)).parse()
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def parse_problem(text):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from orefree import classify
 from orefree.classify import (
     ClassifyOptions, ProblemSpec, Verdict, classify_automorphism,
     classify_derivation, classify_problem, normalize_presentation,
@@ -15,7 +16,7 @@ from orefree.errors import (
 from orefree.field import FunctionField
 from orefree.orefrac import central_power_check
 from orefree.orepoly import OrePoly
-from orefree.skew import SkewDerivation, SkewEndo, SkewPair
+from orefree.skew import OrbitReport, SkewDerivation, SkewEndo, SkewPair
 
 QT = FunctionField(0, ["t"])
 
@@ -126,6 +127,28 @@ def test_affine_map_finds_witness_in_default_pool():
     assert v.theorem_tag == "infinite-orbit-valuation-witness"
     assert str(v.witness) == "1/t"
     assert any("finite support at place t" in d for d in v.diagnostics)
+
+
+def test_valuation_witness_with_a_bounded_relation_is_rejected(monkeypatch):
+    """t -> t/(t+1) is conjugate to a shift, so its orbits are infinite.
+
+    orbit_analyze reports them as unknown; patched to the true answer, the
+    valuation route picks 1/(t+1), whose words are independent at L = 2
+    but carry a relation at L = 3.  That witness cannot carry a Free
+    verdict, and no other place offers one.
+    """
+    t = QT.var(0)
+    pair = SkewPair.automorphism(SkewEndo(QT, [t / (t + 1)], [t / (1 - t)]))
+    monkeypatch.setattr(
+        classify, "orbit_analyze",
+        lambda sigma, a, bound=64: OrbitReport("infinite", reason="patched"))
+    v = classify_automorphism(spec_of(pair))
+    assert v.kind == "Unknown"
+    assert v.certificate is None and v.witness is None
+    assert any(d.startswith("bounded relation at length 3")
+               for d in v.diagnostics)
+    assert "witness 1/(t + 1) rejected: its words carry a relation" \
+        in v.diagnostics
 
 
 def test_char_p_side_condition_reported():

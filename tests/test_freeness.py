@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from orefree import freeness
 from orefree.config import Limits
 from orefree.errors import (
     NotAdditiveEigen, RequiresPureAutomorphism, ResourceBoundExceeded,
@@ -193,6 +194,108 @@ def test_shift_L3_relation_frozen_and_oracle_certified():
     scale = by_word["01"]
     assert {k: v / scale for k, v in by_word.items()} == {
         "01": 1, "10": -1, "11": -1, "101": 1}
+
+
+def moebius_ctx():
+    t = QT.var(0)
+    return SkewPair.automorphism(SkewEndo(QT, [t / (t + 1)], [t / (1 - t)]))
+
+
+def two_variable_ctx():
+    ff = FunctionField(0, ["u", "v"])
+    u, v = ff.var(0), ff.var(1)
+    return SkewPair.automorphism(SkewEndo(ff, [u + 1, 2 * v], [u - 1, v / 2]))
+
+
+def assert_relation_vanishes(ctx, b, relation):
+    acc = OreFraction.zero(ctx)
+    for w, c in relation.items():
+        acc = acc + OreFraction.from_ratfunc(ctx, ctx.ff.const(c)) \
+            * build_word_W(ctx, w, b)
+    assert acc.is_zero()
+
+
+def _route_cases():
+    u, t = QU.var(0), QT.var(0)
+    ff = two_variable_ctx().ff
+    panel = [(shift_ctx, "1", QU.one(), (1, 2, 3)),
+             (shift_ctx, "1/u", u.inverse(), (1, 2, 3)),
+             (shift_ctx, "1/u^2", (u * u).inverse(), (1, 2, 3)),
+             (double_ctx, "1/(t-1)", (t - 1).inverse(), (1, 2, 3)),
+             (double_ctx, "1/t", t.inverse(), (1, 2, 3)),
+             (moebius_ctx, "1/(t+1)", (t + 1).inverse(), (2, 3)),
+             # the fold takes about half a minute at L = 3
+             (two_variable_ctx, "1/(uv)",
+              (ff.var(0) * ff.var(1)).inverse(), (2,))]
+    return [pytest.param(make, b, L, id="%s:%s:L%d" % (
+                make.__name__[:-4], name, L))
+            for make, name, b, lengths in panel for L in lengths]
+
+
+@pytest.mark.parametrize("make_ctx,b,L", _route_cases())
+def test_evaluated_route_agrees_with_fold(monkeypatch, make_ctx, b, L):
+    ctx = make_ctx()
+    words = words_up_to(L)
+
+    def no_fold(*args, **kw):
+        raise AssertionError("automorphism over Q fell back to the fold")
+
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "common_left_denominator", no_fold)
+        cert = freeness_certify(ctx, b, L)
+    ind, rank, lam = independence_check(_expand_words(ctx, words, b))
+    assert cert.independent == ind
+    assert cert.rank == rank and cert.word_count == len(words)
+    if ind:
+        assert cert.relation is None
+    else:
+        assert cert.relation
+        assert_relation_vanishes(ctx, b, cert.relation)
+
+
+@pytest.mark.parametrize("make_ctx,b,L", [
+    (shift_ctx, QU.var(0).inverse(), 3),
+    (double_ctx, (QT.var(0) - 1).inverse(), 2),
+], ids=["shift:1/u:L3", "double:1/(t-1):L2"])
+def test_evaluated_route_falls_back_to_fold(monkeypatch, make_ctx, b, L):
+    # rows cut to orders 0..1 at every point: the evaluated rank drops,
+    # the lifted nullspace vectors fail exact verification, and the
+    # certificate must be the fold's, unchanged
+    ctx = make_ctx()
+    real = freeness._evaluated_word_rows
+
+    def truncated(pair, words, b, N):
+        rows, points = real(pair, words, b, N)
+        cut = [[x for k in range(len(points))
+                for x in row[k * (N + 1): k * (N + 1) + 2]] for row in rows]
+        return cut, points
+
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "_evaluated_word_rows", lambda *a: None)
+        fold = freeness_certify(ctx, b, L)
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "_evaluated_word_rows", truncated)
+        cert = freeness_certify(ctx, b, L)
+    assert cert == fold
+    if cert.relation is not None:
+        assert_relation_vanishes(ctx, b, cert.relation)
+
+
+def test_shift_inverse_square_L4_independent_oracle_certified():
+    # the fold did not finish this case in 9 minutes
+    ctx = shift_ctx()
+    u = QU.var(0)
+    b = (u * u).inverse()
+    cert = freeness_certify(ctx, b, 4)
+    assert cert.verdict == "Independent"
+    assert cert.word_count == 31 and cert.rank == 31
+    # independent oracle: 8 orders at 5 points give 40 >= 31 columns, and
+    # full evaluated rank is a lower bound that already equals the count
+    step = lambda ff, c: series_xstep_sigma(ff, ctx.sigma, c)
+    rows = [word_series(QU, w, b, 7, step) for w in words_up_to(4)]
+    rank_o, null_o = k_rank_by_evaluation(
+        rows, [(Fraction(v),) for v in (7, 11, 17, 23, 29)])
+    assert rank_o == 31 and not null_o
 
 
 def test_scaling_automorphism_L2_independent():

@@ -24,14 +24,13 @@ Verdicts never assert more than their attached evidence re-verifies.
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .config import DEFAULT_LIMITS
 from .errors import (
     InconsistentDerivation, RequiresPureAutomorphism, RequiresPureDerivation,
     ResourceBoundExceeded,
 )
-from .field import RatFunc
+from .field import RatFunc, _rational_roots
 from .freeness import freeness_certify, valuation_witness, \
     weyl_pair_from_additive
 from .orefrac import central_power_check
@@ -146,39 +145,6 @@ def normalize_presentation(pair):
 # witness discovery for the automorphism case
 # ---------------------------------------------------------------------------
 
-def _rational_roots(poly, v):
-    """All roots in the prime field of a univariate polynomial."""
-    ff = poly.ff
-    if ff.char:
-        return [c for c in range(ff.char)
-                if poly.substitute([ff.const(c)] * ff.nvars).is_zero()]
-    coeffs = [0] * (poly.degree_in(v) + 1)
-    for e, c in poly.terms.items():
-        coeffs[e[v]] = c
-    denlcm = 1
-    for c in coeffs:
-        q = Fraction(c).denominator
-        denlcm = denlcm * q // math.gcd(denlcm, q)
-    ints = [int(Fraction(c) * denlcm) for c in coeffs]
-    out = []
-    if ints[0] == 0:
-        out.append(Fraction(0))
-    lead, const = ints[-1], ints[0]
-    if const == 0:
-        const = next((x for x in ints if x), lead)
-    for p in _divisors_int(const):
-        for q in _divisors_int(lead):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                if r in out:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * r + c
-                if acc == 0:
-                    out.append(r)
-    return out
-
-
 def _vars_of(f):
     """Indices of generators appearing in either side of a fraction."""
     out = set()
@@ -186,18 +152,6 @@ def _vars_of(f):
         for e in part.terms:
             out.update(v for v, k in enumerate(e) if k)
     return out
-
-
-def _divisors_int(n):
-    n = abs(n)
-    out = set()
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.add(f)
-            out.add(n // f)
-        f += 1
-    return sorted(out)
 
 
 def _witness_candidates(pair):

@@ -3,8 +3,9 @@
 All potentially explosive computations (multivariate gcd, fraction folds in
 the word pipeline, word enumeration) check these limits cooperatively and
 raise :class:`~orefree.errors.ResourceBoundExceeded` rather than thrash.
-The defaults are generous enough for every bundled fixture; problem files
-may override a subset through ``option.<name>`` lines.
+The defaults are generous enough for every bundled fixture.  Problem files
+cannot change them: their ``option.<name>`` lines set classification
+options only, and any other name is a parse error.
 """
 
 from dataclasses import dataclass

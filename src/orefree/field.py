@@ -51,6 +51,13 @@ def _is_prime(n):
     return True
 
 
+def _divisors(n):
+    """Positive divisors of |n| in increasing order; empty for n = 0."""
+    n = abs(n)
+    small = [f for f in range(1, math.isqrt(n) + 1) if n % f == 0]
+    return small + [n // f for f in reversed(small) if f * f != n]
+
+
 class BaseField:
     """The prime field: Q when ``p == 0``, else F_p for prime p."""
 
@@ -593,6 +600,44 @@ def _int_list_to_poly(ff, i, ints):
             e[i] = k
             out[tuple(e)] = Fraction(c)
     return MPoly(ff, out)
+
+
+def _rational_roots(poly, v):
+    """All roots in the prime field of a univariate polynomial in y_v.
+
+    Over Q the candidates are +-p/q with p dividing the lowest nonzero
+    coefficient and q the leading one, after clearing denominators; roots
+    come out in that candidate order, 0 first when it is one.
+    """
+    ff = poly.ff
+    if ff.char:
+        return [c for c in range(ff.char)
+                if poly.substitute([ff.const(c)] * ff.nvars).is_zero()]
+    coeffs = [0] * (poly.degree_in(v) + 1)
+    for e, c in poly.terms.items():
+        coeffs[e[v]] = c
+    denlcm = 1
+    for c in coeffs:
+        q = Fraction(c).denominator
+        denlcm = denlcm * q // math.gcd(denlcm, q)
+    ints = [int(Fraction(c) * denlcm) for c in coeffs]
+    out = []
+    if ints[0] == 0:
+        out.append(Fraction(0))
+    lead, const = ints[-1], ints[0]
+    if const == 0:
+        const = next((x for x in ints if x), lead)
+    for p in _divisors(const):
+        for q in _divisors(lead):
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                if r in out:
+                    continue
+                acc = Fraction(0)
+                for c in reversed(ints):
+                    acc = acc * r + c
+                if acc == 0:
+                    out.append(r)
+    return out
 
 
 def _trim(xs):

@@ -18,30 +18,34 @@ the prime field k, and rank.  Full rank certifies that no k-relation exists
 up to length L; a rank deficit yields an explicit relation, which is
 re-evaluated against the fractions themselves before being reported.
 
-Three coordinatizations are in use, and they decide the same rank.  Two
-of them expand words as power series truncated at order N = sum of all
-word lengths, past the degree any relation numerator can reach (each word
-admits a left denominator of degree = word length, so the common
-denominator degree is at most N); vanishing of a combination through that
-order then forces the exact element to be zero.
+Words are coordinatized in one of two ways, which decide the same rank.
+The series way expands each word in K[[x; sigma, delta]], truncated at
+order N = sum of all word lengths, past the degree any relation numerator
+can reach (each word admits a left denominator of degree = word length,
+so the common denominator degree is at most N); vanishing of a
+combination through that order then forces the exact element to be zero.
+Since (1-x)^{-1} = sum_n x^n has scalar coefficients, appending
+b^i (1-x)^{-1} to a word is one series step over either coefficient ring:
+on i = 1 right-multiply by b, then take the prefix sum.
 
-* Pure automorphisms over Q: in K[[x; sigma]] appending c(1-x)^{-1} to a
-  word is a prefix sum, new[m] = sum_{i<=m} a_i sigma^i(c), and
-  sigma^i(c)(P) = c(s^i(P)) for the point map s of sigma.  The series are
-  evaluated along the orbits of a fixed list of integer points, modulo
-  the prime q = 2^61 - 1.  Truncation and evaluation are Z_(q)-linear and
-  a primitive integer relation stays nonzero mod q, so the evaluated rank
-  is a lower bound: full rank proves independence.  On a deficit d every
-  vector of a reduced mod-q nullspace basis is lifted by rational
-  reconstruction and re-verified by exact fraction arithmetic; d verified
-  independent relations bound the rank from above, so it is exact.  Any
-  failed lift or check falls back to the common-denominator route.
+* Pure automorphisms over Q: x^m b = sigma^m(b) x^m, and
+  sigma^m(b)(P) = b(s^m(P)) for the point map s of sigma, so the product
+  by b is pointwise.  The series are evaluated along the orbits of a
+  fixed list of integer points, modulo the prime q = 2^61 - 1.
+  Truncation and evaluation are Z_(q)-linear and a primitive integer
+  relation stays nonzero mod q, so the evaluated rank is a lower bound:
+  full rank proves independence.  On a deficit d every vector of a
+  reduced mod-q nullspace basis is lifted by rational reconstruction and
+  re-verified by exact fraction arithmetic; d verified independent
+  relations bound the rank from above, so it is exact.  Any failed lift
+  or check falls back to the common-denominator route.
 * Pure derivations with polynomial witness and nilpotent-triangular
-  images: words expand in K[[x]] with x a = a x + delta(a), entries stay
-  polynomial, and the truncated coordinate matrix is faithful in both
-  directions.
-* Everything else brings all words over one common left denominator by
-  an lclm fold and flattens the numerator coefficient vectors.
+  images: x^m b = sum_j C(m, j) delta^j(b) x^{m-j}, a finite sum because
+  delta^{J+1}(b) = 0.  Entries stay polynomial and the truncated
+  coordinate matrix is faithful in both directions.
+
+Everything else brings all words over one common left denominator by an
+lclm fold and flattens the numerator coefficient vectors.
 
 Independence at bound L says nothing about longer words.  The certificate
 stores the bound, the rank, and a digest of the flattened matrix so runs
@@ -51,6 +55,7 @@ are comparable; callers decide what theorem the evidence supports.
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -241,15 +246,38 @@ class FreenessCertificate:
         return out
 
 
+def _prefix_shared(words, root, step):
+    """One value per word, each built from its longest proper prefix.
+
+    cache[w] = step(cache[w[:-1]], w[-1]) with cache[()] = root, so words
+    must list every prefix before its extensions, as words_up_to does.
+    """
+    cache = {(): root}
+    for w in words:
+        if w:
+            cache[w] = step(cache[w[:-1]], w[-1])
+    return [cache[w] for w in words]
+
+
 def _expand_words(ctx, words, b):
     """One fraction per word, sharing prefixes (same fold order as build_word_W)."""
     g0 = one_minus_x_inverse(ctx)
     g1 = OreFraction.from_ratfunc(ctx, b) * g0
-    cache = {(): OreFraction.one(ctx)}
-    for w in words:
-        if w:
-            cache[w] = cache[w[:-1]] * (g1 if w[-1] else g0)
-    return [cache[w] for w in words]
+    return _prefix_shared(words, OreFraction.one(ctx),
+                          lambda f, bit: f * (g1 if bit else g0))
+
+
+def _series_step(times_b, add=operator.add):
+    """Append b^bit (1-x)^{-1} to a word series, given as coefficients.
+
+    A 1 bit first right-multiplies by b through times_b; then right
+    multiplication by (1-x)^{-1} = sum_n x^n, whose coefficients are
+    scalars, is the prefix sum under add.
+    """
+    def step(series, bit):
+        return list(itertools.accumulate(
+            times_b(series) if bit else series, add))
+    return step
 
 
 def _delta_weights(delta):
@@ -287,41 +315,6 @@ def _poly_weight(f, weights):
                for e in f.num.terms)
 
 
-def _series_mul_delta(ff, A, B, delta, weights):
-    """Truncated product of series where x a = a x + delta(a).
-
-    From x^m a = sum_j C(m, j) delta^j(a) x^{m-j}, low orders of A * B can
-    draw on orders of A up to the nilpotence weight of B's coefficients
-    above them; callers pad the truncation to absorb that.
-    """
-    M = len(A) - 1
-    p = ff.char
-    out = [ff.zero()] * (M + 1)
-    for n, bn in enumerate(B[: M + 1]):
-        if bn.is_zero():
-            continue
-        djs = [bn]
-        for _ in range(_poly_weight(bn, weights)):
-            nxt = delta.apply(djs[-1])
-            if nxt.is_zero():
-                break
-            djs.append(nxt)
-        assert delta.apply(djs[-1]).is_zero()
-        for j, d in enumerate(djs):
-            for m in range(j, M + 1):
-                s = m - j + n
-                if s > M:
-                    break
-                am = A[m]
-                if am.is_zero():
-                    continue
-                c = math.comb(m, j)
-                if p and c % p == 0:
-                    continue
-                out[s] = out[s] + am * d * c
-    return out
-
-
 def _truncation_order(L):
     """Series order N = sum of the lengths of all words of length <= L.
 
@@ -335,24 +328,43 @@ def _truncation_order(L):
 def _series_word_rows(ctx, words, b, L):
     """Coordinate rows (series orders 0..N) for every word, prefix-shared.
 
-    N is :func:`_truncation_order`.  The working truncation adds L times
-    the witness weight because each multiplication by b^i (1-x)^{-1} lets
-    high orders bleed down by at most weight(b).
+    N is :func:`_truncation_order`.  With J the largest j such that
+    delta^j(b) != 0, (A b)[s] = sum_{j<=J} C(s+j, j) a_{s+j} delta^j(b)
+    needs J orders of A past s, so each product by b drops the top J
+    orders; starting from order M = N + L*J keeps orders 0..N exact.
     """
     delta = ctx.delta
     weights = _delta_weights(delta)
     assert weights is not None
     ff = ctx.ff
+    p = ff.char
+    djs = [b]
+    for _ in range(_poly_weight(b, weights)):
+        nxt = delta.apply(djs[-1])
+        if nxt.is_zero():
+            break
+        djs.append(nxt)
+    assert delta.apply(djs[-1]).is_zero()
+    J = len(djs) - 1
     N = _truncation_order(L)
-    M = N + L * _poly_weight(b, weights)
-    geom = [ff.one()] * (M + 1)
-    scaled = [b] * (M + 1)
-    cache = {(): [ff.one()] + [ff.zero()] * M}
-    for w in words:
-        if w:
-            cache[w] = _series_mul_delta(
-                ff, cache[w[:-1]], scaled if w[-1] else geom, delta, weights)
-    return [cache[w][: N + 1] for w in words]
+    M = N + L * J
+
+    def times_b(A):
+        out = []
+        for s in range(len(A) - J):
+            acc = ff.zero()
+            for j, d in enumerate(djs):
+                a = A[s + j]
+                c = math.comb(s + j, j)
+                if a.is_zero() or (p and c % p == 0):
+                    continue
+                acc = acc + a * d * c
+            out.append(acc)
+        return out
+
+    root = [ff.one()] + [ff.zero()] * M
+    return [series[: N + 1] for series in
+            _prefix_shared(words, root, _series_step(times_b))]
 
 
 # q = 2^61 - 1 is prime.  No proof rests on its size, since a failed lift
@@ -414,10 +426,9 @@ def _evaluated_word_rows(pair, words, b, N):
     """Word series at orders 0..N, evaluated mod q at _EVAL_POINTS points.
 
     Returns (rows, points) with one row per word, the points' blocks
-    concatenated in order, or None when fewer points are usable.  In
-    K[[x; sigma]] appending c(1-x)^{-1} to a word with coefficients a_i is
-    the prefix sum new[m] = sum_{i<=m} a_i sigma^i(c), and at a point P
-    sigma^i(c)(P) = c(s^i(P)); prefixes are shared as in _expand_words.
+    concatenated in order, or None when fewer points are usable.  At a
+    point P the product by b multiplies order m by sigma^m(b)(P) =
+    b(s^m(P)); the series step is the one _series_word_rows uses.
     """
     q = _EVAL_PRIME
     n = pair.ff.nvars
@@ -430,22 +441,12 @@ def _evaluated_word_rows(pair, words, b, N):
         bvals = _orbit_values(images, b, tuple(v % q for v in point), N, q)
         if bvals is None:
             continue
-        cache = {(): [1] + [0] * N}
-        for w in words:
-            if w:
-                acc = 0
-                new = []
-                if w[-1]:
-                    for a, c in zip(cache[w[:-1]], bvals):
-                        acc = (acc + a * c) % q
-                        new.append(acc)
-                else:
-                    for a in cache[w[:-1]]:
-                        acc = (acc + a) % q
-                        new.append(acc)
-                cache[w] = new
-        for row, w in zip(rows, words):
-            row.extend(cache[w])
+        step = _series_step(
+            lambda a: [x * c % q for x, c in zip(a, bvals)],
+            lambda s, t: (s + t) % q)
+        for row, series in zip(rows,
+                               _prefix_shared(words, [1] + [0] * N, step)):
+            row.extend(series)
         points.append(point)
         if len(points) == _EVAL_POINTS:
             return rows, points

@@ -270,14 +270,6 @@ class OrePoly:
         return "OrePoly(%s)" % self
 
 
-def right_divide(f, g):
-    return f.right_quo_rem(g)
-
-
-def left_divide(f, g):
-    return f.left_quo_rem(g)
-
-
 def gcrd(f, g):
     """Monic greatest common right divisor; gcrd(0, 0) = 0."""
     _same_ctx(f, g)

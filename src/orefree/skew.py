@@ -37,7 +37,7 @@ from .errors import (
     WrongCharacteristic,
     ZeroArgument,
 )
-from .field import RatFunc
+from .field import RatFunc, _divisors
 
 
 class SkewEndo:
@@ -343,14 +343,6 @@ class SkewPair:
         return "SkewPair(%r, %r)" % (self.sigma, self.delta)
 
 
-def apply_sigma(sigma, f, n=1):
-    return sigma.apply(f, n)
-
-
-def apply_delta(delta, f):
-    return delta.apply(f)
-
-
 def fixed_power_check(sigma, n):
     return sigma.fixed_power_check(n)
 
@@ -440,7 +432,7 @@ def orbit_analyze(sigma, a, bound=64):
             # p*(p-1); probe divisors of the sigma-order above the bound
             d = sigma.order(base.p * max(base.p - 1, 1))
             if d is not None and d <= 4096:
-                for m in sorted(_divisors(d)):
+                for m in _divisors(d):
                     if m > bound and sigma.apply(a, m) == a:
                         return OrbitReport("finite", period=m)
     return OrbitReport(
@@ -448,17 +440,6 @@ def orbit_analyze(sigma, a, bound=64):
         reason="no return within %d iterations and no closed form applies"
                % bound,
         iterates=seen)
-
-
-def _divisors(n):
-    out = set()
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.add(f)
-            out.add(n // f)
-        f += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

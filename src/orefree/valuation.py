@@ -12,24 +12,11 @@ strictly interior (a pole on the window edge means the profile may be
 truncated, so no length is claimed).
 """
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .config import DEFAULT_LIMITS
 from .errors import UsageError, ZeroArgument
-
-
-def _divisors_of(n):
-    n = abs(n)
-    out = set()
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.add(f)
-            out.add(n // f)
-        f += 1
-    return out
+from .field import _rational_roots
 
 
 def _univariate_var(poly):
@@ -38,33 +25,6 @@ def _univariate_var(poly):
         raise UsageError(
             "finite places need a univariate polynomial, got %s" % poly)
     return next(iter(used))
-
-
-def _dense_coeffs(poly, v):
-    out = [poly.ff.base.zero()] * (poly.degree_in(v) + 1)
-    for e, c in poly.terms.items():
-        out[e[v]] = c
-    return out
-
-
-def _has_rational_root(coeffs):
-    """Rational root test on a Q-coefficient dense list."""
-    denlcm = 1
-    for c in coeffs:
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in coeffs]
-    if ints[0] == 0:
-        return True  # root at zero
-    a0, an = ints[0], ints[-1]
-    for p in _divisors_of(a0):
-        for q in _divisors_of(an):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * r + c
-                if acc == 0:
-                    return True
-    return False
 
 
 def _is_irreducible(poly, v, limit):
@@ -92,8 +52,7 @@ def _is_irreducible(poly, v, limit):
                 if poly.divide_exact(cand) is not None:
                     return False
         return True
-    coeffs = _dense_coeffs(poly, v)
-    if _has_rational_root(coeffs):
+    if _rational_roots(poly, v):
         return False
     # degree 2 and 3 are settled by the root test; beyond the configured
     # bound we accept the declaration (documented probabilistic fallback)
@@ -120,7 +79,7 @@ class Place:
         if deg <= limit.irreducibility_exact_degree or poly.ff.char:
             ok = _is_irreducible(poly, v, limit)
         else:
-            ok = not _has_rational_root(_dense_coeffs(poly, v))
+            ok = not _rational_roots(poly, v)
         if not ok:
             raise UsageError("polynomial %s is reducible" % poly)
         return cls(poly.ff, poly, v)

@@ -1,6 +1,7 @@
 """End-to-end verdicts: PI, Free with evidence, Commutative, honest Unknown."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from orefree.classify import (
 from orefree.errors import (
     InconsistentDerivation, RequiresPureAutomorphism, RequiresPureDerivation,
 )
-from orefree.field import FunctionField
+from orefree.field import FunctionField, _divisors
 from orefree.orefrac import central_power_check
 from orefree.orepoly import OrePoly
 from orefree.skew import OrbitReport, SkewDerivation, SkewEndo, SkewPair
@@ -259,3 +260,12 @@ def test_rational_root_scan():
     assert sorted(_rational_roots(poly5, 0)) == [2, 3]
     no_roots = QT.poly_var(0) ** 2 + QT.poly_const(1)
     assert _rational_roots(no_roots, 0) == []
+    # the order feeds the witness pool: candidates +-p/q with p, then q,
+    # running through the divisors in increasing order
+    assert _divisors(-12) == [1, 2, 3, 4, 6, 12]
+    assert _divisors(9) == [1, 3, 9] and _divisors(0) == []
+    t = QT.poly_var(0)
+    cubic = (t - QT.poly_const(2)) * (t + QT.poly_const(1)) \
+        * (2 * t - QT.poly_const(1))
+    assert _rational_roots(cubic, 0) == [-1, Fraction(1, 2), 2]
+    assert _rational_roots(t * cubic, 0) == [0, -1, Fraction(1, 2), 2]

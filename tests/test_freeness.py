@@ -360,6 +360,15 @@ def test_series_rows_match_fraction_route_on_ddt():
     rank_s, _ = rank_over_k(rows_series, QT.base)
     ind, rank_f, _ = independence_check(_expand_words(ctx, words, t))
     assert rank_s == rank_f == 7 and ind
+    # entrywise on the tower: orders 0..10 of every word equal the oracle's
+    # right-to-left series product, padded well past its downward bleed
+    tower = tower_ctx()
+    x0 = tower.ff.var(0)
+    step = lambda f, c: series_xstep_delta(f, tower.delta, c)
+    rows = _series_word_rows(tower, words, x0, 2)
+    for w, row in zip(words, rows):
+        assert len(row) == 11
+        assert row == word_series(tower.ff, w, x0, 10 + 16, step)[:11]
 
 
 def test_delta_weights_shapes():
@@ -405,6 +414,21 @@ def test_series_route_digest_determinism():
     b = ctx.ff.var(0)
     assert (freeness_certify(ctx, b, 2).matrix_digest
             == freeness_certify(ctx, b, 2).matrix_digest)
+    # literal digests of the K[[x]] series route
+    t = QT.var(0)
+    assert freeness_certify(ddt_ctx(), t, 3).matrix_digest == (
+        "819a89e599347a1332202ae24e80f9cd635438b6d1091b195cb7e35454f79d71")
+    tower = tower_ctx()
+    x0 = tower.ff.var(0)
+    assert freeness_certify(tower, x0, 3).matrix_digest == (
+        "b58b0afe0e95fc3451ffb4694fa2d8eeaa1e18ac4162813fa63f49cbf14bc351")
+    # weight bound 5, but delta(x3^5) = 5 x3^4 x4 = 0 in F_5
+    x35 = tower.ff.var(3) ** 5
+    assert tower.delta.apply(x35).is_zero()
+    cert = freeness_certify(tower, x35, 3)
+    assert cert.verdict == "Dependent" and cert.rank == 10
+    assert cert.matrix_digest == (
+        "f16569c83bd505fffe2dd876d2a935e2248421556f1092c221bbec8619f3e4e1")
 
 
 def test_certificate_usage_errors_and_bounds():

@@ -19,30 +19,46 @@ up to length L; a rank deficit yields an explicit relation, which is
 re-evaluated against the fractions themselves before being reported.
 
 Words are coordinatized in one of two ways, which decide the same rank.
-The series way expands each word in K[[x; sigma, delta]], truncated at
+The series way expands each word in a skew series ring, truncated at
 order N = sum of all word lengths, past the degree any relation numerator
 can reach (each word admits a left denominator of degree = word length,
 so the common denominator degree is at most N); vanishing of a
 combination through that order then forces the exact element to be zero.
-Since (1-x)^{-1} = sum_n x^n has scalar coefficients, appending
-b^i (1-x)^{-1} to a word is one series step over either coefficient ring:
-on i = 1 right-multiply by b, then take the prefix sum.
+Since (1-x)^{-1} has scalar coefficients, appending b^i (1-x)^{-1} to a
+word is one series step over any coefficient ring: on i = 1
+right-multiply by b, then take a prefix sum.
 
-* Pure automorphisms over Q: x^m b = sigma^m(b) x^m, and
-  sigma^m(b)(P) = b(s^m(P)) for the point map s of sigma, so the product
-  by b is pointwise.  The series are evaluated along the orbits of a
-  fixed list of integer points, modulo the prime q = 2^61 - 1.
-  Truncation and evaluation are Z_(q)-linear and a primitive integer
-  relation stays nonzero mod q, so the evaluated rank is a lower bound:
-  full rank proves independence.  On a deficit d every vector of a
-  reduced mod-q nullspace basis is lifted by rational reconstruction and
-  re-verified by exact fraction arithmetic; d verified independent
-  relations bound the rank from above, so it is exact.  Any failed lift
-  or check falls back to the common-denominator route.
+* Pure automorphisms over Q, in K[[x; sigma]] with (1-x)^{-1} = sum_n x^n:
+  x^m b = sigma^m(b) x^m, and sigma^m(b)(P) = b(s^m(P)) for the point
+  map s of sigma, so the product by b is pointwise.  The series are
+  evaluated along the orbits of a fixed list of integer points, modulo
+  the prime q = 2^61 - 1.
+* Derivations of Q(t), in K((x^{-1}; delta)) with
+  (1-x)^{-1} = -sum_{k>=1} x^{-k}: x^0 b = b and, for n >= 1,
+  x^{-n} b = sum_j (-1)^j C(n+j-1, j) delta^j(b) x^{-n-j}.  A nonzero
+  D^{-1} P has leading term x^{deg P - deg D}, of order at least -deg D
+  >= -N, so the orders x^0 .. x^{-N} decide a relation exactly, as in
+  K[[x]].  Every coefficient is an integer polynomial in the
+  delta^j(b): products by b act on the right, so coefficients already
+  on the left are never differentiated.  Evaluation at P is therefore a
+  ring homomorphism on every entry, and the series are evaluated at a
+  fixed list of integer points mod q, with delta^j(b)(P) read off the
+  Taylor jets of b and delta(t) at P.  A point where either has a pole
+  mod q is skipped, so every delta^j(b) is regular there.
+
+  In both evaluated routes, truncation and evaluation are Z_(q)-linear
+  and a primitive integer relation stays nonzero mod q, so the
+  evaluated rank is a lower bound: full rank proves independence.  On a
+  deficit d every vector of a reduced mod-q nullspace basis is lifted
+  by rational reconstruction and re-verified by exact fraction
+  arithmetic; d verified independent relations bound the rank from
+  above, so it is exact.  Any failed lift or check falls back to the
+  common-denominator route.
 * Pure derivations with polynomial witness and nilpotent-triangular
-  images: x^m b = sum_j C(m, j) delta^j(b) x^{m-j}, a finite sum because
-  delta^{J+1}(b) = 0.  Entries stay polynomial and the truncated
-  coordinate matrix is faithful in both directions.
+  images, in K[[x; delta]]: x^m b = sum_j C(m, j) delta^j(b) x^{m-j}, a
+  finite sum because delta^{J+1}(b) = 0.  Entries stay polynomial and
+  the truncated coordinate matrix is faithful in both directions.  These
+  inputs keep this route also over Q(t).
 
 Everything else brings all words over one common left denominator by an
 lclm fold and flattens the numerator coefficient vectors.
@@ -267,16 +283,16 @@ def _expand_words(ctx, words, b):
                           lambda f, bit: f * (g1 if bit else g0))
 
 
-def _series_step(times_b, add=operator.add):
+def _series_step(times_b, geometric):
     """Append b^bit (1-x)^{-1} to a word series, given as coefficients.
 
-    A 1 bit first right-multiplies by b through times_b; then right
-    multiplication by (1-x)^{-1} = sum_n x^n, whose coefficients are
-    scalars, is the prefix sum under add.
+    A 1 bit first right-multiplies by b through times_b; then geometric
+    right-multiplies by (1-x)^{-1}, whose coefficients are scalars.  In
+    K[[x]] that is sum_n x^n, a prefix sum; in K((x^{-1})) it is
+    -sum_{k>=1} x^{-k}, a prefix sum shifted one order down and negated.
     """
     def step(series, bit):
-        return list(itertools.accumulate(
-            times_b(series) if bit else series, add))
+        return geometric(times_b(series) if bit else series)
     return step
 
 
@@ -363,8 +379,8 @@ def _series_word_rows(ctx, words, b, L):
         return out
 
     root = [ff.one()] + [ff.zero()] * M
-    return [series[: N + 1] for series in
-            _prefix_shared(words, root, _series_step(times_b))]
+    step = _series_step(times_b, lambda a: list(itertools.accumulate(a)))
+    return [series[: N + 1] for series in _prefix_shared(words, root, step)]
 
 
 # q = 2^61 - 1 is prime.  No proof rests on its size, since a failed lift
@@ -422,28 +438,121 @@ def _orbit_values(images, b, point, N, q):
     return vals
 
 
+def _orbit_product(pair, b, point, N, q):
+    """Right product by b at P in K[[x; sigma]], or None when undefined.
+
+    Order m is multiplied by sigma^m(b)(P) = b(s^m(P)).
+    """
+    bvals = _orbit_values(pair.sigma.images, b, point, N, q)
+    if bvals is None:
+        return None
+    return lambda a: [x * c % q for x, c in zip(a, bvals)]
+
+
+def _poly_jet_mod(p, c, n, q):
+    """Coefficients 0..n-1 of p(c + eps) mod q for univariate p, or None
+    when a coefficient denominator is 0 mod q."""
+    jet = [0] * n
+    for k in range(p.degree_in(0), -1, -1):
+        a = p.terms.get((k,), 0)
+        if a:
+            if a.denominator % q == 0:
+                return None
+            a = a.numerator * pow(a.denominator, -1, q)
+        # Horner step: jet * (c + eps) + a
+        jet = [(c * jet[0] + a) % q] + [
+            (c * jet[i] + jet[i - 1]) % q for i in range(1, n)]
+    return jet
+
+
+def _jet_mod(f, c, n, q):
+    """Taylor coefficients 0..n-1 of f(c + eps) mod q for univariate f.
+
+    None when f is undefined at c mod q.  Substituting t = c + eps is a
+    ring homomorphism that carries d/dt to d/d(eps).
+    """
+    num, den = _poly_jet_mod(f.num, c, n, q), _poly_jet_mod(f.den, c, n, q)
+    if num is None or den is None or not den[0]:
+        return None
+    inv = pow(den[0], -1, q)
+    dens = [(i, d) for i, d in enumerate(den) if i and d]
+    out = []
+    for k in range(n):
+        acc = num[k] - sum(d * out[k - i] for i, d in dens if i <= k)
+        out.append(acc * inv % q)
+    return out
+
+
+def _derivative_values(f, b, c, n, q):
+    """delta^j(b)(c) mod q for j < n, where delta = f d/dt, or None.
+
+    On jets at c, delta acts as F d/d(eps) with F the jet of f; each
+    application loses the top order, so n orders give n values exactly.
+    """
+    jet, fjet = _jet_mod(b, c, n, q), _jet_mod(f, c, n, q)
+    if jet is None or fjet is None:
+        return None
+    fs = [(i, v) for i, v in enumerate(fjet) if v]
+    vals = [jet[0]]
+    while len(vals) < n:
+        d = [k * jet[k] % q for k in range(1, len(jet))]
+        jet = [sum(v * d[k - i] for i, v in fs if i <= k) % q
+               for k in range(len(d))]
+        vals.append(jet[0])
+    return vals
+
+
+def _xinv_product(pair, b, point, N, q):
+    """Right product by b at P in K((x^{-1}; delta)), or None when undefined.
+
+    x^0 b = b, and x^{-m} b = sum_j (-1)^j C(m+j-1, j) delta^j(b) x^{-m-j}
+    for m >= 1, so order n >= 1 of A b is the binomial convolution
+    sum_{m=1..n} a_m (-1)^{n-m} C(n-1, n-m) e_{n-m}, e_j = delta^j(b)(P).
+    Orders only move down, so orders 0..N need no padding.
+    """
+    e = _derivative_values(pair.delta.images[0], b, point[0], N, q)
+    if e is None:
+        return None
+    weights = [None]
+    binom = [1]                 # row n - 1 of Pascal's triangle mod q
+    for n in range(1, N + 1):
+        weights.append([(-1) ** j * binom[j] * e[j] % q
+                        for j in range(n - 1, -1, -1)])
+        binom = [1] + [(binom[i - 1] + binom[i]) % q
+                       for i in range(1, n)] + [1]
+    return lambda a: [a[0] * e[0] % q] + [
+        sum(map(operator.mul, a[1:n + 1], weights[n])) % q
+        for n in range(1, N + 1)]
+
+
 def _evaluated_word_rows(pair, words, b, N):
     """Word series at orders 0..N, evaluated mod q at _EVAL_POINTS points.
 
     Returns (rows, points) with one row per word, the points' blocks
-    concatenated in order, or None when fewer points are usable.  At a
-    point P the product by b multiplies order m by sigma^m(b)(P) =
-    b(s^m(P)); the series step is the one _series_word_rows uses.
+    concatenated in order, or None when fewer points are usable.  Pure
+    automorphisms expand in K[[x; sigma]] with the product of
+    _orbit_product; derivations of Q(t) in K((x^{-1}; delta)) with the
+    product of _xinv_product.  The series step is the one
+    _series_word_rows uses.
     """
     q = _EVAL_PRIME
+    if pair.is_pure_automorphism():
+        product = _orbit_product
+        geometric = lambda a: [s % q for s in itertools.accumulate(a)]
+    else:
+        product = _xinv_product
+        geometric = lambda a: [0] + [
+            -s % q for s in itertools.accumulate(a[:-1])]
     n = pair.ff.nvars
-    images = pair.sigma.images
     rows = [[] for _ in words]
     points = []
     for k in range(len(_EVAL_STARTS)):
         point = tuple(_EVAL_STARTS[(k + j) % len(_EVAL_STARTS)]
                       for j in range(n))
-        bvals = _orbit_values(images, b, tuple(v % q for v in point), N, q)
-        if bvals is None:
+        times_b = product(pair, b, tuple(v % q for v in point), N, q)
+        if times_b is None:
             continue
-        step = _series_step(
-            lambda a: [x * c % q for x, c in zip(a, bvals)],
-            lambda s, t: (s + t) % q)
+        step = _series_step(times_b, geometric)
         for row, series in zip(rows,
                                _prefix_shared(words, [1] + [0] * N, step)):
             row.extend(series)
@@ -501,7 +610,9 @@ def _certify_by_evaluation(pair, words, b, L):
     rows, points = found
     q = _EVAL_PRIME
     rank, null = _rank_modp(rows, q)
-    digest = _matrix_digest(rows, "q:%d;points:%s" % (q, points))
+    header = "q:%d;points:%s" if pair.is_pure_automorphism() \
+        else "q:%d;x^-1;points:%s"
+    digest = _matrix_digest(rows, header % (q, points))
     if rank == len(words):
         return FreenessCertificate(b, L, len(words), rank, digest,
                                    "Independent")
@@ -527,14 +638,17 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
     relation, re-verified by exact fraction arithmetic whichever way the
     rank was obtained.  The route is fixed by the input:
 
-    * pure automorphisms over Q with N = sum_{r<=L} r 2^r at most
-      ``limit.max_den_degree`` take the evaluated series mod q = 2^61 - 1
-      (module docstring); a Dependent result there re-verifies every
-      vector of the reduced nullspace basis, so the rank is exact, and
-      the digest covers the evaluated matrix, its q and its points.  Too
-      few usable points, a failed lift or a failed check run the fold;
     * pure derivations whose images are nilpotent-triangular polynomials,
-      with a polynomial witness, take the K[[x]] series;
+      with a polynomial witness, take the K[[x; delta]] series;
+    * otherwise, over Q with N = sum_{r<=L} r 2^r at most
+      ``limit.max_den_degree``, pure automorphisms take the evaluated
+      K[[x; sigma]] series and derivations of Q(t) the evaluated
+      K((x^{-1}; delta)) series, both mod q = 2^61 - 1 (module
+      docstring).  A Dependent result there re-verifies every vector of
+      the reduced nullspace basis, so the rank is exact, and the digest
+      covers the evaluated matrix, its q, its points and, for the
+      x^{-1} series, a header of its own.  Too few usable points, a
+      failed lift or a failed check run the fold;
     * everything else, and every fallback, goes through the common left
       denominator.
 
@@ -551,11 +665,12 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
             % (len(words), limit.max_words))
     fracs = None
     rows = None
-    if pair.is_pure_derivation() and b.is_poly():
-        if _delta_weights(pair.delta) is not None:
-            rows = flatten_to_k(_series_word_rows(pair, words, b, L))
-    elif (pair.is_pure_automorphism() and pair.ff.char == 0
-          and _truncation_order(L) <= limit.max_den_degree):
+    if (pair.is_pure_derivation() and b.is_poly()
+            and _delta_weights(pair.delta) is not None):
+        rows = flatten_to_k(_series_word_rows(pair, words, b, L))
+    elif (pair.ff.char == 0 and _truncation_order(L) <= limit.max_den_degree
+          and (pair.is_pure_automorphism() or (
+              pair.is_pure_derivation() and pair.ff.nvars == 1))):
         cert = _certify_by_evaluation(pair, words, b, L)
         if cert is not None:
             return cert

@@ -43,13 +43,17 @@ from .field import RatFunc, _divisors
 class SkewEndo:
     """k-automorphism of K with verified inverse, applied by substitution."""
 
-    __slots__ = ("ff", "images", "inverse_images", "_pow", "_is_poly")
+    __slots__ = ("ff", "images", "inverse_images", "_pow", "_is_poly",
+                 "_is_identity")
 
     def __init__(self, ff, images, inverse_images):
         self.ff = ff
         self.images = self._as_image_list(ff, images)
         self.inverse_images = self._as_image_list(ff, inverse_images)
-        self._pow = {0: ff.gens(), 1: self.images, -1: self.inverse_images}
+        gens = ff.gens()
+        self._pow = {0: gens, 1: self.images, -1: self.inverse_images}
+        # images are immutable, so this is decided once
+        self._is_identity = self.images == gens
         # polynomial in both directions => restricts to an automorphism of
         # k[y], so substitution preserves coprimality and reduction can be
         # skipped when applying to reduced fractions
@@ -98,7 +102,7 @@ class SkewEndo:
         return cls(ff, gens, list(gens))
 
     def is_identity(self):
-        return self.images == self.ff.gens()
+        return self._is_identity
 
     def _power_images(self, n):
         cache = self._pow

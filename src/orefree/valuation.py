@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS
 from .errors import UsageError, ZeroArgument
-from .field import _rational_roots
+from .field import _rational_roots, poly_gcd
 
 
 def _univariate_var(poly):
@@ -76,6 +76,9 @@ class Place:
         v = _univariate_var(poly)
         poly = poly.monic()
         deg = poly.degree_in(v)
+        # a repeated factor is invisible to the root test beyond degree 3
+        if deg >= 2 and not poly_gcd(poly, poly.partial(v)).is_const():
+            raise UsageError("polynomial %s is not squarefree" % poly)
         if deg <= limit.irreducibility_exact_degree or poly.ff.char:
             ok = _is_irreducible(poly, v, limit)
         else:

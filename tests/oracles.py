@@ -191,6 +191,25 @@ def series_xstep_delta(ff, delta, coeffs):
     return out
 
 
+def series_xinv_step_delta(ff, delta, coeffs):
+    """One left multiplication by x^{-1} in K((x^{-1}; delta)), truncated.
+
+    coeffs[n] is the coefficient of x^{-n}.  Each term x^{-1} c x^{-n} is
+    rewritten by x^{-1} c = c x^{-1} - x^{-1} delta(c) x^{-1} until the
+    leftover x^{-1} (...) x^{-k} falls past the truncation; no closed
+    binomial formula is used.  Orders only move down, so the result is
+    exact through the last order kept.
+    """
+    out = [ff.zero()] * len(coeffs)
+    for n, c in enumerate(coeffs):
+        k, sign = n, 1
+        while k + 1 < len(coeffs) and not c.is_zero():
+            out[k + 1] = out[k + 1] + c * sign
+            c = delta.apply(c)
+            k, sign = k + 1, -sign
+    return out
+
+
 def series_mul(ff, A, B, xstep):
     """Truncated series product as sum_m a_m * (x^m * B), one x at a time.
 
@@ -210,14 +229,17 @@ def series_mul(ff, A, B, xstep):
     return out
 
 
-def word_series(ff, bits, b, order, xstep):
+def word_series(ff, bits, b, order, xstep, geom=None):
     """Series of b^{i_1}(1-x)^{-1} ... b^{i_r}(1-x)^{-1} to the given order.
 
-    (1-x)^{-1} expands to the all-ones series in both commutation models
-    (multiply it by 1 - x and everything telescopes).  Factors fold right
-    to left, the opposite association of the implementation under test.
+    In x, (1-x)^{-1} expands to the all-ones series in both commutation
+    models (multiply it by 1 - x and everything telescopes); the default
+    geom is that series.  In x^{-1} pass geom = [0, -1, -1, ...], since
+    (1-x)^{-1} = -sum_{k>=1} x^{-k} there.  Factors fold right to left,
+    the opposite association of the implementation under test.
     """
-    geom = [ff.one()] * (order + 1)
+    if geom is None:
+        geom = [ff.one()] * (order + 1)
     out = [ff.one()] + [ff.zero()] * order
     for i in reversed(bits):
         right = out

@@ -25,8 +25,9 @@ from orefree.orepoly import OrePoly
 from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 from orefree.valuation import Place
 
-from oracles import k_rank_by_evaluation, series_xstep_delta, \
-    series_xstep_sigma, word_series
+from oracles import eval_ratfunc, k_rank_by_evaluation, \
+    series_xinv_step_delta, series_xstep_delta, series_xstep_sigma, \
+    word_series
 
 QU = FunctionField(0, ["u"])
 QT = FunctionField(0, ["t"])
@@ -45,6 +46,22 @@ def double_ctx():
 def ddt_ctx():
     return SkewPair.derivation(
         SkewDerivation(QT, [QT.one()], SkewEndo.identity(QT)))
+
+
+def tddt_ctx():
+    t = QT.var(0)
+    return SkewPair.derivation(SkewDerivation(QT, [t], SkewEndo.identity(QT)))
+
+
+def t2ddt_ctx():
+    t = QT.var(0)
+    return SkewPair.derivation(
+        SkewDerivation(QT, [t * t], SkewEndo.identity(QT)))
+
+
+def invtddt_ctx():
+    return SkewPair.derivation(
+        SkewDerivation(QT, [QT.var(0).inverse()], SkewEndo.identity(QT)))
 
 
 def tower_ctx(nvars=5, p=5):
@@ -226,7 +243,18 @@ def _route_cases():
              (moebius_ctx, "1/(t+1)", (t + 1).inverse(), (2, 3)),
              # the fold takes about half a minute at L = 3
              (two_variable_ctx, "1/(uv)",
-              (ff.var(0) * ff.var(1)).inverse(), (2,))]
+              (ff.var(0) * ff.var(1)).inverse(), (2,)),
+             # derivations of Q(t), expanded in x^{-1}; t under d/dt keeps
+             # the nilpotent series route
+             (ddt_ctx, "1/t", t.inverse(), (2, 3)),
+             (ddt_ctx, "t", t, (2, 3)),
+             (ddt_ctx, "1/(t^2+1)", (t * t + 1).inverse(), (2, 3)),
+             (ddt_ctx, "t/(2t+1)", t / (2 * t + 1), (2, 3)),
+             # a pole at the first orbit start t = 2 skips that point
+             (ddt_ctx, "1/(t-2)", (t - 2).inverse(), (2, 3)),
+             (tddt_ctx, "1/(t-1)", (t - 1).inverse(), (2, 3)),
+             (t2ddt_ctx, "1/t", t.inverse(), (2, 3)),
+             (invtddt_ctx, "t", t, (2, 3))]
     return [pytest.param(make, b, L, id="%s:%s:L%d" % (
                 make.__name__[:-4], name, L))
             for make, name, b, lengths in panel for L in lengths]
@@ -256,7 +284,8 @@ def test_evaluated_route_agrees_with_fold(monkeypatch, make_ctx, b, L):
 @pytest.mark.parametrize("make_ctx,b,L", [
     (shift_ctx, QU.var(0).inverse(), 3),
     (double_ctx, (QT.var(0) - 1).inverse(), 2),
-], ids=["shift:1/u:L3", "double:1/(t-1):L2"])
+    (ddt_ctx, QT.var(0).inverse(), 3),
+], ids=["shift:1/u:L3", "double:1/(t-1):L2", "ddt:1/t:L3"])
 def test_evaluated_route_falls_back_to_fold(monkeypatch, make_ctx, b, L):
     # rows cut to orders 0..1 at every point: the evaluated rank drops,
     # the lifted nullspace vectors fail exact verification, and the
@@ -296,6 +325,52 @@ def test_shift_inverse_square_L4_independent_oracle_certified():
     rank_o, null_o = k_rank_by_evaluation(
         rows, [(Fraction(v),) for v in (7, 11, 17, 23, 29)])
     assert rank_o == 31 and not null_o
+
+
+def test_ddt_inverse_witness_L3_relation_oracle_certified():
+    # 1/t under d/dt: the x^{-1}-series route, pinned from both sides by
+    # its re-verified relation and an oracle rank lower bound
+    ctx = ddt_ctx()
+    t = QT.var(0)
+    b = t.inverse()
+    cert = freeness_certify(ctx, b, 3)
+    assert cert.verdict == "Dependent"
+    assert cert.word_count == 15 and cert.rank == 14
+    assert rel_by_key(cert) == {"01": 1, "10": -1, "101": 1}
+    words = words_up_to(3)
+    step = lambda ff, c: series_xinv_step_delta(ff, ctx.delta, c)
+    geom = [QT.zero()] + [-QT.one()] * 10
+    rows = [word_series(QT, w, b, 10, step, geom) for w in words]
+    rank_o, null_o = k_rank_by_evaluation(
+        rows, [(Fraction(v),) for v in (3, 5, 7)])
+    assert rank_o == 14 and len(null_o) == 1
+    by_word = {word_key(w): c for w, c in zip(words, null_o[0]) if c}
+    scale = by_word["01"]
+    assert {k: v / scale for k, v in by_word.items()} == rel_by_key(cert)
+
+
+def test_xinv_rows_equal_oracle_series_at_each_point():
+    # entrywise: the evaluated x^{-1} rows at every point are the oracle's
+    # series, built by single x^{-1} commutation steps, evaluated there
+    # mod q; 1/(t-2) has a pole at the first orbit start, which is skipped
+    q = freeness._EVAL_PRIME
+    t = QT.var(0)
+    words = words_up_to(2)
+    for ctx, b, starts in ((t2ddt_ctx(), t.inverse(), [2, -3, 5, -7]),
+                           (ddt_ctx(), (t - 2).inverse(), [-3, 5, -7, 11])):
+        rows, points = freeness._evaluated_word_rows(ctx, words, b, 8)
+        assert points == [(v,) for v in starts]
+        step = lambda ff, c: series_xinv_step_delta(ff, ctx.delta, c)
+        geom = [QT.zero()] + [-QT.one()] * 8
+        for w, row in zip(words, rows):
+            series = word_series(QT, w, b, 8, step, geom)
+            expect = []
+            for v in starts:
+                for c in series:
+                    x = eval_ratfunc(c, (Fraction(v),))
+                    expect.append(
+                        x.numerator * pow(x.denominator, -1, q) % q)
+            assert row == expect
 
 
 def test_scaling_automorphism_L2_independent():
@@ -429,6 +504,9 @@ def test_series_route_digest_determinism():
     assert cert.verdict == "Dependent" and cert.rank == 10
     assert cert.matrix_digest == (
         "f16569c83bd505fffe2dd876d2a935e2248421556f1092c221bbec8619f3e4e1")
+    # the evaluated x^{-1}-series route: 1/t under d/dt
+    assert freeness_certify(ddt_ctx(), t.inverse(), 3).matrix_digest == (
+        "fcafa5ed2ad0fd57f588e97f7d77b43b0895e6f90c329a862fa803436bb3b37b")
 
 
 def test_certificate_usage_errors_and_bounds():

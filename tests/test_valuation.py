@@ -52,6 +52,20 @@ def test_place_requires_irreducible():
         Place.finite(ff5.poly_const(3))
 
 
+def test_place_rejects_repeated_factors():
+    # degree 4 over Q lies past the exact bound, where only rational roots
+    # were looked for; (t^2+1)^2 would report v(1/(t^2+1)) = 0
+    t = QT.poly_var("t")
+    for poly in ((t * t + 1) ** 2, (t * t + t + 1) ** 2 * (t * t + 2)):
+        with pytest.raises(UsageError, match="squarefree"):
+            Place.finite(poly)
+    ff5 = FunctionField(5, ["t"])
+    t5 = ff5.poly_var("t")
+    with pytest.raises(UsageError):
+        Place.finite((t5 * t5 + 2) ** 2)
+    assert Place.finite(t ** 4 + 2).valuation(QT.var("t") ** 4 + 2) == 1
+
+
 def test_place_normalizes_monic():
     t = QT.poly_var("t")
     p = Place.finite(2 * t + 2)

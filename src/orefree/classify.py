@@ -134,7 +134,8 @@ def normalize_presentation(pair):
         if ok:
             chosen = shift
             break
-    assert chosen is not None, "neither sign linearizes the substitution"
+    if chosen is None:
+        raise AssertionError("neither sign linearizes the substitution")
     pure = SkewPair.automorphism(sigma)
     report = ("pure automorphism type after x' = x + (%s); "
               "x' a = sigma(a) x' verified on all generators" % chosen)
@@ -366,7 +367,8 @@ def classify_derivation(spec):
         z = OreFraction.from_poly(OrePoly.x(pair)) * \
             OreFraction.from_ratfunc(pair, da).inverse()
         outcome = weyl_check(y, z)
-        assert outcome, "x delta(a)^{-1} failed the Weyl relation"
+        if not outcome:
+            raise AssertionError("x delta(a)^{-1} failed the Weyl relation")
         diags.append("Weyl pair verified: y = %s, z = x (%s)^{-1}"
                      % (a, da))
         cert, _ = _best_bounded_certificate(pair, a, opts.word_length, diags)

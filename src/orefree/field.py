@@ -574,19 +574,32 @@ def _int_content(xs):
     return g
 
 
-def _uni_to_int_list(p, i):
-    """Clear a Q-coefficient univariate poly to a primitive int list."""
-    d = p.degree_in(i)
-    coeffs = [Fraction(0)] * (d + 1)
-    for e, c in p.terms.items():
-        coeffs[e[i]] = c
-    denlcm = 1
-    for c in coeffs:
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in coeffs]
+def _primitive_ints(xs):
+    """(ints, scale): coprime integers ints[i] = scale * xs[i].
+
+    xs holds ints or Fractions.  scale is the positive Fraction
+    lcm(denominators) / content, so signs are kept; an all-zero xs gives
+    zeros and scale 1.
+    """
+    d = math.lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (d // x.denominator) for x in xs]
     g = _int_content(ints)
     if g > 1:
-        ints = [x // g for x in ints]
+        return [x // g for x in ints], Fraction(d, g)
+    return ints, Fraction(d)
+
+
+def _uni_coeffs(p, i):
+    """Dense coefficient list, constant first, of a poly univariate in y_i."""
+    coeffs = [0] * (p.degree_in(i) + 1)
+    for e, c in p.terms.items():
+        coeffs[e[i]] = c
+    return coeffs
+
+
+def _uni_to_int_list(p, i):
+    """Clear a Q-coefficient univariate poly to a primitive int list."""
+    ints, _ = _primitive_ints(_uni_coeffs(p, i))
     if ints[-1] < 0:
         ints = [-x for x in ints]
     return ints
@@ -613,14 +626,7 @@ def _rational_roots(poly, v):
     if ff.char:
         return [c for c in range(ff.char)
                 if poly.substitute([ff.const(c)] * ff.nvars).is_zero()]
-    coeffs = [0] * (poly.degree_in(v) + 1)
-    for e, c in poly.terms.items():
-        coeffs[e[v]] = c
-    denlcm = 1
-    for c in coeffs:
-        q = Fraction(c).denominator
-        denlcm = denlcm * q // math.gcd(denlcm, q)
-    ints = [int(Fraction(c) * denlcm) for c in coeffs]
+    ints, _ = _primitive_ints(_uni_coeffs(poly, v))
     out = []
     if ints[0] == 0:
         out.append(Fraction(0))

@@ -33,32 +33,32 @@ right-multiply by b, then take a prefix sum.
   map s of sigma, so the product by b is pointwise.  The series are
   evaluated along the orbits of a fixed list of integer points, modulo
   the prime q = 2^61 - 1.
-* Derivations of Q(t), in K((x^{-1}; delta)) with
+* Pure derivations, in K((x^{-1}; delta)) with
   (1-x)^{-1} = -sum_{k>=1} x^{-k}: x^0 b = b and, for n >= 1,
   x^{-n} b = sum_j (-1)^j C(n+j-1, j) delta^j(b) x^{-n-j}.  A nonzero
   D^{-1} P has leading term x^{deg P - deg D}, of order at least -deg D
   >= -N, so the orders x^0 .. x^{-N} decide a relation exactly, as in
-  K[[x]].  Every coefficient is an integer polynomial in the
-  delta^j(b): products by b act on the right, so coefficients already
-  on the left are never differentiated.  Evaluation at P is therefore a
-  ring homomorphism on every entry, and the series are evaluated at a
-  fixed list of integer points mod q, with delta^j(b)(P) read off the
-  Taylor jets of b and delta(t) at P.  A point where either has a pole
-  mod q is skipped, so every delta^j(b) is regular there.
+  K[[x]], and orders only move down, so no padding is needed.  Every
+  coefficient is an integer polynomial in the e_j = delta^j(b): products
+  by b act on the right, so coefficients already on the left are never
+  differentiated.  For a polynomial witness under polynomial images the
+  entries stay polynomials; they are computed exactly, from the e_j up
+  to the last nonzero one, and flattened over k like the fold's
+  numerators.  Rational entries grow faster than the fold's numerators,
+  so other exact inputs fold.  For derivations of Q(t), evaluation at P
+  is a ring homomorphism on every entry, so the same product runs on the
+  values e_j(P) mod q at a fixed list of integer points, read off the
+  Taylor jets of b and delta(t) at P.  A point where either has a pole mod q is
+  skipped, so every delta^j(b) is regular there.
 
-  In both evaluated routes, truncation and evaluation are Z_(q)-linear
-  and a primitive integer relation stays nonzero mod q, so the
-  evaluated rank is a lower bound: full rank proves independence.  On a
-  deficit d every vector of a reduced mod-q nullspace basis is lifted
-  by rational reconstruction and re-verified by exact fraction
-  arithmetic; d verified independent relations bound the rank from
-  above, so it is exact.  Any failed lift or check falls back to the
-  common-denominator route.
-* Pure derivations with polynomial witness and nilpotent-triangular
-  images, in K[[x; delta]]: x^m b = sum_j C(m, j) delta^j(b) x^{m-j}, a
-  finite sum because delta^{J+1}(b) = 0.  Entries stay polynomial and
-  the truncated coordinate matrix is faithful in both directions.  These
-  inputs keep this route also over Q(t).
+In both evaluated routes, truncation and evaluation are Z_(q)-linear and
+a primitive integer relation stays nonzero mod q, so the evaluated rank
+is a lower bound: full rank proves independence.  On a deficit d every
+vector of a reduced mod-q nullspace basis is lifted by rational
+reconstruction and re-verified by exact fraction arithmetic; d verified
+independent relations bound the rank from above, so it is exact.  Any
+failed lift or check falls back to the exact x^{-1} series where it
+applies, and to the fold otherwise.
 
 Everything else brings all words over one common left denominator by an
 lclm fold and flattens the numerator coefficient vectors.
@@ -208,6 +208,23 @@ def _verify_relation(fracs, lam):
         raise AssertionError("relation does not annihilate the fractions")
 
 
+def _rank_and_relation(rows, base, expand):
+    """(rank, relation) of coordinate rows, one per word, over k.
+
+    relation is None at full rank; otherwise it is the first nullspace
+    vector, re-verified against the fractions that expand() returns,
+    which is called only then.
+    """
+    rank, null = rank_over_k(rows, base)
+    if rank == len(rows):
+        return rank, None
+    if not null:
+        raise AssertionError("rank deficit without a nullspace vector")
+    lam = tuple(null[0])
+    _verify_relation(expand(), lam)
+    return rank, lam
+
+
 def independence_check(fracs, limit=DEFAULT_LIMITS):
     """Exact k-linear independence of left fractions.
 
@@ -216,14 +233,9 @@ def independence_check(fracs, limit=DEFAULT_LIMITS):
     already re-verified to sum the scaled fractions to zero.
     """
     den, nums = common_left_denominator(fracs, limit)
-    rows = _numerator_rows(nums)
-    rank, null = rank_over_k(rows, fracs[0].ctx.ff.base)
-    if rank == len(fracs):
-        return True, rank, None
-    assert null, "rank deficit without a nullspace vector"
-    lam = tuple(null[0])
-    _verify_relation(fracs, lam)
-    return False, rank, lam
+    rank, lam = _rank_and_relation(_numerator_rows(nums),
+                                   fracs[0].ctx.ff.base, lambda: fracs)
+    return lam is None, rank, lam
 
 
 @dataclass(frozen=True)
@@ -296,41 +308,6 @@ def _series_step(times_b, geometric):
     return step
 
 
-def _delta_weights(delta):
-    """Nilpotence depths per variable, or None when none are guaranteed.
-
-    Applies when every delta(y_i) is a polynomial in variables strictly
-    after y_i (constants allowed).  Then delta kills the monomial
-    prod y_v^{e_v} after 1 + sum e_v * w[v] applications, by Leibniz and
-    induction along the variable order; w[v] is 0 for delta(y_v) = 0 and
-    1 + weight(delta(y_v)) otherwise, computed from the last variable back.
-    """
-    ff = delta.ff
-    w = [0] * ff.nvars
-    for i in range(ff.nvars - 1, -1, -1):
-        img = delta.images[i]
-        if img.is_zero():
-            continue
-        if not img.is_poly():
-            return None
-        deepest = 0
-        for e in img.num.terms:
-            if any(e[v] and v <= i for v in range(ff.nvars)):
-                return None
-            deepest = max(deepest, sum(e[v] * w[v] for v in range(len(e))))
-        w[i] = deepest + 1
-    return w
-
-
-def _poly_weight(f, weights):
-    """Largest j with delta^j(f) possibly nonzero, from the variable depths."""
-    if f.is_zero():
-        return 0
-    assert f.is_poly()
-    return max(sum(e[v] * weights[v] for v in range(len(e)))
-               for e in f.num.terms)
-
-
 def _truncation_order(L):
     """Series order N = sum of the lengths of all words of length <= L.
 
@@ -341,50 +318,56 @@ def _truncation_order(L):
     return sum(r * 2 ** r for r in range(1, L + 1))
 
 
-def _series_word_rows(ctx, words, b, L):
-    """Coordinate rows (series orders 0..N) for every word, prefix-shared.
+def _xinv_step(e, N, zero, reduce):
+    """Series step in K((x^{-1}; delta)) on orders 0..N (see _series_step).
 
-    N is :func:`_truncation_order`.  With J the largest j such that
-    delta^j(b) != 0, (A b)[s] = sum_{j<=J} C(s+j, j) a_{s+j} delta^j(b)
-    needs J orders of A past s, so each product by b drops the top J
-    orders; starting from order M = N + L*J keeps orders 0..N exact.
+    e lists e_j = delta^j(b), exactly or as values at a point mod q, and
+    every e_j past its end is zero; reduce brings a coefficient to normal
+    form (the residue mod q, or itself).  x^0 b = b, and
+    x^{-m} b = sum_j (-1)^j C(m+j-1, j) e_j x^{-m-j} for m >= 1, so order
+    n >= 1 of A b is the binomial convolution
+    sum_m a_m (-1)^{n-m} C(n-1, n-m) e_{n-m}.  Orders only move down, so
+    orders 0..N need no padding.
     """
-    delta = ctx.delta
-    weights = _delta_weights(delta)
-    assert weights is not None
-    ff = ctx.ff
-    p = ff.char
-    djs = [b]
-    for _ in range(_poly_weight(b, weights)):
-        nxt = delta.apply(djs[-1])
+    weights = [None]            # order n: first m, then the factors of a_m
+    binom = [1]                 # row n - 1 of Pascal's triangle
+    for n in range(1, N + 1):
+        lo = max(1, n - len(e) + 1)
+        weights.append((lo, [reduce((-1) ** (n - m) * binom[n - m] * e[n - m])
+                             for m in range(lo, n + 1)]))
+        binom = [1] + [reduce(binom[i - 1] + binom[i])
+                       for i in range(1, n)] + [1]
+
+    def times_b(a):
+        return [reduce(a[0] * e[0])] + [
+            reduce(sum(map(operator.mul, a[lo:n + 1], w), zero))
+            for n, (lo, w) in enumerate(weights[1:], 1)]
+
+    def geometric(a):
+        return [zero] + [reduce(-s) for s in itertools.accumulate(a[:-1])]
+
+    return _series_step(times_b, geometric)
+
+
+def _xinv_word_series(pair, words, b, N):
+    """Exact word series in K((x^{-1}; delta)) at orders 0..N.
+
+    The e_j are computed exactly up to the last nonzero one (order n only
+    reads e_j for j < n, so at most N of them).
+    """
+    ff = pair.ff
+    e = [b]
+    while len(e) < N:
+        nxt = pair.delta.apply(e[-1])
         if nxt.is_zero():
             break
-        djs.append(nxt)
-    assert delta.apply(djs[-1]).is_zero()
-    J = len(djs) - 1
-    N = _truncation_order(L)
-    M = N + L * J
-
-    def times_b(A):
-        out = []
-        for s in range(len(A) - J):
-            acc = ff.zero()
-            for j, d in enumerate(djs):
-                a = A[s + j]
-                c = math.comb(s + j, j)
-                if a.is_zero() or (p and c % p == 0):
-                    continue
-                acc = acc + a * d * c
-            out.append(acc)
-        return out
-
-    root = [ff.one()] + [ff.zero()] * M
-    step = _series_step(times_b, lambda a: list(itertools.accumulate(a)))
-    return [series[: N + 1] for series in _prefix_shared(words, root, step)]
+        e.append(nxt)
+    step = _xinv_step(e, N, ff.zero(), lambda c: c)
+    return _prefix_shared(words, [ff.one()] + [ff.zero()] * N, step)
 
 
 # q = 2^61 - 1 is prime.  No proof rests on its size, since a failed lift
-# falls back to the fold; the size makes that rare, as rational
+# falls back to an exact route; the size makes that rare, as rational
 # reconstruction recovers coefficients up to about 10^9
 _EVAL_PRIME = (1 << 61) - 1
 # orbit starts tried in this order; a multivariate point takes consecutive
@@ -438,15 +421,18 @@ def _orbit_values(images, b, point, N, q):
     return vals
 
 
-def _orbit_product(pair, b, point, N, q):
-    """Right product by b at P in K[[x; sigma]], or None when undefined.
+def _orbit_step(pair, b, point, N, q):
+    """Series step in K[[x; sigma]] at P mod q, or None when undefined.
 
-    Order m is multiplied by sigma^m(b)(P) = b(s^m(P)).
+    Order m of a product by b is multiplied by sigma^m(b)(P) = b(s^m(P)),
+    and (1-x)^{-1} = sum_n x^n makes the geometric step a prefix sum.
     """
     bvals = _orbit_values(pair.sigma.images, b, point, N, q)
     if bvals is None:
         return None
-    return lambda a: [x * c % q for x, c in zip(a, bvals)]
+    return _series_step(
+        lambda a: [x * c % q for x, c in zip(a, bvals)],
+        lambda a: [s % q for s in itertools.accumulate(a)])
 
 
 def _poly_jet_mod(p, c, n, q):
@@ -502,27 +488,12 @@ def _derivative_values(f, b, c, n, q):
     return vals
 
 
-def _xinv_product(pair, b, point, N, q):
-    """Right product by b at P in K((x^{-1}; delta)), or None when undefined.
-
-    x^0 b = b, and x^{-m} b = sum_j (-1)^j C(m+j-1, j) delta^j(b) x^{-m-j}
-    for m >= 1, so order n >= 1 of A b is the binomial convolution
-    sum_{m=1..n} a_m (-1)^{n-m} C(n-1, n-m) e_{n-m}, e_j = delta^j(b)(P).
-    Orders only move down, so orders 0..N need no padding.
-    """
+def _xinv_point_step(pair, b, point, N, q):
+    """The x^{-1} series step on the values e_j(P) mod q, or None."""
     e = _derivative_values(pair.delta.images[0], b, point[0], N, q)
     if e is None:
         return None
-    weights = [None]
-    binom = [1]                 # row n - 1 of Pascal's triangle mod q
-    for n in range(1, N + 1):
-        weights.append([(-1) ** j * binom[j] * e[j] % q
-                        for j in range(n - 1, -1, -1)])
-        binom = [1] + [(binom[i - 1] + binom[i]) % q
-                       for i in range(1, n)] + [1]
-    return lambda a: [a[0] * e[0] % q] + [
-        sum(map(operator.mul, a[1:n + 1], weights[n])) % q
-        for n in range(1, N + 1)]
+    return _xinv_step(e, N, 0, lambda c: c % q)
 
 
 def _evaluated_word_rows(pair, words, b, N):
@@ -530,29 +501,21 @@ def _evaluated_word_rows(pair, words, b, N):
 
     Returns (rows, points) with one row per word, the points' blocks
     concatenated in order, or None when fewer points are usable.  Pure
-    automorphisms expand in K[[x; sigma]] with the product of
-    _orbit_product; derivations of Q(t) in K((x^{-1}; delta)) with the
-    product of _xinv_product.  The series step is the one
-    _series_word_rows uses.
+    automorphisms expand in K[[x; sigma]] (_orbit_step), derivations of
+    Q(t) in K((x^{-1}; delta)) (_xinv_point_step).
     """
     q = _EVAL_PRIME
-    if pair.is_pure_automorphism():
-        product = _orbit_product
-        geometric = lambda a: [s % q for s in itertools.accumulate(a)]
-    else:
-        product = _xinv_product
-        geometric = lambda a: [0] + [
-            -s % q for s in itertools.accumulate(a[:-1])]
+    make_step = _orbit_step if pair.is_pure_automorphism() \
+        else _xinv_point_step
     n = pair.ff.nvars
     rows = [[] for _ in words]
     points = []
     for k in range(len(_EVAL_STARTS)):
         point = tuple(_EVAL_STARTS[(k + j) % len(_EVAL_STARTS)]
                       for j in range(n))
-        times_b = product(pair, b, tuple(v % q for v in point), N, q)
-        if times_b is None:
+        step = make_step(pair, b, tuple(v % q for v in point), N, q)
+        if step is None:
             continue
-        step = _series_step(times_b, geometric)
         for row, series in zip(rows,
                                _prefix_shared(words, [1] + [0] * N, step)):
             row.extend(series)
@@ -598,7 +561,7 @@ def _rational_reconstruct(a, p):
 
 
 def _certify_by_evaluation(pair, words, b, L):
-    """Certificate from the evaluated series, or None to run the fold.
+    """Certificate from the evaluated series, or None to run an exact route.
 
     Full rank mod q proves independence.  On a deficit d the reduced
     nullspace basis is lifted to Q and all d vectors must re-verify on the
@@ -636,24 +599,25 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
     Independent means exactly that the bounded set carries no nontrivial
     k-relation; Dependent refutes freeness outright and carries the
     relation, re-verified by exact fraction arithmetic whichever way the
-    rank was obtained.  The route is fixed by the input:
+    rank was obtained.  The route is fixed by the input, first match wins
+    (module docstring):
 
-    * pure derivations whose images are nilpotent-triangular polynomials,
-      with a polynomial witness, take the K[[x; delta]] series;
-    * otherwise, over Q with N = sum_{r<=L} r 2^r at most
-      ``limit.max_den_degree``, pure automorphisms take the evaluated
-      K[[x; sigma]] series and derivations of Q(t) the evaluated
-      K((x^{-1}; delta)) series, both mod q = 2^61 - 1 (module
-      docstring).  A Dependent result there re-verifies every vector of
-      the reduced nullspace basis, so the rank is exact, and the digest
-      covers the evaluated matrix, its q, its points and, for the
-      x^{-1} series, a header of its own.  Too few usable points, a
-      failed lift or a failed check run the fold;
-    * everything else, and every fallback, goes through the common left
-      denominator.
+    * over Q with N = sum_{r<=L} r 2^r at most ``limit.max_den_degree``,
+      pure automorphisms take the evaluated K[[x; sigma]] series and
+      derivations of Q(t) the evaluated K((x^{-1}; delta)) series, both
+      mod q = 2^61 - 1.  A Dependent result there re-verifies every
+      vector of the reduced nullspace basis, so the rank is exact, and
+      the digest covers the evaluated matrix, its q, its points and, for
+      the x^{-1} series, a header of its own.  Too few usable points, a
+      failed lift or a failed check go on to the next route;
+    * pure derivations with a polynomial witness and polynomial images
+      take the exact K((x^{-1}; delta)) series;
+    * everything else goes through the common left denominator.
 
-    Raises ResourceBoundExceeded when the word count or the fold's
-    denominator crosses the configured limits.
+    The last two rank their flattened rows over k and verify the first
+    nullspace vector on the exact words.  Raises ResourceBoundExceeded
+    when the word count or the fold's denominator crosses the configured
+    limits.
     """
     if L < 1:
         raise UsageError("certificate needs L >= 1")
@@ -663,31 +627,28 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
         raise ResourceBoundExceeded(
             "%d words exceed the configured bound %d"
             % (len(words), limit.max_words))
-    fracs = None
-    rows = None
-    if (pair.is_pure_derivation() and b.is_poly()
-            and _delta_weights(pair.delta) is not None):
-        rows = flatten_to_k(_series_word_rows(pair, words, b, L))
-    elif (pair.ff.char == 0 and _truncation_order(L) <= limit.max_den_degree
-          and (pair.is_pure_automorphism() or (
-              pair.is_pure_derivation() and pair.ff.nvars == 1))):
+    if (pair.ff.char == 0 and _truncation_order(L) <= limit.max_den_degree
+            and (pair.is_pure_automorphism() or (
+                pair.is_pure_derivation() and pair.ff.nvars == 1))):
         cert = _certify_by_evaluation(pair, words, b, L)
         if cert is not None:
             return cert
-    if rows is None:
+    if (pair.is_pure_derivation() and b.is_poly()
+            and all(img.is_poly() for img in pair.delta.images)):
+        rows = flatten_to_k(
+            _xinv_word_series(pair, words, b, _truncation_order(L)))
+        expand = lambda: _expand_words(pair, words, b)
+    else:
         fracs = _expand_words(pair, words, b)
         den, nums = common_left_denominator(fracs, limit)
         rows = _numerator_rows(nums)
+        expand = lambda: fracs
     base = pair.ff.base
-    rank, null = rank_over_k(rows, base)
+    rank, lam = _rank_and_relation(rows, base, expand)
     digest = _matrix_digest(rows, "k:%d" % base.p)
-    if rank == len(words):
+    if lam is None:
         return FreenessCertificate(b, L, len(words), rank, digest,
                                    "Independent")
-    lam = tuple(null[0])
-    if fracs is None:
-        fracs = _expand_words(pair, words, b)
-    _verify_relation(fracs, lam)
     relation = {w: c for w, c in zip(words, lam) if c}
     return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
                                relation)

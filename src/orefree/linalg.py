@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import ResourceBoundExceeded, UsageError
-from .field import _grlex_key, poly_gcd
+from .field import _grlex_key, _primitive_ints, poly_gcd
 
 
 def flatten_to_k(vectors):
@@ -71,16 +71,7 @@ def flatten_to_k(vectors):
 
 def _normalize_int_vector(vec):
     """Scale a Fraction vector to coprime integers, first nonzero positive."""
-    denlcm = 1
-    for x in vec:
-        if x:
-            denlcm = denlcm * x.denominator // math.gcd(denlcm, x.denominator)
-    ints = [int(x * denlcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
+    ints, _ = _primitive_ints(vec)
     for x in ints:
         if x:
             if x < 0:
@@ -93,24 +84,13 @@ def _rank_bareiss(rows):
     """Fraction-free elimination over Z on [M | I]; returns rank, nullspace."""
     n = len(rows)
     ncols = len(rows[0]) if n else 0
-    scales = []
-    m = []
+    # m[i] = scales[i] * rows[i], so a nullspace coefficient mu for the
+    # scaled row corresponds to mu * scales[i] for the original
+    m, scales = [], []
     for row in rows:
-        denlcm = 1
-        for x in row:
-            if x:
-                denlcm = denlcm * x.denominator // math.gcd(
-                    denlcm, x.denominator)
-        ints = [int(x * denlcm) for x in row]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        # scaled_row = (denlcm/g) * row, so a nullspace coefficient mu for
-        # the scaled row corresponds to mu * (denlcm/g) for the original
-        scales.append(Fraction(denlcm, g if g else 1))
+        ints, scale = _primitive_ints(row)
         m.append(ints)
+        scales.append(scale)
     # strip column contents (pure column scaling, nullspace unaffected)
     for c in range(ncols):
         g = 0

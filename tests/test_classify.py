@@ -1,10 +1,14 @@
 """End-to-end verdicts: PI, Free with evidence, Commutative, honest Unknown."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import orefree
 from orefree import classify
 from orefree.classify import (
     ClassifyOptions, ProblemSpec, Verdict, classify_automorphism,
@@ -269,3 +273,36 @@ def test_rational_root_scan():
         * (2 * t - QT.poly_const(1))
     assert _rational_roots(cubic, 0) == [-1, Fraction(1, 2), 2]
     assert _rational_roots(t * cubic, 0) == [0, -1, Fraction(1, 2), 2]
+
+
+_FAILED_WEYL_CHECK = """
+import orefree.orefrac
+from orefree.classify import ClassifyOptions, ProblemSpec, classify_problem
+from orefree.field import FunctionField
+from orefree.skew import SkewDerivation, SkewEndo, SkewPair
+
+orefree.orefrac.weyl_check = lambda y, z: False
+QT = FunctionField(0, ["t"])
+pair = SkewPair.derivation(
+    SkewDerivation(QT, [QT.one()], SkewEndo.identity(QT)))
+print("debug", __debug__)
+try:
+    v = classify_problem(ProblemSpec(pair, ClassifyOptions()))
+except AssertionError as exc:
+    print("refused:", exc)
+else:
+    print("verdict:", v.kind, v.diagnostics)
+"""
+
+
+def test_failed_weyl_check_refuses_under_python_O():
+    # python -O strips assert statements; a Weyl pair that fails its check
+    # must still stop the Free verdict
+    src = os.path.dirname(os.path.dirname(orefree.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAILED_WEYL_CHECK],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False",
+        "refused: x delta(a)^{-1} failed the Weyl relation"]

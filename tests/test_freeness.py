@@ -17,7 +17,7 @@ from orefree.freeness import (
     FreenessCertificate, build_word_V, build_word_W, common_left_denominator,
     freeness_certify, independence_check, monomial_products_check,
     one_minus_x_inverse, valuation_witness, weyl_pair_from_additive, word_key,
-    words_up_to, _delta_weights, _expand_words, _series_word_rows,
+    words_up_to, _expand_words, _xinv_word_series,
 )
 from orefree.linalg import flatten_to_k, rank_over_k
 from orefree.orefrac import OreFraction
@@ -62,6 +62,21 @@ def t2ddt_ctx():
 def invtddt_ctx():
     return SkewPair.derivation(
         SkewDerivation(QT, [QT.var(0).inverse()], SkewEndo.identity(QT)))
+
+
+def f5_ctx(image):
+    """F_5(t) under delta = image(t) d/dt."""
+    ff = FunctionField(5, ["t"])
+    return SkewPair.derivation(
+        SkewDerivation(ff, [image(ff.var(0))], SkewEndo.identity(ff)))
+
+
+def ac_ctx():
+    """Q(a, c) with delta(a) = ac and delta(c) = 1."""
+    ff = FunctionField(0, ["a", "c"])
+    a, c = ff.var(0), ff.var(1)
+    return SkewPair.derivation(
+        SkewDerivation(ff, [a * c, ff.one()], SkewEndo.identity(ff)))
 
 
 def tower_ctx(nvars=5, p=5):
@@ -244,8 +259,8 @@ def _route_cases():
              # the fold takes about half a minute at L = 3
              (two_variable_ctx, "1/(uv)",
               (ff.var(0) * ff.var(1)).inverse(), (2,)),
-             # derivations of Q(t), expanded in x^{-1}; t under d/dt keeps
-             # the nilpotent series route
+             # derivations of Q(t), expanded in x^{-1} and evaluated, for
+             # polynomial witnesses as for rational ones
              (ddt_ctx, "1/t", t.inverse(), (2, 3)),
              (ddt_ctx, "t", t, (2, 3)),
              (ddt_ctx, "1/(t^2+1)", (t * t + 1).inverse(), (2, 3)),
@@ -260,13 +275,11 @@ def _route_cases():
             for make, name, b, lengths in panel for L in lengths]
 
 
-@pytest.mark.parametrize("make_ctx,b,L", _route_cases())
-def test_evaluated_route_agrees_with_fold(monkeypatch, make_ctx, b, L):
-    ctx = make_ctx()
+def _assert_series_route_agrees_with_fold(monkeypatch, ctx, b, L):
     words = words_up_to(L)
 
     def no_fold(*args, **kw):
-        raise AssertionError("automorphism over Q fell back to the fold")
+        raise AssertionError("series route fell back to the fold")
 
     with monkeypatch.context() as m:
         m.setattr(freeness, "common_left_denominator", no_fold)
@@ -279,6 +292,24 @@ def test_evaluated_route_agrees_with_fold(monkeypatch, make_ctx, b, L):
     else:
         assert cert.relation
         assert_relation_vanishes(ctx, b, cert.relation)
+
+
+@pytest.mark.parametrize("make_ctx,b,L", _route_cases())
+def test_evaluated_route_agrees_with_fold(monkeypatch, make_ctx, b, L):
+    _assert_series_route_agrees_with_fold(monkeypatch, make_ctx(), b, L)
+
+
+@pytest.mark.parametrize("make_ctx,L", [
+    (lambda: f5_ctx(lambda t: t * t), 2),
+    (lambda: f5_ctx(lambda t: t * t), 3),
+    (lambda: f5_ctx(lambda t: t.ff.one()), 3),
+    (ac_ctx, 2),
+], ids=["F5-t2ddt:t:L2", "F5-t2ddt:t:L3", "F5-ddt:t:L3", "Q(a,c):a:L2"])
+def test_exact_xinv_route_agrees_with_fold(monkeypatch, make_ctx, L):
+    # the first generator as witness, under polynomial images outside the
+    # evaluated route: F_p, and derivations in several variables
+    ctx = make_ctx()
+    _assert_series_route_agrees_with_fold(monkeypatch, ctx, ctx.ff.var(0), L)
 
 
 @pytest.mark.parametrize("make_ctx,b,L", [
@@ -425,38 +456,27 @@ def test_tower_L3_independent_oracle_certified():
 
 
 def test_series_rows_match_fraction_route_on_ddt():
-    # the series coordinate rows themselves agree with expanding each word
-    # as a fraction and reading numerators over the common denominator:
-    # both flatten to matrices with identical nullspaces, checked via rank
+    # the exact x^{-1} series rows agree with expanding each word as a
+    # fraction and reading numerators over the common denominator: both
+    # flatten to matrices with identical nullspaces, checked via rank
     ctx = ddt_ctx()
     t = QT.var(0)
     words = words_up_to(2)
-    rows_series = flatten_to_k(_series_word_rows(ctx, words, t, 2))
+    rows_series = flatten_to_k(_xinv_word_series(ctx, words, t, 10))
     rank_s, _ = rank_over_k(rows_series, QT.base)
     ind, rank_f, _ = independence_check(_expand_words(ctx, words, t))
     assert rank_s == rank_f == 7 and ind
-    # entrywise on the tower: orders 0..10 of every word equal the oracle's
-    # right-to-left series product, padded well past its downward bleed
+    # entrywise, on d/dt and on the tower: orders 0..10 of every word equal
+    # the oracle's series, built by single x^{-1} commutation steps
     tower = tower_ctx()
-    x0 = tower.ff.var(0)
-    step = lambda f, c: series_xstep_delta(f, tower.delta, c)
-    rows = _series_word_rows(tower, words, x0, 2)
-    for w, row in zip(words, rows):
-        assert len(row) == 11
-        assert row == word_series(tower.ff, w, x0, 10 + 16, step)[:11]
-
-
-def test_delta_weights_shapes():
-    assert _delta_weights(tower_ctx().delta) == [4, 3, 2, 1, 0]
-    assert _delta_weights(ddt_ctx().delta) == [1]
-    ff = FunctionField(0, ["t"])
-    t = ff.var(0)
-    selfref = SkewDerivation(ff, [t * t], SkewEndo.identity(ff))
-    assert _delta_weights(selfref) is None
-    ff2 = FunctionField(0, ["a", "b"])
-    rational = SkewDerivation(
-        ff2, [ff2.var(1).inverse(), ff2.zero()], SkewEndo.identity(ff2))
-    assert _delta_weights(rational) is None
+    for pair, b in ((ctx, t), (tower, tower.ff.var(0))):
+        ff = pair.ff
+        step = lambda f, c: series_xinv_step_delta(f, pair.delta, c)
+        geom = [ff.zero()] + [-ff.one()] * 10
+        rows = _xinv_word_series(pair, words, b, 10)
+        for w, row in zip(words, rows):
+            assert len(row) == 11
+            assert row == word_series(ff, w, b, 10, step, geom)
 
 
 def test_monotonicity_of_independence():
@@ -489,21 +509,22 @@ def test_series_route_digest_determinism():
     b = ctx.ff.var(0)
     assert (freeness_certify(ctx, b, 2).matrix_digest
             == freeness_certify(ctx, b, 2).matrix_digest)
-    # literal digests of the K[[x]] series route
+    # literal digests: t under d/dt takes the evaluated x^{-1} series, the
+    # tower the exact one
     t = QT.var(0)
     assert freeness_certify(ddt_ctx(), t, 3).matrix_digest == (
-        "819a89e599347a1332202ae24e80f9cd635438b6d1091b195cb7e35454f79d71")
+        "f5befe583bc8d731ffc3b9bcfc8b858e2dfa190e5b780d0dd58d5e0e8bfb2001")
     tower = tower_ctx()
     x0 = tower.ff.var(0)
     assert freeness_certify(tower, x0, 3).matrix_digest == (
-        "b58b0afe0e95fc3451ffb4694fa2d8eeaa1e18ac4162813fa63f49cbf14bc351")
-    # weight bound 5, but delta(x3^5) = 5 x3^4 x4 = 0 in F_5
+        "d792ff96062ffd5916c7f0874d51d2ba3082172df89b1aded8031b29932e6685")
+    # delta(x3^5) = 5 x3^4 x4 = 0 in F_5, so the series use e_0 alone
     x35 = tower.ff.var(3) ** 5
     assert tower.delta.apply(x35).is_zero()
     cert = freeness_certify(tower, x35, 3)
     assert cert.verdict == "Dependent" and cert.rank == 10
     assert cert.matrix_digest == (
-        "f16569c83bd505fffe2dd876d2a935e2248421556f1092c221bbec8619f3e4e1")
+        "9abb329ec493b0f97343966205ee3d6912ef1d5bbe67dfb96ccdefb551cac82f")
     # the evaluated x^{-1}-series route: 1/t under d/dt
     assert freeness_certify(ddt_ctx(), t.inverse(), 3).matrix_digest == (
         "fcafa5ed2ad0fd57f588e97f7d77b43b0895e6f90c329a862fa803436bb3b37b")

@@ -115,7 +115,8 @@ def _run(args):
         rep = delta_tower(pair.delta, elem, args.depth)
         statuses = [lv.status for lv in rep.levels]
         return rep.to_json_dict(), "tower: " + ", ".join(statuses)
-    assert args.command == "compute"
+    if args.command != "compute":
+        raise AssertionError("unhandled command %r" % args.command)
     value = parse_ore_expr(pair, args.expr)
     return ({"expr": args.expr, "value": str(value)},
             "compute: %s" % value)

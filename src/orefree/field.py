@@ -454,7 +454,8 @@ class MPoly:
         so only one fraction reduction happens at the end.
         """
         ff = self.ff
-        assert len(images) == ff.nvars
+        if len(images) != ff.nvars:
+            raise AssertionError("need one image per variable")
         if not images:
             return RatFunc(self, ff.poly_one(), reduce=False)
         if not self.terms:
@@ -485,7 +486,8 @@ class MPoly:
     def substitute_poly(self, images):
         """Image under y_i -> images[i] with polynomial values (stays MPoly)."""
         ff = self.ff
-        assert len(images) == ff.nvars
+        if len(images) != ff.nvars:
+            raise AssertionError("need one image per variable")
         if not images:
             return self
         tgt = images[0].ff

@@ -53,12 +53,22 @@ right-multiply by b, then take a prefix sum.
 
 In both evaluated routes, truncation and evaluation are Z_(q)-linear and
 a primitive integer relation stays nonzero mod q, so the evaluated rank
-is a lower bound: full rank proves independence.  On a deficit d every
-vector of a reduced mod-q nullspace basis is lifted by rational
-reconstruction and re-verified by exact fraction arithmetic; d verified
-independent relations bound the rank from above, so it is exact.  Any
-failed lift or check falls back to the exact x^{-1} series where it
-applies, and to the fold otherwise.
+is a lower bound: full rank proves independence, and on a deficit d the
+exact nullity is at most d.  The words are the monomials of the free
+algebra on g0 = (1-x)^{-1} and g1 = b(1-x)^{-1}: g_j W_I = W_{jI} and
+W_I g_j = W_{Ij}, so a relation R yields the relations g_j R and R g_j
+by moving indices alone.  Length by length, only a mod-q nullspace
+vector outside the span of the shorter relations and their one-letter
+multiples is lifted by rational reconstruction, and only these
+generators are re-verified by exact fraction arithmetic.  The relations
+derived from them are then exact as well, and together they span d
+dimensions mod q, so at least d over Q (integer vectors independent mod
+q are independent over Q): the nullity is d and the rank is exact.  The
+reported relation, the first vector of the reduced mod-q nullspace
+basis, is lifted too and proved exact by Q-span membership in the
+derived basis.  A failed lift or check, or a basis short of d, falls
+back to the exact x^{-1} series where it applies, and to the fold
+otherwise.
 
 Everything else brings all words over one common left denominator by an
 lclm fold and flattens the numerator coefficient vectors.
@@ -82,7 +92,8 @@ from .errors import (
 )
 from .field import RatFunc
 from .linalg import (
-    _normalize_int_vector, _rank_modp, flatten_to_k, rank_over_k,
+    _normalize_int_vector, _rank_bareiss, _rank_modp, flatten_to_k,
+    rank_over_k,
 )
 from .orefrac import OreFraction, _lclm_with_probe, weyl_check
 from .orepoly import OrePoly
@@ -101,7 +112,8 @@ def words_up_to(max_len):
     out = [()]
     for r in range(1, max_len + 1):
         out.extend(itertools.product((0, 1), repeat=r))
-    assert len(out) == 2 ** (max_len + 1) - 1
+    if len(out) != 2 ** (max_len + 1) - 1:
+        raise AssertionError("word count is not 2^(L+1) - 1")
     return out
 
 
@@ -135,7 +147,8 @@ def build_word_W(ctx, bits, b):
     g1 = OreFraction.from_ratfunc(ctx, b) * g0
     out = OreFraction.one(ctx)
     for i in bits:
-        assert i in (0, 1)
+        if i not in (0, 1):
+            raise AssertionError("word index %r is not 0 or 1" % (i,))
         out = out * (g1 if i else g0)
     return out
 
@@ -191,13 +204,26 @@ def _matrix_digest(rows, header):
 
 
 def _relation_vanishes(fracs, lam):
-    """True when sum(lam[i] * fracs[i]) is the zero fraction."""
-    ctx = fracs[0].ctx
-    acc = OreFraction.zero(ctx)
-    for c, f in zip(lam, fracs):
-        if c:
-            acc = acc + OreFraction.from_ratfunc(ctx, ctx.ff.const(c)) * f
-    return acc.is_zero()
+    """True when sum(lam[i] * fracs[i]) is the zero fraction.
+
+    The scalars lie in the prime field k, which commutes with every Ore
+    polynomial, so over one common left denominator den, grown by lclm
+    steps, the sum is den^{-1} sum(lam[i] * nums[i]): it vanishes exactly
+    when that Ore polynomial does.
+    """
+    support = [(c, f) for c, f in zip(lam, fracs) if c]
+    if not support:
+        return True
+    ctx = support[0][1].ctx
+    den, total = OrePoly.one(ctx), OrePoly.zero(ctx)
+    for c, f in support:
+        den, u, v = _lclm_with_probe(den, f.den)
+        if den.degree > DEFAULT_LIMITS.max_den_degree:
+            raise ResourceBoundExceeded(
+                "relation denominator reached degree %d (bound %d)"
+                % (den.degree, DEFAULT_LIMITS.max_den_degree))
+        total = u * total + v * f.num.scale_left(ctx.ff.const(c))
+    return total.is_zero()
 
 
 def _verify_relation(fracs, lam):
@@ -560,12 +586,105 @@ def _rational_reconstruct(a, p):
     return Fraction(r1, s1)
 
 
+def _last_nonzero(vec):
+    return max((i for i, x in enumerate(vec) if x), default=-1)
+
+
+def _reduce_by_last(basis, vec, p):
+    """(remainder, its last nonzero index) of vec mod p against basis.
+
+    basis maps a last nonzero index to a vector that ends there with a 1.
+    Each step clears the last entry and touches none after it, and every
+    nonzero vector of the span ends at an index of basis, so the
+    remainder is zero (index -1) exactly when vec lies in the span.
+    """
+    vec = [x % p for x in vec]
+    last = _last_nonzero(vec)
+    while last in basis:
+        f = vec[last]
+        vec = [(x - f * y) % p for x, y in zip(vec, basis[last])]
+        last = _last_nonzero(vec)
+    return vec, last
+
+
+def _add_by_last(basis, vec, p):
+    """Extend basis by vec mod p unless vec lies in its span; True if added."""
+    vec, last = _reduce_by_last(basis, vec, p)
+    if last < 0:
+        return False
+    inv = pow(vec[last], -1, p)
+    basis[last] = [x * inv % p for x in vec]
+    return True
+
+
+def _one_letter_multiples(lam, words, index):
+    """g_j R and R g_j for j = 0, 1, for a relation R = lam shorter than L.
+
+    Every word is a monomial in g0 = (1-x)^{-1} and g1 = b(1-x)^{-1}, so
+    g_j W_I = W_{jI} and W_I g_j = W_{Ij}: a multiple of a relation is a
+    relation again, and only its indices move.
+    """
+    support = [(w, c) for w, c in zip(words, lam) if c]
+    for j in (0, 1):
+        for left in (True, False):
+            vec = [0] * len(words)
+            for w, c in support:
+                vec[index[(j,) + w if left else w + (j,)]] = c
+            yield vec
+
+
+def _lift(vec, q):
+    """Coprime integer vector reconstructed from vec mod q, or None."""
+    lam = [_rational_reconstruct(x, q) for x in vec]
+    return None if None in lam else _normalize_int_vector(lam)
+
+
+def _relation_generators(null, words, L, q):
+    """(basis, generators) for the mod-q relation space, or None.
+
+    null is a basis of the relations mod q.  In echelon form keyed on
+    each vector's last word, the vectors ending at length <= r span the
+    relations among the words of length <= r, for every r at once.
+    Length by length, the integer basis of the shorter relations and its
+    one-letter multiples are reduced mod q, and only a vector of length r
+    outside their span is lifted to a generator; so every basis vector is
+    a generator or a multiple of a shorter basis vector.  None when a
+    lift fails or the basis does not come out at dimension len(null).
+    """
+    by_last = {}
+    for vec in null:
+        _add_by_last(by_last, vec, q)
+    index = {w: i for i, w in enumerate(words)}
+    basis, generators = [], []
+    for length in range(1, L + 1):
+        span, extended = {}, []
+        for rel in itertools.chain(basis, *(
+                _one_letter_multiples(r, words, index) for r in basis)):
+            if _add_by_last(span, rel, q):
+                extended.append(rel)
+        for last, vec in sorted(by_last.items()):
+            if (len(words[last]) == length
+                    and _reduce_by_last(span, vec, q)[1] >= 0):
+                lam = _lift(vec, q)
+                if lam is None or not _add_by_last(span, lam, q):
+                    return None
+                generators.append(lam)
+                extended.append(lam)
+        basis = extended
+    if len(basis) != len(null):
+        return None
+    return basis, generators
+
+
 def _certify_by_evaluation(pair, words, b, L):
     """Certificate from the evaluated series, or None to run an exact route.
 
-    Full rank mod q proves independence.  On a deficit d the reduced
-    nullspace basis is lifted to Q and all d vectors must re-verify on the
-    exact words, which pins the rank; the first one is reported.
+    Full rank mod q proves independence.  On a deficit d only the
+    generators of _relation_generators are verified on the exact words,
+    over the prefix closure of their supports; the basis they derive then
+    pins the rank (module docstring).  The first vector of the reduced
+    nullspace basis is reported, proved by Q-span membership in that
+    basis.
     """
     found = _evaluated_word_rows(pair, words, b, _truncation_order(L))
     if found is None:
@@ -579,16 +698,22 @@ def _certify_by_evaluation(pair, words, b, L):
     if rank == len(words):
         return FreenessCertificate(b, L, len(words), rank, digest,
                                    "Independent")
-    lifted = []
-    for vec in _reduced_echelon_modp(null, q):
-        lam = [_rational_reconstruct(x, q) for x in vec]
-        if None in lam:
-            return None
-        lifted.append(_normalize_int_vector(lam))
-    fracs = _expand_words(pair, words, b)
-    if not all(_relation_vanishes(fracs, lam) for lam in lifted):
+    found = _relation_generators(null, words, L, q)
+    reported = _lift(_reduced_echelon_modp(null, q)[0], q)
+    if found is None or reported is None:
         return None
-    relation = {w: c for w, c in zip(words, lifted[0]) if c}
+    basis, generators = found
+    if _rank_bareiss(basis + [reported])[0] > len(basis):
+        return None
+    closure = sorted({w[:k] for lam in generators
+                      for w, c in zip(words, lam) if c
+                      for k in range(len(w) + 1)},
+                     key=lambda w: (len(w), w))
+    fracs = dict(zip(closure, _expand_words(pair, closure, b)))
+    expanded = [fracs.get(w) for w in words]
+    if not all(_relation_vanishes(expanded, lam) for lam in generators):
+        return None
+    relation = {w: c for w, c in zip(words, reported) if c}
     return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
                                relation)
 
@@ -597,17 +722,21 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
     """Certificate for all words of length <= L (count 2^{L+1} - 1).
 
     Independent means exactly that the bounded set carries no nontrivial
-    k-relation; Dependent refutes freeness outright and carries the
-    relation, re-verified by exact fraction arithmetic whichever way the
-    rank was obtained.  The route is fixed by the input, first match wins
+    k-relation; Dependent refutes freeness outright and carries an exact
+    relation: re-verified by exact fraction arithmetic, or on the
+    evaluated route a Q-combination of relations that follow from ones
+    so verified.  The route is fixed by the input, first match wins
     (module docstring):
 
     * over Q with N = sum_{r<=L} r 2^r at most ``limit.max_den_degree``,
       pure automorphisms take the evaluated K[[x; sigma]] series and
       derivations of Q(t) the evaluated K((x^{-1}; delta)) series, both
-      mod q = 2^61 - 1.  A Dependent result there re-verifies every
-      vector of the reduced nullspace basis, so the rank is exact, and
-      the digest covers the evaluated matrix, its q, its points and, for
+      mod q = 2^61 - 1.  A Dependent result there re-verifies only the
+      generators of its relations; the rest are their multiples
+      g_j R and R g_j, index moves that need no arithmetic.  The d
+      relations so obtained are independent mod q, so over Q, while the
+      mod-q rank bounds the nullity by d: the rank is exact.  The
+      digest covers the evaluated matrix, its q, its points and, for
       the x^{-1} series, a header of its own.  Too few usable points, a
       failed lift or a failed check go on to the next route;
     * pure derivations with a polynomial witness and polynomial images

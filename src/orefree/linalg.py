@@ -57,7 +57,8 @@ def flatten_to_k(vectors):
         nums = []
         for x in col:
             q = den.divide_exact(x.den)
-            assert q is not None
+            if q is None:
+                raise AssertionError("column denominator not divisible")
             nums.append(x.num * q)
         monos = set()
         for nm in nums:
@@ -135,7 +136,8 @@ def _rank_bareiss(rows):
         rank += 1
     null = []
     for r in range(rank, n):
-        assert all(m[r][c] == 0 for c in range(ncols))
+        if any(m[r][c] for c in range(ncols)):
+            raise AssertionError("nullspace row not eliminated")
         lam = [Fraction(m[r][ncols + i]) * scales[i] for i in range(n)]
         null.append(_normalize_int_vector(lam))
     return rank, null
@@ -168,7 +170,8 @@ def _rank_modp(rows, p):
         rank += 1
     null = []
     for r in range(rank, n):
-        assert all(m[r][c] == 0 for c in range(ncols))
+        if any(m[r][c] for c in range(ncols)):
+            raise AssertionError("nullspace row not eliminated")
         lam = m[r][ncols:]
         for x in lam:
             if x:

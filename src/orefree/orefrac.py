@@ -215,7 +215,8 @@ class OreFraction:
             return self
         qd, rd = self.den.left_quo_rem(g)
         qn, rn = self.num.left_quo_rem(g)
-        assert rd.is_zero() and rn.is_zero()
+        if not (rd.is_zero() and rn.is_zero()):
+            raise AssertionError("gcld does not divide on the left")
         return OreFraction(qd, qn)
 
     # -- printing ----------------------------------------------------------------

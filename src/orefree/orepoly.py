@@ -320,11 +320,14 @@ def lclm(f, g):
         v0, v1 = v1, v2
     # r1 = u1*f + v1*g = 0, so u1*f = -(v1*g)
     m = u1 * f
-    assert not m.is_zero()
+    if m.is_zero():
+        raise AssertionError("lclm: the cofactor row gave zero")
     c = m.lc().inverse()
     m = m.scale_left(c)
     u = u1.scale_left(c)
     v = (-v1).scale_left(c)
-    assert m.degree == f.degree + g.degree - last_nonzero.degree
-    assert m == v * g
+    if m.degree != f.degree + g.degree - last_nonzero.degree:
+        raise AssertionError("lclm: degree law violated")
+    if m != v * g:
+        raise AssertionError("lclm: m != v * g")
     return m, u, v

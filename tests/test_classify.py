@@ -1,5 +1,6 @@
 """End-to-end verdicts: PI, Free with evidence, Commutative, honest Unknown."""
 
+import ast
 import json
 import os
 import subprocess
@@ -306,3 +307,19 @@ def test_failed_weyl_check_refuses_under_python_O():
     assert proc.stdout.splitlines() == [
         "debug False",
         "refused: x delta(a)^{-1} failed the Weyl relation"]
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so every internal check of the
+    # library (lclm post-conditions, elimination, remainders) raises
+    # explicitly; this scan fails on any assert that remains
+    root = os.path.dirname(orefree.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

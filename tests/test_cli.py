@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -28,6 +29,9 @@ field: Q
 vars: t
 delta.t: 1
 """
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "demos", "problems")
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +69,24 @@ def test_byte_identical_reruns(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "classify", path)
     _, out2, _ = run_cli(capsys, "classify", path)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("name,line", [
+    ("shift", "bounded relation at length 3: "
+              "+1*W_01 -1*W_10 +1*W_101 -1*W_11 = 0"),
+    ("ddt", "bounded relation at length 3: -1*W_000 +1*W_01 -1*W_10 = 0"),
+    ("mixed", "bounded relation at length 3: "
+              "+1*W_01 -1*W_10 +1*W_101 -1*W_11 = 0"),
+])
+def test_fixture_bounded_relation_lines(capsys, name, line):
+    # the relation each Weyl-route fixture reports at length 3, as it
+    # stood before generator-only verification of Dependent certificates
+    code, out, _ = run_cli(capsys, "classify",
+                           os.path.join(FIXTURES, name + ".ore"))
+    assert code == 0
+    diagnostics = json.loads(out)["diagnostics"]
+    assert [d for d in diagnostics
+            if d.startswith("bounded relation")] == [line]
 
 
 def test_freeness_command(tmp_path, capsys):

@@ -341,6 +341,133 @@ def test_evaluated_route_falls_back_to_fold(monkeypatch, make_ctx, b, L):
         assert_relation_vanishes(ctx, b, cert.relation)
 
 
+@pytest.mark.parametrize("make_ctx,b,L", [
+    (shift_ctx, QU.var(0).inverse(), 3),
+    (ddt_ctx, QT.var(0), 3),
+], ids=["shift:1/u:L3", "ddt:t:L3"])
+def test_spurious_evaluated_relation_falls_back(monkeypatch, make_ctx, b, L):
+    # the last word's row is overwritten by the empty word's, so the
+    # evaluated nullspace gains the false relation W_111 = W_(): its lift
+    # fails exact verification, and the exact route must answer instead
+    ctx = make_ctx()
+    real = freeness._evaluated_word_rows
+
+    def spurious(pair, words, b, N):
+        rows, points = real(pair, words, b, N)
+        return rows[:-1] + [rows[0]], points
+
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "_evaluated_word_rows", lambda *a: None)
+        exact = freeness_certify(ctx, b, L)
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "_evaluated_word_rows", spurious)
+        cert = freeness_certify(ctx, b, L)
+    assert cert == exact and cert.verdict == "Dependent"
+    assert_relation_vanishes(ctx, b, cert.relation)
+
+
+@pytest.mark.parametrize("make_ctx,b,L,rank", [
+    (shift_ctx, QU.var(0).inverse(), 4, 25),
+    (ddt_ctx, QT.var(0), 3, 13),
+], ids=["shift:1/u:L4", "ddt:t:L3"])
+def test_evaluated_route_verifies_only_generators(monkeypatch, make_ctx, b, L,
+                                                  rank):
+    # 1/u at L = 4 has 6 relations: the L = 3 one, its four one-letter
+    # multiples and one more generator.  t at L = 3 has two generators.
+    # Everything else is derived, so two exact checks suffice; a fallback
+    # to an exact route would make one
+    checked = []
+    real = freeness._relation_vanishes
+
+    def counting(fracs, lam):
+        checked.append(lam)
+        return real(fracs, lam)
+
+    monkeypatch.setattr(freeness, "_relation_vanishes", counting)
+    cert = freeness_certify(make_ctx(), b, L)
+    assert cert.verdict == "Dependent" and cert.rank == rank
+    assert len(checked) == 2
+
+
+def test_one_letter_multiples_of_a_relation_vanish():
+    # g_j W_I = W_{jI} and W_I g_j = W_{Ij}: the multiples of the L = 3
+    # relation of 1/u vanish as fraction sums built by build_word_W, and
+    # they are the vectors the certifier derives without arithmetic
+    ctx = shift_ctx()
+    b = QU.var(0).inverse()
+    cert = freeness_certify(ctx, b, 3)
+    assert rel_by_key(cert) == {"01": 1, "10": -1, "11": -1, "101": 1}
+    relation = cert.relation
+    words = words_up_to(4)
+    index = {w: i for i, w in enumerate(words)}
+    multiples = [{(j,) + w: c for w, c in relation.items()} if left
+                 else {w + (j,): c for w, c in relation.items()}
+                 for j in (0, 1) for left in (True, False)]
+    for rel in multiples:
+        assert_relation_vanishes(ctx, b, rel)
+    lam = [relation.get(w, 0) for w in words]
+    derived = list(freeness._one_letter_multiples(lam, words, index))
+    assert derived == [[rel.get(w, 0) for w in words] for rel in multiples]
+
+
+def test_shift_inverse_witness_L5_known_answer():
+    # 63 words, 22 relations, three of them verified as generators
+    ctx = shift_ctx()
+    b = QU.var(0).inverse()
+    cert = freeness_certify(ctx, b, 5)
+    assert cert.verdict == "Dependent"
+    assert cert.word_count == 63 and cert.rank == 41
+    assert rel_by_key(cert) == {
+        "01": 1, "10": -1, "11": -1, "110": 1, "111": 1, "1110": -1,
+        "11101": 1, "1111": -1}
+    assert_relation_vanishes(ctx, b, cert.relation)
+
+
+def shift_f5_ctx():
+    ff = FunctionField(5, ["u"])
+    u = ff.var(0)
+    return SkewPair.automorphism(SkewEndo(ff, [u + 1], [u - 1]))
+
+
+@pytest.mark.parametrize("make_ctx,witness,L,verdict,rank,count,relation,"
+                         "digest", [
+    (shift_ctx, lambda u: u.inverse(), 4, "Dependent", 25, 31,
+     {"01": 1, "10": -1, "11": -1, "110": 1, "1101": -1, "111": 1},
+     "66d4234cb8d2718992a3a2367063b0e0c61977ca71f6557072b3c11d2f3337da"),
+    (shift_ctx, lambda u: (u * u).inverse(), 3, "Independent", 15, 15, {},
+     "62643744e6190f61808bde27373ac075ec8058d1f1407d44ac9952a1839185ba"),
+    (double_ctx, lambda t: (t - 1).inverse(), 3, "Independent", 15, 15, {},
+     "3f3fc576ab60b9cb1c533fbd0c556b31d1f25c2fd97bcb6247e7c3572304cbaf"),
+    (double_ctx, lambda t: t.inverse(), 4, "Dependent", 25, 31,
+     {"01": 1, "0100": -1, "10": -2, "100": 2},
+     "d1ab5247dbffb924e672c47cfb8d3ee751e2400f95b2b4985f9ad12f3b594ec8"),
+    (shift_f5_ctx, lambda u: u.inverse(), 4, "Dependent", 25, 31,
+     {"001": 1, "010": 4, "1001": 2, "101": 3, "1010": 4, "110": 1},
+     "e6b308e266cc184bab1b7b8c714c896a7643f81827fa3520c1e682afa2e8f556"),
+    (ddt_ctx, lambda t: t, 3, "Dependent", 13, 15,
+     {"000": -1, "01": 1, "10": -1},
+     "f5befe583bc8d731ffc3b9bcfc8b858e2dfa190e5b780d0dd58d5e0e8bfb2001"),
+    (ddt_ctx, lambda t: t.inverse(), 4, "Dependent", 25, 31,
+     {"01": 1, "10": -1, "110": 1, "1101": -1},
+     "50214b1dfa2825f303f93bdc3e9c0b571bf2d9049dc2eab1def1751c70ee4cf5"),
+    (tower_ctx, lambda x0: x0, 3, "Independent", 15, 15, {},
+     "d792ff96062ffd5916c7f0874d51d2ba3082172df89b1aded8031b29932e6685"),
+], ids=["shift-Q:1/u:L4", "shift-Q:1/u^2:L3", "double-Q:1/(t-1):L3",
+        "double-Q:1/t:L4", "shift-F5:1/u:L4", "ddt-Q:t:L3", "ddt-Q:1/t:L4",
+        "tower-F5:x0:L3"])
+def test_benchmark_panel_certificates_pinned(make_ctx, witness, L, verdict,
+                                             rank, count, relation, digest):
+    # the certify workload's panel: verdict, rank, word count, reported
+    # relation and digest, pinned as they stood before generator-only
+    # verification, so the route change moves none of them
+    ctx = make_ctx()
+    cert = freeness_certify(ctx, witness(ctx.ff.var(0)), L)
+    assert (cert.verdict, cert.rank, cert.word_count) == (verdict, rank,
+                                                          count)
+    assert rel_by_key(cert) == relation
+    assert cert.matrix_digest == digest
+
+
 def test_shift_inverse_square_L4_independent_oracle_certified():
     # the fold did not finish this case in 9 minutes
     ctx = shift_ctx()

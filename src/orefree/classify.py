@@ -293,8 +293,7 @@ def classify_automorphism(spec):
     if opts.witness is not None:
         pool = [opts.witness]
         places, _ = _witness_candidates(pair)
-        extra, _ = _places_of(opts.witness)
-        places = extra + places
+        places = _places_of(opts.witness) + places
     else:
         places, pool = _witness_candidates(pair)
     # a witness whose own words carry a relation up to word_length cannot
@@ -331,10 +330,10 @@ def _places_of(witness):
     """Places at the prime-field roots of a supplied witness denominator."""
     ff = witness.ff
     if ff.nvars != 1 or witness.den.is_const():
-        return [], []
-    roots = _rational_roots(witness.den, 0)
+        return []
     tp = ff.poly_var(0)
-    return [Place.finite(tp - ff.poly_const(r)) for r in roots], roots
+    return [Place.finite(tp - ff.poly_const(r))
+            for r in _rational_roots(witness.den, 0)]
 
 
 def classify_derivation(spec):

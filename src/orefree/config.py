@@ -5,7 +5,9 @@ the word pipeline, word enumeration) check these limits cooperatively and
 raise :class:`~orefree.errors.ResourceBoundExceeded` rather than thrash.
 The defaults are generous enough for every bundled fixture.  Problem files
 cannot change them: their ``option.<name>`` lines set classification
-options only, and any other name is a parse error.
+options only, and any other name is a parse error.  No limit trades
+exactness for speed: a place's polynomial, for one, is proved
+irreducible or refused (:meth:`~orefree.valuation.Place.finite`).
 """
 
 from dataclasses import dataclass
@@ -29,9 +31,6 @@ class Limits:
     # total stored term weight of an Ore fraction above which a lazy
     # left-factor cancellation is attempted
     simplify_weight_trigger: int = 25_000
-    # degree above which Place accepts a Q-polynomial as irreducible after
-    # the rational-root test only (exhaustive checking is exact below it)
-    irreducibility_exact_degree: int = 3
 
 
 DEFAULT_LIMITS = Limits()

@@ -541,11 +541,6 @@ class MPoly:
     def __repr__(self):
         return "MPoly(%s)" % self
 
-    def sort_key(self):
-        """Deterministic total order key (degree, then terms); test helper."""
-        return sorted(((_grlex_key(e), str(c)) for e, c in self.terms.items()),
-                      reverse=True)
-
 
 def _powers(p, n):
     """[p^0, p^1, ..., p^n] with shared partial products."""
@@ -853,13 +848,6 @@ def poly_gcd(a, b, limit=DEFAULT_LIMITS):
     """
     _check_same_field(a, b)
     return _gcd_impl(a, b, limit).monic()
-
-
-def poly_lcm(a, b, limit=DEFAULT_LIMITS):
-    if a.is_zero() or b.is_zero():
-        return a.ff.poly_zero()
-    g = poly_gcd(a, b, limit)
-    return (a.divide_exact(g) * b).monic()
 
 
 # ---------------------------------------------------------------------------

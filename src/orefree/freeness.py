@@ -15,8 +15,10 @@ which is why k-linear combinations of the W_I are stable enough to carry a
 freeness argument.  This module checks the finite part of that argument
 exactly: expand every word of length at most L, coordinatize the set over
 the prime field k, and rank.  Full rank certifies that no k-relation exists
-up to length L; a rank deficit yields an explicit relation, which is
-re-evaluated against the fractions themselves before being reported.
+up to length L.  A rank deficit yields the relation ending at the first
+word in the span of the words before it, unique up to scale, so the same
+on every route and for every L past its last word; it is re-evaluated
+against the fractions themselves before being reported.
 
 Words are coordinatized in one of two ways, which decide the same rank.
 The series way expands each word in a skew series ring, truncated at
@@ -63,12 +65,10 @@ multiples is lifted by rational reconstruction, and only these
 generators are re-verified by exact fraction arithmetic.  The relations
 derived from them are then exact as well, and together they span d
 dimensions mod q, so at least d over Q (integer vectors independent mod
-q are independent over Q): the nullity is d and the rank is exact.  The
-reported relation, the first vector of the reduced mod-q nullspace
-basis, is lifted too and proved exact by Q-span membership in the
-derived basis.  A failed lift or check, or a basis short of d, falls
-back to the exact x^{-1} series where it applies, and to the fold
-otherwise.
+q are independent over Q): the nullity is d and the rank is exact, and
+the first generator is the reported relation.  A failed lift or check,
+or a basis short of d, falls back to the exact x^{-1} series where it
+applies, and to the fold otherwise.
 
 Everything else brings all words over one common left denominator by an
 lclm fold and flattens the numerator coefficient vectors.
@@ -92,8 +92,7 @@ from .errors import (
 )
 from .field import RatFunc
 from .linalg import (
-    _normalize_int_vector, _rank_bareiss, _rank_modp, flatten_to_k,
-    rank_over_k,
+    _normalize_int_vector, _rank_modp, flatten_to_k, rank_over_k,
 )
 from .orefrac import OreFraction, _lclm_with_probe, weyl_check
 from .orepoly import OrePoly
@@ -234,19 +233,71 @@ def _verify_relation(fracs, lam):
         raise AssertionError("relation does not annihilate the fractions")
 
 
+def _last_nonzero(vec):
+    return max((i for i, x in enumerate(vec) if x), default=-1)
+
+
+def _reduce_by_last(basis, vec, p):
+    """(remainder, its last nonzero index) of vec mod p against basis.
+
+    p = 0 reduces exactly over Q.  basis maps a last nonzero index to a
+    vector that ends there with a 1.  Each step clears the last entry and
+    touches none after it, and every nonzero vector of the span ends at
+    an index of basis, so the remainder is zero (index -1) exactly when
+    vec lies in the span.
+    """
+    if p:
+        vec = [x % p for x in vec]
+    last = _last_nonzero(vec)
+    while last in basis:
+        f = vec[last]
+        if p:
+            vec = [(x - f * y) % p for x, y in zip(vec, basis[last])]
+        else:
+            vec = [x - f * y for x, y in zip(vec, basis[last])]
+        last = _last_nonzero(vec)
+    return vec, last
+
+
+def _add_by_last(basis, vec, p):
+    """Extend basis by vec unless it lies in the span; True if added."""
+    vec, last = _reduce_by_last(basis, vec, p)
+    if last < 0:
+        return False
+    if p:
+        inv = pow(vec[last], -1, p)
+        basis[last] = [x * inv % p for x in vec]
+    else:
+        basis[last] = [Fraction(x) / vec[last] for x in vec]
+    return True
+
+
 def _rank_and_relation(rows, base, expand):
     """(rank, relation) of coordinate rows, one per word, over k.
 
-    relation is None at full rank; otherwise it is the first nullspace
-    vector, re-verified against the fractions that expand() returns,
-    which is called only then.
+    relation is None at full rank.  Otherwise it is the relation ending at
+    the first row in the span of the rows before it.  Those rows are
+    independent, so it is unique up to scale: in the echelon form of the
+    nullspace keyed on each vector's last index it is the vector with the
+    least key.  It is normalized as rank_over_k normalizes, and
+    re-verified against the fractions that expand() returns, which is
+    called only then.
     """
     rank, null = rank_over_k(rows, base)
     if rank == len(rows):
         return rank, None
-    if not null:
+    p = base.p
+    by_last = {}
+    for vec in null:
+        _add_by_last(by_last, vec, p)
+    if not by_last:
         raise AssertionError("rank deficit without a nullspace vector")
-    lam = tuple(null[0])
+    lam = by_last[min(by_last)]
+    if p:
+        inv = pow(next(x for x in lam if x), -1, p)
+        lam = tuple(x * inv % p for x in lam)
+    else:
+        lam = tuple(_normalize_int_vector(lam))
     _verify_relation(expand(), lam)
     return rank, lam
 
@@ -255,8 +306,9 @@ def independence_check(fracs, limit=DEFAULT_LIMITS):
     """Exact k-linear independence of left fractions.
 
     Returns (independent, rank, relation).  relation is None when
-    independent; otherwise a tuple of prime-field scalars, one per input,
-    already re-verified to sum the scaled fractions to zero.
+    independent; otherwise a tuple of prime-field scalars, one per input:
+    the relation ending at the first fraction in the span of those before
+    it, re-verified to sum the scaled fractions to zero.
     """
     den, nums = common_left_denominator(fracs, limit)
     rank, lam = _rank_and_relation(_numerator_rows(nums),
@@ -551,27 +603,6 @@ def _evaluated_word_rows(pair, words, b, N):
     return None
 
 
-def _reduced_echelon_modp(vectors, p):
-    """Reduced row echelon form of linearly independent vectors mod p."""
-    m = [list(v) for v in vectors]
-    rank = 0
-    for col in range(len(m[0])):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return m
-
-
 def _rational_reconstruct(a, p):
     """The fraction r/s = a mod p with |r|, s <= sqrt(p/2), or None."""
     bound = math.isqrt(p // 2)
@@ -584,37 +615,6 @@ def _rational_reconstruct(a, p):
     if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
-
-
-def _last_nonzero(vec):
-    return max((i for i, x in enumerate(vec) if x), default=-1)
-
-
-def _reduce_by_last(basis, vec, p):
-    """(remainder, its last nonzero index) of vec mod p against basis.
-
-    basis maps a last nonzero index to a vector that ends there with a 1.
-    Each step clears the last entry and touches none after it, and every
-    nonzero vector of the span ends at an index of basis, so the
-    remainder is zero (index -1) exactly when vec lies in the span.
-    """
-    vec = [x % p for x in vec]
-    last = _last_nonzero(vec)
-    while last in basis:
-        f = vec[last]
-        vec = [(x - f * y) % p for x, y in zip(vec, basis[last])]
-        last = _last_nonzero(vec)
-    return vec, last
-
-
-def _add_by_last(basis, vec, p):
-    """Extend basis by vec mod p unless vec lies in its span; True if added."""
-    vec, last = _reduce_by_last(basis, vec, p)
-    if last < 0:
-        return False
-    inv = pow(vec[last], -1, p)
-    basis[last] = [x * inv % p for x in vec]
-    return True
 
 
 def _one_letter_multiples(lam, words, index):
@@ -633,14 +633,8 @@ def _one_letter_multiples(lam, words, index):
             yield vec
 
 
-def _lift(vec, q):
-    """Coprime integer vector reconstructed from vec mod q, or None."""
-    lam = [_rational_reconstruct(x, q) for x in vec]
-    return None if None in lam else _normalize_int_vector(lam)
-
-
 def _relation_generators(null, words, L, q):
-    """(basis, generators) for the mod-q relation space, or None.
+    """Generators of the mod-q relation space, lifted to Q, or None.
 
     null is a basis of the relations mod q.  In echelon form keyed on
     each vector's last word, the vectors ending at length <= r span the
@@ -648,7 +642,9 @@ def _relation_generators(null, words, L, q):
     Length by length, the integer basis of the shorter relations and its
     one-letter multiples are reduced mod q, and only a vector of length r
     outside their span is lifted to a generator; so every basis vector is
-    a generator or a multiple of a shorter basis vector.  None when a
+    a generator or a multiple of a shorter basis vector.  The first
+    generator is the lift of the vector with the least key, the relation
+    ending at the first dependent word (_rank_and_relation).  None when a
     lift fails or the basis does not come out at dimension len(null).
     """
     by_last = {}
@@ -665,15 +661,18 @@ def _relation_generators(null, words, L, q):
         for last, vec in sorted(by_last.items()):
             if (len(words[last]) == length
                     and _reduce_by_last(span, vec, q)[1] >= 0):
-                lam = _lift(vec, q)
-                if lam is None or not _add_by_last(span, lam, q):
+                lam = [_rational_reconstruct(x, q) for x in vec]
+                if None in lam:
+                    return None
+                lam = _normalize_int_vector(lam)
+                if not _add_by_last(span, lam, q):
                     return None
                 generators.append(lam)
                 extended.append(lam)
         basis = extended
     if len(basis) != len(null):
         return None
-    return basis, generators
+    return generators
 
 
 def _certify_by_evaluation(pair, words, b, L):
@@ -682,9 +681,8 @@ def _certify_by_evaluation(pair, words, b, L):
     Full rank mod q proves independence.  On a deficit d only the
     generators of _relation_generators are verified on the exact words,
     over the prefix closure of their supports; the basis they derive then
-    pins the rank (module docstring).  The first vector of the reduced
-    nullspace basis is reported, proved by Q-span membership in that
-    basis.
+    pins the rank (module docstring).  The first generator, the relation
+    ending at the first dependent word, is reported.
     """
     found = _evaluated_word_rows(pair, words, b, _truncation_order(L))
     if found is None:
@@ -698,12 +696,8 @@ def _certify_by_evaluation(pair, words, b, L):
     if rank == len(words):
         return FreenessCertificate(b, L, len(words), rank, digest,
                                    "Independent")
-    found = _relation_generators(null, words, L, q)
-    reported = _lift(_reduced_echelon_modp(null, q)[0], q)
-    if found is None or reported is None:
-        return None
-    basis, generators = found
-    if _rank_bareiss(basis + [reported])[0] > len(basis):
+    generators = _relation_generators(null, words, L, q)
+    if generators is None:
         return None
     closure = sorted({w[:k] for lam in generators
                       for w, c in zip(words, lam) if c
@@ -713,7 +707,7 @@ def _certify_by_evaluation(pair, words, b, L):
     expanded = [fracs.get(w) for w in words]
     if not all(_relation_vanishes(expanded, lam) for lam in generators):
         return None
-    relation = {w: c for w, c in zip(words, reported) if c}
+    relation = {w: c for w, c in zip(words, generators[0]) if c}
     return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
                                relation)
 
@@ -722,10 +716,10 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
     """Certificate for all words of length <= L (count 2^{L+1} - 1).
 
     Independent means exactly that the bounded set carries no nontrivial
-    k-relation; Dependent refutes freeness outright and carries an exact
-    relation: re-verified by exact fraction arithmetic, or on the
-    evaluated route a Q-combination of relations that follow from ones
-    so verified.  The route is fixed by the input, first match wins
+    k-relation; Dependent refutes freeness outright and carries the
+    relation ending at the first word in the span of the words before
+    it, the same on every route, re-verified by exact fraction
+    arithmetic.  The route is fixed by the input, first match wins
     (module docstring):
 
     * over Q with N = sum_{r<=L} r 2^r at most ``limit.max_den_degree``,
@@ -743,8 +737,8 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.
 
-    The last two rank their flattened rows over k and verify the first
-    nullspace vector on the exact words.  Raises ResourceBoundExceeded
+    The last two rank their flattened rows over k and verify the
+    reported relation on the exact words.  Raises ResourceBoundExceeded
     when the word count or the fold's denominator crosses the configured
     limits.
     """

@@ -14,9 +14,8 @@ truncated, so no length is claimed).
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_LIMITS
 from .errors import UsageError, ZeroArgument
-from .field import _rational_roots, poly_gcd
+from .field import FunctionField, _rational_roots, _uni_to_int_list, poly_gcd
 
 
 def _univariate_var(poly):
@@ -27,36 +26,61 @@ def _univariate_var(poly):
     return next(iter(used))
 
 
-def _is_irreducible(poly, v, limit):
-    """Exact where feasible; degree > limit over Q falls back to a root test."""
-    deg = poly.degree_in(v)
+# tried in order over Q, while p^(deg/2) trial divisors are at most 2500
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _trial_irreducible(poly, v):
+    """Trial division over F_p by every monic poly of degree <= deg/2."""
+    ff, p = poly.ff, poly.ff.char
+    y = ff.poly_var(v)
+    for d in range(1, poly.degree_in(v) // 2 + 1):
+        for code in range(p ** d):
+            # poly_const reduces mod p: coefficient k is digit k of code
+            cand = y ** d
+            for k in range(d):
+                cand = cand + ff.poly_const(code // p ** k) * y ** k
+            if poly.divide_exact(cand) is not None:
+                return False
+    return True
+
+
+def _is_irreducible(poly, v):
+    """Irreducibility of a squarefree univariate poly in y_v, proved.
+
+    Over F_p by trial division.  Over Q a factor of degree 1 is a
+    rational root, which settles degrees 2 and 3.  From degree 4 on the
+    primitive integer form F is reduced mod small primes p not dividing
+    lc(F): if F mod p is irreducible, so is F over Q, since by Gauss's
+    lemma a factorization over Q is one over Z, and it survives mod p
+    with its degrees.  UsageError is raised rather than a guess when no
+    prime tried certifies, as for t^4 + 1 and t^4 - 10t^2 + 1, which
+    split mod every prime, or when trial division is too large to run.
+    """
+    deg, ff = poly.degree_in(v), poly.ff
     if deg == 1:
         return True
-    ff = poly.ff
     if ff.char:
-        # trial division by all monic polynomials of degree <= deg//2
-        p = ff.char
-        half = deg // 2
-        if p ** half > 200_000:
+        if ff.char ** (deg // 2) > 200_000:
             raise UsageError(
                 "cannot certify irreducibility of degree %d over F_%d"
-                % (deg, p))
-        y = ff.poly_var(v)
-        for d in range(1, half + 1):
-            for code in range(p ** d):
-                cand = y ** d
-                c = code
-                for k in range(d):
-                    cand = cand + ff.poly_const(c % p) * y ** k
-                    c //= p
-                if poly.divide_exact(cand) is not None:
-                    return False
-        return True
+                % (deg, ff.char))
+        return _trial_irreducible(poly, v)
     if _rational_roots(poly, v):
         return False
-    # degree 2 and 3 are settled by the root test; beyond the configured
-    # bound we accept the declaration (documented probabilistic fallback)
-    return True
+    if deg <= 3:
+        return True
+    ints = _uni_to_int_list(poly, v)
+    for p in _SMALL_PRIMES:
+        if p ** (deg // 2) > 2500:
+            break
+        ffp = FunctionField(p, ff.names)
+        image = sum((ffp.poly_const(c) * ffp.poly_var(v) ** k
+                     for k, c in enumerate(ints)), ffp.poly_zero())
+        if ints[-1] % p and _trial_irreducible(image, v):
+            return True
+    raise UsageError("cannot certify irreducibility of %s over Q: it "
+                     "factors modulo every prime tried" % poly)
 
 
 class Place:
@@ -70,7 +94,8 @@ class Place:
         self.var = var
 
     @classmethod
-    def finite(cls, poly, limit=DEFAULT_LIMITS):
+    def finite(cls, poly):
+        """Place of a univariate polynomial proved irreducible, made monic."""
         if poly.is_zero() or poly.is_const():
             raise UsageError("a finite place needs a nonconstant polynomial")
         v = _univariate_var(poly)
@@ -79,20 +104,13 @@ class Place:
         # a repeated factor is invisible to the root test beyond degree 3
         if deg >= 2 and not poly_gcd(poly, poly.partial(v)).is_const():
             raise UsageError("polynomial %s is not squarefree" % poly)
-        if deg <= limit.irreducibility_exact_degree or poly.ff.char:
-            ok = _is_irreducible(poly, v, limit)
-        else:
-            ok = not _rational_roots(poly, v)
-        if not ok:
+        if not _is_irreducible(poly, v):
             raise UsageError("polynomial %s is reducible" % poly)
         return cls(poly.ff, poly, v)
 
     @classmethod
     def infinity(cls, ff):
         return cls(ff, None, None)
-
-    def is_infinite(self):
-        return self.poly is None
 
     def _multiplicity(self, poly):
         m = 0

@@ -77,8 +77,7 @@ def test_ac2_shift_witness_length_four():
     reached.  The rank is pinned from both sides: the evaluated-series
     oracle bounds it below by 25, and its six nullspace vectors, like
     the certificate's own relation, re-evaluate to zero on words rebuilt
-    from scratch.  The relation's coefficients and the digest are not
-    frozen; they follow the pivot order of the route taken.
+    from scratch.  The digest is not frozen; it follows the route taken.
     """
     t0 = time.time()
     pair = shift_pair()

@@ -53,8 +53,8 @@ def test_place_requires_irreducible():
 
 
 def test_place_rejects_repeated_factors():
-    # degree 4 over Q lies past the exact bound, where only rational roots
-    # were looked for; (t^2+1)^2 would report v(1/(t^2+1)) = 0
+    # a repeated factor has no rational root; (t^2+1)^2 would report
+    # v(1/(t^2+1)) = 0
     t = QT.poly_var("t")
     for poly in ((t * t + 1) ** 2, (t * t + t + 1) ** 2 * (t * t + 2)):
         with pytest.raises(UsageError, match="squarefree"):
@@ -64,6 +64,26 @@ def test_place_rejects_repeated_factors():
     with pytest.raises(UsageError):
         Place.finite((t5 * t5 + 2) ** 2)
     assert Place.finite(t ** 4 + 2).valuation(QT.var("t") ** 4 + 2) == 1
+
+
+def test_place_irreducibility_is_proved_or_refused():
+    # from degree 4 on, Q needs an irreducible reduction mod a small
+    # prime: products without a rational root are refused, and so are
+    # t^4 + 1 and t^4 - 10t^2 + 1, irreducible but split mod every prime
+    t = QT.poly_var("t")
+    for poly in ((t * t + 1) * (t * t + 2), (t * t + 1) * (t ** 3 + 2),
+                 t ** 4 + 1, t ** 4 - 10 * t * t + 1):
+        with pytest.raises(UsageError, match="cannot certify"):
+            Place.finite(poly)
+    for poly in (t ** 4 + 2, t ** 4 - 2, t ** 5 - t - 1):
+        assert Place.finite(poly).poly == poly
+    # t^4 + 2 is irreducible mod 5, which proves it over Q
+    ff5 = FunctionField(5, ["t"])
+    Place.finite(ff5.poly_var("t") ** 4 + 2)
+    # mod 2 the leading coefficient of this product vanishes and what is
+    # left, t^2 + t + 1, is irreducible: no proof, as 2 divides lc
+    with pytest.raises(UsageError, match="cannot certify"):
+        Place.finite((2 * t * t + 1) * (t * t + t + 1))
 
 
 def test_place_normalizes_monic():

@@ -9,7 +9,6 @@ witnesses for polynomial identities, and a classification pipeline that
 routes a presentation to a verdict backed by re-verified evidence.
 """
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import (
     BadCharacteristic, CharacteristicMismatch, ContextMismatch,
     DivisionByZero, InconsistentDerivation, InvalidConstantDeclaration,
@@ -21,7 +20,7 @@ from .errors import (
 from .field import FunctionField, MPoly, RatFunc
 from .skew import (
     OrbitReport, SkewDerivation, SkewEndo, SkewPair, TowerReport,
-    delta_tower, fixed_power_check, orbit_analyze,
+    delta_tower, orbit_analyze,
 )
 from .orepoly import OrePoly, gcrd, gcld, lclm
 from .orefrac import OreFraction, central_power_check, weyl_check
@@ -43,7 +42,6 @@ from .problems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_LIMITS", "Limits",
     "OreError", "UsageError", "PresentationError", "ResourceBoundExceeded",
     "DivisionByZero", "ZeroArgument", "WrongCharacteristic",
     "BadCharacteristic", "RequiresPureAutomorphism",
@@ -53,7 +51,7 @@ __all__ = [
     "UndeclaredVariable",
     "FunctionField", "MPoly", "RatFunc",
     "SkewEndo", "SkewDerivation", "SkewPair", "OrbitReport", "TowerReport",
-    "orbit_analyze", "delta_tower", "fixed_power_check",
+    "orbit_analyze", "delta_tower",
     "OrePoly", "gcrd", "gcld", "lclm",
     "OreFraction", "weyl_check", "central_power_check",
     "Place", "LengthProfile", "length_profile",

@@ -25,7 +25,6 @@ Verdicts never assert more than their attached evidence re-verifies.
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .config import DEFAULT_LIMITS
 from .errors import (
     InconsistentDerivation, RequiresPureAutomorphism, RequiresPureDerivation,
     ResourceBoundExceeded,
@@ -185,8 +184,7 @@ def _witness_candidates(pair):
     return places, pool
 
 
-def _best_bounded_certificate(pair, b, max_len, diagnostics,
-                              limit=DEFAULT_LIMITS):
+def _best_bounded_certificate(pair, b, max_len, diagnostics):
     """(certificate, related): the largest length <= max_len that stays
     Independent, and whether some length up to max_len found a relation.
 
@@ -199,7 +197,7 @@ def _best_bounded_certificate(pair, b, max_len, diagnostics,
     related = False
     for L in range(1, max_len + 1):
         try:
-            cert = freeness_certify(pair, b, L, limit)
+            cert = freeness_certify(pair, b, L)
         except ResourceBoundExceeded as exc:
             diagnostics.append(
                 "word check stopped before length %d: %s" % (L, exc))

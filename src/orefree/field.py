@@ -12,10 +12,10 @@ tuple with the first generator most significant.
 
 Field elements (:class:`RatFunc`) are quotients num/den of polynomials
 with the denominator normalized monic (graded-lex leading coefficient 1).
-Construction reduces by a gcd; if a gcd attempt exceeds the configured
-term bound the fraction is kept unreduced, which is still exact because
-equality always falls back to cross multiplication.  No floating point is
-used anywhere.
+Construction reduces by a gcd; if a gcd attempt exceeds
+``config.GCD_WORK_BOUND`` the fraction is kept unreduced, which is still
+exact because equality always falls back to cross multiplication.  No
+floating point is used anywhere.
 
 gcds use a primitive polynomial remainder sequence: dense Euclid for
 univariate polynomials over F_p, integer-cleared primitive PRS over Q,
@@ -25,7 +25,7 @@ and recursion on contents for several variables.
 import math
 from fractions import Fraction
 
-from .config import DEFAULT_LIMITS
+from . import config
 from .errors import (
     BadCharacteristic,
     CharacteristicMismatch,
@@ -699,7 +699,7 @@ def _uni_gcd_q(a, b):
     return a
 
 
-def _mv_content(p, v, limit, work):
+def _mv_content(p, v, work):
     """gcd of the coefficients of p viewed as univariate in variable v."""
     slices = {}
     for e, c in p.terms.items():
@@ -710,7 +710,7 @@ def _mv_content(p, v, limit, work):
     cont = None
     for part in slices.values():
         q = MPoly(p.ff, part)
-        cont = q if cont is None else _gcd_impl(cont, q, limit, work)
+        cont = q if cont is None else _gcd_impl(cont, q, work)
         if cont.is_const():
             break
     return cont.monic()
@@ -741,30 +741,25 @@ def _coeff_in(p, v, k):
     return MPoly(p.ff, out)
 
 
-def _term_guard(p, limit):
-    if len(p.terms) > limit.gcd_term_bound:
-        raise ResourceBoundExceeded(
-            "gcd intermediate grew to %d terms (bound %d)"
-            % (len(p.terms), limit.gcd_term_bound))
-
-
-def _charge(work, amount, limit):
+def _charge(work, amount):
     work[0] += amount
-    if work[0] > limit.gcd_work_bound:
+    if work[0] > config.GCD_WORK_BOUND:
         raise ResourceBoundExceeded(
             "gcd abandoned after %d term-operations (bound %d)"
-            % (work[0], limit.gcd_work_bound))
+            % (work[0], config.GCD_WORK_BOUND))
 
 
-# gcd results are shared safely because MPoly instances are never mutated;
-# the whole cache is dropped when full rather than evicted piecemeal, the
-# hot pairs repopulate it within a few arithmetic steps
+# gcd results are shared safely because MPoly instances are never mutated,
+# and keys leave out the work bound because it is a constant (patching it
+# calls for an empty cache); the whole cache is dropped when full rather
+# than evicted piecemeal, the hot pairs repopulate it within a few
+# arithmetic steps
 _GCD_CACHE = {}
 _GCD_CACHE_CAP = 1 << 15
 _GCD_CACHE_TERMS = 400
 
 
-def _gcd_impl(a, b, limit, work=None):
+def _gcd_impl(a, b, work=None):
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -782,7 +777,7 @@ def _gcd_impl(a, b, limit, work=None):
         hit = _GCD_CACHE.get(key)
         if hit is not None:
             return hit
-    g = _gcd_core(a, b, limit, [0] if work is None else work)
+    g = _gcd_core(a, b, [0] if work is None else work)
     if cacheable:
         if len(_GCD_CACHE) >= _GCD_CACHE_CAP:
             _GCD_CACHE.clear()
@@ -790,8 +785,8 @@ def _gcd_impl(a, b, limit, work=None):
     return g
 
 
-def _gcd_core(a, b, limit, work):
-    _charge(work, len(a.terms) + len(b.terms), limit)
+def _gcd_core(a, b, work):
+    _charge(work, len(a.terms) + len(b.terms))
     ua, ub = a.vars_used(), b.vars_used()
     ff = a.ff
     p = ff.char
@@ -823,31 +818,30 @@ def _gcd_core(a, b, limit, work):
         return a.monic()
     # primitive PRS on the first used variable
     v = min(ua | ub)
-    ca = _mv_content(a, v, limit, work)
-    cb = _mv_content(b, v, limit, work)
-    c = _gcd_impl(ca, cb, limit, work)
+    ca = _mv_content(a, v, work)
+    cb = _mv_content(b, v, work)
+    c = _gcd_impl(ca, cb, work)
     a = a.divide_exact(ca)
     b = b.divide_exact(cb)
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
     while not b.is_zero():
-        _term_guard(a, limit)
-        _charge(work, len(a.terms) + len(b.terms), limit)
+        _charge(work, len(a.terms) + len(b.terms))
         r = _mv_prem(a, b, v)
         if not r.is_zero():
-            r = r.divide_exact(_mv_content(r, v, limit, work))
+            r = r.divide_exact(_mv_content(r, v, work))
         a, b = b, r
     return (c * a).monic()
 
 
-def poly_gcd(a, b, limit=DEFAULT_LIMITS):
+def poly_gcd(a, b):
     """Monic greatest common divisor of two polynomials.
 
-    gcd(0, 0) is 0 by convention.  Raises ResourceBoundExceeded when an
-    intermediate result crosses ``limit.gcd_term_bound`` terms.
+    gcd(0, 0) is 0 by convention.  Raises ResourceBoundExceeded when the
+    computation spends more than ``config.GCD_WORK_BOUND`` term-operations.
     """
     _check_same_field(a, b)
-    return _gcd_impl(a, b, limit).monic()
+    return _gcd_impl(a, b).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -859,12 +853,12 @@ class RatFunc:
 
     Invariants after construction: den is nonzero and monic; num == 0
     implies den == 1; num and den are coprime unless gcd reduction hit
-    the term bound (exactness is unaffected, only canonicity).
+    the work bound (exactness is unaffected, only canonicity).
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den, reduce=True, limit=DEFAULT_LIMITS):
+    def __init__(self, num, den, reduce=True):
         _check_same_field(num, den)
         if den.is_zero():
             raise DivisionByZero("zero denominator")
@@ -872,7 +866,7 @@ class RatFunc:
             den = num.ff.poly_one()
         elif reduce and not den.is_const():
             try:
-                g = _gcd_impl(num, den, limit)
+                g = _gcd_impl(num, den)
                 if not g.is_const():
                     num = num.divide_exact(g)
                     den = den.divide_exact(g)
@@ -886,10 +880,10 @@ class RatFunc:
                 num = num.scalar_mul(cinv)
                 den = den.scalar_mul(cinv)
         nterms = len(num.terms) + len(den.terms)
-        if nterms > limit.max_fraction_terms:
+        if nterms > config.MAX_FRACTION_TERMS:
             raise ResourceBoundExceeded(
                 "fraction grew to %d terms (bound %d)"
-                % (nterms, limit.max_fraction_terms))
+                % (nterms, config.MAX_FRACTION_TERMS))
         self.num = num
         self.den = den
 
@@ -955,7 +949,7 @@ class RatFunc:
             # common denominator: one cheap reduction pass on the sum
             return RatFunc(na + nb, da)
         try:
-            g = _gcd_impl(da, db, DEFAULT_LIMITS)
+            g = _gcd_impl(da, db)
         except ResourceBoundExceeded:
             return RatFunc(na * db + nb * da, da * db, reduce=False)
         if g.is_const():
@@ -964,7 +958,7 @@ class RatFunc:
         db_r = db.divide_exact(g)
         t = na * db_r + nb * da_r
         try:
-            g2 = _gcd_impl(t, g, DEFAULT_LIMITS)
+            g2 = _gcd_impl(t, g)
         except ResourceBoundExceeded:
             g2 = None
         if g2 is None or g2.is_const():
@@ -1000,12 +994,12 @@ class RatFunc:
         # cross cancellation keeps products reduced without a final gcd
         try:
             if not (na.is_const() or db.is_const()):
-                g1 = _gcd_impl(na, db, DEFAULT_LIMITS)
+                g1 = _gcd_impl(na, db)
                 if not g1.is_const():
                     na = na.divide_exact(g1)
                     db = db.divide_exact(g1)
             if not (nb.is_const() or da.is_const()):
-                g2 = _gcd_impl(nb, da, DEFAULT_LIMITS)
+                g2 = _gcd_impl(nb, da)
                 if not g2.is_const():
                     nb = nb.divide_exact(g2)
                     da = da.divide_exact(g2)

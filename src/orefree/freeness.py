@@ -85,7 +85,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_LIMITS
+from . import config
 from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
@@ -157,7 +157,7 @@ def build_word_V(ctx, bits, b):
     return one_minus_x_inverse(ctx) * build_word_W(ctx, bits, b)
 
 
-def common_left_denominator(fracs, limit=DEFAULT_LIMITS):
+def common_left_denominator(fracs):
     """Rewrite fractions over one denominator: den^{-1} nums[i] == fracs[i].
 
     Left fold in input order, growing the denominator by lclm steps; the
@@ -174,10 +174,10 @@ def common_left_denominator(fracs, limit=DEFAULT_LIMITS):
         if f.ctx != ctx:
             raise ContextMismatch("fractions from different Ore contexts")
         m, u, v = _lclm_with_probe(den, f.den)
-        if m.degree > limit.max_den_degree:
+        if m.degree > config.MAX_DEN_DEGREE:
             raise ResourceBoundExceeded(
                 "common denominator reached degree %d (bound %d)"
-                % (m.degree, limit.max_den_degree))
+                % (m.degree, config.MAX_DEN_DEGREE))
         if not u.is_one():
             nums = [u * n for n in nums]
         nums.append(v * f.num)
@@ -217,10 +217,10 @@ def _relation_vanishes(fracs, lam):
     den, total = OrePoly.one(ctx), OrePoly.zero(ctx)
     for c, f in support:
         den, u, v = _lclm_with_probe(den, f.den)
-        if den.degree > DEFAULT_LIMITS.max_den_degree:
+        if den.degree > config.MAX_DEN_DEGREE:
             raise ResourceBoundExceeded(
                 "relation denominator reached degree %d (bound %d)"
-                % (den.degree, DEFAULT_LIMITS.max_den_degree))
+                % (den.degree, config.MAX_DEN_DEGREE))
         total = u * total + v * f.num.scale_left(ctx.ff.const(c))
     return total.is_zero()
 
@@ -302,7 +302,7 @@ def _rank_and_relation(rows, base, expand):
     return rank, lam
 
 
-def independence_check(fracs, limit=DEFAULT_LIMITS):
+def independence_check(fracs):
     """Exact k-linear independence of left fractions.
 
     Returns (independent, rank, relation).  relation is None when
@@ -310,7 +310,7 @@ def independence_check(fracs, limit=DEFAULT_LIMITS):
     the relation ending at the first fraction in the span of those before
     it, re-verified to sum the scaled fractions to zero.
     """
-    den, nums = common_left_denominator(fracs, limit)
+    den, nums = common_left_denominator(fracs)
     rank, lam = _rank_and_relation(_numerator_rows(nums),
                                    fracs[0].ctx.ff.base, lambda: fracs)
     return lam is None, rank, lam
@@ -712,7 +712,7 @@ def _certify_by_evaluation(pair, words, b, L):
                                relation)
 
 
-def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
+def freeness_certify(pair, b, L):
     """Certificate for all words of length <= L (count 2^{L+1} - 1).
 
     Independent means exactly that the bounded set carries no nontrivial
@@ -722,7 +722,7 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
     arithmetic.  The route is fixed by the input, first match wins
     (module docstring):
 
-    * over Q with N = sum_{r<=L} r 2^r at most ``limit.max_den_degree``,
+    * over Q with N = sum_{r<=L} r 2^r at most ``config.MAX_DEN_DEGREE``,
       pure automorphisms take the evaluated K[[x; sigma]] series and
       derivations of Q(t) the evaluated K((x^{-1}; delta)) series, both
       mod q = 2^61 - 1.  A Dependent result there re-verifies only the
@@ -739,18 +739,18 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
 
     The last two rank their flattened rows over k and verify the
     reported relation on the exact words.  Raises ResourceBoundExceeded
-    when the word count or the fold's denominator crosses the configured
-    limits.
+    when the word count crosses ``config.MAX_WORDS`` or the fold's
+    denominator crosses ``config.MAX_DEN_DEGREE``.
     """
     if L < 1:
         raise UsageError("certificate needs L >= 1")
     b = _as_witness(pair, b)
     words = words_up_to(L)
-    if len(words) > limit.max_words:
+    if len(words) > config.MAX_WORDS:
         raise ResourceBoundExceeded(
             "%d words exceed the configured bound %d"
-            % (len(words), limit.max_words))
-    if (pair.ff.char == 0 and _truncation_order(L) <= limit.max_den_degree
+            % (len(words), config.MAX_WORDS))
+    if (pair.ff.char == 0 and _truncation_order(L) <= config.MAX_DEN_DEGREE
             and (pair.is_pure_automorphism() or (
                 pair.is_pure_derivation() and pair.ff.nvars == 1))):
         cert = _certify_by_evaluation(pair, words, b, L)
@@ -763,7 +763,7 @@ def freeness_certify(pair, b, L, limit=DEFAULT_LIMITS):
         expand = lambda: _expand_words(pair, words, b)
     else:
         fracs = _expand_words(pair, words, b)
-        den, nums = common_left_denominator(fracs, limit)
+        den, nums = common_left_denominator(fracs)
         rows = _numerator_rows(nums)
         expand = lambda: fracs
     base = pair.ff.base

@@ -15,7 +15,7 @@ operation and correctness never depends on it -- equality is decided by
 subtraction.  Denominators are always monic.
 """
 
-from .config import DEFAULT_LIMITS
+from . import config
 from .errors import (
     ContextMismatch, DivisionByZero, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError,
@@ -46,7 +46,7 @@ class OreFraction:
 
     __slots__ = ("den", "num")
 
-    def __init__(self, den, num, limit=DEFAULT_LIMITS):
+    def __init__(self, den, num):
         if den.ctx != num.ctx:
             raise ContextMismatch("denominator and numerator contexts differ")
         if den.is_zero():
@@ -57,13 +57,13 @@ class OreFraction:
             c = den.lc().inverse()
             den = den.scale_left(c)
             num = num.scale_left(c)
-        if den.degree > limit.max_den_degree:
+        if den.degree > config.MAX_DEN_DEGREE:
             raise ResourceBoundExceeded(
                 "fraction denominator reached degree %d (bound %d)"
-                % (den.degree, limit.max_den_degree))
+                % (den.degree, config.MAX_DEN_DEGREE))
         self.den = den
         self.num = num
-        if self._weight() > limit.simplify_weight_trigger:
+        if self._weight() > config.SIMPLIFY_WEIGHT_TRIGGER:
             g = gcld(self.den, self.num)
             if g.degree >= 1:
                 self.den = self.den.left_quo_rem(g)[0]

@@ -347,10 +347,6 @@ class SkewPair:
         return "SkewPair(%r, %r)" % (self.sigma, self.delta)
 
 
-def fixed_power_check(sigma, n):
-    return sigma.fixed_power_check(n)
-
-
 # ---------------------------------------------------------------------------
 # orbit analysis
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ truncated, so no length is claimed).
 from dataclasses import dataclass
 
 from .errors import UsageError, ZeroArgument
-from .field import FunctionField, _rational_roots, _uni_to_int_list, poly_gcd
+from .field import (
+    _is_prime, _rational_roots, _trim, _uni_coeffs, _uni_gcd_p,
+    _uni_to_int_list, poly_gcd,
+)
 
 
 def _univariate_var(poly):
@@ -26,58 +29,72 @@ def _univariate_var(poly):
     return next(iter(used))
 
 
-# tried in order over Q, while p^(deg/2) trial divisors are at most 2500
+# tried in order over Q, each reduction by Rabin's test
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _trial_irreducible(poly, v):
-    """Trial division over F_p by every monic poly of degree <= deg/2."""
-    ff, p = poly.ff, poly.ff.char
-    y = ff.poly_var(v)
-    for d in range(1, poly.degree_in(v) // 2 + 1):
-        for code in range(p ** d):
-            # poly_const reduces mod p: coefficient k is digit k of code
-            cand = y ** d
-            for k in range(d):
-                cand = cand + ff.poly_const(code // p ** k) * y ** k
-            if poly.divide_exact(cand) is not None:
+def _mulmod(a, b, f, p):
+    """a * b mod the monic f; dense mod-p lists, constant first."""
+    out = [0] * (len(a) + len(b))
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    n = len(f) - 1
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k] % p
+        for j in range(n):
+            out[k - n + j] -= c * f[j]
+    return _trim([c % p for c in out[:n]])
+
+
+def _rabin_irreducible(f, p):
+    """Rabin's test (SIAM J. Comput. 9, 1980) for the monic mod-p list f.
+
+    f of degree n >= 2 is irreducible over F_p exactly when x^(p^n) = x
+    mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n.
+    """
+    n = len(f) - 1
+    h = x = [0, 1]
+    for k in range(1, n + 1):
+        acc = [1]
+        for bit in bin(p)[2:]:  # h^p mod f, square and multiply
+            acc = _mulmod(acc, acc, f, p)
+            if bit == "1":
+                acc = _mulmod(acc, h, f, p)
+        h = acc
+        if n % k == 0 and _is_prime(n // k):
+            d = h + [0] * (2 - len(h))
+            d[1] -= 1
+            if len(_uni_gcd_p([c % p for c in d], f, p)) > 1:
                 return False
-    return True
+    return h == x
 
 
 def _is_irreducible(poly, v):
     """Irreducibility of a squarefree univariate poly in y_v, proved.
 
-    Over F_p by trial division.  Over Q a factor of degree 1 is a
-    rational root, which settles degrees 2 and 3.  From degree 4 on the
-    primitive integer form F is reduced mod small primes p not dividing
+    Over F_p by Rabin's test.  Over Q a factor of degree 1 is a rational
+    root, which settles degrees 2 and 3.  From degree 4 on the primitive
+    integer form F is reduced mod the primes p up to 47 not dividing
     lc(F): if F mod p is irreducible, so is F over Q, since by Gauss's
     lemma a factorization over Q is one over Z, and it survives mod p
     with its degrees.  UsageError is raised rather than a guess when no
-    prime tried certifies, as for t^4 + 1 and t^4 - 10t^2 + 1, which
-    split mod every prime, or when trial division is too large to run.
+    prime tried certifies: t^4 + 1 and t^4 - 10t^2 + 1 split mod every
+    prime, and t^12 - 3 splits mod every prime up to 47.
     """
-    deg, ff = poly.degree_in(v), poly.ff
+    deg, p = poly.degree_in(v), poly.ff.char
     if deg == 1:
         return True
-    if ff.char:
-        if ff.char ** (deg // 2) > 200_000:
-            raise UsageError(
-                "cannot certify irreducibility of degree %d over F_%d"
-                % (deg, ff.char))
-        return _trial_irreducible(poly, v)
+    if p:
+        return _rabin_irreducible(_uni_coeffs(poly, v), p)
     if _rational_roots(poly, v):
         return False
     if deg <= 3:
         return True
     ints = _uni_to_int_list(poly, v)
     for p in _SMALL_PRIMES:
-        if p ** (deg // 2) > 2500:
-            break
-        ffp = FunctionField(p, ff.names)
-        image = sum((ffp.poly_const(c) * ffp.poly_var(v) ** k
-                     for k, c in enumerate(ints)), ffp.poly_zero())
-        if ints[-1] % p and _trial_irreducible(image, v):
+        if ints[-1] % p and _rabin_irreducible(
+                [c * pow(ints[-1], -1, p) % p for c in ints], p):
             return True
     raise UsageError("cannot certify irreducibility of %s over Q: it "
                      "factors modulo every prime tried" % poly)

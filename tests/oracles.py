@@ -7,6 +7,7 @@ seeds.  None of it imports the fraction-free or PRS code paths under test
 beyond the element arithmetic itself.
 """
 
+import itertools
 from fractions import Fraction
 
 from orefree.field import RatFunc
@@ -367,3 +368,20 @@ def brute_force_lclm(f, g):
             assert not m.is_zero()
             return m.monic()
     raise AssertionError("no common left multiple up to deg f + deg g")
+
+
+def reducible_monic_modp(p, n):
+    """Every reducible monic degree-n polynomial over F_p, as a tuple of
+    coefficients, constant first: all products of two monic factors."""
+    def monic(d):
+        return [c + (1,) for c in itertools.product(range(p), repeat=d)]
+    out = set()
+    for d in range(1, n // 2 + 1):
+        for g in monic(d):
+            for h in monic(n - d):
+                prod = [0] * (n + 1)
+                for i, a in enumerate(g):
+                    for j, b in enumerate(h):
+                        prod[i + j] = (prod[i + j] + a * b) % p
+                out.add(tuple(prod))
+    return out

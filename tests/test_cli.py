@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -30,8 +32,8 @@ vars: t
 delta.t: 1
 """
 
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                        "demos", "problems")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+FIXTURES = os.path.join(ROOT, "demos", "problems")
 
 
 def run_cli(capsys, *argv):
@@ -203,3 +205,24 @@ def test_console_script_is_wired():
                            "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def readme_block(heading, lang):
+    """The first fenced ``lang`` block under the README's ``## heading``."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("\n## %s\n" % heading, 1)[1]
+    return re.search(r"```%s\n(.*?)```" % lang, section, re.S).group(1)
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    exec(readme_block("Library", "python"), {})
+    assert capsys.readouterr().out.startswith("Dependent")
+    lines = [ln for ln in readme_block("Command line", "sh").splitlines()
+             if ln.startswith("orefree ")]
+    assert lines
+    for line in lines:
+        code, out, _ = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, line
+        json.loads(out)

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from orefree.config import Limits
+from orefree import config, field
 from orefree.errors import (
     BadCharacteristic, CharacteristicMismatch, DivisionByZero,
+    ResourceBoundExceeded,
 )
 from orefree.field import BaseField, FunctionField, MPoly, RatFunc, poly_gcd
 
@@ -154,11 +155,30 @@ def test_ratfunc_reduced_after_ops():
 
 def test_equality_survives_unreduced_representation():
     t = QT.poly_var("t")
-    tight = Limits(gcd_term_bound=0)  # force every gcd attempt to give up
-    raw = RatFunc((t + 1) * (t - 1), (t + 1) * t, limit=tight)
+    raw = RatFunc((t + 1) * (t - 1), (t + 1) * t, reduce=False)
+    assert raw.num == (t + 1) * (t - 1)
     cooked = RatFunc(t - 1, t)
     assert raw == cooked
     assert not (raw == RatFunc(t + 1, t))
+
+
+def test_gcd_work_bound_keeps_fraction_unreduced(monkeypatch):
+    t = QT.poly_var("t")
+    monkeypatch.setattr(config, "GCD_WORK_BOUND", 0)
+    monkeypatch.setattr(field, "_GCD_CACHE", {})
+    with pytest.raises(ResourceBoundExceeded, match="gcd abandoned"):
+        poly_gcd((t + 1) * (t - 1), (t + 1) * t)
+    raw = RatFunc((t + 1) * (t - 1), (t + 1) * t)
+    assert raw.num == (t + 1) * (t - 1)
+    assert raw == RatFunc(t - 1, t)
+
+
+def test_fraction_term_bound(monkeypatch):
+    t = QT.poly_var("t")
+    monkeypatch.setattr(config, "MAX_FRACTION_TERMS", 2)
+    assert RatFunc(t, QT.poly_one()).num == t
+    with pytest.raises(ResourceBoundExceeded, match="fraction grew"):
+        RatFunc(t + 1, t)
 
 
 def test_pow_negative_and_zero():

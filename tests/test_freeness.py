@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orefree import freeness
-from orefree.config import Limits
+from orefree import config, freeness
 from orefree.errors import (
     NotAdditiveEigen, RequiresPureAutomorphism, ResourceBoundExceeded,
     UsageError, ZeroArgument,
@@ -669,17 +668,36 @@ def test_series_route_digest_determinism():
         "fcafa5ed2ad0fd57f588e97f7d77b43b0895e6f90c329a862fa803436bb3b37b")
 
 
-def test_certificate_usage_errors_and_bounds():
+def test_certificate_usage_errors_and_bounds(monkeypatch):
     ctx = shift_ctx()
     b = QU.var(0).inverse()
     with pytest.raises(UsageError):
         freeness_certify(ctx, b, 0)
     with pytest.raises(ZeroArgument):
         freeness_certify(ctx, QU.zero(), 1)
-    with pytest.raises(ResourceBoundExceeded):
-        freeness_certify(ctx, b, 2, limit=Limits(max_words=3))
-    with pytest.raises(ResourceBoundExceeded):
-        freeness_certify(ctx, b, 2, limit=Limits(max_den_degree=1))
+    monkeypatch.setattr(config, "MAX_WORDS", 3)
+    with pytest.raises(ResourceBoundExceeded, match="words exceed"):
+        freeness_certify(ctx, b, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(config, "MAX_DEN_DEGREE", 1)
+    with pytest.raises(ResourceBoundExceeded, match="denominator reached"):
+        freeness_certify(ctx, b, 2)
+
+
+def test_den_degree_bound_at_every_check(monkeypatch):
+    # two degree-1 denominators whose lclm has degree 2: each fraction fits
+    # the patched bound, every fold over both of them crosses it
+    ctx = shift_ctx()
+    x, one = OrePoly.x(ctx), OrePoly.one(ctx)
+    f = OreFraction(x - one, one)
+    g = OreFraction(x - OrePoly.const(ctx, QU.var(0)), one)
+    monkeypatch.setattr(config, "MAX_DEN_DEGREE", 1)
+    with pytest.raises(ResourceBoundExceeded, match="fraction denominator"):
+        OreFraction((x - one) * (x - one), one)
+    with pytest.raises(ResourceBoundExceeded, match="common denominator"):
+        common_left_denominator([f, g])
+    with pytest.raises(ResourceBoundExceeded, match="relation denominator"):
+        freeness._relation_vanishes([f, g], (1, 1))
 
 
 # -- the independence helpers around the certificates -------------------------

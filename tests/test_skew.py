@@ -10,8 +10,7 @@ from orefree.errors import (
 )
 from orefree.field import FunctionField
 from orefree.skew import (
-    SkewDerivation, SkewEndo, SkewPair, delta_tower, fixed_power_check,
-    orbit_analyze,
+    SkewDerivation, SkewEndo, SkewPair, delta_tower, orbit_analyze,
 )
 
 from oracles import random_ratfunc
@@ -145,9 +144,9 @@ def test_fixed_power_check_f7():
     ff = FunctionField(7, ["y1", "y2"])
     y1, y2 = ff.gens()
     s = SkewEndo(ff, [6 * y1, 2 * y2], [6 * y1, 4 * y2])
-    assert fixed_power_check(s, 6) is True
-    assert fixed_power_check(s, 3) is False
-    assert fixed_power_check(s, 2) is False
+    assert s.fixed_power_check(6) is True
+    assert s.fixed_power_check(3) is False
+    assert s.fixed_power_check(2) is False
     assert s.order(10) == 6
 
 

@@ -1,5 +1,6 @@
 """Places, valuations, and pole-pattern lengths along sigma-orbits."""
 
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from orefree.errors import UsageError, ZeroArgument
 from orefree.field import FunctionField
 from orefree.skew import SkewEndo
-from orefree.valuation import Place, length_profile
+from orefree.valuation import Place, _rabin_irreducible, length_profile
 
-from oracles import random_ratfunc_nonzero
+from oracles import random_ratfunc_nonzero, reducible_monic_modp
 
 QT = FunctionField(0, ["t"])
 
@@ -80,10 +81,30 @@ def test_place_irreducibility_is_proved_or_refused():
     # t^4 + 2 is irreducible mod 5, which proves it over Q
     ff5 = FunctionField(5, ["t"])
     Place.finite(ff5.poly_var("t") ** 4 + 2)
+    # t^10 - 2 is irreducible mod 11, which proves it over Q
+    assert Place.finite(t ** 10 - 2).poly == t ** 10 - 2
+    # t^12 - 3 factors modulo every prime up to 47
+    with pytest.raises(UsageError, match="cannot certify"):
+        Place.finite(t ** 12 - 3)
+    # over F_7: t^14 + 3t + 1 is irreducible, t^9 + t + 3 is not
+    ff7 = FunctionField(7, ["t"])
+    t7 = ff7.poly_var("t")
+    Place.finite(t7 ** 14 + 3 * t7 + 1)
+    with pytest.raises(UsageError, match="reducible"):
+        Place.finite(t7 ** 9 + t7 + 3)
     # mod 2 the leading coefficient of this product vanishes and what is
     # left, t^2 + t + 1, is irreducible: no proof, as 2 divides lc
     with pytest.raises(UsageError, match="cannot certify"):
         Place.finite((2 * t * t + 1) * (t * t + t + 1))
+
+
+def test_rabin_matches_product_sieve():
+    for p, top in ((2, 6), (3, 4), (5, 3)):
+        for n in range(2, top + 1):
+            reducible = reducible_monic_modp(p, n)
+            for c in itertools.product(range(p), repeat=n):
+                f = c + (1,)
+                assert _rabin_irreducible(list(f), p) == (f not in reducible)
 
 
 def test_place_normalizes_monic():

@@ -17,9 +17,12 @@ Construction reduces by a gcd; if a gcd attempt exceeds
 exact because equality always falls back to cross multiplication.  No
 floating point is used anywhere.
 
-gcds use a primitive polynomial remainder sequence: dense Euclid for
-univariate polynomials over F_p, integer-cleared primitive PRS over Q,
-and recursion on contents for several variables.
+Univariate kernels (products, exact division, substitution, gcds, roots)
+work on dense int lists with one common denominator (:func:`_dense`,
+:func:`_from_dense`); their results go back into the same term dicts, so
+the representation above is unchanged.  gcds use a primitive polynomial
+remainder sequence: dense Euclid for univariate polynomials over F_p,
+integer PRS over Q, and recursion on contents for several variables.
 """
 
 import math
@@ -339,7 +342,10 @@ class MPoly:
             a, b = b, a
         ff = self.ff
         if ff.nvars == 1:
-            return self._mul_uni(ff, a, b)
+            # one integer convolution; univariate products dominate several
+            # pipelines
+            (ia, sa), (ib, sb) = _dense(a, ff.char), _dense(b, ff.char)
+            return _from_dense(ff, _conv(ia, ib), sa * sb)
         p = ff.base.p
         out = {}
         for e1, c1 in a.items():
@@ -357,22 +363,6 @@ class MPoly:
         return MPoly(ff, out)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _mul_uni(ff, a, b):
-        # dense convolution; univariate products dominate several pipelines
-        da = max(e[0] for e in a)
-        db = max(e[0] for e in b)
-        p = ff.base.p
-        acc = [0] * (da + db + 1)
-        for (i,), c1 in a.items():
-            for (j,), c2 in b.items():
-                acc[i + j] += c1 * c2
-        if p:
-            out = {(i,): v % p for i, v in enumerate(acc) if v % p}
-        else:
-            out = {(i,): v for i, v in enumerate(acc) if v}
-        return MPoly(ff, out)
 
     def scalar_mul(self, c):
         if not c:
@@ -400,6 +390,16 @@ class MPoly:
         _check_same_field(self, g)
         if self.is_zero():
             return self.ff.poly_zero()
+        if self.ff.nvars == 1:
+            # the dividend is scaled by s = lc^(n-m+1) over Q: s * self =
+            # quo * g exactly when the integer remainder is zero
+            p = self.ff.char
+            (r, sr), (d, sd) = _dense(self.terms, p), _dense(g.terms, p)
+            quo, rem = _long_div(r, d, p)
+            if rem:
+                return None
+            s = 1 if p else d[-1] ** len(quo)
+            return _from_dense(self.ff, [c * sd for c in quo], sr * s)
         base = self.ff.base
         ge, gc = g.leading()
         gcinv = base.inv(gc)
@@ -461,16 +461,13 @@ class MPoly:
         if not self.terms:
             return images[0].ff.zero()
         tgt = images[0].ff
-        maxes = [0] * ff.nvars
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > maxes[i]:
-                    maxes[i] = k
-        num_pows = [_powers(images[i].num, maxes[i]) for i in range(ff.nvars)]
-        den_pows = [_powers(images[i].den, maxes[i]) for i in range(ff.nvars)]
+        maxes = [max(ks) for ks in zip(*self.terms)]
+        _check_char(ff, tgt)
+        num_pows = [_powers(g.num, m) for g, m in zip(images, maxes)]
+        den_pows = [_powers(g.den, m) for g, m in zip(images, maxes)]
         num = tgt.poly_zero()
         for e, c in self.terms.items():
-            part = tgt.poly_const(_lift_scalar(c, ff, tgt))
+            part = tgt.poly_const(c)
             for i, k in enumerate(e):
                 if k:
                     part = part * num_pows[i][k]
@@ -491,15 +488,20 @@ class MPoly:
         if not images:
             return self
         tgt = images[0].ff
-        maxes = [0] * ff.nvars
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > maxes[i]:
-                    maxes[i] = k
-        pows = [_powers(images[i], maxes[i]) for i in range(ff.nvars)]
+        if not self.terms:
+            return tgt.poly_zero()
+        _check_char(ff, tgt)
+        if ff.nvars == 1 and tgt.nvars == 1:
+            # P(I / w) = acc / (scale * w^n) with P = sum ints[k] y^k / scale
+            ints, scale = _dense(self.terms, tgt.char)
+            acc, wn = _horner(ints, *_dense(images[0].terms, tgt.char),
+                              tgt.char)
+            return _from_dense(tgt, acc, scale * wn)
+        maxes = [max(ks) for ks in zip(*self.terms)]
+        pows = [_powers(g, m) for g, m in zip(images, maxes)]
         out = tgt.poly_zero()
         for e, c in self.terms.items():
-            part = tgt.poly_const(_lift_scalar(c, ff, tgt))
+            part = tgt.poly_const(c)
             for i, k in enumerate(e):
                 if k:
                     part = part * pows[i][k]
@@ -550,12 +552,66 @@ def _powers(p, n):
     return out
 
 
-def _lift_scalar(c, src, tgt):
+def _check_char(src, tgt):
     if src.char != tgt.char:
         raise CharacteristicMismatch(
             "cannot move scalar between characteristics %d and %d"
             % (src.char, tgt.char))
-    return c
+
+
+def _dense(terms, p, v=0):
+    """(ints, scale) for a term dict univariate in y_v, constant first:
+    y_v^k has coefficient ints[k] / scale, and scale is the lcm of the
+    denominators over Q and 1 over F_p."""
+    # the keys differ only in slot v, so the largest key has the degree
+    ints = [0] * (max(terms)[v] + 1) if terms else []
+    if p:
+        for e, c in terms.items():
+            ints[e[v]] = c
+        return ints, 1
+    scale = 1
+    for c in terms.values():
+        if c.denominator != 1:
+            scale = math.lcm(scale, c.denominator)
+    for e, c in terms.items():
+        ints[e[v]] = c.numerator * (scale // c.denominator)
+    return ints, scale
+
+
+def _from_dense(ff, ints, scale=1, v=0):
+    """The MPoly with ints[k] / scale at y_v^k; scale is 1 over F_p."""
+    p, head, tail = ff.char, (0,) * v, (0,) * (ff.nvars - v - 1)
+    if p:
+        cs = ((k, c % p) for k, c in enumerate(ints))
+    elif scale == 1:
+        cs = ((k, Fraction(c)) for k, c in enumerate(ints) if c)
+    else:
+        cs = ((k, Fraction(c, scale)) for k, c in enumerate(ints) if c)
+    return MPoly(ff, {head + (k,) + tail: c for k, c in cs if c})
+
+
+def _conv(a, b):
+    """Product of dense int lists (all zeros when one is empty)."""
+    out = [0] * (len(a) + len(b) - 1)
+    bs = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in bs:
+                out[i + j] += x * y
+    return out
+
+
+def _horner(ints, img, w, p):
+    """(acc, w^n) with acc = sum ints[k] img^k w^(n-k), by the steps
+    acc = acc * img + ints[k] * w^(n-k); reduced mod p when p."""
+    acc, wk = ints[-1:], 1
+    for c in reversed(ints[:-1]):
+        wk *= w
+        acc = _conv(acc, img) or [0]
+        acc[0] += c * wk
+        if p:
+            acc = [x % p for x in acc]
+    return acc, wk
 
 
 # ---------------------------------------------------------------------------
@@ -586,32 +642,6 @@ def _primitive_ints(xs):
     return ints, Fraction(d)
 
 
-def _uni_coeffs(p, i):
-    """Dense coefficient list, constant first, of a poly univariate in y_i."""
-    coeffs = [0] * (p.degree_in(i) + 1)
-    for e, c in p.terms.items():
-        coeffs[e[i]] = c
-    return coeffs
-
-
-def _uni_to_int_list(p, i):
-    """Clear a Q-coefficient univariate poly to a primitive int list."""
-    ints, _ = _primitive_ints(_uni_coeffs(p, i))
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def _int_list_to_poly(ff, i, ints):
-    out = {}
-    for k, c in enumerate(ints):
-        if c:
-            e = [0] * ff.nvars
-            e[i] = k
-            out[tuple(e)] = Fraction(c)
-    return MPoly(ff, out)
-
-
 def _rational_roots(poly, v):
     """All roots in the prime field of a univariate polynomial in y_v.
 
@@ -619,11 +649,11 @@ def _rational_roots(poly, v):
     coefficient and q the leading one, after clearing denominators; roots
     come out in that candidate order, 0 first when it is one.
     """
-    ff = poly.ff
-    if ff.char:
-        return [c for c in range(ff.char)
-                if poly.substitute([ff.const(c)] * ff.nvars).is_zero()]
-    ints, _ = _primitive_ints(_uni_coeffs(poly, v))
+    p = poly.ff.char
+    ints, _ = _dense(poly.terms, p, v)
+    if p:
+        return [r for r in range(p) if not any(_horner(ints, [r], 1, p)[0])]
+    ints, _ = _primitive_ints(ints)
     out = []
     if ints[0] == 0:
         out.append(Fraction(0))
@@ -632,13 +662,10 @@ def _rational_roots(poly, v):
         const = next((x for x in ints if x), lead)
     for p in _divisors(const):
         for q in _divisors(lead):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                if r in out:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * r + c
-                if acc == 0:
+            for s in (p, -p):
+                # P(s/q) = 0 exactly when sum ints[k] s^k q^(n-k) = 0
+                r = Fraction(s, q)
+                if r not in out and not any(_horner(ints, [s], q, 0)[0]):
                     out.append(r)
     return out
 
@@ -649,53 +676,46 @@ def _trim(xs):
     return xs
 
 
+def _long_div(r, d, p):
+    """(quo, rem) of the int lists r by d (trimmed), constant first.
+
+    Over F_p (p > 0) mod p.  Over Q (p = 0) r is first scaled by
+    lc(d)^(deg r - deg d + 1), so every quotient step is an exact //:
+    this is pseudo-division, and rem the pseudo-remainder.
+    """
+    m, lc = len(d) - 1, d[-1]
+    top = len(r) - 1 - m
+    s = 1 if p or top < 0 else lc ** (top + 1)
+    r = [c * s for c in r]
+    inv = pow(lc, -1, p) if p else None
+    ds = [(j, c) for j, c in enumerate(d) if c]
+    quo = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c = quo[k] = r[k + m] * inv % p if p else r[k + m] // lc
+        for j, x in ds:
+            r[k + j] -= c * x
+    return quo, _trim([c % p for c in r[:m]] if p else r[:m])
+
+
 def _uni_gcd_p(a, b, p):
     """Euclid on dense int lists mod p; returns monic list."""
     a, b = _trim(a[:]), _trim(b[:])
     while b:
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        r = a[:]
-        while len(r) - 1 >= db and r:
-            c = r[-1] * inv % p
-            m = len(r) - 1 - db
-            for j in range(db + 1):
-                r[m + j] = (r[m + j] - c * b[j]) % p
-            _trim(r)
-        a, b = b, r
+        a, b = b, _long_div(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
     return a
 
 
-def _int_prem(a, b):
-    """Pseudo-remainder of primitive int lists (univariate)."""
-    r = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while _trim(r) and len(r) - 1 >= db:
-        c = r[-1]
-        m = len(r) - 1 - db
-        r = [lb * x for x in r]
-        for j in range(db + 1):
-            r[m + j] -= c * b[j]
-    return _trim(r)
-
-
 def _uni_gcd_q(a, b):
-    """Primitive PRS gcd of primitive int lists; returns primitive list."""
+    """Primitive PRS gcd of int lists; returns primitive list."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _int_prem(a, b)
-        if r:
-            g = _int_content(r)
-            if g > 1:
-                r = [x // g for x in r]
-            if r[-1] < 0:
-                r = [-x for x in r]
-        a, b = b, r
+        g = _int_content(b)
+        b = [x // g for x in b]
+        a, b = b, _long_div(a, b, 0)[1]
     return a
 
 
@@ -792,24 +812,11 @@ def _gcd_core(a, b, work):
     p = ff.char
     if len(ua | ub) == 1:
         (v,) = ua | ub
+        la, lb = _dense(a.terms, p, v)[0], _dense(b.terms, p, v)[0]
         if p:
-            da, db = a.degree_in(v), b.degree_in(v)
-            la = [0] * (da + 1)
-            lb = [0] * (db + 1)
-            for e, c in a.terms.items():
-                la[e[v]] = c
-            for e, c in b.terms.items():
-                lb[e[v]] = c
-            g = _uni_gcd_p(la, lb, p)
-            out = {}
-            for k, c in enumerate(g):
-                if c:
-                    e = [0] * ff.nvars
-                    e[v] = k
-                    out[tuple(e)] = c
-            return MPoly(ff, out)
-        g = _uni_gcd_q(_uni_to_int_list(a, v), _uni_to_int_list(b, v))
-        return _int_list_to_poly(ff, v, g).monic()
+            return _from_dense(ff, _uni_gcd_p(la, lb, p), 1, v)
+        g = _uni_gcd_q(la, lb)
+        return _from_dense(ff, g, g[-1], v)
     # several variables: probe the divisible cases first, they dominate in
     # fraction pipelines (gcd of d and d*q) and skip the PRS entirely
     if a.divide_exact(b) is not None:

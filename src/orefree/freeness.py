@@ -90,7 +90,7 @@ from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
-from .field import RatFunc
+from .field import RatFunc, _dense
 from .linalg import (
     _normalize_int_vector, _rank_modp, flatten_to_k, rank_over_k,
 )
@@ -516,17 +516,16 @@ def _orbit_step(pair, b, point, N, q):
 def _poly_jet_mod(p, c, n, q):
     """Coefficients 0..n-1 of p(c + eps) mod q for univariate p, or None
     when a coefficient denominator is 0 mod q."""
+    ints, scale = _dense(p.terms, 0)
+    if scale % q == 0:  # q is prime: it divides one of the denominators
+        return None
     jet = [0] * n
-    for k in range(p.degree_in(0), -1, -1):
-        a = p.terms.get((k,), 0)
-        if a:
-            if a.denominator % q == 0:
-                return None
-            a = a.numerator * pow(a.denominator, -1, q)
+    for a in reversed(ints):
         # Horner step: jet * (c + eps) + a
         jet = [(c * jet[0] + a) % q] + [
             (c * jet[i] + jet[i - 1]) % q for i in range(1, n)]
-    return jet
+    inv = pow(scale, -1, q)
+    return [x * inv % q for x in jet]
 
 
 def _jet_mod(f, c, n, q):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import UsageError, ZeroArgument
 from .field import (
-    _is_prime, _rational_roots, _trim, _uni_coeffs, _uni_gcd_p,
-    _uni_to_int_list, poly_gcd,
+    _conv, _dense, _is_prime, _long_div, _rational_roots, _uni_gcd_p,
+    poly_gcd,
 )
 
 
@@ -33,20 +33,6 @@ def _univariate_var(poly):
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _mulmod(a, b, f, p):
-    """a * b mod the monic f; dense mod-p lists, constant first."""
-    out = [0] * (len(a) + len(b))
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    n = len(f) - 1
-    for k in range(len(out) - 1, n - 1, -1):
-        c = out[k] % p
-        for j in range(n):
-            out[k - n + j] -= c * f[j]
-    return _trim([c % p for c in out[:n]])
-
-
 def _rabin_irreducible(f, p):
     """Rabin's test (SIAM J. Comput. 9, 1980) for the monic mod-p list f.
 
@@ -58,9 +44,9 @@ def _rabin_irreducible(f, p):
     for k in range(1, n + 1):
         acc = [1]
         for bit in bin(p)[2:]:  # h^p mod f, square and multiply
-            acc = _mulmod(acc, acc, f, p)
+            acc = _long_div(_conv(acc, acc), f, p)[1]
             if bit == "1":
-                acc = _mulmod(acc, h, f, p)
+                acc = _long_div(_conv(acc, h), f, p)[1]
         h = acc
         if n % k == 0 and _is_prime(n // k):
             d = h + [0] * (2 - len(h))
@@ -85,13 +71,14 @@ def _is_irreducible(poly, v):
     deg, p = poly.degree_in(v), poly.ff.char
     if deg == 1:
         return True
+    # poly is monic, so its cleared form over Q is primitive with lead > 0
+    ints = _dense(poly.terms, p, v)[0]
     if p:
-        return _rabin_irreducible(_uni_coeffs(poly, v), p)
+        return _rabin_irreducible(ints, p)
     if _rational_roots(poly, v):
         return False
     if deg <= 3:
         return True
-    ints = _uni_to_int_list(poly, v)
     for p in _SMALL_PRIMES:
         if ints[-1] % p and _rabin_irreducible(
                 [c * pow(ints[-1], -1, p) % p for c in ints], p):

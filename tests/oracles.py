@@ -385,3 +385,52 @@ def reducible_monic_modp(p, n):
                         prod[i + j] = (prod[i + j] + a * b) % p
                 out.add(tuple(prod))
     return out
+
+
+# Sparse univariate kernels on term dicts {(k,): c}, one scalar pair at a
+# time through BaseField: the reference for the dense integer kernels of
+# MPoly.__mul__, divide_exact and substitute_poly.
+
+def _sparse_axpy(base, out, c, terms, shift=0):
+    """out += c * y^shift * terms, in place, zeros dropped."""
+    for (j,), x in terms.items():
+        k = (j + shift,)
+        s = base.add(out.get(k, base.zero()), base.mul(c, x))
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def sparse_uni_mul(base, a, b):
+    """Product of univariate term dicts."""
+    out = {}
+    for (i,), c in a.items():
+        _sparse_axpy(base, out, c, b, i)
+    return out
+
+
+def sparse_uni_divmod(base, a, g):
+    """(quotient, remainder) of univariate term dicts by long division."""
+    (dg,) = max(g)
+    inv = base.inv(g[(dg,)])
+    rem, quo = dict(a), {}
+    while rem and max(rem)[0] >= dg:
+        (dr,) = max(rem)
+        c = base.mul(rem[(dr,)], inv)
+        quo[(dr - dg,)] = c
+        _sparse_axpy(base, rem, base.neg(c), g, dr - dg)
+    return quo, rem
+
+
+def sparse_uni_substitute(base, a, s):
+    """P(s) for univariate term dicts from a table of the powers of s."""
+    top = max((k for (k,) in a), default=0)
+    pows = [{(0,): base.one()}]
+    for _ in range(top):
+        pows.append(sparse_uni_mul(base, pows[-1], s))
+    out = {}
+    for (k,), c in a.items():
+        _sparse_axpy(base, out, c, pows[k])
+    return out

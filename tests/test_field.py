@@ -12,7 +12,10 @@ from orefree.errors import (
 )
 from orefree.field import BaseField, FunctionField, MPoly, RatFunc, poly_gcd
 
-from oracles import random_poly, random_poly_nonzero, random_ratfunc
+from oracles import (
+    random_poly, random_poly_nonzero, random_ratfunc, sparse_uni_divmod,
+    sparse_uni_mul, sparse_uni_substitute,
+)
 
 
 QT = FunctionField(0, ["t"])
@@ -227,3 +230,54 @@ def test_fraction_coefficients_print_parseably():
     t = QT.poly_var("t")
     f = RatFunc(t, QT.poly_const(2))
     assert str(f) == "1/2*t"
+
+
+def _uni_terms(rng, p, max_deg=5):
+    """A random nonzero univariate term dict; non-integer over Q."""
+    out = {}
+    while not out:
+        for _ in range(rng.randint(1, 4)):
+            c = (rng.randint(1, p - 1) if p
+                 else Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+            if c:
+                out[(rng.randint(0, max_deg),)] = c
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 5, 7])
+def test_univariate_kernels_match_sparse_reference(p):
+    """The dense integer kernels give the reference's term dicts exactly."""
+    ff = FunctionField(p, ["t"])
+    base = ff.base
+    rng = random.Random(2026 + p)
+    c = base.of_int
+    fixed = [
+        {(0,): c(3) if p else Fraction(-4, 3)},          # constant
+        {(2,): c(-3) if p else Fraction(-3, 2),           # negative lc,
+         (0,): c(2) if p else Fraction(5, 7)},           # not a unit
+        {(3,): c(2), (1,): c(-6)},                        # non-unit lc
+        {(1,): c(1), (0,): c(-1)},
+    ]
+    polys = fixed + [_uni_terms(rng, p) for _ in range(24)]
+
+    def same(got, want):
+        assert got.terms == want
+        for v in got.terms.values():
+            assert (0 < v < p and type(v) is int) if p else type(v) is Fraction
+
+    for a in polys + [{}]:
+        A = MPoly(ff, dict(a))
+        for b in polys:
+            B = MPoly(ff, dict(b))
+            prod = sparse_uni_mul(base, a, b)
+            same(A * B, prod)
+            quo, rem = sparse_uni_divmod(base, a, b)
+            got = A.divide_exact(B)
+            assert (got is None) == bool(rem)
+            if got is not None:
+                same(got, quo)
+            same(MPoly(ff, prod).divide_exact(B), a)
+        # a zero image and constant images are among the images
+        for s in [{}] + polys:
+            same(A.substitute_poly([MPoly(ff, dict(s))]),
+                 sparse_uni_substitute(base, a, s))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from orefree.errors import UsageError, ZeroArgument
-from orefree.field import FunctionField
+from orefree.field import FunctionField, _rational_roots
 from orefree.skew import SkewEndo
 from orefree.valuation import Place, _rabin_irreducible, length_profile
 
@@ -25,6 +25,17 @@ def test_finite_valuation_frozen():
     assert v.valuation(t * t / (t + 1)) == 2
     assert v.valuation((t + 1) / t ** 3) == -3
     assert v.valuation(QT.const(5)) == 0
+
+
+def test_finite_valuation_over_f7():
+    # roots of t^3 - t come out in residue order; t^2 + 1 has none mod 7
+    ff7 = FunctionField(7, ["t"])
+    t, tf = ff7.poly_var("t"), ff7.var("t")
+    assert _rational_roots((t ** 3 - t) * (t * t + 1), 0) == [0, 1, 6]
+    f = (tf + 1) ** 2 / (tf ** 3 - tf)
+    assert Place.finite(t + 1).valuation(f) == 1
+    assert Place.finite(t).valuation(f) == -1
+    assert Place.finite(t * t + 1).valuation(f * (tf * tf + 1) ** 3) == 3
 
 
 def test_infinite_valuation_frozen():

@@ -195,8 +195,9 @@ class FunctionField:
         return [self.var(i) for i in range(self.nvars)]
 
     def __eq__(self, other):
-        return (isinstance(other, FunctionField)
-                and self.base == other.base and self.names == other.names)
+        return self is other or (isinstance(other, FunctionField)
+                                 and self.base == other.base
+                                 and self.names == other.names)
 
     def __hash__(self):
         return hash((self.base.p, self.names))

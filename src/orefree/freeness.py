@@ -30,11 +30,18 @@ Since (1-x)^{-1} has scalar coefficients, appending b^i (1-x)^{-1} to a
 word is one series step over any coefficient ring: on i = 1
 right-multiply by b, then take a prefix sum.
 
-* Pure automorphisms over Q, in K[[x; sigma]] with (1-x)^{-1} = sum_n x^n:
+* Pure automorphisms, in K[[x; sigma]] with (1-x)^{-1} = sum_n x^n:
   x^m b = sigma^m(b) x^m, and sigma^m(b)(P) = b(s^m(P)) for the point
-  map s of sigma, so the product by b is pointwise.  The series are
-  evaluated along the orbits of a fixed list of integer points, modulo
-  the prime q = 2^61 - 1.
+  map s of sigma, so the product by b is pointwise.  Over Q the series
+  are evaluated along the orbits of a fixed list of integer points,
+  modulo the prime q = 2^61 - 1.  Over F_p no point of F_p^n will do:
+  under the shift every orbit runs through all of F_p and meets each
+  pole of b.  The series are evaluated instead along the orbit of one
+  point (y, y^2, ..., y^n) of F_p[y]/(f), with f monic irreducible of
+  the least degree k >= 2 with p^k >= 2^61, so that y has degree k over
+  F_p, and each entry is written as its k coordinates.  A combination
+  of words vanishes there only when f divides its numerator: a factor
+  of degree k, where a point mod q forces one of degree 1.
 * Pure derivations, in K((x^{-1}; delta)) with
   (1-x)^{-1} = -sum_{k>=1} x^{-k}: x^0 b = b and, for n >= 1,
   x^{-n} b = sum_j (-1)^j C(n+j-1, j) delta^j(b) x^{-n-j}.  A nonzero
@@ -53,22 +60,26 @@ right-multiply by b, then take a prefix sum.
   Taylor jets of b and delta(t) at P.  A point where either has a pole mod q is
   skipped, so every delta^j(b) is regular there.
 
-In both evaluated routes, truncation and evaluation are Z_(q)-linear and
-a primitive integer relation stays nonzero mod q, so the evaluated rank
+In the evaluated routes over Q, truncation and evaluation are
+Z_(q)-linear and a primitive integer relation stays nonzero mod q; over
+F_p, evaluation is a ring homomorphism where it is defined, and
+truncation and the coordinates are F_p-linear.  So the evaluated rank
 is a lower bound: full rank proves independence, and on a deficit d the
 exact nullity is at most d.  The words are the monomials of the free
 algebra on g0 = (1-x)^{-1} and g1 = b(1-x)^{-1}: g_j W_I = W_{jI} and
 W_I g_j = W_{Ij}, so a relation R yields the relations g_j R and R g_j
-by moving indices alone.  Length by length, only a mod-q nullspace
-vector outside the span of the shorter relations and their one-letter
-multiples is lifted by rational reconstruction, and only these
-generators are re-verified by exact fraction arithmetic.  The relations
-derived from them are then exact as well, and together they span d
-dimensions mod q, so at least d over Q (integer vectors independent mod
-q are independent over Q): the nullity is d and the rank is exact, and
-the first generator is the reported relation.  A failed lift or check,
-or a basis short of d, falls back to the exact x^{-1} series where it
-applies, and to the fold otherwise.
+by moving indices alone.  Length by length, only a nullspace vector
+outside the span of the shorter relations and their one-letter
+multiples becomes a generator: over Q it is lifted by rational
+reconstruction, and over F_p it is already an exact relation.  Only
+these generators are re-verified by exact fraction arithmetic.  The
+relations derived from them are then exact as well, and together they
+span d dimensions mod q (mod p over F_p), so at least d over k
+(integer vectors independent mod q are independent over Q): the
+nullity is d, the rank is exact, and the first generator is the
+reported relation.  A failed lift or check, or a basis short of d,
+falls back to the exact x^{-1} series where it applies, and to the fold
+otherwise.
 
 Everything else brings all words over one common left denominator by an
 lclm fold and flattens the numerator coefficient vectors.
@@ -90,13 +101,13 @@ from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
-from .field import RatFunc, _dense
+from .field import RatFunc, _conv, _dense, _long_div, _trim
 from .linalg import (
     _normalize_int_vector, _rank_modp, flatten_to_k, rank_over_k,
 )
 from .orefrac import OreFraction, _lclm_with_probe, weyl_check
 from .orepoly import OrePoly
-from .valuation import length_profile
+from .valuation import _rabin_irreducible, length_profile
 
 
 def words_up_to(max_len):
@@ -198,7 +209,7 @@ def _matrix_digest(rows, header):
     h.update(("%s;%dx%d" % (header, len(rows), ncols)).encode())
     for row in rows:
         h.update(b"|")
-        h.update(",".join(str(x) for x in row).encode())
+        h.update(",".join(map(str, row)).encode())
     return h.hexdigest()
 
 
@@ -272,6 +283,12 @@ def _add_by_last(basis, vec, p):
     return True
 
 
+def _leading_one(vec, p):
+    """vec mod p scaled to a leading 1, as rank_over_k normalizes over F_p."""
+    inv = pow(next(x for x in vec if x), -1, p)
+    return [x * inv % p for x in vec]
+
+
 def _rank_and_relation(rows, base, expand):
     """(rank, relation) of coordinate rows, one per word, over k.
 
@@ -293,11 +310,7 @@ def _rank_and_relation(rows, base, expand):
     if not by_last:
         raise AssertionError("rank deficit without a nullspace vector")
     lam = by_last[min(by_last)]
-    if p:
-        inv = pow(next(x for x in lam if x), -1, p)
-        lam = tuple(x * inv % p for x in lam)
-    else:
-        lam = tuple(_normalize_int_vector(lam))
+    lam = tuple(_leading_one(lam, p) if p else _normalize_int_vector(lam))
     _verify_relation(expand(), lam)
     return rank, lam
 
@@ -480,20 +493,21 @@ def _eval_mod(f, point, q):
     return num * pow(den, -1, q) % q
 
 
-def _orbit_values(images, b, point, N, q):
-    """b(s^i(P)) mod q for i = 0..N, s the point map of sigma.
+def _orbit_values(images, b, point, N, evaluate):
+    """b(s^i(P)) for i = 0..N, s the point map of sigma, or None.
 
-    None when b or a generator image meets a denominator along the orbit,
-    which is exactly when sigma^i(b)(P) = b(s^i(P)) could fail.
+    evaluate(g, P) is g(P), or None when g has a pole at P.  None comes
+    back when b or a generator image meets a pole along the orbit, which
+    is exactly when sigma^i(b)(P) = b(s^i(P)) could fail.
     """
     vals = []
     for i in range(N + 1):
-        v = _eval_mod(b, point, q)
+        v = evaluate(b, point)
         if v is None:
             return None
         vals.append(v)
         if i < N:
-            point = tuple(_eval_mod(g, point, q) for g in images)
+            point = tuple(evaluate(g, point) for g in images)
             if None in point:
                 return None
     return vals
@@ -505,12 +519,151 @@ def _orbit_step(pair, b, point, N, q):
     Order m of a product by b is multiplied by sigma^m(b)(P) = b(s^m(P)),
     and (1-x)^{-1} = sum_n x^n makes the geometric step a prefix sum.
     """
-    bvals = _orbit_values(pair.sigma.images, b, point, N, q)
+    bvals = _orbit_values(pair.sigma.images, b, point, N,
+                          lambda g, P: _eval_mod(g, P, q))
     if bvals is None:
         return None
     return _series_step(
         lambda a: [x * c % q for x, c in zip(a, bvals)],
         lambda a: [s % q for s in itertools.accumulate(a)])
+
+
+# F_p[y]/(f) for pure automorphisms over F_p: an element is the list of its
+# k coordinates on 1, y, ..., y^(k-1), and f is monic irreducible of degree k
+_EXTENSION_CACHE = {}
+
+
+def _extension_modulus(p):
+    """The modulus f over F_p: its degree k is the least k >= 2 with
+    p^k >= 2^61, and it is the first irreducible candidate, proved by
+    Rabin's test.
+
+    Candidates go sparsest first: by their number of terms, then by the
+    exponents of the lower terms, then by their coefficients, which stay
+    below 8 so that the search is finite for every p.
+    """
+    if p in _EXTENSION_CACHE:
+        return _EXTENSION_CACHE[p]
+    k = 2
+    while p ** k < 1 << 61:
+        k += 1
+    for w in range(1, k + 1):
+        for lower in itertools.combinations(range(1, k), w - 1):
+            for cs in itertools.product(range(1, min(p, 8)), repeat=w):
+                f = [0] * k + [1]
+                for j, c in zip((0,) + lower, cs):
+                    f[j] = c
+                if _rabin_irreducible(f, p):
+                    _EXTENSION_CACHE[p] = f
+                    return f
+    raise AssertionError("no irreducible modulus of degree %d mod %d"
+                         % (k, p))
+
+
+def _ext_times(a, f, p):
+    """Multiplication by a, as a function on coordinate lists.
+
+    Its matrix has the columns a y^j.  Each column is packed into one
+    integer, B bits per coordinate, so a product is one sum of k integer
+    multiples: no slot exceeds k (p-1)^2 < 2^B, so none carries.
+    """
+    k = len(a)
+    low = [(i, g) for i, g in enumerate(f[:-1]) if g]
+    B = (k * (p - 1) ** 2).bit_length()
+    shifts, mask = range(0, B * k, B), (1 << B) - 1
+    col, cols = a, []
+    for _ in range(k):
+        cols.append(sum(x << s for x, s in zip(col, shifts)))
+        # times y: shift up, and replace y^k by y^k - f
+        top, col = col[-1], [0] + col[:-1]
+        for i, g in low:
+            col[i] = (col[i] - top * g) % p
+
+    def times(x):
+        v = sum(map(operator.mul, x, cols))
+        return [(v >> s & mask) % p for s in shifts]
+    return times
+
+
+def _ext_mul(a, b, f, p):
+    r = _long_div(_conv(a, b), f, p)[1]
+    return r + [0] * (len(f) - 1 - len(r))
+
+
+def _ext_pow(a, n, f, p):
+    out = [1] + [0] * (len(a) - 1)
+    for bit in bin(n)[2:]:
+        out = _ext_mul(out, out, f, p)
+        if bit == "1":
+            out = _ext_mul(out, a, f, p)
+    return out
+
+
+def _ext_inv(a, f, p):
+    """a^{-1} by the extended Euclidean algorithm on f and a; None for 0."""
+    r0, r1, s0, s1 = f, _trim(a[:]), [], [1]
+    while len(r1) > 1:
+        quo, r2 = _long_div(r0, r1, p)
+        s2 = [(x - y) % p for x, y in itertools.zip_longest(
+            s0, _conv(quo, s1), fillvalue=0)]
+        r0, r1, s0, s1 = r1, r2, s1, s2
+    if not r1:
+        return None
+    c = pow(r1[0], -1, p)
+    s1 = _trim([x * c % p for x in s1])
+    return s1 + [0] * (len(a) - len(s1))
+
+
+def _ext_eval(g, point, f, p):
+    """g(point) in F_p[y]/(f) for g in F_p(y_1, ..., y_n), or None."""
+    def poly(h):
+        acc = [0] * (len(f) - 1)
+        for e, c in h.terms.items():
+            term = [c] + [0] * (len(f) - 2)
+            for v, n in zip(point, e):
+                for _ in range(n):
+                    term = _ext_mul(term, v, f, p)
+            acc = [(x + y) % p for x, y in zip(acc, term)]
+        return acc
+    if g.is_poly():
+        return poly(g.num)
+    inv = _ext_inv(poly(g.den), f, p)
+    return None if inv is None else _ext_mul(poly(g.num), inv, f, p)
+
+
+def _extension_word_rows(pair, words, b, N):
+    """Word series in K[[x; sigma]] over F_p at orders 0..N, evaluated at
+    the point (y, y^2, ..., y^n) of F_p[y]/(f), or None at a pole.
+
+    The point map and the products by b work as in _orbit_step, with the
+    product by b(s^m(P)) applied to the k coordinates of order m by
+    _ext_times, and the prefix sum taken coordinate by coordinate.  Returns
+    (rows, [point]), each row the k coordinates of each order in turn.
+    """
+    p = pair.ff.char
+    f = _extension_modulus(p)
+    k = len(f) - 1
+    y = [0, 1] + [0] * (k - 2)
+    point = tuple(_ext_pow(y, j + 1, f, p) for j in range(pair.ff.nvars))
+    bvals = _orbit_values(pair.sigma.images, b, point, N,
+                          lambda g, P: _ext_eval(g, P, f, p))
+    if bvals is None:
+        return None
+    mults = [_ext_times(c, f, p) for c in bvals]
+
+    def times_b(a):
+        return [x for m, times in enumerate(mults)
+                for x in times(a[m * k:m * k + k])]
+
+    def geometric(a):
+        out = a[:]
+        for j in range(k):
+            out[j::k] = [s % p for s in itertools.accumulate(a[j::k])]
+        return out
+
+    root = [1] + [0] * ((N + 1) * k - 1)
+    return (_prefix_shared(words, root, _series_step(times_b, geometric)),
+            [point])
 
 
 def _poly_jet_mod(p, c, n, q):
@@ -574,13 +727,17 @@ def _xinv_point_step(pair, b, point, N, q):
 
 
 def _evaluated_word_rows(pair, words, b, N):
-    """Word series at orders 0..N, evaluated mod q at _EVAL_POINTS points.
+    """Word series at orders 0..N, evaluated at points.
 
     Returns (rows, points) with one row per word, the points' blocks
-    concatenated in order, or None when fewer points are usable.  Pure
-    automorphisms expand in K[[x; sigma]] (_orbit_step), derivations of
-    Q(t) in K((x^{-1}; delta)) (_xinv_point_step).
+    concatenated in order, or None when fewer points are usable.  Over F_p
+    that is one point of F_p[y]/(f) (_extension_word_rows).  Over Q it is
+    _EVAL_POINTS points mod q: pure automorphisms expand in
+    K[[x; sigma]] (_orbit_step), derivations of Q(t) in
+    K((x^{-1}; delta)) (_xinv_point_step).
     """
+    if pair.ff.char:
+        return _extension_word_rows(pair, words, b, N)
     q = _EVAL_PRIME
     make_step = _orbit_step if pair.is_pure_automorphism() \
         else _xinv_point_step
@@ -632,10 +789,12 @@ def _one_letter_multiples(lam, words, index):
             yield vec
 
 
-def _relation_generators(null, words, L, q):
-    """Generators of the mod-q relation space, lifted to Q, or None.
+def _relation_generators(null, words, L, p):
+    """Generators of the relation space, or None.
 
-    null is a basis of the relations mod q.  In echelon form keyed on
+    null is a basis of the evaluated relations: mod q = 2^61 - 1 over Q,
+    whose generators are lifted to Q by rational reconstruction, and
+    mod p, already exact, over F_p.  In echelon form keyed on
     each vector's last word, the vectors ending at length <= r span the
     relations among the words of length <= r, for every r at once.
     Length by length, the integer basis of the shorter relations and its
@@ -646,6 +805,7 @@ def _relation_generators(null, words, L, q):
     ending at the first dependent word (_rank_and_relation).  None when a
     lift fails or the basis does not come out at dimension len(null).
     """
+    q = p or _EVAL_PRIME
     by_last = {}
     for vec in null:
         _add_by_last(by_last, vec, q)
@@ -660,10 +820,13 @@ def _relation_generators(null, words, L, q):
         for last, vec in sorted(by_last.items()):
             if (len(words[last]) == length
                     and _reduce_by_last(span, vec, q)[1] >= 0):
-                lam = [_rational_reconstruct(x, q) for x in vec]
-                if None in lam:
-                    return None
-                lam = _normalize_int_vector(lam)
+                if p:
+                    lam = _leading_one(vec, p)
+                else:
+                    lam = [_rational_reconstruct(x, q) for x in vec]
+                    if None in lam:
+                        return None
+                    lam = _normalize_int_vector(lam)
                 if not _add_by_last(span, lam, q):
                     return None
                 generators.append(lam)
@@ -687,15 +850,19 @@ def _certify_by_evaluation(pair, words, b, L):
     if found is None:
         return None
     rows, points = found
-    q = _EVAL_PRIME
-    rank, null = _rank_modp(rows, q)
-    header = "q:%d;points:%s" if pair.is_pure_automorphism() \
-        else "q:%d;x^-1;points:%s"
-    digest = _matrix_digest(rows, header % (q, points))
+    p = pair.ff.char
+    rank, null = _rank_modp(rows, p or _EVAL_PRIME)
+    if p:
+        header = "p:%d;f:%s;points:%s" % (p, _extension_modulus(p), points)
+    elif pair.is_pure_automorphism():
+        header = "q:%d;points:%s" % (_EVAL_PRIME, points)
+    else:
+        header = "q:%d;x^-1;points:%s" % (_EVAL_PRIME, points)
+    digest = _matrix_digest(rows, header)
     if rank == len(words):
         return FreenessCertificate(b, L, len(words), rank, digest,
                                    "Independent")
-    generators = _relation_generators(null, words, L, q)
+    generators = _relation_generators(null, words, L, p)
     if generators is None:
         return None
     closure = sorted({w[:k] for lam in generators
@@ -721,17 +888,19 @@ def freeness_certify(pair, b, L):
     arithmetic.  The route is fixed by the input, first match wins
     (module docstring):
 
-    * over Q with N = sum_{r<=L} r 2^r at most ``config.MAX_DEN_DEGREE``,
-      pure automorphisms take the evaluated K[[x; sigma]] series and
-      derivations of Q(t) the evaluated K((x^{-1}; delta)) series, both
-      mod q = 2^61 - 1.  A Dependent result there re-verifies only the
-      generators of its relations; the rest are their multiples
-      g_j R and R g_j, index moves that need no arithmetic.  The d
-      relations so obtained are independent mod q, so over Q, while the
-      mod-q rank bounds the nullity by d: the rank is exact.  The
-      digest covers the evaluated matrix, its q, its points and, for
-      the x^{-1} series, a header of its own.  Too few usable points, a
-      failed lift or a failed check go on to the next route;
+    * with N = sum_{r<=L} r 2^r at most ``config.MAX_DEN_DEGREE``, pure
+      automorphisms take the evaluated K[[x; sigma]] series, mod
+      q = 2^61 - 1 over Q and at one point of F_p[y]/(f) over F_p, and
+      derivations of Q(t) the evaluated K((x^{-1}; delta)) series mod q.
+      A Dependent result there re-verifies only the generators of its
+      relations; the rest are their multiples g_j R and R g_j, index
+      moves that need no arithmetic.  The d relations so obtained are
+      independent mod q, so over k, while the evaluated rank bounds the
+      nullity by d: the rank is exact.  The digest covers the evaluated
+      matrix and a header naming q and the points, with a mark of its
+      own for the x^{-1} series, or p, f and the point.  Too few usable
+      points, a pole on the orbit, a failed lift or a failed check go on
+      to the next route;
     * pure derivations with a polynomial witness and polynomial images
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.
@@ -749,8 +918,8 @@ def freeness_certify(pair, b, L):
         raise ResourceBoundExceeded(
             "%d words exceed the configured bound %d"
             % (len(words), config.MAX_WORDS))
-    if (pair.ff.char == 0 and _truncation_order(L) <= config.MAX_DEN_DEGREE
-            and (pair.is_pure_automorphism() or (
+    if _truncation_order(L) <= config.MAX_DEN_DEGREE and (
+            pair.is_pure_automorphism() or (pair.ff.char == 0 and (
                 pair.is_pure_derivation() and pair.ff.nvars == 1))):
         cert = _certify_by_evaluation(pair, words, b, L)
         if cert is not None:

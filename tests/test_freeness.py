@@ -11,7 +11,7 @@ from orefree.errors import (
     NotAdditiveEigen, RequiresPureAutomorphism, ResourceBoundExceeded,
     UsageError, ZeroArgument,
 )
-from orefree.field import FunctionField
+from orefree.field import FunctionField, _conv, _long_div
 from orefree.freeness import (
     FreenessCertificate, build_word_V, build_word_W, common_left_denominator,
     freeness_certify, independence_check, monomial_products_check,
@@ -238,6 +238,26 @@ def two_variable_ctx():
     return SkewPair.automorphism(SkewEndo(ff, [u + 1, 2 * v], [u - 1, v / 2]))
 
 
+def shift_f5_ctx():
+    ff = FunctionField(5, ["u"])
+    u = ff.var(0)
+    return SkewPair.automorphism(SkewEndo(ff, [u + 1], [u - 1]))
+
+
+def shift_f7_ctx():
+    ff = FunctionField(7, ["t"])
+    t = ff.var(0)
+    return SkewPair.automorphism(SkewEndo(ff, [t + 1], [t - 1]))
+
+
+def diag7_ctx():
+    """F_7(y1, y2) under y1 -> 6 y1, y2 -> 2 y2, as in demos/problems."""
+    ff = FunctionField(7, ["y1", "y2"])
+    y1, y2 = ff.var(0), ff.var(1)
+    return SkewPair.automorphism(
+        SkewEndo(ff, [6 * y1, 2 * y2], [6 * y1, 4 * y2]))
+
+
 def assert_relation_vanishes(ctx, b, relation):
     acc = OreFraction.zero(ctx)
     for w, c in relation.items():
@@ -249,6 +269,8 @@ def assert_relation_vanishes(ctx, b, relation):
 def _route_cases():
     u, t = QU.var(0), QT.var(0)
     ff = two_variable_ctx().ff
+    u5, t7 = shift_f5_ctx().ff.var(0), shift_f7_ctx().ff.var(0)
+    y1, y2 = diag7_ctx().ff.gens()
     panel = [(shift_ctx, "1", QU.one(), (1, 2, 3)),
              (shift_ctx, "1/u", u.inverse(), (1, 2, 3)),
              (shift_ctx, "1/u^2", (u * u).inverse(), (1, 2, 3)),
@@ -268,7 +290,13 @@ def _route_cases():
              (ddt_ctx, "1/(t-2)", (t - 2).inverse(), (2, 3)),
              (tddt_ctx, "1/(t-1)", (t - 1).inverse(), (2, 3)),
              (t2ddt_ctx, "1/t", t.inverse(), (2, 3)),
-             (invtddt_ctx, "t", t, (2, 3))]
+             (invtddt_ctx, "t", t, (2, 3)),
+             # automorphisms over F_p, evaluated at a point of F_p[y]/(f)
+             (shift_f5_ctx, "1/u", u5.inverse(), (2, 3)),
+             (shift_f5_ctx, "1/u^2", (u5 * u5).inverse(), (3,)),
+             (shift_f7_ctx, "1/t", t7.inverse(), (3,)),
+             (diag7_ctx, "1/(y1+y2)", (y1 + y2).inverse(), (2,)),
+             (diag7_ctx, "1/(y1+1)", (y1 + 1).inverse(), (4,))]
     return [pytest.param(make, b, L, id="%s:%s:L%d" % (
                 make.__name__[:-4], name, L))
             for make, name, b, lengths in panel for L in lengths]
@@ -316,7 +344,9 @@ def test_exact_xinv_route_agrees_with_fold(monkeypatch, make_ctx, L):
     (shift_ctx, QU.var(0).inverse(), 3),
     (double_ctx, (QT.var(0) - 1).inverse(), 2),
     (ddt_ctx, QT.var(0).inverse(), 3),
-], ids=["shift:1/u:L3", "double:1/(t-1):L2", "ddt:1/t:L3"])
+    (shift_f5_ctx, shift_f5_ctx().ff.var(0).inverse(), 3),
+], ids=["shift:1/u:L3", "double:1/(t-1):L2", "ddt:1/t:L3",
+        "shift-F5:1/u:L3"])
 def test_evaluated_route_falls_back_to_fold(monkeypatch, make_ctx, b, L):
     # rows cut to orders 0..1 at every point: the evaluated rank drops,
     # the lifted nullspace vectors fail exact verification, and the
@@ -389,6 +419,46 @@ def test_evaluated_route_verifies_only_generators(monkeypatch, make_ctx, b, L,
     assert len(checked) == 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, (1 << 61) - 1])
+def test_extension_field_kernel(p):
+    # F_p[y]/(f) of the evaluated route over F_p, checked on seeded
+    # elements against the dense kernels of field.py
+    f = freeness._extension_modulus(p)
+    k = len(f) - 1
+    assert f[-1] == 1 and k >= 2 and p ** k >= 1 << 61
+    assert k == 2 or p ** (k - 1) < 1 << 61
+    one = [1] + [0] * (k - 1)
+
+    def mul(a, b):
+        return freeness._ext_mul(a, b, f, p)
+
+    def power(a, n):
+        return freeness._ext_pow(a, n, f, p)
+
+    # f is irreducible by Rabin's criterion, on the kernel's own powers
+    # and inverses: y^(p^k) = y, and y^(p^(k/r)) - y is a unit for every
+    # prime r dividing k
+    y = [0, 1] + [0] * (k - 2)
+    assert power(y, p ** k) == y
+    for r in range(2, k + 1):
+        if k % r == 0 and all(r % d for d in range(2, r)):
+            h = power(y, p ** (k // r))
+            h[1] = (h[1] - 1) % p
+            assert mul(h, freeness._ext_inv(h, f, p)) == one
+    assert freeness._ext_inv([0] * k, f, p) is None
+    rng = random.Random(p)
+    for _ in range(12):
+        a = [rng.randrange(p) for _ in range(k)]
+        b = [rng.randrange(p) for _ in range(k)]
+        rem = _long_div(_conv(a, b), f, p)[1]
+        expect = rem + [0] * (k - len(rem))
+        assert mul(a, b) == expect
+        assert freeness._ext_times(a, f, p)(b) == expect
+        if any(a):
+            assert mul(a, freeness._ext_inv(a, f, p)) == one
+        assert power(a, p ** k) == a
+
+
 def test_one_letter_multiples_of_a_relation_vanish():
     # g_j W_I = W_{jI} and W_I g_j = W_{Ij}: the multiples of the L = 3
     # relation of 1/u vanish as fraction sums built by build_word_W, and
@@ -410,12 +480,6 @@ def test_one_letter_multiples_of_a_relation_vanish():
     assert derived == [[rel.get(w, 0) for w in words] for rel in multiples]
 
 
-def shift_f5_ctx():
-    ff = FunctionField(5, ["u"])
-    u = ff.var(0)
-    return SkewPair.automorphism(SkewEndo(ff, [u + 1], [u - 1]))
-
-
 def test_shift_inverse_witness_L5_known_answer():
     # 63 words, 22 relations, three of them verified as generators
     ctx = shift_ctx()
@@ -427,17 +491,41 @@ def test_shift_inverse_witness_L5_known_answer():
     assert_relation_vanishes(ctx, b, cert.relation)
 
 
-def test_reported_relation_is_the_same_for_every_L_and_route():
+def test_reported_relation_is_the_same_for_every_L_and_route(monkeypatch):
     # W_101 is the first word in the span of the words before it, so the
     # relation ending there is reported at every L >= 3: on the evaluated
-    # route over Q, and on the fold over F_5, normalized to a leading 1
+    # route over Q, and over F_5 on the evaluated route and on the fold,
+    # normalized to a leading 1
     ctx = shift_ctx()
     for L in (3, 4, 5):
         cert = freeness_certify(ctx, QU.var(0).inverse(), L)
         assert rel_by_key(cert) == {"01": 1, "10": -1, "11": -1, "101": 1}
     f5 = shift_f5_ctx()
-    cert = freeness_certify(f5, f5.ff.var(0).inverse(), 4)
-    assert rel_by_key(cert) == {"01": 1, "10": 4, "11": 4, "101": 1}
+    b = f5.ff.var(0).inverse()
+    evaluated = freeness_certify(f5, b, 4)
+    monkeypatch.setattr(freeness, "_evaluated_word_rows", lambda *a: None)
+    fold = freeness_certify(f5, b, 4)
+    assert fold.matrix_digest != evaluated.matrix_digest
+    for cert in (evaluated, fold):
+        assert rel_by_key(cert) == {"01": 1, "10": 4, "11": 4, "101": 1}
+
+
+@pytest.mark.parametrize("witness,L,verdict,rank,count,relation", [
+    (lambda u: u.inverse(), 5, "Dependent", 41, 63,
+     {"01": 1, "10": 4, "11": 4, "101": 1}),
+    (lambda u: (u * u).inverse(), 4, "Independent", 31, 31, {}),
+], ids=["1/u:L5", "1/u^2:L4"])
+def test_shift_f5_known_answers(witness, L, verdict, rank, count, relation):
+    # answers of the fold, pinned: the evaluated route over F_5 reaches
+    # them in a fraction of the fold's time (a quarter and a sixteenth)
+    ctx = shift_f5_ctx()
+    b = witness(ctx.ff.var(0))
+    cert = freeness_certify(ctx, b, L)
+    assert (cert.verdict, cert.rank, cert.word_count) == (verdict, rank,
+                                                          count)
+    assert rel_by_key(cert) == relation
+    if cert.relation:
+        assert_relation_vanishes(ctx, b, cert.relation)
 
 
 @pytest.mark.parametrize("make_ctx,witness,L,verdict,rank,count,relation,"
@@ -454,7 +542,7 @@ def test_reported_relation_is_the_same_for_every_L_and_route():
      "d1ab5247dbffb924e672c47cfb8d3ee751e2400f95b2b4985f9ad12f3b594ec8"),
     (shift_f5_ctx, lambda u: u.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": 4, "11": 4, "101": 1},
-     "e6b308e266cc184bab1b7b8c714c896a7643f81827fa3520c1e682afa2e8f556"),
+     "9b452631dfd27a7059c2f07ee49f4d65b815de7c45fcf93317ee50c42d941708"),
     (ddt_ctx, lambda t: t, 3, "Dependent", 13, 15,
      {"000": -1, "01": 1, "10": -1},
      "f5befe583bc8d731ffc3b9bcfc8b858e2dfa190e5b780d0dd58d5e0e8bfb2001"),

@@ -38,10 +38,11 @@ right-multiply by b, then take a prefix sum.
   under the shift every orbit runs through all of F_p and meets each
   pole of b.  The series are evaluated instead along the orbit of one
   point (y, y^2, ..., y^n) of F_p[y]/(f), with f monic irreducible of
-  the least degree k >= 2 with p^k >= 2^61, so that y has degree k over
-  F_p, and each entry is written as its k coordinates.  A combination
-  of words vanishes there only when f divides its numerator: a factor
-  of degree k, where a point mod q forces one of degree 1.
+  degree k, p^k >= 2^61 and k at most two past the least such degree
+  (_extension_modulus), so that y has degree k over F_p, and each entry
+  is written as its k coordinates.  A combination of words vanishes
+  there only when f divides its numerator: a factor of degree k, where
+  a point mod q forces one of degree 1.
 * Pure derivations, in K((x^{-1}; delta)) with
   (1-x)^{-1} = -sum_{k>=1} x^{-k}: x^0 b = b and, for n >= 1,
   x^{-n} b = sum_j (-1)^j C(n+j-1, j) delta^j(b) x^{-n-j}.  A nonzero
@@ -533,31 +534,48 @@ def _orbit_step(pair, b, point, N, q):
 _EXTENSION_CACHE = {}
 
 
+def _coefficient_tuples(top, w):
+    """The w-tuples over 1..top-1 in lexicographic order, made lazily:
+    itertools.product would first store all of range(1, top), which for
+    top = p may hold billions of values."""
+    if w == 0:
+        yield ()
+        return
+    for c in range(1, top):
+        for rest in _coefficient_tuples(top, w - 1):
+            yield (c,) + rest
+
+
 def _extension_modulus(p):
-    """The modulus f over F_p: its degree k is the least k >= 2 with
-    p^k >= 2^61, and it is the first irreducible candidate, proved by
-    Rabin's test.
+    """The modulus f over F_p: the first irreducible candidate, proved by
+    Rabin's test.  Its degree is m, m + 1 or m + 2, for the least m >= 2
+    with p^m >= 2^61.
 
     Candidates go sparsest first: by their number of terms, then by the
-    exponents of the lower terms, then by their coefficients, which stay
-    below 8 so that the search is finite for every p.
+    exponents of the lower terms, then by degree, then by coefficients.
+    Over F_2 that gives y^63 + y + 1 at the sixth test, where the least
+    degree, 61, has no irreducible trinomial.  Coefficients stay below 8 in a first round, so that a
+    shape with no irreducible member, as y^3 + c when p = 2 mod 3, does
+    not run through all of F_p^* first.  A second round takes all of
+    F_p^*: it contains every monic f of degree m with f(0) != 0, among
+    them irreducible ones, so the search always ends.
     """
     if p in _EXTENSION_CACHE:
         return _EXTENSION_CACHE[p]
-    k = 2
-    while p ** k < 1 << 61:
-        k += 1
-    for w in range(1, k + 1):
-        for lower in itertools.combinations(range(1, k), w - 1):
-            for cs in itertools.product(range(1, min(p, 8)), repeat=w):
-                f = [0] * k + [1]
-                for j, c in zip((0,) + lower, cs):
-                    f[j] = c
-                if _rabin_irreducible(f, p):
-                    _EXTENSION_CACHE[p] = f
-                    return f
-    raise AssertionError("no irreducible modulus of degree %d mod %d"
-                         % (k, p))
+    m = 2
+    while p ** m < 1 << 61:
+        m += 1
+    for top in sorted({min(p, 8), p}):
+        for w in range(1, m + 1):
+            for lower in itertools.combinations(range(1, m + 2), w - 1):
+                for d in range(max((m - 1,) + lower) + 1, m + 3):
+                    for cs in _coefficient_tuples(top, w):
+                        f = [0] * d + [1]
+                        for j, c in zip((0,) + lower, cs):
+                            f[j] = c
+                        if _rabin_irreducible(f, p):
+                            _EXTENSION_CACHE[p] = f
+                            return f
 
 
 def _ext_times(a, f, p):
@@ -588,15 +606,6 @@ def _ext_times(a, f, p):
 def _ext_mul(a, b, f, p):
     r = _long_div(_conv(a, b), f, p)[1]
     return r + [0] * (len(f) - 1 - len(r))
-
-
-def _ext_pow(a, n, f, p):
-    out = [1] + [0] * (len(a) - 1)
-    for bit in bin(n)[2:]:
-        out = _ext_mul(out, out, f, p)
-        if bit == "1":
-            out = _ext_mul(out, a, f, p)
-    return out
 
 
 def _ext_inv(a, f, p):
@@ -643,8 +652,10 @@ def _extension_word_rows(pair, words, b, N):
     p = pair.ff.char
     f = _extension_modulus(p)
     k = len(f) - 1
-    y = [0, 1] + [0] * (k - 2)
-    point = tuple(_ext_pow(y, j + 1, f, p) for j in range(pair.ff.nvars))
+    point = [[0, 1] + [0] * (k - 2)]
+    while len(point) < pair.ff.nvars:
+        point.append(_ext_mul(point[-1], point[0], f, p))
+    point = tuple(point)
     bvals = _orbit_values(pair.sigma.images, b, point, N,
                           lambda g, P: _ext_eval(g, P, f, p))
     if bvals is None:

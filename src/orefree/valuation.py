@@ -38,6 +38,9 @@ def _rabin_irreducible(f, p):
 
     f of degree n >= 2 is irreducible over F_p exactly when x^(p^n) = x
     mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n.
+    The gcd is also taken for every k <= n/2: an irreducible f has no
+    factor of degree dividing k < n, so it stays 1 there, and a reducible
+    f is rejected at the degree of its smallest factor.
     """
     n = len(f) - 1
     h = x = [0, 1]
@@ -48,7 +51,7 @@ def _rabin_irreducible(f, p):
             if bit == "1":
                 acc = _long_div(_conv(acc, h), f, p)[1]
         h = acc
-        if n % k == 0 and _is_prime(n // k):
+        if 2 * k <= n or (n % k == 0 and _is_prime(n // k)):
             d = h + [0] * (2 - len(h))
             d[1] -= 1
             if len(_uni_gcd_p([c % p for c in d], f, p)) > 1:

@@ -419,21 +419,35 @@ def test_evaluated_route_verifies_only_generators(monkeypatch, make_ctx, b, L,
     assert len(checked) == 2
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, (1 << 61) - 1])
+def _ext_power(a, n, f, p):
+    out = [1] + [0] * (len(a) - 1)
+    for bit in bin(n)[2:]:
+        out = freeness._ext_mul(out, out, f, p)
+        if bit == "1":
+            out = freeness._ext_mul(out, a, f, p)
+    return out
+
+
+# every candidate of degree 2 with coefficients below 8 is reducible mod
+# this prime: their discriminants are all squares
+QR_PRIME = 1518520249
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, QR_PRIME, (1 << 61) - 1])
 def test_extension_field_kernel(p):
     # F_p[y]/(f) of the evaluated route over F_p, checked on seeded
     # elements against the dense kernels of field.py
     f = freeness._extension_modulus(p)
     k = len(f) - 1
-    assert f[-1] == 1 and k >= 2 and p ** k >= 1 << 61
-    assert k == 2 or p ** (k - 1) < 1 << 61
+    least = next(m for m in range(2, 64) if p ** m >= 1 << 61)
+    assert f[-1] == 1 and least <= k <= least + 2
     one = [1] + [0] * (k - 1)
 
     def mul(a, b):
         return freeness._ext_mul(a, b, f, p)
 
     def power(a, n):
-        return freeness._ext_pow(a, n, f, p)
+        return _ext_power(a, n, f, p)
 
     # f is irreducible by Rabin's criterion, on the kernel's own powers
     # and inverses: y^(p^k) = y, and y^(p^(k/r)) - y is a unit for every
@@ -457,6 +471,25 @@ def test_extension_field_kernel(p):
         if any(a):
             assert mul(a, freeness._ext_inv(a, f, p)) == one
         assert power(a, p ** k) == a
+
+
+def test_extension_modulus_search_always_ends(monkeypatch):
+    # a shift over F_p certifies through the evaluated route as the fold
+    # does, with every degree-2 candidate with coefficients below 8
+    # reducible; and with every candidate whose coefficients stay below 8
+    # declared reducible, the second round over all of F_p^* finds f
+    ff = FunctionField(QR_PRIME, ["u"])
+    u = ff.var(0)
+    ctx = SkewPair.automorphism(SkewEndo(ff, [u + 1], [u - 1]))
+    monkeypatch.setattr(freeness, "_EXTENSION_CACHE", {})
+    _assert_series_route_agrees_with_fold(monkeypatch, ctx, u.inverse(), 3)
+    real = freeness._rabin_irreducible
+    monkeypatch.setattr(freeness, "_rabin_irreducible",
+                        lambda f, p: max(f) >= 8 and real(f, p))
+    monkeypatch.setattr(freeness, "_EXTENSION_CACHE", {})
+    f = freeness._extension_modulus(QR_PRIME)
+    assert max(f) >= 8 and real(f, QR_PRIME)
+    _assert_series_route_agrees_with_fold(monkeypatch, ctx, u.inverse(), 2)
 
 
 def test_one_letter_multiples_of_a_relation_vanish():

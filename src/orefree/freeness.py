@@ -21,22 +21,35 @@ on every route and for every L past its last word; it is re-evaluated
 against the fractions themselves before being reported.
 
 Words are coordinatized in one of two ways, which decide the same rank.
-The series way expands each word in a skew series ring, truncated at
-order N = sum of all word lengths, past the degree any relation numerator
-can reach (each word admits a left denominator of degree = word length,
-so the common denominator degree is at most N); vanishing of a
-combination through that order then forces the exact element to be zero.
-Since (1-x)^{-1} has scalar coefficients, appending b^i (1-x)^{-1} to a
-word is one series step over any coefficient ring: on i = 1
-right-multiply by b, then take a prefix sum.
+The series way expands each word in a skew series ring, truncated at the
+trie order N = 2^{L+1} - 2, the number of edges of the trie of all words
+of length at most L.  Write W_I = D_I^{-1} n_I with n_I in K.  Then
+
+    W_{Ii} = W_I b^i (1-x)^{-1} = (Q D_I)^{-1} n_I b^i,
+    Q = c (1-x) c^{-1},  c = n_I b^i,
+
+so each letter puts one left factor of degree 1 on its prefix's
+denominator, and words that share a prefix share its denominator as a
+right factor.  Since lclm(A C, B C) = lclm(A, B) C, induction over the
+trie shows that the lclm D of the D_I has degree at most the number of
+edges, and a k-combination of the words is D^{-1} P with
+deg P <= deg D <= N.  Under an automorphism every Q has constant term 1,
+and D has a nonzero one: were D = x D', each cofactor u_I with
+u_I D_I = D would be x u'_I, and D' a common left multiple of smaller
+degree.  So D^{-1} P is a power series, P is D times it, and P vanishes
+when the series vanishes at orders 0..N.  Under a derivation the x^{-1}
+expansion below does the same.  1/(t-1) under t -> 2t reaches the bound
+at L = 1, 2, 3.  Since (1-x)^{-1} has scalar coefficients, appending
+b^i (1-x)^{-1} to a word is one series step over any coefficient ring:
+on i = 1 right-multiply by b, then take a prefix sum.
 
 * Pure automorphisms, in K[[x; sigma]] with (1-x)^{-1} = sum_n x^n:
   x^m b = sigma^m(b) x^m, and sigma^m(b)(P) = b(s^m(P)) for the point
   map s of sigma, so the product by b is pointwise.  Over Q the series
-  are evaluated along the orbits of a fixed list of integer points,
-  modulo the prime q = 2^61 - 1.  Over F_p no point of F_p^n will do:
-  under the shift every orbit runs through all of F_p and meets each
-  pole of b.  The series are evaluated instead along the orbit of one
+  are evaluated modulo the prime q = 2^61 - 1 along the orbits of points
+  from a fixed list of large residues.  Over F_p no point of F_p^n will
+  do: under the shift every orbit runs through all of F_p and meets
+  each pole of b.  The series are evaluated instead along the orbit of one
   point (y, y^2, ..., y^n) of F_p[y]/(f), with f monic irreducible of
   degree k, p^k >= 2^61 and k at most two past the least such degree
   (_extension_modulus), so that y has degree k over F_p, and each entry
@@ -57,30 +70,32 @@ right-multiply by b, then take a prefix sum.
   numerators.  Rational entries grow faster than the fold's numerators,
   so other exact inputs fold.  For derivations of Q(t), evaluation at P
   is a ring homomorphism on every entry, so the same product runs on the
-  values e_j(P) mod q at a fixed list of integer points, read off the
-  Taylor jets of b and delta(t) at P.  A point where either has a pole mod q is
+  values e_j(P) mod q at points from the same list, read off the Taylor
+  jets of b and delta(t) at P.  A point where either has a pole mod q is
   skipped, so every delta^j(b) is regular there.
 
 In the evaluated routes over Q, truncation and evaluation are
 Z_(q)-linear and a primitive integer relation stays nonzero mod q; over
 F_p, evaluation is a ring homomorphism where it is defined, and
-truncation and the coordinates are F_p-linear.  So the evaluated rank
-is a lower bound: full rank proves independence, and on a deficit d the
-exact nullity is at most d.  The words are the monomials of the free
-algebra on g0 = (1-x)^{-1} and g1 = b(1-x)^{-1}: g_j W_I = W_{jI} and
-W_I g_j = W_{Ij}, so a relation R yields the relations g_j R and R g_j
-by moving indices alone.  Length by length, only a nullspace vector
-outside the span of the shorter relations and their one-letter
-multiples becomes a generator: over Q it is lifted by rational
-reconstruction, and over F_p it is already an exact relation.  Only
-these generators are re-verified by exact fraction arithmetic.  The
+truncation and the coordinates are F_p-linear.  So the evaluated rank is
+a lower bound: full rank proves independence, and on a deficit d the
+exact nullity is at most d.  Over Q the points are added one at a time,
+each block of columns eliminated once, until the rank is full or has not
+risen over two more points.  No fixed count serves every L: t under d/dt
+reaches its rank at L = 5 only with the fifth point.  The words are the
+monomials of the free algebra on g0 = (1-x)^{-1} and g1 = b(1-x)^{-1}:
+g_j W_I = W_{jI} and W_I g_j = W_{Ij}, so a relation R yields the
+relations g_j R and R g_j by moving indices alone.  Length by length,
+only a nullspace vector outside the span of the shorter relations and
+their one-letter multiples becomes a generator: over Q it is lifted by
+rational reconstruction, and over F_p it is already an exact relation.
+Only these generators are re-verified by exact fraction arithmetic.  The
 relations derived from them are then exact as well, and together they
-span d dimensions mod q (mod p over F_p), so at least d over k
-(integer vectors independent mod q are independent over Q): the
-nullity is d, the rank is exact, and the first generator is the
-reported relation.  A failed lift or check, or a basis short of d,
-falls back to the exact x^{-1} series where it applies, and to the fold
-otherwise.
+span d dimensions mod q (mod p over F_p), so at least d over k (integer
+vectors independent mod q are independent over Q): the nullity is d, the
+rank is exact, and the first generator is the reported relation.  A
+failed lift or check, or a basis short of d, falls back to the exact
+x^{-1} series where it applies, and to the fold otherwise.
 
 Everything else brings all words over one common left denominator by an
 lclm fold and flattens the numerator coefficient vectors.
@@ -104,7 +119,8 @@ from .errors import (
 )
 from .field import RatFunc, _conv, _dense, _long_div, _trim
 from .linalg import (
-    _normalize_int_vector, _rank_modp, flatten_to_k, rank_over_k,
+    _EchelonModp, _leading_one, _normalize_int_vector, flatten_to_k,
+    rank_over_k,
 )
 from .orefrac import OreFraction, _lclm_with_probe, weyl_check
 from .orepoly import OrePoly
@@ -284,12 +300,6 @@ def _add_by_last(basis, vec, p):
     return True
 
 
-def _leading_one(vec, p):
-    """vec mod p scaled to a leading 1, as rank_over_k normalizes over F_p."""
-    inv = pow(next(x for x in vec if x), -1, p)
-    return [x * inv % p for x in vec]
-
-
 def _rank_and_relation(rows, base, expand):
     """(rank, relation) of coordinate rows, one per word, over k.
 
@@ -401,13 +411,16 @@ def _series_step(times_b, geometric):
 
 
 def _truncation_order(L):
-    """Series order N = sum of the lengths of all words of length <= L.
+    """Series order N = 2^{L+1} - 2, the edge count of the word trie.
 
-    A common left denominator of the word set has degree at most N, so
-    any k-relation has a polynomial numerator of degree at most N and is
-    already visible, exactly, in the orders up to N.
+    W_{Ii} = (Q D_I)^{-1} n_I b^i with Q = c (1-x) c^{-1} of degree 1 and
+    c = n_I b^i, and lclm(A C, B C) = lclm(A, B) C, so all words of
+    length <= L have a common left denominator of degree at most the
+    number of trie edges.  Any k-relation has a numerator of degree at
+    most N and is already visible, exactly, in the orders up to N (module
+    docstring).
     """
-    return sum(r * 2 ** r for r in range(1, L + 1))
+    return 2 ** (L + 1) - 2
 
 
 def _xinv_step(e, N, zero, reduce):
@@ -445,8 +458,13 @@ def _xinv_word_series(pair, words, b, N):
     """Exact word series in K((x^{-1}; delta)) at orders 0..N.
 
     The e_j are computed exactly up to the last nonzero one (order n only
-    reads e_j for j < n, so at most N of them).
+    reads e_j for j < n, so at most N of them).  N is held to
+    ``config.MAX_DEN_DEGREE``, the fold's bound on the same degree.
     """
+    if N > config.MAX_DEN_DEGREE:
+        raise ResourceBoundExceeded(
+            "series order %d exceeds the denominator bound %d"
+            % (N, config.MAX_DEN_DEGREE))
     ff = pair.ff
     e = [b]
     while len(e) < N:
@@ -462,11 +480,14 @@ def _xinv_word_series(pair, words, b, N):
 # falls back to an exact route; the size makes that rare, as rational
 # reconstruction recovers coefficients up to about 10^9
 _EVAL_PRIME = (1 << 61) - 1
-# orbit starts tried in this order; a multivariate point takes consecutive
-# entries, cyclically.  Signs alternate so that a shift-like orbit, which
-# runs one way, misses poles on the other side of the origin.
-_EVAL_STARTS = (2, -3, 5, -7, 11, -13, 17, -19, 23, -29, 31, -37)
-_EVAL_POINTS = 4
+# orbit starts tried in this order, fixed residues in [10^6, 10^17) drawn
+# once at random, so that no small pole or fixed point of a map meets
+# them; a multivariate point takes consecutive entries, cyclically
+_EVAL_STARTS = (
+    47480984580189208, 9190202576432850, 65908557494553312,
+    88984348155850552, 36908794040235870, 73215390690805454,
+    7075979763761372, 18202126366933451, 92271814228128582,
+    10950242936855078, 32022090439176414, 30564773206849362)
 
 
 def _eval_poly_mod(p, point, q):
@@ -647,7 +668,7 @@ def _extension_word_rows(pair, words, b, N):
     The point map and the products by b work as in _orbit_step, with the
     product by b(s^m(P)) applied to the k coordinates of order m by
     _ext_times, and the prefix sum taken coordinate by coordinate.  Returns
-    (rows, [point]), each row the k coordinates of each order in turn.
+    (rows, point), each row the k coordinates of each order in turn.
     """
     p = pair.ff.char
     f = _extension_modulus(p)
@@ -674,7 +695,7 @@ def _extension_word_rows(pair, words, b, N):
 
     root = [1] + [0] * ((N + 1) * k - 1)
     return (_prefix_shared(words, root, _series_step(times_b, geometric)),
-            [point])
+            point)
 
 
 def _poly_jet_mod(p, c, n, q):
@@ -738,36 +759,29 @@ def _xinv_point_step(pair, b, point, N, q):
 
 
 def _evaluated_word_rows(pair, words, b, N):
-    """Word series at orders 0..N, evaluated at points.
+    """Word series at orders 0..N, evaluated at points, one point at a time.
 
-    Returns (rows, points) with one row per word, the points' blocks
-    concatenated in order, or None when fewer points are usable.  Over F_p
-    that is one point of F_p[y]/(f) (_extension_word_rows).  Over Q it is
-    _EVAL_POINTS points mod q: pure automorphisms expand in
-    K[[x; sigma]] (_orbit_step), derivations of Q(t) in
+    Yields (rows, point) with one row per word for each usable point.
+    Over F_p that is the one point of F_p[y]/(f) (_extension_word_rows).
+    Over Q the points come from _EVAL_STARTS, mod q: pure automorphisms
+    expand in K[[x; sigma]] (_orbit_step), derivations of Q(t) in
     K((x^{-1}; delta)) (_xinv_point_step).
     """
     if pair.ff.char:
-        return _extension_word_rows(pair, words, b, N)
+        found = _extension_word_rows(pair, words, b, N)
+        if found is not None:
+            yield found
+        return
     q = _EVAL_PRIME
     make_step = _orbit_step if pair.is_pure_automorphism() \
         else _xinv_point_step
     n = pair.ff.nvars
-    rows = [[] for _ in words]
-    points = []
     for k in range(len(_EVAL_STARTS)):
         point = tuple(_EVAL_STARTS[(k + j) % len(_EVAL_STARTS)]
                       for j in range(n))
-        step = make_step(pair, b, tuple(v % q for v in point), N, q)
-        if step is None:
-            continue
-        for row, series in zip(rows,
-                               _prefix_shared(words, [1] + [0] * N, step)):
-            row.extend(series)
-        points.append(point)
-        if len(points) == _EVAL_POINTS:
-            return rows, points
-    return None
+        step = make_step(pair, b, point, N, q)
+        if step is not None:
+            yield _prefix_shared(words, [1] + [0] * N, step), point
 
 
 def _rational_reconstruct(a, p):
@@ -851,18 +865,29 @@ def _relation_generators(null, words, L, p):
 def _certify_by_evaluation(pair, words, b, L):
     """Certificate from the evaluated series, or None to run an exact route.
 
-    Full rank mod q proves independence.  On a deficit d only the
-    generators of _relation_generators are verified on the exact words,
-    over the prefix closure of their supports; the basis they derive then
-    pins the rank (module docstring).  The first generator, the relation
-    ending at the first dependent word, is reported.
+    Points are added until the rank is full or has not risen over two
+    more points.  Full rank mod q proves independence.  On a deficit d
+    only the generators of _relation_generators are verified on the
+    exact words, over the prefix closure of their supports; the basis
+    they derive then pins the rank (module docstring).  The first
+    generator, the relation ending at the first dependent word, is
+    reported.
     """
-    found = _evaluated_word_rows(pair, words, b, _truncation_order(L))
-    if found is None:
-        return None
-    rows, points = found
     p = pair.ff.char
-    rank, null = _rank_modp(rows, p or _EVAL_PRIME)
+    echelon = _EchelonModp(len(words), p or _EVAL_PRIME)
+    rows, points, ranks = [[] for _ in words], [], []
+    for block, point in _evaluated_word_rows(pair, words, b,
+                                             _truncation_order(L)):
+        for row, part in zip(rows, block):
+            row.extend(part)
+        points.append(point)
+        ranks.append(echelon.add(block))
+        if ranks[-1] == len(words) or (len(ranks) > 2
+                                       and ranks[-3] == ranks[-1]):
+            break
+    if not points:
+        return None
+    rank = echelon.rank
     if p:
         header = "p:%d;f:%s;points:%s" % (p, _extension_modulus(p), points)
     elif pair.is_pure_automorphism():
@@ -873,7 +898,7 @@ def _certify_by_evaluation(pair, words, b, L):
     if rank == len(words):
         return FreenessCertificate(b, L, len(words), rank, digest,
                                    "Independent")
-    generators = _relation_generators(null, words, L, p)
+    generators = _relation_generators(echelon.nullspace(), words, L, p)
     if generators is None:
         return None
     closure = sorted({w[:k] for lam in generators
@@ -899,27 +924,31 @@ def freeness_certify(pair, b, L):
     arithmetic.  The route is fixed by the input, first match wins
     (module docstring):
 
-    * with N = sum_{r<=L} r 2^r at most ``config.MAX_DEN_DEGREE``, pure
-      automorphisms take the evaluated K[[x; sigma]] series, mod
-      q = 2^61 - 1 over Q and at one point of F_p[y]/(f) over F_p, and
-      derivations of Q(t) the evaluated K((x^{-1}; delta)) series mod q.
+    * with the trie order N = 2^{L+1} - 2 at most
+      ``config.MAX_DEN_DEGREE`` (L <= 8 by default), pure automorphisms
+      take the evaluated K[[x; sigma]] series, mod q = 2^61 - 1 over Q and
+      at one point of F_p[y]/(f) over F_p, and derivations of Q(t) the
+      evaluated K((x^{-1}; delta)) series mod q.  Over Q points are added
+      until the rank is full or has not risen over two more points, and
+      only then are relations lifted.
       A Dependent result there re-verifies only the generators of its
       relations; the rest are their multiples g_j R and R g_j, index
       moves that need no arithmetic.  The d relations so obtained are
       independent mod q, so over k, while the evaluated rank bounds the
       nullity by d: the rank is exact.  The digest covers the evaluated
       matrix and a header naming q and the points, with a mark of its
-      own for the x^{-1} series, or p, f and the point.  Too few usable
-      points, a pole on the orbit, a failed lift or a failed check go on
-      to the next route;
+      own for the x^{-1} series, or p, f and the point.  No usable point,
+      a pole on the orbit, a failed lift or a failed check go on to the
+      next route;
     * pure derivations with a polynomial witness and polynomial images
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.
 
     The last two rank their flattened rows over k and verify the
     reported relation on the exact words.  Raises ResourceBoundExceeded
-    when the word count crosses ``config.MAX_WORDS`` or the fold's
-    denominator crosses ``config.MAX_DEN_DEGREE``.
+    when the word count crosses ``config.MAX_WORDS``, or when the exact
+    series' order N or the fold's denominator degree crosses
+    ``config.MAX_DEN_DEGREE``.
     """
     if L < 1:
         raise UsageError("certificate needs L >= 1")

@@ -12,7 +12,10 @@ injective on k-linear combinations).
 fractions: Bareiss elimination over Z in characteristic 0 (rows are first
 scaled to integers; the scaling is undone on the nullspace vectors) and
 ordinary elimination over F_p otherwise.  Nullspace vectors are read off an
-augmented identity block, so no back substitution is needed.
+augmented identity block, so no back substitution is needed.  The mod-p
+elimination also takes its columns one block at a time
+(:class:`_EchelonModp`), so a caller can add evaluation points until the
+rank settles and pay for each point once.
 """
 
 import math
@@ -143,43 +146,75 @@ def _rank_bareiss(rows):
     return rank, null
 
 
-def _rank_modp(rows, p):
-    n = len(rows)
-    ncols = len(rows[0]) if n else 0
-    m = [list(row) + [1 if j == i else 0 for j in range(n)]
-         for i, row in enumerate(rows)]
-    rank = 0
-    for col in range(ncols):
-        piv = -1
-        for r in range(rank, n):
-            if m[r][col]:
-                piv = r
+def _leading_one(vec, p):
+    """vec mod p scaled to a leading 1."""
+    inv = pow(next(x for x in vec if x), -1, p)
+    return [x * inv % p for x in vec]
+
+
+class _EchelonModp:
+    """Row echelon form mod p of an n-row matrix fed in column blocks.
+
+    It keeps the row transform T: the rows of T M past the first rank
+    are zero on every column seen.  A pivot row is never touched again,
+    so a new block B only needs the rows of T B from rank on, and then
+    its own elimination: each block costs only its own columns.  The
+    state after any sequence of blocks is the state after one block of
+    all their columns side by side, so rank and nullspace are those of
+    a single elimination of [M | I].
+    """
+
+    def __init__(self, n, p):
+        self.p, self.rank = p, 0
+        self.transform = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def add(self, block):
+        """Append the columns of block (one row per matrix row); the rank.
+
+        Rows below the pivots are reduced mod p only where they are read:
+        each update adds less than p^2 to an entry, so they stay small.
+        """
+        p, rank, transform = self.p, self.rank, self.transform
+        ncols = len(block[0]) if block else 0
+        m = []
+        for lam in transform[rank:]:
+            acc = [0] * ncols
+            for i, c in enumerate(lam):
+                if c:
+                    acc = [a + c * x for a, x in zip(acc, block[i])]
+            m.append(acc + lam)
+        k = 0
+        for col in range(ncols):
+            if k == len(m):
                 break
-        if piv < 0:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        prow = m[rank]
-        for r in range(rank + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv % p
-                row = m[r]
-                for j in range(col, ncols + n):
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-    null = []
-    for r in range(rank, n):
-        if any(m[r][c] for c in range(ncols)):
+            piv = next((r for r in range(k, len(m)) if m[r][col] % p), -1)
+            if piv < 0:
+                continue
+            m[k], m[piv] = m[piv], m[k]
+            tail = m[k][col:] = [x % p for x in m[k][col:]]
+            inv = pow(tail[0], -1, p)
+            for row in m[k + 1:]:
+                f = row[col] * inv % p
+                if f:
+                    row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
+            k += 1
+        if any(x % p for row in m[k:] for x in row[:ncols]):
             raise AssertionError("nullspace row not eliminated")
-        lam = m[r][ncols:]
-        for x in lam:
-            if x:
-                inv = pow(x, p - 2, p)
-                lam = [y * inv % p for y in lam]
-                break
-        null.append(lam)
-    return rank, null
+        transform[rank:] = [[x % p for x in row[ncols:]] for row in m]
+        self.rank = rank + k
+        return self.rank
+
+    def nullspace(self):
+        """Row relations of every column seen, each scaled to a leading 1."""
+        return [_leading_one(lam, self.p)
+                for lam in self.transform[self.rank:]]
+
+
+def _rank_modp(rows, p):
+    """Rank and nullspace mod p: the echelon form fed one block."""
+    echelon = _EchelonModp(len(rows), p)
+    echelon.add(rows)
+    return echelon.rank, echelon.nullspace()
 
 
 def rank_over_k(rows, base):

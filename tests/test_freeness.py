@@ -1,5 +1,6 @@
 """Word independence certificates, their two coordinatizations, and witnesses."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -286,7 +287,6 @@ def _route_cases():
              (ddt_ctx, "t", t, (2, 3)),
              (ddt_ctx, "1/(t^2+1)", (t * t + 1).inverse(), (2, 3)),
              (ddt_ctx, "t/(2t+1)", t / (2 * t + 1), (2, 3)),
-             # a pole at the first orbit start t = 2 skips that point
              (ddt_ctx, "1/(t-2)", (t - 2).inverse(), (2, 3)),
              (tddt_ctx, "1/(t-1)", (t - 1).inverse(), (2, 3)),
              (t2ddt_ctx, "1/t", t.inverse(), (2, 3)),
@@ -348,20 +348,18 @@ def test_exact_xinv_route_agrees_with_fold(monkeypatch, make_ctx, L):
 ], ids=["shift:1/u:L3", "double:1/(t-1):L2", "ddt:1/t:L3",
         "shift-F5:1/u:L3"])
 def test_evaluated_route_falls_back_to_fold(monkeypatch, make_ctx, b, L):
-    # rows cut to orders 0..1 at every point: the evaluated rank drops,
-    # the lifted nullspace vectors fail exact verification, and the
-    # certificate must be the fold's, unchanged
+    # rows cut to their first two entries at every point: the evaluated
+    # rank drops, the lifted nullspace vectors fail exact verification,
+    # and the certificate must be the fold's, unchanged
     ctx = make_ctx()
     real = freeness._evaluated_word_rows
 
     def truncated(pair, words, b, N):
-        rows, points = real(pair, words, b, N)
-        cut = [[x for k in range(len(points))
-                for x in row[k * (N + 1): k * (N + 1) + 2]] for row in rows]
-        return cut, points
+        for rows, point in real(pair, words, b, N):
+            yield [row[:2] for row in rows], point
 
     with monkeypatch.context() as m:
-        m.setattr(freeness, "_evaluated_word_rows", lambda *a: None)
+        m.setattr(freeness, "_evaluated_word_rows", lambda *a: iter(()))
         fold = freeness_certify(ctx, b, L)
     with monkeypatch.context() as m:
         m.setattr(freeness, "_evaluated_word_rows", truncated)
@@ -383,11 +381,11 @@ def test_spurious_evaluated_relation_falls_back(monkeypatch, make_ctx, b, L):
     real = freeness._evaluated_word_rows
 
     def spurious(pair, words, b, N):
-        rows, points = real(pair, words, b, N)
-        return rows[:-1] + [rows[0]], points
+        for rows, point in real(pair, words, b, N):
+            yield rows[:-1] + [rows[0]], point
 
     with monkeypatch.context() as m:
-        m.setattr(freeness, "_evaluated_word_rows", lambda *a: None)
+        m.setattr(freeness, "_evaluated_word_rows", lambda *a: iter(()))
         exact = freeness_certify(ctx, b, L)
     with monkeypatch.context() as m:
         m.setattr(freeness, "_evaluated_word_rows", spurious)
@@ -417,6 +415,108 @@ def test_evaluated_route_verifies_only_generators(monkeypatch, make_ctx, b, L,
     cert = freeness_certify(make_ctx(), b, L)
     assert cert.verdict == "Dependent" and cert.rank == rank
     assert len(checked) == 2
+
+
+# -- the trie order and the point loop ----------------------------------------
+
+def test_truncation_order_is_the_trie_edge_count():
+    for L in range(1, 9):
+        assert freeness._truncation_order(L) == 2 ** (L + 1) - 2
+        assert freeness._truncation_order(L) == len(words_up_to(L)) - 1
+
+
+@pytest.mark.parametrize("make_ctx,b,lengths,tight", [
+    (shift_ctx, (QU.var(0) * QU.var(0)).inverse(), (1, 2), False),
+    (ddt_ctx, QT.var(0).inverse(), (1, 2), False),
+    (ddt_ctx, (QT.var(0) * QT.var(0) + 1).inverse(), (1, 2), False),
+    (double_ctx, (QT.var(0) - 1).inverse(), (1, 2, 3), True),
+], ids=["shift:1/u^2", "ddt:1/t", "ddt:1/(t^2+1)", "double:1/(t-1)"])
+def test_fold_denominator_within_trie_order(make_ctx, b, lengths, tight):
+    # the fold's common left denominator has degree at most the trie
+    # order, and 1/(t-1) under doubling reaches it: 2, 6 and 14
+    ctx = make_ctx()
+    for L in lengths:
+        den, _ = common_left_denominator(
+            _expand_words(ctx, words_up_to(L), b))
+        N = freeness._truncation_order(L)
+        assert den.degree == N if tight else den.degree <= N
+
+
+def _no_exact_route(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("evaluated route fell back to an exact route")
+    monkeypatch.setattr(freeness, "common_left_denominator", refuse)
+    monkeypatch.setattr(freeness, "_xinv_word_series", refuse)
+
+
+@pytest.mark.parametrize("make_ctx,witness,L,verdict,rank,relation", [
+    (ddt_ctx, lambda t: t, 5, "Dependent", 31,
+     {"01": 1, "10": -1, "000": -1}),
+    (ddt_ctx, lambda t: (t * t).inverse(), 4, "Dependent", 30,
+     {"0110": 1, "1001": -1}),
+    (ddt_ctx, lambda t: (t * t).inverse(), 5, "Dependent", 54,
+     {"0110": 1, "1001": -1}),
+    (shift_ctx, lambda u: u * u, 5, "Dependent", 49,
+     {"0001": 1, "0010": -3, "0100": 3, "1000": -1}),
+    (shift_ctx, lambda u: u.inverse(), 6, "Dependent", 63,
+     {"01": 1, "10": -1, "11": -1, "101": 1}),
+    (double_ctx, lambda t: (t - 1).inverse(), 6, "Independent", 127, {}),
+], ids=["ddt:t:L5", "ddt:1/t^2:L4", "ddt:1/t^2:L5", "shift:u^2:L5",
+        "shift:1/u:L6", "double:1/(t-1):L6"])
+def test_evaluated_route_known_answers(monkeypatch, make_ctx, witness, L,
+                                       verdict, rank, relation):
+    # answers at the trie order with the fold and the exact series
+    # refused: the point loop adds points until the rank is exact
+    _no_exact_route(monkeypatch)
+    ctx = make_ctx()
+    b = witness(ctx.ff.var(0))
+    cert = freeness_certify(ctx, b, L)
+    assert (cert.verdict, cert.rank, cert.word_count) == (
+        verdict, rank, 2 ** (L + 1) - 1)
+    assert rel_by_key(cert) == relation
+    if cert.relation:
+        assert_relation_vanishes(ctx, b, cert.relation)
+
+
+def test_point_loop_waits_two_points_for_a_rise(monkeypatch):
+    # every point comes twice, so every second copy adds no rank: the loop
+    # must go on to the next point and reach the exact rank of t under
+    # d/dt at L = 5 without an exact route
+    _no_exact_route(monkeypatch)
+    real = freeness._evaluated_word_rows
+
+    def twice(pair, words, b, N):
+        for found in real(pair, words, b, N):
+            yield found
+            yield found
+
+    monkeypatch.setattr(freeness, "_evaluated_word_rows", twice)
+    cert = freeness_certify(ddt_ctx(), QT.var(0), 5)
+    assert (cert.verdict, cert.rank) == ("Dependent", 31)
+    assert rel_by_key(cert) == {"01": 1, "10": -1, "000": -1}
+
+
+def test_exact_xinv_series_held_to_denominator_bound(monkeypatch):
+    # the trie order of L = 3 is 14: the tower's exact series runs at that
+    # bound and raises one below it, as the fold does
+    ctx = tower_ctx()
+    b = ctx.ff.var(0)
+    monkeypatch.setattr(config, "MAX_DEN_DEGREE", 14)
+    assert freeness_certify(ctx, b, 3).rank == 15
+    monkeypatch.setattr(config, "MAX_DEN_DEGREE", 13)
+    with pytest.raises(ResourceBoundExceeded, match="series order 14"):
+        freeness_certify(ctx, b, 3)
+
+
+def test_two_variable_derivation_L3_known_answer(monkeypatch):
+    # Q(a, c) with delta a = ac, delta c = 1 and witness a: the exact
+    # x^{-1} series reads the e_j = delta^j(a) only up to the trie order
+    ctx = ac_ctx()
+    monkeypatch.setattr(freeness, "common_left_denominator",
+                        lambda *a: pytest.fail("fold"))
+    cert = freeness_certify(ctx, ctx.ff.var(0), 3)
+    assert (cert.verdict, cert.rank, cert.word_count) == (
+        "Independent", 15, 15)
 
 
 def _ext_power(a, n, f, p):
@@ -536,7 +636,7 @@ def test_reported_relation_is_the_same_for_every_L_and_route(monkeypatch):
     f5 = shift_f5_ctx()
     b = f5.ff.var(0).inverse()
     evaluated = freeness_certify(f5, b, 4)
-    monkeypatch.setattr(freeness, "_evaluated_word_rows", lambda *a: None)
+    monkeypatch.setattr(freeness, "_evaluated_word_rows", lambda *a: iter(()))
     fold = freeness_certify(f5, b, 4)
     assert fold.matrix_digest != evaluated.matrix_digest
     for cert in (evaluated, fold):
@@ -565,25 +665,25 @@ def test_shift_f5_known_answers(witness, L, verdict, rank, count, relation):
                          "digest", [
     (shift_ctx, lambda u: u.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": -1, "11": -1, "101": 1},
-     "66d4234cb8d2718992a3a2367063b0e0c61977ca71f6557072b3c11d2f3337da"),
+     "18c960bdfd18e366b4e73b84098a47f7da91ce382f5945138421f2d22e47f915"),
     (shift_ctx, lambda u: (u * u).inverse(), 3, "Independent", 15, 15, {},
-     "62643744e6190f61808bde27373ac075ec8058d1f1407d44ac9952a1839185ba"),
+     "67363db744a64987794ddf2fa48c6fcbfcc9c98100b573288b9b9c610ee90204"),
     (double_ctx, lambda t: (t - 1).inverse(), 3, "Independent", 15, 15, {},
-     "3f3fc576ab60b9cb1c533fbd0c556b31d1f25c2fd97bcb6247e7c3572304cbaf"),
+     "65dd619313e20c96ab5ae025d8b65d3c84aa02dedf0ede81a01f96a2ca5ffbf8"),
     (double_ctx, lambda t: t.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": -2, "010": 1},
-     "d1ab5247dbffb924e672c47cfb8d3ee751e2400f95b2b4985f9ad12f3b594ec8"),
+     "48fde8770552eed28e701f56d0b4458e48f2a4c962285a9a70cd1d9649915f4c"),
     (shift_f5_ctx, lambda u: u.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": 4, "11": 4, "101": 1},
-     "9b452631dfd27a7059c2f07ee49f4d65b815de7c45fcf93317ee50c42d941708"),
+     "20886d5c8107cd9e78825c442453a104d2363473630c2f7bcfc45bbda9da7601"),
     (ddt_ctx, lambda t: t, 3, "Dependent", 13, 15,
      {"000": -1, "01": 1, "10": -1},
-     "f5befe583bc8d731ffc3b9bcfc8b858e2dfa190e5b780d0dd58d5e0e8bfb2001"),
+     "77a94131b21aa68be08cf46f2530c89850e45e3ff5e1f156317802e268dc2994"),
     (ddt_ctx, lambda t: t.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": -1, "101": 1},
-     "50214b1dfa2825f303f93bdc3e9c0b571bf2d9049dc2eab1def1751c70ee4cf5"),
+     "c10e8514470a540dc0ca6e3629f5d7316ccbe6936b8d54cc1c2240943b0dc85a"),
     (tower_ctx, lambda x0: x0, 3, "Independent", 15, 15, {},
-     "d792ff96062ffd5916c7f0874d51d2ba3082172df89b1aded8031b29932e6685"),
+     "45f8f70db69a57b844a03786f6e2870ff2fde0e7ff20f4a1a3b46892c809b495"),
 ], ids=["shift-Q:1/u:L4", "shift-Q:1/u^2:L3", "double-Q:1/(t-1):L3",
         "double-Q:1/t:L4", "shift-F5:1/u:L4", "ddt-Q:t:L3", "ddt-Q:1/t:L4",
         "tower-F5:x0:L3"])
@@ -640,27 +740,29 @@ def test_ddt_inverse_witness_L3_relation_oracle_certified():
 
 
 def test_xinv_rows_equal_oracle_series_at_each_point():
-    # entrywise: the evaluated x^{-1} rows at every point are the oracle's
+    # entrywise: the evaluated x^{-1} rows at each point are the oracle's
     # series, built by single x^{-1} commutation steps, evaluated there
-    # mod q; 1/(t-2) has a pole at the first orbit start, which is skipped
+    # mod q; a witness with a pole at the first orbit start skips it
     q = freeness._EVAL_PRIME
+    starts = freeness._EVAL_STARTS
     t = QT.var(0)
     words = words_up_to(2)
-    for ctx, b, starts in ((t2ddt_ctx(), t.inverse(), [2, -3, 5, -7]),
-                           (ddt_ctx(), (t - 2).inverse(), [-3, 5, -7, 11])):
-        rows, points = freeness._evaluated_word_rows(ctx, words, b, 8)
-        assert points == [(v,) for v in starts]
+    for ctx, b, used in ((t2ddt_ctx(), t.inverse(), starts[:3]),
+                         (ddt_ctx(), (t - starts[0]).inverse(), starts[1:4])):
+        blocks = itertools.islice(
+            freeness._evaluated_word_rows(ctx, words, b, 8), 3)
         step = lambda ff, c: series_xinv_step_delta(ff, ctx.delta, c)
         geom = [QT.zero()] + [-QT.one()] * 8
-        for w, row in zip(words, rows):
-            series = word_series(QT, w, b, 8, step, geom)
-            expect = []
-            for v in starts:
-                for c in series:
+        series = [word_series(QT, w, b, 8, step, geom) for w in words]
+        for (rows, point), v in zip(blocks, used):
+            assert point == (v,)
+            for row, coeffs in zip(rows, series):
+                expect = []
+                for c in coeffs:
                     x = eval_ratfunc(c, (Fraction(v),))
                     expect.append(
                         x.numerator * pow(x.denominator, -1, q) % q)
-            assert row == expect
+                assert row == expect
 
 
 def test_scaling_automorphism_L2_independent():
@@ -772,21 +874,21 @@ def test_series_route_digest_determinism():
     # tower the exact one
     t = QT.var(0)
     assert freeness_certify(ddt_ctx(), t, 3).matrix_digest == (
-        "f5befe583bc8d731ffc3b9bcfc8b858e2dfa190e5b780d0dd58d5e0e8bfb2001")
+        "77a94131b21aa68be08cf46f2530c89850e45e3ff5e1f156317802e268dc2994")
     tower = tower_ctx()
     x0 = tower.ff.var(0)
     assert freeness_certify(tower, x0, 3).matrix_digest == (
-        "d792ff96062ffd5916c7f0874d51d2ba3082172df89b1aded8031b29932e6685")
+        "45f8f70db69a57b844a03786f6e2870ff2fde0e7ff20f4a1a3b46892c809b495")
     # delta(x3^5) = 5 x3^4 x4 = 0 in F_5, so the series use e_0 alone
     x35 = tower.ff.var(3) ** 5
     assert tower.delta.apply(x35).is_zero()
     cert = freeness_certify(tower, x35, 3)
     assert cert.verdict == "Dependent" and cert.rank == 10
     assert cert.matrix_digest == (
-        "9abb329ec493b0f97343966205ee3d6912ef1d5bbe67dfb96ccdefb551cac82f")
+        "303d7fab0dbf099acf3b0cca338d310540de1477fb91209d56de25e4237aa24f")
     # the evaluated x^{-1}-series route: 1/t under d/dt
     assert freeness_certify(ddt_ctx(), t.inverse(), 3).matrix_digest == (
-        "fcafa5ed2ad0fd57f588e97f7d77b43b0895e6f90c329a862fa803436bb3b37b")
+        "f177d19f3db5fbb712144daffca7ecf4cd1fec3feeb1a499a05c99bb49fe6c60")
 
 
 def test_certificate_usage_errors_and_bounds(monkeypatch):

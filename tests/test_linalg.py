@@ -7,10 +7,11 @@ import pytest
 
 from orefree.errors import UsageError
 from orefree.field import BaseField, FunctionField
-from orefree.linalg import flatten_to_k, rank_over_k
+from orefree.linalg import _EchelonModp, _rank_modp, flatten_to_k, rank_over_k
 
 from oracles import (
-    gauss_rank_fractions, gauss_rank_modp, generic_nullspace, random_ratfunc,
+    gauss_rank_fractions, gauss_rank_modp, generic_nullspace, nullspace_modp,
+    random_ratfunc,
 )
 
 QT = FunctionField(0, ["t"])
@@ -115,6 +116,42 @@ def test_rank_matches_textbook_oracle_modp():
                 for j in range(c):
                     assert sum(lam[i] * rows[i][j]
                                for i in range(n)) % p == 0
+
+
+@pytest.mark.parametrize("p", [5, 7, (1 << 61) - 1])
+def test_incremental_echelon_matches_one_shot(p):
+    # column blocks fed one at a time give the one-shot rank and the very
+    # same nullspace vectors; rows with planted relations keep the matrix
+    # deficient, and a repeated block adds no rank
+    rng = random.Random(p % 1000 + 61)
+    for _ in range(12):
+        n = rng.randint(1, 9)
+        ncols = rng.randint(6, 12)
+        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(n)]
+        for i in range(n // 2, n):
+            if rng.random() < 0.5:
+                a, b = rng.randrange(n), rng.randrange(n)
+                c = rng.randrange(p)
+                rows[i] = [(x + c * y) % p for x, y in zip(rows[a], rows[b])]
+        cuts = sorted(rng.sample(range(1, ncols), 2))
+        blocks = [[row[lo:hi] for row in rows]
+                  for lo, hi in zip([0] + cuts, cuts + [ncols])]
+        blocks.insert(2, blocks[0])
+        echelon = _EchelonModp(n, p)
+        seen, ranks = [[] for _ in rows], []
+        for block in blocks:
+            for s, part in zip(seen, block):
+                s.extend(part)
+            ranks.append(echelon.add(block))
+            assert ranks[-1] == gauss_rank_modp(seen, p)
+        assert ranks[2] == ranks[1]
+        assert (echelon.rank, echelon.nullspace()) == _rank_modp(seen, p)
+        null = echelon.nullspace()
+        assert len(null) == len(nullspace_modp(rows, p)) == n - echelon.rank
+        for lam in null:
+            assert next(x for x in lam if x) == 1
+            for j in range(ncols):
+                assert sum(lam[i] * rows[i][j] for i in range(n)) % p == 0
 
 
 def test_flatten_then_rank_detects_k_relations_only():

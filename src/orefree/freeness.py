@@ -17,8 +17,8 @@ exactly: expand every word of length at most L, coordinatize the set over
 the prime field k, and rank.  Full rank certifies that no k-relation exists
 up to length L.  A rank deficit yields the relation ending at the first
 word in the span of the words before it, unique up to scale, so the same
-on every route and for every L past its last word; it is re-evaluated
-against the fractions themselves before being reported.
+on every route and for every L past its last word; it is proved exactly
+before being reported.
 
 Words are coordinatized in one of two ways, which decide the same rank.
 The series way expands each word in a skew series ring, truncated at the
@@ -51,9 +51,9 @@ on i = 1 right-multiply by b, then take a prefix sum.
   do: under the shift every orbit runs through all of F_p and meets
   each pole of b.  The series are evaluated instead along the orbit of one
   point (y, y^2, ..., y^n) of F_p[y]/(f), with f monic irreducible of
-  degree k, p^k >= 2^61 and k at most two past the least such degree
-  (_extension_modulus), so that y has degree k over F_p, and each entry
-  is written as its k coordinates.  A combination of words vanishes
+  degree k, p^k >= 2^61, k > 8 and k at most two past the least such
+  degree (_extension_modulus), so that y has degree k over F_p, and
+  each entry is written as its k coordinates.  A combination of words vanishes
   there only when f divides its numerator: a factor of degree k, where
   a point mod q forces one of degree 1.
 * Pure derivations, in K((x^{-1}; delta)) with
@@ -89,13 +89,30 @@ relations g_j R and R g_j by moving indices alone.  Length by length,
 only a nullspace vector outside the span of the shorter relations and
 their one-letter multiples becomes a generator: over Q it is lifted by
 rational reconstruction, and over F_p it is already an exact relation.
-Only these generators are re-verified by exact fraction arithmetic.  The
-relations derived from them are then exact as well, and together they
-span d dimensions mod q (mod p over F_p), so at least d over k (integer
-vectors independent mod q are independent over Q): the nullity is d, the
-rank is exact, and the first generator is the reported relation.  A
-failed lift or check, or a basis short of d, falls back to the exact
-x^{-1} series where it applies, and to the fold otherwise.
+Only these generators are proved exactly.  The relations derived from
+them are then exact as well, and together they span d dimensions mod q
+(mod p over F_p), so at least d over k (integer vectors independent mod
+q are independent over Q): the nullity is d, the rank is exact, and the
+first generator is the reported relation.  A failed lift or check, or a
+basis short of d, falls back to the exact x^{-1} series where it
+applies, and to the fold otherwise.
+
+Over Q(t) a generator R is proved by exact values at integer points,
+with no Ore arithmetic.  Let C be the prefix closure of its support and
+e = |C| - 1.  The trie argument above, applied to C, gives R a common
+left denominator of degree at most e, so R = 0 iff its series vanishes
+at orders 0..e.  Those orders read only the values v_j = sigma^j(b),
+j <= e, or v_j = delta^j(b), j < e.  Let Delta = lcm_j den(v_j),
+h = max(0, max_j(deg num v_j - deg den v_j)) and r the most ones in a
+support word.  Every order's coefficient of a word with r_w <= r ones is
+an integer combination of products of r_w values, each Delta^{-1} times
+a polynomial of degree at most deg Delta + h; so the coefficient of R
+times Delta^r is a polynomial of degree at most B = r (deg Delta + h).
+Evaluation at a point P with Delta(P) != 0 is a ring homomorphism on
+these coefficients, so when the series of R vanishes exactly at B + 1
+such integers, every order 0..e is zero (Schwartz, J. ACM 1980) and
+R = 0.  Over F_p, and in several variables, the generators are summed
+as Ore fractions over the prefix closure of their supports instead.
 
 Everything else brings all words over one common left denominator by an
 lclm fold and flattens the numerator coefficient vectors.
@@ -105,6 +122,7 @@ stores the bound, the rank, and a digest of the flattened matrix so runs
 are comparable; callers decide what theorem the evidence supports.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -117,7 +135,7 @@ from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
-from .field import RatFunc, _conv, _dense, _long_div, _trim
+from .field import RatFunc, _conv, _dense, _long_div, _trim, poly_gcd
 from .linalg import (
     _EchelonModp, _leading_one, _normalize_int_vector, flatten_to_k,
     rank_over_k,
@@ -569,25 +587,32 @@ def _coefficient_tuples(top, w):
 
 def _extension_modulus(p):
     """The modulus f over F_p: the first irreducible candidate, proved by
-    Rabin's test.  Its degree is m, m + 1 or m + 2, for the least m >= 2
-    with p^m >= 2^61.
+    Rabin's test.  Its degree is m, m + 1 or m + 2, for the least
+    m >= L_max + 1 with p^m >= 2^61, where L_max is the largest L whose
+    trie order fits ``config.MAX_DEN_DEGREE`` (8 by default).  At y of
+    degree k no nonzero F_p-polynomial of degree below k vanishes, while
+    one of degree k <= L may lie in the word span: at p = 2^61 - 1 and
+    k = 2 the shift's 1/u ranks 13 of 14 at L = 3.  The floor keeps every
+    L that evaluates clear of that, and leaves small p unchanged.
 
     Candidates go sparsest first: by their number of terms, then by the
     exponents of the lower terms, then by degree, then by coefficients.
     Over F_2 that gives y^63 + y + 1 at the sixth test, where the least
-    degree, 61, has no irreducible trinomial.  Coefficients stay below 8 in a first round, so that a
-    shape with no irreducible member, as y^3 + c when p = 2 mod 3, does
-    not run through all of F_p^* first.  A second round takes all of
-    F_p^*: it contains every monic f of degree m with f(0) != 0, among
-    them irreducible ones, so the search always ends.
+    degree, 61, has no irreducible trinomial.  A first round keeps to at
+    most four terms with coefficients below 8, so that neither a shape
+    with no irreducible member, as y^9 + c when p = 2 mod 3, runs through
+    all of F_p^*, nor the 7^w coefficient tuples of every sparsity w <= m
+    are tried first.  A second round takes all of F_p^*: it contains
+    every monic f of degree m with f(0) != 0, among them irreducible
+    ones, so the search always ends.
     """
-    if p in _EXTENSION_CACHE:
-        return _EXTENSION_CACHE[p]
-    m = 2
+    m = (config.MAX_DEN_DEGREE + 2).bit_length() - 1
     while p ** m < 1 << 61:
         m += 1
-    for top in sorted({min(p, 8), p}):
-        for w in range(1, m + 1):
+    if (p, m) in _EXTENSION_CACHE:
+        return _EXTENSION_CACHE[p, m]
+    for top, most in sorted({(min(p, 8), 3), (p, m)}):
+        for w in range(1, most + 1):
             for lower in itertools.combinations(range(1, m + 2), w - 1):
                 for d in range(max((m - 1,) + lower) + 1, m + 3):
                     for cs in _coefficient_tuples(top, w):
@@ -595,7 +620,7 @@ def _extension_modulus(p):
                         for j, c in zip((0,) + lower, cs):
                             f[j] = c
                         if _rabin_irreducible(f, p):
-                            _EXTENSION_CACHE[p] = f
+                            _EXTENSION_CACHE[p, m] = f
                             return f
 
 
@@ -862,16 +887,98 @@ def _relation_generators(null, words, L, p):
     return generators
 
 
+def _prefix_closure(support):
+    """Every prefix of the given words, shortest first (as words_up_to)."""
+    return sorted({w[:k] for w in support for k in range(len(w) + 1)},
+                  key=lambda w: (len(w), w))
+
+
+def _point_bound(pair, b, e, r):
+    """(values, Delta, B) for the point check of a relation over Q(t).
+
+    values are the exact v_j that the series of a relation read at
+    orders 0..e: sigma^j(b) for j <= e, or delta^j(b) for j < e up to the
+    first zero.  Delta is the lcm of their denominators,
+    h = max(0, max_j(deg num v_j - deg den v_j)) and B = r (deg Delta + h).
+    Every order's coefficient of a word with at most r ones is an integer
+    combination of products of as many values, so times Delta^r it is a
+    polynomial of degree at most B.
+    """
+    values = [b]
+    if pair.is_pure_automorphism():
+        while len(values) <= e:
+            values.append(pair.sigma.apply(values[-1]))
+    else:
+        while len(values) < e:
+            nxt = pair.delta.apply(values[-1])
+            if nxt.is_zero():
+                break
+            values.append(nxt)
+    delta, h = pair.ff.poly_one(), 0
+    for v in values:
+        delta = delta * v.den.divide_exact(poly_gcd(delta, v.den))
+        h = max(h, v.num.total_degree() - v.den.total_degree())
+    return values, delta, r * (delta.total_degree() + h)
+
+
+def _relation_holds_at_points(pair, words, b, lam):
+    """True when sum(lam[i] W_{words[i]}) = 0 over Q(t), decided exactly.
+
+    C is the prefix closure of the support and e = |C| - 1.  The series
+    of the relation is evaluated at orders 0..e at the first B + 1
+    integers P >= 0 where Delta does not vanish (_point_bound), False at
+    the first nonzero order (module docstring).  Each point's values are
+    scaled by one integer s so that the series run on ints: that scales
+    the series of a word with r_w ones by s^{r_w}, which the weight
+    s^{r - r_w} of its coefficient evens out.
+    """
+    support = [(w, c) for w, c in zip(words, lam) if c]
+    closure = _prefix_closure(w for w, _ in support)
+    e = len(closure) - 1
+    r = max(sum(w) for w, _ in support)
+    values, _, B = _point_bound(pair, b, e, r)
+    dense = [(_dense(v.num.terms, 0), _dense(v.den.terms, 0))
+             for v in values]
+
+    def at(ints, P):
+        return functools.reduce(lambda acc, c: acc * P + c, reversed(ints), 0)
+
+    P, left = -1, B + 1
+    while left:
+        P += 1
+        nums = [at(n, P) * sd for (n, sn), (d, sd) in dense]
+        dens = [at(d, P) * sn for (n, sn), (d, sd) in dense]
+        if not all(dens):
+            continue
+        s = math.lcm(*dens)
+        vals = [n * (s // d) for n, d in zip(nums, dens)]
+        if pair.is_pure_automorphism():
+            step = _series_step(lambda a: list(map(operator.mul, a, vals)),
+                                lambda a: list(itertools.accumulate(a)))
+        else:
+            step = _xinv_step(vals, e, 0, lambda c: c)
+        series = dict(zip(closure, _prefix_shared(closure, [1] + [0] * e,
+                                                  step)))
+        total = [0] * (e + 1)
+        for w, c in support:
+            f = c * s ** (r - sum(w))
+            total = [x + f * y for x, y in zip(total, series[w])]
+        if any(total):
+            return False
+        left -= 1
+    return True
+
+
 def _certify_by_evaluation(pair, words, b, L):
     """Certificate from the evaluated series, or None to run an exact route.
 
     Points are added until the rank is full or has not risen over two
     more points.  Full rank mod q proves independence.  On a deficit d
-    only the generators of _relation_generators are verified on the
-    exact words, over the prefix closure of their supports; the basis
-    they derive then pins the rank (module docstring).  The first
-    generator, the relation ending at the first dependent word, is
-    reported.
+    only the generators of _relation_generators are verified: over Q(t)
+    by _relation_holds_at_points, otherwise on the exact words, over the
+    prefix closure of their supports.  The basis they derive then pins
+    the rank (module docstring).  The first generator, the relation
+    ending at the first dependent word, is reported.
     """
     p = pair.ff.char
     echelon = _EchelonModp(len(words), p or _EVAL_PRIME)
@@ -901,13 +1008,16 @@ def _certify_by_evaluation(pair, words, b, L):
     generators = _relation_generators(echelon.nullspace(), words, L, p)
     if generators is None:
         return None
-    closure = sorted({w[:k] for lam in generators
-                      for w, c in zip(words, lam) if c
-                      for k in range(len(w) + 1)},
-                     key=lambda w: (len(w), w))
-    fracs = dict(zip(closure, _expand_words(pair, closure, b)))
-    expanded = [fracs.get(w) for w in words]
-    if not all(_relation_vanishes(expanded, lam) for lam in generators):
+    if not p and pair.ff.nvars == 1:
+        holds = all(_relation_holds_at_points(pair, words, b, lam)
+                    for lam in generators)
+    else:
+        closure = _prefix_closure(w for lam in generators
+                                  for w, c in zip(words, lam) if c)
+        fracs = dict(zip(closure, _expand_words(pair, closure, b)))
+        expanded = [fracs.get(w) for w in words]
+        holds = all(_relation_vanishes(expanded, lam) for lam in generators)
+    if not holds:
         return None
     relation = {w: c for w, c in zip(words, generators[0]) if c}
     return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
@@ -920,9 +1030,8 @@ def freeness_certify(pair, b, L):
     Independent means exactly that the bounded set carries no nontrivial
     k-relation; Dependent refutes freeness outright and carries the
     relation ending at the first word in the span of the words before
-    it, the same on every route, re-verified by exact fraction
-    arithmetic.  The route is fixed by the input, first match wins
-    (module docstring):
+    it, the same on every route, proved exactly.  The route is fixed by
+    the input, first match wins (module docstring):
 
     * with the trie order N = 2^{L+1} - 2 at most
       ``config.MAX_DEN_DEGREE`` (L <= 8 by default), pure automorphisms
@@ -930,16 +1039,20 @@ def freeness_certify(pair, b, L):
       at one point of F_p[y]/(f) over F_p, and derivations of Q(t) the
       evaluated K((x^{-1}; delta)) series mod q.  Over Q points are added
       until the rank is full or has not risen over two more points, and
-      only then are relations lifted.
-      A Dependent result there re-verifies only the generators of its
-      relations; the rest are their multiples g_j R and R g_j, index
-      moves that need no arithmetic.  The d relations so obtained are
-      independent mod q, so over k, while the evaluated rank bounds the
-      nullity by d: the rank is exact.  The digest covers the evaluated
-      matrix and a header naming q and the points, with a mark of its
-      own for the x^{-1} series, or p, f and the point.  No usable point,
-      a pole on the orbit, a failed lift or a failed check go on to the
-      next route;
+      only then are relations lifted.  A Dependent result there proves
+      only the generators of its relations; the rest are their
+      multiples g_j R and R g_j, index moves that need no arithmetic.
+      Over Q(t) a generator is proved by its series at orders 0..e,
+      e + 1 the size of its support's prefix closure, evaluated exactly
+      at B + 1 integer points, B a degree bound read off the exact
+      sigma^j(b) or delta^j(b) (module docstring); over F_p and in
+      several variables by a sum of Ore fractions.  The d relations so
+      obtained are independent mod q, so over k, while the evaluated
+      rank bounds the nullity by d: the rank is exact.  The digest
+      covers the evaluated matrix and a header naming q and the points,
+      with a mark of its own for the x^{-1} series, or p, f and the
+      point.  No usable point, a pole on the orbit, a failed lift or a
+      failed check go on to the next route;
     * pure derivations with a polynomial witness and polynomial images
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.

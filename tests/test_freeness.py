@@ -12,7 +12,7 @@ from orefree.errors import (
     NotAdditiveEigen, RequiresPureAutomorphism, ResourceBoundExceeded,
     UsageError, ZeroArgument,
 )
-from orefree.field import FunctionField, _conv, _long_div
+from orefree.field import FunctionField, RatFunc, _conv, _long_div
 from orefree.freeness import (
     FreenessCertificate, build_word_V, build_word_W, common_left_denominator,
     freeness_certify, independence_check, monomial_products_check,
@@ -402,19 +402,113 @@ def test_evaluated_route_verifies_only_generators(monkeypatch, make_ctx, b, L,
                                                   rank):
     # 1/u at L = 4 has 6 relations: the L = 3 one, its four one-letter
     # multiples and one more generator.  t at L = 3 has two generators.
-    # Everything else is derived, so two exact checks suffice; a fallback
-    # to an exact route would make one
-    checked = []
-    real = freeness._relation_vanishes
-
-    def counting(fracs, lam):
-        checked.append(lam)
-        return real(fracs, lam)
-
-    monkeypatch.setattr(freeness, "_relation_vanishes", counting)
-    cert = freeness_certify(make_ctx(), b, L)
+    # Everything else is derived, so two exact point checks suffice
+    cert, checked = _checked_generators(monkeypatch, make_ctx(), b, L)
     assert cert.verdict == "Dependent" and cert.rank == rank
     assert len(checked) == 2
+
+
+def _checked_generators(monkeypatch, ctx, b, L):
+    """The certificate, and the generators it proved by the point check."""
+    checked = []
+    real = freeness._relation_holds_at_points
+
+    def recording(pair, words, b, lam):
+        checked.append({w: c for w, c in zip(words, lam) if c})
+        return real(pair, words, b, lam)
+
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "_relation_holds_at_points", recording)
+        cert = freeness_certify(ctx, b, L)
+    return cert, checked
+
+
+def _closure_order_and_ones(relation):
+    closure = {w[:k] for w in relation for k in range(len(w) + 1)}
+    return len(closure) - 1, max(sum(w) for w in relation)
+
+
+_POINT_CHECK_CASES = pytest.mark.parametrize("make_ctx,witness", [
+    (shift_ctx, lambda u: u.inverse()),
+    (double_ctx, lambda t: t.inverse()),
+    (ddt_ctx, lambda t: t.inverse()),
+], ids=["shift:1/u:L4", "double:1/t:L4", "ddt:1/t:L4"])
+
+
+@_POINT_CHECK_CASES
+def test_point_bound_covers_every_order(monkeypatch, make_ctx, witness):
+    # each generator's exact series in Q(t), built by the oracle's single
+    # commutation steps: the relation vanishes at orders 0..e, and every
+    # order's coefficient of a support word times Delta^r is a polynomial
+    # of degree at most B, so B + 1 points decide it
+    ctx = make_ctx()
+    ff = ctx.ff
+    b = witness(ff.var(0))
+    if ctx.is_pure_automorphism():
+        step, geom = (lambda f, c: series_xstep_sigma(f, ctx.sigma, c)), None
+    else:
+        step = lambda f, c: series_xinv_step_delta(f, ctx.delta, c)
+    cert, generators = _checked_generators(monkeypatch, ctx, b, 4)
+    assert cert.verdict == "Dependent" and generators
+    for relation in generators:
+        e, r = _closure_order_and_ones(relation)
+        _, delta, B = freeness._point_bound(ctx, b, e, r)
+        scale = RatFunc(delta ** r, ff.poly_one())
+        if not ctx.is_pure_automorphism():
+            geom = [ff.zero()] + [-ff.one()] * e
+        series = {w: word_series(ff, w, b, e, step, geom) for w in relation}
+        for m in range(e + 1):
+            assert sum((ff.const(c) * series[w][m]
+                        for w, c in relation.items()), ff.zero()).is_zero()
+            for w in relation:
+                scaled = series[w][m] * scale
+                assert scaled.is_poly()
+                assert scaled.num.total_degree() <= B
+
+
+@_POINT_CHECK_CASES
+def test_point_check_rejects_a_changed_coefficient(monkeypatch, make_ctx,
+                                                   witness):
+    # a generator with one coefficient changed by 1 differs from a
+    # relation by a nonzero word, so it must be rejected
+    ctx = make_ctx()
+    b = witness(ctx.ff.var(0))
+    words = words_up_to(4)
+    cert, generators = _checked_generators(monkeypatch, ctx, b, 4)
+    assert cert.verdict == "Dependent" and generators
+    for relation in generators:
+        lam = [relation.get(w, 0) for w in words]
+        assert freeness._relation_holds_at_points(ctx, words, b, lam)
+        for w in relation:
+            changed = [c + (v == w) for v, c in zip(words, lam)]
+            assert not freeness._relation_holds_at_points(ctx, words, b,
+                                                          changed)
+
+
+def test_shift_inverse_square_L6_known_answer(monkeypatch):
+    # 1/u^2 under the shift is Dependent at L = 6, with the fold and the
+    # exact series refused, its two generators proved by the point check.
+    # The 14-word relation below lies in the same relation space: it
+    # passes the point check, and fails it with W_1011 raised by 1
+    _no_exact_route(monkeypatch)
+    ctx = shift_ctx()
+    b = (QU.var(0) * QU.var(0)).inverse()
+    cert = freeness_certify(ctx, b, 6)
+    assert (cert.verdict, cert.rank, cert.word_count) == (
+        "Dependent", 125, 127)
+    assert rel_by_key(cert) == {
+        "001": 1, "010": -2, "011": 1, "100": 1, "101": -8, "110": 1,
+        "0001": -1, "0010": 1, "0100": 1, "0101": -7, "1000": -1,
+        "1001": 38, "1010": -7, "01001": 12, "10001": -54, "10010": 12,
+        "010001": -6, "100001": 24, "100010": -6}
+    relation = {"011": 1, "101": -2, "110": 1, "111": -2, "0101": -1,
+                "1001": 2, "1010": -1, "1011": 4, "1101": 4, "10011": -2,
+                "10101": -6, "11001": -2, "100101": 2, "101001": 2}
+    words = words_up_to(6)
+    lam = [relation.get(word_key(w), 0) for w in words]
+    assert freeness._relation_holds_at_points(ctx, words, b, lam)
+    lam[words.index((1, 0, 1, 1))] += 1
+    assert not freeness._relation_holds_at_points(ctx, words, b, lam)
 
 
 # -- the trie order and the point loop ----------------------------------------
@@ -539,7 +633,10 @@ def test_extension_field_kernel(p):
     # elements against the dense kernels of field.py
     f = freeness._extension_modulus(p)
     k = len(f) - 1
-    least = next(m for m in range(2, 64) if p ** m >= 1 << 61)
+    # past every L whose trie order fits the denominator bound (L <= 8)
+    floor = next(L for L in range(1, 64)
+                 if freeness._truncation_order(L) > config.MAX_DEN_DEGREE)
+    least = next(m for m in range(floor, 64) if p ** m >= 1 << 61)
     assert f[-1] == 1 and least <= k <= least + 2
     one = [1] + [0] * (k - 1)
 
@@ -590,6 +687,32 @@ def test_extension_modulus_search_always_ends(monkeypatch):
     f = freeness._extension_modulus(QR_PRIME)
     assert max(f) >= 8 and real(f, QR_PRIME)
     _assert_series_route_agrees_with_fold(monkeypatch, ctx, u.inverse(), 2)
+
+
+def test_large_prime_shift_stays_evaluated(monkeypatch):
+    # for large p a modulus of degree 2 (y^2 + 1 here, as at 2^61 - 1)
+    # cannot separate the polynomials of degree 2 in u that the word span
+    # holds, and sent 1/u to the fold at L = 3..5; the degree floor keeps
+    # these evaluated, with the fold's answers.  2^31 - 1 stands in for
+    # 2^61 - 1, whose primality check by trial division takes minutes
+    p = (1 << 31) - 1
+    ff = FunctionField(p, ["u"])
+    u = ff.var(0)
+    ctx = SkewPair.automorphism(SkewEndo(ff, [u + 1], [u - 1]))
+    assert len(freeness._extension_modulus(p)) - 1 >= 9
+    for L, rank in ((3, 14), (4, 25), (5, 41)):
+        with monkeypatch.context() as m:
+            m.setattr(freeness, "common_left_denominator",
+                      lambda *a: pytest.fail("fold"))
+            cert = freeness_certify(ctx, u.inverse(), L)
+        words = words_up_to(L)
+        _, fold_rank, lam = independence_check(
+            _expand_words(ctx, words, u.inverse()))
+        assert (cert.verdict, cert.rank, fold_rank) == ("Dependent", rank,
+                                                        rank)
+        assert cert.relation == {w: c for w, c in zip(words, lam) if c}
+        assert rel_by_key(cert) == {"01": 1, "10": p - 1, "11": p - 1,
+                                    "101": 1}
 
 
 def test_one_letter_multiples_of_a_relation_vanish():

@@ -18,9 +18,9 @@ exact because equality always falls back to cross multiplication.  No
 floating point is used anywhere.
 
 Univariate kernels (products, exact division, substitution, gcds, roots)
-work on dense int lists with one common denominator (:func:`_dense`,
-:func:`_from_dense`); their results go back into the same term dicts, so
-the representation above is unchanged.  gcds use a primitive polynomial
+work on the dense int lists of :mod:`intpoly` with one common denominator
+(:func:`_dense`, :func:`_from_dense`); their results go back into the same
+term dicts, so the representation above is unchanged.  gcds use a primitive polynomial
 remainder sequence: dense Euclid for univariate polynomials over F_p,
 integer PRS over Q, and recursion on contents for several variables.
 """
@@ -35,23 +35,12 @@ from .errors import (
     DivisionByZero,
     ResourceBoundExceeded,
 )
+from .intpoly import (
+    _conv, _horner, _is_prime, _long_div, _primitive_ints, _uni_gcd_p,
+    _uni_gcd_q,
+)
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _divisors(n):
@@ -591,57 +580,9 @@ def _from_dense(ff, ints, scale=1, v=0):
     return MPoly(ff, {head + (k,) + tail: c for k, c in cs if c})
 
 
-def _conv(a, b):
-    """Product of dense int lists (all zeros when one is empty)."""
-    out = [0] * (len(a) + len(b) - 1)
-    bs = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in bs:
-                out[i + j] += x * y
-    return out
-
-
-def _horner(ints, img, w, p):
-    """(acc, w^n) with acc = sum ints[k] img^k w^(n-k), by the steps
-    acc = acc * img + ints[k] * w^(n-k); reduced mod p when p."""
-    acc, wk = ints[-1:], 1
-    for c in reversed(ints[:-1]):
-        wk *= w
-        acc = _conv(acc, img) or [0]
-        acc[0] += c * wk
-        if p:
-            acc = [x % p for x in acc]
-    return acc, wk
-
-
 # ---------------------------------------------------------------------------
 # gcd machinery
 # ---------------------------------------------------------------------------
-
-def _int_content(xs):
-    g = 0
-    for x in xs:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
-    return g
-
-
-def _primitive_ints(xs):
-    """(ints, scale): coprime integers ints[i] = scale * xs[i].
-
-    xs holds ints or Fractions.  scale is the positive Fraction
-    lcm(denominators) / content, so signs are kept; an all-zero xs gives
-    zeros and scale 1.
-    """
-    d = math.lcm(*(x.denominator for x in xs))
-    ints = [x.numerator * (d // x.denominator) for x in xs]
-    g = _int_content(ints)
-    if g > 1:
-        return [x // g for x in ints], Fraction(d, g)
-    return ints, Fraction(d)
-
 
 def _rational_roots(poly, v):
     """All roots in the prime field of a univariate polynomial in y_v.
@@ -669,55 +610,6 @@ def _rational_roots(poly, v):
                 if r not in out and not any(_horner(ints, [s], q, 0)[0]):
                     out.append(r)
     return out
-
-
-def _trim(xs):
-    while xs and not xs[-1]:
-        xs.pop()
-    return xs
-
-
-def _long_div(r, d, p):
-    """(quo, rem) of the int lists r by d (trimmed), constant first.
-
-    Over F_p (p > 0) mod p.  Over Q (p = 0) r is first scaled by
-    lc(d)^(deg r - deg d + 1), so every quotient step is an exact //:
-    this is pseudo-division, and rem the pseudo-remainder.
-    """
-    m, lc = len(d) - 1, d[-1]
-    top = len(r) - 1 - m
-    s = 1 if p or top < 0 else lc ** (top + 1)
-    r = [c * s for c in r]
-    inv = pow(lc, -1, p) if p else None
-    ds = [(j, c) for j, c in enumerate(d) if c]
-    quo = [0] * (top + 1)
-    for k in range(top, -1, -1):
-        c = quo[k] = r[k + m] * inv % p if p else r[k + m] // lc
-        for j, x in ds:
-            r[k + j] -= c * x
-    return quo, _trim([c % p for c in r[:m]] if p else r[:m])
-
-
-def _uni_gcd_p(a, b, p):
-    """Euclid on dense int lists mod p; returns monic list."""
-    a, b = _trim(a[:]), _trim(b[:])
-    while b:
-        a, b = b, _long_div(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _uni_gcd_q(a, b):
-    """Primitive PRS gcd of int lists; returns primitive list."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        g = _int_content(b)
-        b = [x // g for x in b]
-        a, b = b, _long_div(a, b, 0)[1]
-    return a
 
 
 def _mv_content(p, v, work):

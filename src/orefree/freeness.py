@@ -135,7 +135,8 @@ from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
-from .field import RatFunc, _conv, _dense, _long_div, _trim, poly_gcd
+from .field import RatFunc, _dense, poly_gcd
+from .intpoly import _conv, _long_div, _trim
 from .linalg import (
     _EchelonModp, _leading_one, _normalize_int_vector, flatten_to_k,
     rank_over_k,

@@ -22,7 +22,8 @@ import math
 from fractions import Fraction
 
 from .errors import ResourceBoundExceeded, UsageError
-from .field import _grlex_key, _primitive_ints, poly_gcd
+from .field import _grlex_key, poly_gcd
+from .intpoly import _primitive_ints
 
 
 def flatten_to_k(vectors):

@@ -21,7 +21,7 @@ from .errors import (
     ResourceBoundExceeded, UsageError,
 )
 from .field import RatFunc
-from .orepoly import OrePoly, gcld, lclm
+from .orepoly import OrePoly, gcld, lclm, left_monic
 
 
 def _lclm_with_probe(s1, s2):
@@ -53,10 +53,8 @@ class OreFraction:
             raise DivisionByZero("zero denominator in Ore fraction")
         if num.is_zero():
             den = OrePoly.one(den.ctx)
-        elif not den.lc().is_one():
-            c = den.lc().inverse()
-            den = den.scale_left(c)
-            num = num.scale_left(c)
+        elif not den.is_monic():
+            den, num = left_monic(den, num)
         if den.degree > config.MAX_DEN_DEGREE:
             raise ResourceBoundExceeded(
                 "fraction denominator reached degree %d (bound %d)"
@@ -70,11 +68,7 @@ class OreFraction:
                 self.num = self.num.left_quo_rem(g)[0]
 
     def _weight(self):
-        total = 0
-        for p in (self.den, self.num):
-            for c in p.coeffs:
-                total += len(c.num.terms) + len(c.den.terms)
-        return total
+        return self.den.term_count() + self.num.term_count()
 
     @property
     def ctx(self):

@@ -1,7 +1,6 @@
 """Skew polynomials K[x; sigma, delta] with left coefficients.
 
-Elements are tuples of RatFunc coefficients, index = power of x, and the
-commutation rule is
+An element is sum_j a_j x^j with a_j in K, and the commutation rule is
 
     x * a = sigma(a) * x + delta(a),
 
@@ -10,45 +9,236 @@ sigma is an automorphism, degrees add under multiplication and both
 one-sided division algorithms terminate: right division is ordinary
 Euclid, left division twists the candidate coefficient by sigma^{-deg g}.
 
+The storage follows the number of generators of K.  In several variables
+the coefficients are a tuple of reduced RatFuncs.  Over K = k(t) an
+element is fraction-free: one denominator D and numerators N_j, all
+dense int lists of :mod:`intpoly` (mod p over F_p), with a_j = N_j / D.
+The stored form is canonical: gcd(D, N_0, ..., N_n) = 1, and over Q the
+integers of D and the N_j together are coprime with lc(D) > 0, over F_p
+D is monic.  It is unique, so equality compares lists.  Each operation
+runs on the lists and reduces once at its end, with one gcd chain over
+its numerators instead of a gcd per coefficient operation; right
+division is pseudo-division, its quotient and remainder kept over one
+running denominator.  ``coeffs``, ``coeff`` and ``lc`` build reduced
+RatFuncs only when asked.
+
+The x-step over k(t) needs no RatFunc either.  sigma is a Moebius map,
+sigma(t) = A/B, so for deg n, deg D <= m
+
+    sigma(n / D) = H_m(n) / H_m(D),   H_m(n) = sum_k n_k A^k B^(m-k).
+
+A sigma-derivation of k(t) is fixed by its value on t, so
+
+    delta = c (sigma - id),   c = delta(t) / (sigma(t) - t),   sigma != id,
+    delta = delta(t) d/dt,                                      sigma = id.
+
+Both right-hand sides are sigma-derivations, since
+c (sigma(ab) - ab) = sigma(a) c (sigma(b) - b) + c (sigma(a) - a) b, and
+they agree with delta on t and on k.
+
 Greatest common right divisors come from the right Euclidean algorithm;
 least common left multiples from its extended form (the cofactor rows of
 the last zero remainder), with the degree law
 
     deg lclm(f, g) = deg f + deg g - deg gcrd(f, g)
 
-asserted on every run.  A greatest common left divisor (via left-division
+checked on every run.  A greatest common left divisor (via left-division
 Euclid) supports cancellation inside left fractions.
 """
 
-from .errors import ContextMismatch, DivisionByZero
-from .field import RatFunc
+import itertools
+import math
+
+from . import config
+from .errors import ContextMismatch, DivisionByZero, ResourceBoundExceeded
+from .field import RatFunc, _dense, _from_dense
+from .intpoly import (
+    _add, _compose, _derivative, _div_exact, _gcd, _mul, _sub, _trim,
+)
 
 
 def _same_ctx(a, b):
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatch("operands from different Ore contexts")
 
 
-class OrePoly:
-    """Element of K[x; sigma, delta]; immutable, trailing coefficient nonzero."""
+# ---------------------------------------------------------------------------
+# the fraction-free form over k(t)
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("ctx", "coeffs")
+def _ints(a, p):
+    """(n, d) int lists with a = n / d, for a RatFunc of k(t)."""
+    n, sn = _dense(a.num.terms, p)
+    d, sd = _dense(a.den.terms, p)
+    if sn != sd:
+        n, d = [x * sd for x in n], [x * sn for x in d]
+    return n, d
+
+
+def _canon(den, nums, p, coprime=False):
+    """The canonical form of sum nums[j] / den x^j.
+
+    nums is a fresh list of trimmed lists; its trailing zeros are popped.
+    ``coprime`` skips the polynomial gcd when no factor of den can divide
+    every numerator.
+    """
+    _trim(nums)
+    if not nums:
+        return [1], []
+    if len(den) > 1 and not coprime:
+        g = den
+        for n in sorted(nums, key=len):
+            if n:
+                g = _gcd(g, n, p)
+                if len(g) == 1:
+                    break
+        if len(g) > 1:
+            den = _div_exact(den, g, p)
+            nums = [_div_exact(n, g, p) if n else n for n in nums]
+    if p:
+        if den[-1] != 1:
+            inv = pow(den[-1], -1, p)
+            den = [x * inv % p for x in den]
+            nums = [[x * inv % p for x in n] for n in nums]
+    else:
+        c = math.gcd(*den, *itertools.chain.from_iterable(nums))
+        if den[-1] < 0:
+            c = -c
+        if c != 1:
+            den = [x // c for x in den]
+            nums = [[x // c for x in n] for n in nums]
+    if len(den) + max(map(len, nums)) > config.MAX_FRACTION_TERMS:
+        nd = len(den) - den.count(0)
+        worst = nd + max(len(n) - n.count(0) for n in nums)
+        if worst > config.MAX_FRACTION_TERMS:
+            raise ResourceBoundExceeded(
+                "fraction grew to %d terms (bound %d)"
+                % (worst, config.MAX_FRACTION_TERMS))
+    return den, nums
+
+
+def _over_lcm(d1, n1, d2, n2, p):
+    """(den, nums) with nums[j] / den = n1[j] / d1 + n2[j] / d2, den the
+    product of d1 and d2 over their gcd; not reduced."""
+    if d1 == d2:
+        return d1, [_add(a, b, p) for a, b in
+                    itertools.zip_longest(n1, n2, fillvalue=[])]
+    g = [1] if len(d1) == 1 or len(d2) == 1 else _gcd(d1, d2, p)
+    f1, f2 = (d2, d1) if len(g) == 1 else (
+        _div_exact(d2, g, p), _div_exact(d1, g, p))
+    return _mul(d1, f1, p), [
+        _add(_mul(a, f1, p), _mul(b, f2, p), p)
+        for a, b in itertools.zip_longest(n1, n2, fillvalue=[])]
+
+
+class _Kernel:
+    """x * (sum N_j / D x^j) on int lists, for one context over k(t)."""
+
+    __slots__ = ("p", "kind", "a", "bpow", "cn", "cd")
+
+    def __init__(self, ctx):
+        ff, sigma, delta = ctx.ff, ctx.sigma, ctx.delta
+        self.p = p = ff.char
+        self.kind = "comm"
+        if not sigma.is_identity():
+            self.kind = "aut"
+            self.a, b = _ints(sigma.images[0], p)
+            self.bpow = [[1], b]
+        if not delta.is_zero():
+            c = delta.images[0]
+            if self.kind == "aut":
+                self.kind, c = "sd", c / (sigma.images[0] - ff.var(0))
+            else:
+                self.kind = "der"
+            self.cn, self.cd = _ints(c, p)
+
+    def _sigma(self, polys, m):
+        """[H_m(n) for n in polys]."""
+        bpow = self.bpow
+        while len(bpow) <= m:
+            bpow.append(_mul(bpow[-1], bpow[1], self.p))
+        return [_compose(n, self.a, bpow, m, self.p) for n in polys]
+
+    def step(self, den, nums):
+        """The canonical form of x * (sum nums[j] / den x^j)."""
+        p, kind = self.p, self.kind
+        if kind == "comm":
+            return den, [[]] + nums
+        if kind == "der":
+            # x a = a x + c a' with a = n / den and c = cn / cd
+            dd = _derivative(den, p)
+            if dd:
+                hi = [_mul(n, den, p) for n in nums]
+                lo = [_sub(_mul(_derivative(n, p), den, p), _mul(n, dd, p), p)
+                      for n in nums]
+                den = _mul(den, den, p)
+            else:
+                hi, lo = nums, [_derivative(n, p) for n in nums]
+            hi = [_mul(n, self.cd, p) for n in hi]
+            lo = [_mul(n, self.cn, p) for n in lo]
+            den = _mul(den, self.cd, p)
+        else:
+            m = max(len(den), max(map(len, nums))) - 1
+            sden, *hi = self._sigma([den] + nums, m)
+            if kind == "aut":
+                return _canon(sden, [[]] + hi, p,
+                              coprime=len(self.bpow[1]) == 1)
+            # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden
+            lo = [_mul(self.cn, _sub(_mul(s, den, p), _mul(n, sden, p), p), p)
+                  for s, n in zip(hi, nums)]
+            hi = [_mul(s, _mul(self.cd, den, p), p) for s in hi]
+            den = _mul(_mul(sden, den, p), self.cd, p)
+        out = [_add(a, b, p) for a, b in zip(lo + [[]], [[]] + hi)]
+        return _canon(den, out, p)
+
+
+def _kernel(ctx):
+    k = ctx._kernel
+    if k is None:
+        k = ctx._kernel = _Kernel(ctx)
+    return k
+
+
+class OrePoly:
+    """Element of K[x; sigma, delta]; immutable, trailing coefficient nonzero.
+
+    Over k(t), ``_den`` and ``_nums`` hold the canonical fraction-free form
+    and ``_cs`` caches the coefficients once built; in several variables
+    ``_cs`` holds them and ``_den`` is None.
+    """
+
+    __slots__ = ("ctx", "_cs", "_den", "_nums")
 
     def __init__(self, ctx, coeffs):
         while coeffs and coeffs[-1].is_zero():
             coeffs = coeffs[:-1]
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self._cs = tuple(coeffs)
+        self._den = self._nums = None
+        if ctx.ff.nvars == 1:
+            p = ctx.ff.char
+            den, nums = [1], []
+            for j, c in enumerate(self._cs):
+                n, d = _ints(c, p)
+                den, nums = _over_lcm(den, nums, d, [[]] * j + [n], p)
+            self._den, self._nums = _canon(den, nums, p)
+
+    @classmethod
+    def _make(cls, ctx, den, nums):
+        """The element with the canonical form (den, nums)."""
+        out = object.__new__(cls)
+        out.ctx, out._cs, out._den, out._nums = ctx, None, den, nums
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, ())
+        return cls.x_pow(ctx, -1)
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, (ctx.ff.one(),))
+        return cls.x_pow(ctx, 0)
 
     @classmethod
     def const(cls, ctx, a):
@@ -58,10 +248,15 @@ class OrePoly:
 
     @classmethod
     def x(cls, ctx):
-        return cls(ctx, (ctx.ff.zero(), ctx.ff.one()))
+        return cls.x_pow(ctx, 1)
 
     @classmethod
     def x_pow(cls, ctx, n):
+        """x^n; n = -1 gives zero."""
+        if ctx.ff.nvars == 1:
+            return cls._make(ctx, [1], [[]] * n + [[1]] if n >= 0 else [])
+        if n < 0:
+            return cls(ctx, ())
         return cls(ctx, (ctx.ff.zero(),) * n + (ctx.ff.one(),))
 
     @classmethod
@@ -76,33 +271,65 @@ class OrePoly:
     # -- queries ----------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients as reduced RatFuncs, index = power of x."""
+        if self._cs is None:
+            ff = self.ctx.ff
+            den = _from_dense(ff, self._den)
+            self._cs = tuple(RatFunc(_from_dense(ff, n), den)
+                             for n in self._nums)
+        return self._cs
+
+    @property
     def degree(self):
         """Degree in x; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        if self._den is not None:
+            return len(self._nums) - 1
+        return len(self._cs) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return self.degree < 0
 
     def lc(self):
-        if not self.coeffs:
+        if self.is_zero():
             raise DivisionByZero("leading coefficient of zero")
         return self.coeffs[-1]
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i <= self.degree:
             return self.coeffs[i]
         return self.ctx.ff.zero()
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        if self._den is not None:
+            return len(self._nums) == 1 and self._nums[0] == self._den
+        return len(self._cs) == 1 and self._cs[0].is_one()
+
+    def is_monic(self):
+        """True when the leading coefficient is 1; False for zero."""
+        if self._den is not None:
+            return bool(self._nums) and self._nums[-1] == self._den
+        return bool(self._cs) and self._cs[-1].is_one()
+
+    def term_count(self):
+        """Nonzero stored coefficients: the integers (mod p over F_p) of
+        the denominator and numerators over k(t), else the terms of every
+        coefficient's numerator and denominator."""
+        if self._den is not None:
+            return sum(len(n) - n.count(0) for n in self._nums + [self._den])
+        return sum(len(c.num.terms) + len(c.den.terms) for c in self._cs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return not self.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, OrePoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            return False
+        if self._den is not None:
+            return self._den == other._den and self._nums == other._nums
+        return self._cs == other._cs
 
     __hash__ = None
 
@@ -112,7 +339,11 @@ class OrePoly:
         if not isinstance(other, OrePoly):
             return NotImplemented
         _same_ctx(self, other)
-        a, b = self.coeffs, other.coeffs
+        if self._den is not None:
+            p = _kernel(self.ctx).p
+            return OrePoly._make(self.ctx, *_canon(*_over_lcm(
+                self._den, self._nums, other._den, other._nums, p), p))
+        a, b = self._cs, other._cs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -121,7 +352,12 @@ class OrePoly:
         return OrePoly(self.ctx, out)
 
     def __neg__(self):
-        return OrePoly(self.ctx, [-c for c in self.coeffs])
+        if self._den is not None:
+            p = _kernel(self.ctx).p
+            return OrePoly._make(self.ctx, self._den, [
+                [-x % p for x in n] if p else [-x for x in n]
+                for n in self._nums])
+        return OrePoly(self.ctx, [-c for c in self._cs])
 
     def __sub__(self, other):
         if not isinstance(other, OrePoly):
@@ -132,16 +368,29 @@ class OrePoly:
         """a * self for a scalar coefficient a (degree zero, no twisting)."""
         if a.is_zero():
             return OrePoly.zero(self.ctx)
-        return OrePoly(self.ctx, [a * c for c in self.coeffs])
+        if self._den is not None:
+            return self._scale_ints(*_ints(a, _kernel(self.ctx).p))
+        return OrePoly(self.ctx, [a * c for c in self._cs])
+
+    def _scale_ints(self, an, ad):
+        """(an / ad) * self for nonzero int lists an, ad."""
+        p = _kernel(self.ctx).p
+        return OrePoly._make(self.ctx, *_canon(
+            _mul(ad, self._den, p), [_mul(an, n, p) for n in self._nums], p))
 
     def _x_step(self):
         """x * self, one application of the commutation rule."""
         ctx = self.ctx
+        if self._den is not None:
+            if not self._nums:
+                return self
+            return OrePoly._make(ctx, *_kernel(ctx).step(self._den,
+                                                         self._nums))
         sigma, delta = ctx.sigma, ctx.delta
         zero = ctx.ff.zero()
-        out = [zero] * (len(self.coeffs) + 1)
+        out = [zero] * (len(self._cs) + 1)
         dz = delta.is_zero()
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self._cs):
             if c.is_zero():
                 continue
             out[j + 1] = out[j + 1] + sigma.apply(c)
@@ -157,9 +406,22 @@ class OrePoly:
         _same_ctx(self, other)
         if self.is_zero() or other.is_zero():
             return OrePoly.zero(self.ctx)
+        if self._den is not None:
+            # sum_i (N_i / D) x^i other over one denominator
+            p = _kernel(self.ctx).p
+            den, nums = [1], []
+            xk = other
+            for i, a in enumerate(self._nums):
+                if i:
+                    xk = xk._x_step()
+                if a:
+                    den, nums = _over_lcm(den, nums, xk._den,
+                                          [_mul(a, n, p) for n in xk._nums], p)
+            return OrePoly._make(self.ctx, *_canon(
+                _mul(den, self._den, p), nums, p))
         acc = OrePoly.zero(self.ctx)
         xk = other
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(self._cs):
             if i:
                 xk = xk._x_step()
             if not a.is_zero():
@@ -183,10 +445,7 @@ class OrePoly:
     def monic(self):
         if self.is_zero():
             return self
-        c = self.lc()
-        if c.is_one():
-            return self
-        return self.scale_left(c.inverse())
+        return left_monic(self)[0]
 
     # -- division ------------------------------------------------------------
 
@@ -204,6 +463,8 @@ class OrePoly:
         xg = [g]
         for _ in range(dr - dg):
             xg.append(xg[-1]._x_step())
+        if self._den is not None:
+            return self._right_pseudo_division(xg)
         lg = g.lc()
         r = self
         q = [ctx.ff.zero()] * (dr - dg + 1)
@@ -213,6 +474,31 @@ class OrePoly:
             q[m] = q[m] + c
             r = r - xg[m].scale_left(c)
         return OrePoly(ctx, q), r
+
+    def _right_pseudo_division(self, xg):
+        """right_quo_rem over k(t), given xg[k] = x^k g.
+
+        q and r share one denominator.  Removing the leading term of r by
+        c x^m g with c = (rt / den) / (gt / gd), where rt / den and
+        gt / gd are the leading coefficients of r and x^m g, multiplies q
+        and r by gt and adds rt gd to q's numerator at x^m: the steps
+        stay polynomial, and each result is reduced once at the end.
+        """
+        p = _kernel(self.ctx).p
+        dg = xg[0].degree
+        den, rn = self._den, list(self._nums)
+        qn = [[] for _ in xg]
+        while len(rn) > dg:
+            m = len(rn) - 1 - dg
+            gd, gn = xg[m]._den, xg[m]._nums
+            gt, rt = gn[-1], rn[-1]
+            rn = _trim([_sub(_mul(gt, a, p), _mul(rt, b, p), p)
+                        for a, b in zip(rn, gn)])
+            qn = [_mul(gt, a, p) for a in qn]
+            qn[m] = _add(qn[m], _mul(rt, gd, p), p)
+            den = _mul(den, gt, p)
+        return (OrePoly._make(self.ctx, *_canon(den, qn, p)),
+                OrePoly._make(self.ctx, *_canon(den, rn, p)))
 
     def left_quo_rem(self, g):
         """(q, r) with self = g*q + r and deg r < deg g."""
@@ -253,7 +539,7 @@ class OrePoly:
         if self.is_zero():
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
+        for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
             if c.is_zero():
                 continue
@@ -268,6 +554,20 @@ class OrePoly:
 
     def __repr__(self):
         return "OrePoly(%s)" % self
+
+
+def left_monic(f, *others):
+    """[c f, c g, ...] for c = lc(f)^{-1}, so that c f is monic."""
+    if f.is_monic():
+        return [f, *others]
+    if f._den is None:
+        c = f.lc().inverse()
+        return [h.scale_left(c) for h in (f,) + others]
+    # lc(f) = N_n / D, so c f = (1 / N_n) sum N_j x^j
+    p = _kernel(f.ctx).p
+    an, ad = f._den, f._nums[-1]
+    return [OrePoly._make(f.ctx, *_canon(ad, list(f._nums), p))] + [
+        h._scale_ints(an, ad) if h else h for h in others]
 
 
 def gcrd(f, g):
@@ -290,7 +590,7 @@ def gcld(f, g):
     a, b = f, g
     while not b.is_zero():
         a, b = b, a.left_quo_rem(b)[1]
-    if a.is_zero() or a.lc().is_one():
+    if a.is_zero() or a.is_monic():
         return a
     c = a.ctx.sigma.apply(a.lc().inverse(), -a.degree)
     return a * OrePoly.const(a.ctx, c)
@@ -322,10 +622,7 @@ def lclm(f, g):
     m = u1 * f
     if m.is_zero():
         raise AssertionError("lclm: the cofactor row gave zero")
-    c = m.lc().inverse()
-    m = m.scale_left(c)
-    u = u1.scale_left(c)
-    v = (-v1).scale_left(c)
+    m, u, v = left_monic(m, u1, -v1)
     if m.degree != f.degree + g.degree - last_nonzero.degree:
         raise AssertionError("lclm: degree law violated")
     if m != v * g:

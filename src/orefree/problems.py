@@ -29,7 +29,8 @@ from .classify import ClassifyOptions, ProblemSpec
 from .errors import (
     BadCharacteristic, NotAnAutomorphism, ParseError, UndeclaredVariable,
 )
-from .field import FunctionField, _is_prime
+from .field import FunctionField
+from .intpoly import _is_prime
 from .orefrac import OreFraction
 from .orepoly import OrePoly
 from .skew import SkewDerivation, SkewEndo, SkewPair

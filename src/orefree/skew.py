@@ -294,7 +294,8 @@ class SkewPair:
     Declared constant generators are verified against psi at construction.
     """
 
-    __slots__ = ("sigma", "delta", "e_generators")
+    # _kernel: the one-variable x-step data of orepoly, built on first use
+    __slots__ = ("sigma", "delta", "e_generators", "_kernel")
 
     def __init__(self, sigma, delta, e_generators=()):
         if delta.ff != sigma.ff:
@@ -305,6 +306,7 @@ class SkewPair:
         self.sigma = sigma
         self.delta = delta
         self.e_generators = tuple(e_generators)
+        self._kernel = None
         for g in self.e_generators:
             bad = self.psi(g)
             if not bad.is_zero():

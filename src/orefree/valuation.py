@@ -15,10 +15,8 @@ truncated, so no length is claimed).
 from dataclasses import dataclass
 
 from .errors import UsageError, ZeroArgument
-from .field import (
-    _conv, _dense, _is_prime, _long_div, _rational_roots, _uni_gcd_p,
-    poly_gcd,
-)
+from .field import _dense, _rational_roots, poly_gcd
+from .intpoly import _conv, _is_prime, _long_div, _uni_gcd_p
 
 
 def _univariate_var(poly):

@@ -12,7 +12,8 @@ from orefree.errors import (
     NotAdditiveEigen, RequiresPureAutomorphism, ResourceBoundExceeded,
     UsageError, ZeroArgument,
 )
-from orefree.field import FunctionField, RatFunc, _conv, _long_div
+from orefree.field import FunctionField, RatFunc
+from orefree.intpoly import _conv, _long_div
 from orefree.freeness import (
     FreenessCertificate, build_word_V, build_word_W, common_left_denominator,
     freeness_certify, independence_check, monomial_products_check,

@@ -118,12 +118,7 @@ def _div_exact(r, d, p):
 
 
 def _int_content(xs):
-    g = 0
-    for x in xs:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
-    return g
+    return math.gcd(*xs)
 
 
 def _primitive_ints(xs):
@@ -147,20 +142,63 @@ def _uni_gcd_p(a, b, p):
     while b:
         a, b = b, _long_div(a, b, p)[1]
     if a:
-        inv = pow(a[-1], p - 2, p)
+        inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
 
 
+# Mersenne primes 2^k - 1 for the one-prime gcd over Q
+_MERSENNE_EXPONENTS = (61, 127, 521, 607, 1279, 2203, 2281, 3217, 4253)
+
+
+def _gcd_by_prime(a, b):
+    """The primitive gcd of trimmed int lists from one large prime q, or
+    None when that prime does not give it.
+
+    Let h be the primitive gcd and c = gcd(lc a, lc b), so lc h divides c.
+    q is a Mersenne prime above c, so h mod q keeps its degree and divides
+    both images: the monic gcd mod q has degree >= deg h.  Lifted by c into
+    the symmetric range and made primitive, it is h when q also exceeds
+    twice c times Mignotte's bound 2^deg |f|_2 on the factors of a and b.
+    The result is proved by exact division either way: a common divisor of
+    degree >= deg h is h.
+    """
+    lead = math.gcd(a[-1], b[-1])
+    norm = min(math.isqrt(sum(x * x for x in f)) + 1 for f in (a, b))
+    bound = 2 * lead * norm << min(len(a), len(b))
+    q = next((2 ** k - 1 for k in _MERSENNE_EXPONENTS if 2 ** k > bound),
+             None)
+    if q is None:
+        return None
+    g = _uni_gcd_p([x % q for x in a], [x % q for x in b], q)
+    if len(g) == 1:
+        return [1]
+    g = [x * lead % q for x in g]
+    g = [x - q if 2 * x > q else x for x in g]
+    c = _int_content(g)
+    g = [x // c for x in g] if g[-1] > 0 else [-x // c for x in g]
+    for f in (a, b):
+        if _long_div(f, g, 0)[1]:
+            return None
+    return g
+
+
 def _uni_gcd_q(a, b):
-    """Primitive PRS gcd of int lists; returns primitive list."""
+    """Primitive gcd of int lists: by one large prime when that proves it,
+    else by the primitive polynomial remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
-    while b:
+    if len(b) == 1:
+        return [1]
+    if b:
+        h = _gcd_by_prime(a, b)
+        if h is not None:
+            return h
+    while len(b) > 1:
         g = _int_content(b)
         b = [x // g for x in b]
         a, b = b, _long_div(a, b, 0)[1]
-    return a
+    return [1] if b else a
 
 
 def _gcd(a, b, p):

@@ -89,7 +89,7 @@ def _canon(den, nums, p, coprime=False):
         g = den
         for n in sorted(nums, key=len):
             if n:
-                g = _gcd(g, n, p)
+                g = _gcd(g, n, p) if len(n) > 1 else n
                 if len(g) == 1:
                     break
         if len(g) > 1:

@@ -370,6 +370,81 @@ def brute_force_lclm(f, g):
     raise AssertionError("no common left multiple up to deg f + deg g")
 
 
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def ref_ore_add(a, b):
+    """Sum of two coefficient lists, coefficient by coefficient."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _ref_trim([c + b[i] if i < len(b) else c for i, c in enumerate(a)])
+
+
+def ref_ore_scale(c, a):
+    """c * a for a RatFunc c on the left of a coefficient list."""
+    return _ref_trim([c * y for y in a])
+
+
+def ref_ore_xstep(pair, cs):
+    """x * sum cs[j] x^j by x c = sigma(c) x + delta(c), per coefficient."""
+    out = [pair.ff.zero()] * (len(cs) + 1)
+    for j, c in enumerate(cs):
+        out[j + 1] = out[j + 1] + pair.sigma.apply(c)
+        out[j] = out[j] + pair.delta.apply(c)
+    return _ref_trim(out)
+
+
+def ref_ore_mul(pair, a, b):
+    """Product of coefficient lists: sum_i a_i (x^i b)."""
+    acc, xk = [], _ref_trim(b)
+    for i, c in enumerate(a):
+        if i:
+            xk = ref_ore_xstep(pair, xk)
+        acc = ref_ore_add(acc, ref_ore_scale(c, xk))
+    return acc
+
+
+def ref_ore_right_quo_rem(pair, a, g):
+    """(q, r) with a = q g + r, by long division on RatFunc coefficients."""
+    r, g = _ref_trim(a), _ref_trim(g)
+    q = [pair.ff.zero()] * max(0, len(r) - len(g) + 1)
+    while len(r) >= len(g):
+        m = len(r) - len(g)
+        xg = g
+        for _ in range(m):
+            xg = ref_ore_xstep(pair, xg)
+        c = r[-1] / xg[-1]
+        q[m] = q[m] + c
+        r = ref_ore_add(r, ref_ore_scale(-c, xg))
+    return _ref_trim(q), r
+
+
+def ref_ore_left_quo_rem(pair, a, g):
+    """(q, r) with a = g q + r: lc(g c x^m) = lc(g) sigma^deg(g)(c)."""
+    r, g = _ref_trim(a), _ref_trim(g)
+    zero = pair.ff.zero()
+    q = [zero] * max(0, len(r) - len(g) + 1)
+    while len(r) >= len(g):
+        m = len(r) - len(g)
+        c = pair.sigma.apply(r[-1] / g[-1], -(len(g) - 1))
+        q[m] = q[m] + c
+        r = ref_ore_add(r, ref_ore_scale(
+            pair.ff.const(-1), ref_ore_mul(pair, g, [zero] * m + [c])))
+    return _ref_trim(q), r
+
+
+def ref_ore_gcrd_degree(pair, a, b):
+    """Degree of the greatest common right divisor, by reference Euclid."""
+    a, b = _ref_trim(a), _ref_trim(b)
+    while b:
+        a, b = b, ref_ore_right_quo_rem(pair, a, b)[1]
+    return len(a) - 1
+
+
 def reducible_monic_modp(p, n):
     """Every reducible monic degree-n polynomial over F_p, as a tuple of
     coefficients, constant first: all products of two monic factors."""

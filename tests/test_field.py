@@ -1,6 +1,8 @@
 """Exact field arithmetic: frozen examples plus seeded algebraic laws."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,9 @@ from orefree.errors import (
     ResourceBoundExceeded,
 )
 from orefree.field import BaseField, FunctionField, MPoly, RatFunc, poly_gcd
+from orefree.intpoly import (
+    _MR_EXACT_BELOW, _conv, _gcd_by_prime, _is_prime, _uni_gcd_q,
+)
 
 from oracles import (
     random_poly, random_poly_nonzero, random_ratfunc, sparse_uni_divmod,
@@ -28,6 +33,30 @@ def test_base_field_rejects_composite_modulus():
         BaseField(6)
     with pytest.raises(BadCharacteristic):
         FunctionField(91, ["t"])
+
+
+def test_large_prime_field_builds_fast_and_pseudoprimes_rejected():
+    t0 = time.perf_counter()
+    ff = FunctionField(2 ** 61 - 1, ["u"])
+    assert time.perf_counter() - t0 < 1.0
+    assert ff.char == 2 ** 61 - 1
+    # a Carmichael number, the least strong pseudoprime to base 2, and
+    # the least strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 2047, 3215031751):
+        assert not _is_prime(n)
+        with pytest.raises(BadCharacteristic):
+            FunctionField(n, ["u"])
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(n):
+        return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if _is_prime(n)] == [
+        n for n in range(3000) if by_trial(n)]
+    # past the proved range of the bases the answer comes from trial
+    # division, which stops at the first factor
+    assert 43 ** 16 > _MR_EXACT_BELOW
+    assert not _is_prime(43 ** 16)
 
 
 def test_scalar_arithmetic_mod_p():
@@ -281,3 +310,39 @@ def test_univariate_kernels_match_sparse_reference(p):
         for s in [{}] + polys:
             same(A.substitute_poly([MPoly(ff, dict(s))]),
                  sparse_uni_substitute(base, a, s))
+
+
+def _fraction_gcd(a, b):
+    """Primitive gcd with positive lead by Euclid over Fractions."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while b:
+        while len(a) >= len(b):
+            c, k = a[-1] / b[-1], len(a) - len(b)
+            a = [x - c * b[i - k] if i >= k else x for i, x in enumerate(a)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    d = math.lcm(*(x.denominator for x in a))
+    ints = [int(x * d) for x in a]
+    g = math.gcd(*ints)
+    return [x // g if ints[-1] > 0 else -x // g for x in ints]
+
+
+@pytest.mark.parametrize("bits", [8, 200, 5000])
+def test_one_prime_gcd_over_q_matches_euclid(bits):
+    # planted common factors, small and huge integers; past the largest
+    # Mersenne prime the remainder sequence takes over
+    rng = random.Random(bits)
+
+    def poly(deg):
+        out = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(deg)]
+        return out + [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)]
+    for _ in range(8):
+        h, a, b = poly(rng.randint(0, 3)), poly(rng.randint(0, 3)), \
+            poly(rng.randint(1, 3))
+        fa, fb = _conv(h, a), _conv(h, b)
+        want = _fraction_gcd(fa, fb)
+        got = _uni_gcd_q(fa, fb)
+        assert got == want or got == [-x for x in want]
+    if bits == 5000:
+        assert _gcd_by_prime(fa, fb) is None

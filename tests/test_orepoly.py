@@ -9,7 +9,11 @@ from orefree.field import FunctionField
 from orefree.orepoly import OrePoly, gcld, gcrd, lclm
 from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 
-from oracles import brute_force_lclm, random_ratfunc
+from oracles import (
+    brute_force_lclm, random_ratfunc, random_ratfunc_nonzero,
+    ref_ore_gcrd_degree, ref_ore_left_quo_rem, ref_ore_mul,
+    ref_ore_right_quo_rem,
+)
 
 QT = FunctionField(0, ["t"])
 
@@ -235,3 +239,78 @@ def test_printing():
     assert str(f) == "((t + 1)/t)*X^2 + t*X + 1"
     assert str(OrePoly.zero(ctx)) == "0"
     assert str(OrePoly.x_pow(ctx, 3)) == "X^3"
+
+
+# -- the fraction-free form over k(t) against coefficient-wise RatFuncs -------
+
+KERNEL_CONTEXTS = ["shift", "double", "mobius3", "ddt", "t2ddt", "mixed"]
+
+
+def kernel_context(char, name):
+    """Q(t) or F_5(t) with one of the contexts the one-variable kernel
+    distinguishes: polynomial and Moebius automorphisms (t -> -1/(t+1)
+    has order 3), derivations, and the sigma-derivation of mixed.ore."""
+    ff = QT if char == 0 else FunctionField(char, ["t"])
+    t = ff.var("t")
+    ident = SkewEndo.identity(ff)
+    shift = SkewEndo(ff, [t + 1], [t - 1])
+    if name in ("shift", "double", "mobius3"):
+        sigma = {"shift": shift,
+                 "double": SkewEndo(ff, [2 * t], [t / 2]),
+                 "mobius3": SkewEndo(ff, [-1 / (t + 1)], [-(t + 1) / t]),
+                 }[name]
+        return SkewPair.automorphism(sigma)
+    if name == "mixed":
+        return SkewPair(shift, SkewDerivation(ff, [t], shift))
+    image = ff.one() if name == "ddt" else t * t
+    return SkewPair.derivation(SkewDerivation(ff, [image], ident))
+
+
+def nonzero_orepoly(rng, ctx, max_deg):
+    coeffs = [random_ratfunc(rng, ctx.ff, max_deg=1, max_terms=2)
+              for _ in range(rng.randint(0, max_deg))]
+    coeffs.append(random_ratfunc_nonzero(rng, ctx.ff, max_deg=1, max_terms=2))
+    return OrePoly(ctx, coeffs)
+
+
+def assert_coeffs(p, ref):
+    """p's materialized coefficients are the reference's, term for term."""
+    got = [(c.num.terms, c.den.terms) for c in p.coeffs]
+    assert got == [(c.num.terms, c.den.terms) for c in ref]
+
+
+@pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+@pytest.mark.parametrize("char", [0, 5])
+def test_fraction_free_kernel_matches_reference(char, name):
+    ctx = kernel_context(char, name)
+    rng = random.Random("kernel:%d:%s" % (char, name))
+    for _ in range(5):
+        f = nonzero_orepoly(rng, ctx, 3)
+        g = nonzero_orepoly(rng, ctx, 1)
+        fc, gc = f.coeffs, g.coeffs
+        assert_coeffs(f * g, ref_ore_mul(ctx, fc, gc))
+        assert_coeffs(g * f, ref_ore_mul(ctx, gc, fc))
+        q, r = f.right_quo_rem(g)
+        ref_q, ref_r = ref_ore_right_quo_rem(ctx, fc, gc)
+        assert_coeffs(q, ref_q)
+        assert_coeffs(r, ref_r)
+        assert q * g + r == f
+        q, r = f.left_quo_rem(g)
+        ref_q, ref_r = ref_ore_left_quo_rem(ctx, fc, gc)
+        assert_coeffs(q, ref_q)
+        assert_coeffs(r, ref_r)
+        assert g * q + r == f
+        m, u, v = lclm(f, g)
+        assert_coeffs(m, ref_ore_mul(ctx, u.coeffs, fc))
+        assert_coeffs(m, ref_ore_mul(ctx, v.coeffs, gc))
+        assert m.degree == (f.degree + g.degree
+                            - ref_ore_gcrd_degree(ctx, fc, gc))
+        h = nonzero_orepoly(rng, ctx, 1)
+        if h.degree < 1:
+            h = h * OrePoly.x(ctx) + OrePoly.one(ctx)
+        hf, hg = ref_ore_mul(ctx, h.coeffs, fc), ref_ore_mul(ctx, h.coeffs, gc)
+        d = gcld(h * f, h * g)
+        assert d.degree >= h.degree
+        assert ref_ore_left_quo_rem(ctx, hf, d.coeffs)[1] == []
+        assert ref_ore_left_quo_rem(ctx, hg, d.coeffs)[1] == []
+        assert ref_ore_left_quo_rem(ctx, d.coeffs, h.coeffs)[1] == []

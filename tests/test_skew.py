@@ -111,6 +111,29 @@ def test_untwisted_leibniz_multivariate():
         assert d.apply(f * g) == f * d.apply(g) + d.apply(f) * g
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_one_variable_sigma_derivation_is_c_times_sigma_minus_id(char):
+    # in k(t) a sigma-derivation is fixed by delta(t): it is
+    # c (sigma - id) with c = delta(t) / (sigma(t) - t) when sigma != id,
+    # and delta(t) d/dt when sigma = id
+    ff = QT if char == 0 else FunctionField(char, ["t"])
+    t = ff.var("t")
+    rng = random.Random(31 + char)
+    twists = [shift_sigma(ff), SkewEndo(ff, [2 * t], [t / 2]),
+              SkewEndo(ff, [-1 / (t + 1)], [-(t + 1) / t])]
+    for sigma, image in zip(twists, [t, t * t + 1, ff.one()]):
+        delta = SkewDerivation(ff, [image], sigma)
+        c = image / (sigma.images[0] - t)
+        for _ in range(6):
+            a = random_ratfunc(rng, ff)
+            assert delta.apply(a) == c * (sigma.apply(a) - a)
+    delta = SkewDerivation(ff, [t * t], SkewEndo.identity(ff))
+    for _ in range(6):
+        a = random_ratfunc(rng, ff)
+        da = (a.num.partial(0) * a.den - a.num * a.den.partial(0))
+        assert delta.apply(a) == t * t * da / (a.den * a.den)
+
+
 def test_pairwise_consistency_rejected():
     # F_7(y1, y2), sigma = (6*y1, 2*y2): delta(y1) = 1 forces
     # delta(y1)*(2*y2 - y2) = y2 != 0 = delta(y2)*(6*y1 - y1)

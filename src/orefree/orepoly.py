@@ -181,8 +181,11 @@ class _Kernel:
             m = max(len(den), max(map(len, nums))) - 1
             sden, *hi = self._sigma([den] + nums, m)
             if kind == "aut":
-                return _canon(sden, [[]] + hi, p,
-                              coprime=len(self.bpow[1]) == 1)
+                # sigma keeps coprime lists coprime: at a common root r of
+                # every H_m(n), B(r) = 0 would leave lc(n) A(r)^m != 0 for
+                # an n of degree m, and B(r) != 0 would make sigma(r) a
+                # common root of den and the numerators
+                return _canon(sden, [[]] + hi, p, coprime=True)
             # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden
             lo = [_mul(self.cn, _sub(_mul(s, den, p), _mul(n, sden, p), p), p)
                   for s, n in zip(hi, nums)]

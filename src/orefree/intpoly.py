@@ -64,8 +64,9 @@ def _conv(a, b):
 
 
 def _horner(ints, img, w, p):
-    """(acc, w^n) with acc = sum ints[k] img^k w^(n-k), by the steps
-    acc = acc * img + ints[k] * w^(n-k); reduced mod p when p."""
+    """(acc, w^n) with acc = sum ints[k] img^k w^(n-k) for an int w, by the
+    steps acc = acc * img + ints[k] * w^(n-k); reduced mod p when p.
+    :func:`_compose` takes a polynomial w."""
     acc, wk = ints[-1:], 1
     for c in reversed(ints[:-1]):
         wk *= w
@@ -117,10 +118,6 @@ def _div_exact(r, d, p):
     return quo
 
 
-def _int_content(xs):
-    return math.gcd(*xs)
-
-
 def _primitive_ints(xs):
     """(ints, scale): coprime integers ints[i] = scale * xs[i].
 
@@ -130,7 +127,7 @@ def _primitive_ints(xs):
     """
     d = math.lcm(*(x.denominator for x in xs))
     ints = [x.numerator * (d // x.denominator) for x in xs]
-    g = _int_content(ints)
+    g = math.gcd(*ints)
     if g > 1:
         return [x // g for x in ints], Fraction(d, g)
     return ints, Fraction(d)
@@ -178,7 +175,7 @@ def _gcd_by_prime(a, b):
         return [1]
     g = [x * lead % q for x in g]
     g = [x - q if 2 * x > q else x for x in g]
-    c = _int_content(g)
+    c = math.gcd(*g)
     g = [x // c for x in g] if g[-1] > 0 else [-x // c for x in g]
     for f in (a, b):
         if _long_div(f, g, 0)[1]:
@@ -198,7 +195,7 @@ def _uni_gcd_q(a, b):
         if h is not None:
             return h
     while len(b) > 1:
-        g = _int_content(b)
+        g = math.gcd(*b)
         b = [x // g for x in b]
         a, b = b, _long_div(a, b, 0)[1]
     return [1] if b else a
@@ -239,27 +236,20 @@ def _mul(a, b, p):
     return _trim([x % p for x in out]) if p else out
 
 
-def _scale(c, a, p):
-    """c * a for an int c."""
-    if not c:
-        return []
-    return [x * c % p for x in a] if p else [x * c for x in a]
-
-
 def _derivative(a, p):
     out = [k * c for k, c in enumerate(a)][1:]
     return _trim([x % p for x in out]) if p else out
 
 
 def _compose(n, a, bpow, m, p):
-    """sum_k n[k] a^k b^(m-k) over the terms of n, with bpow[i] = b^i and
-    m >= deg n: the numerator of n(a/b) over the denominator b^m."""
+    """sum_k n[k] a^k b^(m-k) over the terms of n, with bpow[i] = b^i for
+    a polynomial b and m >= deg n: the numerator of n(a/b) over b^m."""
     acc = []
     for k in range(len(n) - 1, -1, -1):
         if acc:
             acc = _conv(acc, a)
         if n[k]:
-            term = _scale(n[k], bpow[m - k], 0)
+            term = [n[k] * x for x in bpow[m - k]]
             if len(acc) < len(term):
                 acc += [0] * (len(term) - len(acc))
             for i, y in enumerate(term):

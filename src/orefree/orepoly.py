@@ -167,16 +167,10 @@ class _Kernel:
         if kind == "der":
             # x a = a x + c a' with a = n / den and c = cn / cd
             dd = _derivative(den, p)
-            if dd:
-                hi = [_mul(n, den, p) for n in nums]
-                lo = [_sub(_mul(_derivative(n, p), den, p), _mul(n, dd, p), p)
-                      for n in nums]
-                den = _mul(den, den, p)
-            else:
-                hi, lo = nums, [_derivative(n, p) for n in nums]
-            hi = [_mul(n, self.cd, p) for n in hi]
-            lo = [_mul(n, self.cn, p) for n in lo]
-            den = _mul(den, self.cd, p)
+            lo = [_mul(self.cn, _sub(_mul(_derivative(n, p), den, p),
+                                     _mul(n, dd, p), p), p) for n in nums]
+            hi = [_mul(n, _mul(self.cd, den, p), p) for n in nums]
+            den = _mul(_mul(den, den, p), self.cd, p)
         else:
             m = max(len(den), max(map(len, nums))) - 1
             sden, *hi = self._sigma([den] + nums, m)
@@ -237,7 +231,9 @@ class OrePoly:
 
     @classmethod
     def zero(cls, ctx):
-        return cls.x_pow(ctx, -1)
+        if ctx.ff.nvars == 1:
+            return cls._make(ctx, [1], [])
+        return cls(ctx, ())
 
     @classmethod
     def one(cls, ctx):
@@ -255,11 +251,8 @@ class OrePoly:
 
     @classmethod
     def x_pow(cls, ctx, n):
-        """x^n; n = -1 gives zero."""
         if ctx.ff.nvars == 1:
-            return cls._make(ctx, [1], [[]] * n + [[1]] if n >= 0 else [])
-        if n < 0:
-            return cls(ctx, ())
+            return cls._make(ctx, [1], [[]] * n + [[1]])
         return cls(ctx, (ctx.ff.zero(),) * n + (ctx.ff.one(),))
 
     @classmethod

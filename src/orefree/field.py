@@ -20,9 +20,10 @@ floating point is used anywhere.
 Univariate kernels (products, exact division, substitution, gcds, roots)
 work on the dense int lists of :mod:`intpoly` with one common denominator
 (:func:`_dense`, :func:`_from_dense`); their results go back into the same
-term dicts, so the representation above is unchanged.  gcds use a primitive polynomial
-remainder sequence: dense Euclid for univariate polynomials over F_p,
-integer PRS over Q, and recursion on contents for several variables.
+term dicts, so the representation above is unchanged.  gcds use dense
+Euclid for univariate polynomials over F_p, an integer PRS over Q (or one
+large prime, proved by division, once the integers pass 2^61), and a
+primitive PRS with recursion on contents for several variables.
 """
 
 import math

@@ -37,7 +37,7 @@ from .errors import (
     ResourceBoundExceeded,
 )
 from .intpoly import (
-    _conv, _horner, _is_prime, _long_div, _primitive_ints, _uni_gcd_p,
+    _compose, _conv, _is_prime, _long_div, _primitive_ints, _uni_gcd_p,
     _uni_gcd_q,
 )
 
@@ -485,9 +485,11 @@ class MPoly:
         if ff.nvars == 1 and tgt.nvars == 1:
             # P(I / w) = acc / (scale * w^n) with P = sum ints[k] y^k / scale
             ints, scale = _dense(self.terms, tgt.char)
-            acc, wn = _horner(ints, *_dense(images[0].terms, tgt.char),
-                              tgt.char)
-            return _from_dense(tgt, acc, scale * wn)
+            img, w = _dense(images[0].terms, tgt.char)
+            n = len(ints) - 1
+            acc = _compose(ints, img, [[w ** k] for k in range(n + 1)], n,
+                           tgt.char)
+            return _from_dense(tgt, acc, scale * w ** n)
         maxes = [max(ks) for ks in zip(*self.terms)]
         pows = [_powers(g, m) for g, m in zip(images, maxes)]
         out = tgt.poly_zero()
@@ -595,9 +597,11 @@ def _rational_roots(poly, v):
     p = poly.ff.char
     ints, _ = _dense(poly.terms, p, v)
     if p:
-        return [r for r in range(p) if not any(_horner(ints, [r], 1, p)[0])]
+        ones = [[1]] * len(ints)
+        return [r for r in range(p)
+                if not _compose(ints, [r], ones, len(ints) - 1, p)]
     ints, _ = _primitive_ints(ints)
-    out = []
+    n, out = len(ints) - 1, []
     if ints[0] == 0:
         out.append(Fraction(0))
     lead, const = ints[-1], ints[0]
@@ -605,10 +609,11 @@ def _rational_roots(poly, v):
         const = next((x for x in ints if x), lead)
     for p in _divisors(const):
         for q in _divisors(lead):
+            qpow = [[q ** k] for k in range(n + 1)]
             for s in (p, -p):
                 # P(s/q) = 0 exactly when sum ints[k] s^k q^(n-k) = 0
                 r = Fraction(s, q)
-                if r not in out and not any(_horner(ints, [s], q, 0)[0]):
+                if r not in out and not _compose(ints, [s], qpow, n, 0):
                     out.append(r)
     return out
 

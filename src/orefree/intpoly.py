@@ -63,59 +63,28 @@ def _conv(a, b):
     return out
 
 
-def _horner(ints, img, w, p):
-    """(acc, w^n) with acc = sum ints[k] img^k w^(n-k) for an int w, by the
-    steps acc = acc * img + ints[k] * w^(n-k); reduced mod p when p.
-    :func:`_compose` takes a polynomial w."""
-    acc, wk = ints[-1:], 1
-    for c in reversed(ints[:-1]):
-        wk *= w
-        acc = _conv(acc, img) or [0]
-        acc[0] += c * wk
-        if p:
-            acc = [x % p for x in acc]
-    return acc, wk
-
-
-def _long_div(r, d, p):
+def _long_div(r, d, p, exact=False):
     """(quo, rem) of the int lists r by d (trimmed), constant first.
 
     Over F_p (p > 0) mod p.  Over Q (p = 0) r is first scaled by
     lc(d)^(deg r - deg d + 1), so every quotient step is an exact //:
-    this is pseudo-division, and rem the pseudo-remainder.
+    this is pseudo-division, and rem the pseudo-remainder.  ``exact``
+    skips the scaling when d divides r and, over Q, d is primitive;
+    Gauss's lemma then makes the quotient integral and rem is empty.
     """
     m, lc = len(d) - 1, d[-1]
     top = len(r) - 1 - m
-    s = 1 if p or top < 0 else lc ** (top + 1)
+    s = 1 if p or exact or top < 0 else lc ** (top + 1)
     r = [c * s for c in r]
     inv = pow(lc, -1, p) if p else None
-    ds = [(j, c) for j, c in enumerate(d) if c]
+    # r[k + m] is read once, at step k, so lc(d) never needs subtracting
+    ds = [(j, c) for j, c in enumerate(d[:-1]) if c]
     quo = [0] * (top + 1)
     for k in range(top, -1, -1):
         c = quo[k] = r[k + m] * inv % p if p else r[k + m] // lc
         for j, x in ds:
             r[k + j] -= c * x
     return quo, _trim([c % p for c in r[:m]] if p else r[:m])
-
-
-def _div_exact(r, d, p):
-    """r / d for trimmed lists when d divides r: over Q with a primitive d
-    (Gauss's lemma makes the quotient integral), over F_p mod p."""
-    m, lc = len(d) - 1, d[-1]
-    if not m:
-        if p:
-            inv = pow(lc, -1, p)
-            return [c * inv % p for c in r]
-        return [c // lc for c in r]
-    r = r[:]
-    inv = pow(lc, -1, p) if p else None
-    ds = [(j, c) for j, c in enumerate(d[:-1]) if c]
-    quo = [0] * (len(r) - m)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = r[k + m] * inv % p if p else r[k + m] // lc
-        for j, x in ds:
-            r[k + j] -= c * x
-    return quo
 
 
 def _primitive_ints(xs):
@@ -144,56 +113,11 @@ def _uni_gcd_p(a, b, p):
     return a
 
 
-# Mersenne primes 2^k - 1 for the one-prime gcd over Q; below 2^61 the
-# remainder sequence is the cheaper of the two (measured on Ore products)
-_MERSENNE_EXPONENTS = (127, 521, 607, 1279, 2203, 2281, 3217, 4253)
-
-
-def _gcd_by_prime(a, b):
-    """The primitive gcd of trimmed int lists from one large prime q, or
-    None when that prime does not give it or the integers are small.
-
-    Let h be the primitive gcd and c = gcd(lc a, lc b), so lc h divides c.
-    q is a Mersenne prime above c, so h mod q keeps its degree and divides
-    both images: the monic gcd mod q has degree >= deg h.  Lifted by c into
-    the symmetric range and made primitive, it is h when q also exceeds
-    twice c times Mignotte's bound 2^deg |f|_2 on the factors of a and b.
-    The result is proved by exact division either way: a common divisor of
-    degree >= deg h is h.
-    """
-    lead = math.gcd(a[-1], b[-1])
-    norm = min(math.isqrt(sum(x * x for x in f)) + 1 for f in (a, b))
-    bound = 2 * lead * norm << min(len(a), len(b))
-    if bound < 2 ** 61:
-        return None
-    q = next((2 ** k - 1 for k in _MERSENNE_EXPONENTS if 2 ** k > bound),
-             None)
-    if q is None:
-        return None
-    g = _uni_gcd_p([x % q for x in a], [x % q for x in b], q)
-    if len(g) == 1:
-        return [1]
-    g = [x * lead % q for x in g]
-    g = [x - q if 2 * x > q else x for x in g]
-    c = math.gcd(*g)
-    g = [x // c for x in g] if g[-1] > 0 else [-x // c for x in g]
-    for f in (a, b):
-        if _long_div(f, g, 0)[1]:
-            return None
-    return g
-
-
 def _uni_gcd_q(a, b):
-    """Primitive gcd of int lists: by one large prime when that proves it,
-    else by the primitive polynomial remainder sequence."""
+    """Primitive gcd of int lists by the primitive polynomial remainder
+    sequence."""
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        return [1]
-    if b:
-        h = _gcd_by_prime(a, b)
-        if h is not None:
-            return h
     while len(b) > 1:
         g = math.gcd(*b)
         b = [x // g for x in b]
@@ -243,7 +167,8 @@ def _derivative(a, p):
 
 def _compose(n, a, bpow, m, p):
     """sum_k n[k] a^k b^(m-k) over the terms of n, with bpow[i] = b^i for
-    a polynomial b and m >= deg n: the numerator of n(a/b) over b^m."""
+    a polynomial b and m >= deg n: the numerator of n(a/b) over b^m, by
+    Horner's rule.  An int b is the table [[b^i]]; trimmed, mod p when p."""
     acc = []
     for k in range(len(n) - 1, -1, -1):
         if acc:

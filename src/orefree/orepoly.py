@@ -19,8 +19,9 @@ D is monic.  It is unique, so equality compares lists.  Each operation
 runs on the lists and reduces once at its end, with one gcd chain over
 its numerators instead of a gcd per coefficient operation; right
 division is pseudo-division, its quotient and remainder kept over one
-running denominator.  ``coeffs``, ``coeff`` and ``lc`` build reduced
-RatFuncs only when asked.
+running denominator, and left division twists each quotient coefficient
+by the Moebius map sigma^-deg g on the lists.  ``coeffs``, ``coeff`` and
+``lc`` build reduced RatFuncs only when asked.
 
 The x-step over k(t) needs no RatFunc either.  sigma is a Moebius map,
 sigma(t) = A/B, so for deg n, deg D <= m
@@ -50,10 +51,13 @@ import itertools
 import math
 
 from . import config
-from .errors import ContextMismatch, DivisionByZero, ResourceBoundExceeded
+from .errors import (
+    CharacteristicMismatch, ContextMismatch, DivisionByZero,
+    ResourceBoundExceeded,
+)
 from .field import RatFunc, _dense, _from_dense
 from .intpoly import (
-    _add, _compose, _derivative, _div_exact, _gcd, _mul, _sub, _trim,
+    _add, _compose, _derivative, _gcd, _long_div, _mul, _sub, _trim,
 )
 
 
@@ -66,8 +70,12 @@ def _same_ctx(a, b):
 # the fraction-free form over k(t)
 # ---------------------------------------------------------------------------
 
-def _ints(a, p):
-    """(n, d) int lists with a = n / d, for a RatFunc of k(t)."""
+def _ints(a, ff):
+    """(n, d) int lists with a = n / d, for a RatFunc of ff = k(t)."""
+    if a.ff is not ff and a.ff != ff:
+        raise CharacteristicMismatch(
+            "operands live in different fields: %r vs %r" % (ff, a.ff))
+    p = ff.char
     n, sn = _dense(a.num.terms, p)
     d, sd = _dense(a.den.terms, p)
     if sn != sd:
@@ -93,8 +101,8 @@ def _canon(den, nums, p, coprime=False):
                 if len(g) == 1:
                     break
         if len(g) > 1:
-            den = _div_exact(den, g, p)
-            nums = [_div_exact(n, g, p) if n else n for n in nums]
+            den = _long_div(den, g, p, True)[0]
+            nums = [_long_div(n, g, p, True)[0] if n else n for n in nums]
     if p:
         if den[-1] != 1:
             inv = pow(den[-1], -1, p)
@@ -125,7 +133,7 @@ def _over_lcm(d1, n1, d2, n2, p):
                     itertools.zip_longest(n1, n2, fillvalue=[])]
     g = [1] if len(d1) == 1 or len(d2) == 1 else _gcd(d1, d2, p)
     f1, f2 = (d2, d1) if len(g) == 1 else (
-        _div_exact(d2, g, p), _div_exact(d1, g, p))
+        _long_div(d2, g, p, True)[0], _long_div(d1, g, p, True)[0])
     return _mul(d1, f1, p), [
         _add(_mul(a, f1, p), _mul(b, f2, p), p)
         for a, b in itertools.zip_longest(n1, n2, fillvalue=[])]
@@ -134,30 +142,33 @@ def _over_lcm(d1, n1, d2, n2, p):
 class _Kernel:
     """x * (sum N_j / D x^j) on int lists, for one context over k(t)."""
 
-    __slots__ = ("p", "kind", "a", "bpow", "cn", "cd")
+    __slots__ = ("p", "kind", "sigma", "maps", "cn", "cd")
 
     def __init__(self, ctx):
         ff, sigma, delta = ctx.ff, ctx.sigma, ctx.delta
-        self.p = p = ff.char
+        self.p = ff.char
         self.kind = "comm"
         if not sigma.is_identity():
-            self.kind = "aut"
-            self.a, b = _ints(sigma.images[0], p)
-            self.bpow = [[1], b]
+            self.kind, self.sigma, self.maps = "aut", sigma, {}
         if not delta.is_zero():
             c = delta.images[0]
             if self.kind == "aut":
                 self.kind, c = "sd", c / (sigma.images[0] - ff.var(0))
             else:
                 self.kind = "der"
-            self.cn, self.cd = _ints(c, p)
+            self.cn, self.cd = _ints(c, ff)
 
-    def _sigma(self, polys, m):
-        """[H_m(n) for n in polys]."""
-        bpow = self.bpow
+    def _sigma(self, polys, m, k=1):
+        """[H_m(n) for n in polys] for the Moebius map sigma^k (k != 0)."""
+        mp = self.maps.get(k)
+        if mp is None:
+            img = self.sigma._power_images(k)[0]
+            a, b = _ints(img, img.ff)
+            mp = self.maps[k] = (a, [[1], b])
+        a, bpow = mp
         while len(bpow) <= m:
             bpow.append(_mul(bpow[-1], bpow[1], self.p))
-        return [_compose(n, self.a, bpow, m, self.p) for n in polys]
+        return [_compose(n, a, bpow, m, self.p) for n in polys]
 
     def step(self, den, nums):
         """The canonical form of x * (sum nums[j] / den x^j)."""
@@ -216,7 +227,7 @@ class OrePoly:
             p = ctx.ff.char
             den, nums = [1], []
             for j, c in enumerate(self._cs):
-                n, d = _ints(c, p)
+                n, d = _ints(c, ctx.ff)
                 den, nums = _over_lcm(den, nums, d, [[]] * j + [n], p)
             self._den, self._nums = _canon(den, nums, p)
 
@@ -365,7 +376,7 @@ class OrePoly:
         if a.is_zero():
             return OrePoly.zero(self.ctx)
         if self._den is not None:
-            return self._scale_ints(*_ints(a, _kernel(self.ctx).p))
+            return self._scale_ints(*_ints(a, self.ctx.ff))
         return OrePoly(self.ctx, [a * c for c in self._cs])
 
     def _scale_ints(self, an, ad):
@@ -506,6 +517,8 @@ class OrePoly:
         dr = self.degree
         if dr < dg:
             return OrePoly.zero(ctx), self
+        if self._den is not None:
+            return self._left_division(g)
         lg_inv = g.lc().inverse()
         r = self
         q = [ctx.ff.zero()] * (dr - dg + 1)
@@ -517,6 +530,31 @@ class OrePoly:
             mono = OrePoly(ctx, (ctx.ff.zero(),) * m + (c,))
             r = r - g * mono
         return OrePoly(ctx, q), r
+
+    def _left_division(self, g):
+        """left_quo_rem over k(t).
+
+        The leading coefficient of g c x^m is lc(g) sigma^dg(c), so the
+        step that removes the leading term rt / den of r takes
+        c = sigma^-dg((rt gd) / (den gt)), with gt / gd = lc(g): the
+        Moebius images of the two products, reduced once.  q collects the
+        terms c x^m over one denominator and is reduced at the end.
+        """
+        ctx = self.ctx
+        kern = _kernel(ctx)
+        p, dg = kern.p, g.degree
+        gd, gt = g._den, g._nums[-1]
+        r, qden, qn = self, [1], []
+        while r.degree >= dg:
+            m = r.degree - dg
+            cn, cd = _mul(r._nums[-1], gd, p), _mul(r._den, gt, p)
+            if dg and kern.kind in ("aut", "sd"):
+                top = max(len(cn), len(cd)) - 1
+                cn, cd = kern._sigma([cn, cd], top, -dg)
+            mono = OrePoly._make(ctx, *_canon(cd, [[]] * m + [cn], p))
+            qden, qn = _over_lcm(qden, qn, mono._den, mono._nums, p)
+            r = r - g * mono
+        return OrePoly._make(ctx, *_canon(qden, qn, p)), r
 
     # -- printing -------------------------------------------------------------
 

@@ -1,6 +1,5 @@
 """Exact field arithmetic: frozen examples plus seeded algebraic laws."""
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -13,9 +12,7 @@ from orefree.errors import (
     ResourceBoundExceeded,
 )
 from orefree.field import BaseField, FunctionField, MPoly, RatFunc, poly_gcd
-from orefree.intpoly import (
-    _MR_EXACT_BELOW, _conv, _gcd_by_prime, _is_prime, _uni_gcd_q,
-)
+from orefree.intpoly import _MR_EXACT_BELOW, _is_prime
 
 from oracles import (
     random_poly, random_poly_nonzero, random_ratfunc, sparse_uni_divmod,
@@ -310,39 +307,3 @@ def test_univariate_kernels_match_sparse_reference(p):
         for s in [{}] + polys:
             same(A.substitute_poly([MPoly(ff, dict(s))]),
                  sparse_uni_substitute(base, a, s))
-
-
-def _fraction_gcd(a, b):
-    """Primitive gcd with positive lead by Euclid over Fractions."""
-    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    while b:
-        while len(a) >= len(b):
-            c, k = a[-1] / b[-1], len(a) - len(b)
-            a = [x - c * b[i - k] if i >= k else x for i, x in enumerate(a)]
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    d = math.lcm(*(x.denominator for x in a))
-    ints = [int(x * d) for x in a]
-    g = math.gcd(*ints)
-    return [x // g if ints[-1] > 0 else -x // g for x in ints]
-
-
-@pytest.mark.parametrize("bits", [8, 200, 5000])
-def test_one_prime_gcd_over_q_matches_euclid(bits):
-    # planted common factors, small and huge integers; past the largest
-    # Mersenne prime the remainder sequence takes over
-    rng = random.Random(bits)
-
-    def poly(deg):
-        out = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(deg)]
-        return out + [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)]
-    for _ in range(8):
-        h, a, b = poly(rng.randint(0, 3)), poly(rng.randint(0, 3)), \
-            poly(rng.randint(1, 3))
-        fa, fb = _conv(h, a), _conv(h, b)
-        want = _fraction_gcd(fa, fb)
-        got = _uni_gcd_q(fa, fb)
-        assert got == want or got == [-x for x in want]
-    if bits == 5000:
-        assert _gcd_by_prime(fa, fb) is None

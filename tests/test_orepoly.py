@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from orefree.errors import ContextMismatch, DivisionByZero
+from orefree.errors import (
+    CharacteristicMismatch, ContextMismatch, DivisionByZero,
+)
 from orefree.field import FunctionField
+from orefree.orefrac import OreFraction
 from orefree.orepoly import OrePoly, gcld, gcrd, lclm
 from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 
@@ -139,6 +142,19 @@ def test_division_by_zero_raises():
 def test_context_mixing_rejected():
     with pytest.raises(ContextMismatch):
         OrePoly.x(shift_pair()) + OrePoly.x(weyl_pair())
+    # a coefficient from another field is refused, not read as integers
+    for home, foreign in ((QT, FunctionField(7, ["t"])),
+                          (FunctionField(5, ["t"]), QT)):
+        ctx, a = shift_pair(home), foreign.var("t") / (foreign.var("t") + 2)
+        f = OrePoly.x(ctx)
+        with pytest.raises(CharacteristicMismatch):
+            f * a
+        with pytest.raises(CharacteristicMismatch):
+            f.scale_left(a)
+        with pytest.raises(CharacteristicMismatch):
+            OrePoly.from_coeffs(ctx, [home.one(), a])
+        with pytest.raises(CharacteristicMismatch):
+            OreFraction.from_poly(f) + a
 
 
 def test_gcrd_frozen():

@@ -21,9 +21,9 @@ Univariate kernels (products, exact division, substitution, gcds, roots)
 work on the dense int lists of :mod:`intpoly` with one common denominator
 (:func:`_dense`, :func:`_from_dense`); their results go back into the same
 term dicts, so the representation above is unchanged.  gcds use dense
-Euclid for univariate polynomials over F_p, an integer PRS over Q (or one
-large prime, proved by division, once the integers pass 2^61), and a
-primitive PRS with recursion on contents for several variables.
+Euclid for univariate polynomials over F_p, the heuristic gcd over Z
+(evaluation at one integer, proved by division) over Q, and a primitive
+PRS with recursion on contents for several variables.
 """
 
 import math

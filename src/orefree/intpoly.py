@@ -113,16 +113,91 @@ def _uni_gcd_p(a, b, p):
     return a
 
 
+def _pp(f):
+    """Primitive part of a nonzero int list, leading coefficient > 0."""
+    c = math.gcd(*f)
+    if f[-1] < 0:
+        c = -c
+    return [x // c for x in f]
+
+
+def _divides(d, r):
+    """True when the primitive int list d divides r in Z[t].
+
+    Long division with ``divmod`` at every step: a nonzero remainder of
+    a step or at the end refutes.  By Gauss's lemma divisibility in Q[t]
+    by a primitive d is divisibility in Z[t], so nothing is scaled.
+    """
+    m, lc = len(d) - 1, d[-1]
+    if len(r) <= m:
+        return False
+    r = r[:]
+    ds = [(j, c) for j, c in enumerate(d[:-1]) if c]
+    for k in range(len(r) - 1 - m, -1, -1):
+        c, s = divmod(r[k + m], lc)
+        if s:
+            return False
+        if c:
+            for j, x in ds:
+                r[k + j] -= c * x
+    return not any(r[:m])
+
+
 def _uni_gcd_q(a, b):
-    """Primitive gcd of int lists by the primitive polynomial remainder
-    sequence."""
+    """Primitive gcd over Z of int lists, leading coefficient positive, by
+    the heuristic gcd (GCDHEU; Char, Geddes and Gonnet, J. Symbolic
+    Comput. 7, 1989).  gcd(a, 0) is pp(a), and gcd(0, 0) is [].
+
+    With contents removed, a and b are evaluated at an integer xi, the
+    integer gcd of the values is read back as symmetric base-xi digits
+    h (|h_i| <= xi/2), and pp(h) is the answer once it divides both; else
+    xi grows and the round repeats.
+
+    Correctness.  Let B = min over a, b of 1 + |f|_inf / |lc f|; xi starts
+    at 2 min(|a|_inf, |b|_inf) + 2 >= 2B and only grows.  By Cauchy's
+    bound the roots z of a common factor k have |z| < B, so a nonconstant
+    k satisfies |k(xi)| >= prod |xi - z_i| > (xi/2)^deg k >= xi/2.  The
+    input with the smaller bound is nonzero at xi, so the gcd of the
+    values is h(xi) != 0.  Let h' = pp(h) divide a and b, so h'(xi) != 0,
+    and let g = h' k be their primitive gcd.  g(xi) divides a(xi) and
+    b(xi), hence h(xi) = cont(h) h'(xi), so k(xi) divides cont(h), which
+    is at most any nonzero |h_i| <= xi/2.  Hence k is constant and
+    h' = +-g.
+
+    Termination.  Write a = g a', b = g b'.  The integer gcd of the values
+    is |g(xi)| c with c = gcd(a'(xi), b'(xi)), and c divides
+    Res(a', b') != 0, because Res = u a' + v b' with u, v in Z[t].  Once
+    xi > 2 |Res| |g|_inf, the digits c g_i (or -c g_i) are all below xi/2
+    and so are the unique symmetric digits of the value: pp(h) = +-g
+    divides both, and xi grows without bound until then.
+    """
+    if not a or not b:
+        return _pp(a or b) if a or b else []
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    a, b = _pp(a), _pp(b)
     if len(a) < len(b):
         a, b = b, a
-    while len(b) > 1:
-        g = math.gcd(*b)
-        b = [x // g for x in b]
-        a, b = b, _long_div(a, b, 0)[1]
-    return [1] if b else a
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        va = vb = 0
+        for c in reversed(a):
+            va = va * xi + c
+        for c in reversed(b):
+            vb = vb * xi + c
+        gamma, half, h = math.gcd(va, vb), xi // 2, []
+        while gamma:
+            gamma, d = divmod(gamma, xi)
+            if d > half:
+                gamma, d = gamma + 1, d - xi
+            h.append(d)
+        if len(h) == 1:
+            return [1]
+        if len(h) <= len(b):
+            h = _pp(h)
+            if _divides(h, b) and _divides(h, a):
+                return h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
 
 
 def _gcd(a, b, p):

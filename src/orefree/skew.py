@@ -37,7 +37,16 @@ from .errors import (
     WrongCharacteristic,
     ZeroArgument,
 )
-from .field import RatFunc, _divisors
+from .field import RatFunc, _dense, _divisors, _from_dense
+
+
+def _mat_mul(x, y, p):
+    """Product of 2x2 matrices stored row by row as 4-tuples; mod p when
+    p."""
+    a, b, c, d = x
+    e, f, g, h = y
+    out = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return tuple(v % p for v in out) if p else out
 
 
 class SkewEndo:
@@ -108,6 +117,9 @@ class SkewEndo:
         cache = self._pow
         if n in cache:
             return cache[n]
+        if self.ff.nvars == 1:
+            cache[n] = [self._moebius_power(n)]
+            return cache[n]
         step = 1 if n > 0 else -1
         base = self._pow[step]
         m = max((k for k in cache if k * step > 0 and abs(k) < abs(n)),
@@ -118,6 +130,30 @@ class SkewEndo:
             m += step
             cache[m] = imgs
         return imgs
+
+    def _moebius_power(self, n):
+        """sigma^n(t) for the one generator t and n != 0.
+
+        Every automorphism of k(t) is t -> (a t + b) / (c t + d) with
+        ad - bc != 0, and composing two such maps multiplies their
+        matrices [[a, b], [c, d]].  So sigma^n(t) is read off the |n|-th
+        power of the matrix of sigma, or of its inverse for n < 0, with
+        entries mod p over F_p.  The determinant stays nonzero, so the
+        numerator and denominator are coprime as built.
+        """
+        p = self.ff.char
+        img = self.images[0] if n > 0 else self.inverse_images[0]
+        num, sn = _dense(img.num.terms, p)
+        den, sd = _dense(img.den.terms, p)
+        b, a = num + [0] * (2 - len(num))
+        d, c = den + [0] * (2 - len(den))
+        m, r, k = (a * sd, b * sd, c * sn, d * sn), (1, 0, 0, 1), abs(n)
+        while k:
+            if k & 1:
+                r = _mat_mul(r, m, p)
+            m, k = _mat_mul(m, m, p), k >> 1
+        return RatFunc(_from_dense(self.ff, [r[1], r[0]]),
+                       _from_dense(self.ff, [r[3], r[2]]), reduce=False)
 
     def apply(self, f, n=1):
         """sigma^n(f) for any integer n (negative powers use the inverse)."""

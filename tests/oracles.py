@@ -8,6 +8,7 @@ beyond the element arithmetic itself.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from orefree.field import RatFunc
@@ -509,3 +510,38 @@ def sparse_uni_substitute(base, a, s):
     for (k,), c in a.items():
         _sparse_axpy(base, out, c, pows[k])
     return out
+
+
+# The primitive polynomial remainder sequence over Z: the reference for the
+# heuristic gcd of intpoly._uni_gcd_q.
+
+def _prem(a, b):
+    """Pseudo-remainder of int lists, constant first: the remainder of
+    lc(b)^(deg a - deg b + 1) a by b, trimmed."""
+    m, lc = len(b) - 1, b[-1]
+    r = [x * lc ** (len(a) - m) for x in a]
+    while len(r) > m:
+        c = r[-1] // lc
+        for j, x in enumerate(b):
+            r[len(r) - 1 - m + j] -= c * x
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def prs_gcd_ints(a, b):
+    """Primitive gcd of trimmed int lists with positive leading coefficient,
+    by the primitive remainder sequence; [] when both are zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        g = math.gcd(*b)
+        b = [x // g for x in b]
+        a, b = b, _prem(a, b)
+    if b:
+        return [1]
+    if not a:
+        return []
+    g = math.gcd(*a) * (1 if a[-1] > 0 else -1)
+    return [x // g for x in a]

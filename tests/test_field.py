@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from orefree import config, field
+from orefree import config, field, intpoly
 from orefree.errors import (
     BadCharacteristic, CharacteristicMismatch, DivisionByZero,
     ResourceBoundExceeded,
 )
 from orefree.field import BaseField, FunctionField, MPoly, RatFunc, poly_gcd
-from orefree.intpoly import _MR_EXACT_BELOW, _is_prime
+from orefree.intpoly import _MR_EXACT_BELOW, _conv, _is_prime, _uni_gcd_q
 
 from oracles import (
-    random_poly, random_poly_nonzero, random_ratfunc, sparse_uni_divmod,
-    sparse_uni_mul, sparse_uni_substitute,
+    prs_gcd_ints, random_poly, random_poly_nonzero, random_ratfunc,
+    sparse_uni_divmod, sparse_uni_mul, sparse_uni_substitute,
 )
 
 
@@ -122,6 +122,60 @@ def test_poly_gcd_random_divides_both():
             m = random_poly_nonzero(rng, ff, max_deg=1, max_terms=2)
             g2 = poly_gcd(a * m, b * m)
             assert g2.divide_exact((g * m).monic()) is not None
+
+
+def test_heuristic_gcd_matches_remainder_sequence(monkeypatch):
+    """The heuristic gcd over Z[t] gives the remainder sequence's answer."""
+    rng = random.Random(15)
+
+    def poly(deg, bits):
+        return ([rng.randint(-2 ** bits, 2 ** bits) for _ in range(deg)]
+                + [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)])
+
+    pairs = [
+        ([], []), ([], [0, -3, 6]), ([0, 4, -2], []), ([5], [0, 1]),
+        ([-7], [3]), ([3, 6], [1, 2]), ([2, -4], [3, -7]),
+        ([6, 0, 6], [12, 4]),                      # content only
+        (_conv([1, 1], [1, 1]), [-1, 0, 1]),
+    ]
+    # planted common factors up to degree 100 and coefficients ~2^160
+    for dg, d1, d2, bits in [(1, 1, 2, 4), (3, 2, 2, 8), (12, 6, 9, 30),
+                             (36, 14, 20, 40), (60, 40, 30, 60),
+                             (80, 28, 12, 80), (100, 8, 4, 80)]:
+        g = poly(dg, bits)
+        pairs.append((_conv(g, poly(d1, bits)), _conv(g, poly(d2, bits))))
+    # small planted factors and coprime pairs
+    for _ in range(150):
+        g = poly(rng.randint(1, 3), 2)
+        pairs.append((_conv(g, poly(rng.randint(0, 3), 2)),
+                      _conv(g, poly(rng.randint(0, 3), 2))))
+        pairs.append((poly(rng.randint(1, 6), 20), poly(rng.randint(1, 6), 20)))
+    for a, b in pairs:
+        assert _uni_gcd_q(a, b) == prs_gcd_ints(a, b), (a, b)
+    assert _uni_gcd_q([0, 3, -13, -21, -16, -6, -1],
+                      [0, 24, 10, 4, -2]) == [0, 3, 2, 1]
+
+    # the check divides for real: t is not a multiple of 2t + 1
+    assert intpoly._divides([1, 2], [1, 3, 2])
+    assert not intpoly._divides([1, 2], [0, 1])
+    assert not intpoly._divides([1, 2], [0, 3, 2])
+
+    # pinned inputs whose first evaluation point gives a candidate that
+    # divides only one input: the division check refutes it and xi grows
+    refuted = []
+    divides = intpoly._divides
+
+    def spy(d, r):
+        ok = divides(d, r)
+        refuted.append(not ok)
+        return ok
+    monkeypatch.setattr(intpoly, "_divides", spy)
+    # in the first, b vanishes at the first xi, 4, so the candidate is a/3
+    for a, b, want in [([0, 3, 3], [0, -4, 1], [0, 1]),
+                       ([4, 1, -3], [-1, -3, -4, -2], [1, 1])]:
+        refuted.clear()
+        assert _uni_gcd_q(a, b) == want == prs_gcd_ints(a, b)
+        assert refuted[0] and not refuted[-1]
 
 
 def test_gcd_of_equal_polys_is_monic_self():

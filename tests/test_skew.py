@@ -173,6 +173,33 @@ def test_fixed_power_check_f7():
     assert s.order(10) == 6
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_one_variable_powers_match_repeated_substitution(char):
+    """sigma^n from Moebius matrix powers equals n-fold substitution, in
+    canonical form, for the shift, doubling, an order-3 map and t/(t+1)."""
+    ff = FunctionField(char, ["t"])
+    t, one = ff.var("t"), ff.one()
+    maps = [
+        ([t + 1], [t - 1], None if char == 0 else 5),
+        ([2 * t], [t / 2], None if char == 0 else 4),
+        ([-one / (t + 1)], [(-one - t) / t], 3),
+        ([t / (t + 1)], [t / (1 - t)], None if char == 0 else 5),
+    ]
+    for images, inverse, order in maps:
+        s = SkewEndo(ff, images, inverse)
+        for n in range(-6, 7):
+            want = [t]
+            for _ in range(abs(n)):
+                want = [g.substitute(images if n > 0 else inverse)
+                        for g in want]
+            (got,) = s._power_images(n)
+            assert (got.num.terms, got.den.terms) == (
+                want[0].num.terms, want[0].den.terms), (images, n)
+            if n > 0:
+                assert s.fixed_power_check(n) is (want == [t])
+        assert s.order(12) == order
+
+
 def test_orbit_finite_period_two():
     s = scale_sigma(-1)
     rep = orbit_analyze(s, QT.var("t"), bound=16)

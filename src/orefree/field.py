@@ -12,9 +12,9 @@ tuple with the first generator most significant.
 
 Field elements (:class:`RatFunc`) are quotients num/den of polynomials
 with the denominator normalized monic (graded-lex leading coefficient 1).
-Construction reduces by a gcd; if a gcd attempt exceeds
-``config.GCD_WORK_BOUND`` the fraction is kept unreduced, which is still
-exact because equality always falls back to cross multiplication.  No
+Construction reduces by a gcd, so every fraction built with the default
+``reduce=True`` is in lowest terms; callers that pass ``reduce=False``
+keep equality exact because it falls back to cross multiplication.  No
 floating point is used anywhere.
 
 Univariate kernels (products, exact division, substitution, gcds, roots)
@@ -618,21 +618,14 @@ def _rational_roots(poly, v):
     return out
 
 
-def _mv_content(p, v, work):
+def _mv_content(p, v):
     """gcd of the coefficients of p viewed as univariate in variable v."""
-    slices = {}
-    for e, c in p.terms.items():
-        key = e[v]
-        e0 = list(e)
-        e0[v] = 0
-        slices.setdefault(key, {})[tuple(e0)] = c
-    cont = None
-    for part in slices.values():
-        q = MPoly(p.ff, part)
-        cont = q if cont is None else _gcd_impl(cont, q, work)
+    cont = p.ff.poly_zero()
+    for k in sorted({e[v] for e in p.terms}):
+        cont = poly_gcd(cont, _coeff_in(p, v, k))
         if cont.is_const():
             break
-    return cont.monic()
+    return cont
 
 
 def _mv_prem(a, b, v):
@@ -651,34 +644,14 @@ def _mv_prem(a, b, v):
 
 
 def _coeff_in(p, v, k):
-    out = {}
-    for e, c in p.terms.items():
-        if e[v] == k:
-            e0 = list(e)
-            e0[v] = 0
-            out[tuple(e0)] = c
-    return MPoly(p.ff, out)
+    """The coefficient of y_v^k in p, a polynomial free of y_v."""
+    return MPoly(p.ff, {e[:v] + (0,) + e[v + 1:]: c
+                        for e, c in p.terms.items() if e[v] == k})
 
 
-def _charge(work, amount):
-    work[0] += amount
-    if work[0] > config.GCD_WORK_BOUND:
-        raise ResourceBoundExceeded(
-            "gcd abandoned after %d term-operations (bound %d)"
-            % (work[0], config.GCD_WORK_BOUND))
-
-
-# gcd results are shared safely because MPoly instances are never mutated,
-# and keys leave out the work bound because it is a constant (patching it
-# calls for an empty cache); the whole cache is dropped when full rather
-# than evicted piecemeal, the hot pairs repopulate it within a few
-# arithmetic steps
-_GCD_CACHE = {}
-_GCD_CACHE_CAP = 1 << 15
-_GCD_CACHE_TERMS = 400
-
-
-def _gcd_impl(a, b, work=None):
+def poly_gcd(a, b):
+    """Monic greatest common divisor of two polynomials; gcd(0, 0) is 0."""
+    _check_same_field(a, b)
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -689,28 +662,10 @@ def _gcd_impl(a, b, work=None):
         (ea,), (eb,) = a.terms, b.terms
         e = tuple(min(i, j) for i, j in zip(ea, eb))
         return MPoly(a.ff, {e: a.ff.base.one()})
-    cacheable = len(a.terms) + len(b.terms) <= _GCD_CACHE_TERMS
-    if cacheable:
-        key = (a.ff.char, a.ff.names,
-               frozenset(a.terms.items()), frozenset(b.terms.items()))
-        hit = _GCD_CACHE.get(key)
-        if hit is not None:
-            return hit
-    g = _gcd_core(a, b, [0] if work is None else work)
-    if cacheable:
-        if len(_GCD_CACHE) >= _GCD_CACHE_CAP:
-            _GCD_CACHE.clear()
-        _GCD_CACHE[key] = g
-    return g
-
-
-def _gcd_core(a, b, work):
-    _charge(work, len(a.terms) + len(b.terms))
-    ua, ub = a.vars_used(), b.vars_used()
-    ff = a.ff
-    p = ff.char
-    if len(ua | ub) == 1:
-        (v,) = ua | ub
+    used = a.vars_used() | b.vars_used()
+    ff, p = a.ff, a.ff.char
+    if len(used) == 1:
+        (v,) = used
         la, lb = _dense(a.terms, p, v)[0], _dense(b.terms, p, v)[0]
         if p:
             return _from_dense(ff, _uni_gcd_p(la, lb, p), 1, v)
@@ -723,31 +678,28 @@ def _gcd_core(a, b, work):
     if b.divide_exact(a) is not None:
         return a.monic()
     # primitive PRS on the first used variable
-    v = min(ua | ub)
-    ca = _mv_content(a, v, work)
-    cb = _mv_content(b, v, work)
-    c = _gcd_impl(ca, cb, work)
+    v = min(used)
+    ca = _mv_content(a, v)
+    cb = _mv_content(b, v)
+    c = poly_gcd(ca, cb)
     a = a.divide_exact(ca)
     b = b.divide_exact(cb)
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
     while not b.is_zero():
-        _charge(work, len(a.terms) + len(b.terms))
         r = _mv_prem(a, b, v)
         if not r.is_zero():
-            r = r.divide_exact(_mv_content(r, v, work))
+            r = r.divide_exact(_mv_content(r, v))
         a, b = b, r
     return (c * a).monic()
 
 
-def poly_gcd(a, b):
-    """Monic greatest common divisor of two polynomials.
-
-    gcd(0, 0) is 0 by convention.  Raises ResourceBoundExceeded when the
-    computation spends more than ``config.GCD_WORK_BOUND`` term-operations.
-    """
-    _check_same_field(a, b)
-    return _gcd_impl(a, b).monic()
+def _cancel(a, b):
+    """a and b divided by their gcd."""
+    g = poly_gcd(a, b)
+    if g.is_const():
+        return a, b
+    return a.divide_exact(g), b.divide_exact(g)
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +710,8 @@ class RatFunc:
     """Element of K = k(y1, ..., yn) as a normalized fraction num/den.
 
     Invariants after construction: den is nonzero and monic; num == 0
-    implies den == 1; num and den are coprime unless gcd reduction hit
-    the work bound (exactness is unaffected, only canonicity).
+    implies den == 1; num and den are coprime unless the caller passed
+    ``reduce=False`` for a pair it knows to be coprime.
     """
 
     __slots__ = ("num", "den")
@@ -771,13 +723,7 @@ class RatFunc:
         if num.is_zero():
             den = num.ff.poly_one()
         elif reduce and not den.is_const():
-            try:
-                g = _gcd_impl(num, den)
-                if not g.is_const():
-                    num = num.divide_exact(g)
-                    den = den.divide_exact(g)
-            except ResourceBoundExceeded:
-                pass
+            num, den = _cancel(num, den)
         if not num.is_zero():
             base = num.ff.base
             c = den.lc()
@@ -854,20 +800,14 @@ class RatFunc:
         if da.terms == db.terms:
             # common denominator: one cheap reduction pass on the sum
             return RatFunc(na + nb, da)
-        try:
-            g = _gcd_impl(da, db)
-        except ResourceBoundExceeded:
-            return RatFunc(na * db + nb * da, da * db, reduce=False)
+        g = poly_gcd(da, db)
         if g.is_const():
             return RatFunc(na * db + nb * da, da * db, reduce=False)
         da_r = da.divide_exact(g)
         db_r = db.divide_exact(g)
         t = na * db_r + nb * da_r
-        try:
-            g2 = _gcd_impl(t, g)
-        except ResourceBoundExceeded:
-            g2 = None
-        if g2 is None or g2.is_const():
+        g2 = poly_gcd(t, g)
+        if g2.is_const():
             return RatFunc(t, da_r * db, reduce=False)
         return RatFunc(t.divide_exact(g2), da_r * db.divide_exact(g2),
                        reduce=False)
@@ -898,21 +838,9 @@ class RatFunc:
         if na.is_zero() or nb.is_zero():
             return self.ff.zero()
         # cross cancellation keeps products reduced without a final gcd
-        try:
-            if not (na.is_const() or db.is_const()):
-                g1 = _gcd_impl(na, db)
-                if not g1.is_const():
-                    na = na.divide_exact(g1)
-                    db = db.divide_exact(g1)
-            if not (nb.is_const() or da.is_const()):
-                g2 = _gcd_impl(nb, da)
-                if not g2.is_const():
-                    nb = nb.divide_exact(g2)
-                    da = da.divide_exact(g2)
-            reduced = True
-        except ResourceBoundExceeded:
-            reduced = False
-        return RatFunc(na * nb, da * db, reduce=not reduced)
+        na, db = _cancel(na, db)
+        nb, da = _cancel(nb, da)
+        return RatFunc(na * nb, da * db, reduce=False)
 
     __rmul__ = __mul__
 

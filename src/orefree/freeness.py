@@ -327,8 +327,8 @@ def _rank_and_relation(rows, base, expand):
     independent, so it is unique up to scale: in the echelon form of the
     nullspace keyed on each vector's last index it is the vector with the
     least key.  It is normalized as rank_over_k normalizes, and
-    re-verified against the fractions that expand() returns, which is
-    called only then.
+    re-verified against the fractions that expand(relation) returns,
+    which is called only then and need only hold the relation's support.
     """
     rank, null = rank_over_k(rows, base)
     if rank == len(rows):
@@ -341,7 +341,7 @@ def _rank_and_relation(rows, base, expand):
         raise AssertionError("rank deficit without a nullspace vector")
     lam = by_last[min(by_last)]
     lam = tuple(_leading_one(lam, p) if p else _normalize_int_vector(lam))
-    _verify_relation(expand(), lam)
+    _verify_relation(expand(lam), lam)
     return rank, lam
 
 
@@ -355,7 +355,7 @@ def independence_check(fracs):
     """
     den, nums = common_left_denominator(fracs)
     rank, lam = _rank_and_relation(_numerator_rows(nums),
-                                   fracs[0].ctx.ff.base, lambda: fracs)
+                                   fracs[0].ctx.ff.base, lambda lam: fracs)
     return lam is None, rank, lam
 
 
@@ -894,6 +894,15 @@ def _prefix_closure(support):
                   key=lambda w: (len(w), w))
 
 
+def _closure_fracs(pair, words, b, lams):
+    """One fraction per word of the prefix closure of the supports of lams,
+    None for the other words: all that sum(lam[i] W_{words[i]}) reads."""
+    closure = _prefix_closure(w for lam in lams
+                              for w, c in zip(words, lam) if c)
+    fracs = dict(zip(closure, _expand_words(pair, closure, b)))
+    return [fracs.get(w) for w in words]
+
+
 def _point_bound(pair, b, e, r):
     """(values, Delta, B) for the point check of a relation over Q(t).
 
@@ -1013,10 +1022,7 @@ def _certify_by_evaluation(pair, words, b, L):
         holds = all(_relation_holds_at_points(pair, words, b, lam)
                     for lam in generators)
     else:
-        closure = _prefix_closure(w for lam in generators
-                                  for w, c in zip(words, lam) if c)
-        fracs = dict(zip(closure, _expand_words(pair, closure, b)))
-        expanded = [fracs.get(w) for w in words]
+        expanded = _closure_fracs(pair, words, b, generators)
         holds = all(_relation_vanishes(expanded, lam) for lam in generators)
     if not holds:
         return None
@@ -1059,10 +1065,11 @@ def freeness_certify(pair, b, L):
     * everything else goes through the common left denominator.
 
     The last two rank their flattened rows over k and verify the
-    reported relation on the exact words.  Raises ResourceBoundExceeded
-    when the word count crosses ``config.MAX_WORDS``, or when the exact
-    series' order N or the fold's denominator degree crosses
-    ``config.MAX_DEN_DEGREE``.
+    reported relation on the exact words: the exact series expands only
+    the prefix closure of its support, the fold reuses the words it has
+    built.  Raises ResourceBoundExceeded when the word count crosses
+    ``config.MAX_WORDS``, or when the exact series' order N or the
+    fold's denominator degree crosses ``config.MAX_DEN_DEGREE``.
     """
     if L < 1:
         raise UsageError("certificate needs L >= 1")
@@ -1082,12 +1089,12 @@ def freeness_certify(pair, b, L):
             and all(img.is_poly() for img in pair.delta.images)):
         rows = flatten_to_k(
             _xinv_word_series(pair, words, b, _truncation_order(L)))
-        expand = lambda: _expand_words(pair, words, b)
+        expand = lambda lam: _closure_fracs(pair, words, b, [lam])
     else:
         fracs = _expand_words(pair, words, b)
         den, nums = common_left_denominator(fracs)
         rows = _numerator_rows(nums)
-        expand = lambda: fracs
+        expand = lambda lam: fracs
     base = pair.ff.base
     rank, lam = _rank_and_relation(rows, base, expand)
     digest = _matrix_digest(rows, "k:%d" % base.p)

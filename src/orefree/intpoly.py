@@ -63,18 +63,17 @@ def _conv(a, b):
     return out
 
 
-def _long_div(r, d, p, exact=False):
+def _long_div(r, d, p):
     """(quo, rem) of the int lists r by d (trimmed), constant first.
 
     Over F_p (p > 0) mod p.  Over Q (p = 0) r is first scaled by
     lc(d)^(deg r - deg d + 1), so every quotient step is an exact //:
-    this is pseudo-division, and rem the pseudo-remainder.  ``exact``
-    skips the scaling when d divides r and, over Q, d is primitive;
-    Gauss's lemma then makes the quotient integral and rem is empty.
+    this is pseudo-division, and rem the pseudo-remainder.  An exact
+    quotient over Z is :func:`_exact_quo`.
     """
     m, lc = len(d) - 1, d[-1]
     top = len(r) - 1 - m
-    s = 1 if p or exact or top < 0 else lc ** (top + 1)
+    s = 1 if p or top < 0 else lc ** (top + 1)
     r = [c * s for c in r]
     inv = pow(lc, -1, p) if p else None
     # r[k + m] is read once, at step k, so lc(d) never needs subtracting
@@ -121,26 +120,27 @@ def _pp(f):
     return [x // c for x in f]
 
 
-def _divides(d, r):
-    """True when the primitive int list d divides r in Z[t].
+def _exact_quo(d, r):
+    """The quotient r / d in Z[t] of trimmed int lists, d primitive, or
+    None when d does not divide r.
 
     Long division with ``divmod`` at every step: a nonzero remainder of
     a step or at the end refutes.  By Gauss's lemma divisibility in Q[t]
     by a primitive d is divisibility in Z[t], so nothing is scaled.
     """
     m, lc = len(d) - 1, d[-1]
-    if len(r) <= m:
-        return False
     r = r[:]
     ds = [(j, c) for j, c in enumerate(d[:-1]) if c]
+    quo = [0] * (len(r) - m)
     for k in range(len(r) - 1 - m, -1, -1):
         c, s = divmod(r[k + m], lc)
         if s:
-            return False
+            return None
         if c:
+            quo[k] = c
             for j, x in ds:
                 r[k + j] -= c * x
-    return not any(r[:m])
+    return None if any(r[:m]) else quo
 
 
 def _uni_gcd_q(a, b):
@@ -195,7 +195,8 @@ def _uni_gcd_q(a, b):
             return [1]
         if len(h) <= len(b):
             h = _pp(h)
-            if _divides(h, b) and _divides(h, a):
+            if (_exact_quo(h, b) is not None
+                    and _exact_quo(h, a) is not None):
                 return h
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
 

@@ -21,7 +21,7 @@ rank settles and pay for each point once.
 import math
 from fractions import Fraction
 
-from .errors import ResourceBoundExceeded, UsageError
+from .errors import UsageError
 from .field import _grlex_key, poly_gcd
 from .intpoly import _primitive_ints
 
@@ -53,11 +53,7 @@ def flatten_to_k(vectors):
         den = ff.poly_one()
         for x in col:
             if not x.den.is_const():
-                try:
-                    g = poly_gcd(den, x.den)
-                except ResourceBoundExceeded:
-                    g = ff.poly_one()
-                den = den.divide_exact(g) * x.den
+                den = den.divide_exact(poly_gcd(den, x.den)) * x.den
         nums = []
         for x in col:
             q = den.divide_exact(x.den)

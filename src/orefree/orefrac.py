@@ -9,10 +9,9 @@ multiples:
     s1^{-1} r1 * s2^{-1} r2 = (u s1)^{-1} (v r2),    u r1 = v s2 = lclm
 
 Fractions are kept lazy: common left factors are cancelled (via a greatest
-common left divisor) only on request or when the stored polynomials cross
-a size threshold, because eager cancellation costs a full Euclid per
-operation and correctness never depends on it -- equality is decided by
-subtraction.  Denominators are always monic.
+common left divisor) only on request, because eager cancellation costs a
+full Euclid per operation and correctness never depends on it -- equality
+is decided by subtraction.  Denominators are always monic.
 """
 
 from . import config
@@ -61,14 +60,6 @@ class OreFraction:
                 % (den.degree, config.MAX_DEN_DEGREE))
         self.den = den
         self.num = num
-        if self._weight() > config.SIMPLIFY_WEIGHT_TRIGGER:
-            g = gcld(self.den, self.num)
-            if g.degree >= 1:
-                self.den = self.den.left_quo_rem(g)[0]
-                self.num = self.num.left_quo_rem(g)[0]
-
-    def _weight(self):
-        return self.den.term_count() + self.num.term_count()
 
     @property
     def ctx(self):

@@ -57,7 +57,8 @@ from .errors import (
 )
 from .field import RatFunc, _dense, _from_dense
 from .intpoly import (
-    _add, _compose, _derivative, _gcd, _long_div, _mul, _sub, _trim,
+    _add, _compose, _derivative, _exact_quo, _gcd, _long_div, _mul, _sub,
+    _trim,
 )
 
 
@@ -83,6 +84,15 @@ def _ints(a, ff):
     return n, d
 
 
+def _quo(r, g, p):
+    """r / g for a factor g of r: mod p over F_p, and over Q by the checked
+    exact division, which raises rather than floor a non-divisor."""
+    q = _long_div(r, g, p)[0] if p else _exact_quo(g, r)
+    if q is None:
+        raise AssertionError("gcd does not divide %r" % (r,))
+    return q
+
+
 def _canon(den, nums, p, coprime=False):
     """The canonical form of sum nums[j] / den x^j.
 
@@ -101,8 +111,8 @@ def _canon(den, nums, p, coprime=False):
                 if len(g) == 1:
                     break
         if len(g) > 1:
-            den = _long_div(den, g, p, True)[0]
-            nums = [_long_div(n, g, p, True)[0] if n else n for n in nums]
+            den = _quo(den, g, p)
+            nums = [_quo(n, g, p) for n in nums]
     if p:
         if den[-1] != 1:
             inv = pow(den[-1], -1, p)
@@ -132,8 +142,7 @@ def _over_lcm(d1, n1, d2, n2, p):
         return d1, [_add(a, b, p) for a, b in
                     itertools.zip_longest(n1, n2, fillvalue=[])]
     g = [1] if len(d1) == 1 or len(d2) == 1 else _gcd(d1, d2, p)
-    f1, f2 = (d2, d1) if len(g) == 1 else (
-        _long_div(d2, g, p, True)[0], _long_div(d1, g, p, True)[0])
+    f1, f2 = (d2, d1) if len(g) == 1 else (_quo(d2, g, p), _quo(d1, g, p))
     return _mul(d1, f1, p), [
         _add(_mul(a, f1, p), _mul(b, f2, p), p)
         for a, b in itertools.zip_longest(n1, n2, fillvalue=[])]
@@ -317,14 +326,6 @@ class OrePoly:
         if self._den is not None:
             return bool(self._nums) and self._nums[-1] == self._den
         return bool(self._cs) and self._cs[-1].is_one()
-
-    def term_count(self):
-        """Nonzero stored coefficients: the integers (mod p over F_p) of
-        the denominator and numerators over k(t), else the terms of every
-        coefficient's numerator and denominator."""
-        if self._den is not None:
-            return sum(len(n) - n.count(0) for n in self._nums + [self._den])
-        return sum(len(c.num.terms) + len(c.den.terms) for c in self._cs)
 
     def __bool__(self):
         return not self.is_zero()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orefree import config, field, intpoly
+from orefree import config, intpoly
 from orefree.errors import (
     BadCharacteristic, CharacteristicMismatch, DivisionByZero,
     ResourceBoundExceeded,
@@ -155,21 +155,26 @@ def test_heuristic_gcd_matches_remainder_sequence(monkeypatch):
     assert _uni_gcd_q([0, 3, -13, -21, -16, -6, -1],
                       [0, 24, 10, 4, -2]) == [0, 3, 2, 1]
 
-    # the check divides for real: t is not a multiple of 2t + 1
-    assert intpoly._divides([1, 2], [1, 3, 2])
-    assert not intpoly._divides([1, 2], [0, 1])
-    assert not intpoly._divides([1, 2], [0, 3, 2])
+    # the check divides for real and returns the quotient: t is not a
+    # multiple of 2t + 1, and neither is 3t + 2t^2 = t (2t + 3)
+    exact_quo = intpoly._exact_quo
+    assert exact_quo([1, 2], [1, 3, 2]) == [1, 1]
+    assert exact_quo([1, 2], [-3, -4, 4]) == [-3, 2]
+    assert exact_quo([1, 2], []) == []
+    assert exact_quo([1, 2], [0, 1]) is None
+    assert exact_quo([1, 2], [0, 3, 2]) is None
+    assert exact_quo([1, 2], [5]) is None
+    assert exact_quo([-1, 0, 2], [1, 1, -2, -2]) == [-1, -1]
 
     # pinned inputs whose first evaluation point gives a candidate that
     # divides only one input: the division check refutes it and xi grows
     refuted = []
-    divides = intpoly._divides
 
     def spy(d, r):
-        ok = divides(d, r)
-        refuted.append(not ok)
-        return ok
-    monkeypatch.setattr(intpoly, "_divides", spy)
+        q = exact_quo(d, r)
+        refuted.append(q is None)
+        return q
+    monkeypatch.setattr(intpoly, "_exact_quo", spy)
     # in the first, b vanishes at the first xi, 4, so the candidate is a/3
     for a, b, want in [([0, 3, 3], [0, -4, 1], [0, 1]),
                        ([4, 1, -3], [-1, -3, -4, -2], [1, 1])]:
@@ -224,12 +229,14 @@ def test_ratfunc_field_laws_char0_and_charp():
 
 
 def test_ratfunc_reduced_after_ops():
+    # every result is in lowest terms, in one variable and in several
     rng = random.Random(313)
-    for ff in (QT, F5T):
+    for ff in (QT, F5T, QTU, FunctionField(3, ["x", "y"])):
         for _ in range(10):
             a = random_ratfunc(rng, ff)
             b = random_ratfunc(rng, ff)
-            for r in (a + b, a * b, a - b):
+            quotients = () if b.is_zero() else (a / b,)
+            for r in (a + b, a * b, a - b) + quotients:
                 if r.is_zero():
                     continue
                 assert r.den.lc() == ff.base.one()
@@ -243,17 +250,6 @@ def test_equality_survives_unreduced_representation():
     cooked = RatFunc(t - 1, t)
     assert raw == cooked
     assert not (raw == RatFunc(t + 1, t))
-
-
-def test_gcd_work_bound_keeps_fraction_unreduced(monkeypatch):
-    t = QT.poly_var("t")
-    monkeypatch.setattr(config, "GCD_WORK_BOUND", 0)
-    monkeypatch.setattr(field, "_GCD_CACHE", {})
-    with pytest.raises(ResourceBoundExceeded, match="gcd abandoned"):
-        poly_gcd((t + 1) * (t - 1), (t + 1) * t)
-    raw = RatFunc((t + 1) * (t - 1), (t + 1) * t)
-    assert raw.num == (t + 1) * (t - 1)
-    assert raw == RatFunc(t - 1, t)
 
 
 def test_fraction_term_bound(monkeypatch):

@@ -341,6 +341,26 @@ def test_exact_xinv_route_agrees_with_fold(monkeypatch, make_ctx, L):
     _assert_series_route_agrees_with_fold(monkeypatch, ctx, ctx.ff.var(0), L)
 
 
+def test_exact_xinv_route_expands_only_the_relation_closure(monkeypatch):
+    # t under d/dt over F_5 at L = 4: the relation 01 + 4*10 + 4*000 is
+    # checked on the 7 words of its support's prefix closure, not all 31
+    ctx = f5_ctx(lambda t: t.ff.one())
+    expanded = []
+    expand = freeness._expand_words
+
+    def spy(ctx, words, b):
+        expanded.extend(words)
+        return expand(ctx, words, b)
+    monkeypatch.setattr(freeness, "_expand_words", spy)
+    cert = freeness_certify(ctx, ctx.ff.var(0), 4)
+    assert len(expanded) == 7 < 31
+    assert (cert.verdict, cert.rank, cert.word_count) == ("Dependent", 20, 31)
+    assert rel_by_key(cert) == {"01": 1, "10": 4, "000": 4}
+    assert cert.matrix_digest == (
+        "af84c026aab3b760c0217d3a10ef71bcbaa04a0b08fdf353a7f1eedff3621ab6")
+    assert_relation_vanishes(ctx, ctx.ff.var(0), cert.relation)
+
+
 @pytest.mark.parametrize("make_ctx,b,L", [
     (shift_ctx, QU.var(0).inverse(), 3),
     (double_ctx, (QT.var(0) - 1).inverse(), 2),

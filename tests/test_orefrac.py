@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from orefree import config
 from orefree.errors import DivisionByZero, RequiresPureAutomorphism, UsageError
 from orefree.field import FunctionField
 from orefree.orefrac import OreFraction, central_power_check, weyl_check
@@ -36,19 +35,6 @@ def rand_frac(rng, ctx):
                             for _ in range(rng.randint(1, 2))])
         if not den.is_zero():
             return OreFraction(den, num)
-
-
-def test_weight_trigger_cancels_common_left_factor(monkeypatch):
-    ctx = shift_ctx()
-    x, one = OrePoly.x(ctx), OrePoly.one(ctx)
-    g = x + one
-    den, num = g * (x - one), g * OrePoly.const(ctx, ctx.ff.var(0))
-    raw = OreFraction(den, num)
-    assert raw.den.degree == 2
-    monkeypatch.setattr(config, "SIMPLIFY_WEIGHT_TRIGGER", 0)
-    f = OreFraction(den, num)
-    assert f.den == x - one
-    assert f == raw
 
 
 def test_x_inverse_plus_one_frozen():

@@ -143,67 +143,85 @@ def _exact_quo(d, r):
     return None if any(r[:m]) else quo
 
 
-def _uni_gcd_q(a, b):
-    """Primitive gcd over Z of int lists, leading coefficient positive, by
-    the heuristic gcd (GCDHEU; Char, Geddes and Gonnet, J. Symbolic
-    Comput. 7, 1989).  gcd(a, 0) is pp(a), and gcd(0, 0) is [].
+def _gcd_cofactors(polys, p):
+    """(g, [f / g for f in polys]) for trimmed int lists, not all zero: g
+    monic over F_p, primitive with lc(g) > 0 over Q.  When g = 1 the
+    entries themselves come back.
 
-    With contents removed, a and b are evaluated at an integer xi, the
-    integer gcd of the values is read back as symmetric base-xi digits
-    h (|h_i| <= xi/2), and pp(h) is the answer once it divides both; else
-    xi grows and the round repeats.
+    Over F_p this is Euclid, then long division.  Over Q it is the
+    heuristic gcd (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989): the nonzero inputs f_1..f_k are evaluated at an integer xi, the
+    integer gcd gamma of the values is read back as symmetric base-xi
+    digits h (|h_i| <= xi/2), and pp(h) is the answer once it divides
+    every input; the quotients of that check are the cofactors.  Else xi
+    grows and the round repeats.
 
-    Correctness.  Let B = min over a, b of 1 + |f|_inf / |lc f|; xi starts
-    at 2 min(|a|_inf, |b|_inf) + 2 >= 2B and only grows.  By Cauchy's
-    bound the roots z of a common factor k have |z| < B, so a nonconstant
-    k satisfies |k(xi)| >= prod |xi - z_i| > (xi/2)^deg k >= xi/2.  The
-    input with the smaller bound is nonzero at xi, so the gcd of the
-    values is h(xi) != 0.  Let h' = pp(h) divide a and b, so h'(xi) != 0,
-    and let g = h' k be their primitive gcd.  g(xi) divides a(xi) and
-    b(xi), hence h(xi) = cont(h) h'(xi), so k(xi) divides cont(h), which
-    is at most any nonzero |h_i| <= xi/2.  Hence k is constant and
-    h' = +-g.
+    Correctness.  Let f be an input of least |f|_inf and B = 1 +
+    |f|_inf / |lc f|; xi starts at 2 |f|_inf + 2 >= 2B and only grows.
+    By Cauchy's bound the roots z of a common factor k of the inputs have
+    |z| < B, so a nonconstant k satisfies |k(xi)| >= prod |xi - z_i| >
+    (xi/2)^deg k >= xi/2, and f(xi) != 0.  k(xi) divides every value, so
+    once the values read so far have a gcd 0 < gamma <= xi/2 there is no
+    such k, and g = 1.  Otherwise, with every value read, gamma = h(xi)
+    != 0.  Let h' = pp(h) divide every input, so h'(xi) != 0, and let
+    g = h' k be their primitive gcd.  g(xi) divides every value, hence
+    h(xi) = cont(h) h'(xi), so k(xi) divides cont(h), which is at most
+    any nonzero |h_i| <= xi/2.  Hence k is constant and h' = +-g.
 
-    Termination.  Write a = g a', b = g b'.  The integer gcd of the values
-    is |g(xi)| c with c = gcd(a'(xi), b'(xi)), and c divides
-    Res(a', b') != 0, because Res = u a' + v b' with u, v in Z[t].  Once
-    xi > 2 |Res| |g|_inf, the digits c g_i (or -c g_i) are all below xi/2
-    and so are the unique symmetric digits of the value: pp(h) = +-g
-    divides both, and xi grows without bound until then.
+    Termination.  Write f_i = g c_i.  The c_i are jointly coprime in
+    Q[t], so the ideal they generate in Z[t] holds a nonzero integer R
+    (clear the denominators of a Bezout identity), and the gcd c of the
+    values c_i(xi) divides R; gamma = |g(xi)| c.  Once xi > 2 |R| |g|_inf,
+    the digits c g_i (or -c g_i) are all below xi/2 and so are the unique
+    symmetric digits of gamma: pp(h) = +-g divides every input, and xi
+    grows without bound until then.
     """
-    if not a or not b:
-        return _pp(a or b) if a or b else []
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    a, b = _pp(a), _pp(b)
-    if len(a) < len(b):
-        a, b = b, a
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    fs = [f for f in polys if f]
+    least = min(map(len, fs))
+    if least == 1:
+        return [1], polys
+    if p:
+        # shortest first; gcd(g, []) makes a lone input monic
+        g, *rest = sorted(fs, key=len)
+        for f in rest or [[]]:
+            g = _uni_gcd_p(g, f, p)
+            if len(g) == 1:
+                return g, polys
+        return g, [_long_div(f, g, p)[0] for f in polys]
+    xi = 2 * min(max(map(abs, f)) for f in fs) + 2
     while True:
-        va = vb = 0
-        for c in reversed(a):
-            va = va * xi + c
-        for c in reversed(b):
-            vb = vb * xi + c
-        gamma, half, h = math.gcd(va, vb), xi // 2, []
+        gamma, half = 0, xi // 2
+        for f in fs:
+            v = 0
+            for c in reversed(f):
+                v = v * xi + c
+            gamma = math.gcd(gamma, v)
+            if 0 < gamma <= half:
+                return [1], polys
+        h = []
         while gamma:
             gamma, d = divmod(gamma, xi)
             if d > half:
                 gamma, d = gamma + 1, d - xi
             h.append(d)
-        if len(h) == 1:
-            return [1]
-        if len(h) <= len(b):
-            h = _pp(h)
-            if (_exact_quo(h, b) is not None
-                    and _exact_quo(h, a) is not None):
-                return h
+        if len(h) <= least:
+            h, qs = _pp(h), []
+            for f in polys:
+                q = _exact_quo(h, f)
+                if q is None:
+                    break
+                qs.append(q)
+            else:
+                return h, qs
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
 
 
-def _gcd(a, b, p):
-    """gcd of trimmed lists: monic over F_p, primitive over Q."""
-    return _uni_gcd_p(a, b, p) if p else _uni_gcd_q(a, b)
+def _uni_gcd_q(a, b):
+    """Primitive gcd over Z of int lists, leading coefficient positive: the
+    two-input case of :func:`_gcd_cofactors` on the primitive parts, the
+    shorter checked first.  gcd(a, 0) is pp(a), and gcd(0, 0) is []."""
+    fs = sorted([_pp(f) for f in (b, a) if f], key=len)
+    return _gcd_cofactors(fs, 0)[0] if fs else []
 
 
 def _add(a, b, p):

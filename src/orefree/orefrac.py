@@ -46,7 +46,7 @@ class OreFraction:
     __slots__ = ("den", "num")
 
     def __init__(self, den, num):
-        if den.ctx != num.ctx:
+        if den.ctx is not num.ctx and den.ctx != num.ctx:
             raise ContextMismatch("denominator and numerator contexts differ")
         if den.is_zero():
             raise DivisionByZero("zero denominator in Ore fraction")
@@ -108,7 +108,7 @@ class OreFraction:
 
     def _coerce(self, other):
         if isinstance(other, OreFraction):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatch("fractions from different Ore contexts")
             return other
         if isinstance(other, OrePoly):

@@ -16,8 +16,8 @@ dense int lists of :mod:`intpoly` (mod p over F_p), with a_j = N_j / D.
 The stored form is canonical: gcd(D, N_0, ..., N_n) = 1, and over Q the
 integers of D and the N_j together are coprime with lc(D) > 0, over F_p
 D is monic.  It is unique, so equality compares lists.  Each operation
-runs on the lists and reduces once at its end, with one gcd chain over
-its numerators instead of a gcd per coefficient operation; right
+runs on the lists and reduces once at its end, with one gcd of D and
+all numerators that also returns the reduced lists; right
 division is pseudo-division, its quotient and remainder kept over one
 running denominator, and left division twists each quotient coefficient
 by the Moebius map sigma^-deg g on the lists.  ``coeffs``, ``coeff`` and
@@ -38,8 +38,9 @@ c (sigma(ab) - ab) = sigma(a) c (sigma(b) - b) + c (sigma(a) - a) b, and
 they agree with delta on t and on k.
 
 Greatest common right divisors come from the right Euclidean algorithm;
-least common left multiples from its extended form (the cofactor rows of
-the last zero remainder), with the degree law
+least common left multiples from its extended form (the cofactor of f
+at the first zero remainder, the cofactor of g by right division), with
+the degree law
 
     deg lclm(f, g) = deg f + deg g - deg gcrd(f, g)
 
@@ -57,8 +58,7 @@ from .errors import (
 )
 from .field import RatFunc, _dense, _from_dense
 from .intpoly import (
-    _add, _compose, _derivative, _exact_quo, _gcd, _long_div, _mul, _sub,
-    _trim,
+    _add, _compose, _derivative, _gcd_cofactors, _mul, _sub, _trim,
 )
 
 
@@ -84,15 +84,6 @@ def _ints(a, ff):
     return n, d
 
 
-def _quo(r, g, p):
-    """r / g for a factor g of r: mod p over F_p, and over Q by the checked
-    exact division, which raises rather than floor a non-divisor."""
-    q = _long_div(r, g, p)[0] if p else _exact_quo(g, r)
-    if q is None:
-        raise AssertionError("gcd does not divide %r" % (r,))
-    return q
-
-
 def _canon(den, nums, p, coprime=False):
     """The canonical form of sum nums[j] / den x^j.
 
@@ -103,28 +94,21 @@ def _canon(den, nums, p, coprime=False):
     _trim(nums)
     if not nums:
         return [1], []
-    if len(den) > 1 and not coprime:
-        g = den
-        for n in sorted(nums, key=len):
-            if n:
-                g = _gcd(g, n, p) if len(n) > 1 else n
-                if len(g) == 1:
-                    break
-        if len(g) > 1:
-            den = _quo(den, g, p)
-            nums = [_quo(n, g, p) for n in nums]
-    if p:
-        if den[-1] != 1:
-            inv = pow(den[-1], -1, p)
-            den = [x * inv % p for x in den]
-            nums = [[x * inv % p for x in n] for n in nums]
-    else:
+    if not p:
+        # coprime integers first: dividing by a primitive gcd keeps them
+        # coprime and the sign of lc(den)
         c = math.gcd(*den, *itertools.chain.from_iterable(nums))
         if den[-1] < 0:
             c = -c
         if c != 1:
             den = [x // c for x in den]
             nums = [[x // c for x in n] for n in nums]
+    if len(den) > 1 and not coprime:
+        den, *nums = _gcd_cofactors([den] + nums, p)[1]
+    if p and den[-1] != 1:
+        inv = pow(den[-1], -1, p)
+        den = [x * inv % p for x in den]
+        nums = [[x * inv % p for x in n] for n in nums]
     if len(den) + max(map(len, nums)) > config.MAX_FRACTION_TERMS:
         nd = len(den) - den.count(0)
         worst = nd + max(len(n) - n.count(0) for n in nums)
@@ -141,8 +125,7 @@ def _over_lcm(d1, n1, d2, n2, p):
     if d1 == d2:
         return d1, [_add(a, b, p) for a, b in
                     itertools.zip_longest(n1, n2, fillvalue=[])]
-    g = [1] if len(d1) == 1 or len(d2) == 1 else _gcd(d1, d2, p)
-    f1, f2 = (d2, d1) if len(g) == 1 else (_quo(d2, g, p), _quo(d1, g, p))
+    f2, f1 = _gcd_cofactors([d1, d2], p)[1]
     return _mul(d1, f1, p), [
         _add(_mul(a, f1, p), _mul(b, f2, p), p)
         for a, b in itertools.zip_longest(n1, n2, fillvalue=[])]
@@ -634,8 +617,10 @@ def gcld(f, g):
 def lclm(f, g):
     """(m, u, v) with m = u*f = v*g monic of minimal degree.
 
-    Extended right Euclid on (f, g); when the remainder reaches zero its
-    cofactor row gives the left multipliers.  Requires f, g nonzero.
+    Extended right Euclid on (f, g), tracking only the cofactor of f: when
+    the remainder reaches zero, its row u gives the multiple m = u*f.
+    Then v is the right quotient of m by g, and its zero remainder proves
+    m = v*g.  Requires f, g nonzero.
     """
     _same_ctx(f, g)
     if f.is_zero() or g.is_zero():
@@ -643,23 +628,20 @@ def lclm(f, g):
     ctx = f.ctx
     r0, r1 = f, g
     u0, u1 = OrePoly.one(ctx), OrePoly.zero(ctx)
-    v0, v1 = OrePoly.zero(ctx), OrePoly.one(ctx)
     last_nonzero = r1
     while not r1.is_zero():
         q, r2 = r0.right_quo_rem(r1)
-        u2 = u0 - q * u1
-        v2 = v0 - q * v1
         last_nonzero = r1
         r0, r1 = r1, r2
-        u0, u1 = u1, u2
-        v0, v1 = v1, v2
-    # r1 = u1*f + v1*g = 0, so u1*f = -(v1*g)
+        u0, u1 = u1, u0 - q * u1
+    # r1 = u1*f + v1*g = 0 for the untracked row v1
     m = u1 * f
     if m.is_zero():
         raise AssertionError("lclm: the cofactor row gave zero")
-    m, u, v = left_monic(m, u1, -v1)
+    m, u = left_monic(m, u1)
     if m.degree != f.degree + g.degree - last_nonzero.degree:
         raise AssertionError("lclm: degree law violated")
-    if m != v * g:
+    v, r = m.right_quo_rem(g)
+    if r:
         raise AssertionError("lclm: m != v * g")
     return m, u, v

@@ -183,6 +183,53 @@ def test_heuristic_gcd_matches_remainder_sequence(monkeypatch):
         assert refuted[0] and not refuted[-1]
 
 
+def test_cofactor_gcd_matches_remainder_sequence():
+    """The gcd of several lists is the remainder sequence's folded over
+    them, and every cofactor times it gives its input back."""
+    rng = random.Random(17)
+    cofactors = intpoly._gcd_cofactors
+
+    def poly(deg, bits):
+        return ([rng.randint(-2 ** bits, 2 ** bits) for _ in range(deg)]
+                + [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)])
+
+    def fold(fs):
+        g = []
+        for f in fs:
+            g = prs_gcd_ints(g, f)
+        return g
+
+    cases = [
+        # t(t+1), t(t+2), (t+1)(t+2): coprime together, not pairwise
+        [[0, 1, 1], [0, 2, 1], [2, 3, 1]],
+        [[], [0, 4, -2], []],
+        [[0, 6, 3], [], [0, -2, -1]],
+        [[6, 0, 6], [12, 4], [-18]],               # content only
+        [[2, 4], [6, 0, 2], [4, 0, 0, 8]],         # content only
+        # g = t - 1 with g(xi) = xi - 1: gamma is in (xi/2, xi) at xi = 4
+        [[-1, 0, 1], [-3, 2, 1]],
+    ]
+    for _ in range(120):
+        g = poly(rng.randint(0, 3), rng.choice([1, 2, 8]))
+        fs = []
+        for _ in range(rng.randint(2, 6)):
+            f = _conv(g, poly(rng.randint(0, 4), rng.choice([1, 2, 8])))
+            fs.append([] if rng.random() < 0.15 else intpoly._trim(f))
+        if any(fs):
+            cases.append(fs)
+    for fs in cases:
+        g, qs = cofactors(fs, 0)
+        assert g == fold(fs), fs
+        assert [intpoly._mul(g, q, 0) for q in qs] == fs, fs
+        # over F_5 the gcd is monic and the cofactors are jointly coprime
+        fp = [intpoly._trim([c % 5 for c in f]) for f in fs]
+        if any(fp):
+            g, qs = cofactors(fp, 5)
+            assert g[-1] == 1
+            assert [intpoly._mul(g, q, 5) for q in qs] == fp, fp
+            assert cofactors(qs, 5)[0] == [1], fp
+
+
 def test_gcd_of_equal_polys_is_monic_self():
     t = QT.poly_var("t")
     f = 2 * t ** 2 + 4

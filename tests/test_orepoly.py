@@ -200,17 +200,29 @@ def test_lclm_frozen():
     assert m == u * f == v * g
 
 
+def two_variable_pair():
+    """Q(t, u) under t -> t + 1, u -> 2u: coefficients stored as RatFuncs."""
+    ff = FunctionField(0, ["t", "u"])
+    t, u = ff.var("t"), ff.var("u")
+    return SkewPair.automorphism(SkewEndo(ff, [t + 1, 2 * u], [t - 1, u / 2]))
+
+
 def test_lclm_properties_random():
     rng = random.Random(15)
-    for ctx in (shift_pair(), weyl_pair(), scale2_pair()):
-        for _ in range(5):
-            f = rand_orepoly(rng, ctx, max_deg=2)
-            g = rand_orepoly(rng, ctx, max_deg=2)
+    for ctx in (shift_pair(), weyl_pair(), scale2_pair(),
+                kernel_context(5, "double"), kernel_context(0, "mixed"),
+                two_variable_pair()):
+        # RatFunc arithmetic in two variables is slow at degree 2
+        deg = 2 if ctx.ff.nvars == 1 else 1
+        for _ in range(10):
+            f = rand_orepoly(rng, ctx, max_deg=deg)
+            g = rand_orepoly(rng, ctx, max_deg=deg)
             if f.is_zero() or g.is_zero():
                 continue
             m, u, v = lclm(f, g)
-            assert m == u * f == v * g
-            assert m.lc().is_one()
+            assert u * f == m == v * g
+            assert m.is_monic() and m.lc().is_one()
+            assert v == m.right_quo_rem(g)[0]
             assert m.right_quo_rem(f)[1].is_zero()
             assert m.right_quo_rem(g)[1].is_zero()
             assert m.degree == f.degree + g.degree - gcrd(f, g).degree

@@ -17,8 +17,8 @@ Construction reduces by a gcd, so every fraction built with the default
 keep equality exact because it falls back to cross multiplication.  No
 floating point is used anywhere.
 
-Univariate kernels (products, exact division, substitution, gcds, roots)
-work on the dense int lists of :mod:`intpoly` with one common denominator
+Univariate kernels (products, exact division, gcds, roots) work on the
+dense int lists of :mod:`intpoly` with one common denominator
 (:func:`_dense`, :func:`_from_dense`); their results go back into the same
 term dicts, so the representation above is unchanged.  gcds use dense
 Euclid for univariate polynomials over F_p, the heuristic gcd over Z
@@ -482,14 +482,6 @@ class MPoly:
         if not self.terms:
             return tgt.poly_zero()
         _check_char(ff, tgt)
-        if ff.nvars == 1 and tgt.nvars == 1:
-            # P(I / w) = acc / (scale * w^n) with P = sum ints[k] y^k / scale
-            ints, scale = _dense(self.terms, tgt.char)
-            img, w = _dense(images[0].terms, tgt.char)
-            n = len(ints) - 1
-            acc = _compose(ints, img, [[w ** k] for k in range(n + 1)], n,
-                           tgt.char)
-            return _from_dense(tgt, acc, scale * w ** n)
         maxes = [max(ks) for ks in zip(*self.terms)]
         pows = [_powers(g, m) for g, m in zip(images, maxes)]
         out = tgt.poly_zero()

@@ -141,8 +141,8 @@ from .linalg import (
     _EchelonModp, _leading_one, _normalize_int_vector, flatten_to_k,
     rank_over_k,
 )
-from .orefrac import OreFraction, _lclm_with_probe, weyl_check
-from .orepoly import OrePoly
+from .orefrac import OreFraction, weyl_check
+from .orepoly import OrePoly, lclm
 from .valuation import _rabin_irreducible, length_profile
 
 
@@ -220,7 +220,7 @@ def common_left_denominator(fracs):
     for f in fracs[1:]:
         if f.ctx != ctx:
             raise ContextMismatch("fractions from different Ore contexts")
-        m, u, v = _lclm_with_probe(den, f.den)
+        m, u, v = lclm(den, f.den)
         if m.degree > config.MAX_DEN_DEGREE:
             raise ResourceBoundExceeded(
                 "common denominator reached degree %d (bound %d)"
@@ -263,7 +263,7 @@ def _relation_vanishes(fracs, lam):
     ctx = support[0][1].ctx
     den, total = OrePoly.one(ctx), OrePoly.zero(ctx)
     for c, f in support:
-        den, u, v = _lclm_with_probe(den, f.den)
+        den, u, v = lclm(den, f.den)
         if den.degree > config.MAX_DEN_DEGREE:
             raise ResourceBoundExceeded(
                 "relation denominator reached degree %d (bound %d)"

@@ -23,23 +23,6 @@ from .field import RatFunc
 from .orepoly import OrePoly, gcld, lclm, left_monic
 
 
-def _lclm_with_probe(s1, s2):
-    """lclm(s1, s2) = (m, u, v), shortcutting when one divides the other.
-
-    The divisibility probes are a single division each and hit constantly
-    in word pipelines where denominators accumulate left factors.
-    """
-    if s1.degree >= s2.degree:
-        q, r = s1.right_quo_rem(s2)
-        if r.is_zero():
-            return s1, OrePoly.one(s1.ctx), q
-    else:
-        q, r = s2.right_quo_rem(s1)
-        if r.is_zero():
-            return s2, q, OrePoly.one(s1.ctx)
-    return lclm(s1, s2)
-
-
 class OreFraction:
     """den^{-1} * num with monic den; immutable."""
 
@@ -128,7 +111,7 @@ class OreFraction:
             return self
         if self.den == other.den:
             return OreFraction(self.den, self.num + other.num)
-        m, u, v = _lclm_with_probe(self.den, other.den)
+        m, u, v = lclm(self.den, other.den)
         return OreFraction(m, u * self.num + v * other.num)
 
     __radd__ = __add__
@@ -157,7 +140,7 @@ class OreFraction:
         if other.den.is_one():
             return OreFraction(self.den, self.num * other.num)
         # rewrite num * den'^{-1} as u^{-1} * v with u num = v den'
-        m, u, v = _lclm_with_probe(self.num, other.den)
+        m, u, v = lclm(self.num, other.den)
         return OreFraction(u * self.den, v * other.num)
 
     def __rmul__(self, other):

@@ -134,14 +134,14 @@ def _over_lcm(d1, n1, d2, n2, p):
 class _Kernel:
     """x * (sum N_j / D x^j) on int lists, for one context over k(t)."""
 
-    __slots__ = ("p", "kind", "sigma", "maps", "cn", "cd")
+    __slots__ = ("p", "kind", "sigma", "cn", "cd")
 
     def __init__(self, ctx):
         ff, sigma, delta = ctx.ff, ctx.sigma, ctx.delta
         self.p = ff.char
         self.kind = "comm"
         if not sigma.is_identity():
-            self.kind, self.sigma, self.maps = "aut", sigma, {}
+            self.kind, self.sigma = "aut", sigma
         if not delta.is_zero():
             c = delta.images[0]
             if self.kind == "aut":
@@ -152,14 +152,7 @@ class _Kernel:
 
     def _sigma(self, polys, m, k=1):
         """[H_m(n) for n in polys] for the Moebius map sigma^k (k != 0)."""
-        mp = self.maps.get(k)
-        if mp is None:
-            img = self.sigma._power_images(k)[0]
-            a, b = _ints(img, img.ff)
-            mp = self.maps[k] = (a, [[1], b])
-        a, bpow = mp
-        while len(bpow) <= m:
-            bpow.append(_mul(bpow[-1], bpow[1], self.p))
+        a, bpow = self.sigma.moebius_table(k, m)
         return [_compose(n, a, bpow, m, self.p) for n in polys]
 
     def step(self, den, nums):
@@ -620,20 +613,31 @@ def lclm(f, g):
     Extended right Euclid on (f, g), tracking only the cofactor of f: when
     the remainder reaches zero, its row u gives the multiple m = u*f.
     Then v is the right quotient of m by g, and its zero remainder proves
-    m = v*g.  Requires f, g nonzero.
+    m = v*g.  When the first division, of the longer argument (f on a
+    tie) by the other, leaves no remainder, the longer one made monic is
+    the lclm, and Euclid stops there.  Requires f, g nonzero.
     """
     _same_ctx(f, g)
     if f.is_zero() or g.is_zero():
         raise DivisionByZero("lclm needs nonzero arguments")
     ctx = f.ctx
-    r0, r1 = f, g
-    u0, u1 = OrePoly.one(ctx), OrePoly.zero(ctx)
-    last_nonzero = r1
-    while not r1.is_zero():
-        q, r2 = r0.right_quo_rem(r1)
+    one, zero = OrePoly.one(ctx), OrePoly.zero(ctx)
+    # for deg f < deg g Euclid's first step only swaps f and g
+    swap = f.degree < g.degree
+    r0, r1 = (g, f) if swap else (f, g)
+    u0, u1 = (zero, one) if swap else (one, zero)
+    q, r2 = r0.right_quo_rem(r1)
+    if r2.is_zero():
+        # r0 = q r1, and no common left multiple is shorter than r0
+        m, u, v = left_monic(*((g, q, one) if swap else (f, one, q)))
+        return m, u, v
+    while True:
         last_nonzero = r1
         r0, r1 = r1, r2
         u0, u1 = u1, u0 - q * u1
+        if r1.is_zero():
+            break
+        q, r2 = r0.right_quo_rem(r1)
     # r1 = u1*f + v1*g = 0 for the untracked row v1
     m = u1 * f
     if m.is_zero():

@@ -24,9 +24,11 @@ plus exact closed forms for univariate affine maps) and delta-towers in
 positive characteristic.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
+    CharacteristicMismatch,
     InconsistentDerivation,
     InvalidConstantDeclaration,
     ContextMismatch,
@@ -38,6 +40,7 @@ from .errors import (
     ZeroArgument,
 )
 from .field import RatFunc, _dense, _divisors, _from_dense
+from .intpoly import _compose, _mul, _trim
 
 
 def _mat_mul(x, y, p):
@@ -50,10 +53,16 @@ def _mat_mul(x, y, p):
 
 
 class SkewEndo:
-    """k-automorphism of K with verified inverse, applied by substitution."""
+    """k-automorphism of K with verified inverse.
 
-    __slots__ = ("ff", "images", "inverse_images", "_pow", "_is_poly",
-                 "_is_identity")
+    In several variables it is applied by substitution of the images of
+    each power; over k(t) by the Moebius matrix of each power (see
+    :meth:`moebius_table`), which orepoly and valuation read too.
+    """
+
+    # _moebius: power n -> moebius_table entry, in one variable
+    __slots__ = ("ff", "images", "inverse_images", "_pow", "_moebius",
+                 "_is_poly", "_is_identity")
 
     def __init__(self, ff, images, inverse_images):
         self.ff = ff
@@ -61,11 +70,12 @@ class SkewEndo:
         self.inverse_images = self._as_image_list(ff, inverse_images)
         gens = ff.gens()
         self._pow = {0: gens, 1: self.images, -1: self.inverse_images}
+        self._moebius = {}
         # images are immutable, so this is decided once
         self._is_identity = self.images == gens
         # polynomial in both directions => restricts to an automorphism of
         # k[y], so substitution preserves coprimality and reduction can be
-        # skipped when applying to reduced fractions
+        # skipped when applying to reduced fractions (several variables)
         self._is_poly = (all(g.is_poly() for g in self.images)
                          and all(g.is_poly() for g in self.inverse_images))
         self._verify()
@@ -118,7 +128,9 @@ class SkewEndo:
         if n in cache:
             return cache[n]
         if self.ff.nvars == 1:
-            cache[n] = [self._moebius_power(n)]
+            a, bpow = self.moebius_table(n)
+            cache[n] = [RatFunc(_from_dense(self.ff, a),
+                                _from_dense(self.ff, bpow[1]), reduce=False)]
             return cache[n]
         step = 1 if n > 0 else -1
         base = self._pow[step]
@@ -131,34 +143,63 @@ class SkewEndo:
             cache[m] = imgs
         return imgs
 
-    def _moebius_power(self, n):
-        """sigma^n(t) for the one generator t and n != 0.
+    def moebius_table(self, n, m=1):
+        """(A, [B^0, ..., B^m]) with sigma^n(t) = A / B, for the one
+        generator t: the entry of power n, its list of powers of B grown to
+        at least m + 1 terms.  A and B are trimmed int lists, mod p over
+        F_p.
 
         Every automorphism of k(t) is t -> (a t + b) / (c t + d) with
         ad - bc != 0, and composing two such maps multiplies their
         matrices [[a, b], [c, d]].  So sigma^n(t) is read off the |n|-th
         power of the matrix of sigma, or of its inverse for n < 0, with
-        entries mod p over F_p.  The determinant stays nonzero, so the
-        numerator and denominator are coprime as built.
+        entries mod p over F_p and divided by their content over Q.  The
+        determinant stays nonzero, so A and B are coprime.
         """
         p = self.ff.char
-        img = self.images[0] if n > 0 else self.inverse_images[0]
-        num, sn = _dense(img.num.terms, p)
-        den, sd = _dense(img.den.terms, p)
-        b, a = num + [0] * (2 - len(num))
-        d, c = den + [0] * (2 - len(den))
-        m, r, k = (a * sd, b * sd, c * sn, d * sn), (1, 0, 0, 1), abs(n)
-        while k:
-            if k & 1:
-                r = _mat_mul(r, m, p)
-            m, k = _mat_mul(m, m, p), k >> 1
-        return RatFunc(_from_dense(self.ff, [r[1], r[0]]),
-                       _from_dense(self.ff, [r[3], r[2]]), reduce=False)
+        entry = self._moebius.get(n)
+        if entry is None:
+            img = self.images[0] if n > 0 else self.inverse_images[0]
+            num, sn = _dense(img.num.terms, p)
+            den, sd = _dense(img.den.terms, p)
+            b, a = num + [0] * (2 - len(num))
+            d, c = den + [0] * (2 - len(den))
+            x, r, k = (a * sd, b * sd, c * sn, d * sn), (1, 0, 0, 1), abs(n)
+            while k:
+                if k & 1:
+                    r = _mat_mul(r, x, p)
+                x, k = _mat_mul(x, x, p), k >> 1
+            if not p:
+                g = math.gcd(*r)
+                r = tuple(v // g for v in r)
+            entry = self._moebius[n] = (_trim([r[1], r[0]]),
+                                        [[1], _trim([r[3], r[2]])])
+        bpow = entry[1]
+        while len(bpow) <= m:
+            bpow.append(_mul(bpow[-1], bpow[1], p))
+        return entry
 
     def apply(self, f, n=1):
         """sigma^n(f) for any integer n (negative powers use the inverse)."""
+        if f.ff is not self.ff and f.ff != self.ff:
+            raise CharacteristicMismatch(
+                "sigma acts on %r, not on %r" % (self.ff, f.ff))
         if n == 0 or self.is_identity():
             return f
+        if self.ff.nvars == 1:
+            # sigma^n(N / D) = H(N) / H(D) with H(N) = N(A / B) B^m, m the
+            # larger degree.  Coprime again: at a common root r, B(r) = 0
+            # leaves lc A(r)^m != 0 in the H of degree m, and B(r) != 0
+            # makes A(r) / B(r) a common root of N and D.
+            p = self.ff.char
+            num, sn = _dense(f.num.terms, p)
+            den, sd = _dense(f.den.terms, p)
+            m = max(len(num), len(den)) - 1
+            a, bpow = self.moebius_table(n, m)
+            return RatFunc(
+                _from_dense(self.ff, _compose(num, a, bpow, m, p), sn),
+                _from_dense(self.ff, _compose(den, a, bpow, m, p), sd),
+                reduce=False)
         imgs = self._power_images(n)
         if self._is_poly:
             num = f.num.substitute_poly([g.num for g in imgs])

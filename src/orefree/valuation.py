@@ -10,13 +10,33 @@ sigma-orbit of a place: the support {n : v(sigma^n(u)) < 0} inside a
 symmetric window, and the spread max - min when both extremes are
 strictly interior (a pole on the window edge means the profile may be
 truncated, so no length is claimed).
+
+Over k(t) it moves the place instead of u.  sigma^n(t) = phi is a
+Moebius map, sigma^n(u) = u o phi, and
+
+    v_P(u o phi) = v_Q(u),   Q the place at phi of the roots of P.
+
+Proof.  Over the algebraic closure, v_P counts the order at any one root
+z of P (P is irreducible, and separable over a prime field), and v_oo
+the order at z = infinity.  phi is a local isomorphism at z: in the
+parameters t - z (or 1/t at infinity) and s - phi(z) (or 1/s when phi(z)
+is infinity), phi has a simple zero, as ad - bc != 0.  So the order of
+u o phi at z is the order of u at phi(z).  phi is defined over k and
+injective, so the images phi(z) of the conjugates z are conjugate again
+and distinct: the roots of one irreducible Q of the same degree, the
+numerator of P(sigma^-n(t)) up to a scalar.  With sigma^-n(t) =
+(a t + b) / (c t + d) and c != 0, its t^deg P coefficient is
+c^deg P P(a/c), so the degree drops only when P has the root a/c, the
+point phi sends to infinity.  A root in k makes deg P = 1, the numerator
+is then a constant, and Q is infinity.  Infinity goes to the place of
+phi(infinity).
 """
 
 from dataclasses import dataclass
 
-from .errors import UsageError, ZeroArgument
+from .errors import CharacteristicMismatch, UsageError, ZeroArgument
 from .field import _dense, _rational_roots, poly_gcd
-from .intpoly import _conv, _is_prime, _long_div, _uni_gcd_p
+from .intpoly import _compose, _conv, _is_prime, _long_div, _uni_gcd_p
 
 
 def _univariate_var(poly):
@@ -178,16 +198,54 @@ class LengthProfile:
                 "truncated": self.truncated, "length": self.length}
 
 
+def _moved_place(sigma, poly, n):
+    """The place Q with v_P(sigma^n(u)) = v_Q(u) for every u in k(t).
+
+    P and Q are int lists, None for infinity (module docstring): a finite
+    P goes to the numerator of P(sigma^-n(t)), or to infinity when that
+    is a constant, and infinity goes to the place of sigma^n(infinity).
+    """
+    if poly is None:
+        a, bpow = sigma.moebius_table(n)
+        b = bpow[1]
+        if len(b) == 1:
+            return None
+        # sigma^n(infinity) = a_1 / b_1, the root of b_1 t - a_1
+        return [-a[1] if len(a) > 1 else 0, b[1]]
+    k = len(poly) - 1
+    a, bpow = sigma.moebius_table(-n, k)
+    q = _compose(poly, a, bpow, k, sigma.ff.char)
+    return q if len(q) > 1 else None
+
+
 def length_profile(sigma, place, u, window=16):
     """Support and length of {n : v(sigma^n(u)) < 0} for |n| <= window."""
     if u.is_zero():
         raise ZeroArgument("length profile of zero is undefined")
     if window < 1:
         raise UsageError("window must be >= 1")
-    support = []
-    for n in range(-window, window + 1):
-        if place.valuation(sigma.apply(u, n)) < 0:
-            support.append(n)
+    if u.ff != sigma.ff or place.ff != sigma.ff:
+        raise CharacteristicMismatch(
+            "sigma acts on %r, but u lies in %r and the place in %r"
+            % (sigma.ff, u.ff, place.ff))
+    if sigma.ff.nvars == 1:
+        p = sigma.ff.char
+        num, den = _dense(u.num.terms, p)[0], _dense(u.den.terms, p)[0]
+        poly = None if place.poly is None else _dense(place.poly.terms, p)[0]
+
+        def pole(n):
+            # u = N / D is reduced: v_Q(u) < 0 iff Q divides D, or
+            # deg N > deg D at infinity.  Over Q _long_div pseudo-divides,
+            # and its remainder is zero iff Q divides D.
+            q = _moved_place(sigma, poly, n)
+            if q is None:
+                return len(num) > len(den)
+            return not _long_div(den, q, p)[1]
+    else:
+        # a Cremona map need not send a place to a place: compose u
+        def pole(n):
+            return place.valuation(sigma.apply(u, n)) < 0
+    support = [n for n in range(-window, window + 1) if pole(n)]
     truncated = bool(support) and (support[0] == -window
                                    or support[-1] == window)
     return LengthProfile(support, window, truncated)

@@ -465,7 +465,7 @@ def reducible_monic_modp(p, n):
 
 # Sparse univariate kernels on term dicts {(k,): c}, one scalar pair at a
 # time through BaseField: the reference for the dense integer kernels of
-# MPoly.__mul__, divide_exact and substitute_poly.
+# MPoly.__mul__ and divide_exact, and for MPoly.substitute_poly.
 
 def _sparse_axpy(base, out, c, terms, shift=0):
     """out += c * y^shift * terms, in place, zeros dropped."""

@@ -207,6 +207,17 @@ def two_variable_pair():
     return SkewPair.automorphism(SkewEndo(ff, [t + 1, 2 * u], [t - 1, u / 2]))
 
 
+def check_lclm(f, g):
+    m, u, v = lclm(f, g)
+    assert u * f == m == v * g
+    assert m.is_monic() and m.lc().is_one()
+    assert v == m.right_quo_rem(g)[0]
+    assert m.right_quo_rem(f)[1].is_zero()
+    assert m.right_quo_rem(g)[1].is_zero()
+    assert m.degree == f.degree + g.degree - gcrd(f, g).degree
+    return m, u, v
+
+
 def test_lclm_properties_random():
     rng = random.Random(15)
     for ctx in (shift_pair(), weyl_pair(), scale2_pair(),
@@ -214,18 +225,25 @@ def test_lclm_properties_random():
                 two_variable_pair()):
         # RatFunc arithmetic in two variables is slow at degree 2
         deg = 2 if ctx.ff.nvars == 1 else 1
+        one = OrePoly.one(ctx)
         for _ in range(10):
             f = rand_orepoly(rng, ctx, max_deg=deg)
             g = rand_orepoly(rng, ctx, max_deg=deg)
             if f.is_zero() or g.is_zero():
                 continue
-            m, u, v = lclm(f, g)
-            assert u * f == m == v * g
-            assert m.is_monic() and m.lc().is_one()
-            assert v == m.right_quo_rem(g)[0]
-            assert m.right_quo_rem(f)[1].is_zero()
-            assert m.right_quo_rem(g)[1].is_zero()
-            assert m.degree == f.degree + g.degree - gcrd(f, g).degree
+            check_lclm(f, g)
+            # g right-divides big: the first division ends Euclid in
+            # either order, and for monic arguments lclm returns what a
+            # divisibility probe would, (big, 1, q) or (big, q, 1)
+            h = rand_orepoly(rng, ctx, max_deg=1)
+            if h.is_zero():
+                continue
+            check_lclm(h * g, g)
+            check_lclm(g, h * g)
+            big, gm = (h * g).monic(), g.monic()
+            q = big.right_quo_rem(gm)[0]
+            assert lclm(big, gm) == (big, one, q)
+            assert lclm(gm, big) == (big, q, one)
 
 
 def test_lclm_matches_brute_force_f5():

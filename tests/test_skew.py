@@ -5,8 +5,8 @@ import random
 import pytest
 
 from orefree.errors import (
-    InconsistentDerivation, InvalidConstantDeclaration, NotAnAutomorphism,
-    RequiresPureDerivation, WrongCharacteristic,
+    CharacteristicMismatch, InconsistentDerivation, InvalidConstantDeclaration,
+    NotAnAutomorphism, RequiresPureDerivation, WrongCharacteristic,
 )
 from orefree.field import FunctionField
 from orefree.skew import (
@@ -48,6 +48,25 @@ def test_sigma_on_fractions_frozen():
     t = QT.var("t")
     assert s.apply(1 / (t - 1)) == 1 / t
     assert s.apply((t + 1) / t, 2) == (t + 3) / (t + 2)
+
+
+def test_sigma_refuses_elements_of_another_field():
+    # Q(u) has the characteristic of Q(t), but its elements are not in
+    # the field sigma acts on, under polynomial and Moebius maps alike
+    qu = FunctionField(0, ["u"])
+    u = qu.var("u")
+    t, one = QT.var("t"), QT.one()
+    mobius = SkewEndo(QT, [-one / (t + 1)], [(-one - t) / t])
+    qtu = FunctionField(0, ["t", "u"])
+    t2, u2 = qtu.gens()
+    two = SkewEndo(qtu, [t2 + 1, 2 * u2], [t2 - 1, u2 / 2])
+    qtw = FunctionField(0, ["t", "w"])
+    for s, f in ((shift_sigma(), 1 / u), (mobius, 1 / (u + 2)),
+                 (two, 1 / qtw.var("w"))):
+        for n in (1, -2, 0):
+            with pytest.raises(CharacteristicMismatch):
+                s.apply(f, n)
+    assert shift_sigma().apply(1 / t) == 1 / (t + 1)
 
 
 def test_sigma_powers_compose():

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from orefree.errors import UsageError, ZeroArgument
-from orefree.field import FunctionField, _rational_roots
+from orefree.errors import CharacteristicMismatch, UsageError, ZeroArgument
+from orefree.field import FunctionField, RatFunc, _rational_roots
 from orefree.skew import SkewEndo
 from orefree.valuation import Place, _rabin_irreducible, length_profile
 
@@ -182,3 +182,74 @@ def test_length_growth_by_one_samples():
         ldu = length_profile(s, v, du, window=16)
         assert lu.length is not None
         assert ldu.length == lu.length + 1
+
+
+@pytest.mark.parametrize("char, quad", [(0, 1), (5, 2), (7, 1)])
+def test_length_profile_moves_the_place(char, quad):
+    """The one-variable support, read off the moved place, matches
+    v(sigma^n(u)) < 0 with sigma^n(t) built by repeated substitution."""
+    rng = random.Random(100 + char)
+    ff = FunctionField(char, ["t"])
+    t, y, one = ff.var("t"), ff.poly_var("t"), ff.one()
+    places = [Place.finite(y), Place.finite(y - 1),
+              Place.finite(y * y + quad), Place.infinity(ff)]
+    # the shift, doubling, t -> -1/(t+1) and t -> (t+2)/(t+3)
+    maps = [([t + 1], [t - 1]), ([2 * t], [t / 2]),
+            ([-one / (t + 1)], [(-one - t) / t]),
+            ([(t + 2) / (t + 3)], [(3 * t - 2) / (1 - t)])]
+    for images, inverse in maps:
+        s = SkewEndo(ff, images, inverse)
+        power = {0: [t]}
+        for n in range(1, 9):
+            power[n] = [g.substitute(images) for g in power[n - 1]]
+            power[-n] = [g.substitute(inverse) for g in power[1 - n]]
+        for _ in range(6):
+            # poles at sigma^-k of the finite places, and at infinity
+            u = ff.const(rng.randint(0, 3)) * t ** rng.randint(0, 2)
+            for _ in range(rng.randint(1, 3)):
+                pl = rng.choice(places[:3])
+                k = rng.randint(-8, 8)
+                piece = RatFunc(pl.poly, ff.poly_one()).substitute(power[k])
+                c, e = ff.const(rng.randint(1, 4)), rng.randint(1, 2)
+                u = u + c / piece ** e
+            if u.is_zero():
+                continue
+            moved = [u.substitute(power[n]) for n in range(-8, 9)]
+            for n, img in zip(range(-8, 9), moved):
+                assert s.apply(u, n) == img
+            for pl in places:
+                want = [n for n, img in zip(range(-8, 9), moved)
+                        if pl.valuation(img) < 0]
+                prof = length_profile(s, pl, u, window=8)
+                assert prof.support == want, (images, pl, u)
+                assert prof.truncated is (bool(want) and 8 in (-want[0],
+                                                               want[-1]))
+
+
+def test_length_profile_in_two_variables():
+    # t -> t + 1, u -> 2u on Q(t, u): the general path composes u
+    ff = FunctionField(0, ["t", "u"])
+    t, u = ff.gens()
+    s = SkewEndo(ff, [t + 1, 2 * u], [t - 1, u / 2])
+    place = Place.finite(ff.poly_var("t"))
+    # poles at t = 0 after the shift by n = 0 and 3, and by n = -2
+    f = 1 / (t * (t - 3)) + u / (t + 2)
+    prof = length_profile(s, place, f, window=6)
+    assert prof.support == [-2, 0, 3]
+    assert (prof.truncated, prof.length) == (False, 5)
+    assert prof.support == [n for n in range(-6, 7)
+                            if place.valuation(s.apply(f, n)) < 0]
+    # u itself has no pole along t = 0
+    assert length_profile(s, place, u / (t * t + 1), window=6).support == []
+
+
+def test_length_profile_refuses_foreign_fields():
+    t = QT.var("t")
+    s = SkewEndo(QT, [t + 1], [t - 1])
+    qu = FunctionField(0, ["u"])
+    with pytest.raises(CharacteristicMismatch):
+        length_profile(s, nu_t(), 1 / qu.var("u"))
+    with pytest.raises(CharacteristicMismatch):
+        length_profile(s, Place.finite(qu.poly_var("u")), 1 / t)
+    with pytest.raises(CharacteristicMismatch):
+        length_profile(s, Place.infinity(qu), 1 / t)

@@ -42,7 +42,7 @@ from .valuation import Place
 class ClassifyOptions:
     """Budgets and optional hints for the classification pipelines."""
 
-    orbit_bound: int = 64
+    orbit_bound: int = 64           # sigma steps, in several variables only
     window: int = 16
     word_length: int = 3
     tower_depth: int = 5
@@ -225,11 +225,12 @@ def _best_bounded_certificate(pair, b, max_len, diagnostics):
 def classify_automorphism(spec):
     """Verdict for K(x; sigma): PI via finite order, Free via evidence.
 
-    Finite orbits on every generator give sigma^n = 1 and a verified
-    central x^n.  An infinite orbit opens two constructive routes: an
-    additive eigenvector sigma(g) = g + alpha (alpha a nonzero fixed
-    element) builds a Weyl pair directly; otherwise a valuation-selected
-    witness plus a bounded word certificate carries the freeness claim.
+    Finite orbits on every generator give sigma^n = 1 and, for n <= 4096,
+    a verified central x^n.  An infinite orbit opens two constructive
+    routes: an additive eigenvector sigma(g) = g + alpha (alpha a nonzero
+    fixed element) builds a Weyl pair directly; otherwise a
+    valuation-selected witness plus a bounded word certificate carries the
+    freeness claim.
     Whatever remains is Unknown with the orbit evidence.
     """
     pair = spec.pair
@@ -251,6 +252,11 @@ def classify_automorphism(spec):
         n = 1
         for r in reports:
             n = n * r.period // math.gcd(n, r.period)
+        # exact periods over F_p reach p + 1, and x^n has n + 1 terms
+        if n > 4096:
+            diags.append("period %d is past the central-power ceiling "
+                         "4096; x^%d is not checked" % (n, n))
+            return Verdict("Unknown", diagnostics=diags)
         if sigma.fixed_power_check(n) and central_power_check(pair, n):
             diags.append("sigma^%d = 1 and x^%d is central, both verified"
                          % (n, n))

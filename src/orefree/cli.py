@@ -51,10 +51,11 @@ def _build_parser():
 
     with_problem("normalize", "rewrite a mixed presentation as a pure one")
 
-    p = with_problem("orbit", "iterate sigma on an element")
+    p = with_problem("orbit", "orbit type of an element under sigma")
     p.add_argument("--elem", required=True, metavar="EXPR")
     p.add_argument("--bound", type=int, default=64, metavar="B",
-                   help="iteration bound (default 64)")
+                   help="iteration bound in several variables (default "
+                        "64); one-variable orbits are exact")
 
     p = with_problem("tower", "iterate delta and watch subfield growth")
     p.add_argument("--elem", required=True, metavar="EXPR")

@@ -1,4 +1,5 @@
-"""Dense univariate polynomials on int lists, and a primality test.
+"""Dense univariate polynomials on int lists, and primality and factoring
+of ints.
 
 A polynomial is a list of ints, constant term first; ``[]`` is zero and
 a trimmed list has a nonzero last entry.  Over F_p (``p > 0``) entries are
@@ -45,6 +46,23 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _prime_factors(n):
+    """{q: e} with n the product of the q^e, for n >= 1, by trial division
+    that stops once the cofactor left is 1 or prime."""
+    out, q, prime = {}, 2, _is_prime(n)
+    while n > 1 and not prime:
+        if n % q:
+            q += 1 if q == 2 else 2
+            continue
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        prime = _is_prime(n)
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def _trim(xs):

@@ -19,13 +19,43 @@ relations above are the only ones among independent generators).
 psi = (sigma - 1) + delta whose kernel is the constant subring, and any
 declared constants (checked against psi).
 
-Also here: orbit analysis of sigma on field elements (bounded iteration
-plus exact closed forms for univariate affine maps) and delta-towers in
+Also here: orbit analysis of sigma on field elements, and delta-towers in
 positive characteristic.
+
+Orbits in one variable are exact.  Every automorphism of k(t) is a
+Moebius map t -> (a t + b) / (c t + d), and sigma^n = 1 exactly when the
+n-th power of its matrix M is scalar, so the order of sigma is the order
+of M in PGL_2(k).  Let zeta be the ratio of the eigenvalues of a
+nonscalar M; then tr^2 / det = zeta + 1/zeta + 2.  When zeta != 1, M is
+diagonalizable and M^n is scalar exactly when zeta^n = 1.  When zeta = 1
+(tr^2 = 4 det), M is a scalar times I + N with N nonzero nilpotent, and
+(I + N)^n = I + nN.
+
+  Over Q, I + nN is never scalar, so a parabolic M has infinite order.  A
+  root of unity zeta of order n > 2 makes zeta + 1/zeta generate a field
+  of degree phi(n) / 2 over Q, so zeta + 1/zeta is rational only for
+  n = 1, 2, 3, 4 or 6, where it is 2, -2, -1, 0 and 1.  Hence a nonscalar
+  M has order 2, 3, 4 or 6 when tr^2 / det is 0, 1, 2 or 3, and infinite
+  order otherwise.
+
+  Over F_p, a unipotent M (tr^2 = 4 det, not scalar) has order p.
+  Otherwise zeta lies in F_p^* or, conjugate to 1/zeta, in the norm-one
+  subgroup of F_{p^2}^*; its order divides p - 1 or p + 1, so
+  M^(p^2 - 1) is scalar and the order follows from the primes of
+  p^2 - 1.
+
+When sigma has order n, the powers m with sigma^m(a) = a form a subgroup
+of Z that contains n, so the period of a is the least m | n with
+sigma^m(a) = a.  When sigma has infinite order, every nonconstant a has
+an infinite orbit: k(t) has degree max(deg num(a), deg den(a)) over k(a),
+so Aut(k(t)/k(a)) is finite, and sigma^m(a) = a with m >= 1 would put
+sigma^m in it and give sigma a finite order.  Several variables have no
+such closed form and keep bounded iteration.
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .errors import (
     CharacteristicMismatch,
@@ -39,8 +69,8 @@ from .errors import (
     WrongCharacteristic,
     ZeroArgument,
 )
-from .field import RatFunc, _dense, _divisors, _from_dense
-from .intpoly import _compose, _mul, _trim
+from .field import RatFunc, _dense, _from_dense
+from .intpoly import _compose, _mul, _prime_factors, _trim
 
 
 def _mat_mul(x, y, p):
@@ -52,6 +82,31 @@ def _mat_mul(x, y, p):
     return tuple(v % p for v in out) if p else out
 
 
+def _mat_pow(x, k, p):
+    """x^k for k >= 0, x a 2x2 matrix as in :func:`_mat_mul`."""
+    r = (1, 0, 0, 1)
+    while k:
+        if k & 1:
+            r = _mat_mul(r, x, p)
+        x, k = _mat_mul(x, x, p), k >> 1
+    return r
+
+
+def _least_period(n, factors, returns):
+    """(m, factors of m) for the least m | n with returns(m), where the
+    m >= 1 with returns(m) are the multiples of one divisor of n and
+    factors is {prime: exponent} of n.  Each prime is divided out of n
+    while the quotient still returns."""
+    out = {}
+    for q, e in factors.items():
+        k = 0
+        while k < e and returns(n // q):
+            n, k = n // q, k + 1
+        if k < e:
+            out[q] = e - k
+    return n, out
+
+
 class SkewEndo:
     """k-automorphism of K with verified inverse.
 
@@ -60,9 +115,10 @@ class SkewEndo:
     :meth:`moebius_table`), which orepoly and valuation read too.
     """
 
-    # _moebius: power n -> moebius_table entry, in one variable
+    # _moebius: power n -> moebius_table entry, in one variable;
+    # _order: (order or None when infinite, its prime factors), on first use
     __slots__ = ("ff", "images", "inverse_images", "_pow", "_moebius",
-                 "_is_poly", "_is_identity")
+                 "_order", "_is_poly", "_is_identity")
 
     def __init__(self, ff, images, inverse_images):
         self.ff = ff
@@ -71,6 +127,7 @@ class SkewEndo:
         gens = ff.gens()
         self._pow = {0: gens, 1: self.images, -1: self.inverse_images}
         self._moebius = {}
+        self._order = None
         # images are immutable, so this is decided once
         self._is_identity = self.images == gens
         # polynomial in both directions => restricts to an automorphism of
@@ -159,16 +216,7 @@ class SkewEndo:
         p = self.ff.char
         entry = self._moebius.get(n)
         if entry is None:
-            img = self.images[0] if n > 0 else self.inverse_images[0]
-            num, sn = _dense(img.num.terms, p)
-            den, sd = _dense(img.den.terms, p)
-            b, a = num + [0] * (2 - len(num))
-            d, c = den + [0] * (2 - len(den))
-            x, r, k = (a * sd, b * sd, c * sn, d * sn), (1, 0, 0, 1), abs(n)
-            while k:
-                if k & 1:
-                    r = _mat_mul(r, x, p)
-                x, k = _mat_mul(x, x, p), k >> 1
+            r = _mat_pow(self._matrix(n < 0), abs(n), p)
             if not p:
                 g = math.gcd(*r)
                 r = tuple(v // g for v in r)
@@ -178,6 +226,46 @@ class SkewEndo:
         while len(bpow) <= m:
             bpow.append(_mul(bpow[-1], bpow[1], p))
         return entry
+
+    def _matrix(self, inverse=False):
+        """(a, b, c, d) with sigma(t) = (a t + b) / (c t + d), or with
+        sigma^-1(t) when inverse, for the one generator t: ints, mod p
+        over F_p."""
+        p = self.ff.char
+        img = self.inverse_images[0] if inverse else self.images[0]
+        num, sn = _dense(img.num.terms, p)
+        den, sd = _dense(img.den.terms, p)
+        b, a = num + [0] * (2 - len(num))
+        d, c = den + [0] * (2 - len(den))
+        return a * sd, b * sd, c * sn, d * sn
+
+    def _moebius_order(self):
+        """(n, {prime: exponent} of n) for the order n of sigma on k(t),
+        n None when it is infinite: the order of the matrix of sigma in
+        PGL_2(k), decided as the module docstring proves."""
+        if self._order is None:
+            p = self.ff.char
+            m = self._matrix()
+            a, b, c, d = m
+            tr2, det = (a + d) ** 2, a * d - b * c
+            if self._is_identity:
+                self._order = 1, {}
+            elif not p:
+                n = next((k for s, k in ((0, 2), (1, 3), (2, 4), (3, 6))
+                          if tr2 == s * det), None)
+                self._order = n, _prime_factors(n) if n else None
+            elif (tr2 - 4 * det) % p == 0:
+                self._order = p, {p: 1}
+            else:
+                factors = _prime_factors(p - 1)
+                for q, e in _prime_factors(p + 1).items():
+                    factors[q] = factors.get(q, 0) + e
+
+                def scalar(k):
+                    x = _mat_pow(m, k, p)
+                    return x[1] == x[2] == 0 and x[0] == x[3]
+                self._order = _least_period(p * p - 1, factors, scalar)
+        return self._order
 
     def apply(self, f, n=1):
         """sigma^n(f) for any integer n (negative powers use the inverse)."""
@@ -214,7 +302,11 @@ class SkewEndo:
         return self._power_images(n) == self.ff.gens()
 
     def order(self, bound):
-        """Smallest n <= bound with sigma^n = id, or None."""
+        """Smallest n <= bound with sigma^n = id, or None: exact in one
+        variable, n = 1, 2, ... tried in several."""
+        if self.ff.nvars == 1:
+            n = self._moebius_order()[0]
+            return n if n is not None and n <= bound else None
         for n in range(1, bound + 1):
             if self.fixed_power_check(n):
                 return n
@@ -448,77 +540,52 @@ class OrbitReport:
         return out
 
 
-def _affine_parts(sigma):
-    """(alpha, beta) scalars with sigma(y) = alpha*y + beta, else None."""
-    ff = sigma.ff
-    if ff.nvars != 1:
-        return None
-    img = sigma.images[0]
-    if not img.den.is_const() or img.num.total_degree() > 1:
-        return None
-    base = ff.base
-    alpha = base.zero()
-    beta = base.zero()
-    for e, c in img.num.terms.items():
-        if e[0] == 1:
-            alpha = c
-        else:
-            beta = c
-    d = img.den.const_value()
-    return base.div(alpha, d), base.div(beta, d)
-
-
 def orbit_analyze(sigma, a, bound=64):
     """Orbit type of a under sigma: Finite(minimal period) / Infinite / Unknown.
 
-    Iterates up to ``bound`` steps; if no return happens, exact closed
-    forms decide univariate affine maps (shift with nonzero step, or
-    scaling by an element that is not a root of unity, both give infinite
-    orbits for every nonconstant element; in characteristic p the affine
-    group is finite, so divisor probing of the group order settles small
-    cases).  Everything else is reported Unknown, never guessed.
+    In one variable the answer is exact and ``bound`` is not used.  The
+    order of sigma is that of its Moebius matrix M in PGL_2(k) (module
+    docstring): over Q, tr^2/det = zeta + 1/zeta + 2 for the eigenvalue
+    ratio zeta, and a root of unity with zeta + 1/zeta rational has order
+    1, 2, 3, 4 or 6, so only tr^2/det in {0, 1, 2, 3} gives a finite
+    order (2, 3, 4, 6); over F_p the order is p, or divides p - 1 or
+    p + 1.  With finite order n the period is the least m | n with
+    sigma^m(a) = a.  With infinite order only constants recur: k(t) is
+    finite over k(a) for nonconstant a, so Aut(k(t)/k(a)) is finite, and
+    sigma^m(a) = a with m >= 1 would put sigma^m in it and make the order
+    of sigma finite.  In several variables sigma is applied up to
+    ``bound`` times; no return is reported Unknown, never guessed, with
+    the iterates.
     """
     if bound < 1:
         raise UsageError("iteration bound must be >= 1")
     if a.is_const():
         return OrbitReport("finite", period=1,
                            reason="constants are fixed by sigma")
+    if sigma.ff.nvars == 1:
+        n, factors = sigma._moebius_order()
+        if n is None:
+            x, y, z, w = sigma._matrix()
+            return OrbitReport(
+                "infinite",
+                reason="tr^2/det = %s is not 0, 1, 2 or 3, so sigma has "
+                       "infinite order; only constants have finite orbits"
+                       % Fraction((x + w) ** 2, x * w - y * z))
+        period, _ = _least_period(n, factors,
+                                  lambda m: sigma.apply(a, m) == a)
+        return OrbitReport("finite", period=period)
     cur = a
-    seen = [str(a)]
+    seen = [a]
     for n in range(1, bound + 1):
         cur = sigma.apply(cur)
         if cur == a:
             return OrbitReport("finite", period=n)
-        seen.append(str(cur))
-    parts = _affine_parts(sigma)
-    if parts is not None:
-        alpha, beta = parts
-        base = sigma.ff.base
-        one = base.one()
-        if base.p == 0:
-            if alpha == one and beta != base.zero():
-                return OrbitReport(
-                    "infinite",
-                    reason="sigma is a shift by %s; only constants recur"
-                           % beta)
-            if alpha != one and alpha != base.neg(one):
-                return OrbitReport(
-                    "infinite",
-                    reason="sigma scales by %s, not a root of unity; only "
-                           "constants have finite orbit" % alpha)
-        else:
-            # affine over F_p: sigma lies in a group of order dividing
-            # p*(p-1); probe divisors of the sigma-order above the bound
-            d = sigma.order(base.p * max(base.p - 1, 1))
-            if d is not None and d <= 4096:
-                for m in _divisors(d):
-                    if m > bound and sigma.apply(a, m) == a:
-                        return OrbitReport("finite", period=m)
+        seen.append(cur)
     return OrbitReport(
         "unknown",
         reason="no return within %d iterations and no closed form applies"
                % bound,
-        iterates=seen)
+        iterates=[str(f) for f in seen])
 
 
 # ---------------------------------------------------------------------------

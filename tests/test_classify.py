@@ -5,12 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import orefree
-from orefree import classify
 from orefree.classify import (
     ClassifyOptions, ProblemSpec, Verdict, classify_automorphism,
     classify_derivation, classify_problem, normalize_presentation,
@@ -22,7 +22,7 @@ from orefree.errors import (
 from orefree.field import FunctionField, _divisors
 from orefree.orefrac import central_power_check
 from orefree.orepoly import OrePoly
-from orefree.skew import OrbitReport, SkewDerivation, SkewEndo, SkewPair
+from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 
 QT = FunctionField(0, ["t"])
 
@@ -135,26 +135,51 @@ def test_affine_map_finds_witness_in_default_pool():
     assert any("finite support at place t" in d for d in v.diagnostics)
 
 
-def test_valuation_witness_with_a_bounded_relation_is_rejected(monkeypatch):
+def test_valuation_witness_with_a_bounded_relation_is_rejected():
     """t -> t/(t+1) is conjugate to a shift, so its orbits are infinite.
 
-    orbit_analyze reports them as unknown; patched to the true answer, the
-    valuation route picks 1/(t+1), whose words are independent at L = 2
-    but carry a relation at L = 3.  That witness cannot carry a Free
-    verdict, and no other place offers one.
+    The valuation route picks 1/(t+1), whose words are independent at
+    L = 2 but carry a relation at L = 3.  That witness cannot carry a
+    Free verdict, and no other place offers one.
     """
     t = QT.var(0)
     pair = SkewPair.automorphism(SkewEndo(QT, [t / (t + 1)], [t / (1 - t)]))
-    monkeypatch.setattr(
-        classify, "orbit_analyze",
-        lambda sigma, a, bound=64: OrbitReport("infinite", reason="patched"))
     v = classify_automorphism(spec_of(pair))
+    assert v.diagnostics[0] == "orbit(t): infinite"
     assert v.kind == "Unknown"
     assert v.certificate is None and v.witness is None
     assert any(d.startswith("bounded relation at length 3")
                for d in v.diagnostics)
     assert "witness 1/(t + 1) rejected: its words carry a relation" \
         in v.diagnostics
+
+
+def test_large_fp_period_skips_the_central_power():
+    """Over F_(2^31 - 1) the shift has period p: Unknown, named, at once."""
+    p = 2 ** 31 - 1
+    ff = FunctionField(p, ["t"])
+    t = ff.var(0)
+    start = time.perf_counter()
+    v = classify_problem(spec_of(SkewPair.automorphism(
+        SkewEndo(ff, [t + 1], [t - 1]))))
+    assert time.perf_counter() - start < 1.0
+    assert v.kind == "Unknown"
+    assert v.diagnostics == [
+        "orbit(t): finite period %d" % p,
+        "period %d is past the central-power ceiling 4096; x^%d is not "
+        "checked" % (p, p)]
+
+
+def test_period_past_the_ceiling_stays_unknown():
+    """t -> 2t over F_10007: 2 has order 5003 > 4096."""
+    ff = FunctionField(10007, ["t"])
+    t = ff.var(0)
+    v = classify_problem(spec_of(SkewPair.automorphism(
+        SkewEndo(ff, [2 * t], [t / 2]))))
+    assert v.kind == "Unknown" and v.central_power is None
+    assert "orbit(t): finite period 5003" in v.diagnostics
+    assert any("period 5003 is past the central-power ceiling" in d
+               for d in v.diagnostics)
 
 
 def test_char_p_side_condition_reported():

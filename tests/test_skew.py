@@ -244,21 +244,98 @@ def test_orbit_finite_charp_scaling():
 
 
 def test_orbit_unknown_mobius():
+    # t/(t + 1) is parabolic: tr^2/det = 4, so sigma has infinite order
     t = QT.var("t")
     s = SkewEndo(QT, [t / (t + 1)], [t / (1 - t)])
     rep = orbit_analyze(s, t, bound=6)
+    assert rep.kind == "infinite" and rep.iterates == []
+    # several variables keep bounded iteration and report what they saw
+    ff = FunctionField(0, ["t", "u"])
+    t, u = ff.gens()
+    s = SkewEndo(ff, [u, t + u], [u - t, t])
+    rep = orbit_analyze(s, t, bound=6)
     assert rep.kind == "unknown"
-    assert len(rep.iterates) == 7  # a itself plus six iterates
+    # a itself plus six iterates, formatted as before
+    assert rep.iterates == ["t", "u", "t + u", "t + 2*u", "2*t + 3*u",
+                            "3*t + 5*u", "5*t + 8*u"]
 
 
 def test_orbit_charp_closed_form_beyond_bound():
-    # sigma(t) = t + 1 over F_11 has order 11 > bound 8; divisor probing
-    # of the group order still certifies the finite orbit
+    # sigma(t) = t + 1 over F_11 has order 11 > bound 8; one variable
+    # reads it off the matrix and ignores the bound
     ff = FunctionField(11, ["t"])
     t = ff.var("t")
     s = SkewEndo(ff, [t + 1], [t - 1])
     rep = orbit_analyze(s, t, bound=8)
     assert rep.kind == "finite" and rep.period == 11
+
+
+def _moebius(ff, a, b, c, d):
+    """t -> (a t + b) / (c t + d) with its inverse (d t - b) / (a - c t)."""
+    t = ff.var("t")
+    a, b, c, d = (ff.const(v) for v in (a, b, c, d))
+    return SkewEndo(ff, [(a * t + b) / (c * t + d)],
+                    [(d * t - b) / (a - c * t)])
+
+
+# shift, doubling, t -> -t, orders 3, 4 and 6 over Q, parabolic, hyperbolic
+MOEBIUS_MAPS = [(1, 1, 0, 1), (2, 0, 0, 1), (-1, 0, 0, 1), (0, -1, 1, 1),
+                (1, 1, -1, 1), (1, -1, 1, 2), (1, 0, 1, 1), (2, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("char", [0, 5, 7, 11])
+def test_exact_orbits_match_iteration(char):
+    """Kind and period from the Moebius matrix agree with plain
+    substitution up to 64 steps: a return gives that period, and no
+    return means an infinite orbit (over Q; over F_p every order is at
+    most p + 1 <= 12)."""
+    ff = FunctionField(char, ["t"])
+    t = ff.var("t")
+    proper = 0
+    for m in MOEBIUS_MAPS:
+        s = _moebius(ff, *m)
+        order = s.order(64)
+        for a in (t, t ** 2, 1 / (t - 1), t + s.images[0]):
+            cur, period = a, None
+            for n in range(1, 65):
+                cur = cur.substitute(s.images)
+                if cur == a:
+                    period = n
+                    break
+            rep = orbit_analyze(s, a)
+            if period is None:
+                assert char == 0
+                assert (rep.kind, rep.period) == ("infinite", None), (m, a)
+            else:
+                assert (rep.kind, rep.period) == ("finite", period), (m, a)
+                assert order % period == 0
+                proper += period < order
+    # some element's period is a proper divisor of the order of sigma
+    assert proper
+
+
+def test_exact_orders_over_q():
+    orders = [_moebius(QT, *m).order(64) for m in MOEBIUS_MAPS]
+    assert orders == [None, None, 2, 3, 4, 6, None, None]
+
+
+def test_large_prime_orbits_are_exact_and_fast():
+    """Over F_(2^31 - 1) the shift has order p, past any iteration bound."""
+    p = 2 ** 31 - 1
+    ff = FunctionField(p, ["t"])
+    t = ff.var("t")
+    shift = SkewEndo(ff, [t + 1], [t - 1])
+    assert shift.order(p) == p and shift.order(p - 1) is None
+    rep = orbit_analyze(shift, t, bound=8)
+    assert (rep.kind, rep.period) == ("finite", p)
+    # 2 and 4 have order 31 mod 2^31 - 1
+    rep = orbit_analyze(SkewEndo(ff, [2 * t], [t / 2]), t ** 2)
+    assert (rep.kind, rep.period) == ("finite", 31)
+    # (2t + 1)/(t + 1): the discriminant 5 is not a square mod p, so the
+    # eigenvalue ratio lies in F_(p^2) with order dividing p + 1 = 2^31;
+    # the matrix's 2^30-th power is -1 and its 2^29-th is not scalar
+    rep = orbit_analyze(_moebius(ff, 2, 1, 1, 1), t)
+    assert (rep.kind, rep.period) == ("finite", 2 ** 30)
 
 
 def test_delta_tower_strict_shift_fixture():

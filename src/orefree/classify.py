@@ -2,10 +2,10 @@
 
 A presentation (K, sigma, delta) over a rational function field is routed
 by shape.  Mixed inputs are rewritten first: over a field, a nonzero
-delta alongside sigma != 1 is forced to be inner, delta(a) = c(a -
-sigma(a)) with c = (b - sigma(b))^{-1} delta(b) for any generator b moved
-by sigma, and substituting x' = x + e*c (the sign e found by expansion,
-never assumed) turns the ring into a pure automorphism one.  Pure shapes
+delta alongside sigma != 1 is forced to be inner, delta = c(sigma - id),
+and :class:`~orefree.skew.SkewDerivation` keeps c as ``delta.inner``.
+Substituting x' = x + c, verified by Ore multiplication on every
+generator, turns the ring into a pure automorphism one.  Pure shapes
 then get one of four verdicts:
 
   Free         carries constructive evidence: a verified Weyl pair (xz -
@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
-    InconsistentDerivation, RequiresPureAutomorphism, RequiresPureDerivation,
-    ResourceBoundExceeded,
+    RequiresPureAutomorphism, RequiresPureDerivation, ResourceBoundExceeded,
 )
 from .field import RatFunc, _rational_roots
 from .freeness import freeness_certify, valuation_witness, \
@@ -87,10 +86,10 @@ def normalize_presentation(pair):
     """Rewrite mixed (sigma, delta) to a pure automorphism presentation.
 
     Returns (pair', shift, report).  Pure inputs pass through with shift
-    None.  For mixed ones the returned shift c' satisfies: substituting
-    x' = x + c' gives x' a = sigma(a) x' for every generator a, verified
-    by Ore multiplication for both sign choices rather than trusted from
-    the inner-derivation formula.
+    None.  For mixed ones the shift is c = ``delta.inner``, delta =
+    c*(sigma - id), so x' = x + c gives x' a = sigma(a) x + delta(a) + c a
+    = sigma(a) x'; that identity is then verified by Ore multiplication
+    on every generator rather than trusted.
     """
     if pair.is_commutative():
         return pair, None, "commutative type"
@@ -98,47 +97,19 @@ def normalize_presentation(pair):
         return pair, None, "pure automorphism type"
     if pair.is_pure_derivation():
         return pair, None, "pure derivation type"
-    ff = pair.ff
-    sigma, delta = pair.sigma, pair.delta
-    b = None
-    for i in range(ff.nvars):
-        y = ff.var(i)
-        if sigma.apply(y) != y:
-            b = y
-            break
-    if b is None:
-        # sigma fixes every generator, so it is the identity and the pair
-        # should have presented as a pure derivation
-        raise InconsistentDerivation(
-            "sigma fixes all generators yet the pair is not pure")
-    c = (b - sigma.apply(b)).inverse() * delta.apply(b)
-    for i in range(ff.nvars):
-        y = ff.var(i)
-        expect = c * (y - sigma.apply(y))
-        if delta.apply(y) != expect:
-            raise InconsistentDerivation(
-                "delta(%s) != c*(%s - sigma(%s)) for c = %s"
-                % (ff.names[i], ff.names[i], ff.names[i], c))
-    chosen = None
-    for sign in (1, -1):
-        shift = c * sign
-        xp = OrePoly(pair, [shift, ff.one()])
-        ok = True
-        for i in range(ff.nvars):
-            a = OrePoly.const(pair, ff.var(i))
-            sa = OrePoly.const(pair, sigma.apply(ff.var(i)))
-            if xp * a != sa * xp:
-                ok = False
-                break
-        if ok:
-            chosen = shift
-            break
-    if chosen is None:
-        raise AssertionError("neither sign linearizes the substitution")
+    ff, sigma = pair.ff, pair.sigma
+    shift = pair.delta.inner
+    xp = OrePoly(pair, [shift, ff.one()])
+    for y in ff.gens():
+        if (xp * OrePoly.const(pair, y)
+                != OrePoly.const(pair, sigma.apply(y)) * xp):
+            raise AssertionError(
+                "x' = x + (%s) does not satisfy x' %s = sigma(%s) x'"
+                % (shift, y, y))
     pure = SkewPair.automorphism(sigma)
     report = ("pure automorphism type after x' = x + (%s); "
-              "x' a = sigma(a) x' verified on all generators" % chosen)
-    return pure, chosen, report
+              "x' a = sigma(a) x' verified on all generators" % shift)
+    return pure, shift, report
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ class NotAnAutomorphism(PresentationError):
 
 
 class InconsistentDerivation(PresentationError):
-    """Derivation images violate the twisted Leibniz pairwise constraint."""
+    """Derivation images are not c*(sigma(y) - y) for one c, sigma != id."""
 
 
 class InvalidConstantDeclaration(PresentationError):

@@ -30,12 +30,11 @@ sigma(t) = A/B, so for deg n, deg D <= m
 
 A sigma-derivation of k(t) is fixed by its value on t, so
 
-    delta = c (sigma - id),   c = delta(t) / (sigma(t) - t),   sigma != id,
-    delta = delta(t) d/dt,                                      sigma = id.
+    delta = c (sigma - id),   c = delta.inner,   sigma != id,
+    delta = delta(t) d/dt,                       sigma = id,
 
-Both right-hand sides are sigma-derivations, since
-c (sigma(ab) - ab) = sigma(a) c (sigma(b) - b) + c (sigma(a) - a) b, and
-they agree with delta on t and on k.
+with c = delta(t) / (sigma(t) - t) as :mod:`skew` proves.  Without
+delta, x^k a = sigma^k(a) x^k is one Moebius map for any k.
 
 Greatest common right divisors come from the right Euclidean algorithm;
 least common left multiples from its extended form (the cofactor of f
@@ -132,7 +131,7 @@ def _over_lcm(d1, n1, d2, n2, p):
 
 
 class _Kernel:
-    """x * (sum N_j / D x^j) on int lists, for one context over k(t)."""
+    """x^k * (sum N_j / D x^j) on int lists, for one context over k(t)."""
 
     __slots__ = ("p", "kind", "sigma", "cn", "cd")
 
@@ -143,11 +142,10 @@ class _Kernel:
         if not sigma.is_identity():
             self.kind, self.sigma = "aut", sigma
         if not delta.is_zero():
-            c = delta.images[0]
             if self.kind == "aut":
-                self.kind, c = "sd", c / (sigma.images[0] - ff.var(0))
+                self.kind, c = "sd", delta.inner
             else:
-                self.kind = "der"
+                self.kind, c = "der", delta.images[0]
             self.cn, self.cd = _ints(c, ff)
 
     def _sigma(self, polys, m, k=1):
@@ -155,12 +153,28 @@ class _Kernel:
         a, bpow = self.sigma.moebius_table(k, m)
         return [_compose(n, a, bpow, m, self.p) for n in polys]
 
-    def step(self, den, nums):
-        """The canonical form of x * (sum nums[j] / den x^j)."""
+    def step(self, den, nums, k=1):
+        """The canonical form of x^k * (sum nums[j] / den x^j), k >= 1:
+        one Moebius map sigma^k without delta, k single steps with it."""
         p, kind = self.p, self.kind
         if kind == "comm":
-            return den, [[]] + nums
-        if kind == "der":
+            return den, [[]] * k + nums
+        if kind == "aut":
+            # sigma keeps coprime lists coprime: at a common root r of
+            # every H_m(n), B(r) = 0 would leave lc(n) A(r)^m != 0 for an
+            # n of degree m, and B(r) != 0 would make sigma^k(r) a common
+            # root of den and the numerators
+            m = max(len(den), max(map(len, nums))) - 1
+            sden, *hi = self._sigma([den] + nums, m, k)
+            return _canon(sden, [[]] * k + hi, p, coprime=True)
+        for _ in range(k):
+            den, nums = self._delta_step(den, nums)
+        return den, nums
+
+    def _delta_step(self, den, nums):
+        """The canonical form of x * (sum nums[j] / den x^j), delta != 0."""
+        p = self.p
+        if self.kind == "der":
             # x a = a x + c a' with a = n / den and c = cn / cd
             dd = _derivative(den, p)
             lo = [_mul(self.cn, _sub(_mul(_derivative(n, p), den, p),
@@ -170,12 +184,6 @@ class _Kernel:
         else:
             m = max(len(den), max(map(len, nums))) - 1
             sden, *hi = self._sigma([den] + nums, m)
-            if kind == "aut":
-                # sigma keeps coprime lists coprime: at a common root r of
-                # every H_m(n), B(r) = 0 would leave lc(n) A(r)^m != 0 for
-                # an n of degree m, and B(r) != 0 would make sigma(r) a
-                # common root of den and the numerators
-                return _canon(sden, [[]] + hi, p, coprime=True)
             # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden
             lo = [_mul(self.cn, _sub(_mul(s, den, p), _mul(n, sden, p), p), p)
                   for s, n in zip(hi, nums)]
@@ -362,25 +370,28 @@ class OrePoly:
         return OrePoly._make(self.ctx, *_canon(
             _mul(ad, self._den, p), [_mul(an, n, p) for n in self._nums], p))
 
-    def _x_step(self):
-        """x * self, one application of the commutation rule."""
+    def _x_step(self, k=1):
+        """x^k * self, k >= 1, by the commutation rule."""
         ctx = self.ctx
         if self._den is not None:
             if not self._nums:
                 return self
             return OrePoly._make(ctx, *_kernel(ctx).step(self._den,
-                                                         self._nums))
+                                                         self._nums, k))
         sigma, delta = ctx.sigma, ctx.delta
         zero = ctx.ff.zero()
-        out = [zero] * (len(self._cs) + 1)
         dz = delta.is_zero()
-        for j, c in enumerate(self._cs):
-            if c.is_zero():
-                continue
-            out[j + 1] = out[j + 1] + sigma.apply(c)
-            if not dz:
-                out[j] = out[j] + delta.apply(c)
-        return OrePoly(ctx, out)
+        cs = self._cs
+        for _ in range(k):
+            out = [zero] * (len(cs) + 1)
+            for j, c in enumerate(cs):
+                if c.is_zero():
+                    continue
+                out[j + 1] = out[j + 1] + sigma.apply(c)
+                if not dz:
+                    out[j] = out[j] + delta.apply(c)
+            cs = out
+        return OrePoly(ctx, cs)
 
     def __mul__(self, other):
         if isinstance(other, (int, RatFunc)):
@@ -392,23 +403,24 @@ class OrePoly:
             return OrePoly.zero(self.ctx)
         if self._den is not None:
             # sum_i (N_i / D) x^i other over one denominator
+            # x^i other is advanced from the last nonzero term's power
             p = _kernel(self.ctx).p
             den, nums = [1], []
-            xk = other
+            xk, k = other, 0
             for i, a in enumerate(self._nums):
-                if i:
-                    xk = xk._x_step()
                 if a:
+                    if i > k:
+                        xk, k = xk._x_step(i - k), i
                     den, nums = _over_lcm(den, nums, xk._den,
                                           [_mul(a, n, p) for n in xk._nums], p)
             return OrePoly._make(self.ctx, *_canon(
                 _mul(den, self._den, p), nums, p))
         acc = OrePoly.zero(self.ctx)
-        xk = other
+        xk, k = other, 0
         for i, a in enumerate(self._cs):
-            if i:
-                xk = xk._x_step()
             if not a.is_zero():
+                if i > k:
+                    xk, k = xk._x_step(i - k), i
                 acc = acc + xk.scale_left(a)
         return acc
 

@@ -13,8 +13,9 @@ on it, one `key: value` pair per line, `#` starting a comment:
 
 Expressions use integers, declared names, `+ - * / ^` and parentheses.
 Every structural claim the file makes is verified during construction:
-sigma round-trips against sigma_inv, delta satisfies the twisted Leibniz
-constraint pairwise, declared constants are annihilated by psi.  Nothing
+sigma round-trips against sigma_inv, delta is a sigma-derivation (when
+sigma != id, delta(y) = c*(sigma(y) - y) on every generator for one c),
+declared constants are annihilated by psi.  Nothing
 is inferred silently; a nontrivial sigma without usable inverse images
 fails the round-trip check rather than being inverted behind the user's
 back.

@@ -7,13 +7,20 @@ round trips, so an instance that exists is genuinely invertible.  A
 
     delta(a*b) = sigma(a)*delta(b) + delta(a)*b,
 
-presented by generator images.  For several generators the images cannot
-be arbitrary: applying delta to y_i y_j = y_j y_i in both orders forces
+presented by generator images.  When sigma != id it is inner.  Take any
+b with sigma(b) != b; expanding delta(a*b) = delta(b*a) by the rule above
+gives
 
-    delta(y_i)*(sigma(y_j) - y_j) == delta(y_j)*(sigma(y_i) - y_i),
+    delta(a)*(sigma(b) - b) == delta(b)*(sigma(a) - a),
 
-which construction checks pairwise (it is also sufficient, since the
-relations above are the only ones among independent generators).
+so delta = c*(sigma - id) with c = delta(b) / (sigma(b) - b).
+Conversely c*(sigma - id) is a sigma-derivation for every c, and a
+sigma-derivation is fixed by its generator images.  Construction takes b
+as the first generator y_j that sigma moves, keeps c, and checks
+delta(y_i) == c*(sigma(y_i) - y_i) for every i.  These n checks are
+equivalent to the constraint above over all pairs of generators: they
+are its instances with b = y_j, and given them both sides of any pair
+are c*(sigma(y_i) - y_i)*(sigma(y_k) - y_k).
 
 :class:`SkewPair` bundles (sigma, delta) acting on one field, the map
 psi = (sigma - 1) + delta whose kernel is the constant subring, and any
@@ -323,9 +330,14 @@ class SkewEndo:
 
 
 class SkewDerivation:
-    """sigma-derivation of K presented by generator images."""
+    """sigma-derivation of K presented by generator images.
 
-    __slots__ = ("ff", "images", "twist", "_mono_cache", "_pow_cache")
+    ``inner`` is c with delta = c*(sigma - id) when sigma != id, read off
+    the first generator sigma moves and checked on every generator (module
+    docstring), and None when sigma = id.
+    """
+
+    __slots__ = ("ff", "images", "twist", "inner")
 
     def __init__(self, ff, images, twist):
         if twist.ff != ff:
@@ -334,24 +346,19 @@ class SkewDerivation:
         self.ff = ff
         self.images = SkewEndo._as_image_list(ff, images)
         self.twist = twist
-        self._mono_cache = {}
-        self._pow_cache = {}
-        self._verify()
-
-    def _verify(self):
-        n = self.ff.nvars
-        for i in range(n):
-            yi = self.ff.var(i)
-            si = self.twist.images[i] - yi
-            for j in range(i + 1, n):
-                yj = self.ff.var(j)
-                sj = self.twist.images[j] - yj
-                if self.images[i] * sj != self.images[j] * si:
-                    raise InconsistentDerivation(
-                        "images of %r and %r violate the twisted Leibniz "
-                        "constraint delta(y_i)*(sigma(y_j) - y_j) == "
-                        "delta(y_j)*(sigma(y_i) - y_i)"
-                        % (self.ff.names[i], self.ff.names[j]))
+        self.inner = None
+        moved = [s - y for s, y in zip(twist.images, ff.gens())]
+        j = next((j for j, m in enumerate(moved) if not m.is_zero()), None)
+        if j is None:
+            return
+        self.inner = self.images[j] / moved[j]
+        for i, m in enumerate(moved):
+            if self.images[i] != self.inner * m:
+                raise InconsistentDerivation(
+                    "delta(%s) != c*(sigma(%s) - %s) with "
+                    "c = delta(%s) / (sigma(%s) - %s) = %s"
+                    % ((ff.names[i],) * 3 + (ff.names[j],) * 3
+                       + (self.inner,)))
 
     @classmethod
     def zero(cls, ff, twist=None):
@@ -364,75 +371,26 @@ class SkewDerivation:
 
     # -- application -------------------------------------------------------
 
-    def _var_power(self, i, k):
-        """delta(y_i^k) by the twisted power rule, cached."""
-        key = (i, k)
-        out = self._pow_cache.get(key)
-        if out is not None:
-            return out
-        ff = self.ff
-        if k == 0:
-            out = ff.zero()
-        elif k == 1:
-            out = self.images[i]
-        else:
-            s = self.twist.images[i]
-            y = ff.var(i)
-            out = s * self._var_power(i, k - 1) + self.images[i] * y ** (k - 1)
-        self._pow_cache[key] = out
-        return out
-
-    def _monomial(self, e):
-        out = self._mono_cache.get(e)
-        if out is not None:
-            return out
-        ff = self.ff
-        lead = None
-        for i, k in enumerate(e):
-            if k:
-                lead = i
-                break
-        if lead is None:
-            out = ff.zero()
-        else:
-            rest = list(e)
-            rest[lead] = 0
-            rest = tuple(rest)
-            if not any(rest):
-                out = self._var_power(lead, e[lead])
-            else:
-                # delta(A*B) = sigma(A)*delta(B) + delta(A)*B
-                a_sig = self.twist.images[lead] ** e[lead]
-                b_val = ff.one()
-                for i, k in enumerate(rest):
-                    if k:
-                        b_val = b_val * ff.var(i) ** k
-                out = (a_sig * self._monomial(rest)
-                       + self._var_power(lead, e[lead]) * b_val)
-        self._mono_cache[e] = out
-        return out
-
     def _apply_poly(self, p):
+        """delta(p) for a polynomial p, sigma = id: the chain rule through
+        formal partials."""
         ff = self.ff
-        if self.twist.is_identity():
-            # ordinary derivation: chain rule through formal partials
-            out = ff.zero()
-            for i in range(ff.nvars):
-                if not self.images[i].is_zero():
-                    d = p.partial(i)
-                    if not d.is_zero():
-                        out = out + RatFunc(d, ff.poly_one(),
-                                            reduce=False) * self.images[i]
-            return out
         out = ff.zero()
-        for e, c in p.terms.items():
-            out = out + ff.const(c) * self._monomial(e)
+        for i in range(ff.nvars):
+            if not self.images[i].is_zero():
+                d = p.partial(i)
+                if not d.is_zero():
+                    out = out + RatFunc(d, ff.poly_one(),
+                                        reduce=False) * self.images[i]
         return out
 
     def apply(self, f):
-        """delta(f) via the twisted quotient rule."""
+        """delta(f): c*(sigma(f) - f) when twisted, else the quotient
+        rule."""
         if self.is_zero():
             return self.ff.zero()
+        if self.inner is not None:
+            return self.inner * (self.twist.apply(f) - f)
         dn = self._apply_poly(f.num)
         if f.den.is_const():
             c = f.den.const_value()
@@ -442,9 +400,7 @@ class SkewDerivation:
         dd = self._apply_poly(f.den)
         n = RatFunc(f.num, self.ff.poly_one(), reduce=False)
         d = RatFunc(f.den, self.ff.poly_one(), reduce=False)
-        sn = self.twist.apply(n)
-        sd = self.twist.apply(d)
-        return (dn * sd - sn * dd) / (sd * d)
+        return (dn * d - n * dd) / (d * d)
 
     def __eq__(self, other):
         return (isinstance(other, SkewDerivation) and self.ff == other.ff

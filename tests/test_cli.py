@@ -32,6 +32,12 @@ vars: t
 delta.t: 1
 """
 
+# delta(s) != 0 where sigma moves only t; delta(t) != 0 where sigma fixes t
+INCONSISTENT_QTS = [
+    "field: Q\nvars: t, s\nsigma.t: t + 1\nsigma_inv.t: t - 1\ndelta.s: 1\n",
+    "field: Q\nvars: t, s\nsigma.s: s + 1\nsigma_inv.s: s - 1\ndelta.t: 1\n",
+]
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 FIXTURES = os.path.join(ROOT, "demos", "problems")
 
@@ -161,6 +167,11 @@ def test_presentation_error_exits_two(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", path)
     assert code == 2
     assert json.loads(out)["error"] == "NotAnAutomorphism"
+    for text in INCONSISTENT_QTS:
+        path = problem_file(tmp_path, text)
+        code, out, _ = run_cli(capsys, "classify", path)
+        assert code == 2
+        assert json.loads(out)["error"] == "InconsistentDerivation"
 
 
 def test_resource_bound_exits_three(tmp_path, capsys):

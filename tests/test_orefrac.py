@@ -1,6 +1,7 @@
 """Division ring arithmetic with left fractions, Weyl and centrality probes."""
 
 import random
+import time
 
 import pytest
 
@@ -148,6 +149,13 @@ def test_central_power_check_frozen():
         central_power_check(ctx, 0)
     with pytest.raises(RequiresPureAutomorphism):
         central_power_check(weyl_ctx(), 2)
+
+
+def test_central_power_check_f4093_shift_is_fast():
+    # x^4093 * t is one Moebius map sigma^4093, not 4093 single x-steps
+    start = time.perf_counter()
+    assert central_power_check(shift_ctx(FunctionField(4093, ["t"])), 4093)
+    assert time.perf_counter() - start < 2
 
 
 def test_zero_division_guards():

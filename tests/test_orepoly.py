@@ -295,7 +295,8 @@ KERNEL_CONTEXTS = ["shift", "double", "mobius3", "ddt", "t2ddt", "mixed"]
 def kernel_context(char, name):
     """Q(t) or F_5(t) with one of the contexts the one-variable kernel
     distinguishes: polynomial and Moebius automorphisms (t -> -1/(t+1)
-    has order 3), derivations, and the sigma-derivation of mixed.ore."""
+    has order 3), derivations, the sigma-derivation of mixed.ore, and the
+    commutative ring."""
     ff = QT if char == 0 else FunctionField(char, ["t"])
     t = ff.var("t")
     ident = SkewEndo.identity(ff)
@@ -308,6 +309,8 @@ def kernel_context(char, name):
         return SkewPair.automorphism(sigma)
     if name == "mixed":
         return SkewPair(shift, SkewDerivation(ff, [t], shift))
+    if name == "comm":
+        return SkewPair.commutative(ff)
     image = ff.one() if name == "ddt" else t * t
     return SkewPair.derivation(SkewDerivation(ff, [image], ident))
 
@@ -360,3 +363,24 @@ def test_fraction_free_kernel_matches_reference(char, name):
         assert ref_ore_left_quo_rem(ctx, hf, d.coeffs)[1] == []
         assert ref_ore_left_quo_rem(ctx, hg, d.coeffs)[1] == []
         assert ref_ore_left_quo_rem(ctx, d.coeffs, h.coeffs)[1] == []
+
+
+def mixed_qts_pair():
+    """Q(t, s) with sigma = (t + 1, 2s) and delta = t*s*(sigma - id)."""
+    ff = FunctionField(0, ["t", "s"])
+    t, s = ff.gens()
+    sigma = SkewEndo(ff, [t + 1, 2 * s], [t - 1, s / 2])
+    return SkewPair(sigma, SkewDerivation(ff, [t * s, t * s * s], sigma))
+
+
+@pytest.mark.parametrize("char,name", [
+    (c, n) for c in (0, 5) for n in ("comm", "shift", "ddt", "mixed")]
+    + [(0, "qts")])
+def test_sparse_products_match_reference(char, name):
+    # f * a advances x^i a across the zero coefficients of f in one step
+    ctx = mixed_qts_pair() if name == "qts" else kernel_context(char, name)
+    ff = ctx.ff
+    zero, one, t, y = ff.zero(), ff.one(), ff.var(0), ff.var(ff.nvars - 1)
+    a = OrePoly(ctx, [(t * t + 1) / (t + 2), y])
+    for cs in ([zero, zero, t, zero, zero, one], [zero] * 7 + [one]):
+        assert_coeffs(OrePoly(ctx, cs) * a, ref_ore_mul(ctx, cs, a.coeffs))

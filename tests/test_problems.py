@@ -119,8 +119,14 @@ sigma_inv.s: s - 1
 delta.t: t
 delta.s: 1
 """
-    with pytest.raises(InconsistentDerivation):
-        parse_problem(text)
+    # then delta(s) != 0 where sigma moves only t, and delta(t) != 0
+    # where sigma fixes t
+    head = "field: Q\nvars: t, s\n"
+    for text in (text,
+                 head + "sigma.t: t + 1\nsigma_inv.t: t - 1\ndelta.s: 1\n",
+                 head + "sigma.s: s + 1\nsigma_inv.s: s - 1\ndelta.t: 1\n"):
+        with pytest.raises(InconsistentDerivation):
+            parse_problem(text)
 
 
 def test_composite_modulus_rejected():

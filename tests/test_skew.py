@@ -130,6 +130,20 @@ def test_untwisted_leibniz_multivariate():
         assert d.apply(f * g) == f * d.apply(g) + d.apply(f) * g
 
 
+def assert_sigma_derivation(delta, rng, rounds=6, **shape):
+    """delta takes its generator images and obeys the twisted Leibniz rule
+    and additivity on random pairs."""
+    ff, sigma = delta.ff, delta.twist
+    for y, image in zip(ff.gens(), delta.images):
+        assert delta.apply(y) == image
+    for _ in range(rounds):
+        a = random_ratfunc(rng, ff, **shape)
+        b = random_ratfunc(rng, ff, **shape)
+        assert delta.apply(a * b) == (sigma.apply(a) * delta.apply(b)
+                                      + delta.apply(a) * b)
+        assert delta.apply(a + b) == delta.apply(a) + delta.apply(b)
+
+
 @pytest.mark.parametrize("char", [0, 5])
 def test_one_variable_sigma_derivation_is_c_times_sigma_minus_id(char):
     # in k(t) a sigma-derivation is fixed by delta(t): it is
@@ -142,15 +156,39 @@ def test_one_variable_sigma_derivation_is_c_times_sigma_minus_id(char):
               SkewEndo(ff, [-1 / (t + 1)], [-(t + 1) / t])]
     for sigma, image in zip(twists, [t, t * t + 1, ff.one()]):
         delta = SkewDerivation(ff, [image], sigma)
-        c = image / (sigma.images[0] - t)
-        for _ in range(6):
-            a = random_ratfunc(rng, ff)
-            assert delta.apply(a) == c * (sigma.apply(a) - a)
+        assert delta.inner == image / (sigma.images[0] - t)
+        assert_sigma_derivation(delta, rng)
     delta = SkewDerivation(ff, [t * t], SkewEndo.identity(ff))
+    assert delta.inner is None
     for _ in range(6):
         a = random_ratfunc(rng, ff)
         da = (a.num.partial(0) * a.den - a.num * a.den.partial(0))
         assert delta.apply(a) == t * t * da / (a.den * a.den)
+
+
+def several_variable_twist(name):
+    """(sigma, c) over F_7(y1, y2) with diag7's sigma, or over Q(t, s),
+    where "fixed-t" has sigma fix the first generator."""
+    if name == "diag7":
+        ff = FunctionField(7, ["y1", "y2"])
+        y1, y2 = ff.gens()
+        return SkewEndo(ff, [6 * y1, 2 * y2], [6 * y1, 4 * y2]), y1 * y2
+    ff = FunctionField(0, ["t", "s"])
+    t, s = ff.gens()
+    if name == "shift-double":
+        return SkewEndo(ff, [t + 1, 2 * s], [t - 1, s / 2]), t * s
+    return SkewEndo(ff, [t, s + 1], [t, s - 1]), t / (s + 1)
+
+
+@pytest.mark.parametrize("name", ["diag7", "shift-double", "fixed-t"])
+def test_several_variable_sigma_derivation_is_inner(name):
+    sigma, c = several_variable_twist(name)
+    ff = sigma.ff
+    images = [c * (g - y) for g, y in zip(sigma.images, ff.gens())]
+    delta = SkewDerivation(ff, images, sigma)
+    assert delta.inner == c
+    assert_sigma_derivation(delta, random.Random("inner:" + name), rounds=4,
+                            max_deg=2, max_terms=2)
 
 
 def test_pairwise_consistency_rejected():
@@ -164,6 +202,15 @@ def test_pairwise_consistency_rejected():
     # the inner-derivation shape passes: delta(y_i) = c*(sigma(y_i) - y_i)
     c = y1 * y2
     SkewDerivation(ff, [c * (6 * y1 - y1), c * (2 * y2 - y2)], s)
+    ff = FunctionField(0, ["t", "u"])
+    t, u = ff.gens()
+    one, zero = ff.one(), ff.zero()
+    # sigma moves only t, yet delta(u) != 0
+    with pytest.raises(InconsistentDerivation):
+        SkewDerivation(ff, [zero, one], SkewEndo(ff, [t + 1, u], [t - 1, u]))
+    # sigma fixes the first generator t, yet delta(t) != 0
+    with pytest.raises(InconsistentDerivation):
+        SkewDerivation(ff, [one, zero], SkewEndo(ff, [t, u + 1], [t, u - 1]))
 
 
 def test_psi_and_declared_constants():

@@ -97,25 +97,30 @@ first generator is the reported relation.  A failed lift or check, or a
 basis short of d, falls back to the exact x^{-1} series where it
 applies, and to the fold otherwise.
 
-Over Q(t) a generator R is proved by exact values at integer points,
-with no Ore arithmetic.  Let C be the prefix closure of its support and
-e = |C| - 1.  The trie argument above, applied to C, gives R a common
-left denominator of degree at most e, so R = 0 iff its series vanishes
-at orders 0..e.  Those orders read only the values v_j = sigma^j(b),
-j <= e, or v_j = delta^j(b), j < e.  Let Delta = lcm_j den(v_j),
-h = max(0, max_j(deg num v_j - deg den v_j)) and r the most ones in a
-support word.  Every order's coefficient of a word with r_w <= r ones is
-an integer combination of products of r_w values, each Delta^{-1} times
-a polynomial of degree at most deg Delta + h; so the coefficient of R
-times Delta^r is a polynomial of degree at most B = r (deg Delta + h).
-Evaluation at a point P with Delta(P) != 0 is a ring homomorphism on
-these coefficients, so when the series of R vanishes exactly at B + 1
-such integers, every order 0..e is zero (Schwartz, J. ACM 1980) and
-R = 0.  Over F_p, and in several variables, the generators are summed
-as Ore fractions over the prefix closure of their supports instead.
+Every relation R found on a series route, evaluated or exact, is proved
+one way, on its own series, with no Ore arithmetic.  Let C be the prefix
+closure of its support and e = |C| - 1.  The trie argument above,
+applied to C, gives R a common left denominator of degree at most e, so
+R = 0 iff its series vanishes at orders 0..e.  Those orders read only
+the values v_j = sigma^j(b), j <= e, or v_j = delta^j(b), j < e.  Let
+Delta = lcm_j den(v_j) and r the most ones in a support word.  Every
+order's coefficient of a word with r_w <= r ones is an integer
+combination of products of r_w values, so the series run fraction-free
+on the values Delta v_j, with the coefficient of each word weighted by
+Delta^{r - r_w}: that is the series of R times Delta^r.  Over F_p and in
+several variables these are computed once, as exact polynomials.  Over
+Q(t), where exact coefficients grow too fast, they are evaluated at
+integer points.  Let h = max(0, max_j(deg num v_j - deg den v_j)).  Each
+Delta v_j is a polynomial of degree at most deg Delta + h, so every
+coefficient of the series of R times Delta^r has degree at most
+B = r (deg Delta + h).  Evaluation at a point P with Delta(P) != 0 is a
+ring homomorphism on these coefficients, so when the series vanishes
+exactly at B + 1 such integers, every order 0..e is zero (Schwartz,
+J. ACM 1980) and R = 0.
 
 Everything else brings all words over one common left denominator by an
-lclm fold and flattens the numerator coefficient vectors.
+lclm fold, flattens the numerator coefficient vectors, and proves its
+relation by summing the words as Ore fractions over that denominator.
 
 Independence at bound L says nothing about longer words.  The certificate
 stores the bound, the rank, and a digest of the flattened matrix so runs
@@ -272,14 +277,6 @@ def _relation_vanishes(fracs, lam):
     return total.is_zero()
 
 
-def _verify_relation(fracs, lam):
-    """Raise unless lam is nonzero and sum(lam[i] * fracs[i]) is zero."""
-    if not any(lam):
-        raise AssertionError("nullspace produced the zero relation")
-    if not _relation_vanishes(fracs, lam):
-        raise AssertionError("relation does not annihilate the fractions")
-
-
 def _last_nonzero(vec):
     return max((i for i, x in enumerate(vec) if x), default=-1)
 
@@ -319,7 +316,7 @@ def _add_by_last(basis, vec, p):
     return True
 
 
-def _rank_and_relation(rows, base, expand):
+def _rank_and_relation(rows, base, verify):
     """(rank, relation) of coordinate rows, one per word, over k.
 
     relation is None at full rank.  Otherwise it is the relation ending at
@@ -327,8 +324,7 @@ def _rank_and_relation(rows, base, expand):
     independent, so it is unique up to scale: in the echelon form of the
     nullspace keyed on each vector's last index it is the vector with the
     least key.  It is normalized as rank_over_k normalizes, and
-    re-verified against the fractions that expand(relation) returns,
-    which is called only then and need only hold the relation's support.
+    re-verified exactly by verify(relation), which is called only then.
     """
     rank, null = rank_over_k(rows, base)
     if rank == len(rows):
@@ -341,7 +337,10 @@ def _rank_and_relation(rows, base, expand):
         raise AssertionError("rank deficit without a nullspace vector")
     lam = by_last[min(by_last)]
     lam = tuple(_leading_one(lam, p) if p else _normalize_int_vector(lam))
-    _verify_relation(expand(lam), lam)
+    if not any(lam):
+        raise AssertionError("nullspace produced the zero relation")
+    if not verify(lam):
+        raise AssertionError("relation does not annihilate the words")
     return rank, lam
 
 
@@ -355,7 +354,8 @@ def independence_check(fracs):
     """
     den, nums = common_left_denominator(fracs)
     rank, lam = _rank_and_relation(_numerator_rows(nums),
-                                   fracs[0].ctx.ff.base, lambda lam: fracs)
+                                   fracs[0].ctx.ff.base,
+                                   lambda lam: _relation_vanishes(fracs, lam))
     return lam is None, rank, lam
 
 
@@ -473,25 +473,53 @@ def _xinv_step(e, N, zero, reduce):
     return _series_step(times_b, geometric)
 
 
+def _series_values(pair, b, n):
+    """The exact values that orders 0..n of a word series read.
+
+    These are sigma^j(b) for j <= n under an automorphism, and
+    delta^j(b) for j < n, up to the first zero, under a derivation: order
+    m >= 1 of x^{-1} series reads e_j for j < m only.
+    """
+    values = [b]
+    if pair.is_pure_automorphism():
+        while len(values) <= n:
+            values.append(pair.sigma.apply(values[-1]))
+    else:
+        while len(values) < n:
+            nxt = pair.delta.apply(values[-1])
+            if nxt.is_zero():
+                break
+            values.append(nxt)
+    return values
+
+
+def _sigma_step(values, q=None):
+    """Series step in K[[x; sigma]] (see _series_step).
+
+    values[m] stands for sigma^m(b), exactly or as a value at a point;
+    with q every coefficient is reduced mod q.  x^m b = sigma^m(b) x^m,
+    so a product by b multiplies order m by values[m], and
+    (1-x)^{-1} = sum_n x^n makes the geometric step a prefix sum.
+    """
+    if q is None:
+        return _series_step(lambda a: list(map(operator.mul, a, values)),
+                            lambda a: list(itertools.accumulate(a)))
+    return _series_step(lambda a: [x * c % q for x, c in zip(a, values)],
+                        lambda a: [s % q for s in itertools.accumulate(a)])
+
+
 def _xinv_word_series(pair, words, b, N):
     """Exact word series in K((x^{-1}; delta)) at orders 0..N.
 
-    The e_j are computed exactly up to the last nonzero one (order n only
-    reads e_j for j < n, so at most N of them).  N is held to
-    ``config.MAX_DEN_DEGREE``, the fold's bound on the same degree.
+    N is held to ``config.MAX_DEN_DEGREE``, the fold's bound on the same
+    degree.
     """
     if N > config.MAX_DEN_DEGREE:
         raise ResourceBoundExceeded(
             "series order %d exceeds the denominator bound %d"
             % (N, config.MAX_DEN_DEGREE))
     ff = pair.ff
-    e = [b]
-    while len(e) < N:
-        nxt = pair.delta.apply(e[-1])
-        if nxt.is_zero():
-            break
-        e.append(nxt)
-    step = _xinv_step(e, N, ff.zero(), lambda c: c)
+    step = _xinv_step(_series_values(pair, b, N), N, ff.zero(), lambda c: c)
     return _prefix_shared(words, [ff.one()] + [ff.zero()] * N, step)
 
 
@@ -557,16 +585,13 @@ def _orbit_values(images, b, point, N, evaluate):
 def _orbit_step(pair, b, point, N, q):
     """Series step in K[[x; sigma]] at P mod q, or None when undefined.
 
-    Order m of a product by b is multiplied by sigma^m(b)(P) = b(s^m(P)),
-    and (1-x)^{-1} = sum_n x^n makes the geometric step a prefix sum.
+    sigma^m(b)(P) = b(s^m(P)) along the orbit of P.
     """
     bvals = _orbit_values(pair.sigma.images, b, point, N,
                           lambda g, P: _eval_mod(g, P, q))
     if bvals is None:
         return None
-    return _series_step(
-        lambda a: [x * c % q for x, c in zip(a, bvals)],
-        lambda a: [s % q for s in itertools.accumulate(a)])
+    return _sigma_step(bvals, q)
 
 
 # F_p[y]/(f) for pure automorphisms over F_p: an element is the list of its
@@ -894,36 +919,17 @@ def _prefix_closure(support):
                   key=lambda w: (len(w), w))
 
 
-def _closure_fracs(pair, words, b, lams):
-    """One fraction per word of the prefix closure of the supports of lams,
-    None for the other words: all that sum(lam[i] W_{words[i]}) reads."""
-    closure = _prefix_closure(w for lam in lams
-                              for w, c in zip(words, lam) if c)
-    fracs = dict(zip(closure, _expand_words(pair, closure, b)))
-    return [fracs.get(w) for w in words]
-
-
 def _point_bound(pair, b, e, r):
-    """(values, Delta, B) for the point check of a relation over Q(t).
+    """(values, Delta, B) for the proof of a relation.
 
     values are the exact v_j that the series of a relation read at
-    orders 0..e: sigma^j(b) for j <= e, or delta^j(b) for j < e up to the
-    first zero.  Delta is the lcm of their denominators,
+    orders 0..e (_series_values).  Delta is the lcm of their denominators,
     h = max(0, max_j(deg num v_j - deg den v_j)) and B = r (deg Delta + h).
     Every order's coefficient of a word with at most r ones is an integer
     combination of products of as many values, so times Delta^r it is a
     polynomial of degree at most B.
     """
-    values = [b]
-    if pair.is_pure_automorphism():
-        while len(values) <= e:
-            values.append(pair.sigma.apply(values[-1]))
-    else:
-        while len(values) < e:
-            nxt = pair.delta.apply(values[-1])
-            if nxt.is_zero():
-                break
-            values.append(nxt)
+    values = _series_values(pair, b, e)
     delta, h = pair.ff.poly_one(), 0
     for v in values:
         delta = delta * v.den.divide_exact(poly_gcd(delta, v.den))
@@ -931,22 +937,42 @@ def _point_bound(pair, b, e, r):
     return values, delta, r * (delta.total_degree() + h)
 
 
-def _relation_holds_at_points(pair, words, b, lam):
-    """True when sum(lam[i] W_{words[i]}) = 0 over Q(t), decided exactly.
+def _relation_holds(pair, words, b, lam):
+    """True when sum(lam[i] W_{words[i]}) = 0, decided exactly.
 
-    C is the prefix closure of the support and e = |C| - 1.  The series
-    of the relation is evaluated at orders 0..e at the first B + 1
-    integers P >= 0 where Delta does not vanish (_point_bound), False at
-    the first nonzero order (module docstring).  Each point's values are
-    scaled by one integer s so that the series run on ints: that scales
-    the series of a word with r_w ones by s^{r_w}, which the weight
-    s^{r - r_w} of its coefficient evens out.
+    C is the prefix closure of the support and e = |C| - 1: the relation
+    holds iff its series over C vanishes at orders 0..e (module
+    docstring).  The series run fraction-free.  Each value v_j is scaled
+    by Delta (_point_bound), which scales the series of a word with r_w
+    ones by Delta^{r_w}, and the weight Delta^{r - r_w} of its
+    coefficient evens that out.  Over Q(t) the scaled coefficients are
+    evaluated at the first B + 1 integers P >= 0 where Delta does not
+    vanish, each point's values scaled by one integer in place of
+    Delta(P); elsewhere they are computed once, as exact polynomials.
     """
     support = [(w, c) for w, c in zip(words, lam) if c]
     closure = _prefix_closure(w for w, _ in support)
     e = len(closure) - 1
     r = max(sum(w) for w, _ in support)
-    values, _, B = _point_bound(pair, b, e, r)
+    values, delta, B = _point_bound(pair, b, e, r)
+
+    def vanishes(vals, scale, zero, one):
+        if pair.is_pure_automorphism():
+            step = _sigma_step(vals)
+        else:
+            step = _xinv_step(vals, e, zero, lambda c: c)
+        series = dict(zip(closure, _prefix_shared(closure, [one] + [zero] * e,
+                                                  step)))
+        total = [zero] * (e + 1)
+        for w, c in support:
+            f = c * scale ** (r - sum(w))
+            total = [x + f * y for x, y in zip(total, series[w])]
+        return not any(total)
+
+    ff = pair.ff
+    if ff.char or ff.nvars > 1:
+        return vanishes([v.num * delta.divide_exact(v.den) for v in values],
+                        delta, ff.poly_zero(), ff.poly_one())
     dense = [(_dense(v.num.terms, 0), _dense(v.den.terms, 0))
              for v in values]
 
@@ -961,19 +987,7 @@ def _relation_holds_at_points(pair, words, b, lam):
         if not all(dens):
             continue
         s = math.lcm(*dens)
-        vals = [n * (s // d) for n, d in zip(nums, dens)]
-        if pair.is_pure_automorphism():
-            step = _series_step(lambda a: list(map(operator.mul, a, vals)),
-                                lambda a: list(itertools.accumulate(a)))
-        else:
-            step = _xinv_step(vals, e, 0, lambda c: c)
-        series = dict(zip(closure, _prefix_shared(closure, [1] + [0] * e,
-                                                  step)))
-        total = [0] * (e + 1)
-        for w, c in support:
-            f = c * s ** (r - sum(w))
-            total = [x + f * y for x, y in zip(total, series[w])]
-        if any(total):
+        if not vanishes([n * (s // d) for n, d in zip(nums, dens)], s, 0, 1):
             return False
         left -= 1
     return True
@@ -984,11 +998,10 @@ def _certify_by_evaluation(pair, words, b, L):
 
     Points are added until the rank is full or has not risen over two
     more points.  Full rank mod q proves independence.  On a deficit d
-    only the generators of _relation_generators are verified: over Q(t)
-    by _relation_holds_at_points, otherwise on the exact words, over the
-    prefix closure of their supports.  The basis they derive then pins
-    the rank (module docstring).  The first generator, the relation
-    ending at the first dependent word, is reported.
+    only the generators of _relation_generators are verified, each by
+    _relation_holds.  The basis they derive then pins the rank (module
+    docstring).  The first generator, the relation ending at the first
+    dependent word, is reported.
     """
     p = pair.ff.char
     echelon = _EchelonModp(len(words), p or _EVAL_PRIME)
@@ -1018,13 +1031,7 @@ def _certify_by_evaluation(pair, words, b, L):
     generators = _relation_generators(echelon.nullspace(), words, L, p)
     if generators is None:
         return None
-    if not p and pair.ff.nvars == 1:
-        holds = all(_relation_holds_at_points(pair, words, b, lam)
-                    for lam in generators)
-    else:
-        expanded = _closure_fracs(pair, words, b, generators)
-        holds = all(_relation_vanishes(expanded, lam) for lam in generators)
-    if not holds:
+    if not all(_relation_holds(pair, words, b, lam) for lam in generators):
         return None
     relation = {w: c for w, c in zip(words, generators[0]) if c}
     return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
@@ -1049,25 +1056,26 @@ def freeness_certify(pair, b, L):
       only then are relations lifted.  A Dependent result there proves
       only the generators of its relations; the rest are their
       multiples g_j R and R g_j, index moves that need no arithmetic.
-      Over Q(t) a generator is proved by its series at orders 0..e,
-      e + 1 the size of its support's prefix closure, evaluated exactly
-      at B + 1 integer points, B a degree bound read off the exact
-      sigma^j(b) or delta^j(b) (module docstring); over F_p and in
-      several variables by a sum of Ore fractions.  The d relations so
-      obtained are independent mod q, so over k, while the evaluated
-      rank bounds the nullity by d: the rank is exact.  The digest
-      covers the evaluated matrix and a header naming q and the points,
-      with a mark of its own for the x^{-1} series, or p, f and the
-      point.  No usable point, a pole on the orbit, a failed lift or a
+      A generator is proved by its series at orders 0..e, e + 1 the size
+      of its support's prefix closure (_relation_holds): evaluated
+      exactly at B + 1 integer points over Q(t), B a degree bound read
+      off the exact sigma^j(b) or delta^j(b), and computed as exact
+      polynomials over F_p and in several variables (module docstring).
+      The d relations so obtained are independent mod q, so over k,
+      while the evaluated rank bounds the nullity by d: the rank is
+      exact.  The digest covers the evaluated matrix and a header naming
+      q and the points, with a mark of its own for the x^{-1} series, or
+      p, f and the point.  No usable point, a pole on the orbit, a failed lift or a
       failed check go on to the next route;
     * pure derivations with a polynomial witness and polynomial images
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.
 
     The last two rank their flattened rows over k and verify the
-    reported relation on the exact words: the exact series expands only
-    the prefix closure of its support, the fold reuses the words it has
-    built.  Raises ResourceBoundExceeded when the word count crosses
+    reported relation exactly: the exact series by the same proof as the
+    evaluated routes, on the prefix closure of its support, and the fold
+    by summing the Ore fractions it has built.  Raises
+    ResourceBoundExceeded when the word count crosses
     ``config.MAX_WORDS``, or when the exact series' order N or the
     fold's denominator degree crosses ``config.MAX_DEN_DEGREE``.
     """
@@ -1089,14 +1097,14 @@ def freeness_certify(pair, b, L):
             and all(img.is_poly() for img in pair.delta.images)):
         rows = flatten_to_k(
             _xinv_word_series(pair, words, b, _truncation_order(L)))
-        expand = lambda lam: _closure_fracs(pair, words, b, [lam])
+        verify = lambda lam: _relation_holds(pair, words, b, lam)
     else:
         fracs = _expand_words(pair, words, b)
         den, nums = common_left_denominator(fracs)
         rows = _numerator_rows(nums)
-        expand = lambda lam: fracs
+        verify = lambda lam: _relation_vanishes(fracs, lam)
     base = pair.ff.base
-    rank, lam = _rank_and_relation(rows, base, expand)
+    rank, lam = _rank_and_relation(rows, base, verify)
     digest = _matrix_digest(rows, "k:%d" % base.p)
     if lam is None:
         return FreenessCertificate(b, L, len(words), rank, digest,

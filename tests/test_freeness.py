@@ -309,8 +309,11 @@ def _assert_series_route_agrees_with_fold(monkeypatch, ctx, b, L):
     def no_fold(*args, **kw):
         raise AssertionError("series route fell back to the fold")
 
+    # no Ore fraction is built either: a series route proves its
+    # relations on their own series
     with monkeypatch.context() as m:
         m.setattr(freeness, "common_left_denominator", no_fold)
+        m.setattr(freeness, "_expand_words", no_fold)
         cert = freeness_certify(ctx, b, L)
     ind, rank, lam = independence_check(_expand_words(ctx, words, b))
     assert cert.independent == ind
@@ -343,17 +346,21 @@ def test_exact_xinv_route_agrees_with_fold(monkeypatch, make_ctx, L):
 
 def test_exact_xinv_route_expands_only_the_relation_closure(monkeypatch):
     # t under d/dt over F_5 at L = 4: the relation 01 + 4*10 + 4*000 is
-    # checked on the 7 words of its support's prefix closure, not all 31
+    # proved on the series of the 7 words of its support's prefix closure,
+    # not all 31; the rows are the one series run over every word
     ctx = f5_ctx(lambda t: t.ff.one())
-    expanded = []
-    expand = freeness._expand_words
+    formed = []
+    shared = freeness._prefix_shared
 
-    def spy(ctx, words, b):
-        expanded.extend(words)
-        return expand(ctx, words, b)
-    monkeypatch.setattr(freeness, "_expand_words", spy)
+    def spy(words, root, step):
+        formed.append(list(words))
+        return shared(words, root, step)
+    monkeypatch.setattr(freeness, "_prefix_shared", spy)
     cert = freeness_certify(ctx, ctx.ff.var(0), 4)
-    assert len(expanded) == 7 < 31
+    rows, closure = formed
+    assert len(rows) == 31 and len(closure) == 7 < 31
+    assert set(closure) == {w[:k] for w in cert.relation
+                            for k in range(len(w) + 1)}
     assert (cert.verdict, cert.rank, cert.word_count) == ("Dependent", 20, 31)
     assert rel_by_key(cert) == {"01": 1, "10": 4, "000": 4}
     assert cert.matrix_digest == (
@@ -432,14 +439,14 @@ def test_evaluated_route_verifies_only_generators(monkeypatch, make_ctx, b, L,
 def _checked_generators(monkeypatch, ctx, b, L):
     """The certificate, and the generators it proved by the point check."""
     checked = []
-    real = freeness._relation_holds_at_points
+    real = freeness._relation_holds
 
     def recording(pair, words, b, lam):
         checked.append({w: c for w, c in zip(words, lam) if c})
         return real(pair, words, b, lam)
 
     with monkeypatch.context() as m:
-        m.setattr(freeness, "_relation_holds_at_points", recording)
+        m.setattr(freeness, "_relation_holds", recording)
         cert = freeness_certify(ctx, b, L)
     return cert, checked
 
@@ -499,11 +506,48 @@ def test_point_check_rejects_a_changed_coefficient(monkeypatch, make_ctx,
     assert cert.verdict == "Dependent" and generators
     for relation in generators:
         lam = [relation.get(w, 0) for w in words]
-        assert freeness._relation_holds_at_points(ctx, words, b, lam)
+        assert freeness._relation_holds(ctx, words, b, lam)
         for w in relation:
             changed = [c + (v == w) for v, c in zip(words, lam)]
-            assert not freeness._relation_holds_at_points(ctx, words, b,
-                                                          changed)
+            assert not freeness._relation_holds(ctx, words, b, changed)
+
+
+@pytest.mark.parametrize("make_ctx,witness", [
+    (shift_f5_ctx, lambda u: u.inverse()),
+    (diag7_ctx, lambda y1: (y1 + 1).inverse()),
+    (lambda: f5_ctx(lambda t: t.ff.one()), lambda t: t),
+    (shift_ctx, lambda u: u.inverse()),
+    (ddt_ctx, lambda t: t.inverse()),
+], ids=["shift-F5:1/u:L4", "diag7:1/(y1+1):L4", "F5-ddt:t:L4",
+        "shift-Q:1/u:L4", "ddt-Q:1/t:L4"])
+def test_relation_proof_reads_every_order_of_the_closure(make_ctx, witness):
+    # W_() - W_0 under an automorphism and W_00 under a derivation are
+    # nonzero, and their series vanish at orders 0..e-1 of their prefix
+    # closure but not at e: a proof that stops short of order e accepts
+    # them.  Exact polynomials over F_p and in two variables, integer
+    # points over Q(t); each certificate's own relation is accepted
+    ctx = make_ctx()
+    ff = ctx.ff
+    b = witness(ff.var(0))
+    words = words_up_to(4)
+    cert = freeness_certify(ctx, b, 4)
+    assert cert.verdict == "Dependent"
+    assert freeness._relation_holds(
+        ctx, words, b, [cert.relation.get(w, 0) for w in words])
+    auto = ctx.is_pure_automorphism()
+    false = {(): 1, (0,): -1} if auto else {(0, 0): 1}
+    e, _ = _closure_order_and_ones(false)
+    if auto:
+        step, geom = (lambda f, c: series_xstep_sigma(f, ctx.sigma, c)), None
+    else:
+        step = lambda f, c: series_xinv_step_delta(f, ctx.delta, c)
+        geom = [ff.zero()] + [-ff.one()] * e
+    total = [sum((ff.const(c) * word_series(ff, w, b, e, step, geom)[m]
+                  for w, c in false.items()), ff.zero())
+             for m in range(e + 1)]
+    assert all(x.is_zero() for x in total[:-1]) and not total[-1].is_zero()
+    assert not freeness._relation_holds(
+        ctx, words, b, [false.get(w, 0) for w in words])
 
 
 def test_shift_inverse_square_L6_known_answer(monkeypatch):
@@ -527,9 +571,9 @@ def test_shift_inverse_square_L6_known_answer(monkeypatch):
                 "10101": -6, "11001": -2, "100101": 2, "101001": 2}
     words = words_up_to(6)
     lam = [relation.get(word_key(w), 0) for w in words]
-    assert freeness._relation_holds_at_points(ctx, words, b, lam)
+    assert freeness._relation_holds(ctx, words, b, lam)
     lam[words.index((1, 0, 1, 1))] += 1
-    assert not freeness._relation_holds_at_points(ctx, words, b, lam)
+    assert not freeness._relation_holds(ctx, words, b, lam)
 
 
 # -- the trie order and the point loop ----------------------------------------
@@ -609,6 +653,31 @@ def test_point_loop_waits_two_points_for_a_rise(monkeypatch):
     cert = freeness_certify(ddt_ctx(), QT.var(0), 5)
     assert (cert.verdict, cert.rank) == ("Dependent", 31)
     assert rel_by_key(cert) == {"01": 1, "10": -1, "000": -1}
+
+
+def test_tower_L6_relation_known_answer(monkeypatch):
+    # x0 under the F_5 tower at L = 6: the exact x^{-1} route proves its
+    # relation on the exact series of its 13-word closure, with no Ore
+    # fractions.  The oracle's single x^{-1} commutation steps confirm it
+    # at orders 0..12.  The relation refutes freeness for this witness,
+    # while classify still answers Free for tower5 (ROADMAP item 1)
+    ctx = tower_ctx()
+    ff = ctx.ff
+    b = ff.var(0)
+    monkeypatch.setattr(freeness, "_expand_words",
+                        lambda *a: pytest.fail("Ore fractions"))
+    cert = freeness_certify(ctx, b, 6)
+    assert (cert.verdict, cert.rank, cert.word_count) == (
+        "Dependent", 126, 127)
+    assert rel_by_key(cert) == {"000001": 1, "100000": 4}
+    e, _ = _closure_order_and_ones(cert.relation)
+    assert e == 12
+    step = lambda f, c: series_xinv_step_delta(f, ctx.delta, c)
+    geom = [ff.zero()] + [-ff.one()] * e
+    series = {w: word_series(ff, w, b, e, step, geom) for w in cert.relation}
+    for m in range(e + 1):
+        assert sum((ff.const(c) * series[w][m]
+                    for w, c in cert.relation.items()), ff.zero()).is_zero()
 
 
 def test_exact_xinv_series_held_to_denominator_bound(monkeypatch):

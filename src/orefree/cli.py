@@ -130,6 +130,12 @@ def _emit(payload, command):
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
+# exit code of each expected error class, first match wins (ParseError is
+# a UsageError); any other exception is an internal error, code 4
+_EXIT_CODES = {ParseError: 1, ResourceBoundExceeded: 3, PresentationError: 2,
+               UsageError: 1, OSError: 1}
+
+
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
@@ -142,28 +148,15 @@ def main(argv=None):
         return 1
     try:
         payload, summary = _run(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for cls, c in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
         doc = {"error": type(exc).__name__, "detail": str(exc)}
-        if exc.line is not None:
+        if isinstance(exc, ParseError) and exc.line is not None:
             doc["position"] = {"line": exc.line, "col": exc.col}
         _emit(doc, args.command)
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ResourceBoundExceeded as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)},
-              args.command)
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except PresentationError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)},
-              args.command)
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (UsageError, OSError) as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)},
-              args.command)
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return code
     except Exception as exc:
         _emit({"error": "InternalError",
                "detail": "%s: %s" % (type(exc).__name__, exc)},

@@ -65,14 +65,16 @@ on i = 1 right-multiply by b, then take a prefix sum.
   coefficient is an integer polynomial in the e_j = delta^j(b): products
   by b act on the right, so coefficients already on the left are never
   differentiated.  For a polynomial witness under polynomial images the
-  entries stay polynomials; they are computed exactly, from the e_j up
-  to the last nonzero one, and flattened over k like the fold's
-  numerators.  Rational entries grow faster than the fold's numerators,
-  so other exact inputs fold.  For derivations of Q(t), evaluation at P
-  is a ring homomorphism on every entry, so the same product runs on the
-  values e_j(P) mod q at points from the same list, read off the Taylor
-  jets of b and delta(t) at P.  A point where either has a pole mod q is
-  skipped, so every delta^j(b) is regular there.
+  entries stay polynomials.  They are computed exactly, as polynomials,
+  from the e_j up to the last nonzero one, by the same builder as the
+  relation proof below (_word_series), and split by monomial into rows
+  over k with no denominator pass.  Rational entries grow faster than
+  the fold's numerators, so other exact inputs fold.  For derivations
+  of Q(t), evaluation at P is a ring homomorphism on every entry, so
+  the same product runs on the values e_j(P) mod q at points from the
+  same list, read off the Taylor jets of b and delta(t) at P.  A point
+  where either has a pole mod q is skipped, so every delta^j(b) is
+  regular there.
 
 In the evaluated routes over Q, truncation and evaluation are
 Z_(q)-linear and a primitive integer relation stays nonzero mod q; over
@@ -143,8 +145,8 @@ from .errors import (
 from .field import RatFunc, _dense, poly_gcd
 from .intpoly import _conv, _long_div, _trim
 from .linalg import (
-    _EchelonModp, _leading_one, _normalize_int_vector, flatten_to_k,
-    rank_over_k,
+    _EchelonModp, _leading_one, _normalize_int_vector, _split_by_monomial,
+    flatten_to_k, rank_over_k,
 )
 from .orefrac import OreFraction, weyl_check
 from .orepoly import OrePoly, lclm
@@ -235,13 +237,6 @@ def common_left_denominator(fracs):
         nums.append(v * f.num)
         den = m
     return den, nums
-
-
-def _numerator_rows(nums):
-    width = max(n.degree for n in nums) + 1
-    if width <= 0:
-        width = 1
-    return flatten_to_k([[n.coeff(j) for j in range(width)] for n in nums])
 
 
 def _matrix_digest(rows, header):
@@ -352,11 +347,23 @@ def independence_check(fracs):
     the relation ending at the first fraction in the span of those before
     it, re-verified to sum the scaled fractions to zero.
     """
-    den, nums = common_left_denominator(fracs)
-    rank, lam = _rank_and_relation(_numerator_rows(nums),
-                                   fracs[0].ctx.ff.base,
-                                   lambda lam: _relation_vanishes(fracs, lam))
+    _, rank, lam = _fold_rank(fracs)
     return lam is None, rank, lam
+
+
+def _fold_rank(fracs):
+    """(rows, rank, relation) of fractions by the lclm fold.
+
+    The rows are the numerator coefficients over the common left
+    denominator, flattened over k; the relation is proved by summing the
+    scaled fractions (_relation_vanishes).
+    """
+    _, nums = common_left_denominator(fracs)
+    width = max(1, max(n.degree for n in nums) + 1)
+    rows = flatten_to_k([[n.coeff(j) for j in range(width)] for n in nums])
+    rank, lam = _rank_and_relation(rows, fracs[0].ctx.ff.base,
+                                   lambda lam: _relation_vanishes(fracs, lam))
+    return rows, rank, lam
 
 
 @dataclass(frozen=True)
@@ -508,19 +515,36 @@ def _sigma_step(values, q=None):
                         lambda a: [s % q for s in itertools.accumulate(a)])
 
 
-def _xinv_word_series(pair, words, b, N):
-    """Exact word series in K((x^{-1}; delta)) at orders 0..N.
+def _word_series(pair, words, values, n, zero, one):
+    """Series of every word at orders 0..n, one list of coefficients each.
 
-    N is held to ``config.MAX_DEN_DEGREE``, the fold's bound on the same
-    degree.
+    values[j] stands for sigma^j(b) under an automorphism and for
+    delta^j(b) under a derivation, in a coefficient ring with the given
+    zero and one; no coefficient is reduced.
+    """
+    if pair.is_pure_automorphism():
+        step = _sigma_step(values)
+    else:
+        step = _xinv_step(values, n, zero, lambda c: c)
+    return _prefix_shared(words, [one] + [zero] * n, step)
+
+
+def _xinv_word_series(pair, words, b, N):
+    """Exact word series in K((x^{-1}; delta)) at orders 0..N, as MPolys.
+
+    b and the images of delta are polynomials, so every delta^j(b) is one,
+    and so is every coefficient: the series run on the numerators of
+    _series_values.  N is held to ``config.MAX_DEN_DEGREE``, the fold's
+    bound on the same degree.
     """
     if N > config.MAX_DEN_DEGREE:
         raise ResourceBoundExceeded(
             "series order %d exceeds the denominator bound %d"
             % (N, config.MAX_DEN_DEGREE))
     ff = pair.ff
-    step = _xinv_step(_series_values(pair, b, N), N, ff.zero(), lambda c: c)
-    return _prefix_shared(words, [ff.one()] + [ff.zero()] * N, step)
+    return _word_series(pair, words,
+                        [v.num for v in _series_values(pair, b, N)], N,
+                        ff.poly_zero(), ff.poly_one())
 
 
 # q = 2^61 - 1 is prime.  No proof rests on its size, since a failed lift
@@ -957,12 +981,8 @@ def _relation_holds(pair, words, b, lam):
     values, delta, B = _point_bound(pair, b, e, r)
 
     def vanishes(vals, scale, zero, one):
-        if pair.is_pure_automorphism():
-            step = _sigma_step(vals)
-        else:
-            step = _xinv_step(vals, e, zero, lambda c: c)
-        series = dict(zip(closure, _prefix_shared(closure, [one] + [zero] * e,
-                                                  step)))
+        series = dict(zip(closure, _word_series(pair, closure, vals, e,
+                                                zero, one)))
         total = [zero] * (e + 1)
         for w, c in support:
             f = c * scale ** (r - sum(w))
@@ -1071,10 +1091,13 @@ def freeness_certify(pair, b, L):
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.
 
-    The last two rank their flattened rows over k and verify the
-    reported relation exactly: the exact series by the same proof as the
-    evaluated routes, on the prefix closure of its support, and the fold
-    by summing the Ore fractions it has built.  Raises
+    The last two rank rows over k and verify the reported relation
+    exactly.  The exact series are polynomials, split by monomial with no
+    denominator pass, and built by the builder of the relation proof
+    (_word_series); the relation is proved as on the evaluated routes,
+    on the prefix closure of its support.  The fold flattens its
+    numerators over its common denominator and proves the relation by
+    summing the Ore fractions it has built.  Raises
     ResourceBoundExceeded when the word count crosses
     ``config.MAX_WORDS``, or when the exact series' order N or the
     fold's denominator degree crosses ``config.MAX_DEN_DEGREE``.
@@ -1093,18 +1116,16 @@ def freeness_certify(pair, b, L):
         cert = _certify_by_evaluation(pair, words, b, L)
         if cert is not None:
             return cert
+    base = pair.ff.base
     if (pair.is_pure_derivation() and b.is_poly()
             and all(img.is_poly() for img in pair.delta.images)):
-        rows = flatten_to_k(
-            _xinv_word_series(pair, words, b, _truncation_order(L)))
-        verify = lambda lam: _relation_holds(pair, words, b, lam)
+        rows = _split_by_monomial(
+            _xinv_word_series(pair, words, b, _truncation_order(L)),
+            base.zero())
+        rank, lam = _rank_and_relation(
+            rows, base, lambda lam: _relation_holds(pair, words, b, lam))
     else:
-        fracs = _expand_words(pair, words, b)
-        den, nums = common_left_denominator(fracs)
-        rows = _numerator_rows(nums)
-        verify = lambda lam: _relation_vanishes(fracs, lam)
-    base = pair.ff.base
-    rank, lam = _rank_and_relation(rows, base, verify)
+        rows, rank, lam = _fold_rank(_expand_words(pair, words, b))
     digest = _matrix_digest(rows, "k:%d" % base.p)
     if lam is None:
         return FreenessCertificate(b, L, len(words), rank, digest,

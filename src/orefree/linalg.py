@@ -6,7 +6,8 @@ denominator and splits the numerators into monomial coordinates, giving a
 matrix over k whose row space mirrors the K-span (a k-relation among the
 rows is exactly a k-relation among the original vectors, because scaling a
 coordinate by a fixed nonzero polynomial and splitting by monomial are both
-injective on k-linear combinations).
+injective on k-linear combinations).  Rows that are polynomials already go
+to the split alone (:func:`_split_by_monomial`).
 
 :func:`rank_over_k` then computes rank and a row-nullspace basis without
 fractions: Bareiss elimination over Z in characteristic 0 (rows are first
@@ -24,6 +25,24 @@ from fractions import Fraction
 from .errors import UsageError
 from .field import _grlex_key, poly_gcd
 from .intpoly import _primitive_ints
+
+
+def _split_by_monomial(polys, zero):
+    """Matrix over k of a matrix of polynomials, one row per row.
+
+    Each column is split into one column per monomial that occurs in it,
+    in descending graded-lex order; zero fills the monomials a polynomial
+    lacks.
+    """
+    rows = [[] for _ in polys]
+    for col in zip(*polys):
+        monos = set()
+        for nm in col:
+            monos.update(nm.terms)
+        order = sorted(monos, key=_grlex_key, reverse=True)
+        for row, nm in zip(rows, col):
+            row.extend(nm.terms.get(e, zero) for e in order)
+    return rows
 
 
 def flatten_to_k(vectors):
@@ -47,7 +66,7 @@ def flatten_to_k(vectors):
                 raise UsageError("vectors over different fields")
     if width == 0:
         return [[] for _ in vectors]
-    rows = [[] for _ in vectors]
+    cols = []
     for j in range(width):
         col = [v[j] for v in vectors]
         den = ff.poly_one()
@@ -60,14 +79,8 @@ def flatten_to_k(vectors):
             if q is None:
                 raise AssertionError("column denominator not divisible")
             nums.append(x.num * q)
-        monos = set()
-        for nm in nums:
-            monos.update(nm.terms)
-        order = sorted(monos, key=_grlex_key, reverse=True)
-        zero = ff.base.zero()
-        for i, nm in enumerate(nums):
-            rows[i].extend(nm.terms.get(e, zero) for e in order)
-    return rows
+        cols.append(nums)
+    return _split_by_monomial(list(zip(*cols)), ff.base.zero())
 
 
 def _normalize_int_vector(vec):

@@ -12,7 +12,7 @@ from orefree.errors import (
     NotAdditiveEigen, RequiresPureAutomorphism, ResourceBoundExceeded,
     UsageError, ZeroArgument,
 )
-from orefree.field import FunctionField, RatFunc
+from orefree.field import FunctionField, MPoly, RatFunc
 from orefree.intpoly import _conv, _long_div
 from orefree.freeness import (
     FreenessCertificate, build_word_V, build_word_W, common_left_denominator,
@@ -20,7 +20,7 @@ from orefree.freeness import (
     one_minus_x_inverse, valuation_witness, weyl_pair_from_additive, word_key,
     words_up_to, _expand_words, _xinv_word_series,
 )
-from orefree.linalg import flatten_to_k, rank_over_k
+from orefree.linalg import _split_by_monomial, flatten_to_k, rank_over_k
 from orefree.orefrac import OreFraction
 from orefree.orepoly import OrePoly
 from orefree.skew import SkewDerivation, SkewEndo, SkewPair
@@ -78,6 +78,28 @@ def ac_ctx():
     a, c = ff.var(0), ff.var(1)
     return SkewPair.derivation(
         SkewDerivation(ff, [a * c, ff.one()], SkewEndo.identity(ff)))
+
+
+def ac_deriv_ctx():
+    """Q(a, c) with delta(a) = c and delta(c) = 0."""
+    ff = FunctionField(0, ["a", "c"])
+    return SkewPair.derivation(
+        SkewDerivation(ff, [ff.var(1), ff.zero()], SkewEndo.identity(ff)))
+
+
+def f7_t2ddt_ctx():
+    """F_7(t) under delta = t^2 d/dt."""
+    ff = FunctionField(7, ["t"])
+    return SkewPair.derivation(
+        SkewDerivation(ff, [ff.var(0) ** 2], SkewEndo.identity(ff)))
+
+
+def f3_ac_ctx():
+    """F_3(a, c) with delta(a) = c^2 and delta(c) = a."""
+    ff = FunctionField(3, ["a", "c"])
+    a, c = ff.var(0), ff.var(1)
+    return SkewPair.derivation(
+        SkewDerivation(ff, [c * c, a], SkewEndo.identity(ff)))
 
 
 def tower_ctx(nvars=5, p=5):
@@ -1036,12 +1058,14 @@ def test_series_rows_match_fraction_route_on_ddt():
     ctx = ddt_ctx()
     t = QT.var(0)
     words = words_up_to(2)
-    rows_series = flatten_to_k(_xinv_word_series(ctx, words, t, 10))
+    rows_series = _split_by_monomial(_xinv_word_series(ctx, words, t, 10),
+                                     QT.base.zero())
     rank_s, _ = rank_over_k(rows_series, QT.base)
     ind, rank_f, _ = independence_check(_expand_words(ctx, words, t))
     assert rank_s == rank_f == 7 and ind
     # entrywise, on d/dt and on the tower: orders 0..10 of every word equal
-    # the oracle's series, built by single x^{-1} commutation steps
+    # the oracle's series, built by single x^{-1} commutation steps, whose
+    # entries are polynomials: the exact series are their numerators
     tower = tower_ctx()
     for pair, b in ((ctx, t), (tower, tower.ff.var(0))):
         ff = pair.ff
@@ -1050,7 +1074,60 @@ def test_series_rows_match_fraction_route_on_ddt():
         rows = _xinv_word_series(pair, words, b, 10)
         for w, row in zip(words, rows):
             assert len(row) == 11
-            assert row == word_series(ff, w, b, 10, step, geom)
+            oracle = word_series(ff, w, b, 10, step, geom)
+            assert all(c.den == ff.poly_one() for c in oracle)
+            assert row == [c.num for c in oracle]
+
+
+@pytest.mark.parametrize("make_ctx,witness,L", [
+    (tower_ctx, lambda g: g[0], 3),
+    (tower_ctx, lambda g: g[0], 4),
+    (tower_ctx, lambda g: g[0], 5),
+    (tower_ctx, lambda g: g[0], 6),
+    (ac_deriv_ctx, lambda g: g[0] ** 2, 4),
+    (lambda: f5_ctx(lambda t: t.ff.one()), lambda g: g[0], 4),
+    (f7_t2ddt_ctx, lambda g: g[0] ** 3 + 1, 4),
+    (f3_ac_ctx, lambda g: g[0] * g[1], 3),
+], ids=["tower:x0:L3", "tower:x0:L4", "tower:x0:L5", "tower:x0:L6",
+        "Q(a,c):a^2:L4", "F5-ddt:t:L4", "F7-t2ddt:t^3+1:L4",
+        "F3(a,c):ac:L3"])
+def test_exact_xinv_rows_split_polynomials_as_flatten(make_ctx, witness, L):
+    # the exact x^{-1} series are polynomials, split by monomial with no
+    # denominator pass: the rows equal flatten_to_k of the same series
+    # taken as rational functions with denominator 1
+    ctx = make_ctx()
+    ff = ctx.ff
+    words = words_up_to(L)
+    series = _xinv_word_series(ctx, words, witness(ff.gens()),
+                               2 ** (L + 1) - 2)
+    assert all(isinstance(c, MPoly) for row in series for c in row)
+    rows = _split_by_monomial(series, ff.base.zero())
+    wrapped = [[RatFunc(c, ff.poly_one()) for c in row] for row in series]
+    # as strings, since the digest hashes the entries' str
+    assert [list(map(str, row)) for row in rows] == [
+        list(map(str, row)) for row in flatten_to_k(wrapped)]
+
+
+@pytest.mark.parametrize("make_ctx,witness,rank,relation,digest", [
+    (ac_deriv_ctx, lambda g: g[0] ** 2, 29,
+     {"0001": 1, "0010": -3, "0100": 3, "1000": -1},
+     "14b37c1ef6067c6f932036af15b66f52cf2944aaa07d0cbb4cec4e73d8ce10f6"),
+    (f7_t2ddt_ctx, lambda g: g[0] ** 3 + 1, 29,
+     {"0001": 1, "0010": 6, "0100": 6, "0101": 2, "0110": 6, "1000": 1,
+      "1001": 4, "1010": 2},
+     "04f071537a0b906db8fc998130f2e6707623200df05634d18465e71f4053850d"),
+], ids=["Q(a,c):a^2:L4", "F7-t2ddt:t^3+1:L4"])
+def test_exact_xinv_certificates_pinned(make_ctx, witness, rank, relation,
+                                        digest):
+    # the exact x^{-1} route in several variables over Q and over F_7
+    ctx = make_ctx()
+    b = witness(ctx.ff.gens())
+    cert = freeness_certify(ctx, b, 4)
+    assert (cert.verdict, cert.rank, cert.word_count) == ("Dependent", rank,
+                                                          31)
+    assert rel_by_key(cert) == relation
+    assert cert.matrix_digest == digest
+    assert_relation_vanishes(ctx, b, cert.relation)
 
 
 def test_monotonicity_of_independence():

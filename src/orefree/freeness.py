@@ -145,7 +145,7 @@ from .errors import (
 from .field import RatFunc, _dense, poly_gcd
 from .intpoly import _conv, _long_div, _trim
 from .linalg import (
-    _EchelonModp, _leading_one, _normalize_int_vector, _split_by_monomial,
+    _Echelon, _normalize_int_vector, _split_by_monomial,
     flatten_to_k, rank_over_k,
 )
 from .orefrac import OreFraction, weyl_check
@@ -279,21 +279,16 @@ def _last_nonzero(vec):
 def _reduce_by_last(basis, vec, p):
     """(remainder, its last nonzero index) of vec mod p against basis.
 
-    p = 0 reduces exactly over Q.  basis maps a last nonzero index to a
-    vector that ends there with a 1.  Each step clears the last entry and
-    touches none after it, and every nonzero vector of the span ends at
-    an index of basis, so the remainder is zero (index -1) exactly when
-    vec lies in the span.
+    basis maps a last nonzero index to a vector that ends there with a 1.
+    Each step clears the last entry and touches none after it, and every
+    nonzero vector of the span ends at an index of basis, so the
+    remainder is zero (index -1) exactly when vec lies in the span.
     """
-    if p:
-        vec = [x % p for x in vec]
+    vec = [x % p for x in vec]
     last = _last_nonzero(vec)
     while last in basis:
         f = vec[last]
-        if p:
-            vec = [(x - f * y) % p for x, y in zip(vec, basis[last])]
-        else:
-            vec = [x - f * y for x, y in zip(vec, basis[last])]
+        vec = [(x - f * y) % p for x, y in zip(vec, basis[last])]
         last = _last_nonzero(vec)
     return vec, last
 
@@ -303,11 +298,8 @@ def _add_by_last(basis, vec, p):
     vec, last = _reduce_by_last(basis, vec, p)
     if last < 0:
         return False
-    if p:
-        inv = pow(vec[last], -1, p)
-        basis[last] = [x * inv % p for x in vec]
-    else:
-        basis[last] = [Fraction(x) / vec[last] for x in vec]
+    inv = pow(vec[last], -1, p)
+    basis[last] = [x * inv % p for x in vec]
     return True
 
 
@@ -315,23 +307,15 @@ def _rank_and_relation(rows, base, verify):
     """(rank, relation) of coordinate rows, one per word, over k.
 
     relation is None at full rank.  Otherwise it is the relation ending at
-    the first row in the span of the rows before it.  Those rows are
-    independent, so it is unique up to scale: in the echelon form of the
-    nullspace keyed on each vector's last index it is the vector with the
-    least key.  It is normalized as rank_over_k normalizes, and
-    re-verified exactly by verify(relation), which is called only then.
+    the first row in the span of the rows before it: the first vector of
+    rank_over_k's canonical nullspace, normalized as rank_over_k
+    normalizes.  It is re-verified exactly by verify(relation), which is
+    called only then.
     """
     rank, null = rank_over_k(rows, base)
     if rank == len(rows):
         return rank, None
-    p = base.p
-    by_last = {}
-    for vec in null:
-        _add_by_last(by_last, vec, p)
-    if not by_last:
-        raise AssertionError("rank deficit without a nullspace vector")
-    lam = by_last[min(by_last)]
-    lam = tuple(_leading_one(lam, p) if p else _normalize_int_vector(lam))
+    lam = tuple(null[0])
     if not any(lam):
         raise AssertionError("nullspace produced the zero relation")
     if not verify(lam):
@@ -892,23 +876,22 @@ def _one_letter_multiples(lam, words, index):
 def _relation_generators(null, words, L, p):
     """Generators of the relation space, or None.
 
-    null is a basis of the evaluated relations: mod q = 2^61 - 1 over Q,
-    whose generators are lifted to Q by rational reconstruction, and
-    mod p, already exact, over F_p.  In echelon form keyed on
-    each vector's last word, the vectors ending at length <= r span the
+    null is the canonical basis of the evaluated relations (linalg module
+    docstring): mod q = 2^61 - 1 over Q, whose generators are lifted to Q
+    by rational reconstruction, and mod p, already exact, over F_p.  Its
+    vector for a dependent word ends at that word and is zero at every
+    other dependent word, so the vectors ending at length <= r span the
     relations among the words of length <= r, for every r at once.
     Length by length, the integer basis of the shorter relations and its
     one-letter multiples are reduced mod q, and only a vector of length r
     outside their span is lifted to a generator; so every basis vector is
     a generator or a multiple of a shorter basis vector.  The first
-    generator is the lift of the vector with the least key, the relation
-    ending at the first dependent word (_rank_and_relation).  None when a
-    lift fails or the basis does not come out at dimension len(null).
+    generator is the lift of the first vector, the relation ending at the
+    first dependent word (_rank_and_relation).  None when a lift fails or
+    the basis does not come out at dimension len(null).
     """
     q = p or _EVAL_PRIME
-    by_last = {}
-    for vec in null:
-        _add_by_last(by_last, vec, q)
+    end_lengths = [len(words[_last_nonzero(vec)]) for vec in null]
     index = {w: i for i, w in enumerate(words)}
     basis, generators = [], []
     for length in range(1, L + 1):
@@ -917,11 +900,10 @@ def _relation_generators(null, words, L, p):
                 _one_letter_multiples(r, words, index) for r in basis)):
             if _add_by_last(span, rel, q):
                 extended.append(rel)
-        for last, vec in sorted(by_last.items()):
-            if (len(words[last]) == length
-                    and _reduce_by_last(span, vec, q)[1] >= 0):
+        for end, vec in zip(end_lengths, null):
+            if end == length and _reduce_by_last(span, vec, q)[1] >= 0:
                 if p:
-                    lam = _leading_one(vec, p)
+                    lam = vec
                 else:
                     lam = [_rational_reconstruct(x, q) for x in vec]
                     if None in lam:
@@ -1024,7 +1006,7 @@ def _certify_by_evaluation(pair, words, b, L):
     dependent word, is reported.
     """
     p = pair.ff.char
-    echelon = _EchelonModp(len(words), p or _EVAL_PRIME)
+    echelon = _Echelon(len(words), p or _EVAL_PRIME)
     rows, points, ranks = [[] for _ in words], [], []
     for block, point in _evaluated_word_rows(pair, words, b,
                                              _truncation_order(L)):
@@ -1105,11 +1087,11 @@ def freeness_certify(pair, b, L):
     if L < 1:
         raise UsageError("certificate needs L >= 1")
     b = _as_witness(pair, b)
-    words = words_up_to(L)
-    if len(words) > config.MAX_WORDS:
+    if 2 ** (L + 1) - 1 > config.MAX_WORDS:
         raise ResourceBoundExceeded(
             "%d words exceed the configured bound %d"
-            % (len(words), config.MAX_WORDS))
+            % (2 ** (L + 1) - 1, config.MAX_WORDS))
+    words = words_up_to(L)
     if _truncation_order(L) <= config.MAX_DEN_DEGREE and (
             pair.is_pure_automorphism() or (pair.ff.char == 0 and (
                 pair.is_pure_derivation() and pair.ff.nvars == 1))):

@@ -9,18 +9,40 @@ coordinate by a fixed nonzero polynomial and splitting by monomial are both
 injective on k-linear combinations).  Rows that are polynomials already go
 to the split alone (:func:`_split_by_monomial`).
 
-:func:`rank_over_k` then computes rank and a row-nullspace basis without
-fractions: Bareiss elimination over Z in characteristic 0 (rows are first
-scaled to integers; the scaling is undone on the nullspace vectors) and
-ordinary elimination over F_p otherwise.  Nullspace vectors are read off an
-augmented identity block, so no back substitution is needed.  The mod-p
-elimination also takes its columns one block at a time
-(:class:`_EchelonModp`), so a caller can add evaluation points until the
-rank settles and pay for each point once.
+:func:`rank_over_k` then computes rank and a row-nullspace basis with the
+one elimination of this module, :class:`_Echelon`: over F_p, and over Z in
+characteristic 0 (rows are first scaled to integers; the scaling is undone
+on the nullspace vectors).  It takes its columns one block at a time, so a
+caller can add evaluation points until the rank settles and pay for each
+point once.  Each remaining row carries its transform, the combination of
+the original rows it holds, so no back substitution is needed.
+
+Its pivot rule makes the nullspace canonical.  In each column the pivot is
+the first remaining row in row order, and it leaves the remaining rows
+where it stands, with no swap.  The rows before it are zero in that
+column, so every reduction of a row r uses a pivot row s < r, and the
+transform of r is supported on r and the pivots before it.  The pivot
+rows are independent (their reduced rows are in echelon form), and every
+row left over lies in the span of the pivots before it.  So row i is a
+pivot exactly when it is outside the span of rows 0..i-1, and a row r left
+over holds the relation that ends at r and is supported on the
+independent rows before r.  That relation is unique up to scale.  Scaled
+to a leading 1 over F_p, or to coprime integers with the first entry
+positive over Z, the nullspace therefore depends on the matrix alone: it
+is the same after any split into column blocks, each vector is zero past
+its own row and at every other dependent row, and its first vector is the
+relation ending at the first row in the span of the rows before it.
+
+Over F_p only the rows after the pivot are reduced.  Over Z every
+remaining row takes the uniform one-step update of Bareiss (Math. Comp.
+22, 1968), (pv * v - vr * w) / prev with prev the previous pivot, on its
+entries and its transform alike.  Each entry is then a minor of the
+rows and columns taken so far, a transform entry with a unit column in
+place of a matrix column, so the division is exact.
 """
 
+import itertools
 import math
-from fractions import Fraction
 
 from .errors import UsageError
 from .field import _grlex_key, poly_gcd
@@ -94,148 +116,118 @@ def _normalize_int_vector(vec):
     return ints
 
 
-def _rank_bareiss(rows):
-    """Fraction-free elimination over Z on [M | I]; returns rank, nullspace."""
-    n = len(rows)
-    ncols = len(rows[0]) if n else 0
-    # m[i] = scales[i] * rows[i], so a nullspace coefficient mu for the
-    # scaled row corresponds to mu * scales[i] for the original
-    m, scales = [], []
-    for row in rows:
-        ints, scale = _primitive_ints(row)
-        m.append(ints)
-        scales.append(scale)
-    # strip column contents (pure column scaling, nullspace unaffected)
-    for c in range(ncols):
-        g = 0
-        for r in range(n):
-            g = math.gcd(g, m[r][c])
-            if g == 1:
-                break
-        if g > 1:
-            for r in range(n):
-                m[r][c] //= g
-    aug = ncols + n
-    for i in range(n):
-        m[i].extend(1 if j == i else 0 for j in range(n))
-    prev = 1
-    rank = 0
-    for col in range(ncols):
-        piv = -1
-        best = None
-        for r in range(rank, n):
-            v = m[r][col]
-            if v and (best is None or abs(v) < best):
-                piv, best = r, abs(v)
-        if piv < 0:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        row_p = m[rank]
-        for r in range(rank + 1, n):
-            # uniform one-step update keeps every entry an exact minor,
-            # so the division by the previous pivot never truncates
-            vr = m[r][col]
-            row_r = m[r]
-            if vr:
-                for j in range(col + 1, aug):
-                    row_r[j] = (pv * row_r[j] - vr * row_p[j]) // prev
-            else:
-                for j in range(col + 1, aug):
-                    row_r[j] = pv * row_r[j] // prev
-            row_r[col] = 0
-        prev = pv
-        rank += 1
-    null = []
-    for r in range(rank, n):
-        if any(m[r][c] for c in range(ncols)):
-            raise AssertionError("nullspace row not eliminated")
-        lam = [Fraction(m[r][ncols + i]) * scales[i] for i in range(n)]
-        null.append(_normalize_int_vector(lam))
-    return rank, null
-
-
 def _leading_one(vec, p):
     """vec mod p scaled to a leading 1."""
     inv = pow(next(x for x in vec if x), -1, p)
     return [x * inv % p for x in vec]
 
 
-class _EchelonModp:
-    """Row echelon form mod p of an n-row matrix fed in column blocks.
+class _Echelon:
+    """Row echelon form of an n-row matrix over F_p, or over Z for p = 0.
 
-    It keeps the row transform T: the rows of T M past the first rank
-    are zero on every column seen.  A pivot row is never touched again,
-    so a new block B only needs the rows of T B from rank on, and then
-    its own elimination: each block costs only its own columns.  The
-    state after any sequence of blocks is the state after one block of
-    all their columns side by side, so rank and nullspace are those of
-    a single elimination of [M | I].
+    The matrix is fed in column blocks.  Each row not yet taken as a
+    pivot keeps its transform: the combination of the original rows that
+    it now holds, of length r + 1 for row r.  A pivot row is never read
+    again, so a new block B only needs the products of the remaining
+    transforms with B, and then its own elimination: each block costs only
+    its own columns, and the state after any sequence of blocks is the
+    state after one block of all their columns side by side.
     """
 
     def __init__(self, n, p):
-        self.p, self.rank = p, 0
-        self.transform = [[int(i == j) for j in range(n)] for i in range(n)]
+        self.n, self.p, self.rank, self.prev = n, p, 0, 1
+        self.free = [(r, [0] * r + [1]) for r in range(n)]
 
     def add(self, block):
         """Append the columns of block (one row per matrix row); the rank.
 
-        Rows below the pivots are reduced mod p only where they are read:
-        each update adds less than p^2 to an entry, so they stay small.
+        Over F_p the remaining rows are reduced mod p only where they are
+        read: each update adds less than p^2 to an entry, so they stay
+        small.
         """
-        p, rank, transform = self.p, self.rank, self.transform
+        p, prev = self.p, self.prev
         ncols = len(block[0]) if block else 0
-        m = []
-        for lam in transform[rank:]:
+        rows = []
+        for r, lam in self.free:
             acc = [0] * ncols
             for i, c in enumerate(lam):
                 if c:
                     acc = [a + c * x for a, x in zip(acc, block[i])]
-            m.append(acc + lam)
-        k = 0
+            rows.append((r, acc, lam))
         for col in range(ncols):
-            if k == len(m):
-                break
-            piv = next((r for r in range(k, len(m)) if m[r][col] % p), -1)
+            piv = next((k for k, (_, v, _) in enumerate(rows)
+                        if (v[col] % p if p else v[col])), -1)
             if piv < 0:
                 continue
-            m[k], m[piv] = m[piv], m[k]
-            tail = m[k][col:] = [x % p for x in m[k][col:]]
-            inv = pow(tail[0], -1, p)
-            for row in m[k + 1:]:
-                f = row[col] * inv % p
-                if f:
-                    row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
-            k += 1
-        if any(x % p for row in m[k:] for x in row[:ncols]):
+            _, vp, tp = rows.pop(piv)
+            if p:
+                vp = [x % p for x in vp[col:]]
+                tp = [x % p for x in tp]
+                inv = pow(vp[0], -1, p)
+                for _, v, t in rows[piv:]:
+                    f = v[col] * inv % p
+                    if f:
+                        v[col:] = [x - f * y for x, y in zip(v[col:], vp)]
+                        t[:len(tp)] = [x - f * y for x, y in zip(t, tp)]
+            else:
+                pv, vp = vp[col], vp[col:]
+                for _, v, t in rows:
+                    vr = v[col]
+                    if vr:
+                        v[col:] = [(pv * x - vr * y) // prev
+                                   for x, y in zip(v[col:], vp)]
+                        t[:] = [(pv * x - vr * y) // prev for x, y in
+                                itertools.zip_longest(t, tp, fillvalue=0)]
+                    elif pv != prev:
+                        v[col:] = [pv * x // prev for x in v[col:]]
+                        t[:] = [pv * x // prev for x in t]
+                prev = pv
+            self.rank += 1
+            if not rows:
+                break
+        if any((x % p if p else x) for _, v, _ in rows for x in v):
             raise AssertionError("nullspace row not eliminated")
-        transform[rank:] = [[x % p for x in row[ncols:]] for row in m]
-        self.rank = rank + k
+        self.prev = prev
+        self.free = [(r, [x % p for x in t] if p else t) for r, _, t in rows]
         return self.rank
 
     def nullspace(self):
-        """Row relations of every column seen, each scaled to a leading 1."""
-        return [_leading_one(lam, self.p)
-                for lam in self.transform[self.rank:]]
+        """The canonical relation basis (module docstring), in row order.
 
-
-def _rank_modp(rows, p):
-    """Rank and nullspace mod p: the echelon form fed one block."""
-    echelon = _EchelonModp(len(rows), p)
-    echelon.add(rows)
-    return echelon.rank, echelon.nullspace()
+        Over F_p each vector is scaled to a leading 1, over Z to coprime
+        integers with the first entry positive.
+        """
+        out = []
+        for r, t in self.free:
+            lam = t + [0] * (self.n - r - 1)
+            out.append(_leading_one(lam, self.p) if self.p
+                       else _normalize_int_vector(lam))
+        return out
 
 
 def rank_over_k(rows, base):
     """Rank and row-nullspace basis of a matrix of prime-field scalars.
 
     Returns ``(rank, nullspace)`` where each nullspace vector lam satisfies
-    sum(lam[i] * rows[i]) == 0.  Over Q the vectors are normalized to
-    coprime integers with positive leading entry; over F_p the leading
-    nonzero entry is 1.
+    sum(lam[i] * rows[i]) == 0: the canonical basis of :class:`_Echelon`.
+    Over Q the rows are scaled to integers and the columns stripped of
+    their contents first, and the vectors are normalized to coprime
+    integers with positive leading entry; over F_p the leading nonzero
+    entry is 1.
     """
+    echelon = _Echelon(len(rows), base.p)
     if base.p:
-        return _rank_modp([[int(x) % base.p for x in row] for row in rows],
-                          base.p)
-    return _rank_bareiss([[Fraction(x) for x in row] for row in rows])
+        echelon.add([[int(x) % base.p for x in row] for row in rows])
+        return echelon.rank, echelon.nullspace()
+    scaled = [_primitive_ints(row) for row in rows]
+    m = [ints for ints, _ in scaled]
+    # strip column contents: a column scaling keeps every row relation
+    for c, col in enumerate(zip(*m)):
+        g = math.gcd(*col)
+        if g > 1:
+            for row in m:
+                row[c] //= g
+    echelon.add(m)
+    return echelon.rank, [
+        _normalize_int_vector([c * s for c, (_, s) in zip(lam, scaled)])
+        for lam in echelon.nullspace()]

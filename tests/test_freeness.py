@@ -1197,6 +1197,30 @@ def test_certificate_usage_errors_and_bounds(monkeypatch):
         freeness_certify(ctx, b, 2)
 
 
+def test_word_bound_checked_before_enumeration(monkeypatch):
+    # 2^41 - 1 words at L = 40: the bound refuses them from the count alone
+    monkeypatch.setattr(freeness, "words_up_to",
+                        lambda L: pytest.fail("words built past the bound"))
+    with pytest.raises(ResourceBoundExceeded, match="words exceed"):
+        freeness_certify(shift_ctx(), QU.var(0).inverse(), 40)
+
+
+def test_fold_relation_is_first_canonical_nullspace_vector():
+    # sigma = shift and delta = t (sigma - id) over Q(t) take the lclm fold;
+    # its reported relation is rank_over_k's first nullspace vector over Q
+    t = QT.var(0)
+    sig = SkewEndo(QT, [t + 1], [t - 1])
+    ctx = SkewPair(sig, SkewDerivation(QT, [t], sig))
+    b, words = t.inverse(), words_up_to(3)
+    cert = freeness_certify(ctx, b, 3)
+    assert cert.verdict == "Dependent" and cert.rank == 14
+    rows, rank, lam = freeness._fold_rank(_expand_words(ctx, words, b))
+    null = rank_over_k(rows, QT.base)[1]
+    assert rank == cert.rank and list(lam) == null[0]
+    assert cert.relation == {w: c for w, c in zip(words, null[0]) if c}
+    assert_relation_vanishes(ctx, b, cert.relation)
+
+
 def test_den_degree_bound_at_every_check(monkeypatch):
     # two degree-1 denominators whose lclm has degree 2: each fraction fits
     # the patched bound, every fold over both of them crosses it

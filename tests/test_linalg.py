@@ -7,7 +7,7 @@ import pytest
 
 from orefree.errors import UsageError
 from orefree.field import BaseField, FunctionField
-from orefree.linalg import _EchelonModp, _rank_modp, flatten_to_k, rank_over_k
+from orefree.linalg import _Echelon, flatten_to_k, rank_over_k
 
 from oracles import (
     gauss_rank_fractions, gauss_rank_modp, generic_nullspace, nullspace_modp,
@@ -118,40 +118,58 @@ def test_rank_matches_textbook_oracle_modp():
                                for i in range(n)) % p == 0
 
 
-@pytest.mark.parametrize("p", [5, 7, (1 << 61) - 1])
+@pytest.mark.parametrize("p", [0, 5, 7, (1 << 61) - 1])
 def test_incremental_echelon_matches_one_shot(p):
     # column blocks fed one at a time give the one-shot rank and the very
     # same nullspace vectors; rows with planted relations keep the matrix
-    # deficient, and a repeated block adds no rank
+    # deficient, and a repeated block adds no rank.  p = 0 ranks integer
+    # rows over Z.  The nullspace is the canonical basis: each vector ends
+    # at its dependent row and is zero at every other dependent row
     rng = random.Random(p % 1000 + 61)
+    lo, hi = (0, p - 1) if p else (-9, 9)
     for _ in range(12):
         n = rng.randint(1, 9)
         ncols = rng.randint(6, 12)
-        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(n)]
+        rows = [[rng.randint(lo, hi) for _ in range(ncols)]
+                for _ in range(n)]
         for i in range(n // 2, n):
             if rng.random() < 0.5:
                 a, b = rng.randrange(n), rng.randrange(n)
-                c = rng.randrange(p)
-                rows[i] = [(x + c * y) % p for x, y in zip(rows[a], rows[b])]
+                c = rng.randint(lo, hi)
+                rows[i] = [x + c * y for x, y in zip(rows[a], rows[b])]
+                if p:
+                    rows[i] = [x % p for x in rows[i]]
         cuts = sorted(rng.sample(range(1, ncols), 2))
         blocks = [[row[lo:hi] for row in rows]
                   for lo, hi in zip([0] + cuts, cuts + [ncols])]
         blocks.insert(2, blocks[0])
-        echelon = _EchelonModp(n, p)
+        echelon = _Echelon(n, p)
         seen, ranks = [[] for _ in rows], []
         for block in blocks:
             for s, part in zip(seen, block):
                 s.extend(part)
             ranks.append(echelon.add(block))
-            assert ranks[-1] == gauss_rank_modp(seen, p)
+            assert ranks[-1] == (gauss_rank_modp(seen, p) if p
+                                 else gauss_rank_fractions(seen))
         assert ranks[2] == ranks[1]
-        assert (echelon.rank, echelon.nullspace()) == _rank_modp(seen, p)
+        one_shot = _Echelon(n, p)
+        one_shot.add(seen)
+        assert (echelon.rank, echelon.nullspace()) == (one_shot.rank,
+                                                      one_shot.nullspace())
         null = echelon.nullspace()
-        assert len(null) == len(nullspace_modp(rows, p)) == n - echelon.rank
-        for lam in null:
-            assert next(x for x in lam if x) == 1
+        oracle = (nullspace_modp(rows, p) if p else generic_nullspace(
+            [[Fraction(x) for x in row] for row in rows],
+            Fraction(0), Fraction(1)))
+        assert len(null) == len(oracle) == n - echelon.rank
+        ends = [max(i for i, x in enumerate(lam) if x) for lam in null]
+        assert ends == sorted(set(ends))
+        for lam, end in zip(null, ends):
+            lead = next(x for x in lam if x)
+            assert (lead == 1) if p else (lead > 0)
+            assert all(lam[d] == 0 for d in ends if d != end)
             for j in range(ncols):
-                assert sum(lam[i] * rows[i][j] for i in range(n)) % p == 0
+                total = sum(lam[i] * rows[i][j] for i in range(n))
+                assert (total % p if p else total) == 0
 
 
 def test_flatten_then_rank_detects_k_relations_only():

@@ -182,6 +182,21 @@ def test_period_past_the_ceiling_stays_unknown():
                for d in v.diagnostics)
 
 
+def test_doubling_over_a_large_prime_factors_its_order_fast():
+    """t -> 2t over F_p, p = 6210177011304899: the order of 2 divides
+    p - 1 = 2 * 54094057 * 57401657, whose two 8-digit factors rho splits
+    (trial division took over 2 s); the period is p - 1, past the ceiling."""
+    p = 6210177011304899
+    ff = FunctionField(p, ["t"])
+    t = ff.var(0)
+    start = time.perf_counter()
+    v = classify_problem(spec_of(SkewPair.automorphism(
+        SkewEndo(ff, [2 * t], [t / 2]))))
+    assert time.perf_counter() - start < 0.5
+    assert v.kind == "Unknown"
+    assert "orbit(t): finite period %d" % (p - 1) in v.diagnostics
+
+
 def test_char_p_side_condition_reported():
     """sigma^5 fixes u while sigma moves it, blocking the orbit argument."""
     ff = FunctionField(5, ["u", "v"])

@@ -50,10 +50,44 @@ def test_is_prime_matches_trial_division():
         return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
     assert [n for n in range(3000) if _is_prime(n)] == [
         n for n in range(3000) if by_trial(n)]
-    # past the proved range of the bases the answer comes from trial
-    # division, which stops at the first factor
+    # past the proved range of the bases a witness still proves n
+    # composite, promptly even when its least factor has 13 digits; a
+    # probable prime there (2^89 - 1) is refused, naming the bound
     assert 43 ** 16 > _MR_EXACT_BELOW
     assert not _is_prime(43 ** 16)
+    n = 1821000000013 * 1822000000027
+    assert n > _MR_EXACT_BELOW
+    t0 = time.perf_counter()
+    assert not _is_prime(n)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ResourceBoundExceeded, match=str(_MR_EXACT_BELOW)):
+        _is_prime(2 ** 89 - 1)
+    with pytest.raises(ResourceBoundExceeded):
+        FunctionField(2 ** 89 - 1, ["u"])
+
+
+def test_prime_factors_match_trial_division():
+    """Trial division below 1024, then Brent's rho, against plain trial
+    division on n <= 10^12: random n, and semiprimes, a square and a cube
+    of primes past the trial bound, which only rho splits."""
+    def by_trial(n):
+        out, q = {}, 2
+        while q * q <= n:
+            while n % q == 0:
+                out[q] = out.get(q, 0) + 1
+                n //= q
+            q += 1 if q == 2 else 2
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    rng = random.Random(24)
+    ns = list(range(1, 2000)) + [rng.randint(1, 10 ** 12) for _ in range(40)]
+    ns += [999983 * 1000003, 1031 * 999983, 1031 * 1033 * 1039,
+           999983 ** 2, 9973 ** 3, 2 ** 39, 3 ** 25]
+    for n in ns:
+        got = intpoly._prime_factors(n)
+        assert got == by_trial(n), n
+        assert list(got) == sorted(got)
 
 
 def test_scalar_arithmetic_mod_p():
@@ -365,6 +399,61 @@ def _uni_terms(rng, p, max_deg=5):
             if c:
                 out[(rng.randint(0, max_deg),)] = c
     return out
+
+
+@pytest.mark.parametrize("p", [0, 5, 2 ** 61 - 1])
+def test_int_list_product_matches_sparse_reference(p):
+    """_conv and _mul against sparse_uni_mul on every path of the kernel:
+    one coefficient (1 and -1 among them), the schoolbook loop, and
+    Kronecker substitution on both sides of its threshold; interior
+    zeros, mixed signs and coefficients up to about 2^200.  A result is a
+    new list: changing it leaves both inputs as they were."""
+    base = BaseField(p)
+    rng = random.Random(24 + p)
+    top = intpoly._KRONECKER_FROM
+    lengths = [1, 2, top - 1, top, top + 1, 2 * top + 3]
+
+    def terms(xs):
+        return {(k,): c for k, c in enumerate(xs) if c}
+
+    def dense(d, n):
+        return [int(d.get((k,), 0)) for k in range(n)]
+
+    def draw(n, bits):
+        out = [rng.randint(-2 ** bits, 2 ** bits) * (rng.random() < 0.8)
+               for _ in range(n)]
+        out[-1] = out[-1] or rng.choice([-1, 1])
+        return out
+
+    cases = [([1], [3, 0, -2 ** 200]), ([-1], [0, 5, 0, -7]),
+             ([1], draw(3 * top, 200)), ([-1], draw(3 * top, 64))]
+    # all coefficients at the max-norm and of one sign, for every slot
+    # bound s up to 100 bits, word and byte slots: the middle coefficient
+    # n (2^j - 1)(2^k - 1) nearly fills the slot
+    for n in (top, 15, 31):
+        for k in range(1, 48):
+            for j in (k, k + 1):
+                cases.append(([2 ** j - 1] * n, [1 - 2 ** k] * (n + 3)))
+    for la in lengths:
+        for lb in lengths:
+            for bits in (1, 30, 200):
+                cases.append((draw(la, bits), draw(lb, bits)))
+    for a, b in cases:
+        if p:
+            a, b = [c % p for c in a], [c % p for c in b]
+        a0, b0 = a[:], b[:]
+        want = sparse_uni_mul(base, terms(a), terms(b))
+        got = _conv(a, b)
+        size = len(a) + len(b) - 1
+        assert len(got) == size and _conv(b, a) == got
+        assert ([c % p for c in got] if p else got) == dense(want, size)
+        prod = intpoly._mul(a, b, p)
+        assert prod == intpoly._trim(dense(want, size)), (a, b)
+        for out in (got, prod):
+            out.append(1)
+            out[0] += 1
+        assert a == a0 and b == b0, (a, b)
+    assert _conv([], [1, 2]) == [0] and _conv([], []) == []
 
 
 @pytest.mark.parametrize("p", [0, 5, 7])

@@ -545,3 +545,95 @@ def prs_gcd_ints(a, b):
         return []
     g = math.gcd(*a) * (1 if a[-1] > 0 else -1)
     return [x // g for x in a]
+
+
+# The eager elimination over F_p and Z: every pivot reduces the whole rest
+# of the block and every later row's transform at once.  The reference
+# for the panel elimination of linalg._Echelon, which must give the same
+# rank after every block and the same nullspace.
+
+class EagerEchelon:
+    """Row echelon form of an n-row matrix over F_p, or over Z for p = 0,
+    by the eager elimination: the reference for ``linalg._Echelon``.
+
+    The matrix is fed in column blocks.  Each row not yet taken as a
+    pivot keeps its transform: the combination of the original rows that
+    it now holds, of length r + 1 for row r.  A pivot row is never read
+    again, so a new block B only needs the products of the remaining
+    transforms with B, and then its own elimination: each block costs only
+    its own columns, and the state after any sequence of blocks is the
+    state after one block of all their columns side by side.
+    """
+
+    def __init__(self, n, p):
+        self.n, self.p, self.rank, self.prev = n, p, 0, 1
+        self.free = [(r, [0] * r + [1]) for r in range(n)]
+
+    def add(self, block):
+        """Append the columns of block (one row per matrix row); the rank.
+
+        Over F_p the remaining rows are reduced mod p only where they are
+        read: each update adds less than p^2 to an entry, so they stay
+        small.
+        """
+        p, prev = self.p, self.prev
+        ncols = len(block[0]) if block else 0
+        rows = []
+        for r, lam in self.free:
+            acc = [0] * ncols
+            for i, c in enumerate(lam):
+                if c:
+                    acc = [a + c * x for a, x in zip(acc, block[i])]
+            rows.append((r, acc, lam))
+        for col in range(ncols):
+            piv = next((k for k, (_, v, _) in enumerate(rows)
+                        if (v[col] % p if p else v[col])), -1)
+            if piv < 0:
+                continue
+            _, vp, tp = rows.pop(piv)
+            if p:
+                vp = [x % p for x in vp[col:]]
+                tp = [x % p for x in tp]
+                inv = pow(vp[0], -1, p)
+                for _, v, t in rows[piv:]:
+                    f = v[col] * inv % p
+                    if f:
+                        v[col:] = [x - f * y for x, y in zip(v[col:], vp)]
+                        t[:len(tp)] = [x - f * y for x, y in zip(t, tp)]
+            else:
+                pv, vp = vp[col], vp[col:]
+                for _, v, t in rows:
+                    vr = v[col]
+                    if vr:
+                        v[col:] = [(pv * x - vr * y) // prev
+                                   for x, y in zip(v[col:], vp)]
+                        t[:] = [(pv * x - vr * y) // prev for x, y in
+                                itertools.zip_longest(t, tp, fillvalue=0)]
+                    elif pv != prev:
+                        v[col:] = [pv * x // prev for x in v[col:]]
+                        t[:] = [pv * x // prev for x in t]
+                prev = pv
+            self.rank += 1
+            if not rows:
+                break
+        if any((x % p if p else x) for _, v, _ in rows for x in v):
+            raise AssertionError("nullspace row not eliminated")
+        self.prev = prev
+        self.free = [(r, [x % p for x in t] if p else t) for r, _, t in rows]
+        return self.rank
+
+    def nullspace(self):
+        """The canonical relation basis, in row order: each vector scaled
+        to a leading 1 over F_p, to coprime integers with the first entry
+        positive over Z."""
+        out = []
+        for r, t in self.free:
+            lam = t + [0] * (self.n - r - 1)
+            lead = next(x for x in lam if x)
+            if self.p:
+                inv = pow(lead, -1, self.p)
+                out.append([x * inv % self.p for x in lam])
+            else:
+                g = math.gcd(*lam) * (1 if lead > 0 else -1)
+                out.append([x // g for x in lam])
+        return out

@@ -10,8 +10,8 @@ from orefree.field import BaseField, FunctionField
 from orefree.linalg import _Echelon, flatten_to_k, rank_over_k
 
 from oracles import (
-    gauss_rank_fractions, gauss_rank_modp, generic_nullspace, nullspace_modp,
-    random_ratfunc,
+    EagerEchelon, gauss_rank_fractions, gauss_rank_modp, generic_nullspace,
+    nullspace_modp, random_ratfunc,
 )
 
 QT = FunctionField(0, ["t"])
@@ -170,6 +170,52 @@ def test_incremental_echelon_matches_one_shot(p):
             for j in range(ncols):
                 total = sum(lam[i] * rows[i][j] for i in range(n))
                 assert (total % p if p else total) == 0
+
+
+def _combinations(rng, n, basis, p):
+    """n random combinations mod p of the rows of basis."""
+    out = []
+    for _ in range(n):
+        row = [0] * len(basis[0])
+        for b in basis:
+            c = rng.randrange(p)
+            row = [x + c * y for x, y in zip(row, b)]
+        out.append([x % p for x in row])
+    return out
+
+
+def _wide_matrices(rng, p):
+    """Matrices past one panel: the rank settling in the first panel, in
+    a late one, and at full rank; zero and repeated rows in the first two."""
+    def rand(n, ncols):
+        return [[rng.randrange(p) for _ in range(ncols)] for _ in range(n)]
+
+    first = _combinations(rng, 90, rand(12, 300), p)
+    # rank 8 on the first 230 columns, rising again in the last two panels
+    late = [a + b for a, b in zip(_combinations(rng, 80, rand(8, 230), p),
+                                  rand(80, 70))]
+    for rows in (first, late):
+        for i in rng.sample(range(len(rows)), 6):
+            rows[i] = ([0] * len(rows[0]) if i % 2
+                       else list(rows[rng.randrange(len(rows))]))
+    return [first, late, rand(70, 300)]
+
+
+@pytest.mark.parametrize("p", [2, 5, (1 << 61) - 1])
+def test_panel_echelon_matches_eager_reference(p):
+    # matrices taller and wider than one panel, fed in random column
+    # blocks: after every block the rank of the eager reference, at the
+    # end its nullspace.  The earlier tests stay inside the first panel
+    rng = random.Random(p % 1000 + 2025)
+    for rows in _wide_matrices(rng, p):
+        n, ncols = len(rows), len(rows[0])
+        for _ in range(2):
+            cuts = sorted(rng.sample(range(1, ncols), rng.randint(1, 5)))
+            echelon, eager = _Echelon(n, p), EagerEchelon(n, p)
+            for lo, hi in zip([0] + cuts, cuts + [ncols]):
+                block = [row[lo:hi] for row in rows]
+                assert echelon.add(block) == eager.add(block)
+            assert echelon.nullspace() == eager.nullspace()
 
 
 def test_flatten_then_rank_detects_k_relations_only():

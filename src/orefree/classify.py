@@ -30,7 +30,7 @@ from .errors import (
 )
 from .field import RatFunc, _rational_roots
 from .freeness import freeness_certify, valuation_witness, \
-    weyl_pair_from_additive
+    weyl_pair_from_additive, word_key
 from .orefrac import central_power_check
 from .orepoly import OrePoly
 from .skew import SkewPair, delta_tower, orbit_analyze
@@ -116,15 +116,6 @@ def normalize_presentation(pair):
 # witness discovery for the automorphism case
 # ---------------------------------------------------------------------------
 
-def _vars_of(f):
-    """Indices of generators appearing in either side of a fraction."""
-    out = set()
-    for part in (f.num, f.den):
-        for e in part.terms:
-            out.update(v for v, k in enumerate(e) if k)
-    return out
-
-
 def _witness_candidates(pair):
     """Places and pool from linear factors around the generators.
 
@@ -138,21 +129,22 @@ def _witness_candidates(pair):
     if ff.nvars != 1:
         return [], []
     roots = []
-    for i in range(ff.nvars):
-        y = ff.var(i)
-        for f in (y, pair.sigma.apply(y)):
-            for part in (f.num, f.den):
-                if part.is_const():
-                    continue
-                for r in _rational_roots(part, 0):
-                    if r not in roots:
-                        roots.append(r)
     t = ff.var(0)
-    tp = ff.poly_var(0)
-    places = [Place.finite(tp - ff.poly_const(r)) for r in roots]
-    places.append(Place.infinity(ff))
+    for f in (t, pair.sigma.apply(t)):
+        for part in (f.num, f.den):
+            if part.is_const():
+                continue
+            for r in _rational_roots(part, 0):
+                if r not in roots:
+                    roots.append(r)
     pool = [(t - ff.const(r)).inverse() for r in roots]
-    return places, pool
+    return _places_at(ff, roots) + [Place.infinity(ff)], pool
+
+
+def _places_at(ff, roots):
+    """The places t - r of k(t) at the given prime-field roots r."""
+    tp = ff.poly_var(0)
+    return [Place.finite(tp - ff.poly_const(r)) for r in roots]
 
 
 def _best_bounded_certificate(pair, b, max_len, diagnostics):
@@ -174,9 +166,8 @@ def _best_bounded_certificate(pair, b, max_len, diagnostics):
                 "word check stopped before length %d: %s" % (L, exc))
             break
         if not cert.independent:
-            rel = " ".join(
-                "%+d*W_%s" % (c, "".join(map(str, w)) or "()")
-                for w, c in sorted(cert.relation.items()))
+            rel = " ".join("%+d*W_%s" % (c, word_key(w) or "()")
+                           for w, c in sorted(cert.relation.items()))
             diagnostics.append(
                 "bounded relation at length %d: %s = 0" % (L, rel))
             related = True
@@ -306,9 +297,7 @@ def _places_of(witness):
     ff = witness.ff
     if ff.nvars != 1 or witness.den.is_const():
         return []
-    tp = ff.poly_var(0)
-    return [Place.finite(tp - ff.poly_const(r))
-            for r in _rational_roots(witness.den, 0)]
+    return _places_at(ff, _rational_roots(witness.den, 0))
 
 
 def classify_derivation(spec):
@@ -356,11 +345,11 @@ def classify_derivation(spec):
         statuses = [lv.status for lv in report.levels]
         diags.append("tower(%s): %s" % (ff.names[i], ", ".join(statuses)))
         if report.all_strict():
-            touched = _vars_of(a)
-            for v in report.values:
-                touched |= _vars_of(v)
+            # the iterates start at a itself
+            touched = set().union(*(f.num.vars_used() | f.den.vars_used()
+                                    for f in report.values))
             clash = [g for g in pair.e_generators
-                     if _vars_of(g) & touched]
+                     if (g.num.vars_used() | g.den.vars_used()) & touched]
             if clash:
                 # a declared constant built from the same generators can
                 # collapse the growth the per-level test certifies

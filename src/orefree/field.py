@@ -20,10 +20,13 @@ floating point is used anywhere.
 Univariate kernels (products, exact division, gcds, roots) work on the
 dense int lists of :mod:`intpoly` with one common denominator
 (:func:`_dense`, :func:`_from_dense`); their results go back into the same
-term dicts, so the representation above is unchanged.  gcds use dense
-Euclid for univariate polynomials over F_p, the heuristic gcd over Z
-(evaluation at one integer, proved by division) over Q, and a primitive
-PRS with recursion on contents for several variables.
+term dicts, so the representation above is unchanged.  A fraction of k(t)
+is cleared to two int lists over one scale by :func:`_cleared`, and a
+list of fractions is brought over the lcm of their denominators by
+:func:`_common_denominator`.  gcds use dense Euclid for univariate
+polynomials over F_p, the heuristic gcd over Z (evaluation at one
+integer, proved by division) over Q, and a primitive PRS with recursion
+on contents for several variables.
 """
 
 import math
@@ -563,6 +566,17 @@ def _dense(terms, p, v=0):
     return ints, scale
 
 
+def _cleared(f):
+    """(n, d) int lists with f = n / d over one scale, for f in k(t): the
+    dense lists of num and den, mod p over F_p."""
+    p = f.ff.char
+    n, sn = _dense(f.num.terms, p)
+    d, sd = _dense(f.den.terms, p)
+    if sn != sd:
+        n, d = [x * sd for x in n], [x * sn for x in d]
+    return n, d
+
+
 def _from_dense(ff, ints, scale=1, v=0):
     """The MPoly with ints[k] / scale at y_v^k; scale is 1 over F_p."""
     p, head, tail = ff.char, (0,) * v, (0,) * (ff.nvars - v - 1)
@@ -692,6 +706,22 @@ def _cancel(a, b):
     if g.is_const():
         return a, b
     return a.divide_exact(g), b.divide_exact(g)
+
+
+def _common_denominator(fs):
+    """(den, nums) with f_i = nums[i] / den for a nonempty list of RatFuncs:
+    den the monic lcm of their denominators."""
+    den = fs[0].ff.poly_one()
+    for f in fs:
+        if not f.den.is_const():
+            den = den * f.den.divide_exact(poly_gcd(den, f.den))
+    nums = []
+    for f in fs:
+        q = den.divide_exact(f.den)
+        if q is None:
+            raise AssertionError("denominator does not divide their lcm")
+        nums.append(f.num * q)
+    return den, nums
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +890,12 @@ class RatFunc:
             return self.inverse() ** (-n)
         if n == 0:
             return self.ff.one()
+        # refused before squaring: a dense power has up to n deg + 1 terms
+        deg = n * max(self.num.total_degree(), self.den.total_degree())
+        if deg > config.MAX_FRACTION_TERMS:
+            raise ResourceBoundExceeded(
+                "power of degree %d exceeds the fraction bound %d"
+                % (deg, config.MAX_FRACTION_TERMS))
         return RatFunc(self.num ** n, self.den ** n, reduce=False)
 
     def substitute(self, images):

@@ -122,7 +122,8 @@ J. ACM 1980) and R = 0.
 
 Everything else brings all words over one common left denominator by an
 lclm fold, flattens the numerator coefficient vectors, and proves its
-relation by summing the words as Ore fractions over that denominator.
+relation by summing the scaled numerators of its support over the
+support's common left denominator, by the same fold.
 
 Independence at bound L says nothing about longer words.  The certificate
 stores the bound, the rank, and a digest of the flattened matrix so runs
@@ -142,7 +143,7 @@ from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
-from .field import RatFunc, _dense, poly_gcd
+from .field import RatFunc, _cleared, _common_denominator
 from .intpoly import _conv, _long_div, _trim
 from .linalg import (
     _Echelon, _normalize_int_vector, _split_by_monomial,
@@ -253,22 +254,20 @@ def _relation_vanishes(fracs, lam):
     """True when sum(lam[i] * fracs[i]) is the zero fraction.
 
     The scalars lie in the prime field k, which commutes with every Ore
-    polynomial, so over one common left denominator den, grown by lclm
-    steps, the sum is den^{-1} sum(lam[i] * nums[i]): it vanishes exactly
-    when that Ore polynomial does.
+    polynomial, so over the common left denominator den of the support
+    the sum is den^{-1} sum(lam[i] * nums[i]): it vanishes exactly when
+    that Ore polynomial does.  The support's lclm right-divides the lclm
+    of all the fractions, so its degree bound is crossed only where the
+    fold over all of them crossed it first.
     """
     support = [(c, f) for c, f in zip(lam, fracs) if c]
     if not support:
         return True
     ctx = support[0][1].ctx
-    den, total = OrePoly.one(ctx), OrePoly.zero(ctx)
-    for c, f in support:
-        den, u, v = lclm(den, f.den)
-        if den.degree > config.MAX_DEN_DEGREE:
-            raise ResourceBoundExceeded(
-                "relation denominator reached degree %d (bound %d)"
-                % (den.degree, config.MAX_DEN_DEGREE))
-        total = u * total + v * f.num.scale_left(ctx.ff.const(c))
+    _, nums = common_left_denominator([f for _, f in support])
+    total = OrePoly.zero(ctx)
+    for (c, _), n in zip(support, nums):
+        total = total + n.scale_left(ctx.ff.const(c))
     return total.is_zero()
 
 
@@ -384,6 +383,17 @@ class FreenessCertificate:
         if self.relation is not None:
             out["relation"] = {word_key(w): c for w, c in self.relation.items()}
         return out
+
+
+def _certificate(b, L, words, rows, header, rank, lam):
+    """The certificate of a rank, Independent when the relation lam is
+    None, with the digest of rows under header."""
+    digest = _matrix_digest(rows, header)
+    if lam is None:
+        return FreenessCertificate(b, L, len(words), rank, digest,
+                                   "Independent")
+    return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
+                               {w: c for w, c in zip(words, lam) if c})
 
 
 def _prefix_shared(words, root, step):
@@ -757,29 +767,26 @@ def _extension_word_rows(pair, words, b, N):
             point)
 
 
-def _poly_jet_mod(p, c, n, q):
-    """Coefficients 0..n-1 of p(c + eps) mod q for univariate p, or None
-    when a coefficient denominator is 0 mod q."""
-    ints, scale = _dense(p.terms, 0)
-    if scale % q == 0:  # q is prime: it divides one of the denominators
-        return None
+def _poly_jet_mod(ints, c, n, q):
+    """Coefficients 0..n-1 of p(c + eps) mod q, p given by its int list."""
     jet = [0] * n
     for a in reversed(ints):
         # Horner step: jet * (c + eps) + a
         jet = [(c * jet[0] + a) % q] + [
             (c * jet[i] + jet[i - 1]) % q for i in range(1, n)]
-    inv = pow(scale, -1, q)
-    return [x * inv % q for x in jet]
+    return jet
 
 
 def _jet_mod(f, c, n, q):
-    """Taylor coefficients 0..n-1 of f(c + eps) mod q for univariate f.
+    """Taylor coefficients 0..n-1 of f(c + eps) mod q for f in Q(t).
 
     None when f is undefined at c mod q.  Substituting t = c + eps is a
-    ring homomorphism that carries d/dt to d/d(eps).
+    ring homomorphism that carries d/dt to d/d(eps).  With f = num / den
+    on integer lists (_cleared), the jet of f is that of num over that of
+    den, defined when den(c) is a unit mod q.
     """
-    num, den = _poly_jet_mod(f.num, c, n, q), _poly_jet_mod(f.den, c, n, q)
-    if num is None or den is None or not den[0]:
+    num, den = (_poly_jet_mod(ints, c, n, q) for ints in _cleared(f))
+    if not den[0]:
         return None
     inv = pow(den[0], -1, q)
     dens = [(i, d) for i, d in enumerate(den) if i and d]
@@ -936,10 +943,9 @@ def _point_bound(pair, b, e, r):
     polynomial of degree at most B.
     """
     values = _series_values(pair, b, e)
-    delta, h = pair.ff.poly_one(), 0
-    for v in values:
-        delta = delta * v.den.divide_exact(poly_gcd(delta, v.den))
-        h = max(h, v.num.total_degree() - v.den.total_degree())
+    delta, _ = _common_denominator(values)
+    h = max(0, max(v.num.total_degree() - v.den.total_degree()
+                   for v in values))
     return values, delta, r * (delta.total_degree() + h)
 
 
@@ -949,9 +955,9 @@ def _relation_holds(pair, words, b, lam):
     C is the prefix closure of the support and e = |C| - 1: the relation
     holds iff its series over C vanishes at orders 0..e (module
     docstring).  The series run fraction-free.  Each value v_j is scaled
-    by Delta (_point_bound), which scales the series of a word with r_w
-    ones by Delta^{r_w}, and the weight Delta^{r - r_w} of its
-    coefficient evens that out.  Over Q(t) the scaled coefficients are
+    by Delta, the lcm of their denominators, which scales the series of
+    a word with r_w ones by Delta^{r_w}, and the weight Delta^{r - r_w}
+    of its coefficient evens that out.  Over Q(t) the scaled coefficients are
     evaluated at the first B + 1 integers P >= 0 where Delta does not
     vanish, each point's values scaled by one integer in place of
     Delta(P); elsewhere they are computed once, as exact polynomials.
@@ -960,7 +966,6 @@ def _relation_holds(pair, words, b, lam):
     closure = _prefix_closure(w for w, _ in support)
     e = len(closure) - 1
     r = max(sum(w) for w, _ in support)
-    values, delta, B = _point_bound(pair, b, e, r)
 
     def vanishes(vals, scale, zero, one):
         series = dict(zip(closure, _word_series(pair, closure, vals, e,
@@ -973,10 +978,10 @@ def _relation_holds(pair, words, b, lam):
 
     ff = pair.ff
     if ff.char or ff.nvars > 1:
-        return vanishes([v.num * delta.divide_exact(v.den) for v in values],
-                        delta, ff.poly_zero(), ff.poly_one())
-    dense = [(_dense(v.num.terms, 0), _dense(v.den.terms, 0))
-             for v in values]
+        delta, nums = _common_denominator(_series_values(pair, b, e))
+        return vanishes(nums, delta, ff.poly_zero(), ff.poly_one())
+    values, _, B = _point_bound(pair, b, e, r)
+    cleared = [_cleared(v) for v in values]
 
     def at(ints, P):
         return functools.reduce(lambda acc, c: acc * P + c, reversed(ints), 0)
@@ -984,8 +989,8 @@ def _relation_holds(pair, words, b, lam):
     P, left = -1, B + 1
     while left:
         P += 1
-        nums = [at(n, P) * sd for (n, sn), (d, sd) in dense]
-        dens = [at(d, P) * sn for (n, sn), (d, sd) in dense]
+        nums = [at(n, P) for n, _ in cleared]
+        dens = [at(d, P) for _, d in cleared]
         if not all(dens):
             continue
         s = math.lcm(*dens)
@@ -1026,18 +1031,14 @@ def _certify_by_evaluation(pair, words, b, L):
         header = "q:%d;points:%s" % (_EVAL_PRIME, points)
     else:
         header = "q:%d;x^-1;points:%s" % (_EVAL_PRIME, points)
-    digest = _matrix_digest(rows, header)
-    if rank == len(words):
-        return FreenessCertificate(b, L, len(words), rank, digest,
-                                   "Independent")
-    generators = _relation_generators(echelon.nullspace(), words, L, p)
-    if generators is None:
-        return None
-    if not all(_relation_holds(pair, words, b, lam) for lam in generators):
-        return None
-    relation = {w: c for w, c in zip(words, generators[0]) if c}
-    return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
-                               relation)
+    lam = None
+    if rank < len(words):
+        generators = _relation_generators(echelon.nullspace(), words, L, p)
+        if generators is None or not all(
+                _relation_holds(pair, words, b, g) for g in generators):
+            return None
+        lam = generators[0]
+    return _certificate(b, L, words, rows, header, rank, lam)
 
 
 def freeness_certify(pair, b, L):
@@ -1079,7 +1080,8 @@ def freeness_certify(pair, b, L):
     (_word_series); the relation is proved as on the evaluated routes,
     on the prefix closure of its support.  The fold flattens its
     numerators over its common denominator and proves the relation by
-    summing the Ore fractions it has built.  Raises
+    summing the scaled numerators of its support over the support's
+    common left denominator.  Raises
     ResourceBoundExceeded when the word count crosses
     ``config.MAX_WORDS``, or when the exact series' order N or the
     fold's denominator degree crosses ``config.MAX_DEN_DEGREE``.
@@ -1108,13 +1110,7 @@ def freeness_certify(pair, b, L):
             rows, base, lambda lam: _relation_holds(pair, words, b, lam))
     else:
         rows, rank, lam = _fold_rank(_expand_words(pair, words, b))
-    digest = _matrix_digest(rows, "k:%d" % base.p)
-    if lam is None:
-        return FreenessCertificate(b, L, len(words), rank, digest,
-                                   "Independent")
-    relation = {w: c for w, c in zip(words, lam) if c}
-    return FreenessCertificate(b, L, len(words), rank, digest, "Dependent",
-                               relation)
+    return _certificate(b, L, words, rows, "k:%d" % base.p, rank, lam)
 
 
 def monomial_products_check(elems):

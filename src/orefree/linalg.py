@@ -58,7 +58,7 @@ import itertools
 import math
 
 from .errors import UsageError
-from .field import _grlex_key, poly_gcd
+from .field import _common_denominator, _grlex_key
 from .intpoly import _primitive_ints
 
 
@@ -101,20 +101,8 @@ def flatten_to_k(vectors):
                 raise UsageError("vectors over different fields")
     if width == 0:
         return [[] for _ in vectors]
-    cols = []
-    for j in range(width):
-        col = [v[j] for v in vectors]
-        den = ff.poly_one()
-        for x in col:
-            if not x.den.is_const():
-                den = den.divide_exact(poly_gcd(den, x.den)) * x.den
-        nums = []
-        for x in col:
-            q = den.divide_exact(x.den)
-            if q is None:
-                raise AssertionError("column denominator not divisible")
-            nums.append(x.num * q)
-        cols.append(nums)
+    cols = [_common_denominator([v[j] for v in vectors])[1]
+            for j in range(width)]
     return _split_by_monomial(list(zip(*cols)), ff.base.zero())
 
 

@@ -97,8 +97,7 @@ class OreFraction:
         if isinstance(other, OrePoly):
             return OreFraction.from_poly(other)
         if isinstance(other, (int, RatFunc)):
-            return OreFraction(OrePoly.one(self.ctx),
-                               OrePoly.const(self.ctx, other))
+            return OreFraction.from_ratfunc(self.ctx, other)
         return None
 
     def __add__(self, other):

@@ -55,7 +55,7 @@ from .errors import (
     CharacteristicMismatch, ContextMismatch, DivisionByZero,
     ResourceBoundExceeded,
 )
-from .field import RatFunc, _dense, _from_dense
+from .field import RatFunc, _cleared, _from_dense
 from .intpoly import (
     _add, _compose, _derivative, _gcd_cofactors, _mul, _sub, _trim,
 )
@@ -69,19 +69,6 @@ def _same_ctx(a, b):
 # ---------------------------------------------------------------------------
 # the fraction-free form over k(t)
 # ---------------------------------------------------------------------------
-
-def _ints(a, ff):
-    """(n, d) int lists with a = n / d, for a RatFunc of ff = k(t)."""
-    if a.ff is not ff and a.ff != ff:
-        raise CharacteristicMismatch(
-            "operands live in different fields: %r vs %r" % (ff, a.ff))
-    p = ff.char
-    n, sn = _dense(a.num.terms, p)
-    d, sd = _dense(a.den.terms, p)
-    if sn != sd:
-        n, d = [x * sd for x in n], [x * sn for x in d]
-    return n, d
-
 
 def _canon(den, nums, p, coprime=False):
     """The canonical form of sum nums[j] / den x^j.
@@ -146,7 +133,7 @@ class _Kernel:
                 self.kind, c = "sd", delta.inner
             else:
                 self.kind, c = "der", delta.images[0]
-            self.cn, self.cd = _ints(c, ff)
+            self.cn, self.cd = _cleared(c)
 
     def _sigma(self, polys, m, k=1):
         """[H_m(n) for n in polys] for the Moebius map sigma^k (k != 0)."""
@@ -216,11 +203,16 @@ class OrePoly:
         self.ctx = ctx
         self._cs = tuple(coeffs)
         self._den = self._nums = None
-        if ctx.ff.nvars == 1:
-            p = ctx.ff.char
+        ff = ctx.ff
+        if ff.nvars == 1:
+            p = ff.char
             den, nums = [1], []
             for j, c in enumerate(self._cs):
-                n, d = _ints(c, ctx.ff)
+                if c.ff is not ff and c.ff != ff:
+                    raise CharacteristicMismatch(
+                        "operands live in different fields: %r vs %r"
+                        % (ff, c.ff))
+                n, d = _cleared(c)
                 den, nums = _over_lcm(den, nums, d, [[]] * j + [n], p)
             self._den, self._nums = _canon(den, nums, p)
 
@@ -361,7 +353,12 @@ class OrePoly:
         if a.is_zero():
             return OrePoly.zero(self.ctx)
         if self._den is not None:
-            return self._scale_ints(*_ints(a, self.ctx.ff))
+            ff = self.ctx.ff
+            if a.ff is not ff and a.ff != ff:
+                raise CharacteristicMismatch(
+                    "operands live in different fields: %r vs %r"
+                    % (ff, a.ff))
+            return self._scale_ints(*_cleared(a))
         return OrePoly(self.ctx, [a * c for c in self._cs])
 
     def _scale_ints(self, an, ad):

@@ -80,7 +80,8 @@ def _tokenize(text, line, col0):
 class _ExprParser:
     """Recursive descent over the shared expression grammar.
 
-    ops supplies the value algebra (field elements or Ore fractions);
+    ops supplies the integers and names of the value algebra (field
+    elements or Ore fractions); the operators are the values' own, and
     the parser itself only knows precedence and positions.
     """
 
@@ -124,8 +125,12 @@ class _ExprParser:
             if kind == "op" and val in "*/":
                 self.take()
                 w = self.unary()
-                v = v * w if val == "*" else self.ops.div(v, w, self.line,
-                                                          col)
+                if val == "*":
+                    v = v * w
+                elif w.is_zero():
+                    raise ParseError("division by zero", self.line, col)
+                else:
+                    v = v / w
             else:
                 return v
 
@@ -148,7 +153,7 @@ class _ExprParser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer",
                                  self.line, ncol)
-            v = self.ops.pow_(v, n)
+            v = v ** n
 
     def atom(self):
         kind, val, col = self.take()
@@ -183,17 +188,6 @@ class _FieldOps:
             return self.ff.var(self.ff.index(val))
         raise UndeclaredVariable("unknown name %r" % val, parser.line, col)
 
-    def div(self, a, b, line, col):
-        if b.is_zero():
-            raise ParseError("division by zero", line, col)
-        return a / b
-
-    def pow_(self, v, n):
-        out = self.ff.one()
-        for _ in range(n):
-            out = out * v
-        return out
-
 
 class _OreOps:
     """Expression values are Ore fractions; adds X and inv(...)."""
@@ -222,14 +216,6 @@ class _OreOps:
             return OreFraction.from_ratfunc(self.pair,
                                             ff.var(ff.index(val)))
         raise UndeclaredVariable("unknown name %r" % val, parser.line, col)
-
-    def div(self, a, b, line, col):
-        if b.is_zero():
-            raise ParseError("division by zero", line, col)
-        return a * b.inverse()
-
-    def pow_(self, v, n):
-        return v ** n
 
 
 def parse_field_expr(ff, text, line=1, col0=0):

@@ -76,7 +76,7 @@ from .errors import (
     WrongCharacteristic,
     ZeroArgument,
 )
-from .field import RatFunc, _dense, _from_dense
+from .field import RatFunc, _cleared, _dense, _from_dense
 from .intpoly import _compose, _mul, _prime_factors, _trim
 
 
@@ -237,14 +237,15 @@ class SkewEndo:
     def _matrix(self, inverse=False):
         """(a, b, c, d) with sigma(t) = (a t + b) / (c t + d), or with
         sigma^-1(t) when inverse, for the one generator t: ints, mod p
-        over F_p."""
-        p = self.ff.char
-        img = self.inverse_images[0] if inverse else self.images[0]
-        num, sn = _dense(img.num.terms, p)
-        den, sd = _dense(img.den.terms, p)
+        over F_p.  Over Q they carry the common scale of the cleared
+        image, a positive factor that no reader sees: moebius_table
+        divides it out, and the order test and orbit_analyze's reason
+        are homogeneous in the entries."""
+        num, den = _cleared(self.inverse_images[0] if inverse
+                            else self.images[0])
         b, a = num + [0] * (2 - len(num))
         d, c = den + [0] * (2 - len(den))
-        return a * sd, b * sd, c * sn, d * sn
+        return a, b, c, d
 
     def _moebius_order(self):
         """(n, {prime: exponent} of n) for the order n of sigma on k(t),

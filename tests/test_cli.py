@@ -182,6 +182,19 @@ def test_resource_bound_exits_three(tmp_path, capsys):
     assert json.loads(out)["error"] == "ResourceBoundExceeded"
 
 
+def test_huge_power_refused_at_once(tmp_path):
+    # t^100000000 is refused from its degree before any squaring; run in a
+    # child process under a timeout, since an accepted power would not end
+    path = problem_file(tmp_path, SHIFT)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orefree.cli", "freeness", path, "--b",
+         "t^100000000", "--max-len", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"] == "ResourceBoundExceeded"
+
+
 def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     def boom(spec):
         raise RuntimeError("wedged")

@@ -11,7 +11,10 @@ from orefree.errors import (
     BadCharacteristic, CharacteristicMismatch, DivisionByZero,
     ResourceBoundExceeded,
 )
-from orefree.field import BaseField, FunctionField, MPoly, RatFunc, poly_gcd
+from orefree.field import (
+    BaseField, FunctionField, MPoly, RatFunc, _cleared, _common_denominator,
+    _from_dense, poly_gcd,
+)
 from orefree.intpoly import _MR_EXACT_BELOW, _conv, _is_prime, _uni_gcd_q
 
 from oracles import (
@@ -347,6 +350,74 @@ def test_pow_negative_and_zero():
     assert f ** -2 == (f * f).inverse()
     with pytest.raises(DivisionByZero):
         QT.zero().inverse()
+
+
+def test_pow_equals_repeated_product():
+    # ** squares; the repeated product reduces after every factor
+    rng = random.Random(11)
+    f7 = FunctionField(7, ["t", "s"])
+    t, s = f7.var("t"), f7.var("s")
+    for v in (QT.var("t") / 3 + Fraction(1, 2), (QT.var("t") ** 2 - 5)
+              / (QT.var("t") / 7 + 2), (t + 2 * s) / (t * s + 3),
+              random_ratfunc(rng, f7)):
+        acc = v.ff.one()
+        for n in range(41):
+            assert v ** n == acc
+            assert str(v ** n) == str(acc)
+            acc = acc * v
+
+
+def test_pow_refused_before_squaring(monkeypatch):
+    # n * deg past the fraction bound is refused from the degrees alone
+    t = QT.var("t")
+    with pytest.raises(ResourceBoundExceeded, match="power of degree"):
+        t ** 100_000_000
+    with pytest.raises(ResourceBoundExceeded, match="power of degree"):
+        (t + 1).inverse() ** -100_000_000
+    monkeypatch.setattr(config, "MAX_FRACTION_TERMS", 20)
+    assert (t * t / 2 + 1) ** 10 == (t * t / 2 + 1) ** 5 * (t * t / 2 + 1) ** 5
+    with pytest.raises(ResourceBoundExceeded, match="power of degree 22"):
+        (t * t / 2 + 1) ** 11
+    assert QT.const(3) ** 40 == QT.const(3 ** 40)
+
+
+def test_cleared_form_is_the_fraction():
+    # n / d == f over one scale: Fraction coefficients in num and den with
+    # equal scales (3 and 3), unequal scales (4 and 15), and over F_p
+    t = QT.var("t")
+    f5 = F5T.var("t")
+    cases = [(2 * t + 1) / (3 * t + 1), (t * t / 4 + Fraction(3, 2))
+             / (t / 5 - Fraction(2, 3)), (t / 7 + 1) / 3, QT.const(5),
+             (3 * f5 * f5 + 2) / (2 * f5 + 1), F5T.zero()]
+    for f in cases:
+        n, d = _cleared(f)
+        assert all(isinstance(x, int) for x in n + d)
+        assert RatFunc(_from_dense(f.ff, n), _from_dense(f.ff, d)) == f
+    assert _cleared(cases[0]) == ([1, 2], [1, 3])
+    assert _cleared(cases[1]) == ([90, 0, 15], [-40, 12])
+    rng = random.Random(12)
+    for ff in (QT, F5T):
+        for _ in range(30):
+            f = random_ratfunc(rng, ff) / ff.const(rng.randint(1, 4))
+            n, d = _cleared(f)
+            assert RatFunc(_from_dense(ff, n), _from_dense(ff, d)) == f
+
+
+def test_common_denominator_clears_every_fraction():
+    # den * f_i == nums_i, and every denominator divides den
+    rng = random.Random(13)
+    t = QT.var("t")
+    fixed = [t / 3, (t + 1) / (t / 2 - 1), QT.one() / (t * t - 4),
+             Fraction(2, 3) * (t - 2).inverse()]
+    for fs in [fixed] + [[random_ratfunc(rng, ff) for _ in range(4)]
+                         for ff in (QT, F5T, QTU) for _ in range(10)]:
+        den, nums = _common_denominator(fs)
+        assert den.lc() == den.ff.base.one()
+        for f, n in zip(fs, nums):
+            assert RatFunc(den, den.ff.poly_one()) * f == n
+            assert den.divide_exact(f.den) is not None
+    den, _ = _common_denominator(fixed)
+    assert den == (QT.poly_var("t") - 2) * (QT.poly_var("t") + 2)
 
 
 def test_substitution_shift():

@@ -974,6 +974,30 @@ def test_ddt_inverse_witness_L3_relation_oracle_certified():
     assert {k: v / scale for k, v in by_word.items()} == rel_by_key(cert)
 
 
+def test_derivative_values_match_oracle_series():
+    # x^{-1} b = sum_j (-1)^j delta^j(b) x^{-1-j}: the oracle's single
+    # x^{-1} steps give every delta^j(b), read at c mod q, for a witness
+    # and a delta(t) with fractions in num and den, at unequal and equal
+    # scales, and at a point where the witness has a pole mod q
+    q = freeness._EVAL_PRIME
+    t = QT.var(0)
+    n = 7
+    for image, b in (((t * t / 3 + Fraction(1, 2)) / (t / 5 - 2),
+                      (t / 4 + Fraction(2, 3)) / (t * t / 6 + 1)),
+                     ((2 * t + 1) / (3 * t + 1), (t / 3 + 1) / (t / 3 - 2))):
+        delta = SkewDerivation(QT, [image], SkewEndo.identity(QT))
+        coeffs = series_xinv_step_delta(QT, delta, [b] + [QT.zero()] * n)
+        for c in (3, 11, freeness._EVAL_STARTS[0]):
+            want = []
+            for j in range(n):
+                x = eval_ratfunc((-1) ** j * coeffs[j + 1], (Fraction(c),))
+                want.append(x.numerator * pow(x.denominator, -1, q) % q)
+            assert freeness._derivative_values(image, b, c, n, q) == want
+    pole = (t / 3 + 1) / (t / 3 - 2)
+    assert freeness._derivative_values(t, pole, 6, n, q) is None
+    assert freeness._derivative_values(pole, t, 6 + q, n, q) is None
+
+
 def test_xinv_rows_equal_oracle_series_at_each_point():
     # entrywise: the evaluated x^{-1} rows at each point are the oracle's
     # series, built by single x^{-1} commutation steps, evaluated there
@@ -1233,7 +1257,7 @@ def test_den_degree_bound_at_every_check(monkeypatch):
         OreFraction((x - one) * (x - one), one)
     with pytest.raises(ResourceBoundExceeded, match="common denominator"):
         common_left_denominator([f, g])
-    with pytest.raises(ResourceBoundExceeded, match="relation denominator"):
+    with pytest.raises(ResourceBoundExceeded, match="common denominator"):
         freeness._relation_vanishes([f, g], (1, 1))
 
 

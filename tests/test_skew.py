@@ -282,6 +282,21 @@ def test_orbit_infinite_shift_and_scale():
     assert rep.kind == "infinite"
 
 
+def test_moebius_readers_pinned_for_one_scale():
+    # t -> (2t + 1)/(3t + 1) is stored as (2/3 t + 1/3)/(t + 1/3): both
+    # scales are 3, and its inverse (1 - t)/(3t - 2) has two scales of 3 as
+    # well; every reader of the matrix ignores that common factor
+    t = QT.var("t")
+    s = SkewEndo(QT, [(2 * t + 1) / (3 * t + 1)], [(1 - t) / (3 * t - 2)])
+    rep = orbit_analyze(s, t)
+    assert rep.kind == "infinite"
+    assert rep.reason.startswith("tr^2/det = -9 is not 0, 1, 2 or 3")
+    assert s.moebius_table(5) == ([109, 251], [[1], [142, 327]])
+    assert str(s.apply(t, 5)) == "(251/327*t + 1/3)/(t + 142/327)"
+    assert str(s.apply(t, -3)) == "(-13/30*t + 1/3)/(t - 23/30)"
+    assert s.apply(s.apply(t, 5), -5) == t
+
+
 def test_orbit_finite_charp_scaling():
     ff = FunctionField(7, ["t"])
     t = ff.var("t")

@@ -708,13 +708,19 @@ def _cancel(a, b):
     return a.divide_exact(g), b.divide_exact(g)
 
 
-def _common_denominator(fs):
-    """(den, nums) with f_i = nums[i] / den for a nonempty list of RatFuncs:
-    den the monic lcm of their denominators."""
+def _denominator_lcm(fs):
+    """The monic lcm of the denominators of a nonempty list of RatFuncs."""
     den = fs[0].ff.poly_one()
     for f in fs:
         if not f.den.is_const():
             den = den * f.den.divide_exact(poly_gcd(den, f.den))
+    return den
+
+
+def _common_denominator(fs):
+    """(den, nums) with f_i = nums[i] / den for a nonempty list of RatFuncs:
+    den the monic lcm of their denominators."""
+    den = _denominator_lcm(fs)
     nums = []
     for f in fs:
         q = den.divide_exact(f.den)
@@ -890,13 +896,23 @@ class RatFunc:
             return self.inverse() ** (-n)
         if n == 0:
             return self.ff.one()
-        # refused before squaring: a dense power has up to n deg + 1 terms
+        # refused before squaring: in one variable a power of degree n deg
+        # is a dense list of n deg + 1 entries
         deg = n * max(self.num.total_degree(), self.den.total_degree())
         if deg > config.MAX_FRACTION_TERMS:
             raise ResourceBoundExceeded(
                 "power of degree %d exceeds the fraction bound %d"
                 % (deg, config.MAX_FRACTION_TERMS))
-        return RatFunc(self.num ** n, self.den ** n, reduce=False)
+        if self.ff.nvars == 1:
+            return RatFunc(self.num ** n, self.den ** n, reduce=False)
+        # several variables multiply term by term, so squaring a dense power
+        # costs the square of its term count; one factor at a time every
+        # power passes the term check, and a blow-up is refused at the first
+        # power past the bound
+        out = self
+        for _ in range(n - 1):
+            out = RatFunc(out.num * self.num, out.den * self.den, reduce=False)
+        return out
 
     def substitute(self, images):
         """Image under y_i -> images[i]; denominator must stay nonzero."""

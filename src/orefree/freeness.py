@@ -143,7 +143,7 @@ from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
-from .field import RatFunc, _cleared, _common_denominator
+from .field import RatFunc, _cleared, _common_denominator, _denominator_lcm
 from .intpoly import _conv, _long_div, _trim
 from .linalg import (
     _Echelon, _normalize_int_vector, _split_by_monomial,
@@ -943,7 +943,7 @@ def _point_bound(pair, b, e, r):
     polynomial of degree at most B.
     """
     values = _series_values(pair, b, e)
-    delta, _ = _common_denominator(values)
+    delta = _denominator_lcm(values)
     h = max(0, max(v.num.total_degree() - v.den.total_degree()
                    for v in values))
     return values, delta, r * (delta.total_degree() + h)

@@ -1,6 +1,9 @@
 """Exact field arithmetic: frozen examples plus seeded algebraic laws."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -379,6 +382,32 @@ def test_pow_refused_before_squaring(monkeypatch):
     with pytest.raises(ResourceBoundExceeded, match="power of degree 22"):
         (t * t / 2 + 1) ** 11
     assert QT.const(3) ** 40 == QT.const(3 ** 40)
+
+
+_DENSE_POWER = """
+from orefree import config
+from orefree.errors import ResourceBoundExceeded
+from orefree.field import FunctionField
+config.MAX_FRACTION_TERMS = 2000
+t, s, u, w = FunctionField(0, "tsuw").gens()
+try:
+    (t + s + u + w + 1) ** 200
+except ResourceBoundExceeded as exc:
+    print(exc)
+"""
+
+
+def test_dense_power_in_several_variables_refused_by_terms():
+    # degree 200 passes the degree test, but the power has C(204, 4) terms:
+    # one factor at a time it is refused at the 13th, C(17, 4) + 1 = 2381
+    # terms, where squaring would reach a product of millions of terms.  In a
+    # child process under a timeout, since an accepted power would not end
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _DENSE_POWER],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "fraction grew to 2381 terms (bound 2000)\n"
 
 
 def test_cleared_form_is_the_fraction():

@@ -25,13 +25,14 @@ Verdicts never assert more than their attached evidence re-verifies.
 import math
 from dataclasses import dataclass, field as dc_field
 
+from . import orefrac
 from .errors import (
     RequiresPureAutomorphism, RequiresPureDerivation, ResourceBoundExceeded,
 )
 from .field import RatFunc, _rational_roots
 from .freeness import freeness_certify, valuation_witness, \
     weyl_pair_from_additive, word_key
-from .orefrac import central_power_check
+from .orefrac import OreFraction, central_power_check
 from .orepoly import OrePoly
 from .skew import SkewPair, delta_tower, orbit_analyze
 from .valuation import Place
@@ -180,6 +181,15 @@ def _best_bounded_certificate(pair, b, max_len, diagnostics):
     return best, related
 
 
+def _free_verdict(pair, b, theorem_tag, opts, diagnostics):
+    """The Free verdict of a route whose theorem settles freeness, with
+    the best bounded certificate of its witness b as evidence."""
+    cert, _ = _best_bounded_certificate(pair, b, opts.word_length,
+                                        diagnostics)
+    return Verdict("Free", theorem_tag=theorem_tag, witness=b,
+                   certificate=cert, diagnostics=diagnostics)
+
+
 # ---------------------------------------------------------------------------
 # the two pure pipelines
 # ---------------------------------------------------------------------------
@@ -250,11 +260,8 @@ def classify_automorphism(spec):
                 continue
             diags.append("Weyl pair verified: y = %s, z = y x^{-1}, "
                          "x z - z x = 1" % (g / alpha))
-            b = (g / alpha).inverse()
-            cert, _ = _best_bounded_certificate(pair, b, opts.word_length,
-                                                diags)
-            return Verdict("Free", theorem_tag="weyl-pair-embedding",
-                           witness=b, certificate=cert, diagnostics=diags)
+            return _free_verdict(pair, (g / alpha).inverse(),
+                                 "weyl-pair-embedding", opts, diags)
     # valuation witness route
     if opts.witness is not None:
         pool = [opts.witness]
@@ -321,22 +328,19 @@ def classify_derivation(spec):
         return Verdict("Commutative",
                        diagnostics=["delta = 0: plain rational functions"])
     if ff.char == 0:
-        from .orefrac import OreFraction, weyl_check
-
         a = next(ff.var(i) for i in range(ff.nvars)
                  if not delta.apply(ff.var(i)).is_zero())
         y = OreFraction.from_ratfunc(pair, a)
         da = delta.apply(a)
         z = OreFraction.from_poly(OrePoly.x(pair)) * \
             OreFraction.from_ratfunc(pair, da).inverse()
-        outcome = weyl_check(y, z)
+        # looked up at the call, so a replaced orefrac.weyl_check is the one run
+        outcome = orefrac.weyl_check(y, z)
         if not outcome:
             raise AssertionError("x delta(a)^{-1} failed the Weyl relation")
         diags.append("Weyl pair verified: y = %s, z = x (%s)^{-1}"
                      % (a, da))
-        cert, _ = _best_bounded_certificate(pair, a, opts.word_length, diags)
-        return Verdict("Free", theorem_tag="weyl-pair-embedding",
-                       witness=a, certificate=cert, diagnostics=diags)
+        return _free_verdict(pair, a, "weyl-pair-embedding", opts, diags)
     for i in range(ff.nvars):
         a = ff.var(i)
         if delta.apply(a).is_zero():
@@ -361,10 +365,8 @@ def classify_derivation(spec):
             diags.append(
                 "delta iterates of %s generate a strictly growing tower "
                 "to depth %d" % (ff.names[i], opts.tower_depth - 1))
-            cert, _ = _best_bounded_certificate(pair, a, opts.word_length,
-                                                diags)
-            return Verdict("Free", theorem_tag="derivation-tower-growth",
-                           witness=a, certificate=cert, diagnostics=diags)
+            return _free_verdict(pair, a, "derivation-tower-growth", opts,
+                                 diags)
     diags.append("no generator produced a strict tower; growth undecided")
     return Verdict("Unknown", diagnostics=diags)
 

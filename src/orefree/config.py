@@ -12,7 +12,9 @@ speed.
 
 # hard cap on the 2^(L+1) - 1 words enumerated by a freeness run
 MAX_WORDS = 4096
-# cap on the common-denominator degree accumulated while folding words
+# cap on x-degrees: an Ore fraction's denominator, the common denominator
+# accumulated while folding words, a word series' order, and n times the
+# degree of an Ore power, refused before its first product
 MAX_DEN_DEGREE = 512
 # term count of a single fraction (num + den) above which we refuse
 MAX_FRACTION_TERMS = 500_000

@@ -209,7 +209,45 @@ def _check_same_field(a, b):
             "operands live in different fields: %r vs %r" % (a.ff, b.ff))
 
 
-class MPoly:
+class _RingElement:
+    """``-`` from ``+``, unary ``-`` and ``_coerce``, which a subclass
+    defines; ``_coerce`` returns None for an operand it does not take."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+
+class _DivisionRingElement(_RingElement):
+    """``/`` from ``*``, ``inverse`` and ``_coerce``, which a subclass
+    defines."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
+
+class MPoly(_RingElement):
     """Sparse multivariate polynomial over the prime field.
 
     ``terms`` maps exponent tuples (one slot per field generator) to
@@ -312,18 +350,6 @@ class MPoly:
     def __neg__(self):
         neg = self.ff.base.neg
         return MPoly(self.ff, {e: neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -734,7 +760,7 @@ def _common_denominator(fs):
 # field elements
 # ---------------------------------------------------------------------------
 
-class RatFunc:
+class RatFunc(_DivisionRingElement):
     """Element of K = k(y1, ..., yn) as a normalized fraction num/den.
 
     Invariants after construction: den is nonzero and monic; num == 0
@@ -845,18 +871,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den, reduce=False)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -876,18 +890,6 @@ class RatFunc:
         if self.num.is_zero():
             raise DivisionByZero("inverse of zero")
         return RatFunc(self.den, self.num, reduce=False)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):

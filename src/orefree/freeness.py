@@ -509,17 +509,19 @@ def _sigma_step(values, q=None):
                         lambda a: [s % q for s in itertools.accumulate(a)])
 
 
-def _word_series(pair, words, values, n, zero, one):
+def _word_series(pair, words, values, n, zero, one, q=None):
     """Series of every word at orders 0..n, one list of coefficients each.
 
     values[j] stands for sigma^j(b) under an automorphism and for
     delta^j(b) under a derivation, in a coefficient ring with the given
-    zero and one; no coefficient is reduced.
+    zero and one: exact values, or values at a point mod q.  With q every
+    coefficient is reduced mod q; without, none is.
     """
     if pair.is_pure_automorphism():
-        step = _sigma_step(values)
+        step = _sigma_step(values, q)
     else:
-        step = _xinv_step(values, n, zero, lambda c: c)
+        reduce = (lambda c: c) if q is None else (lambda c: c % q)
+        step = _xinv_step(values, n, zero, reduce)
     return _prefix_shared(words, [one] + [zero] * n, step)
 
 
@@ -598,18 +600,6 @@ def _orbit_values(images, b, point, N, evaluate):
             if None in point:
                 return None
     return vals
-
-
-def _orbit_step(pair, b, point, N, q):
-    """Series step in K[[x; sigma]] at P mod q, or None when undefined.
-
-    sigma^m(b)(P) = b(s^m(P)) along the orbit of P.
-    """
-    bvals = _orbit_values(pair.sigma.images, b, point, N,
-                          lambda g, P: _eval_mod(g, P, q))
-    if bvals is None:
-        return None
-    return _sigma_step(bvals, q)
 
 
 # F_p[y]/(f) for pure automorphisms over F_p: an element is the list of its
@@ -734,9 +724,11 @@ def _extension_word_rows(pair, words, b, N):
     """Word series in K[[x; sigma]] over F_p at orders 0..N, evaluated at
     the point (y, y^2, ..., y^n) of F_p[y]/(f), or None at a pole.
 
-    The point map and the products by b work as in _orbit_step, with the
-    product by b(s^m(P)) applied to the k coordinates of order m by
-    _ext_times, and the prefix sum taken coordinate by coordinate.  Returns
+    The point map and the products by b work as on the evaluated route
+    over Q (_orbit_values, _sigma_step), with the product by b(s^m(P))
+    applied to the k coordinates of order m by _ext_times, and the prefix
+    sum taken coordinate by coordinate: its entries are k-vectors, so it
+    keeps its own step.  Returns
     (rows, point), each row the k coordinates of each order in turn.
     """
     p = pair.ff.char
@@ -816,22 +808,16 @@ def _derivative_values(f, b, c, n, q):
     return vals
 
 
-def _xinv_point_step(pair, b, point, N, q):
-    """The x^{-1} series step on the values e_j(P) mod q, or None."""
-    e = _derivative_values(pair.delta.images[0], b, point[0], N, q)
-    if e is None:
-        return None
-    return _xinv_step(e, N, 0, lambda c: c % q)
-
-
 def _evaluated_word_rows(pair, words, b, N):
     """Word series at orders 0..N, evaluated at points, one point at a time.
 
     Yields (rows, point) with one row per word for each usable point.
     Over F_p that is the one point of F_p[y]/(f) (_extension_word_rows).
-    Over Q the points come from _EVAL_STARTS, mod q: pure automorphisms
-    expand in K[[x; sigma]] (_orbit_step), derivations of Q(t) in
-    K((x^{-1}; delta)) (_xinv_point_step).
+    Over Q the points come from _EVAL_STARTS, and _word_series runs mod q
+    on the values at each: sigma^m(b)(P) = b(s^m(P)) along the orbit of P
+    for pure automorphisms (_orbit_values), delta^j(b)(P) for derivations
+    of Q(t) (_derivative_values).  A point where a value is undefined is
+    skipped.
     """
     if pair.ff.char:
         found = _extension_word_rows(pair, words, b, N)
@@ -839,15 +825,18 @@ def _evaluated_word_rows(pair, words, b, N):
             yield found
         return
     q = _EVAL_PRIME
-    make_step = _orbit_step if pair.is_pure_automorphism() \
-        else _xinv_point_step
     n = pair.ff.nvars
     for k in range(len(_EVAL_STARTS)):
         point = tuple(_EVAL_STARTS[(k + j) % len(_EVAL_STARTS)]
                       for j in range(n))
-        step = make_step(pair, b, point, N, q)
-        if step is not None:
-            yield _prefix_shared(words, [1] + [0] * N, step), point
+        if pair.is_pure_automorphism():
+            values = _orbit_values(pair.sigma.images, b, point, N,
+                                   lambda g, P: _eval_mod(g, P, q))
+        else:
+            values = _derivative_values(pair.delta.images[0], b, point[0],
+                                        N, q)
+        if values is not None:
+            yield _word_series(pair, words, values, N, 0, 1, q), point
 
 
 def _rational_reconstruct(a, p):
@@ -889,24 +878,26 @@ def _relation_generators(null, words, L, p):
     vector for a dependent word ends at that word and is zero at every
     other dependent word, so the vectors ending at length <= r span the
     relations among the words of length <= r, for every r at once.
-    Length by length, the integer basis of the shorter relations and its
-    one-letter multiples are reduced mod q, and only a vector of length r
-    outside their span is lifted to a generator; so every basis vector is
-    a generator or a multiple of a shorter basis vector.  The first
-    generator is the lift of the first vector, the relation ending at the
-    first dependent word (_rank_and_relation).  None when a lift fails or
-    the basis does not come out at dimension len(null).
+    One span mod q is kept across the lengths.  At length r it takes the
+    one-letter multiples of the vectors it took at length r - 1; those of
+    the vectors taken earlier are in it already, and a multiple is linear
+    in the vector, so it then holds the multiples of every relation it
+    held before.  Only a vector of length r outside it is lifted to a
+    generator, so every relation is a sum of multiples of generators.
+    The first generator is the lift of the first vector, the relation
+    ending at the first dependent word (_rank_and_relation).  None when a
+    lift fails or the span does not come out at dimension len(null).
     """
     q = p or _EVAL_PRIME
     end_lengths = [len(words[_last_nonzero(vec)]) for vec in null]
     index = {w: i for i, w in enumerate(words)}
-    basis, generators = [], []
+    span, added, generators = {}, [], []
     for length in range(1, L + 1):
-        span, extended = {}, []
-        for rel in itertools.chain(basis, *(
-                _one_letter_multiples(r, words, index) for r in basis)):
+        shorter, added = added, []
+        for rel in itertools.chain.from_iterable(
+                _one_letter_multiples(r, words, index) for r in shorter):
             if _add_by_last(span, rel, q):
-                extended.append(rel)
+                added.append(rel)
         for end, vec in zip(end_lengths, null):
             if end == length and _reduce_by_last(span, vec, q)[1] >= 0:
                 if p:
@@ -919,9 +910,8 @@ def _relation_generators(null, words, L, p):
                 if not _add_by_last(span, lam, q):
                     return None
                 generators.append(lam)
-                extended.append(lam)
-        basis = extended
-    if len(basis) != len(null):
+                added.append(lam)
+    if len(span) != len(null):
         return None
     return generators
 

@@ -19,11 +19,11 @@ from .errors import (
     ContextMismatch, DivisionByZero, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError,
 )
-from .field import RatFunc
-from .orepoly import OrePoly, gcld, lclm, left_monic
+from .field import RatFunc, _DivisionRingElement
+from .orepoly import OrePoly, _check_power_degree, gcld, lclm, left_monic
 
 
-class OreFraction:
+class OreFraction(_DivisionRingElement):
     """den^{-1} * num with monic den; immutable."""
 
     __slots__ = ("den", "num")
@@ -118,18 +118,6 @@ class OreFraction:
     def __neg__(self):
         return OreFraction(self.den, -self.num)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -153,23 +141,16 @@ class OreFraction:
             raise DivisionByZero("inverse of zero fraction")
         return OreFraction(self.num, self.den)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ValueError("powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
+        if self.den.is_one():
+            return OreFraction.from_poly(self.num ** n)
+        # fractions are kept unreduced, so their printed form follows the
+        # products: one factor at a time, as it always was
+        _check_power_degree(n, max(self.den.degree, self.num.degree))
         out = OreFraction.one(self.ctx)
         for _ in range(n):
             out = out * self

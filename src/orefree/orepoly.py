@@ -187,6 +187,15 @@ def _kernel(ctx):
     return k
 
 
+def _check_power_degree(n, degree):
+    """Refuse a power of x-degree n * degree past ``config.MAX_DEN_DEGREE``,
+    before its first product."""
+    if n * degree > config.MAX_DEN_DEGREE:
+        raise ResourceBoundExceeded(
+            "power of x-degree %d exceeds the degree bound %d"
+            % (n * degree, config.MAX_DEN_DEGREE))
+
+
 class OrePoly:
     """Element of K[x; sigma, delta]; immutable, trailing coefficient nonzero.
 
@@ -430,9 +439,17 @@ class OrePoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("Ore powers need n >= 0")
-        out = OrePoly.one(self.ctx)
-        for _ in range(n):
-            out = out * self
+        if self.degree < 1:
+            # the coefficient's own power, which bounds its degree
+            return OrePoly.const(self.ctx, self.coeff(0) ** n)
+        _check_power_degree(n, self.degree)
+        out, base = OrePoly.one(self.ctx), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def monic(self):

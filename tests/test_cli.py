@@ -250,3 +250,30 @@ def test_readme_examples_run(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, line
         json.loads(out)
+
+
+def test_ore_powers_bounded_by_degree(tmp_path):
+    # X^100000 is refused from its x-degree before any product (exit code
+    # 3); t^100000 is the field's own power, and X^512 under d/dt squares.
+    # Run in child processes under a timeout, since an unbounded product
+    # loop would not end
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    shift, ddt = problem_file(tmp_path, SHIFT), problem_file(tmp_path, DDT,
+                                                             "ddt.ore")
+
+    def compute(path, expr):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orefree.cli", "compute", path, "--expr",
+             expr], capture_output=True, text=True, env=env, timeout=60)
+        doc = json.loads(proc.stdout)
+        return proc.returncode, doc.get("value", doc.get("error"))
+
+    assert compute(shift, "X^100000") == (3, "ResourceBoundExceeded")
+    for path in (shift, ddt):
+        assert compute(path, "t^100000") == (0, "t^100000")
+    assert compute(ddt, "X^512") == (0, "X^512")
+    # printed as before the powers squared
+    for path in (shift, ddt):
+        assert compute(path, "X^2") == (0, "X^2")
+        assert compute(path, "inv(1 - X)^3") == (
+            0, "inv(X^3 - 3*X^2 + 3*X - 1) * (-1)")

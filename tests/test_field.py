@@ -315,6 +315,24 @@ def test_ratfunc_field_laws_char0_and_charp():
                 assert b * b.inverse() == ff.one()
 
 
+def test_mixed_operands_subtract_and_divide_both_ways():
+    # - and / come from +, unary -, * and inverse, so they take every
+    # operand their own type coerces, on either side; a polynomial has no
+    # inverse and so no /, and no element carries an instance dict
+    tp, t = QT.poly_var("t"), QT.var("t")
+    assert str(tp - 1) == "t - 1" and str(1 - tp) == "-t + 1"
+    assert t - tp == QT.zero() and tp - t == QT.zero()
+    assert str(Fraction(1, 2) - t) == "-t + 1/2"
+    assert str(t / tp) == "1" and str(tp / t) == "1"
+    assert str(2 / t) == "2/t" and str(t / 2) == "1/2*t"
+    with pytest.raises(TypeError):
+        tp / tp
+    with pytest.raises(TypeError):
+        1 / tp
+    for value in (tp, t):
+        assert not hasattr(value, "__dict__")
+
+
 def test_ratfunc_reduced_after_ops():
     # every result is in lowest terms, in one variable and in several
     rng = random.Random(313)

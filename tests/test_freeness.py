@@ -677,6 +677,60 @@ def test_point_loop_waits_two_points_for_a_rise(monkeypatch):
     assert rel_by_key(cert) == {"01": 1, "10": -1, "000": -1}
 
 
+def test_witness_pole_on_the_orbit_skips_the_point(monkeypatch):
+    # 1/(u - s0 - 3) has a pole at the third shift of the first start s0,
+    # so that point is skipped and the next start is the first one used.
+    # The shift commutes with u -> u + s0 + 3, which carries 1/u to this
+    # witness, so its certificate has the verdict, rank and relation of
+    # 1/u (its digest names other points)
+    q = freeness._EVAL_PRIME
+    s0, s1 = freeness._EVAL_STARTS[:2]
+    ctx, u = shift_ctx(), QU.var(0)
+    b = (u - (s0 + 3)).inverse()
+    at = lambda g, P: freeness._eval_mod(g, P, q)
+    assert freeness._orbit_values(ctx.sigma.images, b, (s0,), 3, at) is None
+    assert freeness._orbit_values(ctx.sigma.images, b, (s0,), 2, at)
+    _, point = next(freeness._evaluated_word_rows(ctx, words_up_to(3), b, 14))
+    assert point == (s1,)
+    _no_exact_route(monkeypatch)
+    cert, ref = freeness_certify(ctx, b, 3), freeness_certify(ctx, u.inverse(), 3)
+    assert (cert.verdict, cert.rank, cert.relation) == (
+        ref.verdict, ref.rank, ref.relation)
+    assert (cert.rank, rel_by_key(cert)) == (
+        14, {"01": 1, "10": -1, "11": -1, "101": 1})
+
+
+def test_image_pole_on_the_orbit_skips_the_point(monkeypatch):
+    # t -> 1/(t - s0) has its pole at the first start s0 itself: the point
+    # map is undefined there, so the next start is the first one used, and
+    # the certificate is the fold's
+    s0, s1 = freeness._EVAL_STARTS[:2]
+    t = QT.var(0)
+    ctx = SkewPair.automorphism(
+        SkewEndo(QT, [(t - s0).inverse()], [t.inverse() + s0]))
+    at = lambda g, P: freeness._eval_mod(g, P, freeness._EVAL_PRIME)
+    assert freeness._orbit_values(ctx.sigma.images, t, (s0,), 1, at) is None
+    _, point = next(freeness._evaluated_word_rows(ctx, words_up_to(2), t, 6))
+    assert point == (s1,)
+    _assert_series_route_agrees_with_fold(monkeypatch, ctx, t, 2)
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_extension_point_pole_goes_to_the_fold(monkeypatch, L):
+    # 1/f(u), f the modulus of F_5[y]/(f), has a pole at the point y itself:
+    # the evaluated route has no point, and the certificate is the fold's
+    ctx = shift_f5_ctx()
+    u = ctx.ff.var(0)
+    b = sum((c * u ** j for j, c in enumerate(freeness._extension_modulus(5))),
+            ctx.ff.zero()).inverse()
+    words = words_up_to(L)
+    assert freeness._extension_word_rows(ctx, words, b, 2 * L) is None
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "_evaluated_word_rows", lambda *a: iter(()))
+        fold = freeness_certify(ctx, b, L)
+    assert freeness_certify(ctx, b, L) == fold
+
+
 def test_tower_L6_relation_known_answer(monkeypatch):
     # x0 under the F_5 tower at L = 6: the exact x^{-1} route proves its
     # relation on the exact series of its 13-word closure, with no Ore

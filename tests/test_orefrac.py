@@ -5,7 +5,10 @@ import time
 
 import pytest
 
-from orefree.errors import DivisionByZero, RequiresPureAutomorphism, UsageError
+from orefree.errors import (
+    DivisionByZero, RequiresPureAutomorphism, ResourceBoundExceeded,
+    UsageError,
+)
 from orefree.field import FunctionField
 from orefree.orefrac import OreFraction, central_power_check, weyl_check
 from orefree.orepoly import OrePoly
@@ -174,3 +177,56 @@ def test_printing():
     assert str(f) == "inv(X) * (1)"
     assert str(OreFraction.zero(ctx)) == "0"
     assert str(OreFraction.from_poly(x)) == "X"
+
+
+def _repeated_product(a, n):
+    out = type(a).one(a.ctx)
+    for _ in range(n):
+        out = out * a
+    return out
+
+
+@pytest.mark.parametrize("make_ctx", [shift_ctx, weyl_ctx])
+def test_ore_power_equals_repeated_product(make_ctx):
+    # a numerator power squares, a fraction with a denominator keeps the
+    # product loop, and a coefficient takes the field's own power: each
+    # is the element, and the printed form, of the product one factor at
+    # a time
+    ctx = make_ctx()
+    t = ctx.ff.var(0)
+    x = OrePoly.x(ctx)
+    polys = [x, x + OrePoly.const(ctx, t), OrePoly.const(ctx, t / (t + 1)),
+             OrePoly.zero(ctx)]
+    fracs = [OreFraction.from_poly(p) for p in polys] + [
+        OreFraction(OrePoly.one(ctx) - x, OrePoly.one(ctx)),
+        OreFraction(x - OrePoly.const(ctx, t), OrePoly.const(ctx, t))]
+    for a in polys + fracs:
+        for n in range(13):
+            want = _repeated_product(a, n)
+            assert a ** n == want and str(a ** n) == str(want)
+    assert OrePoly.x(weyl_ctx()) ** 100 == _repeated_product(
+        OrePoly.x(weyl_ctx()), 100)
+
+
+def test_ore_power_refused_before_the_first_product(monkeypatch):
+    # n times the x-degree past MAX_DEN_DEGREE (512) is refused from the
+    # degrees alone; a power of x-degree 0 is the coefficient's, which its
+    # own degree bounds
+    ctx = weyl_ctx()
+    x = OrePoly.x(ctx)
+    xf = OreFraction.from_poly(x)
+    g = OreFraction(OrePoly.one(ctx) - x, OrePoly.one(ctx))
+    t = OreFraction.from_ratfunc(ctx, ctx.ff.var(0))
+
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    with monkeypatch.context() as m:
+        m.setattr(OrePoly, "__mul__", no_product)
+        for a, n in ((x, 513), (xf, 100000), (g, 513), (g, -513)):
+            with pytest.raises(ResourceBoundExceeded, match="x-degree"):
+                a ** n
+        with pytest.raises(ResourceBoundExceeded, match="fraction bound"):
+            t ** 100000000
+    assert x ** 512 == OrePoly.x_pow(ctx, 512)
+    assert str(t ** 100000) == "t^100000"

@@ -384,3 +384,39 @@ def test_sparse_products_match_reference(char, name):
     a = OrePoly(ctx, [(t * t + 1) / (t + 2), y])
     for cs in ([zero, zero, t, zero, zero, one], [zero] * 7 + [one]):
         assert_coeffs(OrePoly(ctx, cs) * a, ref_ore_mul(ctx, cs, a.coeffs))
+
+
+def diag7_pair():
+    """F_7(y1, y2) under y1 -> 6 y1, y2 -> 2 y2, as in demos/problems."""
+    ff = FunctionField(7, ["y1", "y2"])
+    y1, y2 = ff.gens()
+    return SkewPair.automorphism(
+        SkewEndo(ff, [6 * y1, 2 * y2], [6 * y1, 4 * y2]))
+
+
+def ac_pair():
+    """Q(a, c) with delta(a) = c and delta(c) = 0."""
+    ff = FunctionField(0, ["a", "c"])
+    return SkewPair.derivation(SkewDerivation(
+        ff, [ff.var(1), ff.zero()], SkewEndo.identity(ff)))
+
+
+@pytest.mark.parametrize("make_pair", [diag7_pair, ac_pair])
+def test_left_division_in_several_variables(make_pair):
+    # in several variables left_quo_rem takes its generic RatFunc branch,
+    # which gcld reaches; the fraction-free tests above run over k(t)
+    rng = random.Random(27)
+    ctx = make_pair()
+    checked = 0
+    while checked < 3:
+        f = rand_orepoly(rng, ctx, max_deg=3)
+        g, u, w = (rand_orepoly(rng, ctx, max_deg=1) for _ in range(3))
+        if g.degree < 1 or f.degree < g.degree or u.is_zero() or w.is_zero():
+            continue
+        q, r = f.left_quo_rem(g)
+        assert f == g * q + r and r.degree < g.degree
+        d = gcld(g * u, g * w)
+        assert d.degree >= g.degree
+        for h in (g * u, g * w):
+            assert h.left_quo_rem(d)[1].is_zero()
+        checked += 1

@@ -334,7 +334,7 @@ def classify_derivation(spec):
         da = delta.apply(a)
         z = OreFraction.from_poly(OrePoly.x(pair)) * \
             OreFraction.from_ratfunc(pair, da).inverse()
-        # looked up at the call, so a replaced orefrac.weyl_check is the one run
+        # looked up at the call, so a replaced orefrac.weyl_check is run
         outcome = orefrac.weyl_check(y, z)
         if not outcome:
             raise AssertionError("x delta(a)^{-1} failed the Weyl relation")

@@ -693,7 +693,8 @@ def test_witness_pole_on_the_orbit_skips_the_point(monkeypatch):
     _, point = next(freeness._evaluated_word_rows(ctx, words_up_to(3), b, 14))
     assert point == (s1,)
     _no_exact_route(monkeypatch)
-    cert, ref = freeness_certify(ctx, b, 3), freeness_certify(ctx, u.inverse(), 3)
+    cert = freeness_certify(ctx, b, 3)
+    ref = freeness_certify(ctx, u.inverse(), 3)
     assert (cert.verdict, cert.rank, cert.relation) == (
         ref.verdict, ref.rank, ref.relation)
     assert (cert.rank, rel_by_key(cert)) == (
@@ -724,7 +725,8 @@ def test_extension_point_pole_goes_to_the_fold(monkeypatch, L):
     b = sum((c * u ** j for j, c in enumerate(freeness._extension_modulus(5))),
             ctx.ff.zero()).inverse()
     words = words_up_to(L)
-    assert freeness._extension_word_rows(ctx, words, b, 2 * L) is None
+    N = freeness._truncation_order(L)
+    assert freeness._extension_word_rows(ctx, words, b, N) is None
     with monkeypatch.context() as m:
         m.setattr(freeness, "_evaluated_word_rows", lambda *a: iter(()))
         fold = freeness_certify(ctx, b, L)

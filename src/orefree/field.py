@@ -734,19 +734,22 @@ def _cancel(a, b):
     return a.divide_exact(g), b.divide_exact(g)
 
 
-def _denominator_lcm(fs):
-    """The monic lcm of the denominators of a nonempty list of RatFuncs."""
-    den = fs[0].ff.poly_one()
+def _denominator_lcm(fs, den=None):
+    """The monic lcm of the denominators of a nonempty list of RatFuncs,
+    and of den when given."""
+    if den is None:
+        den = fs[0].ff.poly_one()
     for f in fs:
         if not f.den.is_const():
             den = den * f.den.divide_exact(poly_gcd(den, f.den))
     return den
 
 
-def _common_denominator(fs):
+def _common_denominator(fs, den=None):
     """(den, nums) with f_i = nums[i] / den for a nonempty list of RatFuncs:
-    den the monic lcm of their denominators."""
-    den = _denominator_lcm(fs)
+    den the monic lcm of their denominators, built here unless given."""
+    if den is None:
+        den = _denominator_lcm(fs)
     nums = []
     for f in fs:
         q = den.divide_exact(f.den)

@@ -45,7 +45,9 @@ on i = 1 right-multiply by b, then take a prefix sum.
 
 * Pure automorphisms, in K[[x; sigma]] with (1-x)^{-1} = sum_n x^n:
   x^m b = sigma^m(b) x^m, and sigma^m(b)(P) = b(s^m(P)) for the point
-  map s of sigma, so the product by b is pointwise.  Over Q the series
+  map s of sigma, so the product by b is pointwise.  In one variable s
+  is read off the matrix of sigma, P -> (a P + b) / (c P + d), with no
+  image evaluated (_point_map_mod).  Over Q the series
   are evaluated modulo the prime q = 2^61 - 1 along the orbits of points
   from a fixed list of large residues.  Over F_p no point of F_p^n will
   do: under the shift every orbit runs through all of F_p and meets
@@ -136,7 +138,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import config
 from .errors import (
@@ -144,7 +145,9 @@ from .errors import (
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
 from .field import RatFunc, _cleared, _common_denominator, _denominator_lcm
-from .intpoly import _conv, _long_div, _trim
+from .intpoly import (
+    _ext_inv, _ext_mul, _ext_times, _poly_jet_mod, _rational_reconstruct,
+)
 from .linalg import (
     _Echelon, _normalize_int_vector, _split_by_monomial,
     flatten_to_k, rank_over_k,
@@ -474,24 +477,56 @@ def _xinv_step(e, N, zero, reduce):
     return _series_step(times_b, geometric)
 
 
-def _series_values(pair, b, n):
-    """The exact values that orders 0..n of a word series read.
+class _ExactValues:
+    """The exact values that word series read, for one witness b.
 
-    These are sigma^j(b) for j <= n under an automorphism, and
-    delta^j(b) for j < n, up to the first zero, under a derivation: order
-    m >= 1 of x^{-1} series reads e_j for j < m only.
+    sigma^j(b) under an automorphism and delta^j(b) under a derivation,
+    grown on demand, with the running lcm of their denominators: built
+    once and shared by the proofs of one certificate, each of which
+    reads its own prefix.
     """
-    values = [b]
-    if pair.is_pure_automorphism():
-        while len(values) <= n:
-            values.append(pair.sigma.apply(values[-1]))
-    else:
-        while len(values) < n:
+
+    __slots__ = ("pair", "values", "_lcms", "_ended")
+
+    def __init__(self, pair, b):
+        self.pair = pair
+        self.values = [b]
+        self._lcms = []
+        # a derivation has reached delta^j(b) = 0
+        self._ended = False
+
+    def prefix(self, n):
+        """The exact values that orders 0..n of a word series read.
+
+        These are sigma^j(b) for j <= n under an automorphism, and
+        delta^j(b) for j < n, up to the first zero, under a derivation:
+        order m >= 1 of x^{-1} series reads e_j for j < m only.
+        """
+        pair, values = self.pair, self.values
+        if pair.is_pure_automorphism():
+            while len(values) <= n:
+                values.append(pair.sigma.apply(values[-1]))
+            return values[:n + 1]
+        while len(values) < n and not self._ended:
             nxt = pair.delta.apply(values[-1])
             if nxt.is_zero():
-                break
-            values.append(nxt)
-    return values
+                self._ended = True
+            else:
+                values.append(nxt)
+        return values[:max(n, 1)]
+
+    def lcm(self, k):
+        """The monic lcm of the denominators of the first k values."""
+        lcms = self._lcms
+        while len(lcms) < k:
+            lcms.append(_denominator_lcm([self.values[len(lcms)]],
+                                         lcms[-1] if lcms else None))
+        return lcms[k - 1]
+
+
+def _exact_values(pair, b):
+    """b itself when it is an _ExactValues, else one built for it."""
+    return b if isinstance(b, _ExactValues) else _ExactValues(pair, b)
 
 
 def _sigma_step(values, q=None):
@@ -530,16 +565,17 @@ def _xinv_word_series(pair, words, b, N):
 
     b and the images of delta are polynomials, so every delta^j(b) is one,
     and so is every coefficient: the series run on the numerators of
-    _series_values.  N is held to ``config.MAX_DEN_DEGREE``, the fold's
-    bound on the same degree.
+    _ExactValues.prefix(N); b is the witness or its _ExactValues.  N is
+    held to ``config.MAX_DEN_DEGREE``, the fold's bound on the same
+    degree.
     """
     if N > config.MAX_DEN_DEGREE:
         raise ResourceBoundExceeded(
             "series order %d exceeds the denominator bound %d"
             % (N, config.MAX_DEN_DEGREE))
     ff = pair.ff
-    return _word_series(pair, words,
-                        [v.num for v in _series_values(pair, b, N)], N,
+    values = _exact_values(pair, b).prefix(N)
+    return _word_series(pair, words, [v.num for v in values], N,
                         ff.poly_zero(), ff.poly_one())
 
 
@@ -582,13 +618,19 @@ def _eval_mod(f, point, q):
     return num * pow(den, -1, q) % q
 
 
-def _orbit_values(images, b, point, N, evaluate):
+def _orbit_values(images, b, point, N, evaluate, step=None):
     """b(s^i(P)) for i = 0..N, s the point map of sigma, or None.
 
-    evaluate(g, P) is g(P), or None when g has a pole at P.  None comes
-    back when b or a generator image meets a pole along the orbit, which
-    is exactly when sigma^i(b)(P) = b(s^i(P)) could fail.
+    evaluate(g, P) is g(P), or None when g has a pole at P.  step(P) is
+    s(P), or None at a pole of s; without it each generator image is
+    evaluated at P.  None comes back when b or a generator image meets a
+    pole along the orbit, which is exactly when sigma^i(b)(P) =
+    b(s^i(P)) could fail.
     """
+    if step is None:
+        def step(P):
+            P = tuple(evaluate(g, P) for g in images)
+            return None if None in P else P
     vals = []
     for i in range(N + 1):
         v = evaluate(b, point)
@@ -596,10 +638,29 @@ def _orbit_values(images, b, point, N, evaluate):
             return None
         vals.append(v)
         if i < N:
-            point = tuple(evaluate(g, point) for g in images)
-            if None in point:
+            point = step(point)
+            if point is None:
                 return None
     return vals
+
+
+def _point_map_mod(sigma, q):
+    """The point map P -> (a P + b) / (c P + d) mod q of sigma on Q(t),
+    read off its matrix, whose scale cancels: (s(P),), or None at a pole,
+    where evaluating sigma(t) has one.  None in place of the map in
+    several variables, or when a coefficient denominator of sigma(t) is 0
+    mod q, so that _eval_mod has no value anywhere: the images are then
+    evaluated."""
+    g = sigma.images[0]
+    if sigma.ff.nvars > 1 or any(c.denominator % q == 0 for h in (g.num, g.den)
+                                 for c in h.terms.values()):
+        return None
+    a, b, c, d = sigma._matrix()
+
+    def step(P):
+        den = (c * P[0] + d) % q
+        return ((a * P[0] + b) * pow(den, -1, q) % q,) if den else None
+    return step
 
 
 # F_p[y]/(f) for pure automorphisms over F_p: an element is the list of its
@@ -658,49 +719,26 @@ def _extension_modulus(p):
                             return f
 
 
-def _ext_times(a, f, p):
-    """Multiplication by a, as a function on coordinate lists.
-
-    Its matrix has the columns a y^j.  Each column is packed into one
-    integer, B bits per coordinate, so a product is one sum of k integer
-    multiples: no slot exceeds k (p-1)^2 < 2^B, so none carries.
-    """
-    k = len(a)
-    low = [(i, g) for i, g in enumerate(f[:-1]) if g]
-    B = (k * (p - 1) ** 2).bit_length()
-    shifts, mask = range(0, B * k, B), (1 << B) - 1
-    col, cols = a, []
-    for _ in range(k):
-        cols.append(sum(x << s for x, s in zip(col, shifts)))
-        # times y: shift up, and replace y^k by y^k - f
-        top, col = col[-1], [0] + col[:-1]
-        for i, g in low:
-            col[i] = (col[i] - top * g) % p
-
-    def times(x):
-        v = sum(map(operator.mul, x, cols))
-        return [(v >> s & mask) % p for s in shifts]
-    return times
-
-
-def _ext_mul(a, b, f, p):
-    r = _long_div(_conv(a, b), f, p)[1]
-    return r + [0] * (len(f) - 1 - len(r))
-
-
-def _ext_inv(a, f, p):
-    """a^{-1} by the extended Euclidean algorithm on f and a; None for 0."""
-    r0, r1, s0, s1 = f, _trim(a[:]), [], [1]
-    while len(r1) > 1:
-        quo, r2 = _long_div(r0, r1, p)
-        s2 = [(x - y) % p for x, y in itertools.zip_longest(
-            s0, _conv(quo, s1), fillvalue=0)]
-        r0, r1, s0, s1 = r1, r2, s1, s2
-    if not r1:
+def _point_map_ext(sigma, f, p):
+    """The point map of sigma in F_p[y]/(f), as _point_map_mod gives it
+    mod q; None in several variables."""
+    if sigma.ff.nvars > 1:
         return None
-    c = pow(r1[0], -1, p)
-    s1 = _trim([x * c % p for x in s1])
-    return s1 + [0] * (len(a) - len(s1))
+    a, b, c, d = sigma._matrix()
+
+    def affine(x, y, v):
+        out = [x * e % p for e in v]
+        out[0] = (out[0] + y) % p
+        return out
+    if not c:
+        # sigma(t) is then a polynomial: its denominator is monic, d = 1
+        return lambda P: (affine(a, b, P[0]),)
+
+    def step(P):
+        inv = _ext_inv(affine(c, d, P[0]), f, p)
+        return None if inv is None else (
+            _ext_mul(affine(a, b, P[0]), inv, f, p),)
+    return step
 
 
 def _ext_eval(g, point, f, p):
@@ -739,7 +777,8 @@ def _extension_word_rows(pair, words, b, N):
         point.append(_ext_mul(point[-1], point[0], f, p))
     point = tuple(point)
     bvals = _orbit_values(pair.sigma.images, b, point, N,
-                          lambda g, P: _ext_eval(g, P, f, p))
+                          lambda g, P: _ext_eval(g, P, f, p),
+                          _point_map_ext(pair.sigma, f, p))
     if bvals is None:
         return None
     mults = [_ext_times(c, f, p) for c in bvals]
@@ -757,16 +796,6 @@ def _extension_word_rows(pair, words, b, N):
     root = [1] + [0] * ((N + 1) * k - 1)
     return (_prefix_shared(words, root, _series_step(times_b, geometric)),
             point)
-
-
-def _poly_jet_mod(ints, c, n, q):
-    """Coefficients 0..n-1 of p(c + eps) mod q, p given by its int list."""
-    jet = [0] * n
-    for a in reversed(ints):
-        # Horner step: jet * (c + eps) + a
-        jet = [(c * jet[0] + a) % q] + [
-            (c * jet[i] + jet[i - 1]) % q for i in range(1, n)]
-    return jet
 
 
 def _jet_mod(f, c, n, q):
@@ -826,31 +855,19 @@ def _evaluated_word_rows(pair, words, b, N):
         return
     q = _EVAL_PRIME
     n = pair.ff.nvars
+    auto = pair.is_pure_automorphism()
+    step = _point_map_mod(pair.sigma, q) if auto else None
     for k in range(len(_EVAL_STARTS)):
         point = tuple(_EVAL_STARTS[(k + j) % len(_EVAL_STARTS)]
                       for j in range(n))
-        if pair.is_pure_automorphism():
+        if auto:
             values = _orbit_values(pair.sigma.images, b, point, N,
-                                   lambda g, P: _eval_mod(g, P, q))
+                                   lambda g, P: _eval_mod(g, P, q), step)
         else:
             values = _derivative_values(pair.delta.images[0], b, point[0],
                                         N, q)
         if values is not None:
             yield _word_series(pair, words, values, N, 0, 1, q), point
-
-
-def _rational_reconstruct(a, p):
-    """The fraction r/s = a mod p with |r|, s <= sqrt(p/2), or None."""
-    bound = math.isqrt(p // 2)
-    r0, r1 = p, a % p
-    s0, s1 = 0, 1
-    while r1 > bound:
-        quo = r0 // r1
-        r0, r1 = r1, r0 - quo * r1
-        s0, s1 = s1, s0 - quo * s1
-    if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
 
 
 def _one_letter_multiples(lam, words, index):
@@ -926,14 +943,16 @@ def _point_bound(pair, b, e, r):
     """(values, Delta, B) for the proof of a relation.
 
     values are the exact v_j that the series of a relation read at
-    orders 0..e (_series_values).  Delta is the lcm of their denominators,
-    h = max(0, max_j(deg num v_j - deg den v_j)) and B = r (deg Delta + h).
-    Every order's coefficient of a word with at most r ones is an integer
-    combination of products of as many values, so times Delta^r it is a
-    polynomial of degree at most B.
+    orders 0..e (_ExactValues.prefix).  Delta is the lcm of their
+    denominators, h = max(0, max_j(deg num v_j - deg den v_j)) and
+    B = r (deg Delta + h).  Every order's coefficient of a word with at
+    most r ones is an integer combination of products of as many values,
+    so times Delta^r it is a polynomial of degree at most B.  b is the
+    witness or its _ExactValues.
     """
-    values = _series_values(pair, b, e)
-    delta = _denominator_lcm(values)
+    exact = _exact_values(pair, b)
+    values = exact.prefix(e)
+    delta = exact.lcm(len(values))
     h = max(0, max(v.num.total_degree() - v.den.total_degree()
                    for v in values))
     return values, delta, r * (delta.total_degree() + h)
@@ -951,6 +970,8 @@ def _relation_holds(pair, words, b, lam):
     evaluated at the first B + 1 integers P >= 0 where Delta does not
     vanish, each point's values scaled by one integer in place of
     Delta(P); elsewhere they are computed once, as exact polynomials.
+    b is the witness, or its _ExactValues to share the values and their
+    lcms with the other proofs of one certificate.
     """
     support = [(w, c) for w, c in zip(words, lam) if c]
     closure = _prefix_closure(w for w, _ in support)
@@ -967,10 +988,12 @@ def _relation_holds(pair, words, b, lam):
         return not any(total)
 
     ff = pair.ff
+    exact = _exact_values(pair, b)
     if ff.char or ff.nvars > 1:
-        delta, nums = _common_denominator(_series_values(pair, b, e))
+        values = exact.prefix(e)
+        delta, nums = _common_denominator(values, exact.lcm(len(values)))
         return vanishes(nums, delta, ff.poly_zero(), ff.poly_one())
-    values, _, B = _point_bound(pair, b, e, r)
+    values, _, B = _point_bound(pair, exact, e, r)
     cleared = [_cleared(v) for v in values]
 
     def at(ints, P):
@@ -1024,8 +1047,9 @@ def _certify_by_evaluation(pair, words, b, L):
     lam = None
     if rank < len(words):
         generators = _relation_generators(echelon.nullspace(), words, L, p)
+        exact = _ExactValues(pair, b)
         if generators is None or not all(
-                _relation_holds(pair, words, b, g) for g in generators):
+                _relation_holds(pair, words, exact, g) for g in generators):
             return None
         lam = generators[0]
     return _certificate(b, L, words, rows, header, rank, lam)
@@ -1093,11 +1117,12 @@ def freeness_certify(pair, b, L):
     base = pair.ff.base
     if (pair.is_pure_derivation() and b.is_poly()
             and all(img.is_poly() for img in pair.delta.images)):
+        exact = _ExactValues(pair, b)
         rows = _split_by_monomial(
-            _xinv_word_series(pair, words, b, _truncation_order(L)),
+            _xinv_word_series(pair, words, exact, _truncation_order(L)),
             base.zero())
         rank, lam = _rank_and_relation(
-            rows, base, lambda lam: _relation_holds(pair, words, b, lam))
+            rows, base, lambda lam: _relation_holds(pair, words, exact, lam))
     else:
         rows, rank, lam = _fold_rank(_expand_words(pair, words, b))
     return _certificate(b, L, words, rows, "k:%d" % base.p, rank, lam)

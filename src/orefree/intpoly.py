@@ -22,6 +22,12 @@ In between, the schoolbook loop.  The crossover was measured on the
 products of the benchmark's arith workload; it is a code constant, not a
 ``config`` bound.
 
+The evaluated series of :mod:`freeness` take three more things from
+here: Taylor jets of int lists mod q, rational reconstruction of a
+residue, and the field F_p[y]/(f), f monic irreducible of degree k,
+whose elements are the lists of their k coordinates (products, inverses
+and multiplication maps).
+
 Primality is deterministic Miller-Rabin, exact below ``_MR_EXACT_BELOW``
 (about 3.3e24); a larger n is refuted by a witness or refused with
 ResourceBoundExceeded.  Factoring is trial division by small integers,
@@ -30,6 +36,7 @@ then Brent's variant of Pollard's rho, each factor proved prime.
 
 import itertools
 import math
+import operator
 import sys
 from array import array
 from fractions import Fraction
@@ -434,3 +441,75 @@ def _compose(n, a, bpow, m, p):
         if p:
             acc = [x % p for x in acc]
     return _trim(acc)
+
+
+def _poly_jet_mod(ints, c, n, q):
+    """Coefficients 0..n-1 of p(c + eps) mod q, p given by its int list."""
+    jet = [0] * n
+    for a in reversed(ints):
+        # Horner step: jet * (c + eps) + a
+        jet = [(c * jet[0] + a) % q] + [
+            (c * jet[i] + jet[i - 1]) % q for i in range(1, n)]
+    return jet
+
+
+def _rational_reconstruct(a, p):
+    """The fraction r/s = a mod p with |r|, s <= sqrt(p/2), or None."""
+    bound = math.isqrt(p // 2)
+    r0, r1 = p, a % p
+    s0, s1 = 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        s0, s1 = s1, s0 - quo * s1
+    if s1 == 0 or abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+# F_p[y]/(f) for f monic irreducible of degree k: an element is the list
+# of its k coordinates on 1, y, ..., y^(k-1)
+
+def _ext_times(a, f, p):
+    """Multiplication by a, as a function on coordinate lists.
+
+    Its matrix has the columns a y^j.  Each column is packed into one
+    integer, B bits per coordinate, so a product is one sum of k integer
+    multiples: no slot exceeds k (p-1)^2 < 2^B, so none carries.
+    """
+    k = len(a)
+    low = [(i, g) for i, g in enumerate(f[:-1]) if g]
+    B = (k * (p - 1) ** 2).bit_length()
+    shifts, mask = range(0, B * k, B), (1 << B) - 1
+    col, cols = a, []
+    for _ in range(k):
+        cols.append(sum(x << s for x, s in zip(col, shifts)))
+        # times y: shift up, and replace y^k by y^k - f
+        top, col = col[-1], [0] + col[:-1]
+        for i, g in low:
+            col[i] = (col[i] - top * g) % p
+
+    def times(x):
+        v = sum(map(operator.mul, x, cols))
+        return [(v >> s & mask) % p for s in shifts]
+    return times
+
+
+def _ext_mul(a, b, f, p):
+    r = _long_div(_conv(a, b), f, p)[1]
+    return r + [0] * (len(f) - 1 - len(r))
+
+
+def _ext_inv(a, f, p):
+    """a^{-1} by the extended Euclidean algorithm on f and a; None for 0."""
+    r0, r1, s0, s1 = f, _trim(a[:]), [], [1]
+    while len(r1) > 1:
+        quo, r2 = _long_div(r0, r1, p)
+        s2 = [(x - y) % p for x, y in itertools.zip_longest(
+            s0, _conv(quo, s1), fillvalue=0)]
+        r0, r1, s0, s1 = r1, r2, s1, s2
+    if not r1:
+        return None
+    c = pow(r1[0], -1, p)
+    s1 = _trim([x * c % p for x in s1])
+    return s1 + [0] * (len(a) - len(s1))

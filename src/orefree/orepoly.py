@@ -105,6 +105,17 @@ def _canon(den, nums, p, coprime=False):
     return den, nums
 
 
+def _times(a, b, p):
+    """a * b as _mul gives it, with the product skipped when a factor is
+    [1]: the other factor itself then comes back, so the result is only
+    read, never mutated in place."""
+    if a == [1]:
+        return b
+    if b == [1]:
+        return a
+    return _mul(a, b, p)
+
+
 def _over_lcm(d1, n1, d2, n2, p):
     """(den, nums) with nums[j] / den = n1[j] / d1 + n2[j] / d2, den the
     product of d1 and d2 over their gcd; not reduced."""
@@ -112,8 +123,8 @@ def _over_lcm(d1, n1, d2, n2, p):
         return d1, [_add(a, b, p) for a, b in
                     itertools.zip_longest(n1, n2, fillvalue=[])]
     f2, f1 = _gcd_cofactors([d1, d2], p)[1]
-    return _mul(d1, f1, p), [
-        _add(_mul(a, f1, p), _mul(b, f2, p), p)
+    return _times(d1, f1, p), [
+        _add(_times(a, f1, p), _times(b, f2, p), p)
         for a, b in itertools.zip_longest(n1, n2, fillvalue=[])]
 
 
@@ -164,18 +175,21 @@ class _Kernel:
         if self.kind == "der":
             # x a = a x + c a' with a = n / den and c = cn / cd
             dd = _derivative(den, p)
-            lo = [_mul(self.cn, _sub(_mul(_derivative(n, p), den, p),
-                                     _mul(n, dd, p), p), p) for n in nums]
-            hi = [_mul(n, _mul(self.cd, den, p), p) for n in nums]
-            den = _mul(_mul(den, den, p), self.cd, p)
+            lo = [_times(self.cn, _sub(_times(_derivative(n, p), den, p),
+                                       _times(n, dd, p), p), p) for n in nums]
+            cd_den = _times(self.cd, den, p)
+            hi = [_times(n, cd_den, p) for n in nums]
+            den = _times(_times(den, den, p), self.cd, p)
         else:
             m = max(len(den), max(map(len, nums))) - 1
             sden, *hi = self._sigma([den] + nums, m)
             # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden
-            lo = [_mul(self.cn, _sub(_mul(s, den, p), _mul(n, sden, p), p), p)
+            lo = [_times(self.cn,
+                         _sub(_times(s, den, p), _times(n, sden, p), p), p)
                   for s, n in zip(hi, nums)]
-            hi = [_mul(s, _mul(self.cd, den, p), p) for s in hi]
-            den = _mul(_mul(sden, den, p), self.cd, p)
+            cd_den = _times(self.cd, den, p)
+            hi = [_times(s, cd_den, p) for s in hi]
+            den = _times(_times(sden, den, p), self.cd, p)
         out = [_add(a, b, p) for a, b in zip(lo + [[]], [[]] + hi)]
         return _canon(den, out, p)
 
@@ -374,7 +388,8 @@ class OrePoly:
         """(an / ad) * self for nonzero int lists an, ad."""
         p = _kernel(self.ctx).p
         return OrePoly._make(self.ctx, *_canon(
-            _mul(ad, self._den, p), [_mul(an, n, p) for n in self._nums], p))
+            _times(ad, self._den, p), [_times(an, n, p) for n in self._nums],
+            p))
 
     def _x_step(self, k=1):
         """x^k * self, k >= 1, by the commutation rule."""
@@ -418,9 +433,10 @@ class OrePoly:
                     if i > k:
                         xk, k = xk._x_step(i - k), i
                     den, nums = _over_lcm(den, nums, xk._den,
-                                          [_mul(a, n, p) for n in xk._nums], p)
+                                          [_times(a, n, p) for n in xk._nums],
+                                          p)
             return OrePoly._make(self.ctx, *_canon(
-                _mul(den, self._den, p), nums, p))
+                _times(den, self._den, p), nums, p))
         acc = OrePoly.zero(self.ctx)
         xk, k = other, 0
         for i, a in enumerate(self._cs):
@@ -502,11 +518,11 @@ class OrePoly:
             m = len(rn) - 1 - dg
             gd, gn = xg[m]._den, xg[m]._nums
             gt, rt = gn[-1], rn[-1]
-            rn = _trim([_sub(_mul(gt, a, p), _mul(rt, b, p), p)
+            rn = _trim([_sub(_times(gt, a, p), _times(rt, b, p), p)
                         for a, b in zip(rn, gn)])
-            qn = [_mul(gt, a, p) for a in qn]
-            qn[m] = _add(qn[m], _mul(rt, gd, p), p)
-            den = _mul(den, gt, p)
+            qn = [_times(gt, a, p) for a in qn]
+            qn[m] = _add(qn[m], _times(rt, gd, p), p)
+            den = _times(den, gt, p)
         return (OrePoly._make(self.ctx, *_canon(den, qn, p)),
                 OrePoly._make(self.ctx, *_canon(den, rn, p)))
 
@@ -550,7 +566,7 @@ class OrePoly:
         r, qden, qn = self, [1], []
         while r.degree >= dg:
             m = r.degree - dg
-            cn, cd = _mul(r._nums[-1], gd, p), _mul(r._den, gt, p)
+            cn, cd = _times(r._nums[-1], gd, p), _times(r._den, gt, p)
             if dg and kern.kind in ("aut", "sd"):
                 top = max(len(cn), len(cd)) - 1
                 cn, cd = kern._sigma([cn, cd], top, -dg)

@@ -2,7 +2,12 @@
 
 A :class:`SkewEndo` is a k-automorphism of K = k(y1, ..., yn) given by
 generator images together with inverse images; construction verifies both
-round trips, so an instance that exists is genuinely invertible.  A
+round trips, so an instance that exists is genuinely invertible.  In one
+variable both maps must be Moebius (below) and the product of their
+matrices a nonzero scalar, which checks the round trips with no
+substitution; a presentation that fails this, and every presentation in
+several variables, is checked by substituting the images into the
+inverse images and back, which also names what fails.  A
 :class:`SkewDerivation` is a sigma-derivation, i.e. additive with
 
     delta(a*b) = sigma(a)*delta(b) + delta(a)*b,
@@ -166,6 +171,24 @@ class SkewEndo:
         return out
 
     def _verify(self):
+        """Raise NotAnAutomorphism unless the images and inverse images
+        compose to the identity both ways.
+
+        In one variable the presentation is accepted when both maps are
+        Moebius and the product of their matrices is a nonzero scalar:
+        then both determinants are nonzero and the maps are inverse, so
+        each substitution below would give t back.  Anything else, and
+        every presentation in several variables, is decided by
+        substitution, which names the failure."""
+        if self.ff.nvars == 1:
+            m, n = self._matrix(), self._matrix(inverse=True)
+            if m is not None and n is not None:
+                a, b, c, d = _mat_mul(m, n, self.ff.char)
+                if b == c == 0 and a == d != 0:
+                    return
+        self._verify_by_substitution()
+
+    def _verify_by_substitution(self):
         for i in range(self.ff.nvars):
             y = self.ff.var(i)
             try:
@@ -237,12 +260,16 @@ class SkewEndo:
     def _matrix(self, inverse=False):
         """(a, b, c, d) with sigma(t) = (a t + b) / (c t + d), or with
         sigma^-1(t) when inverse, for the one generator t: ints, mod p
-        over F_p.  Over Q they carry the common scale of the cleared
-        image, a positive factor that no reader sees: moebius_table
-        divides it out, and the order test and orbit_analyze's reason
-        are homogeneous in the entries."""
+        over F_p; None when that image is not of this form.  Over Q they
+        carry the common scale of the cleared image, a positive factor
+        that no reader sees: moebius_table divides it out, and the
+        inverse check, the order test, the point map of the evaluated
+        series and orbit_analyze's reason are homogeneous in the
+        entries."""
         num, den = _cleared(self.inverse_images[0] if inverse
                             else self.images[0])
+        if len(num) > 2 or len(den) > 2:
+            return None
         b, a = num + [0] * (2 - len(num))
         d, c = den + [0] * (2 - len(den))
         return a, b, c, d

@@ -517,6 +517,29 @@ def test_point_bound_covers_every_order(monkeypatch, make_ctx, witness):
 
 
 @_POINT_CHECK_CASES
+def test_exact_values_built_once_per_certificate(monkeypatch, make_ctx,
+                                                 witness):
+    # the proofs of one certificate share sigma^j(b) or delta^j(b): the
+    # map is applied once per value of the longest prefix that any proof
+    # reads, however many generators there are
+    ctx = make_ctx()
+    b = witness(ctx.ff.var(0))
+    cls = SkewEndo if ctx.is_pure_automorphism() else SkewDerivation
+    calls = []
+    real = cls.apply
+
+    def counting(self, f, *args):
+        calls.append(f)
+        return real(self, f, *args)
+
+    monkeypatch.setattr(cls, "apply", counting)
+    cert, generators = _checked_generators(monkeypatch, ctx, b, 4)
+    assert cert.verdict == "Dependent" and len(generators) >= 2
+    e = max(_closure_order_and_ones(g)[0] for g in generators)
+    assert len(calls) == (e if cls is SkewEndo else e - 1)
+
+
+@_POINT_CHECK_CASES
 def test_point_check_rejects_a_changed_coefficient(monkeypatch, make_ctx,
                                                    witness):
     # a generator with one coefficient changed by 1 differs from a
@@ -714,6 +737,104 @@ def test_image_pole_on_the_orbit_skips_the_point(monkeypatch):
     _, point = next(freeness._evaluated_word_rows(ctx, words_up_to(2), t, 6))
     assert point == (s1,)
     _assert_series_route_agrees_with_fold(monkeypatch, ctx, t, 2)
+
+
+def _moebius_ctx(ff, image, inverse):
+    t = ff.var(0)
+    return SkewPair.automorphism(SkewEndo(ff, [image(t)], [inverse(t)]))
+
+
+@pytest.mark.parametrize("image,inverse", [
+    (lambda t: t + 1, lambda t: t - 1),
+    (lambda t: 2 * t, lambda t: t / 2),
+    (lambda t: -1 / (t + 1), lambda t: (-1 - t) / t),
+    (lambda t: (t / 3 + 1) / (t + Fraction(1, 5)),
+     lambda t: (1 - t / 5) / (t - Fraction(1, 3))),
+    (lambda t: t / 2 + Fraction(1, 3), lambda t: 2 * t - Fraction(2, 3)),
+], ids=["shift", "double", "order3", "fractional", "fractional-affine"])
+def test_point_map_mod_q_equals_image_evaluation(image, inverse):
+    # the matrix's point map over Q steps each point where evaluating
+    # sigma(t) mod q does, to the same value, and meets the same poles:
+    # along the orbits of the evaluation starts, at random residues, and
+    # at the pole of a map with c != 0
+    q = freeness._EVAL_PRIME
+    ctx = _moebius_ctx(QT, image, inverse)
+    (g,) = ctx.sigma.images
+    step = freeness._point_map_mod(ctx.sigma, q)
+    rng = random.Random(28)
+    points = list(freeness._EVAL_STARTS) + [rng.randrange(q)
+                                            for _ in range(20)]
+    a, b, c, d = ctx.sigma._matrix()
+    if c:
+        points.append(-d * pow(c, -1, q) % q)
+    poles = 0
+    for P in points:
+        for _ in range(6):
+            want = freeness._eval_mod(g, (P,), q)
+            got = step((P,))
+            assert got == (None if want is None else (want,))
+            if got is None:
+                poles += 1
+                break
+            (P,) = got
+    assert poles == (1 if c else 0)
+
+
+def test_point_map_mod_q_defers_to_evaluation_at_a_bad_denominator():
+    # q divides a coefficient denominator of sigma(t) = t + 1/q, so the
+    # image has no value mod q anywhere: the images are evaluated, and
+    # every orbit stops at its first step
+    q = freeness._EVAL_PRIME
+    ctx = _moebius_ctx(QT, lambda t: t + Fraction(1, q),
+                       lambda t: t - Fraction(1, q))
+    assert freeness._point_map_mod(ctx.sigma, q) is None
+    at = lambda g, P: freeness._eval_mod(g, P, q)
+    assert freeness._orbit_values(ctx.sigma.images, QT.var(0),
+                                  (freeness._EVAL_STARTS[0],), 2, at) is None
+
+
+def test_point_map_in_the_extension_equals_image_evaluation():
+    # the F_5 shift and t -> -1/(t + 1) over F_5 at the point y of
+    # F_p[y]/(f): the matrix's point map gives the coordinates that
+    # evaluating sigma(t) there gives, step by step along the orbit
+    ff = FunctionField(5, ["t"])
+    f = freeness._extension_modulus(5)
+    for image, inverse in ((lambda t: t + 1, lambda t: t - 1),
+                           (lambda t: -1 / (t + 1), lambda t: (-1 - t) / t)):
+        ctx = _moebius_ctx(ff, image, inverse)
+        (g,) = ctx.sigma.images
+        step = freeness._point_map_ext(ctx.sigma, f, 5)
+        P = ([0, 1] + [0] * (len(f) - 3),)
+        for _ in range(12):
+            want = freeness._ext_eval(g, P, f, 5)
+            got = step(P)
+            assert got == (want,)
+            P = got
+
+
+@pytest.mark.parametrize("make_ctx,b,L", [
+    (shift_ctx, lambda u: u.inverse(), 3),
+    (lambda: _moebius_ctx(QT, lambda t: -1 / (t + 1),
+                          lambda t: (-1 - t) / t),
+     lambda t: (t - 2).inverse(), 3),
+    (shift_f5_ctx, lambda u: u.inverse(), 3),
+], ids=["shift-Q", "order3-Q", "shift-F5"])
+def test_one_variable_orbits_evaluate_no_image(monkeypatch, make_ctx, b, L):
+    # in one variable the evaluated route steps its points by the matrix
+    # alone: only the witness is ever evaluated
+    ctx = make_ctx()
+    witness = b(ctx.ff.var(0))
+    seen = []
+    for name in ("_eval_mod", "_ext_eval"):
+        real = getattr(freeness, name)
+
+        def recording(g, *args, real=real):
+            seen.append(g)
+            return real(g, *args)
+        monkeypatch.setattr(freeness, name, recording)
+    cert = freeness_certify(ctx, witness, L)
+    assert cert.rank > 0 and seen
+    assert all(g == witness for g in seen)
 
 
 @pytest.mark.parametrize("L", [1, 2])

@@ -365,6 +365,35 @@ def test_fraction_free_kernel_matches_reference(char, name):
         assert ref_ore_left_quo_rem(ctx, d.coeffs, h.coeffs)[1] == []
 
 
+@pytest.mark.parametrize("name", KERNEL_CONTEXTS)
+@pytest.mark.parametrize("char", [0, 5])
+def test_products_by_one_leave_operands_unchanged(char, name):
+    # monic operands with polynomial coefficients make the kernel's
+    # products by [1], which it skips, handing a factor on as it is: no
+    # operand's lists may change, and every result matches the reference
+    ctx = kernel_context(char, name)
+    t = ctx.ff.var(0)
+    rng = random.Random("ones:%d:%s" % (char, name))
+    monic = OrePoly(ctx, [ctx.ff.one(), t, ctx.ff.one()])
+    for _ in range(3):
+        g = nonzero_orepoly(rng, ctx, 3)
+        snapshot = [(list(p._den), [list(n) for n in p._nums])
+                    for p in (monic, g)]
+        mc, gc = monic.coeffs, g.coeffs
+        assert_coeffs(monic * g, ref_ore_mul(ctx, mc, gc))
+        assert_coeffs(g * monic, ref_ore_mul(ctx, gc, mc))
+        q, r = g.right_quo_rem(monic)
+        ref_q, ref_r = ref_ore_right_quo_rem(ctx, gc, mc)
+        assert_coeffs(q, ref_q)
+        assert_coeffs(r, ref_r)
+        q, r = g.left_quo_rem(monic)
+        ref_q, ref_r = ref_ore_left_quo_rem(ctx, gc, mc)
+        assert_coeffs(q, ref_q)
+        assert_coeffs(r, ref_r)
+        lclm(monic, g)
+        assert [(p._den, p._nums) for p in (monic, g)] == snapshot
+
+
 def mixed_qts_pair():
     """Q(t, s) with sigma = (t + 1, 2s) and delta = t*s*(sigma - id)."""
     ff = FunctionField(0, ["t", "s"])

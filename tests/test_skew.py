@@ -8,7 +8,7 @@ from orefree.errors import (
     CharacteristicMismatch, InconsistentDerivation, InvalidConstantDeclaration,
     NotAnAutomorphism, RequiresPureDerivation, WrongCharacteristic,
 )
-from orefree.field import FunctionField
+from orefree.field import FunctionField, RatFunc
 from orefree.skew import (
     SkewDerivation, SkewEndo, SkewPair, delta_tower, orbit_analyze,
 )
@@ -264,6 +264,91 @@ def test_one_variable_powers_match_repeated_substitution(char):
             if n > 0:
                 assert s.fixed_power_check(n) is (want == [t])
         assert s.order(12) == order
+
+
+def _by_substitution(ff, images, inverse):
+    """The substitution loop's outcome on a presentation: "ok", or the
+    class and text of what it raised."""
+    s = object.__new__(SkewEndo)
+    s.ff, s.images, s.inverse_images = ff, images, inverse
+    try:
+        s._verify_by_substitution()
+    except NotAnAutomorphism as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+def _by_construction(ff, images, inverse):
+    try:
+        SkewEndo(ff, images, inverse)
+    except NotAnAutomorphism as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+def _moebius_presentations(ff, rng, count):
+    """count random Moebius maps of k(t), each with its inverse, with that
+    inverse's matrix times a scalar, and with one entry of it moved by 1."""
+    t, p = ff.var("t"), ff.char
+    out = []
+    while len(out) < 3 * count:
+        a, b, c, d = (rng.randint(-6, 6) for _ in range(4))
+        det = a * d - b * c
+        if (det % p if p else det) == 0:
+            continue
+        image = (ff.const(a) * t + b) / (ff.const(c) * t + d)
+        k = rng.choice([2, 3, -1])
+        inv = [d, -b, -c, a]
+        moved = inv[:]
+        moved[rng.randrange(4)] += 1
+        for e, f, g, h in (inv, [k * x for x in inv], moved):
+            den = ff.const(g) * t + h
+            if not den.is_zero():
+                out.append(([image], [(ff.const(e) * t + f) / den]))
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 5, 7])
+def test_matrix_check_agrees_with_substitution(char, monkeypatch):
+    """In one variable a presentation is accepted from the product of
+    the two Moebius matrices.  On random maps with their true inverse, a
+    scalar multiple of its matrix and a perturbed inverse, and on
+    presentations that are not Moebius, construction accepts exactly
+    what the substitution loop accepts, and raises its class and text
+    otherwise.  Accepting a Moebius pair calls no substitution."""
+    ff = FunctionField(char, ["t"])
+    t, one = ff.var("t"), ff.one()
+    round_trip = (NotAnAutomorphism, "round trip fails on generator 't'")
+    fixed = [
+        (([t * t], [t]), round_trip),
+        (([t + 1], [t + 1]), round_trip),
+        (([one], [one / (t - 1)]),
+         (NotAnAutomorphism, "images of 't' do not compose: "
+                             "substitution maps denominator to zero")),
+        (([t], [t]), "ok"),
+    ]
+    for case, want in fixed:
+        assert _by_substitution(ff, *case) == want
+    moebius = _moebius_presentations(ff, random.Random(28 + char), 12)
+    moebius += [case for case, _ in fixed]
+    outcomes = [_by_substitution(ff, *case) for case in moebius]
+    assert "ok" in outcomes and round_trip in outcomes
+    # a Moebius inverse written over a common factor is not of degree
+    # <= 1, so the loop decides it
+    common = ([2 * t], [RatFunc((t / 2 * (t + 1)).num, (t + 1).num,
+                                reduce=False)])
+    assert _by_substitution(ff, *common) == "ok"
+    for case, outcome in zip(moebius + [common], outcomes + ["ok"]):
+        assert _by_construction(ff, *case) == outcome, case
+
+    def refuse(*args):
+        raise AssertionError("substitution while accepting a Moebius pair")
+
+    monkeypatch.setattr(RatFunc, "substitute", refuse)
+    for case, outcome in zip(moebius, outcomes):
+        if outcome == "ok":
+            SkewEndo(ff, *case)
+    SkewEndo.identity(ff)
 
 
 def test_orbit_finite_period_two():

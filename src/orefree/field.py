@@ -25,8 +25,9 @@ is cleared to two int lists over one scale by :func:`_cleared`, and a
 list of fractions is brought over the lcm of their denominators by
 :func:`_common_denominator`.  gcds use dense Euclid for univariate
 polynomials over F_p, the heuristic gcd over Z (evaluation at one
-integer, proved by division) over Q, and a primitive PRS with recursion
-on contents for several variables.
+integer, proved by division) over Q; in several variables one Kronecker
+substitution onto those, proved by division, and where that cannot tell
+a primitive PRS with recursion on contents.
 """
 
 import math
@@ -40,8 +41,8 @@ from .errors import (
     ResourceBoundExceeded,
 )
 from .intpoly import (
-    _compose, _conv, _is_prime, _long_div, _primitive_ints, _uni_gcd_p,
-    _uni_gcd_q,
+    _compose, _conv, _is_prime, _long_div, _primitive_ints, _trim,
+    _uni_gcd_p, _uni_gcd_q,
 )
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -466,42 +467,10 @@ class MPoly(_RingElement):
 
     # -- substitution ----------------------------------------------------
 
-    def substitute(self, images):
-        """Image under y_i -> images[i] with RatFunc values.
-
-        Assembled over a single common denominator (the product of the
-        image denominators raised to the per-variable maximum exponent),
-        so only one fraction reduction happens at the end.
-        """
-        ff = self.ff
-        if len(images) != ff.nvars:
-            raise AssertionError("need one image per variable")
-        if not images:
-            return RatFunc(self, ff.poly_one(), reduce=False)
-        if not self.terms:
-            return images[0].ff.zero()
-        tgt = images[0].ff
-        maxes = [max(ks) for ks in zip(*self.terms)]
-        _check_char(ff, tgt)
-        num_pows = [_powers(g.num, m) for g, m in zip(images, maxes)]
-        den_pows = [_powers(g.den, m) for g, m in zip(images, maxes)]
-        num = tgt.poly_zero()
-        for e, c in self.terms.items():
-            part = tgt.poly_const(c)
-            for i, k in enumerate(e):
-                if k:
-                    part = part * num_pows[i][k]
-                if maxes[i] - k:
-                    part = part * den_pows[i][maxes[i] - k]
-            num = num + part
-        den = tgt.poly_one()
-        for i in range(ff.nvars):
-            if maxes[i]:
-                den = den * den_pows[i][maxes[i]]
-        return RatFunc(num, den)
-
-    def substitute_poly(self, images):
-        """Image under y_i -> images[i] with polynomial values (stays MPoly)."""
+    def substitute_poly(self, images, dens=None, bound=None):
+        """Image under y_i -> images[i] with polynomial values (stays MPoly);
+        with ``dens``, the numerator of the image under y_i -> images[i] /
+        dens[i] over prod dens[i]^bound[i], bound[i] >= the degree in y_i."""
         ff = self.ff
         if len(images) != ff.nvars:
             raise AssertionError("need one image per variable")
@@ -513,12 +482,15 @@ class MPoly(_RingElement):
         _check_char(ff, tgt)
         maxes = [max(ks) for ks in zip(*self.terms)]
         pows = [_powers(g, m) for g, m in zip(images, maxes)]
+        dpows = [_powers(d, m) for d, m in zip(dens or (), bound or ())]
         out = tgt.poly_zero()
         for e, c in self.terms.items():
             part = tgt.poly_const(c)
             for i, k in enumerate(e):
                 if k:
                     part = part * pows[i][k]
+                if dens and bound[i] - k:
+                    part = part * dpows[i][bound[i] - k]
             out = out + part
         return out
 
@@ -681,6 +653,52 @@ def _coeff_in(p, v, k):
                         for e, c in p.terms.items() if e[v] == k})
 
 
+# _kronecker_gcd leaves a gcd with longer univariate images to the PRS
+_KRONECKER_GCD_MAX = 4096
+
+
+def _kronecker_gcd(a, b, extra):
+    """gcd(a, b) of nonzero a, b by one Kronecker substitution, or None.
+
+    With the monomial content off (the gcd's is the smaller one), y_i ->
+    z^(w_i), w_i the product of the B_j = extra + 1 + deg_j over j < i, is
+    a ring map K, injective on the divisors of a, so K(g) | h = gcd(K(a),
+    K(b)).  For h = z^v h0 and K(g) = z^j G0, z dividing neither h0 nor
+    G0, G0 | h0 and j <= top, the least power of z in K(a) or K(b).  So a
+    c = K^-1(z^i h0), i <= top, that divides a and b is g: it divides g,
+    so z^i h0 | z^j G0, which forces h0 = G0, and then K(g / c) = z^(j-i)
+    makes g / c a monomial, 1 as no y_i divides a.  A common factor of
+    K(a) and K(b) outside K(g) leaves no c dividing.
+    """
+    ff, p = a.ff, a.ff.char
+    lows = [[min(ks) for ks in zip(*f.terms)] for f in (a, b)]
+    a, b = (MPoly(ff, {tuple(map(int.__sub__, e, low)): c
+                       for e, c in f.terms.items()})
+            for f, low in zip((a, b), lows))
+    bounds = [max(ks) + 1 + extra for ks in zip(*a.terms, *b.terms)]
+    if math.prod(bounds) > _KRONECKER_GCD_MAX:
+        return None
+    weights = [math.prod(bounds[:i]) for i in range(len(bounds))]
+    ka, kb = [0] * math.prod(bounds), [0] * math.prod(bounds)
+    for f, out in ((a, ka), (b, kb)):
+        scale = 1 if p else math.lcm(*(c.denominator for c in f.terms.values()))
+        for e, c in f.terms.items():
+            out[sum(map(int.__mul__, e, weights))] = (
+                c if p else c.numerator * (scale // c.denominator))
+    top = min(next(i for i, c in enumerate(k) if c) for k in (ka, kb))
+    h = _uni_gcd_p(ka, kb, p) if p else _uni_gcd_q(_trim(ka), _trim(kb))
+    h = h[next(i for i, c in enumerate(h) if c):]
+    for i in range(top, -1, -1):
+        cand = MPoly(ff, {
+            tuple(code // w % bd for w, bd in zip(weights, bounds)):
+            c if p else Fraction(c) for code, c in enumerate(h, i) if c})
+        if a.divide_exact(cand) is not None and \
+                b.divide_exact(cand) is not None:
+            mono = MPoly(ff, {tuple(map(min, *lows)): ff.base.one()})
+            return (cand * mono).monic()
+    return None
+
+
 def poly_gcd(a, b):
     """Monic greatest common divisor of two polynomials; gcd(0, 0) is 0."""
     _check_same_field(a, b)
@@ -703,12 +721,12 @@ def poly_gcd(a, b):
             return _from_dense(ff, _uni_gcd_p(la, lb, p), 1, v)
         g = _uni_gcd_q(la, lb)
         return _from_dense(ff, g, g[-1], v)
-    # several variables: probe the divisible cases first, they dominate in
-    # fraction pipelines (gcd of d and d*q) and skip the PRS entirely
-    if a.divide_exact(b) is not None:
-        return b.monic()
-    if b.divide_exact(a) is not None:
-        return a.monic()
+    # a second substitution, one degree wider, moves the common cyclotomic
+    # factors that binomials such as t + s -> z + z^B bring
+    for extra in (0, 1):
+        g = _kronecker_gcd(a, b, extra)
+        if g is not None:
+            return g
     # primitive PRS on the first used variable
     v = min(used)
     ca = _mv_content(a, v)
@@ -921,11 +939,13 @@ class RatFunc(_DivisionRingElement):
 
     def substitute(self, images):
         """Image under y_i -> images[i]; denominator must stay nonzero."""
-        num = self.num.substitute(images)
-        den = self.den.substitute(images)
+        top = [max(ks) for ks in zip(*self.num.terms, *self.den.terms)]
+        nums, dens = [g.num for g in images], [g.den for g in images]
+        num, den = (f.substitute_poly(nums, dens, top)
+                    for f in (self.num, self.den))
         if den.is_zero():
             raise DivisionByZero("substitution maps denominator to zero")
-        return num / den
+        return RatFunc(num, den)
 
     # -- printing ------------------------------------------------------------
 

@@ -9,32 +9,28 @@ sigma is an automorphism, degrees add under multiplication and both
 one-sided division algorithms terminate: right division is ordinary
 Euclid, left division twists the candidate coefficient by sigma^{-deg g}.
 
-The storage follows the number of generators of K.  In several variables
-the coefficients are a tuple of reduced RatFuncs.  Over K = k(t) an
-element is fraction-free: one denominator D and numerators N_j, all
-dense int lists of :mod:`intpoly` (mod p over F_p), with a_j = N_j / D.
-The stored form is canonical: gcd(D, N_0, ..., N_n) = 1, and over Q the
-integers of D and the N_j together are coprime with lc(D) > 0, over F_p
-D is monic.  It is unique, so equality compares lists.  Each operation
-runs on the lists and reduces once at its end, with one gcd of D and
-all numerators that also returns the reduced lists; right
-division is pseudo-division, its quotient and remainder kept over one
-running denominator, and left division twists each quotient coefficient
-by the Moebius map sigma^-deg g on the lists.  ``coeffs``, ``coeff`` and
-``lc`` build reduced RatFuncs only when asked.
+Every element is fraction-free: one denominator D and numerators N_j with
+a_j = N_j / D, polynomials in the ring that the context's kernel picks
+once: dense int lists of :mod:`intpoly` over k(t) (mod p over F_p), an
+:class:`~orefree.field.MPoly` in several variables.  The form is
+canonical, so equality compares the polynomials: gcd(D, N_0, ..., N_n) =
+1, and over Q(t) the integers of D and the N_j together are coprime with
+lc(D) > 0; otherwise D is monic (in graded-lex order in several
+variables).  Each operation reduces once at its end, by one gcd of D and
+all numerators; right division is pseudo-division over one running
+denominator.  ``coeffs``, ``coeff`` and ``lc`` build reduced RatFuncs
+only when asked.
 
-The x-step over k(t) needs no RatFunc either.  sigma is a Moebius map,
-sigma(t) = A/B, so for deg n, deg D <= m
+The x-step needs no RatFunc either.  sigma^k(n / D) = sigma^k(n) /
+sigma^k(D) is two numerators over one shared factor, which
+``SkewEndo.numerators`` forms: over k(t) sigma^k(t) = A/B and H_m(n) =
+sum n_k A^k B^(m-k), for m >= deg n, deg D, in several variables by
+substitution.  A sigma-derivation is fixed by its images, so
 
-    sigma(n / D) = H_m(n) / H_m(D),   H_m(n) = sum_k n_k A^k B^(m-k).
+    delta = c (sigma - id),          c = delta.inner,    sigma != id,
+    delta = sum_i c_i d/dy_i,        c_i = delta(y_i),   sigma = id,
 
-A sigma-derivation of k(t) is fixed by its value on t, so
-
-    delta = c (sigma - id),   c = delta.inner,   sigma != id,
-    delta = delta(t) d/dt,                       sigma = id,
-
-with c = delta(t) / (sigma(t) - t) as :mod:`skew` proves.  Without
-delta, x^k a = sigma^k(a) x^k is one Moebius map for any k.
+with c as :mod:`skew` proves and the c_i over one denominator.
 
 Greatest common right divisors come from the right Euclidean algorithm;
 least common left multiples from its extended form (the cofactor of f
@@ -47,17 +43,18 @@ checked on every run.  A greatest common left divisor (via left-division
 Euclid) supports cancellation inside left fractions.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 from . import config
-from .errors import (
-    CharacteristicMismatch, ContextMismatch, DivisionByZero,
-    ResourceBoundExceeded,
+from .errors import ContextMismatch, DivisionByZero, ResourceBoundExceeded
+from .field import (
+    MPoly, RatFunc, _check_same_field, _cleared, _from_dense, poly_gcd,
 )
-from .field import RatFunc, _cleared, _from_dense
 from .intpoly import (
-    _add, _compose, _derivative, _gcd_cofactors, _mul, _sub, _trim,
+    _add, _derivative, _gcd_cofactors, _mul, _sub, _trim,
 )
 
 
@@ -66,138 +63,218 @@ def _same_ctx(a, b):
         raise ContextMismatch("operands from different Ore contexts")
 
 
+def _check_terms(worst):
+    if worst > config.MAX_FRACTION_TERMS:
+        raise ResourceBoundExceeded("fraction grew to %d terms (bound %d)"
+                                    % (worst, config.MAX_FRACTION_TERMS))
+
+
 # ---------------------------------------------------------------------------
-# the fraction-free form over k(t)
+# the kernel: the polynomial ring of a context and its x-step
 # ---------------------------------------------------------------------------
-
-def _canon(den, nums, p, coprime=False):
-    """The canonical form of sum nums[j] / den x^j.
-
-    nums is a fresh list of trimmed lists; its trailing zeros are popped.
-    ``coprime`` skips the polynomial gcd when no factor of den can divide
-    every numerator.
-    """
-    _trim(nums)
-    if not nums:
-        return [1], []
-    if not p:
-        # coprime integers first: dividing by a primitive gcd keeps them
-        # coprime and the sign of lc(den)
-        c = math.gcd(*den, *itertools.chain.from_iterable(nums))
-        if den[-1] < 0:
-            c = -c
-        if c != 1:
-            den = [x // c for x in den]
-            nums = [[x // c for x in n] for n in nums]
-    if len(den) > 1 and not coprime:
-        den, *nums = _gcd_cofactors([den] + nums, p)[1]
-    if p and den[-1] != 1:
-        inv = pow(den[-1], -1, p)
-        den = [x * inv % p for x in den]
-        nums = [[x * inv % p for x in n] for n in nums]
-    if len(den) + max(map(len, nums)) > config.MAX_FRACTION_TERMS:
-        nd = len(den) - den.count(0)
-        worst = nd + max(len(n) - n.count(0) for n in nums)
-        if worst > config.MAX_FRACTION_TERMS:
-            raise ResourceBoundExceeded(
-                "fraction grew to %d terms (bound %d)"
-                % (worst, config.MAX_FRACTION_TERMS))
-    return den, nums
-
-
-def _times(a, b, p):
-    """a * b as _mul gives it, with the product skipped when a factor is
-    [1]: the other factor itself then comes back, so the result is only
-    read, never mutated in place."""
-    if a == [1]:
-        return b
-    if b == [1]:
-        return a
-    return _mul(a, b, p)
-
-
-def _over_lcm(d1, n1, d2, n2, p):
-    """(den, nums) with nums[j] / den = n1[j] / d1 + n2[j] / d2, den the
-    product of d1 and d2 over their gcd; not reduced."""
-    if d1 == d2:
-        return d1, [_add(a, b, p) for a, b in
-                    itertools.zip_longest(n1, n2, fillvalue=[])]
-    f2, f1 = _gcd_cofactors([d1, d2], p)[1]
-    return _times(d1, f1, p), [
-        _add(_times(a, f1, p), _times(b, f2, p), p)
-        for a, b in itertools.zip_longest(n1, n2, fillvalue=[])]
-
 
 class _Kernel:
-    """x^k * (sum N_j / D x^j) on int lists, for one context over k(t)."""
-
-    __slots__ = ("p", "kind", "sigma", "cn", "cd")
+    """x^k * (sum N_j / D x^j) for one context, in the ring a subclass
+    gives: ``zero``, ``one``, ``add``, ``sub``, ``times``, ``cofactors``,
+    ``canon``, ``partial``, ``_split``, ``mpoly`` and ``coprime_sigma``,
+    true when sigma keeps coprime numerators coprime."""
 
     def __init__(self, ctx):
         ff, sigma, delta = ctx.ff, ctx.sigma, ctx.delta
-        self.p = ff.char
+        self.ff, self.sigma = ff, sigma
         self.kind = "comm"
         if not sigma.is_identity():
-            self.kind, self.sigma = "aut", sigma
+            self.kind = "aut"
         if not delta.is_zero():
             if self.kind == "aut":
-                self.kind, c = "sd", delta.inner
+                self.kind = "sd"
+                self.cn, self.cd = self.cleared(delta.inner)
             else:
-                self.kind, c = "der", delta.images[0]
-            self.cn, self.cd = _cleared(c)
+                # delta(y_i) = cn[i] / cd over the lcm of their denominators
+                self.kind, self.cd, cn = "der", self.one, []
+                for i, c in enumerate(delta.images):
+                    n, d = self.cleared(c)
+                    self.cd, cn = self.over_lcm(self.cd, cn, d,
+                                                [self.zero] * i + [n])
+                self.cis = [(i, c) for i, c in enumerate(cn) if c]
 
-    def _sigma(self, polys, m, k=1):
-        """[H_m(n) for n in polys] for the Moebius map sigma^k (k != 0)."""
-        a, bpow = self.sigma.moebius_table(k, m)
-        return [_compose(n, a, bpow, m, self.p) for n in polys]
+    def neg(self, a):
+        return self.sub(self.zero, a)
+
+    def cleared(self, c):
+        """(n, d) with c = n / d, for c in the context's field only."""
+        _check_same_field(self, c)
+        return self._split(c)
+
+    def over_lcm(self, d1, n1, d2, n2):
+        """(den, nums) with nums[j] / den = n1[j] / d1 + n2[j] / d2, den the
+        product of d1 and d2 over their gcd; not reduced."""
+        add, times = self.add, self.times
+        pairs = itertools.zip_longest(n1, n2, fillvalue=self.zero)
+        if d1 == d2:
+            return d1, [add(a, b) for a, b in pairs]
+        f2, f1 = self.cofactors([d1, d2])
+        return times(d1, f1), [add(times(a, f1), times(b, f2))
+                               for a, b in pairs]
 
     def step(self, den, nums, k=1):
         """The canonical form of x^k * (sum nums[j] / den x^j), k >= 1:
-        one Moebius map sigma^k without delta, k single steps with it."""
-        p, kind = self.p, self.kind
-        if kind == "comm":
-            return den, [[]] * k + nums
-        if kind == "aut":
-            # sigma keeps coprime lists coprime: at a common root r of
-            # every H_m(n), B(r) = 0 would leave lc(n) A(r)^m != 0 for an
-            # n of degree m, and B(r) != 0 would make sigma^k(r) a common
-            # root of den and the numerators
-            m = max(len(den), max(map(len, nums))) - 1
-            sden, *hi = self._sigma([den] + nums, m, k)
-            return _canon(sden, [[]] * k + hi, p, coprime=True)
+        one substitution sigma^k without delta, k single steps with it."""
+        if self.kind == "comm":
+            return den, [self.zero] * k + nums
+        if self.kind == "aut":
+            sden, *hi = self.sigma.numerators([den] + nums, k)
+            return self.canon(sden, [self.zero] * k + hi,
+                              coprime=self.coprime_sigma)
         for _ in range(k):
             den, nums = self._delta_step(den, nums)
         return den, nums
 
     def _delta_step(self, den, nums):
         """The canonical form of x * (sum nums[j] / den x^j), delta != 0."""
-        p = self.p
+        times, sub = self.times, self.sub
         if self.kind == "der":
-            # x a = a x + c a' with a = n / den and c = cn / cd
-            dd = _derivative(den, p)
-            lo = [_times(self.cn, _sub(_times(_derivative(n, p), den, p),
-                                       _times(n, dd, p), p), p) for n in nums]
-            cd_den = _times(self.cd, den, p)
-            hi = [_times(n, cd_den, p) for n in nums]
-            den = _times(_times(den, den, p), self.cd, p)
+            # x a = a x + delta(a), a = n / den, delta = D / cd for D =
+            # sum_i cn[i] d/dy_i: delta(a) = (den D(n) - n D(den)) / cd den^2
+            dd = self._derive(den)
+            lo = [sub(times(den, self._derive(n)), times(n, dd))
+                  for n in nums]
+            cd_den = times(self.cd, den)
+            hi = [times(n, cd_den) for n in nums]
+            den = times(times(den, den), self.cd)
         else:
-            m = max(len(den), max(map(len, nums))) - 1
-            sden, *hi = self._sigma([den] + nums, m)
+            sden, *hi = self.sigma.numerators([den] + nums, 1)
             # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden
-            lo = [_times(self.cn,
-                         _sub(_times(s, den, p), _times(n, sden, p), p), p)
+            lo = [times(self.cn, sub(times(s, den), times(n, sden)))
                   for s, n in zip(hi, nums)]
-            cd_den = _times(self.cd, den, p)
-            hi = [_times(s, cd_den, p) for s in hi]
-            den = _times(_times(sden, den, p), self.cd, p)
-        out = [_add(a, b, p) for a, b in zip(lo + [[]], [[]] + hi)]
-        return _canon(den, out, p)
+            cd_den = times(self.cd, den)
+            hi = [times(s, cd_den) for s in hi]
+            den = times(times(sden, den), self.cd)
+        zero = self.zero
+        out = [self.add(a, b) for a, b in zip(lo + [zero], [zero] + hi)]
+        return self.canon(den, out)
+
+    def _derive(self, n):
+        """D(n) = sum_i cn[i] dn/dy_i."""
+        (i, c), *rest = self.cis
+        out = self.times(c, self.partial(n, i))
+        for i, c in rest:
+            out = self.add(out, self.times(c, self.partial(n, i)))
+        return out
+
+
+class _IntKernel(_Kernel):
+    """The kernel over k(t): dense int lists, mod p over F_p."""
+
+    zero, one = [], [1]
+    coprime_sigma = True
+    _split = staticmethod(_cleared)
+
+    def __init__(self, ctx):
+        p = self.p = ctx.ff.char
+        self.add, self.sub = (functools.partial(f, p=p) for f in (_add, _sub))
+        super().__init__(ctx)
+
+    def times(self, a, b):
+        """a * b as _mul gives it, with the product skipped when a factor
+        is [1]: the other factor itself then comes back, so the result is
+        only read, never mutated in place."""
+        if a == [1]:
+            return b
+        if b == [1]:
+            return a
+        return _mul(a, b, self.p)
+
+    def cofactors(self, polys):
+        return _gcd_cofactors(polys, self.p)[1]
+
+    def canon(self, den, nums, coprime=False):
+        """The canonical form of sum nums[j] / den x^j: nums is a fresh
+        list, its trailing zeros popped; ``coprime`` skips the polynomial
+        gcd when no factor of den can divide every numerator."""
+        p = self.p
+        _trim(nums)
+        if not nums:
+            return [1], []
+        if not p:
+            # coprime integers first: dividing by a primitive gcd keeps them
+            # coprime and the sign of lc(den)
+            c = math.gcd(*den, *itertools.chain.from_iterable(nums))
+            if den[-1] < 0:
+                c = -c
+            if c != 1:
+                den = [x // c for x in den]
+                nums = [[x // c for x in n] for n in nums]
+        if len(den) > 1 and not coprime:
+            den, *nums = _gcd_cofactors([den] + nums, p)[1]
+        if p and den[-1] != 1:
+            inv = pow(den[-1], -1, p)
+            den = [x * inv % p for x in den]
+            nums = [[x * inv % p for x in n] for n in nums]
+        if len(den) + max(map(len, nums)) > config.MAX_FRACTION_TERMS:
+            _check_terms(len(den) - den.count(0)
+                         + max(len(n) - n.count(0) for n in nums))
+        return den, nums
+
+    def partial(self, n, i):
+        return _derivative(n, self.p)
+
+    def mpoly(self, n):
+        return _from_dense(self.ff, n)
+
+
+class _MPolyKernel(_Kernel):
+    """The kernel in several variables: MPolys."""
+
+    add, sub = operator.add, operator.sub
+    _split = operator.attrgetter("num", "den")
+    partial = staticmethod(MPoly.partial)
+
+    def __init__(self, ctx):
+        self.zero, self.one = ctx.ff.poly_zero(), ctx.ff.poly_one()
+        self.coprime_sigma = ctx.sigma._is_poly
+        super().__init__(ctx)
+
+    def times(self, a, b):
+        """a * b, the product skipped when a factor is 1, as over k(t)."""
+        if a == self.one:
+            return b
+        if b == self.one:
+            return a
+        return a * b
+
+    def cofactors(self, polys):
+        g = self.zero
+        for f in polys:
+            if f:
+                g = poly_gcd(g, f)
+                if g.is_const():
+                    return polys
+        return [f.divide_exact(g) for f in polys]
+
+    def canon(self, den, nums, coprime=False):
+        """As over k(t), with the gcd of field.poly_gcd."""
+        _trim(nums)
+        if not nums:
+            return self.one, []
+        if not (coprime or den.is_const()):
+            den, *nums = self.cofactors([den] + nums)
+        c = den.lc()
+        if c != 1:
+            c = self.ff.base.inv(c)
+            den, nums = den.scalar_mul(c), [n.scalar_mul(c) for n in nums]
+        _check_terms(len(den.terms) + max(len(n.terms) for n in nums))
+        return den, nums
+
+    def mpoly(self, n):
+        return n
 
 
 def _kernel(ctx):
     k = ctx._kernel
     if k is None:
-        k = ctx._kernel = _Kernel(ctx)
+        cls = _IntKernel if ctx.ff.nvars == 1 else _MPolyKernel
+        k = ctx._kernel = cls(ctx)
     return k
 
 
@@ -213,31 +290,21 @@ def _check_power_degree(n, degree):
 class OrePoly:
     """Element of K[x; sigma, delta]; immutable, trailing coefficient nonzero.
 
-    Over k(t), ``_den`` and ``_nums`` hold the canonical fraction-free form
-    and ``_cs`` caches the coefficients once built; in several variables
-    ``_cs`` holds them and ``_den`` is None.
+    ``_den`` and ``_nums`` hold the canonical fraction-free form, in the
+    ring of the context's kernel, and ``_cs`` caches the coefficients once
+    built.
     """
 
     __slots__ = ("ctx", "_cs", "_den", "_nums")
 
     def __init__(self, ctx, coeffs):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        self.ctx = ctx
-        self._cs = tuple(coeffs)
-        self._den = self._nums = None
-        ff = ctx.ff
-        if ff.nvars == 1:
-            p = ff.char
-            den, nums = [1], []
-            for j, c in enumerate(self._cs):
-                if c.ff is not ff and c.ff != ff:
-                    raise CharacteristicMismatch(
-                        "operands live in different fields: %r vs %r"
-                        % (ff, c.ff))
-                n, d = _cleared(c)
-                den, nums = _over_lcm(den, nums, d, [[]] * j + [n], p)
-            self._den, self._nums = _canon(den, nums, p)
+        k = _kernel(ctx)
+        den, nums = k.one, []
+        for j, c in enumerate(coeffs):
+            n, d = k.cleared(c)
+            den, nums = k.over_lcm(den, nums, d, [k.zero] * j + [n])
+        self.ctx, self._cs = ctx, None
+        self._den, self._nums = k.canon(den, nums)
 
     @classmethod
     def _make(cls, ctx, den, nums):
@@ -250,9 +317,7 @@ class OrePoly:
 
     @classmethod
     def zero(cls, ctx):
-        if ctx.ff.nvars == 1:
-            return cls._make(ctx, [1], [])
-        return cls(ctx, ())
+        return cls._make(ctx, _kernel(ctx).one, [])
 
     @classmethod
     def one(cls, ctx):
@@ -260,9 +325,7 @@ class OrePoly:
 
     @classmethod
     def const(cls, ctx, a):
-        if isinstance(a, int):
-            a = ctx.ff.const(a)
-        return cls(ctx, (a,))
+        return cls.from_coeffs(ctx, (a,))
 
     @classmethod
     def x(cls, ctx):
@@ -270,18 +333,13 @@ class OrePoly:
 
     @classmethod
     def x_pow(cls, ctx, n):
-        if ctx.ff.nvars == 1:
-            return cls._make(ctx, [1], [[]] * n + [[1]])
-        return cls(ctx, (ctx.ff.zero(),) * n + (ctx.ff.one(),))
+        k = _kernel(ctx)
+        return cls._make(ctx, k.one, [k.zero] * n + [k.one])
 
     @classmethod
     def from_coeffs(cls, ctx, coeffs):
-        out = []
-        for c in coeffs:
-            if isinstance(c, int):
-                c = ctx.ff.const(c)
-            out.append(c)
-        return cls(ctx, out)
+        return cls(ctx, [ctx.ff.const(c) if isinstance(c, int) else c
+                         for c in coeffs])
 
     # -- queries ----------------------------------------------------------
 
@@ -289,21 +347,18 @@ class OrePoly:
     def coeffs(self):
         """The coefficients as reduced RatFuncs, index = power of x."""
         if self._cs is None:
-            ff = self.ctx.ff
-            den = _from_dense(ff, self._den)
-            self._cs = tuple(RatFunc(_from_dense(ff, n), den)
-                             for n in self._nums)
+            k = _kernel(self.ctx)
+            den = k.mpoly(self._den)
+            self._cs = tuple(RatFunc(k.mpoly(n), den) for n in self._nums)
         return self._cs
 
     @property
     def degree(self):
         """Degree in x; -1 for the zero polynomial."""
-        if self._den is not None:
-            return len(self._nums) - 1
-        return len(self._cs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self):
-        return self.degree < 0
+        return not self._nums
 
     def lc(self):
         if self.is_zero():
@@ -316,15 +371,11 @@ class OrePoly:
         return self.ctx.ff.zero()
 
     def is_one(self):
-        if self._den is not None:
-            return len(self._nums) == 1 and self._nums[0] == self._den
-        return len(self._cs) == 1 and self._cs[0].is_one()
+        return len(self._nums) == 1 and self._nums[0] == self._den
 
     def is_monic(self):
         """True when the leading coefficient is 1; False for zero."""
-        if self._den is not None:
-            return bool(self._nums) and self._nums[-1] == self._den
-        return bool(self._cs) and self._cs[-1].is_one()
+        return bool(self._nums) and self._nums[-1] == self._den
 
     def __bool__(self):
         return not self.is_zero()
@@ -334,9 +385,7 @@ class OrePoly:
             return NotImplemented
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             return False
-        if self._den is not None:
-            return self._den == other._den and self._nums == other._nums
-        return self._cs == other._cs
+        return self._den == other._den and self._nums == other._nums
 
     __hash__ = None
 
@@ -346,25 +395,13 @@ class OrePoly:
         if not isinstance(other, OrePoly):
             return NotImplemented
         _same_ctx(self, other)
-        if self._den is not None:
-            p = _kernel(self.ctx).p
-            return OrePoly._make(self.ctx, *_canon(*_over_lcm(
-                self._den, self._nums, other._den, other._nums, p), p))
-        a, b = self._cs, other._cs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return OrePoly(self.ctx, out)
+        k = _kernel(self.ctx)
+        return OrePoly._make(self.ctx, *k.canon(*k.over_lcm(
+            self._den, self._nums, other._den, other._nums)))
 
     def __neg__(self):
-        if self._den is not None:
-            p = _kernel(self.ctx).p
-            return OrePoly._make(self.ctx, self._den, [
-                [-x % p for x in n] if p else [-x for x in n]
-                for n in self._nums])
-        return OrePoly(self.ctx, [-c for c in self._cs])
+        neg = _kernel(self.ctx).neg
+        return OrePoly._make(self.ctx, self._den, [neg(n) for n in self._nums])
 
     def __sub__(self, other):
         if not isinstance(other, OrePoly):
@@ -375,44 +412,20 @@ class OrePoly:
         """a * self for a scalar coefficient a (degree zero, no twisting)."""
         if a.is_zero():
             return OrePoly.zero(self.ctx)
-        if self._den is not None:
-            ff = self.ctx.ff
-            if a.ff is not ff and a.ff != ff:
-                raise CharacteristicMismatch(
-                    "operands live in different fields: %r vs %r"
-                    % (ff, a.ff))
-            return self._scale_ints(*_cleared(a))
-        return OrePoly(self.ctx, [a * c for c in self._cs])
+        return self._scale(*_kernel(self.ctx).cleared(a))
 
-    def _scale_ints(self, an, ad):
-        """(an / ad) * self for nonzero int lists an, ad."""
-        p = _kernel(self.ctx).p
-        return OrePoly._make(self.ctx, *_canon(
-            _times(ad, self._den, p), [_times(an, n, p) for n in self._nums],
-            p))
+    def _scale(self, an, ad):
+        """(an / ad) * self for nonzero polynomials an, ad."""
+        k = _kernel(self.ctx)
+        return OrePoly._make(self.ctx, *k.canon(
+            k.times(ad, self._den), [k.times(an, n) for n in self._nums]))
 
     def _x_step(self, k=1):
         """x^k * self, k >= 1, by the commutation rule."""
-        ctx = self.ctx
-        if self._den is not None:
-            if not self._nums:
-                return self
-            return OrePoly._make(ctx, *_kernel(ctx).step(self._den,
-                                                         self._nums, k))
-        sigma, delta = ctx.sigma, ctx.delta
-        zero = ctx.ff.zero()
-        dz = delta.is_zero()
-        cs = self._cs
-        for _ in range(k):
-            out = [zero] * (len(cs) + 1)
-            for j, c in enumerate(cs):
-                if c.is_zero():
-                    continue
-                out[j + 1] = out[j + 1] + sigma.apply(c)
-                if not dz:
-                    out[j] = out[j] + delta.apply(c)
-            cs = out
-        return OrePoly(ctx, cs)
+        if not self._nums:
+            return self
+        return OrePoly._make(self.ctx, *_kernel(self.ctx).step(
+            self._den, self._nums, k))
 
     def __mul__(self, other):
         if isinstance(other, (int, RatFunc)):
@@ -422,29 +435,19 @@ class OrePoly:
         _same_ctx(self, other)
         if self.is_zero() or other.is_zero():
             return OrePoly.zero(self.ctx)
-        if self._den is not None:
-            # sum_i (N_i / D) x^i other over one denominator
-            # x^i other is advanced from the last nonzero term's power
-            p = _kernel(self.ctx).p
-            den, nums = [1], []
-            xk, k = other, 0
-            for i, a in enumerate(self._nums):
-                if a:
-                    if i > k:
-                        xk, k = xk._x_step(i - k), i
-                    den, nums = _over_lcm(den, nums, xk._den,
-                                          [_times(a, n, p) for n in xk._nums],
-                                          p)
-            return OrePoly._make(self.ctx, *_canon(
-                _times(den, self._den, p), nums, p))
-        acc = OrePoly.zero(self.ctx)
-        xk, k = other, 0
-        for i, a in enumerate(self._cs):
-            if not a.is_zero():
-                if i > k:
-                    xk, k = xk._x_step(i - k), i
-                acc = acc + xk.scale_left(a)
-        return acc
+        # sum_i (N_i / D) x^i other over one denominator
+        # x^i other is advanced from the last nonzero term's power
+        k = _kernel(self.ctx)
+        times = k.times
+        den, nums = k.one, []
+        xk, i0 = other, 0
+        for i, a in enumerate(self._nums):
+            if a:
+                if i > i0:
+                    xk, i0 = xk._x_step(i - i0), i
+                den, nums = k.over_lcm(den, nums, xk._den,
+                                       [times(a, n) for n in xk._nums])
+        return OrePoly._make(self.ctx, *k.canon(times(den, self._den), nums))
 
     def __rmul__(self, other):
         # scalar * poly only; poly * poly goes through __mul__
@@ -476,33 +479,7 @@ class OrePoly:
     # -- division ------------------------------------------------------------
 
     def right_quo_rem(self, g):
-        """(q, r) with self = q*g + r and deg r < deg g."""
-        _same_ctx(self, g)
-        if g.is_zero():
-            raise DivisionByZero("right division by zero")
-        ctx = self.ctx
-        dg = g.degree
-        dr = self.degree
-        if dr < dg:
-            return OrePoly.zero(ctx), self
-        # cache x^k * g for every k that can appear
-        xg = [g]
-        for _ in range(dr - dg):
-            xg.append(xg[-1]._x_step())
-        if self._den is not None:
-            return self._right_pseudo_division(xg)
-        lg = g.lc()
-        r = self
-        q = [ctx.ff.zero()] * (dr - dg + 1)
-        while not r.is_zero() and r.degree >= dg:
-            m = r.degree - dg
-            c = r.lc() / ctx.sigma.apply(lg, m)
-            q[m] = q[m] + c
-            r = r - xg[m].scale_left(c)
-        return OrePoly(ctx, q), r
-
-    def _right_pseudo_division(self, xg):
-        """right_quo_rem over k(t), given xg[k] = x^k g.
+        """(q, r) with self = q*g + r and deg r < deg g.
 
         q and r share one denominator.  Removing the leading term of r by
         c x^m g with c = (rt / den) / (gt / gd), where rt / den and
@@ -510,70 +487,60 @@ class OrePoly:
         and r by gt and adds rt gd to q's numerator at x^m: the steps
         stay polynomial, and each result is reduced once at the end.
         """
-        p = _kernel(self.ctx).p
-        dg = xg[0].degree
+        _same_ctx(self, g)
+        if g.is_zero():
+            raise DivisionByZero("right division by zero")
+        ctx = self.ctx
+        dg = g.degree
+        if self.degree < dg:
+            return OrePoly.zero(ctx), self
+        # cache x^k * g for every k that can appear
+        xg = [g]
+        for _ in range(self.degree - dg):
+            xg.append(xg[-1]._x_step())
+        k = _kernel(ctx)
+        times, sub = k.times, k.sub
         den, rn = self._den, list(self._nums)
-        qn = [[] for _ in xg]
+        qn = [k.zero for _ in xg]
         while len(rn) > dg:
             m = len(rn) - 1 - dg
             gd, gn = xg[m]._den, xg[m]._nums
             gt, rt = gn[-1], rn[-1]
-            rn = _trim([_sub(_times(gt, a, p), _times(rt, b, p), p)
+            rn = _trim([sub(times(gt, a), times(rt, b))
                         for a, b in zip(rn, gn)])
-            qn = [_times(gt, a, p) for a in qn]
-            qn[m] = _add(qn[m], _times(rt, gd, p), p)
-            den = _times(den, gt, p)
-        return (OrePoly._make(self.ctx, *_canon(den, qn, p)),
-                OrePoly._make(self.ctx, *_canon(den, rn, p)))
+            qn = [times(gt, a) for a in qn]
+            qn[m] = k.add(qn[m], times(rt, gd))
+            den = times(den, gt)
+        return (OrePoly._make(ctx, *k.canon(den, qn)),
+                OrePoly._make(ctx, *k.canon(den, rn)))
 
     def left_quo_rem(self, g):
-        """(q, r) with self = g*q + r and deg r < deg g."""
+        """(q, r) with self = g*q + r and deg r < deg g.
+
+        The leading coefficient of g c x^m is lc(g) sigma^dg(c), so the
+        step that removes the leading term rt / den of r takes
+        c = sigma^-dg((rt gd) / (den gt)), with gt / gd = lc(g): the
+        images of the two products, reduced once.  q collects the terms
+        c x^m over one denominator and is reduced at the end.
+        """
         _same_ctx(self, g)
         if g.is_zero():
             raise DivisionByZero("left division by zero")
         ctx = self.ctx
         dg = g.degree
-        dr = self.degree
-        if dr < dg:
+        if self.degree < dg:
             return OrePoly.zero(ctx), self
-        if self._den is not None:
-            return self._left_division(g)
-        lg_inv = g.lc().inverse()
-        r = self
-        q = [ctx.ff.zero()] * (dr - dg + 1)
-        while not r.is_zero() and r.degree >= dg:
-            m = r.degree - dg
-            # leading coefficient of g * (c x^m) is lc(g) * sigma^dg(c)
-            c = ctx.sigma.apply(lg_inv * r.lc(), -dg)
-            q[m] = q[m] + c
-            mono = OrePoly(ctx, (ctx.ff.zero(),) * m + (c,))
-            r = r - g * mono
-        return OrePoly(ctx, q), r
-
-    def _left_division(self, g):
-        """left_quo_rem over k(t).
-
-        The leading coefficient of g c x^m is lc(g) sigma^dg(c), so the
-        step that removes the leading term rt / den of r takes
-        c = sigma^-dg((rt gd) / (den gt)), with gt / gd = lc(g): the
-        Moebius images of the two products, reduced once.  q collects the
-        terms c x^m over one denominator and is reduced at the end.
-        """
-        ctx = self.ctx
-        kern = _kernel(ctx)
-        p, dg = kern.p, g.degree
+        k = _kernel(ctx)
         gd, gt = g._den, g._nums[-1]
-        r, qden, qn = self, [1], []
+        r, qden, qn = self, k.one, []
         while r.degree >= dg:
             m = r.degree - dg
-            cn, cd = _times(r._nums[-1], gd, p), _times(r._den, gt, p)
-            if dg and kern.kind in ("aut", "sd"):
-                top = max(len(cn), len(cd)) - 1
-                cn, cd = kern._sigma([cn, cd], top, -dg)
-            mono = OrePoly._make(ctx, *_canon(cd, [[]] * m + [cn], p))
-            qden, qn = _over_lcm(qden, qn, mono._den, mono._nums, p)
+            cn, cd = k.sigma.numerators([k.times(r._nums[-1], gd),
+                              k.times(r._den, gt)], -dg)
+            mono = OrePoly._make(ctx, *k.canon(cd, [k.zero] * m + [cn]))
+            qden, qn = k.over_lcm(qden, qn, mono._den, mono._nums)
             r = r - g * mono
-        return OrePoly._make(ctx, *_canon(qden, qn, p)), r
+        return OrePoly._make(ctx, *k.canon(qden, qn)), r
 
     # -- printing -------------------------------------------------------------
 
@@ -613,14 +580,11 @@ def left_monic(f, *others):
     """[c f, c g, ...] for c = lc(f)^{-1}, so that c f is monic."""
     if f.is_monic():
         return [f, *others]
-    if f._den is None:
-        c = f.lc().inverse()
-        return [h.scale_left(c) for h in (f,) + others]
     # lc(f) = N_n / D, so c f = (1 / N_n) sum N_j x^j
-    p = _kernel(f.ctx).p
+    k = _kernel(f.ctx)
     an, ad = f._den, f._nums[-1]
-    return [OrePoly._make(f.ctx, *_canon(ad, list(f._nums), p))] + [
-        h._scale_ints(an, ad) if h else h for h in others]
+    return [OrePoly._make(f.ctx, *k.canon(ad, list(f._nums)))] + [
+        h._scale(an, ad) if h else h for h in others]
 
 
 def gcrd(f, g):
@@ -645,8 +609,10 @@ def gcld(f, g):
         a, b = b, a.left_quo_rem(b)[1]
     if a.is_zero() or a.is_monic():
         return a
-    c = a.ctx.sigma.apply(a.lc().inverse(), -a.degree)
-    return a * OrePoly.const(a.ctx, c)
+    # lc(a) = N_n / D, so c = sigma^-deg(D / N_n)
+    k = _kernel(a.ctx)
+    cn, cd = k.sigma.numerators([a._den, a._nums[-1]], -a.degree)
+    return a * OrePoly._make(a.ctx, *k.canon(cd, [cn]))
 
 
 def lclm(f, g):

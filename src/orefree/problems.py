@@ -317,6 +317,7 @@ def parse_problem(text):
                 opt_kw[tail] = int(sval)
             elif tail == "witness":
                 opt_kw["witness"] = parse_field_expr(ff, val, lineno, vcol0)
+                witness_at = lineno, vcol0 + 1 + len(val) - len(val.lstrip())
             else:
                 raise ParseError("unknown option %r" % tail, lineno, kcol)
         else:
@@ -344,7 +345,7 @@ def parse_problem(text):
         delta = SkewDerivation.zero(ff, sigma)
     pair = SkewPair(sigma, delta, e_gens)
     if "witness" in opt_kw and opt_kw["witness"].is_zero():
-        raise ParseError("option.witness must be nonzero", 1, 1)
+        raise ParseError("option.witness must be nonzero", *witness_at)
     return ProblemSpec(pair, ClassifyOptions(**opt_kw))
 
 

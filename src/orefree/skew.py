@@ -309,26 +309,36 @@ class SkewEndo:
                 "sigma acts on %r, not on %r" % (self.ff, f.ff))
         if n == 0 or self.is_identity():
             return f
+        if self.ff.nvars > 1:
+            num, den = self.numerators([f.num, f.den], n)
+            return RatFunc(num, den, reduce=not self._is_poly)
+        p = self.ff.char
+        (num, sn), (den, sd) = _dense(f.num.terms, p), _dense(f.den.terms, p)
+        num, den = self.numerators([num, den], n)
+        return RatFunc(_from_dense(self.ff, num, sn),
+                       _from_dense(self.ff, den, sd), reduce=False)
+
+    def numerators(self, polys, n):
+        """[F_f for f in polys] with sigma^n(f / d) = F_f / F_d for any two
+        of them: dense int lists over k(t), MPolys in several variables.
+
+        Over k(t) F_f = f(A / B) B^m, m the largest degree, and coprime f, d
+        stay coprime: at a common root r, B(r) = 0 leaves lc A(r)^m != 0 in
+        the F of degree m, and B(r) != 0 makes A(r) / B(r) a common root of
+        f and d.  In several variables so does a sigma polynomial both ways.
+        """
+        if n == 0 or self._is_identity:
+            return polys
         if self.ff.nvars == 1:
-            # sigma^n(N / D) = H(N) / H(D) with H(N) = N(A / B) B^m, m the
-            # larger degree.  Coprime again: at a common root r, B(r) = 0
-            # leaves lc A(r)^m != 0 in the H of degree m, and B(r) != 0
-            # makes A(r) / B(r) a common root of N and D.
-            p = self.ff.char
-            num, sn = _dense(f.num.terms, p)
-            den, sd = _dense(f.den.terms, p)
-            m = max(len(num), len(den)) - 1
+            m = max(map(len, polys)) - 1
             a, bpow = self.moebius_table(n, m)
-            return RatFunc(
-                _from_dense(self.ff, _compose(num, a, bpow, m, p), sn),
-                _from_dense(self.ff, _compose(den, a, bpow, m, p), sd),
-                reduce=False)
+            return [_compose(f, a, bpow, m, self.ff.char) for f in polys]
         imgs = self._power_images(n)
-        if self._is_poly:
-            num = f.num.substitute_poly([g.num for g in imgs])
-            den = f.den.substitute_poly([g.num for g in imgs])
-            return RatFunc(num, den, reduce=False)
-        return f.substitute(imgs)
+        nums, dens, top = [g.num for g in imgs], None, None
+        if not self._is_poly:
+            dens = [g.den for g in imgs]
+            top = [max(ks) for ks in zip(*(e for f in polys for e in f.terms))]
+        return [f.substitute_poly(nums, dens, top) for f in polys]
 
     def fixed_power_check(self, n):
         """True when sigma^n is the identity on all generators."""
@@ -447,7 +457,7 @@ class SkewPair:
     Declared constant generators are verified against psi at construction.
     """
 
-    # _kernel: the one-variable x-step data of orepoly, built on first use
+    # _kernel: orepoly's polynomial ring and x-step, built on first use
     __slots__ = ("sigma", "delta", "e_generators", "_kernel")
 
     def __init__(self, sigma, delta, e_generators=()):

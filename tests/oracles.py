@@ -167,7 +167,7 @@ def ore_to_commutative(frac, biv):
         for i, c in enumerate(p.coeffs):
             if c.is_zero():
                 continue
-            val = c.num.substitute(gens) / c.den.substitute(gens)
+            val = c.substitute(gens)
             acc = acc + val * x ** i
         return acc
 

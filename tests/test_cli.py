@@ -155,6 +155,17 @@ def test_parse_error_exits_one_with_position(tmp_path, capsys):
     assert doc["position"] == {"line": 3, "col": 13}
 
 
+def test_zero_witness_reports_its_own_position(tmp_path, capsys):
+    # the option's line and the column of its value, not line 1, col 1
+    path = problem_file(tmp_path, SHIFT + "option.witness:   0\n")
+    code, out, _ = run_cli(capsys, "classify", path)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "ParseError"
+    assert "option.witness must be nonzero" in doc["detail"]
+    assert doc["position"] == {"line": 5, "col": 19}
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", str(tmp_path / "none.ore"))
     assert code == 1

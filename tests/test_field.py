@@ -143,6 +143,22 @@ def test_poly_gcd_frozen_example():
     assert poly_gcd(qb, g) == QTU.poly_one()  # qb = t+1, coprime to t+u
 
 
+@pytest.mark.parametrize("char", [0, 7])
+def test_poly_gcd_of_planted_factors_in_two_variables(char):
+    # gcd(f x, f y) = f for coprime x, y: a gcd with no constant term
+    # (t + s -> z + z^B under Kronecker substitution), monomial content, and
+    # inputs whose images share z - 1, which the gcd lacks, so that the
+    # remainder sequence decides
+    ff = FunctionField(char, ["t", "s"])
+    t, s = ff.poly_var("t"), ff.poly_var("s")
+    for f, x, y in [(t + s, t - 1, s + 3),
+                    ((t + s) * (t + 2 * s + 1), t * t + 1, s - 2),
+                    (t * s * (t + s), t - 1, s * s + 2),
+                    (ff.poly_one(), t - 1, s - 1),
+                    (3 * t + s, t - 1, s - 1)]:
+        assert poly_gcd(f * x, f * y) == f.monic()
+
+
 def test_poly_gcd_random_divides_both():
     rng = random.Random(7042)
     for ff in (QT, QTU, F5T, FunctionField(3, ["x", "y"])):

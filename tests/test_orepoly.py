@@ -1,5 +1,6 @@
 """Skew polynomial arithmetic, divisions, gcrd and lclm."""
 
+import copy
 import random
 
 import pytest
@@ -155,6 +156,13 @@ def test_context_mixing_rejected():
             OrePoly.from_coeffs(ctx, [home.one(), a])
         with pytest.raises(CharacteristicMismatch):
             OreFraction.from_poly(f) + a
+    # in several variables too, already at construction
+    ctx, foreign = two_variable_pair(), FunctionField(7, ["t", "u"])
+    a = foreign.var("t") / (foreign.var("u") + 2)
+    with pytest.raises(CharacteristicMismatch):
+        OrePoly(ctx, [a, ctx.ff.one()])
+    with pytest.raises(CharacteristicMismatch):
+        OrePoly.x(ctx).scale_left(a)
 
 
 def test_gcrd_frozen():
@@ -201,7 +209,7 @@ def test_lclm_frozen():
 
 
 def two_variable_pair():
-    """Q(t, u) under t -> t + 1, u -> 2u: coefficients stored as RatFuncs."""
+    """Q(t, u) under t -> t + 1, u -> 2u, a polynomial automorphism."""
     ff = FunctionField(0, ["t", "u"])
     t, u = ff.var("t"), ff.var("u")
     return SkewPair.automorphism(SkewEndo(ff, [t + 1, 2 * u], [t - 1, u / 2]))
@@ -223,12 +231,10 @@ def test_lclm_properties_random():
     for ctx in (shift_pair(), weyl_pair(), scale2_pair(),
                 kernel_context(5, "double"), kernel_context(0, "mixed"),
                 two_variable_pair()):
-        # RatFunc arithmetic in two variables is slow at degree 2
-        deg = 2 if ctx.ff.nvars == 1 else 1
         one = OrePoly.one(ctx)
         for _ in range(10):
-            f = rand_orepoly(rng, ctx, max_deg=deg)
-            g = rand_orepoly(rng, ctx, max_deg=deg)
+            f = rand_orepoly(rng, ctx, max_deg=2)
+            g = rand_orepoly(rng, ctx, max_deg=2)
             if f.is_zero() or g.is_zero():
                 continue
             check_lclm(f, g)
@@ -287,16 +293,25 @@ def test_printing():
     assert str(OrePoly.x_pow(ctx, 3)) == "X^3"
 
 
-# -- the fraction-free form over k(t) against coefficient-wise RatFuncs -------
+# -- the fraction-free form against coefficient-wise RatFuncs -----------------
 
 KERNEL_CONTEXTS = ["shift", "double", "mobius3", "ddt", "t2ddt", "mixed"]
+
+# one two-variable context per kernel kind, keyed (char, name)
+KERNEL_CONTEXTS_2 = [(0, "comm2"), (7, "diag7"), (0, "shift2"), (0, "twist"),
+                     (0, "ac"), (0, "acq"), (0, "qts")]
+
+KERNEL_CASES = [(c, n) for c in (0, 5) for n in KERNEL_CONTEXTS] \
+    + KERNEL_CONTEXTS_2
 
 
 def kernel_context(char, name):
     """Q(t) or F_5(t) with one of the contexts the one-variable kernel
     distinguishes: polynomial and Moebius automorphisms (t -> -1/(t+1)
     has order 3), derivations, the sigma-derivation of mixed.ore, and the
-    commutative ring."""
+    commutative ring; or a two-variable context of KERNEL_CONTEXTS_2."""
+    if (char, name) in KERNEL_CONTEXTS_2:
+        return two_variable_context(name)
     ff = QT if char == 0 else FunctionField(char, ["t"])
     t = ff.var("t")
     ident = SkewEndo.identity(ff)
@@ -315,6 +330,31 @@ def kernel_context(char, name):
     return SkewPair.derivation(SkewDerivation(ff, [image], ident))
 
 
+def two_variable_context(name):
+    """comm2: Q(t, u) commutative; diag7 and shift2: polynomial
+    automorphisms; twist: (t, u) -> (t, t u), whose inverse u -> u / t is
+    rational; ac and acq: delta(a) = c and delta(a) = c / (a + 1); qts: the
+    sigma-derivation of mixed_qts_pair."""
+    if name in ("comm2", "twist"):
+        ff = FunctionField(0, ["t", "u"])
+        t, u = ff.gens()
+        if name == "comm2":
+            return SkewPair.commutative(ff)
+        return SkewPair.automorphism(SkewEndo(ff, [t, t * u], [t, u / t]))
+    if name == "acq":
+        ff = FunctionField(0, ["a", "c"])
+        a, c = ff.gens()
+        return SkewPair.derivation(SkewDerivation(
+            ff, [c / (a + 1), ff.zero()], SkewEndo.identity(ff)))
+    return {"diag7": diag7_pair, "shift2": two_variable_pair, "ac": ac_pair,
+            "qts": mixed_qts_pair}[name]()
+
+
+def stored_form(p):
+    """A deep copy of the stored (den, nums), to compare after use."""
+    return copy.deepcopy((p._den, p._nums))
+
+
 def nonzero_orepoly(rng, ctx, max_deg):
     coeffs = [random_ratfunc(rng, ctx.ff, max_deg=1, max_terms=2)
               for _ in range(rng.randint(0, max_deg))]
@@ -328,8 +368,7 @@ def assert_coeffs(p, ref):
     assert got == [(c.num.terms, c.den.terms) for c in ref]
 
 
-@pytest.mark.parametrize("name", KERNEL_CONTEXTS)
-@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("char,name", KERNEL_CASES)
 def test_fraction_free_kernel_matches_reference(char, name):
     ctx = kernel_context(char, name)
     rng = random.Random("kernel:%d:%s" % (char, name))
@@ -337,6 +376,7 @@ def test_fraction_free_kernel_matches_reference(char, name):
         f = nonzero_orepoly(rng, ctx, 3)
         g = nonzero_orepoly(rng, ctx, 1)
         fc, gc = f.coeffs, g.coeffs
+        stored = [stored_form(p) for p in (f, g)]
         assert_coeffs(f * g, ref_ore_mul(ctx, fc, gc))
         assert_coeffs(g * f, ref_ore_mul(ctx, gc, fc))
         q, r = f.right_quo_rem(g)
@@ -363,22 +403,24 @@ def test_fraction_free_kernel_matches_reference(char, name):
         assert ref_ore_left_quo_rem(ctx, hf, d.coeffs)[1] == []
         assert ref_ore_left_quo_rem(ctx, hg, d.coeffs)[1] == []
         assert ref_ore_left_quo_rem(ctx, d.coeffs, h.coeffs)[1] == []
+        assert [stored_form(p) for p in (f, g)] == stored
 
 
-@pytest.mark.parametrize("name", KERNEL_CONTEXTS)
-@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("char,name", KERNEL_CASES)
 def test_products_by_one_leave_operands_unchanged(char, name):
     # monic operands with polynomial coefficients make the kernel's
-    # products by [1], which it skips, handing a factor on as it is: no
-    # operand's lists may change, and every result matches the reference
+    # products by one, which it skips, handing a factor on as it is: no
+    # operand's polynomials may change, and every result matches the
+    # reference
     ctx = kernel_context(char, name)
     t = ctx.ff.var(0)
     rng = random.Random("ones:%d:%s" % (char, name))
     monic = OrePoly(ctx, [ctx.ff.one(), t, ctx.ff.one()])
+    # in two variables an lclm of degree 5 takes tens of seconds
+    deg = 3 if ctx.ff.nvars == 1 else 2
     for _ in range(3):
-        g = nonzero_orepoly(rng, ctx, 3)
-        snapshot = [(list(p._den), [list(n) for n in p._nums])
-                    for p in (monic, g)]
+        g = nonzero_orepoly(rng, ctx, deg)
+        snapshot = [stored_form(p) for p in (monic, g)]
         mc, gc = monic.coeffs, g.coeffs
         assert_coeffs(monic * g, ref_ore_mul(ctx, mc, gc))
         assert_coeffs(g * monic, ref_ore_mul(ctx, gc, mc))
@@ -432,8 +474,8 @@ def ac_pair():
 
 @pytest.mark.parametrize("make_pair", [diag7_pair, ac_pair])
 def test_left_division_in_several_variables(make_pair):
-    # in several variables left_quo_rem takes its generic RatFunc branch,
-    # which gcld reaches; the fraction-free tests above run over k(t)
+    # left_quo_rem on MPoly numerators, through gcld as well; the kernel
+    # tests above run the same contexts against the RatFunc reference
     rng = random.Random(27)
     ctx = make_pair()
     checked = 0

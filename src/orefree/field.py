@@ -721,8 +721,7 @@ def poly_gcd(a, b):
             return _from_dense(ff, _uni_gcd_p(la, lb, p), 1, v)
         g = _uni_gcd_q(la, lb)
         return _from_dense(ff, g, g[-1], v)
-    # a second substitution, one degree wider, moves the common cyclotomic
-    # factors that binomials such as t + s -> z + z^B bring
+    # one degree wider moves cyclotomic factors such as of t + s -> z + z^B
     for extra in (0, 1):
         g = _kronecker_gcd(a, b, extra)
         if g is not None:

@@ -43,7 +43,6 @@ checked on every run.  A greatest common left divisor (via left-division
 Euclid) supports cancellation inside left fractions.
 """
 
-import functools
 import itertools
 import math
 import operator
@@ -75,9 +74,9 @@ def _check_terms(worst):
 
 class _Kernel:
     """x^k * (sum N_j / D x^j) for one context, in the ring a subclass
-    gives: ``zero``, ``one``, ``add``, ``sub``, ``times``, ``cofactors``,
-    ``canon``, ``partial``, ``_split``, ``mpoly`` and ``coprime_sigma``,
-    true when sigma keeps coprime numerators coprime."""
+    gives (``zero``, ``one``, ``add``, ``sub``, ``neg``, ``times``,
+    ``cofactors``, ``canon``, ``_split``, ``mpoly``, ``partial`` or
+    ``_derive``); ``coprime_sigma``: sigma keeps coprime numerators so."""
 
     def __init__(self, ctx):
         ff, sigma, delta = ctx.ff, ctx.sigma, ctx.delta
@@ -97,9 +96,6 @@ class _Kernel:
                     self.cd, cn = self.over_lcm(self.cd, cn, d,
                                                 [self.zero] * i + [n])
                 self.cis = [(i, c) for i, c in enumerate(cn) if c]
-
-    def neg(self, a):
-        return self.sub(self.zero, a)
 
     def cleared(self, c):
         """(n, d) with c = n / d, for c in the context's field only."""
@@ -171,14 +167,22 @@ class _IntKernel(_Kernel):
     _split = staticmethod(_cleared)
 
     def __init__(self, ctx):
-        p = self.p = ctx.ff.char
-        self.add, self.sub = (functools.partial(f, p=p) for f in (_add, _sub))
+        self.p = ctx.ff.char
         super().__init__(ctx)
 
+    def add(self, a, b):
+        return _add(a, b, self.p)
+
+    def sub(self, a, b):
+        return _sub(a, b, self.p)
+
+    def neg(self, a):
+        p = self.p
+        return [-x % p for x in a] if p else [-x for x in a]
+
     def times(self, a, b):
-        """a * b as _mul gives it, with the product skipped when a factor
-        is [1]: the other factor itself then comes back, so the result is
-        only read, never mutated in place."""
+        """a * b as _mul gives it, skipped when a factor is [1]: the other
+        factor itself comes back, so results are read, never mutated."""
         if a == [1]:
             return b
         if b == [1]:
@@ -216,8 +220,8 @@ class _IntKernel(_Kernel):
                          + max(len(n) - n.count(0) for n in nums))
         return den, nums
 
-    def partial(self, n, i):
-        return _derivative(n, self.p)
+    def _derive(self, n):
+        return self.times(self.cis[0][1], _derivative(n, self.p))
 
     def mpoly(self, n):
         return _from_dense(self.ff, n)
@@ -226,7 +230,7 @@ class _IntKernel(_Kernel):
 class _MPolyKernel(_Kernel):
     """The kernel in several variables: MPolys."""
 
-    add, sub = operator.add, operator.sub
+    add, sub, neg = operator.add, operator.sub, operator.neg
     _split = operator.attrgetter("num", "den")
     partial = staticmethod(MPoly.partial)
 

@@ -122,9 +122,9 @@ def _least_period(n, factors, returns):
 class SkewEndo:
     """k-automorphism of K with verified inverse.
 
-    In several variables it is applied by substitution of the images of
-    each power; over k(t) by the Moebius matrix of each power (see
-    :meth:`moebius_table`), which orepoly and valuation read too.
+    Applied by substitution of each power's images in several variables,
+    by each power's Moebius matrix over k(t) (:meth:`moebius_table`, read
+    by valuation too); orepoly maps numerators by :meth:`numerators`.
     """
 
     # _moebius: power n -> moebius_table entry, in one variable;

@@ -30,6 +30,7 @@ substitution onto those, proved by division, and where that cannot tell
 a primitive PRS with recursion on contents.
 """
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -411,6 +412,8 @@ class MPoly(_RingElement):
         _check_same_field(self, g)
         if self.is_zero():
             return self.ff.poly_zero()
+        if g.is_const():
+            return self.scalar_mul(self.ff.base.inv(g.const_value()))
         if self.ff.nvars == 1:
             # the dividend is scaled by s = lc^(n-m+1) over Q: s * self =
             # quo * g exactly when the integer remainder is zero
@@ -421,13 +424,18 @@ class MPoly(_RingElement):
                 return None
             s = 1 if p else d[-1] ** len(quo)
             return _from_dense(self.ff, [c * sd for c in quo], sr * s)
+        # the remainder's exponents in a heap, by negated grlex key
         base = self.ff.base
         ge, gc = g.leading()
         gcinv = base.inv(gc)
         rem = dict(self.terms)
+        heap = [(-sum(e), tuple(-k for k in e)) for e in rem]
+        heapq.heapify(heap)
         quo = {}
-        while rem:
-            re = max(rem, key=_grlex_key)
+        while heap:
+            re = tuple(-k for k in heapq.heappop(heap)[1])
+            if re not in rem:
+                continue
             qe = tuple(map(int.__sub__, re, ge))
             if any(k < 0 for k in qe):
                 return None
@@ -436,6 +444,8 @@ class MPoly(_RingElement):
             # rem -= (qc * x^qe) * g
             for e, c in g.terms.items():
                 te = tuple(map(int.__add__, qe, e))
+                if te not in rem:
+                    heapq.heappush(heap, (-sum(te), tuple(-k for k in te)))
                 s = base.sub(rem.get(te, 0), base.mul(qc, c))
                 if s:
                     rem[te] = s

@@ -27,10 +27,12 @@ sigma^k(D) is two numerators over one shared factor, which
 sum n_k A^k B^(m-k), for m >= deg n, deg D, in several variables by
 substitution.  A sigma-derivation is fixed by its images, so
 
-    delta = c (sigma - id),          c = delta.inner,    sigma != id,
-    delta = sum_i c_i d/dy_i,        c_i = delta(y_i),   sigma = id,
+    delta = c (sigma - id),          c = cn / cd,        sigma != id,
+    delta = D / cd,   D = sum_i cn_i d/dy_i,             sigma = id,
 
-with c as :mod:`skew` proves and the c_i over one denominator.
+with c as :mod:`skew` proves, cd the lcm of the delta(y_i)'s denominators
+and cn_i = delta(y_i) cd, formed once by ``SkewDerivation``, whose
+``derive`` is D on numerators as ``SkewEndo.numerators`` is sigma^k.
 
 Greatest common right divisors come from the right Euclidean algorithm;
 least common left multiples from its extended form (the cofactor of f
@@ -45,16 +47,12 @@ Euclid) supports cancellation inside left fractions.
 
 import itertools
 import math
-import operator
 
 from . import config
 from .errors import ContextMismatch, DivisionByZero, ResourceBoundExceeded
-from .field import (
-    MPoly, RatFunc, _check_same_field, _cleared, _from_dense, poly_gcd,
-)
-from .intpoly import (
-    _add, _derivative, _gcd_cofactors, _mul, _sub, _trim,
-)
+from .field import RatFunc, _check_same_field
+from .intpoly import _gcd_cofactors, _trim
+from .skew import _IntRing, _MPolyRing
 
 
 def _same_ctx(a, b):
@@ -73,34 +71,27 @@ def _check_terms(worst):
 # ---------------------------------------------------------------------------
 
 class _Kernel:
-    """x^k * (sum N_j / D x^j) for one context, in the ring a subclass
-    gives (``zero``, ``one``, ``add``, ``sub``, ``neg``, ``times``,
-    ``cofactors``, ``canon``, ``_split``, ``mpoly``, ``partial`` or
-    ``_derive``); ``coprime_sigma``: sigma keeps coprime numerators so."""
+    """x^k * (sum N_j / D x^j) for one context, in the numerator ring of
+    :mod:`skew` that a subclass extends by ``canon``; ``coprime_sigma``:
+    sigma keeps coprime numerators so.  delta's cn, cd and D on numerators
+    are the context's ``SkewDerivation``'s."""
 
     def __init__(self, ctx):
-        ff, sigma, delta = ctx.ff, ctx.sigma, ctx.delta
-        self.ff, self.sigma = ff, sigma
+        sigma, delta = ctx.sigma, ctx.delta
+        super().__init__(ctx.ff)
+        self.sigma = sigma
+        self.coprime_sigma = ctx.ff.nvars == 1 or sigma._is_poly
         self.kind = "comm"
         if not sigma.is_identity():
             self.kind = "aut"
         if not delta.is_zero():
-            if self.kind == "aut":
-                self.kind = "sd"
-                self.cn, self.cd = self.cleared(delta.inner)
-            else:
-                # delta(y_i) = cn[i] / cd over the lcm of their denominators
-                self.kind, self.cd, cn = "der", self.one, []
-                for i, c in enumerate(delta.images):
-                    n, d = self.cleared(c)
-                    self.cd, cn = self.over_lcm(self.cd, cn, d,
-                                                [self.zero] * i + [n])
-                self.cis = [(i, c) for i, c in enumerate(cn) if c]
+            self.kind = "sd" if self.kind == "aut" else "der"
+            self.cn, self.cd, self.derive = delta.cn, delta.cd, delta.derive
 
     def cleared(self, c):
         """(n, d) with c = n / d, for c in the context's field only."""
         _check_same_field(self, c)
-        return self._split(c)
+        return self.split(c)
 
     def over_lcm(self, d1, n1, d2, n2):
         """(den, nums) with nums[j] / den = n1[j] / d1 + n2[j] / d2, den the
@@ -130,67 +121,25 @@ class _Kernel:
         """The canonical form of x * (sum nums[j] / den x^j), delta != 0."""
         times, sub = self.times, self.sub
         if self.kind == "der":
-            # x a = a x + delta(a), a = n / den, delta = D / cd for D =
-            # sum_i cn[i] d/dy_i: delta(a) = (den D(n) - n D(den)) / cd den^2
-            dd = self._derive(den)
-            lo = [sub(times(den, self._derive(n)), times(n, dd))
-                  for n in nums]
-            cd_den = times(self.cd, den)
-            hi = [times(n, cd_den) for n in nums]
-            den = times(times(den, den), self.cd)
+            # x a = a x + delta(a): (den D(n) - n D(den)) / cd den^2
+            dd = self.derive(den)
+            lo = [sub(times(den, self.derive(n)), times(n, dd)) for n in nums]
+            sden, hi = den, nums
         else:
             sden, *hi = self.sigma.numerators([den] + nums, 1)
             # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden
             lo = [times(self.cn, sub(times(s, den), times(n, sden)))
                   for s, n in zip(hi, nums)]
-            cd_den = times(self.cd, den)
-            hi = [times(s, cd_den) for s in hi]
-            den = times(times(sden, den), self.cd)
+        cd_den = times(self.cd, den)
+        hi = [times(s, cd_den) for s in hi]
+        den = times(times(sden, den), self.cd)
         zero = self.zero
         out = [self.add(a, b) for a, b in zip(lo + [zero], [zero] + hi)]
         return self.canon(den, out)
 
-    def _derive(self, n):
-        """D(n) = sum_i cn[i] dn/dy_i."""
-        (i, c), *rest = self.cis
-        out = self.times(c, self.partial(n, i))
-        for i, c in rest:
-            out = self.add(out, self.times(c, self.partial(n, i)))
-        return out
 
-
-class _IntKernel(_Kernel):
+class _IntKernel(_Kernel, _IntRing):
     """The kernel over k(t): dense int lists, mod p over F_p."""
-
-    zero, one = [], [1]
-    coprime_sigma = True
-    _split = staticmethod(_cleared)
-
-    def __init__(self, ctx):
-        self.p = ctx.ff.char
-        super().__init__(ctx)
-
-    def add(self, a, b):
-        return _add(a, b, self.p)
-
-    def sub(self, a, b):
-        return _sub(a, b, self.p)
-
-    def neg(self, a):
-        p = self.p
-        return [-x % p for x in a] if p else [-x for x in a]
-
-    def times(self, a, b):
-        """a * b as _mul gives it, skipped when a factor is [1]: the other
-        factor itself comes back, so results are read, never mutated."""
-        if a == [1]:
-            return b
-        if b == [1]:
-            return a
-        return _mul(a, b, self.p)
-
-    def cofactors(self, polys):
-        return _gcd_cofactors(polys, self.p)[1]
 
     def canon(self, den, nums, coprime=False):
         """The canonical form of sum nums[j] / den x^j: nums is a fresh
@@ -220,41 +169,9 @@ class _IntKernel(_Kernel):
                          + max(len(n) - n.count(0) for n in nums))
         return den, nums
 
-    def _derive(self, n):
-        return self.times(self.cis[0][1], _derivative(n, self.p))
 
-    def mpoly(self, n):
-        return _from_dense(self.ff, n)
-
-
-class _MPolyKernel(_Kernel):
+class _MPolyKernel(_Kernel, _MPolyRing):
     """The kernel in several variables: MPolys."""
-
-    add, sub, neg = operator.add, operator.sub, operator.neg
-    _split = operator.attrgetter("num", "den")
-    partial = staticmethod(MPoly.partial)
-
-    def __init__(self, ctx):
-        self.zero, self.one = ctx.ff.poly_zero(), ctx.ff.poly_one()
-        self.coprime_sigma = ctx.sigma._is_poly
-        super().__init__(ctx)
-
-    def times(self, a, b):
-        """a * b, the product skipped when a factor is 1, as over k(t)."""
-        if a == self.one:
-            return b
-        if b == self.one:
-            return a
-        return a * b
-
-    def cofactors(self, polys):
-        g = self.zero
-        for f in polys:
-            if f:
-                g = poly_gcd(g, f)
-                if g.is_const():
-                    return polys
-        return [f.divide_exact(g) for f in polys]
 
     def canon(self, den, nums, coprime=False):
         """As over k(t), with the gcd of field.poly_gcd."""
@@ -269,9 +186,6 @@ class _MPolyKernel(_Kernel):
             den, nums = den.scalar_mul(c), [n.scalar_mul(c) for n in nums]
         _check_terms(len(den.terms) + max(len(n.terms) for n in nums))
         return den, nums
-
-    def mpoly(self, n):
-        return n
 
 
 def _kernel(ctx):

@@ -27,6 +27,12 @@ equivalent to the constraint above over all pairs of generators: they
 are its instances with b = y_j, and given them both sides of any pair
 are c*(sigma(y_i) - y_i)*(sigma(y_k) - y_k).
 
+Both act on numerators in one ring, int lists over k(t) and MPolys in
+several variables, which orepoly's kernel extends: ``SkewEndo.numerators``
+maps them by sigma^k, and a SkewDerivation keeps delta over one
+denominator, c = cn / cd or delta = D / cd with D = sum_i cn_i d/dy_i on
+numerators (``derive``).  Each ``apply`` forms one fraction from them.
+
 :class:`SkewPair` bundles (sigma, delta) acting on one field, the map
 psi = (sigma - 1) + delta whose kernel is the constant subring, and any
 declared constants (checked against psi).
@@ -66,11 +72,11 @@ such closed form and keep bounded iteration.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import (
-    CharacteristicMismatch,
     InconsistentDerivation,
     InvalidConstantDeclaration,
     ContextMismatch,
@@ -81,8 +87,14 @@ from .errors import (
     WrongCharacteristic,
     ZeroArgument,
 )
-from .field import RatFunc, _cleared, _dense, _from_dense
-from .intpoly import _compose, _mul, _prime_factors, _trim
+from .field import (
+    RatFunc, _check_same_field, _cleared, _common_denominator, _from_dense,
+    poly_gcd,
+)
+from .intpoly import (
+    _add, _compose, _derivative, _gcd_cofactors, _mul, _prime_factors, _sub,
+    _trim,
+)
 
 
 def _mat_mul(x, y, p):
@@ -119,6 +131,72 @@ def _least_period(n, factors, returns):
     return n, out
 
 
+class _IntRing:
+    """Numerators over k(t): dense int lists, mod p over F_p.  orepoly's
+    kernel extends it, and a SkewDerivation computes in it."""
+
+    zero, one = [], [1]
+    split = staticmethod(_cleared)
+
+    def __init__(self, ff):
+        self.ff, self.p = ff, ff.char
+
+    def add(self, a, b):
+        return _add(a, b, self.p)
+
+    def sub(self, a, b):
+        return _sub(a, b, self.p)
+
+    def neg(self, a):
+        p = self.p
+        return [-x % p for x in a] if p else [-x for x in a]
+
+    def times(self, a, b):
+        """a * b as _mul gives it, skipped when a factor is [1]: the other
+        factor itself comes back, so results are read, never mutated."""
+        if a == [1]:
+            return b
+        if b == [1]:
+            return a
+        return _mul(a, b, self.p)
+
+    def cofactors(self, polys):
+        return _gcd_cofactors(polys, self.p)[1]
+
+    def mpoly(self, n):
+        return _from_dense(self.ff, n)
+
+
+class _MPolyRing:
+    """Numerators in several variables: MPolys, as _IntRing over k(t)."""
+
+    add, sub, neg = operator.add, operator.sub, operator.neg
+    split = operator.attrgetter("num", "den")
+
+    def __init__(self, ff):
+        self.ff, self.zero, self.one = ff, ff.poly_zero(), ff.poly_one()
+
+    def times(self, a, b):
+        """a * b, the product skipped when a factor is 1, as over k(t)."""
+        if a == self.one:
+            return b
+        if b == self.one:
+            return a
+        return a * b
+
+    def cofactors(self, polys):
+        g = self.zero
+        for f in polys:
+            if f:
+                g = poly_gcd(g, f)
+                if g.is_const():
+                    return polys
+        return [f.divide_exact(g) for f in polys]
+
+    def mpoly(self, n):
+        return n
+
+
 class SkewEndo:
     """k-automorphism of K with verified inverse.
 
@@ -130,10 +208,11 @@ class SkewEndo:
     # _moebius: power n -> moebius_table entry, in one variable;
     # _order: (order or None when infinite, its prime factors), on first use
     __slots__ = ("ff", "images", "inverse_images", "_pow", "_moebius",
-                 "_order", "_is_poly", "_is_identity")
+                 "_order", "_is_poly", "_is_identity", "_ring")
 
     def __init__(self, ff, images, inverse_images):
         self.ff = ff
+        self._ring = (_IntRing if ff.nvars == 1 else _MPolyRing)(ff)
         self.images = self._as_image_list(ff, images)
         self.inverse_images = self._as_image_list(ff, inverse_images)
         gens = ff.gens()
@@ -304,19 +383,13 @@ class SkewEndo:
 
     def apply(self, f, n=1):
         """sigma^n(f) for any integer n (negative powers use the inverse)."""
-        if f.ff is not self.ff and f.ff != self.ff:
-            raise CharacteristicMismatch(
-                "sigma acts on %r, not on %r" % (self.ff, f.ff))
+        _check_same_field(self, f)
         if n == 0 or self.is_identity():
             return f
-        if self.ff.nvars > 1:
-            num, den = self.numerators([f.num, f.den], n)
-            return RatFunc(num, den, reduce=not self._is_poly)
-        p = self.ff.char
-        (num, sn), (den, sd) = _dense(f.num.terms, p), _dense(f.den.terms, p)
-        num, den = self.numerators([num, den], n)
-        return RatFunc(_from_dense(self.ff, num, sn),
-                       _from_dense(self.ff, den, sd), reduce=False)
+        r = self._ring
+        num, den = self.numerators(list(r.split(f)), n)
+        return RatFunc(r.mpoly(num), r.mpoly(den),
+                       reduce=self.ff.nvars > 1 and not self._is_poly)
 
     def numerators(self, polys, n):
         """[F_f for f in polys] with sigma^n(f / d) = F_f / F_d for any two
@@ -364,7 +437,7 @@ class SkewEndo:
     def __repr__(self):
         body = ", ".join("%s -> %s" % (nm, img)
                          for nm, img in zip(self.ff.names, self.images))
-        return "SkewEndo(%s)" % body
+        return "%s(%s)" % (type(self).__name__, body)
 
 
 class SkewDerivation:
@@ -373,81 +446,83 @@ class SkewDerivation:
     ``inner`` is c with delta = c*(sigma - id) when sigma != id, read off
     the first generator sigma moves and checked on every generator (module
     docstring), and None when sigma = id.
-    """
 
-    __slots__ = ("ff", "images", "twist", "inner")
+    ``cn`` and ``cd`` are delta over one denominator, formed once: cd the
+    lcm of the images' denominators and cn[i] = delta(y_i) cd when sigma =
+    id (cn = delta(t) cd over k(t)), c = cn / cd when twisted; apply and
+    orepoly's x-step read them."""
+
+    __slots__ = ("ff", "images", "twist", "inner", "cn", "cd", "_ring")
 
     def __init__(self, ff, images, twist):
         if twist.ff != ff:
             raise ContextMismatch("twist acts on %r, images live in %r"
                                   % (twist.ff, ff))
-        self.ff = ff
+        self.ff, self.twist = ff, twist
         self.images = SkewEndo._as_image_list(ff, images)
-        self.twist = twist
-        self.inner = None
+        self.inner = c = None
         moved = [s - y for s, y in zip(twist.images, ff.gens())]
         j = next((j for j, m in enumerate(moved) if not m.is_zero()), None)
-        if j is None:
-            return
-        self.inner = self.images[j] / moved[j]
-        for i, m in enumerate(moved):
-            if self.images[i] != self.inner * m:
-                raise InconsistentDerivation(
-                    "delta(%s) != c*(sigma(%s) - %s) with "
-                    "c = delta(%s) / (sigma(%s) - %s) = %s"
-                    % ((ff.names[i],) * 3 + (ff.names[j],) * 3
-                       + (self.inner,)))
+        if j is not None:
+            self.inner = c = self.images[j] / moved[j]
+            for i, m in enumerate(moved):
+                if self.images[i] != c * m:
+                    raise InconsistentDerivation(
+                        "delta(%s) != c*(sigma(%s) - %s) with "
+                        "c = delta(%s) / (sigma(%s) - %s) = %s"
+                        % ((ff.names[i],) * 3 + (ff.names[j],) * 3 + (c,)))
+        self._ring = twist._ring
+        if c is None and ff.nvars > 1:
+            self.cd, self.cn = _common_denominator(self.images)
+        else:
+            self.cn, self.cd = self._ring.split(
+                self.images[0] if c is None else c)
 
     @classmethod
     def zero(cls, ff, twist=None):
-        if twist is None:
-            twist = SkewEndo.identity(ff)
-        return cls(ff, [ff.zero()] * ff.nvars, twist)
+        return cls(ff, [ff.zero()] * ff.nvars, twist or SkewEndo.identity(ff))
 
     def is_zero(self):
         return all(g.is_zero() for g in self.images)
 
-    # -- application -------------------------------------------------------
-
-    def _apply_poly(self, p):
-        """delta(p) for a polynomial p, sigma = id: the chain rule through
-        formal partials."""
-        ff = self.ff
-        out = ff.zero()
-        for i in range(ff.nvars):
-            if not self.images[i].is_zero():
-                d = p.partial(i)
-                if not d.is_zero():
-                    out = out + RatFunc(d, ff.poly_one(),
-                                        reduce=False) * self.images[i]
-        return out
+    def derive(self, n):
+        """D(n) = sum_i cn[i] dn/dy_i for a numerator n, sigma = id."""
+        if self.ff.nvars == 1:
+            return self._ring.times(self.cn, _derivative(n, self.ff.char))
+        parts = ((c, n.partial(i)) for i, c in enumerate(self.cn) if c)
+        return sum((c * dn for c, dn in parts if dn), self.ff.poly_zero())
 
     def apply(self, f):
-        """delta(f): c*(sigma(f) - f) when twisted, else the quotient
-        rule."""
-        if self.is_zero():
+        """delta(f) for f = n / d as one fraction: (d D(n) - n D(d)) /
+        (cd d^2) when sigma = id, cn (sigma(n) b - n a) / (cd a d) when
+        twisted, a / b = sigma(d) / d in lowest terms.  Its numerator is
+        cancelled against each factor of the denominator in turn."""
+        _check_same_field(self, f)
+        if f.is_const() or self.is_zero():
             return self.ff.zero()
-        if self.inner is not None:
-            return self.inner * (self.twist.apply(f) - f)
-        dn = self._apply_poly(f.num)
-        if f.den.is_const():
-            c = f.den.const_value()
-            if c == self.ff.base.one():
-                return dn
-            return dn / self.ff.const(c)
-        dd = self._apply_poly(f.den)
-        n = RatFunc(f.num, self.ff.poly_one(), reduce=False)
-        d = RatFunc(f.den, self.ff.poly_one(), reduce=False)
-        return (dn * d - n * dd) / (d * d)
+        r = self._ring
+        n, d = r.split(f)
+        if self.inner is None and f.is_poly():
+            num, dens = self.derive(n), [self.cd, d]
+        elif self.inner is None:
+            num = r.sub(r.times(d, self.derive(n)), r.times(n, self.derive(d)))
+            dens = [self.cd, d, d]
+        else:
+            sn, sd = self.twist.numerators([n, d], 1)
+            a, b = r.cofactors([sd, d])
+            num = r.times(self.cn, r.sub(r.times(sn, b), r.times(n, a)))
+            dens = [self.cd, a, d]
+        den = r.one
+        for g in dens:
+            g, num = r.cofactors([g, num])
+            den = r.times(den, g)
+        return RatFunc(r.mpoly(num), r.mpoly(den), reduce=False)
 
     def __eq__(self, other):
         return (isinstance(other, SkewDerivation) and self.ff == other.ff
                 and self.images == other.images and self.twist == other.twist)
 
-    def __repr__(self):
-        body = ", ".join("%s -> %s" % (nm, img)
-                         for nm, img in zip(self.ff.names, self.images))
-        return "SkewDerivation(%s)" % body
+    __repr__ = SkewEndo.__repr__
 
 
 class SkewPair:

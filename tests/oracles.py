@@ -182,11 +182,38 @@ def series_xstep_sigma(ff, sigma, coeffs):
     return out
 
 
+def _ref_delta_poly(delta, p):
+    """delta(p) for a polynomial p, sigma = id: the chain rule through
+    formal partials, one RatFunc product per generator."""
+    ff = delta.ff
+    out = ff.zero()
+    for i, img in enumerate(delta.images):
+        if not img.is_zero():
+            d = p.partial(i)
+            if not d.is_zero():
+                out = out + RatFunc(d, ff.poly_one(), reduce=False) * img
+    return out
+
+
+def ref_delta_apply(delta, f):
+    """delta(f) on RatFuncs: c*(sigma(f) - f) when twisted, c =
+    delta.inner, else the quotient rule over the chain rule above.  The
+    reference for ``SkewDerivation.apply``, which forms one fraction over
+    numerators instead."""
+    if delta.inner is not None:
+        return delta.inner * (delta.twist.apply(f) - f)
+    one = delta.ff.poly_one()
+    n = RatFunc(f.num, one, reduce=False)
+    d = RatFunc(f.den, one, reduce=False)
+    return ((_ref_delta_poly(delta, f.num) * d
+             - n * _ref_delta_poly(delta, f.den)) / (d * d))
+
+
 def series_xstep_delta(ff, delta, coeffs):
     """One left multiplication by x when x c = c x + delta(c)."""
     out = []
     for s in range(len(coeffs)):
-        v = delta.apply(coeffs[s])
+        v = ref_delta_apply(delta, coeffs[s])
         if s > 0:
             v = v + coeffs[s - 1]
         out.append(v)
@@ -207,7 +234,7 @@ def series_xinv_step_delta(ff, delta, coeffs):
         k, sign = n, 1
         while k + 1 < len(coeffs) and not c.is_zero():
             out[k + 1] = out[k + 1] + c * sign
-            c = delta.apply(c)
+            c = ref_delta_apply(delta, c)
             k, sign = k + 1, -sign
     return out
 
@@ -395,7 +422,7 @@ def ref_ore_xstep(pair, cs):
     out = [pair.ff.zero()] * (len(cs) + 1)
     for j, c in enumerate(cs):
         out[j + 1] = out[j + 1] + pair.sigma.apply(c)
-        out[j] = out[j] + pair.delta.apply(c)
+        out[j] = out[j] + ref_delta_apply(pair.delta, c)
     return _ref_trim(out)
 
 
@@ -510,6 +537,30 @@ def sparse_uni_substitute(base, a, s):
     for (k,), c in a.items():
         _sparse_axpy(base, out, c, pows[k])
     return out
+
+
+def ref_divide_exact(f, g):
+    """The term dict of f / g when g divides f exactly, else None, by long
+    division in graded-lex order that scans the remainder for its leading
+    term at every step: the reference for MPoly.divide_exact."""
+    base = f.ff.base
+    ge = max(g.terms, key=lambda e: (sum(e), e))
+    inv = base.inv(g.terms[ge])
+    rem, quo = dict(f.terms), {}
+    while rem:
+        re = max(rem, key=lambda e: (sum(e), e))
+        qe = tuple(i - j for i, j in zip(re, ge))
+        if min(qe) < 0:
+            return None
+        c = quo[qe] = base.mul(rem[re], inv)
+        for e, x in g.terms.items():
+            k = tuple(i + j for i, j in zip(qe, e))
+            v = base.sub(rem.get(k, base.zero()), base.mul(c, x))
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return quo
 
 
 # The primitive polynomial remainder sequence over Z: the reference for the

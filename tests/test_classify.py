@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import orefree
+from orefree import config
 from orefree.classify import (
     ClassifyOptions, ProblemSpec, Verdict, classify_automorphism,
     classify_derivation, classify_problem, normalize_presentation,
@@ -22,6 +23,7 @@ from orefree.errors import (
 from orefree.field import FunctionField, _divisors
 from orefree.orefrac import central_power_check
 from orefree.orepoly import OrePoly
+from orefree.problems import parse_problem
 from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 
 QT = FunctionField(0, ["t"])
@@ -195,6 +197,32 @@ def test_doubling_over_a_large_prime_factors_its_order_fast():
     assert time.perf_counter() - start < 0.5
     assert v.kind == "Unknown"
     assert "orbit(t): finite period %d" % (p - 1) in v.diagnostics
+
+
+def test_word_bound_keeps_the_last_certificate(monkeypatch):
+    # MAX_WORDS = 7 admits L = 2 (7 words) and refuses L = 3 (15): the
+    # verdict keeps the L = 2 certificate and says where the check stopped
+    monkeypatch.setattr(config, "MAX_WORDS", 7)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "demos", "problems", "double.ore")
+    with open(path) as fh:
+        v = classify_problem(parse_problem(fh.read()))
+    assert v.kind == "Free"
+    assert v.certificate.max_length == 2 and v.certificate.rank == 7
+    assert ("word check stopped before length 3: 15 words exceed the "
+            "configured bound 7") in v.diagnostics
+
+
+def test_no_orbit_certified_infinite_in_two_variables():
+    # (a, c) -> (a c, c): the orbit of a never returns, but in several
+    # variables iteration can only say so within its bound
+    ff = FunctionField(0, ["a", "c"])
+    a, c = ff.gens()
+    pair = SkewPair.automorphism(SkewEndo(ff, [a * c, c], [a / c, c]))
+    v = classify_problem(spec_of(pair))
+    assert v.kind == "Unknown"
+    assert v.diagnostics == ["orbit(a): unknown", "orbit(c): finite period 1",
+                             "no orbit certified infinite within bound 64"]
 
 
 def test_char_p_side_condition_reported():

@@ -22,7 +22,7 @@ from orefree.intpoly import _MR_EXACT_BELOW, _conv, _is_prime, _uni_gcd_q
 
 from oracles import (
     prs_gcd_ints, random_poly, random_poly_nonzero, random_ratfunc,
-    sparse_uni_divmod, sparse_uni_mul, sparse_uni_substitute,
+    ref_divide_exact, sparse_uni_divmod, sparse_uni_mul, sparse_uni_substitute,
 )
 
 
@@ -296,6 +296,29 @@ def test_divide_exact_rejects_non_factor():
     t = QT.poly_var("t")
     assert (t ** 2 + 1).divide_exact(t + 1) is None
     assert (t ** 2 - 1).divide_exact(t + 1) == t - 1
+
+
+@pytest.mark.parametrize("char,nvars", [(0, 2), (0, 3), (7, 2), (7, 3)])
+def test_divide_exact_in_several_variables_matches_scan(char, nvars):
+    # products divide and give their cofactor back; a product plus a
+    # perturbation mostly does not, and the quotient or the refusal must be
+    # the scanning long division's, term for term
+    ff = FunctionField(char, ["y%d" % i for i in range(nvars)])
+    rng = random.Random("divide:%d:%d" % (char, nvars))
+    refused = 0
+    for _ in range(30):
+        g = random_poly_nonzero(rng, ff, max_deg=2, max_terms=4)
+        q = random_poly(rng, ff, max_deg=3, max_terms=6)
+        f = q * g
+        assert f.divide_exact(g).terms == ref_divide_exact(f, g) == q.terms
+        h = f + random_poly_nonzero(rng, ff, max_deg=3, max_terms=2)
+        got, want = h.divide_exact(g), ref_divide_exact(h, g)
+        assert (got is None) == (want is None)
+        if got is None:
+            refused += 1
+        else:
+            assert got.terms == want
+    assert refused >= 10
 
 
 def test_ratfunc_normalization_den_monic_and_reduced():

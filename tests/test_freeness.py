@@ -444,6 +444,39 @@ def test_spurious_evaluated_relation_falls_back(monkeypatch, make_ctx, b, L):
     assert_relation_vanishes(ctx, b, cert.relation)
 
 
+@pytest.mark.parametrize("make_ctx,b", [
+    (shift_ctx, QU.var(0).inverse()),
+    (ddt_ctx, QT.var(0).inverse()),
+], ids=["shift:1/u", "ddt:1/t"])
+@pytest.mark.parametrize("name,patch", [
+    ("_rational_reconstruct", lambda a, q: None),
+    ("_add_by_last", lambda basis, vec, q: False),
+    ("_add_by_last", lambda basis, vec, q: True),
+], ids=["no-lift", "lift-in-span", "short-span"])
+def test_relation_generators_fallback_keeps_the_relation(monkeypatch, make_ctx,
+                                                         b, name, patch):
+    # a lift that fails, a lift already in the span, and a span that comes
+    # out short each leave no relation generators: the evaluated route then
+    # steps aside, and the route after it must give the same relation
+    ctx = make_ctx()
+    cert = freeness_certify(ctx, b, 3)
+    results = []
+    real = freeness._relation_generators
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(freeness, name, patch)
+        m.setattr(freeness, "_relation_generators", recording)
+        fallback = freeness_certify(ctx, b, 3)
+    assert results == [None]
+    assert cert.verdict == fallback.verdict == "Dependent"
+    assert (fallback.rank, fallback.word_count) == (14, 15)
+    assert fallback.relation == cert.relation
+
+
 @pytest.mark.parametrize("make_ctx,b,L,rank", [
     (shift_ctx, QU.var(0).inverse(), 4, 25),
     (ddt_ctx, QT.var(0), 3, 13),

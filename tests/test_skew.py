@@ -13,7 +13,7 @@ from orefree.skew import (
     SkewDerivation, SkewEndo, SkewPair, delta_tower, orbit_analyze,
 )
 
-from oracles import random_ratfunc
+from oracles import random_ratfunc, random_ratfunc_nonzero, ref_delta_apply
 
 QT = FunctionField(0, ["t"])
 
@@ -103,6 +103,69 @@ def test_delta_quotient_rule_frozen():
     d = ddt_delta()
     assert d.apply(1 / t) == -1 / (t * t)
     assert d.apply((t * t + 1) / t) == (t * t - 1) / (t * t)
+
+
+def reference_delta_cases():
+    """(name, delta) for the derivations the numerator form distinguishes:
+    d/dt over Q(t) and F_7(t), rational images, two and five variables,
+    and twisted in one and two variables, by polynomial and rational
+    sigma."""
+    t = QT.var("t")
+    f7 = FunctionField(7, ["t"])
+    ac = FunctionField(0, ["a", "c"])
+    a, c = ac.gens()
+    tower = FunctionField(5, ["x%d" % i for i in range(5)])
+    ts = FunctionField(0, ["t", "s"])
+    u, s = ts.gens()
+    mixed = SkewEndo(ts, [u + 1, 2 * s], [u - 1, s / 2])
+    # sigma rational one way: its numerators need not stay coprime
+    tw = FunctionField(0, ["t", "u"])
+    t2, u2 = tw.gens()
+    twist = SkewEndo(tw, [t2, t2 * u2], [t2, u2 / t2])
+    mobius = SkewEndo(QT, [-1 / (t + 1)], [-(t + 1) / t])
+    return [
+        ("ddt", ddt_delta()),
+        ("ddt-F7", ddt_delta(f7)),
+        ("t2+1", SkewDerivation(QT, [t * t + 1], SkewEndo.identity(QT))),
+        ("t/(t+1)", SkewDerivation(QT, [t / (t + 1)],
+                                   SkewEndo.identity(QT))),
+        ("acq", SkewDerivation(ac, [c / (a + 1), ac.zero()],
+                               SkewEndo.identity(ac))),
+        ("tower5", SkewDerivation(
+            tower, [tower.var(i + 1) for i in range(4)] + [tower.zero()],
+            SkewEndo.identity(tower))),
+        ("t(sigma-id)", SkewDerivation(QT, [t], shift_sigma())),
+        ("mixed-ts", SkewDerivation(ts, [u * s, u * s * s], mixed)),
+        ("t(mobius-id)", SkewDerivation(QT, [t * (-1 / (t + 1) - t)],
+                                        mobius)),
+        ("u(twist-id)", SkewDerivation(tw, [tw.zero(), u2 * (t2 * u2 - u2)],
+                                       twist)),
+    ]
+
+
+@pytest.mark.parametrize("name,delta", reference_delta_cases(),
+                         ids=[n for n, _ in reference_delta_cases()])
+def test_delta_apply_matches_reference(name, delta):
+    # one fraction over numerators against the chain rule on RatFuncs, in
+    # value and in printed form, also on delta's own images; in five
+    # variables the reference's gcds of a second image fall to the slow
+    # PRS, so there the fractions are linear and applied once
+    rng = random.Random("delta:" + name)
+    deg, steps = (1, 1) if delta.ff.nvars > 2 else (2, 2)
+    for _ in range(10):
+        f = random_ratfunc_nonzero(rng, delta.ff, max_deg=deg, max_terms=3)
+        for _ in range(steps):
+            want = ref_delta_apply(delta, f)
+            got = delta.apply(f)
+            assert got == want and str(got) == str(want)
+            f = got
+
+
+def test_delta_refuses_elements_of_another_field():
+    u = FunctionField(0, ["u"]).var("u")
+    for d in (ddt_delta(), SkewDerivation(QT, [QT.var("t")], shift_sigma())):
+        with pytest.raises(CharacteristicMismatch):
+            d.apply(1 / u)
 
 
 def test_twisted_leibniz_random():

@@ -11,6 +11,12 @@ Exit codes: 0 success, 1 malformed input or bad usage, 2 structurally
 inconsistent presentation, 3 configured resource bound exceeded, 4
 internal invariant violation.  Every failure also emits JSON of the
 shape {"error", "detail", "position"?} on standard output.
+
+The commands and their options sit in one table.  A run whose first
+argument names a command builds that command's parser alone; the full
+tree of subcommands, built from the same table, serves the top-level
+help, --version, and the errors of an argument list that names no
+command.
 """
 
 import argparse
@@ -29,43 +35,65 @@ from .problems import (
 from .skew import delta_tower, orbit_analyze
 
 
+# command -> (help line, options); each option is (flag, add_argument
+# keywords), and every command also takes the problem file
+_COMMANDS = {
+    "classify": ("route the presentation to a verdict", ()),
+    "freeness": ("bounded word-independence certificate", (
+        ("--b", dict(required=True, metavar="EXPR",
+                     help="witness element of the base field")),
+        ("--max-len", dict(type=int, default=3, metavar="L",
+                           help="word length bound (default 3)")),
+    )),
+    "normalize": ("rewrite a mixed presentation as a pure one", ()),
+    "orbit": ("orbit type of an element under sigma", (
+        ("--elem", dict(required=True, metavar="EXPR")),
+        ("--bound", dict(type=int, default=64, metavar="B",
+                         help="iteration bound in several variables "
+                              "(default 64); one-variable orbits are "
+                              "exact")),
+    )),
+    "tower": ("iterate delta and watch subfield growth", (
+        ("--elem", dict(required=True, metavar="EXPR")),
+        ("--depth", dict(type=int, default=5, metavar="M",
+                         help="tower depth (default 5)")),
+    )),
+    "compute": ("evaluate an Ore fraction expression", (
+        ("--expr", dict(required=True, metavar="EXPR",
+                        help="expression in X, inv(...), and the "
+                             "generators")),
+    )),
+}
+
+
+def _add_arguments(parser, command):
+    parser.add_argument("problem", help="path to a problem file, - for stdin")
+    for flag, kwargs in _COMMANDS[command][1]:
+        parser.add_argument(flag, **kwargs)
+
+
 def _build_parser():
+    """The full tree: the top parser and one subparser per command."""
     top = argparse.ArgumentParser(
         prog="orefree",
         description="exact certificates for Ore extension division rings")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def with_problem(name, help_):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("problem", help="path to a problem file, - for stdin")
-        return p
-
-    with_problem("classify", "route the presentation to a verdict")
-
-    p = with_problem("freeness", "bounded word-independence certificate")
-    p.add_argument("--b", required=True, metavar="EXPR",
-                   help="witness element of the base field")
-    p.add_argument("--max-len", type=int, default=3, metavar="L",
-                   help="word length bound (default 3)")
-
-    with_problem("normalize", "rewrite a mixed presentation as a pure one")
-
-    p = with_problem("orbit", "orbit type of an element under sigma")
-    p.add_argument("--elem", required=True, metavar="EXPR")
-    p.add_argument("--bound", type=int, default=64, metavar="B",
-                   help="iteration bound in several variables (default "
-                        "64); one-variable orbits are exact")
-
-    p = with_problem("tower", "iterate delta and watch subfield growth")
-    p.add_argument("--elem", required=True, metavar="EXPR")
-    p.add_argument("--depth", type=int, default=5, metavar="M",
-                   help="tower depth (default 5)")
-
-    p = with_problem("compute", "evaluate an Ore fraction expression")
-    p.add_argument("--expr", required=True, metavar="EXPR",
-                   help="expression in X, inv(...), and the generators")
+    for name, (help_, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_), name)
     return top
+
+
+def _parse_args(argv):
+    """Parse with the named command's parser alone; the full tree only
+    when argv names no command (help, --version, errors)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog="orefree " + argv[0])
+    _add_arguments(parser, argv[0])
+    parser.set_defaults(command=argv[0])
+    return parser.parse_args(argv[1:])
 
 
 def _read_problem(path):
@@ -138,7 +166,7 @@ _EXIT_CODES = {ParseError: 1, ResourceBoundExceeded: 3, PresentationError: 2,
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for bad flags; the
         # latter is a usage error in this tool's code scheme

@@ -2,12 +2,14 @@
 
 A :class:`SkewEndo` is a k-automorphism of K = k(y1, ..., yn) given by
 generator images together with inverse images; construction verifies both
-round trips, so an instance that exists is genuinely invertible.  In one
-variable both maps must be Moebius (below) and the product of their
-matrices a nonzero scalar, which checks the round trips with no
-substitution; a presentation that fails this, and every presentation in
-several variables, is checked by substituting the images into the
-inverse images and back, which also names what fails.  A
+round trips, so an instance that exists is genuinely invertible.  The
+identity presentation, every image and inverse image its generator, is
+accepted without substitution.  In one variable both maps must be
+Moebius (below) and the product of their matrices a nonzero scalar,
+which checks the round trips with no substitution; a presentation that
+fails this, and every other presentation in several variables, is
+checked by substituting the images into the inverse images and back,
+which also names what fails.  A
 :class:`SkewDerivation` is a sigma-derivation, i.e. additive with
 
     delta(a*b) = sigma(a)*delta(b) + delta(a)*b,
@@ -213,9 +215,9 @@ class SkewEndo:
     def __init__(self, ff, images, inverse_images):
         self.ff = ff
         self._ring = (_IntRing if ff.nvars == 1 else _MPolyRing)(ff)
-        self.images = self._as_image_list(ff, images)
-        self.inverse_images = self._as_image_list(ff, inverse_images)
         gens = ff.gens()
+        self.images = self._as_image_list(ff, images, gens)
+        self.inverse_images = self._as_image_list(ff, inverse_images, gens)
         self._pow = {0: gens, 1: self.images, -1: self.inverse_images}
         self._moebius = {}
         self._order = None
@@ -229,12 +231,12 @@ class SkewEndo:
         self._verify()
 
     @staticmethod
-    def _as_image_list(ff, images):
+    def _as_image_list(ff, images, defaults):
+        """The images as a list; a dict may omit a generator, whose image
+        is then its entry of ``defaults`` (the generator for sigma, 0 for
+        a derivation)."""
         if isinstance(images, dict):
-            out = []
-            for i, name in enumerate(ff.names):
-                img = images.get(name)
-                out.append(ff.var(i) if img is None else img)
+            out = [images.get(name, d) for name, d in zip(ff.names, defaults)]
             extra = set(images) - set(ff.names)
             if extra:
                 raise UsageError("images for unknown generators %s"
@@ -253,12 +255,16 @@ class SkewEndo:
         """Raise NotAnAutomorphism unless the images and inverse images
         compose to the identity both ways.
 
-        In one variable the presentation is accepted when both maps are
-        Moebius and the product of their matrices is a nonzero scalar:
-        then both determinants are nonzero and the maps are inverse, so
-        each substitution below would give t back.  Anything else, and
-        every presentation in several variables, is decided by
-        substitution, which names the failure."""
+        The identity presentation, images and inverse images both the
+        generators, is accepted at once: each round trip is trivially the
+        identity.  In one variable the presentation is accepted when both
+        maps are Moebius and the product of their matrices is a nonzero
+        scalar: then both determinants are nonzero and the maps are
+        inverse, so each substitution below would give t back.  Anything
+        else, and every other presentation in several variables, is
+        decided by substitution, which names the failure."""
+        if self._is_identity and self.inverse_images == self.images:
+            return
         if self.ff.nvars == 1:
             m, n = self._matrix(), self._matrix(inverse=True)
             if m is not None and n is not None:
@@ -459,7 +465,8 @@ class SkewDerivation:
             raise ContextMismatch("twist acts on %r, images live in %r"
                                   % (twist.ff, ff))
         self.ff, self.twist = ff, twist
-        self.images = SkewEndo._as_image_list(ff, images)
+        self.images = SkewEndo._as_image_list(ff, images,
+                                              [ff.zero()] * ff.nvars)
         self.inner = c = None
         moved = [s - y for s, y in zip(twist.images, ff.gens())]
         j = next((j for j, m in enumerate(moved) if not m.is_zero()), None)

@@ -219,9 +219,75 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_flags_exit_one(capsys):
-    code, out, _ = run_cli(capsys, "no-such-command")
-    assert code == 1
-    assert json.loads(out)["error"] == "UsageError"
+    # an unknown command and an empty argument list name no command
+    for argv in (["no-such-command"], []):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "UsageError"
+
+
+# each command's required options, with values that parse
+REQUIRED = {
+    "classify": [], "freeness": ["--b", "1/t"], "normalize": [],
+    "orbit": ["--elem", "t"], "tower": ["--elem", "t"],
+    "compute": ["--expr", "X"],
+}
+
+
+def full_tree(capsys, *argv):
+    """Exit code and stdout of the parser tree with every subcommand."""
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(list(argv))
+    return exc.value.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_command_help_matches_full_tree(capsys, command):
+    code, out, _ = run_cli(capsys, command, "-h")
+    assert code == 0 and "usage: orefree %s " % command in out
+    assert (code, out) == full_tree(capsys, command, "-h")
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_command_usage_errors_exit_one(capsys, command):
+    path = os.path.join(FIXTURES, "negation.ore")
+    required = REQUIRED[command]
+    cases = [
+        [command],                                   # no problem file
+        [command, path] + required[:-2],             # a required option
+        [command, path] + required + ["--bound", "x"],
+        [command, path] + required + ["--no-such-flag"],
+    ]
+    if not required:
+        del cases[1]
+    for argv in cases:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert json.loads(out) == {
+            "error": "UsageError", "detail": "invalid arguments",
+            "meta": {"tool": "orefree", "version": cli.__version__,
+                     "command": None}}, argv
+
+
+def test_command_run_builds_one_parser(capsys, monkeypatch):
+    built = []
+    parser_class = cli.argparse.ArgumentParser
+    init = parser_class.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(parser_class, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, "orbit",
+                         os.path.join(FIXTURES, "negation.ore"),
+                         "--elem", "t")
+    assert code == 0 and built == ["orefree orbit"]
+    # help names no command: the full tree, one parser per command and
+    # the top one
+    del built[:]
+    assert run_cli(capsys, "--help")[0] == 0
+    assert len(built) == len(REQUIRED) + 1
 
 
 def test_stdin_dash_reads_problem(capsys, monkeypatch):
@@ -232,7 +298,9 @@ def test_stdin_dash_reads_problem(capsys, monkeypatch):
 
 
 def test_version_flag(capsys):
-    assert cli.main(["--version"]) == 0
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0 and out == cli.__version__ + "\n"
+    assert (code, out) == full_tree(capsys, "--version")
 
 
 def test_console_script_is_wired():

@@ -276,6 +276,39 @@ def test_pairwise_consistency_rejected():
         SkewDerivation(ff, [one, zero], SkewEndo(ff, [t, u + 1], [t, u - 1]))
 
 
+def test_images_missing_from_a_dict():
+    # a generator left out of a dict keeps its place under sigma and is
+    # sent to 0 by a derivation
+    ff = FunctionField(0, ["t", "s"])
+    t, s = ff.gens()
+    one, zero = ff.one(), ff.zero()
+    sigma = SkewEndo(ff, {"t": t + 1}, {"t": t - 1})
+    assert sigma.images == [t + 1, s] and sigma.inverse_images == [t - 1, s]
+    ddt = SkewDerivation(ff, {"t": one}, SkewEndo.identity(ff))
+    assert ddt.images == [one, zero]
+    assert ddt.apply(s) == zero and ddt.apply(t * s) == s
+    # delta = t (sigma - id): delta(s) = 0 is no inconsistency
+    inner = SkewDerivation(ff, {"t": t}, sigma)
+    assert inner.images == [t, zero] and inner.apply(s) == zero
+
+
+def test_identity_accepted_without_substitution(monkeypatch):
+    ff = FunctionField(5, ["x0", "x1", "x2", "x3", "x4"])
+
+    def refuse(*args):
+        raise AssertionError("substitution while accepting the identity")
+
+    monkeypatch.setattr(RatFunc, "substitute", refuse)
+    assert SkewEndo.identity(ff).is_identity()
+    monkeypatch.undo()
+    # images the generators, inverse images not: still decided, and
+    # refused, by substitution
+    ff = FunctionField(0, ["t", "s"])
+    t, s = ff.gens()
+    with pytest.raises(NotAnAutomorphism):
+        SkewEndo(ff, [t, s], [2 * t, s])
+
+
 def test_psi_and_declared_constants():
     s = shift_sigma()
     pair = SkewPair.automorphism(s)

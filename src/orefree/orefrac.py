@@ -12,6 +12,12 @@ Fractions are kept lazy: common left factors are cancelled (via a greatest
 common left divisor) only on request, because eager cancellation costs a
 full Euclid per operation and correctness never depends on it -- equality
 is decided by subtraction.  Denominators are always monic.
+
+Printed forms therefore follow the products that built a fraction.  A
+product by the literal 1 (denominator and numerator both 1) returns the
+other fraction, which is the form the lclm would give it: lclm(1, s) = s
+with cofactors s and 1.  D^{-1} D is not the literal 1, and its products
+still take the lclm.
 """
 
 from . import config
@@ -124,6 +130,9 @@ class OreFraction(_DivisionRingElement):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return OreFraction.zero(self.ctx)
+        # the literal 1 times y is y; D^{-1} D * y keeps the lclm's form
+        if self.den.is_one() and self.num.is_one():
+            return other
         if other.den.is_one():
             return OreFraction(self.den, self.num * other.num)
         # rewrite num * den'^{-1} as u^{-1} * v with u num = v den'

@@ -33,6 +33,14 @@ substitution.  A sigma-derivation is fixed by its images, so
 with c as :mod:`skew` proves, cd the lcm of the delta(y_i)'s denominators
 and cn_i = delta(y_i) cd, formed once by ``SkewDerivation``, whose
 ``derive`` is D on numerators as ``SkewEndo.numerators`` is sigma^k.
+For a derivation the step takes g = gcd(den, D(den)), den = g f and
+D(den) = g e first:
+
+    x (n / den) = (n / den) x + (f D(n) - n e) / (cd den f),
+
+over cd den f where the quotient rule gives cd den^2.  ``canon`` still
+reduces the result once: g leaves the integers' content, the leading
+coefficient and any factor of cd that every new numerator shares.
 
 Greatest common right divisors come from the right Euclidean algorithm;
 least common left multiples from its extended form (the cofactor of f
@@ -121,18 +129,24 @@ class _Kernel:
         """The canonical form of x * (sum nums[j] / den x^j), delta != 0."""
         times, sub = self.times, self.sub
         if self.kind == "der":
-            # x a = a x + delta(a): (den D(n) - n D(den)) / cd den^2
-            dd = self.derive(den)
-            lo = [sub(times(den, self.derive(n)), times(n, dd)) for n in nums]
-            sden, hi = den, nums
+            # x a = a x + delta(a): (den D(n) - n D(den)) / cd den^2 is
+            # (f D(n) - n e) / cd den f for g = gcd(den, D(den)), den = g f
+            # and D(den) = g e; canon stays for what g leaves (the integers'
+            # content, the leading coefficient, factors of cd)
+            f, e = self.cofactors([den, self.derive(den)])
+            lo = [sub(times(f, self.derive(n)), times(n, e)) for n in nums]
+            hi, hden, rest = nums, den, f
         else:
             sden, *hi = self.sigma.numerators([den] + nums, 1)
-            # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden
+            # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden,
+            # over cd sden den
             lo = [times(self.cn, sub(times(s, den), times(n, sden)))
                   for s, n in zip(hi, nums)]
-        cd_den = times(self.cd, den)
-        hi = [times(s, cd_den) for s in hi]
-        den = times(times(sden, den), self.cd)
+            hden, rest = sden, den
+        # hi's terms are over hden, lo's over cd hden rest
+        scale = times(self.cd, rest)
+        hi = [times(s, scale) for s in hi]
+        den = times(hden, scale)
         zero = self.zero
         out = [self.add(a, b) for a, b in zip(lo + [zero], [zero] + hi)]
         return self.canon(den, out)
@@ -313,6 +327,11 @@ class OrePoly:
         if not isinstance(other, OrePoly):
             return NotImplemented
         _same_ctx(self, other)
+        # a sum with 0 is the other operand, already canonical
+        if not self._nums:
+            return other
+        if not other._nums:
+            return self
         k = _kernel(self.ctx)
         return OrePoly._make(self.ctx, *k.canon(*k.over_lcm(
             self._den, self._nums, other._den, other._nums)))
@@ -353,6 +372,11 @@ class OrePoly:
         _same_ctx(self, other)
         if self.is_zero() or other.is_zero():
             return OrePoly.zero(self.ctx)
+        # a product by 1 is the other factor, already canonical
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         # sum_i (N_i / D) x^i other over one denominator
         # x^i other is advanced from the last nonzero term's power
         k = _kernel(self.ctx)

@@ -10,8 +10,9 @@ from orefree.errors import (
     UsageError,
 )
 from orefree.field import FunctionField
+from orefree import orefrac
 from orefree.orefrac import OreFraction, central_power_check, weyl_check
-from orefree.orepoly import OrePoly
+from orefree.orepoly import OrePoly, lclm
 from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 
 from oracles import bivariate_extension, ore_to_commutative, random_ratfunc
@@ -177,6 +178,32 @@ def test_printing():
     assert str(f) == "inv(X) * (1)"
     assert str(OreFraction.zero(ctx)) == "0"
     assert str(OreFraction.from_poly(x)) == "X"
+
+
+def test_product_by_the_literal_one_is_the_other_fraction(monkeypatch):
+    # 1 * y is y with no lclm; D^{-1} D is 1 too but not the literal one,
+    # and its products keep the unreduced form the lclm gives them
+    ctx = shift_ctx()
+    one, x = OrePoly.one(ctx), OrePoly.x(ctx)
+    t = OrePoly.const(ctx, ctx.ff.var("t"))
+    calls = []
+
+    def counted_lclm(f, g):
+        calls.append((f, g))
+        return lclm(f, g)
+
+    monkeypatch.setattr(orefrac, "lclm", counted_lclm)
+    for y in (OreFraction(x + t, t), OreFraction(x * x - t, x + one),
+              OreFraction.from_poly(t), OreFraction.zero(ctx)):
+        out = OreFraction.one(ctx) * y
+        assert (out.den, out.num) == (y.den, y.num)
+    assert not calls
+    d = x - t
+    dd = OreFraction(d, one) * d
+    assert dd.is_one() and not dd.den.is_one()
+    out = dd * OreFraction(x + t, one)
+    assert len(calls) == 1
+    assert str(out) == "inv(X^2 - t^2 - t) * (X - t - 1)"
 
 
 def _repeated_product(a, n):

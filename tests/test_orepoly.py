@@ -10,13 +10,13 @@ from orefree.errors import (
 )
 from orefree.field import FunctionField
 from orefree.orefrac import OreFraction
-from orefree.orepoly import OrePoly, gcld, gcrd, lclm
+from orefree.orepoly import OrePoly, _kernel, gcld, gcrd, lclm
 from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 
 from oracles import (
     brute_force_lclm, random_ratfunc, random_ratfunc_nonzero,
-    ref_ore_gcrd_degree, ref_ore_left_quo_rem, ref_ore_mul,
-    ref_ore_right_quo_rem,
+    ref_ore_add, ref_ore_gcrd_degree, ref_ore_left_quo_rem, ref_ore_mul,
+    ref_ore_right_quo_rem, ref_ore_xstep,
 )
 
 QT = FunctionField(0, ["t"])
@@ -411,17 +411,24 @@ def test_products_by_one_leave_operands_unchanged(char, name):
     # monic operands with polynomial coefficients make the kernel's
     # products by one, which it skips, handing a factor on as it is: no
     # operand's polynomials may change, and every result matches the
-    # reference
+    # reference; 1 * g, g * 1, g + 0 and 0 + g are g in its own form
     ctx = kernel_context(char, name)
     t = ctx.ff.var(0)
     rng = random.Random("ones:%d:%s" % (char, name))
     monic = OrePoly(ctx, [ctx.ff.one(), t, ctx.ff.one()])
+    one, zero = OrePoly.one(ctx), OrePoly.zero(ctx)
     # in two variables an lclm of degree 5 takes tens of seconds
     deg = 3 if ctx.ff.nvars == 1 else 2
     for _ in range(3):
         g = nonzero_orepoly(rng, ctx, deg)
         snapshot = [stored_form(p) for p in (monic, g)]
         mc, gc = monic.coeffs, g.coeffs
+        for h, ref in ((one * g, ref_ore_mul(ctx, one.coeffs, gc)),
+                       (g * one, ref_ore_mul(ctx, gc, one.coeffs)),
+                       (g + zero, ref_ore_add(gc, [])),
+                       (zero + g, ref_ore_add([], gc))):
+            assert stored_form(h) == snapshot[1]
+            assert_coeffs(h, ref)
         assert_coeffs(monic * g, ref_ore_mul(ctx, mc, gc))
         assert_coeffs(g * monic, ref_ore_mul(ctx, gc, mc))
         q, r = g.right_quo_rem(monic)
@@ -434,6 +441,42 @@ def test_products_by_one_leave_operands_unchanged(char, name):
         assert_coeffs(r, ref_r)
         lclm(monic, g)
         assert [(p._den, p._nums) for p in (monic, g)] == snapshot
+
+
+def derivation_xstep_case(name):
+    """A derivation context and elements whose x-steps meet g = gcd(den,
+    D(den)) != 1: non-squarefree denominators under d/dt over Q(t) and
+    F_5(t); delta(t) = t/(t + 1), where cd != 1; d/dt over F_5(t) on the
+    denominator t^5 + 1, where D(den) = 0 and g = den; delta(a) = c/(a + 1)
+    in two variables."""
+    if name == "acq":
+        ctx = two_variable_context("acq")
+        a, c = ctx.ff.gens()
+        return ctx, [[c / (a + 1) ** 2], [(a + c) / (a * a + 1), 1 / a ** 3]]
+    ff = FunctionField(5 if name in ("ddt5", "t5") else 0, ["t"])
+    t, one = ff.var("t"), ff.one()
+    image = t / (t + 1) if name == "trat" else one
+    ctx = SkewPair.derivation(
+        SkewDerivation(ff, [image], SkewEndo.identity(ff)))
+    if name == "t5":
+        den = t ** 5 + 1
+        return ctx, [[one / den], [t / den, one / den], [(t + 2) / den ** 2]]
+    return ctx, [[(t * t + 1) / t ** 3], [one / (t + 1) ** 2],
+                 [(t * t + 1) / t ** 3, one / (t + 1) ** 2, t]]
+
+
+@pytest.mark.parametrize("name", ["ddt", "ddt5", "trat", "t5", "acq"])
+def test_derivation_xstep_matches_reference(name):
+    # x * a against the coefficient-wise rule x c = c x + delta(c), three
+    # steps deep; every result is canonical, so canon leaves it as it is
+    ctx, elements = derivation_xstep_case(name)
+    k, x = _kernel(ctx), OrePoly.x(ctx)
+    for cs in elements:
+        p, ref = OrePoly(ctx, cs), cs
+        for _ in range(3):
+            p, ref = x * p, ref_ore_xstep(ctx, ref)
+            assert_coeffs(p, ref)
+            assert k.canon(*stored_form(p)) == stored_form(p)
 
 
 def mixed_qts_pair():

@@ -47,17 +47,23 @@ on i = 1 right-multiply by b, then take a prefix sum.
   x^m b = sigma^m(b) x^m, and sigma^m(b)(P) = b(s^m(P)) for the point
   map s of sigma, so the product by b is pointwise.  In one variable s
   is read off the matrix of sigma, P -> (a P + b) / (c P + d), with no
-  image evaluated (_point_map_mod).  Over Q the series
-  are evaluated modulo the prime q = 2^61 - 1 along the orbits of points
-  from a fixed list of large residues.  Over F_p no point of F_p^n will
-  do: under the shift every orbit runs through all of F_p and meets
-  each pole of b.  The series are evaluated instead along the orbit of one
-  point (y, y^2, ..., y^n) of F_p[y]/(f), with f monic irreducible of
+  image evaluated.  Over Q the series are evaluated modulo the prime
+  q = 2^61 - 1 along the orbits of points from a fixed list of large
+  residues.  Over F_p no point of F_p^n will do: under the shift every
+  orbit runs through all of F_p and meets each pole of b.  The series
+  are evaluated instead in F_p[y]/(f), with f monic irreducible of
   degree k, p^k >= 2^61, k > 8 and k at most two past the least such
-  degree (_extension_modulus), so that y has degree k over F_p, and
-  each entry is written as its k coordinates.  A combination of words vanishes
-  there only when f divides its numerator: a factor of degree k, where
-  a point mod q forces one of degree 1.
+  degree (_extension_modulus), so that y has degree k over F_p, along
+  the orbit of the first of the points (y^j, y^{j+1}, ..., y^{j+n-1}),
+  j = 1, 2, ..., whose orbit meets no pole; (y^j, y^{2j}) would all lie
+  on y2 = y1^2.  Each entry is written as its k coordinates.  A
+  combination of words vanishes there only when f divides its
+  numerator: a factor of degree k, where a point mod q forces one of
+  degree 1.  Z/q and F_p[y]/(f) are each given as four operations and
+  a zero, so one evaluator (_evaluate), one point map (_point_map) and
+  one point loop (_evaluated_word_rows) serve both; only the series
+  step over F_p, on k-coordinate entries, is its own
+  (_extension_series).
 * Pure derivations, in K((x^{-1}; delta)) with
   (1-x)^{-1} = -sum_{k>=1} x^{-k}: x^0 b = b and, for n >= 1,
   x^{-n} b = sum_j (-1)^j C(n+j-1, j) delta^j(b) x^{-n-j}.  A nonzero
@@ -132,6 +138,7 @@ stores the bound, the rank, and a digest of the flattened matrix so runs
 are comparable; callers decide what theorem the evidence supports.
 """
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -593,47 +600,83 @@ _EVAL_STARTS = (
     10950242936855078, 32022090439176414, 30564773206849362)
 
 
-def _eval_poly_mod(p, point, q):
-    """p(point) mod q, or None when a coefficient denominator is 0 mod q."""
-    acc = 0
-    for e, c in p.terms.items():
+# a field that the series are evaluated in, built once per run: scalar(c)
+# is the value of a coefficient c of the function field, or None when c
+# has none there, and inv(0) is None
+_Field = collections.namedtuple("_Field", "scalar add mul inv zero")
+
+
+def _residues(q):
+    """Z/q for the prime q, on ints in [0, q); a coefficient has no value
+    when q divides its denominator."""
+    def scalar(c):
         if c.denominator % q == 0:
             return None
-        term = c.numerator * pow(c.denominator, -1, q)
-        for v, k in zip(point, e):
-            if k:
-                term = term * pow(v, k, q)
-        acc = (acc + term) % q
-    return acc
+        return c.numerator * pow(c.denominator, -1, q) % q
+    return _Field(scalar, lambda a, b: (a + b) % q, lambda a, b: a * b % q,
+                  lambda a: pow(a, -1, q) if a else None, 0)
 
 
-def _eval_mod(f, point, q):
-    """f(point) mod q for a Q-rational function, or None where undefined."""
-    den = _eval_poly_mod(f.den, point, q)
-    if not den:
-        return None
-    num = _eval_poly_mod(f.num, point, q)
-    if num is None:
-        return None
-    return num * pow(den, -1, q) % q
+def _extension(p):
+    """F_p[y]/(f) for f = _extension_modulus(p), on the lists of the k
+    coordinates on 1, y, ..., y^(k-1); a scalar is a one-entry list, and
+    sums pad the shorter operand."""
+    f = _extension_modulus(p)
+    return _Field(lambda c: [c % p],
+                  lambda a, b: [(x + y) % p for x, y in itertools.zip_longest(
+                      a, b, fillvalue=0)],
+                  lambda a, b: _ext_mul(a, b, f, p),
+                  lambda a: _ext_inv(a, f, p), [0] * (len(f) - 1))
 
 
-def _orbit_values(images, b, point, N, evaluate, step=None):
-    """b(s^i(P)) for i = 0..N, s the point map of sigma, or None.
+def _power(v, n, F):
+    """v^n in the field F for n >= 1, by repeated squaring."""
+    out = v
+    for bit in bin(n)[3:]:
+        out = F.mul(out, out)
+        if bit == "1":
+            out = F.mul(out, v)
+    return out
 
-    evaluate(g, P) is g(P), or None when g has a pole at P.  step(P) is
-    s(P), or None at a pole of s; without it each generator image is
-    evaluated at P.  None comes back when b or a generator image meets a
-    pole along the orbit, which is exactly when sigma^i(b)(P) =
+
+def _evaluate(g, point, F):
+    """g(point) in the field F for g in the function field, or None where a
+    coefficient of g has no value in F or the denominator of g vanishes."""
+    def poly(h):
+        acc = F.zero
+        for e, c in h.terms.items():
+            term = F.scalar(c)
+            if term is None:
+                return None
+            for v, n in zip(point, e):
+                if n:
+                    term = F.mul(term, _power(v, n, F))
+            acc = F.add(acc, term)
+        return acc
+    num = poly(g.num)
+    if num is None or g.is_poly():
+        return num
+    den = poly(g.den)
+    inv = None if den is None else F.inv(den)
+    return None if inv is None else F.mul(num, inv)
+
+
+def _orbit_values(images, b, point, N, F, step=None):
+    """b(s^i(P)) for i = 0..N in the field F, s the point map of sigma, or
+    None.
+
+    step(P) is s(P), or None at a pole of s; without it each generator
+    image is evaluated at P.  None comes back when b or a generator image
+    meets a pole along the orbit, which is exactly when sigma^i(b)(P) =
     b(s^i(P)) could fail.
     """
     if step is None:
         def step(P):
-            P = tuple(evaluate(g, P) for g in images)
+            P = tuple(_evaluate(g, P, F) for g in images)
             return None if None in P else P
     vals = []
     for i in range(N + 1):
-        v = evaluate(b, point)
+        v = _evaluate(b, point, F)
         if v is None:
             return None
         vals.append(v)
@@ -644,22 +687,23 @@ def _orbit_values(images, b, point, N, evaluate, step=None):
     return vals
 
 
-def _point_map_mod(sigma, q):
-    """The point map P -> (a P + b) / (c P + d) mod q of sigma on Q(t),
-    read off its matrix, whose scale cancels: (s(P),), or None at a pole,
-    where evaluating sigma(t) has one.  None in place of the map in
-    several variables, or when a coefficient denominator of sigma(t) is 0
-    mod q, so that _eval_mod has no value anywhere: the images are then
-    evaluated."""
+def _point_map(sigma, F):
+    """The point map P -> (a P + b) / (c P + d) in the field F of sigma on
+    k(t), read off its matrix, whose scale cancels: (s(P),), or None at a
+    pole, where evaluating sigma(t) has one.  None in place of the map in
+    several variables, or when a coefficient of sigma(t) has no value in
+    F: the cleared matrix is then singular in F, so stepping by it would
+    not give sigma^m(b)(P), and the images are evaluated."""
     g = sigma.images[0]
-    if sigma.ff.nvars > 1 or any(c.denominator % q == 0 for h in (g.num, g.den)
+    if sigma.ff.nvars > 1 or any(F.scalar(c) is None for h in (g.num, g.den)
                                  for c in h.terms.values()):
         return None
-    a, b, c, d = sigma._matrix()
+    a, b, c, d = map(F.scalar, sigma._matrix())
 
     def step(P):
-        den = (c * P[0] + d) % q
-        return ((a * P[0] + b) * pow(den, -1, q) % q,) if den else None
+        inv = F.inv(F.add(F.mul(c, P[0]), d))
+        return None if inv is None else (
+            F.mul(F.add(F.mul(a, P[0]), b), inv),)
     return step
 
 
@@ -719,69 +763,19 @@ def _extension_modulus(p):
                             return f
 
 
-def _point_map_ext(sigma, f, p):
-    """The point map of sigma in F_p[y]/(f), as _point_map_mod gives it
-    mod q; None in several variables."""
-    if sigma.ff.nvars > 1:
-        return None
-    a, b, c, d = sigma._matrix()
+def _extension_series(words, values, N, p):
+    """Word series in K[[x; sigma]] over F_p at orders 0..N, on the values
+    b(s^m(P)) in F_p[y]/(f) along the orbit of a point P.
 
-    def affine(x, y, v):
-        out = [x * e % p for e in v]
-        out[0] = (out[0] + y) % p
-        return out
-    if not c:
-        # sigma(t) is then a polynomial: its denominator is monic, d = 1
-        return lambda P: (affine(a, b, P[0]),)
-
-    def step(P):
-        inv = _ext_inv(affine(c, d, P[0]), f, p)
-        return None if inv is None else (
-            _ext_mul(affine(a, b, P[0]), inv, f, p),)
-    return step
-
-
-def _ext_eval(g, point, f, p):
-    """g(point) in F_p[y]/(f) for g in F_p(y_1, ..., y_n), or None."""
-    def poly(h):
-        acc = [0] * (len(f) - 1)
-        for e, c in h.terms.items():
-            term = [c] + [0] * (len(f) - 2)
-            for v, n in zip(point, e):
-                for _ in range(n):
-                    term = _ext_mul(term, v, f, p)
-            acc = [(x + y) % p for x, y in zip(acc, term)]
-        return acc
-    if g.is_poly():
-        return poly(g.num)
-    inv = _ext_inv(poly(g.den), f, p)
-    return None if inv is None else _ext_mul(poly(g.num), inv, f, p)
-
-
-def _extension_word_rows(pair, words, b, N):
-    """Word series in K[[x; sigma]] over F_p at orders 0..N, evaluated at
-    the point (y, y^2, ..., y^n) of F_p[y]/(f), or None at a pole.
-
-    The point map and the products by b work as on the evaluated route
-    over Q (_orbit_values, _sigma_step), with the product by b(s^m(P))
+    The products by b work as _sigma_step, with the product by b(s^m(P))
     applied to the k coordinates of order m by _ext_times, and the prefix
     sum taken coordinate by coordinate: its entries are k-vectors, so it
-    keeps its own step.  Returns
-    (rows, point), each row the k coordinates of each order in turn.
+    keeps its own step.  Each row holds the k coordinates of each order
+    in turn.
     """
-    p = pair.ff.char
     f = _extension_modulus(p)
     k = len(f) - 1
-    point = [[0, 1] + [0] * (k - 2)]
-    while len(point) < pair.ff.nvars:
-        point.append(_ext_mul(point[-1], point[0], f, p))
-    point = tuple(point)
-    bvals = _orbit_values(pair.sigma.images, b, point, N,
-                          lambda g, P: _ext_eval(g, P, f, p),
-                          _point_map_ext(pair.sigma, f, p))
-    if bvals is None:
-        return None
-    mults = [_ext_times(c, f, p) for c in bvals]
+    mults = [_ext_times(c, f, p) for c in values]
 
     def times_b(a):
         return [x for m, times in enumerate(mults)
@@ -794,8 +788,7 @@ def _extension_word_rows(pair, words, b, N):
         return out
 
     root = [1] + [0] * ((N + 1) * k - 1)
-    return (_prefix_shared(words, root, _series_step(times_b, geometric)),
-            point)
+    return _prefix_shared(words, root, _series_step(times_b, geometric))
 
 
 def _jet_mod(f, c, n, q):
@@ -840,34 +833,43 @@ def _derivative_values(f, b, c, n, q):
 def _evaluated_word_rows(pair, words, b, N):
     """Word series at orders 0..N, evaluated at points, one point at a time.
 
-    Yields (rows, point) with one row per word for each usable point.
-    Over F_p that is the one point of F_p[y]/(f) (_extension_word_rows).
-    Over Q the points come from _EVAL_STARTS, and _word_series runs mod q
-    on the values at each: sigma^m(b)(P) = b(s^m(P)) along the orbit of P
-    for pure automorphisms (_orbit_values), delta^j(b)(P) for derivations
-    of Q(t) (_derivative_values).  A point where a value is undefined is
-    skipped.
+    Yields (rows, point) with one row per word for each usable point.  One
+    evaluator (_evaluate) and one point map (_point_map) serve both
+    fields, given as four operations and a zero: Z/q over Q (_residues),
+    F_p[y]/(f) over F_p (_extension).  Over Q the points come from
+    _EVAL_STARTS, and over F_p they are (y^j, y^{j+1}, ..., y^{j+n-1}) for
+    j = 1, 2, ...; as many are tried over F_p as there are starts over Q.
+    For pure automorphisms the values are sigma^m(b)(P) = b(s^m(P)) along
+    the orbit of P (_orbit_values), on which _word_series runs mod q over
+    Q and _extension_series over F_p; for derivations of Q(t) they are
+    delta^j(b)(P) mod q (_derivative_values).  A point where a value is
+    undefined is skipped.
     """
-    if pair.ff.char:
-        found = _extension_word_rows(pair, words, b, N)
-        if found is not None:
-            yield found
-        return
-    q = _EVAL_PRIME
-    n = pair.ff.nvars
+    p, n = pair.ff.char, pair.ff.nvars
+    F = _extension(p) if p else _residues(_EVAL_PRIME)
     auto = pair.is_pure_automorphism()
-    step = _point_map_mod(pair.sigma, q) if auto else None
-    for k in range(len(_EVAL_STARTS)):
-        point = tuple(_EVAL_STARTS[(k + j) % len(_EVAL_STARTS)]
-                      for j in range(n))
+    step = _point_map(pair.sigma, F) if auto else None
+    if p:
+        y = [0, 1] + [0] * (len(F.zero) - 2)
+    for j in range(len(_EVAL_STARTS)):
+        if p:
+            point = tuple(itertools.accumulate(
+                itertools.repeat(y, j + n), F.mul))[j:]
+        else:
+            point = tuple(_EVAL_STARTS[(j + i) % len(_EVAL_STARTS)]
+                          for i in range(n))
         if auto:
-            values = _orbit_values(pair.sigma.images, b, point, N,
-                                   lambda g, P: _eval_mod(g, P, q), step)
+            values = _orbit_values(pair.sigma.images, b, point, N, F, step)
         else:
             values = _derivative_values(pair.delta.images[0], b, point[0],
-                                        N, q)
-        if values is not None:
-            yield _word_series(pair, words, values, N, 0, 1, q), point
+                                        N, _EVAL_PRIME)
+        if values is None:
+            continue
+        if p:
+            yield _extension_series(words, values, N, p), point
+        else:
+            yield _word_series(pair, words, values, N, 0, 1,
+                               _EVAL_PRIME), point
 
 
 def _one_letter_multiples(lam, words, index):
@@ -1016,12 +1018,13 @@ def _relation_holds(pair, words, b, lam):
 def _certify_by_evaluation(pair, words, b, L):
     """Certificate from the evaluated series, or None to run an exact route.
 
-    Points are added until the rank is full or has not risen over two
-    more points.  Full rank mod q proves independence.  On a deficit d
-    only the generators of _relation_generators are verified, each by
-    _relation_holds.  The basis they derive then pins the rank (module
-    docstring).  The first generator, the relation ending at the first
-    dependent word, is reported.
+    Over Q points are added until the rank is full or has not risen over
+    two more points; over F_p the first usable point is taken.  Full
+    rank mod q proves independence.  On a deficit d only the generators
+    of _relation_generators are verified, each by _relation_holds.  The
+    basis they derive then pins the rank (module docstring).  The first
+    generator, the relation ending at the first dependent word, is
+    reported.
     """
     p = pair.ff.char
     echelon = _Echelon(len(words), p or _EVAL_PRIME)
@@ -1032,8 +1035,8 @@ def _certify_by_evaluation(pair, words, b, L):
             row.extend(part)
         points.append(point)
         ranks.append(echelon.add(block))
-        if ranks[-1] == len(words) or (len(ranks) > 2
-                                       and ranks[-3] == ranks[-1]):
+        if p or ranks[-1] == len(words) or (len(ranks) > 2
+                                            and ranks[-3] == ranks[-1]):
             break
     if not points:
         return None
@@ -1067,7 +1070,9 @@ def freeness_certify(pair, b, L):
     * with the trie order N = 2^{L+1} - 2 at most
       ``config.MAX_DEN_DEGREE`` (L <= 8 by default), pure automorphisms
       take the evaluated K[[x; sigma]] series, mod q = 2^61 - 1 over Q and
-      at one point of F_p[y]/(f) over F_p, and derivations of Q(t) the
+      at the first point (y^j, ..., y^{j+n-1}), j = 1, 2, ..., of
+      F_p[y]/(f) whose orbit meets no pole over F_p, by one evaluator
+      and one point map in either field, and derivations of Q(t) the
       evaluated K((x^{-1}; delta)) series mod q.  Over Q points are added
       until the rank is full or has not risen over two more points, and
       only then are relations lifted.  A Dependent result there proves
@@ -1082,8 +1087,8 @@ def freeness_certify(pair, b, L):
       while the evaluated rank bounds the nullity by d: the rank is
       exact.  The digest covers the evaluated matrix and a header naming
       q and the points, with a mark of its own for the x^{-1} series, or
-      p, f and the point.  No usable point, a pole on the orbit, a failed lift or a
-      failed check go on to the next route;
+      p, f and the point.  No usable point, a failed lift or a failed
+      check go on to the next route;
     * pure derivations with a polynomial witness and polynomial images
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.

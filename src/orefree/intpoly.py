@@ -26,7 +26,9 @@ The evaluated series of :mod:`freeness` take three more things from
 here: Taylor jets of int lists mod q, rational reconstruction of a
 residue, and the field F_p[y]/(f), f monic irreducible of degree k,
 whose elements are the lists of their k coordinates (products, inverses
-and multiplication maps).
+and multiplication maps).  A product comes back with all k coordinates,
+an inverse as a trimmed list: the inverse of a scalar is then one entry,
+and a product by it one pass of :func:`_conv`.
 
 Primality is deterministic Miller-Rabin, exact below ``_MR_EXACT_BELOW``
 (about 3.3e24); a larger n is refuted by a witness or refused with
@@ -501,7 +503,9 @@ def _ext_mul(a, b, f, p):
 
 
 def _ext_inv(a, f, p):
-    """a^{-1} by the extended Euclidean algorithm on f and a; None for 0."""
+    """a^{-1} by the extended Euclidean algorithm on f and a, as a trimmed
+    list, so that a product by the inverse of a scalar takes _conv's
+    one-coefficient pass; None for 0."""
     r0, r1, s0, s1 = f, _trim(a[:]), [], [1]
     while len(r1) > 1:
         quo, r2 = _long_div(r0, r1, p)
@@ -511,5 +515,4 @@ def _ext_inv(a, f, p):
     if not r1:
         return None
     c = pow(r1[0], -1, p)
-    s1 = _trim([x * c % p for x in s1])
-    return s1 + [0] * (len(a) - len(s1))
+    return _trim([x * c % p for x in s1])

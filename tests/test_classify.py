@@ -213,6 +213,23 @@ def test_word_bound_keeps_the_last_certificate(monkeypatch):
             "configured bound 7") in v.diagnostics
 
 
+def test_witness_without_a_certificate_is_unknown(monkeypatch):
+    # MAX_WORDS = 2 refuses L = 1 (3 words): the valuation witness of
+    # double.ore gets no certificate, and a witness without one never
+    # yields Free
+    monkeypatch.setattr(config, "MAX_WORDS", 2)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "demos", "problems", "double.ore")
+    with open(path) as fh:
+        v = classify_problem(parse_problem(fh.read()))
+    assert v.kind == "Unknown"
+    assert v.certificate is None and v.witness is None
+    assert ("word check stopped before length 1: 3 words exceed the "
+            "configured bound 2") in v.diagnostics
+    assert v.diagnostics[-1] == (
+        "witness found but no independent bounded certificate")
+
+
 def test_no_orbit_certified_infinite_in_two_variables():
     # (a, c) -> (a c, c): the orbit of a never returns, but in several
     # variables iteration can only say so within its bound

@@ -743,9 +743,9 @@ def test_witness_pole_on_the_orbit_skips_the_point(monkeypatch):
     s0, s1 = freeness._EVAL_STARTS[:2]
     ctx, u = shift_ctx(), QU.var(0)
     b = (u - (s0 + 3)).inverse()
-    at = lambda g, P: freeness._eval_mod(g, P, q)
-    assert freeness._orbit_values(ctx.sigma.images, b, (s0,), 3, at) is None
-    assert freeness._orbit_values(ctx.sigma.images, b, (s0,), 2, at)
+    F = freeness._residues(q)
+    assert freeness._orbit_values(ctx.sigma.images, b, (s0,), 3, F) is None
+    assert freeness._orbit_values(ctx.sigma.images, b, (s0,), 2, F)
     _, point = next(freeness._evaluated_word_rows(ctx, words_up_to(3), b, 14))
     assert point == (s1,)
     _no_exact_route(monkeypatch)
@@ -765,8 +765,8 @@ def test_image_pole_on_the_orbit_skips_the_point(monkeypatch):
     t = QT.var(0)
     ctx = SkewPair.automorphism(
         SkewEndo(QT, [(t - s0).inverse()], [t.inverse() + s0]))
-    at = lambda g, P: freeness._eval_mod(g, P, freeness._EVAL_PRIME)
-    assert freeness._orbit_values(ctx.sigma.images, t, (s0,), 1, at) is None
+    F = freeness._residues(freeness._EVAL_PRIME)
+    assert freeness._orbit_values(ctx.sigma.images, t, (s0,), 1, F) is None
     _, point = next(freeness._evaluated_word_rows(ctx, words_up_to(2), t, 6))
     assert point == (s1,)
     _assert_series_route_agrees_with_fold(monkeypatch, ctx, t, 2)
@@ -775,6 +775,36 @@ def test_image_pole_on_the_orbit_skips_the_point(monkeypatch):
 def _moebius_ctx(ff, image, inverse):
     t = ff.var(0)
     return SkewPair.automorphism(SkewEndo(ff, [image(t)], [inverse(t)]))
+
+
+def test_evaluate_matches_exact_values():
+    # _evaluate takes coordinate powers by repeated squaring: dense
+    # exponents up to 40 over Q, mod q at integer points, against exact
+    # rational values; and y^n in F_7[y]/(f) against x^n mod f
+    rng = random.Random(33)
+    ff = FunctionField(0, ["a", "c"])
+    a, c = ff.gens()
+    q = freeness._EVAL_PRIME
+    R = freeness._residues(q)
+
+    def dense():
+        return sum((rng.randrange(1, 10) * a ** rng.randrange(41)
+                    * c ** rng.randrange(41) for _ in range(8)), ff.one())
+    for _ in range(6):
+        g = dense() / dense()
+        P = (rng.randrange(2, 99), rng.randrange(2, 99))
+        want = eval_ratfunc(g, tuple(map(Fraction, P)))
+        assert freeness._evaluate(g, P, R) == (
+            want.numerator * pow(want.denominator, -1, q) % q)
+    F = freeness._extension(7)
+    f = freeness._extension_modulus(7)
+    k = len(f) - 1
+    t = FunctionField(7, ["t"]).var(0)
+    y = [0, 1] + [0] * (k - 2)
+    for n in (1, 2, 5, 40, 343):
+        rem = _long_div([0] * n + [1], f, 7)[1]
+        assert freeness._evaluate(t ** n, (y,), F) == rem + [0] * (
+            k - len(rem))
 
 
 @pytest.mark.parametrize("image,inverse", [
@@ -791,9 +821,10 @@ def test_point_map_mod_q_equals_image_evaluation(image, inverse):
     # along the orbits of the evaluation starts, at random residues, and
     # at the pole of a map with c != 0
     q = freeness._EVAL_PRIME
+    F = freeness._residues(q)
     ctx = _moebius_ctx(QT, image, inverse)
     (g,) = ctx.sigma.images
-    step = freeness._point_map_mod(ctx.sigma, q)
+    step = freeness._point_map(ctx.sigma, F)
     rng = random.Random(28)
     points = list(freeness._EVAL_STARTS) + [rng.randrange(q)
                                             for _ in range(20)]
@@ -803,7 +834,7 @@ def test_point_map_mod_q_equals_image_evaluation(image, inverse):
     poles = 0
     for P in points:
         for _ in range(6):
-            want = freeness._eval_mod(g, (P,), q)
+            want = freeness._evaluate(g, (P,), F)
             got = step((P,))
             assert got == (None if want is None else (want,))
             if got is None:
@@ -815,15 +846,16 @@ def test_point_map_mod_q_equals_image_evaluation(image, inverse):
 
 def test_point_map_mod_q_defers_to_evaluation_at_a_bad_denominator():
     # q divides a coefficient denominator of sigma(t) = t + 1/q, so the
-    # image has no value mod q anywhere: the images are evaluated, and
-    # every orbit stops at its first step
+    # image has no value mod q anywhere, and its cleared matrix is
+    # singular mod q: there is no point map, the images are evaluated,
+    # and every orbit stops at its first step
     q = freeness._EVAL_PRIME
+    F = freeness._residues(q)
     ctx = _moebius_ctx(QT, lambda t: t + Fraction(1, q),
                        lambda t: t - Fraction(1, q))
-    assert freeness._point_map_mod(ctx.sigma, q) is None
-    at = lambda g, P: freeness._eval_mod(g, P, q)
+    assert freeness._point_map(ctx.sigma, F) is None
     assert freeness._orbit_values(ctx.sigma.images, QT.var(0),
-                                  (freeness._EVAL_STARTS[0],), 2, at) is None
+                                  (freeness._EVAL_STARTS[0],), 2, F) is None
 
 
 def test_point_map_in_the_extension_equals_image_evaluation():
@@ -831,15 +863,15 @@ def test_point_map_in_the_extension_equals_image_evaluation():
     # F_p[y]/(f): the matrix's point map gives the coordinates that
     # evaluating sigma(t) there gives, step by step along the orbit
     ff = FunctionField(5, ["t"])
-    f = freeness._extension_modulus(5)
+    F = freeness._extension(5)
     for image, inverse in ((lambda t: t + 1, lambda t: t - 1),
                            (lambda t: -1 / (t + 1), lambda t: (-1 - t) / t)):
         ctx = _moebius_ctx(ff, image, inverse)
         (g,) = ctx.sigma.images
-        step = freeness._point_map_ext(ctx.sigma, f, 5)
-        P = ([0, 1] + [0] * (len(f) - 3),)
+        step = freeness._point_map(ctx.sigma, F)
+        P = ([0, 1] + [0] * (len(F.zero) - 2),)
         for _ in range(12):
-            want = freeness._ext_eval(g, P, f, 5)
+            want = freeness._evaluate(g, P, F)
             got = step(P)
             assert got == (want,)
             P = got
@@ -858,33 +890,80 @@ def test_one_variable_orbits_evaluate_no_image(monkeypatch, make_ctx, b, L):
     ctx = make_ctx()
     witness = b(ctx.ff.var(0))
     seen = []
-    for name in ("_eval_mod", "_ext_eval"):
-        real = getattr(freeness, name)
+    real = freeness._evaluate
 
-        def recording(g, *args, real=real):
-            seen.append(g)
-            return real(g, *args)
-        monkeypatch.setattr(freeness, name, recording)
+    def recording(g, *args):
+        seen.append(g)
+        return real(g, *args)
+    monkeypatch.setattr(freeness, "_evaluate", recording)
     cert = freeness_certify(ctx, witness, L)
     assert cert.rank > 0 and seen
     assert all(g == witness for g in seen)
 
 
+def _assert_next_extension_point(monkeypatch, ctx, b, L, first, second):
+    # the orbit of the first point meets a pole of b, so the evaluated
+    # route certifies at the second, with no fold, and gives the fold's
+    # verdict, rank and relation; its digest header names the new point
+    F = freeness._extension(ctx.ff.char)
+    assert freeness._orbit_values(ctx.sigma.images, b, first,
+                                  freeness._truncation_order(L), F) is None
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "_evaluated_word_rows", lambda *a: iter(()))
+        fold = freeness_certify(ctx, b, L)
+    rows = freeness._evaluated_word_rows
+    points = []
+
+    def recording(*args):
+        for found in rows(*args):
+            points.append(found[1])
+            yield found
+    monkeypatch.setattr(freeness, "_evaluated_word_rows", recording)
+    monkeypatch.setattr(freeness, "common_left_denominator",
+                        lambda *a: pytest.fail("fold"))
+    cert = freeness_certify(ctx, b, L)
+    assert points == [second]
+    assert (cert.verdict, cert.rank, cert.relation) == (
+        fold.verdict, fold.rank, fold.relation)
+
+
 @pytest.mark.parametrize("L", [1, 2])
-def test_extension_point_pole_goes_to_the_fold(monkeypatch, L):
-    # 1/f(u), f the modulus of F_5[y]/(f), has a pole at the point y itself:
-    # the evaluated route has no point, and the certificate is the fold's
+def test_extension_point_pole_takes_the_next_point(monkeypatch, L):
+    # 1/f(u), f the modulus of F_5[y]/(f), has a pole at the point y
+    # itself: the route takes the next point, y^2
     ctx = shift_f5_ctx()
     u = ctx.ff.var(0)
     b = sum((c * u ** j for j, c in enumerate(freeness._extension_modulus(5))),
             ctx.ff.zero()).inverse()
-    words = words_up_to(L)
-    N = freeness._truncation_order(L)
-    assert freeness._extension_word_rows(ctx, words, b, N) is None
-    with monkeypatch.context() as m:
-        m.setattr(freeness, "_evaluated_word_rows", lambda *a: iter(()))
-        fold = freeness_certify(ctx, b, L)
-    assert freeness_certify(ctx, b, L) == fold
+    F = freeness._extension(5)
+    y = [0, 1] + [0] * (len(F.zero) - 2)
+    _assert_next_extension_point(monkeypatch, ctx, b, L, (y,),
+                                 (F.mul(y, y),))
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_diag7_point_pole_takes_the_next_point(monkeypatch, L):
+    # y2 - y1^2 vanishes at the first point (y, y^2), and nowhere on the
+    # orbit of the second, (y^2, y^3).  The points (y^j, y^{2j}) all lie
+    # on y2 = y1^2, which is why the exponents step by one
+    ctx = diag7_ctx()
+    y1, y2 = ctx.ff.gens()
+    F = freeness._extension(7)
+    y = [0, 1] + [0] * (len(F.zero) - 2)
+    y2_, y3_ = F.mul(y, y), F.mul(F.mul(y, y), y)
+    _assert_next_extension_point(monkeypatch, ctx, (y2 - y1 * y1).inverse(),
+                                 L, (y, y2_), (y2_, y3_))
+
+
+def test_diag7_first_point_keeps_its_digest():
+    # 1/(y1 + y2) meets no pole at the first point (y, y^2), which its
+    # certificate still names
+    ctx = diag7_ctx()
+    y1, y2 = ctx.ff.gens()
+    cert = freeness_certify(ctx, (y1 + y2).inverse(), 3)
+    assert (cert.verdict, cert.rank) == ("Independent", 15)
+    assert cert.matrix_digest == (
+        "7d0a5b3cafdf8e141153391a10795ced654e001039a365c8304545b00cf72286")
 
 
 def test_tower_L6_relation_known_answer(monkeypatch):
@@ -990,6 +1069,12 @@ def test_extension_field_kernel(p):
         if any(a):
             assert mul(a, freeness._ext_inv(a, f, p)) == one
         assert power(a, p ** k) == a
+    # the inverse of a scalar is one entry, and a product by it scales
+    # the coordinates
+    c = rng.randrange(1, p)
+    inv = freeness._ext_inv([c] + [0] * (k - 1), f, p)
+    assert inv == [pow(c, -1, p)]
+    assert mul(a, inv) == [x * inv[0] % p for x in a]
 
 
 def test_extension_modulus_search_always_ends(monkeypatch):

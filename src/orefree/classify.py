@@ -133,9 +133,9 @@ def _witness_candidates(pair):
     t = ff.var(0)
     for f in (t, pair.sigma.apply(t)):
         for part in (f.num, f.den):
-            if part.is_const():
+            if len(part) < 2:
                 continue
-            for r in _rational_roots(part, 0):
+            for r in _rational_roots(part, ff.char):
                 if r not in roots:
                     roots.append(r)
     pool = [(t - ff.const(r)).inverse() for r in roots]
@@ -302,9 +302,9 @@ def classify_automorphism(spec):
 def _places_of(witness):
     """Places at the prime-field roots of a supplied witness denominator."""
     ff = witness.ff
-    if ff.nvars != 1 or witness.den.is_const():
+    if ff.nvars != 1 or witness.is_poly():
         return []
-    return _places_at(ff, _rational_roots(witness.den, 0))
+    return _places_at(ff, _rational_roots(witness.den, ff.char))
 
 
 def classify_derivation(spec):
@@ -350,10 +350,8 @@ def classify_derivation(spec):
         diags.append("tower(%s): %s" % (ff.names[i], ", ".join(statuses)))
         if report.all_strict():
             # the iterates start at a itself
-            touched = set().union(*(f.num.vars_used() | f.den.vars_used()
-                                    for f in report.values))
-            clash = [g for g in pair.e_generators
-                     if (g.num.vars_used() | g.den.vars_used()) & touched]
+            touched = set().union(*(f.vars_used() for f in report.values))
+            clash = [g for g in pair.e_generators if g.vars_used() & touched]
             if clash:
                 # a declared constant built from the same generators can
                 # collapse the growth the per-level test certifies

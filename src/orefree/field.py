@@ -10,28 +10,32 @@ nonzero scalars.  The monomial order used for leading terms and printing
 is graded lexicographic: compare total degree first, then the exponent
 tuple with the first generator most significant.
 
-Field elements (:class:`RatFunc`) are quotients num/den of polynomials
-with the denominator normalized monic (graded-lex leading coefficient 1).
-Construction reduces by a gcd, so every fraction built with the default
-``reduce=True`` is in lowest terms; callers that pass ``reduce=False``
-keep equality exact because it falls back to cross multiplication.  No
+Each field picks its numerator ring once (``FunctionField.ring``).  Over
+k(t) it is :class:`_IntRing`, the dense int lists of :mod:`intpoly`,
+constant first, mod p over F_p; in several variables it is
+:class:`_MPolyRing`, MPolys.  A field element (:class:`RatFunc`) holds
+num and den in that ring, in the ring's canonical form (``canon``), which
+the Ore kernels of :mod:`orepoly` share: num and den coprime, over Q(t)
+their integers together coprime with lc(den) > 0, otherwise den monic
+(in graded-lex order in several variables).  A sum of fractions is
+brought over one denominator by the ring's ``over_lcm``.  A fraction
+prints its coefficients as c / lc(den), through the term printer of
+MPoly, so it reads as num and den made monic.  MPoly stays the type of
+one-variable polynomials given from outside (``poly_var``, a place's
+polynomial); :func:`_dense` turns one into an int list and a scale.  No
 floating point is used anywhere.
 
-Univariate kernels (products, exact division, gcds, roots) work on the
-dense int lists of :mod:`intpoly` with one common denominator
-(:func:`_dense`, :func:`_from_dense`); their results go back into the same
-term dicts, so the representation above is unchanged.  A fraction of k(t)
-is cleared to two int lists over one scale by :func:`_cleared`, and a
-list of fractions is brought over the lcm of their denominators by
-:func:`_common_denominator`.  gcds use dense Euclid for univariate
-polynomials over F_p, the heuristic gcd over Z (evaluation at one
-integer, proved by division) over Q; in several variables one Kronecker
-substitution onto those, proved by division, and where that cannot tell
-a primitive PRS with recursion on contents.
+gcds use dense Euclid for univariate polynomials over F_p, the heuristic
+gcd over Z (evaluation at one integer, proved by division) over Q; in
+several variables one Kronecker substitution onto those, proved by
+division, and where that cannot tell a primitive PRS with recursion on
+contents.
 """
 
 import heapq
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import config
@@ -42,8 +46,8 @@ from .errors import (
     ResourceBoundExceeded,
 )
 from .intpoly import (
-    _compose, _conv, _is_prime, _long_div, _primitive_ints, _trim,
-    _uni_gcd_p, _uni_gcd_q,
+    _add, _compose, _exact_quo, _gcd_cofactors, _is_prime, _long_div, _mul,
+    _primitive_ints, _sub, _trim, _uni_gcd_p, _uni_gcd_q,
 )
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -98,16 +102,10 @@ class BaseField:
             return pow(a, self.p - 2, self.p)
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow_(self, a, n):
         if n < 0:
             a, n = self.inv(a), -n
         return pow(a, n, self.p) if self.p else a ** n
-
-    def is_zero(self, a):
-        return not a
 
     def __eq__(self, other):
         return isinstance(other, BaseField) and self.p == other.p
@@ -120,9 +118,10 @@ class BaseField:
 
 
 class FunctionField:
-    """Context object for K = k(names): base field plus ordered generators."""
+    """Context object for K = k(names): base field plus ordered generators,
+    and the ring that holds numerators and denominators."""
 
-    __slots__ = ("base", "names")
+    __slots__ = ("base", "names", "ring")
 
     def __init__(self, char, names):
         names = tuple(names)
@@ -133,6 +132,7 @@ class FunctionField:
                 raise ValueError("bad generator name %r" % (nm,))
         self.base = BaseField(char)
         self.names = names
+        self.ring = (_IntRing if len(names) == 1 else _MPolyRing)(self)
 
     @property
     def char(self):
@@ -157,6 +157,17 @@ class FunctionField:
         return MPoly(self, {(0,) * self.nvars: self.base.one()})
 
     def poly_const(self, c):
+        """The constant c, an int or a Fraction, the one entry point of
+        scalars: over F_p a Fraction n/d is n d^-1 mod p, and p dividing d
+        raises DivisionByZero."""
+        p = self.char
+        if isinstance(c, Fraction) and p:
+            if c.denominator % p == 0:
+                raise DivisionByZero("%s has no value mod %d" % (c, p))
+            c = c.numerator * pow(c.denominator, -1, p)
+        elif not isinstance(c, (int, Fraction)):
+            raise TypeError("scalar %r is neither an int nor a Fraction"
+                            % (c,))
         if isinstance(c, int):
             c = self.base.of_int(c)
         if not c:
@@ -172,19 +183,21 @@ class FunctionField:
     # -- field element constructors ----------------------------------
 
     def zero(self):
-        return RatFunc(self.poly_zero(), self.poly_one(), reduce=False)
+        return RatFunc(self, self.ring.zero, self.ring.one, coprime=True)
 
     def one(self):
-        return RatFunc(self.poly_one(), self.poly_one(), reduce=False)
+        return RatFunc(self, self.ring.one, self.ring.one, coprime=True)
 
     def const(self, c):
-        return RatFunc(self.poly_const(c), self.poly_one(), reduce=False)
+        return RatFunc(self, *self.ring.of_poly(self.poly_const(c)),
+                       coprime=True)
 
     def from_int(self, n):
         return self.const(n)
 
     def var(self, which):
-        return RatFunc(self.poly_var(which), self.poly_one(), reduce=False)
+        return RatFunc(self, *self.ring.of_poly(self.poly_var(which)),
+                       coprime=True)
 
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
@@ -363,11 +376,6 @@ class MPoly(_RingElement):
         if len(a) > len(b):
             a, b = b, a
         ff = self.ff
-        if ff.nvars == 1:
-            # one integer convolution; univariate products dominate several
-            # pipelines
-            (ia, sa), (ib, sb) = _dense(a, ff.char), _dense(b, ff.char)
-            return _from_dense(ff, _conv(ia, ib), sa * sb)
         p = ff.base.p
         out = {}
         for e1, c1 in a.items():
@@ -414,16 +422,6 @@ class MPoly(_RingElement):
             return self.ff.poly_zero()
         if g.is_const():
             return self.scalar_mul(self.ff.base.inv(g.const_value()))
-        if self.ff.nvars == 1:
-            # the dividend is scaled by s = lc^(n-m+1) over Q: s * self =
-            # quo * g exactly when the integer remainder is zero
-            p = self.ff.char
-            (r, sr), (d, sd) = _dense(self.terms, p), _dense(g.terms, p)
-            quo, rem = _long_div(r, d, p)
-            if rem:
-                return None
-            s = 1 if p else d[-1] ** len(quo)
-            return _from_dense(self.ff, [c * sd for c in quo], sr * s)
         # the remainder's exponents in a heap, by negated grlex key
         base = self.ff.base
         ge, gc = g.leading()
@@ -504,40 +502,45 @@ class MPoly(_RingElement):
             out = out + part
         return out
 
-    # -- printing ----------------------------------------------------------
-
-    def _term_str(self, e, c):
-        factors = []
-        for i, k in enumerate(e):
-            if k == 1:
-                factors.append(self.ff.names[i])
-            elif k:
-                factors.append("%s^%d" % (self.ff.names[i], k))
-        mono = "*".join(factors)
-        if not mono:
-            return str(c)
-        one = self.ff.base.one()
-        if c == one:
-            return mono
-        if self.ff.char == 0 and c == -one:
-            return "-" + mono
-        return "%s*%s" % (c, mono)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms, key=_grlex_key, reverse=True)
-        out = self._term_str(items[0], self.terms[items[0]])
-        for e in items[1:]:
-            s = self._term_str(e, self.terms[e])
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
-        return out
+        return _poly_str(self.ff, self.terms)
 
     def __repr__(self):
         return "MPoly(%s)" % self
+
+
+def _term_str(ff, e, c):
+    factors = []
+    for i, k in enumerate(e):
+        if k == 1:
+            factors.append(ff.names[i])
+        elif k:
+            factors.append("%s^%d" % (ff.names[i], k))
+    mono = "*".join(factors)
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if ff.char == 0 and c == -1:
+        return "-" + mono
+    return "%s*%s" % (c, mono)
+
+
+def _poly_str(ff, terms):
+    """The polynomial with the {exponent: coefficient} dict terms, leading
+    term first; MPoly and RatFunc print through it."""
+    if not terms:
+        return "0"
+    out = ""
+    for e in sorted(terms, key=_grlex_key, reverse=True):
+        s = _term_str(ff, e, terms[e])
+        if not out:
+            out = s
+        elif s.startswith("-"):
+            out += " - " + s[1:]
+        else:
+            out += " + " + s
+    return out
 
 
 def _powers(p, n):
@@ -574,26 +577,12 @@ def _dense(terms, p, v=0):
     return ints, scale
 
 
-def _cleared(f):
-    """(n, d) int lists with f = n / d over one scale, for f in k(t): the
-    dense lists of num and den, mod p over F_p."""
-    p = f.ff.char
-    n, sn = _dense(f.num.terms, p)
-    d, sd = _dense(f.den.terms, p)
-    if sn != sd:
-        n, d = [x * sd for x in n], [x * sn for x in d]
-    return n, d
-
-
 def _from_dense(ff, ints, scale=1, v=0):
-    """The MPoly with ints[k] / scale at y_v^k; scale is 1 over F_p."""
+    """The MPoly with ints[k] / scale at y_v^k; scale is 1 over F_p.  A
+    view of an int list kept for code that combines polynomials with
+    Python operators."""
     p, head, tail = ff.char, (0,) * v, (0,) * (ff.nvars - v - 1)
-    if p:
-        cs = ((k, c % p) for k, c in enumerate(ints))
-    elif scale == 1:
-        cs = ((k, Fraction(c)) for k, c in enumerate(ints) if c)
-    else:
-        cs = ((k, Fraction(c, scale)) for k, c in enumerate(ints) if c)
+    cs = ((k, c % p if p else Fraction(c, scale)) for k, c in enumerate(ints))
     return MPoly(ff, {head + (k,) + tail: c for k, c in cs if c})
 
 
@@ -601,15 +590,14 @@ def _from_dense(ff, ints, scale=1, v=0):
 # gcd machinery
 # ---------------------------------------------------------------------------
 
-def _rational_roots(poly, v):
-    """All roots in the prime field of a univariate polynomial in y_v.
+def _rational_roots(ints, p):
+    """All roots in the prime field k of the nonzero polynomial with the
+    trimmed int list ints, mod p over F_p.
 
     Over Q the candidates are +-p/q with p dividing the lowest nonzero
-    coefficient and q the leading one, after clearing denominators; roots
-    come out in that candidate order, 0 first when it is one.
+    coefficient and q the leading one of the primitive list; roots come
+    out in that candidate order, 0 first when it is one.
     """
-    p = poly.ff.char
-    ints, _ = _dense(poly.terms, p, v)
     if p:
         ones = [[1]] * len(ints)
         return [r for r in range(p)
@@ -727,9 +715,8 @@ def poly_gcd(a, b):
     if len(used) == 1:
         (v,) = used
         la, lb = _dense(a.terms, p, v)[0], _dense(b.terms, p, v)[0]
-        if p:
-            return _from_dense(ff, _uni_gcd_p(la, lb, p), 1, v)
-        g = _uni_gcd_q(la, lb)
+        # monic over F_p, and over Q made monic by its lc
+        g = _uni_gcd_p(la, lb, p) if p else _uni_gcd_q(la, lb)
         return _from_dense(ff, g, g[-1], v)
     # one degree wider moves cyclotomic factors such as of t + s -> z + z^B
     for extra in (0, 1):
@@ -753,37 +740,202 @@ def poly_gcd(a, b):
     return (c * a).monic()
 
 
-def _cancel(a, b):
-    """a and b divided by their gcd."""
-    g = poly_gcd(a, b)
-    if g.is_const():
-        return a, b
-    return a.divide_exact(g), b.divide_exact(g)
-
-
-def _denominator_lcm(fs, den=None):
-    """The monic lcm of the denominators of a nonempty list of RatFuncs,
-    and of den when given."""
-    if den is None:
-        den = fs[0].ff.poly_one()
-    for f in fs:
-        if not f.den.is_const():
-            den = den * f.den.divide_exact(poly_gcd(den, f.den))
-    return den
+def _check_terms(worst):
+    if worst > config.MAX_FRACTION_TERMS:
+        raise ResourceBoundExceeded("fraction grew to %d terms (bound %d)"
+                                    % (worst, config.MAX_FRACTION_TERMS))
 
 
 def _common_denominator(fs, den=None):
-    """(den, nums) with f_i = nums[i] / den for a nonempty list of RatFuncs:
-    den the monic lcm of their denominators, built here unless given."""
+    """(den, nums) with f_i = nums[i] / den for a nonempty list of RatFuncs,
+    in their field's ring: den the lcm of their denominators, and of den
+    when given (up to an integer factor over Q, monic otherwise)."""
+    ring = fs[0].ff.ring
     if den is None:
-        den = _denominator_lcm(fs)
+        den = ring.one
     nums = []
     for f in fs:
-        q = den.divide_exact(f.den)
-        if q is None:
-            raise AssertionError("denominator does not divide their lcm")
-        nums.append(f.num * q)
+        lift, grow = ring.cofactors([den, f.den])
+        if grow != ring.one:
+            den = ring.times(den, grow)
+            nums = [ring.times(n, grow) for n in nums]
+        nums.append(ring.times(f.num, lift))
     return den, nums
+
+
+# ---------------------------------------------------------------------------
+# numerator rings
+# ---------------------------------------------------------------------------
+
+class _Ring:
+    """What the two numerator rings share: sums of fractions over one
+    denominator.  A ring also has zero, one, add, sub, neg, times (a
+    product that returns the other factor when one is 1, so results are
+    read, never mutated), cofactors (each polynomial over the gcd of
+    all), canon, degree, divide_exact, of_poly and terms."""
+
+    def over_lcm(self, d1, n1, d2, n2):
+        """(den, nums) with nums[j] / den = n1[j] / d1 + n2[j] / d2, den the
+        product of d1 and d2 over their gcd; not reduced."""
+        add, times = self.add, self.times
+        pairs = itertools.zip_longest(n1, n2, fillvalue=self.zero)
+        if d1 == d2:
+            return d1, [add(a, b) for a, b in pairs]
+        f2, f1 = self.cofactors([d1, d2])
+        return times(d1, f1), [add(times(a, f1), times(b, f2))
+                               for a, b in pairs]
+
+
+class _IntRing(_Ring):
+    """Polynomials over k(t): the dense int lists of :mod:`intpoly`,
+    constant first and trimmed, mod p over F_p."""
+
+    zero, one = [], [1]
+
+    def __init__(self, ff):
+        self.p = ff.char
+
+    def add(self, a, b):
+        return _add(a, b, self.p)
+
+    def sub(self, a, b):
+        return _sub(a, b, self.p)
+
+    def neg(self, a):
+        p = self.p
+        return [-x % p for x in a] if p else [-x for x in a]
+
+    def times(self, a, b):
+        if a == [1]:
+            return b
+        if b == [1]:
+            return a
+        return _mul(a, b, self.p)
+
+    def power(self, a, n):
+        """a^n for n >= 1, by repeated squaring."""
+        out = a
+        for bit in bin(n)[3:]:
+            out = _mul(out, out, self.p)
+            if bit == "1":
+                out = _mul(out, a, self.p)
+        return out
+
+    def cofactors(self, polys):
+        """Each polynomial over the gcd of all, over Q with the gcd of
+        their integer contents, so that a multiple of every input's
+        denominator is not grown by a content it already has."""
+        qs = _gcd_cofactors(polys, self.p)[1]
+        c = 1 if self.p else math.gcd(*itertools.chain.from_iterable(qs))
+        return qs if c == 1 else [[x // c for x in q] for q in qs]
+
+    def canon(self, den, nums, coprime=False):
+        """The canonical form of the fractions nums[j] / den: the
+        coefficients of an Ore polynomial sum nums[j] / den x^j, or of a
+        RatFunc with one entry.  gcd(den, nums...) = 1, and over Q the
+        integers together are coprime with lc(den) > 0, over F_p den is
+        monic.  nums is a fresh list, its trailing zeros popped;
+        ``coprime`` skips the polynomial gcd when no factor of den can
+        divide every numerator."""
+        p = self.p
+        _trim(nums)
+        if not nums:
+            return [1], []
+        if not p:
+            # coprime integers first: dividing by a primitive gcd keeps them
+            # coprime and the sign of lc(den)
+            c = math.gcd(*den, *itertools.chain.from_iterable(nums))
+            if den[-1] < 0:
+                c = -c
+            if c != 1:
+                den = [x // c for x in den]
+                nums = [[x // c for x in n] for n in nums]
+        if len(den) > 1 and not coprime:
+            den, *nums = _gcd_cofactors([den] + nums, p)[1]
+        if p and den[-1] != 1:
+            inv = pow(den[-1], -1, p)
+            den = [x * inv % p for x in den]
+            nums = [[x * inv % p for x in n] for n in nums]
+        if len(den) + max(map(len, nums)) > config.MAX_FRACTION_TERMS:
+            _check_terms(len(den) - den.count(0)
+                         + max(len(n) - n.count(0) for n in nums))
+        return den, nums
+
+    def degree(self, a):
+        return len(a) - 1
+
+    def divide_exact(self, a, d):
+        """a / d when d divides a, else None; d primitive over Q."""
+        if self.p:
+            quo, rem = _long_div(a, d, self.p)
+            return None if rem else quo
+        return _exact_quo(d, a)
+
+    def of_poly(self, f):
+        """(num, den) with f = num / den, for an MPoly f of k(t)."""
+        ints, scale = _dense(f.terms, self.p)
+        return ints, [scale]
+
+    def terms(self, a, den=one):
+        """The {exponent: coefficient} dict of a / lc(den): the terms of a
+        over a denominator made monic, as an MPoly would hold them."""
+        lc = den[-1]
+        if self.p or lc == 1:
+            return {(k,): c for k, c in enumerate(a) if c}
+        return {(k,): Fraction(c, lc) for k, c in enumerate(a) if c}
+
+
+class _MPolyRing(_Ring):
+    """Polynomials in several variables: MPolys.  Canonical fractions have
+    a monic denominator."""
+
+    add, sub, neg = operator.add, operator.sub, operator.neg
+
+    def __init__(self, ff):
+        self.ff, self.zero, self.one = ff, MPoly(ff, {}), ff.poly_one()
+
+    def times(self, a, b):
+        if a == self.one:
+            return b
+        if b == self.one:
+            return a
+        return a * b
+
+    def cofactors(self, polys):
+        g = self.zero
+        for f in polys:
+            if f:
+                g = poly_gcd(g, f)
+                if g.is_const():
+                    return polys
+        return [f.divide_exact(g) for f in polys]
+
+    def canon(self, den, nums, coprime=False):
+        """As over k(t), with the gcd of poly_gcd."""
+        _trim(nums)
+        if not nums:
+            return self.one, []
+        if not (coprime or den.is_const()):
+            den, *nums = self.cofactors([den] + nums)
+        c = den.lc()
+        if c != 1:
+            c = self.ff.base.inv(c)
+            den, nums = den.scalar_mul(c), [n.scalar_mul(c) for n in nums]
+        _check_terms(len(den.terms) + max(len(n.terms) for n in nums))
+        return den, nums
+
+    def degree(self, a):
+        return a.total_degree()
+
+    def divide_exact(self, a, d):
+        return a.divide_exact(d)
+
+    def of_poly(self, f):
+        return f, self.one
+
+    def terms(self, a, den=None):
+        """The terms of a; denominators are monic here."""
+        return a.terms
 
 
 # ---------------------------------------------------------------------------
@@ -791,59 +943,42 @@ def _common_denominator(fs, den=None):
 # ---------------------------------------------------------------------------
 
 class RatFunc(_DivisionRingElement):
-    """Element of K = k(y1, ..., yn) as a normalized fraction num/den.
+    """Element of K = k(y1, ..., yn) as num / den in the field's ring.
 
-    Invariants after construction: den is nonzero and monic; num == 0
-    implies den == 1; num and den are coprime unless the caller passed
-    ``reduce=False`` for a pair it knows to be coprime.
+    Construction puts the pair in the ring's canonical form (``canon``),
+    reduced by a gcd unless the caller passes ``coprime=True`` for a pair
+    it knows to be coprime, so equal elements hold equal num and den.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("ff", "num", "den")
 
-    def __init__(self, num, den, reduce=True):
-        _check_same_field(num, den)
-        if den.is_zero():
+    def __init__(self, ff, num, den, coprime=False):
+        if not den:
             raise DivisionByZero("zero denominator")
-        if num.is_zero():
-            den = num.ff.poly_one()
-        elif reduce and not den.is_const():
-            num, den = _cancel(num, den)
-        if not num.is_zero():
-            base = num.ff.base
-            c = den.lc()
-            if c != base.one():
-                cinv = base.inv(c)
-                num = num.scalar_mul(cinv)
-                den = den.scalar_mul(cinv)
-        nterms = len(num.terms) + len(den.terms)
-        if nterms > config.MAX_FRACTION_TERMS:
-            raise ResourceBoundExceeded(
-                "fraction grew to %d terms (bound %d)"
-                % (nterms, config.MAX_FRACTION_TERMS))
-        self.num = num
-        self.den = den
-
-    @property
-    def ff(self):
-        return self.num.ff
+        den, nums = ff.ring.canon(den, [num], coprime)
+        self.ff, self.den = ff, den
+        self.num = nums[0] if nums else ff.ring.zero
 
     # -- queries ---------------------------------------------------------
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def is_one(self):
         return self.num == self.den
 
     def is_const(self):
-        return self.num.is_const() and self.den.is_const()
-
-    def const_value(self):
-        base = self.ff.base
-        return base.div(self.num.const_value(), self.den.const_value())
+        degree = self.ff.ring.degree
+        return degree(self.num) <= 0 and degree(self.den) == 0
 
     def is_poly(self):
-        return self.den.is_const()
+        return self.ff.ring.degree(self.den) == 0
+
+    def vars_used(self):
+        """The indices of the generators that num or den holds."""
+        if self.ff.nvars == 1:
+            return set() if self.is_const() else {0}
+        return self.num.vars_used() | self.den.vars_used()
 
     def __bool__(self):
         return bool(self.num)
@@ -852,74 +987,63 @@ class RatFunc(_DivisionRingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.num.terms == other.num.terms and self.den.terms == other.den.terms:
-            return True
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     __hash__ = None
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
+        ff = self.ff
         if isinstance(other, RatFunc):
-            if self.ff != other.ff:
+            if ff != other.ff:
                 raise CharacteristicMismatch(
                     "operands live in different fields: %r vs %r"
-                    % (self.ff, other.ff))
+                    % (ff, other.ff))
             return other
         if isinstance(other, int) or (
-                isinstance(other, Fraction) and self.ff.char == 0):
-            return self.ff.const(other)
+                isinstance(other, Fraction) and ff.char == 0):
+            return ff.const(other)
         if isinstance(other, MPoly):
-            _check_same_field(self.num, other)
-            return RatFunc(other, self.ff.poly_one(), reduce=False)
+            _check_same_field(self, other)
+            return RatFunc(ff, *ff.ring.of_poly(other), coprime=True)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        na, da = self.num, self.den
-        nb, db = other.num, other.den
-        if da.terms == db.terms:
-            # common denominator: one cheap reduction pass on the sum
-            return RatFunc(na + nb, da)
-        g = poly_gcd(da, db)
-        if g.is_const():
-            return RatFunc(na * db + nb * da, da * db, reduce=False)
-        da_r = da.divide_exact(g)
-        db_r = db.divide_exact(g)
-        t = na * db_r + nb * da_r
-        g2 = poly_gcd(t, g)
-        if g2.is_const():
-            return RatFunc(t, da_r * db, reduce=False)
-        return RatFunc(t.divide_exact(g2), da_r * db.divide_exact(g2),
-                       reduce=False)
+        den, (num,) = self.ff.ring.over_lcm(self.den, [self.num],
+                                            other.den, [other.num])
+        return RatFunc(self.ff, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return RatFunc(self.ff, self.ff.ring.neg(self.num), self.den,
+                       coprime=True)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        ring = self.ff.ring
         na, da = self.num, self.den
         nb, db = other.num, other.den
-        if na.is_zero() or nb.is_zero():
+        if not na or not nb:
             return self.ff.zero()
         # cross cancellation keeps products reduced without a final gcd
-        na, db = _cancel(na, db)
-        nb, da = _cancel(nb, da)
-        return RatFunc(na * nb, da * db, reduce=False)
+        na, db = ring.cofactors([na, db])
+        nb, da = ring.cofactors([nb, da])
+        return RatFunc(self.ff, ring.times(na, nb), ring.times(da, db),
+                       coprime=True)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.num.is_zero():
+        if not self.num:
             raise DivisionByZero("inverse of zero")
-        return RatFunc(self.den, self.num, reduce=False)
+        return RatFunc(self.ff, self.den, self.num, coprime=True)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -928,43 +1052,61 @@ class RatFunc(_DivisionRingElement):
             return self.inverse() ** (-n)
         if n == 0:
             return self.ff.one()
+        ring = self.ff.ring
         # refused before squaring: in one variable a power of degree n deg
         # is a dense list of n deg + 1 entries
-        deg = n * max(self.num.total_degree(), self.den.total_degree())
+        deg = n * max(ring.degree(self.num), ring.degree(self.den))
         if deg > config.MAX_FRACTION_TERMS:
             raise ResourceBoundExceeded(
                 "power of degree %d exceeds the fraction bound %d"
                 % (deg, config.MAX_FRACTION_TERMS))
         if self.ff.nvars == 1:
-            return RatFunc(self.num ** n, self.den ** n, reduce=False)
+            return RatFunc(self.ff, ring.power(self.num, n),
+                           ring.power(self.den, n), coprime=True)
         # several variables multiply term by term, so squaring a dense power
         # costs the square of its term count; one factor at a time every
         # power passes the term check, and a blow-up is refused at the first
         # power past the bound
         out = self
         for _ in range(n - 1):
-            out = RatFunc(out.num * self.num, out.den * self.den, reduce=False)
+            out = RatFunc(self.ff, out.num * self.num, out.den * self.den,
+                          coprime=True)
         return out
 
     def substitute(self, images):
-        """Image under y_i -> images[i]; denominator must stay nonzero."""
-        top = [max(ks) for ks in zip(*self.num.terms, *self.den.terms)]
-        nums, dens = [g.num for g in images], [g.den for g in images]
-        num, den = (f.substitute_poly(nums, dens, top)
-                    for f in (self.num, self.den))
-        if den.is_zero():
+        """Image under y_i -> images[i], images in this field; the
+        denominator must stay nonzero.  Over k(t), with images[0] = A / B,
+        num and den go to their numerators over B^m, m their largest
+        degree."""
+        ff, num, den = self.ff, self.num, self.den
+        if ff.nvars == 1:
+            (g,) = images
+            m = max(len(num), len(den)) - 1
+            bpow = [[1]]
+            for _ in range(m):
+                bpow.append(_mul(bpow[-1], g.den, ff.char))
+            num, den = (_compose(f, g.num, bpow, m, ff.char)
+                        for f in (num, den))
+        else:
+            top = [max(ks) for ks in zip(*num.terms, *den.terms)]
+            nums, dens = [g.num for g in images], [g.den for g in images]
+            num, den = (f.substitute_poly(nums, dens, top)
+                        for f in (num, den))
+        if not den:
             raise DivisionByZero("substitution maps denominator to zero")
-        return RatFunc(num, den)
+        return RatFunc(ff, num, den)
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        if self.den.is_const() and self.den.const_value() == self.ff.base.one():
-            return str(self.num)
-        ns = str(self.num)
-        if len(self.num.terms) > 1:
+        ff, terms = self.ff, self.ff.ring.terms
+        num = terms(self.num, self.den)
+        ns = _poly_str(ff, num)
+        if self.is_poly():
+            return ns
+        if len(num) > 1:
             ns = "(%s)" % ns
-        ds = str(self.den)
+        ds = _poly_str(ff, terms(self.den, self.den))
         if not all(c in _IDENT_OK for c in ds):
             ds = "(%s)" % ds
         return "%s/%s" % (ns, ds)

@@ -151,7 +151,7 @@ from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
-from .field import RatFunc, _cleared, _common_denominator, _denominator_lcm
+from .field import RatFunc, _common_denominator, _from_dense
 from .intpoly import (
     _ext_inv, _ext_mul, _ext_times, _poly_jet_mod, _rational_reconstruct,
 )
@@ -523,11 +523,12 @@ class _ExactValues:
         return values[:max(n, 1)]
 
     def lcm(self, k):
-        """The monic lcm of the denominators of the first k values."""
+        """The lcm of the denominators of the first k values, in the
+        field's ring (_common_denominator)."""
         lcms = self._lcms
         while len(lcms) < k:
-            lcms.append(_denominator_lcm([self.values[len(lcms)]],
-                                         lcms[-1] if lcms else None))
+            lcms.append(_common_denominator([self.values[len(lcms)]],
+                                            lcms[-1] if lcms else None)[0])
         return lcms[k - 1]
 
 
@@ -571,10 +572,11 @@ def _xinv_word_series(pair, words, b, N):
     """Exact word series in K((x^{-1}; delta)) at orders 0..N, as MPolys.
 
     b and the images of delta are polynomials, so every delta^j(b) is one,
-    and so is every coefficient: the series run on the numerators of
-    _ExactValues.prefix(N); b is the witness or its _ExactValues.  N is
-    held to ``config.MAX_DEN_DEGREE``, the fold's bound on the same
-    degree.
+    and so is every coefficient: the series run on _ExactValues.prefix(N)
+    as MPolys, whose Python operators the series step uses (over k(t)
+    each int list is viewed as one); b is the witness or its
+    _ExactValues.  N is held to ``config.MAX_DEN_DEGREE``, the fold's
+    bound on the same degree.
     """
     if N > config.MAX_DEN_DEGREE:
         raise ResourceBoundExceeded(
@@ -582,8 +584,9 @@ def _xinv_word_series(pair, words, b, N):
             % (N, config.MAX_DEN_DEGREE))
     ff = pair.ff
     values = _exact_values(pair, b).prefix(N)
-    return _word_series(pair, words, [v.num for v in values], N,
-                        ff.poly_zero(), ff.poly_one())
+    polys = [v.num if ff.nvars > 1 else _from_dense(ff, v.num, v.den[0])
+             for v in values]
+    return _word_series(pair, words, polys, N, ff.poly_zero(), ff.poly_one())
 
 
 # q = 2^61 - 1 is prime.  No proof rests on its size, since a failed lift
@@ -641,10 +644,11 @@ def _power(v, n, F):
 
 def _evaluate(g, point, F):
     """g(point) in the field F for g in the function field, or None where a
-    coefficient of g has no value in F or the denominator of g vanishes."""
+    coefficient of g has no value in F or the denominator of g vanishes.
+    Over Q(t) the coefficients are the integers of num and den."""
     def poly(h):
         acc = F.zero
-        for e, c in h.terms.items():
+        for e, c in g.ff.ring.terms(h).items():
             term = F.scalar(c)
             if term is None:
                 return None
@@ -654,7 +658,7 @@ def _evaluate(g, point, F):
             acc = F.add(acc, term)
         return acc
     num = poly(g.num)
-    if num is None or g.is_poly():
+    if num is None or g.den == g.ff.ring.one:
         return num
     den = poly(g.den)
     inv = None if den is None else F.inv(den)
@@ -692,11 +696,11 @@ def _point_map(sigma, F):
     k(t), read off its matrix, whose scale cancels: (s(P),), or None at a
     pole, where evaluating sigma(t) has one.  None in place of the map in
     several variables, or when a coefficient of sigma(t) has no value in
-    F: the cleared matrix is then singular in F, so stepping by it would
-    not give sigma^m(b)(P), and the images are evaluated."""
-    g = sigma.images[0]
-    if sigma.ff.nvars > 1 or any(F.scalar(c) is None for h in (g.num, g.den)
-                                 for c in h.terms.values()):
+    F, which is when the leading coefficient of its integer denominator
+    has no inverse there.  The matrix may then be singular in F (t -> t +
+    1/q mod q), where stepping by it would not give sigma^m(b)(P), so the
+    images are evaluated."""
+    if sigma.ff.nvars > 1 or F.inv(F.scalar(sigma.images[0].den[-1])) is None:
         return None
     a, b, c, d = map(F.scalar, sigma._matrix())
 
@@ -796,10 +800,10 @@ def _jet_mod(f, c, n, q):
 
     None when f is undefined at c mod q.  Substituting t = c + eps is a
     ring homomorphism that carries d/dt to d/d(eps).  With f = num / den
-    on integer lists (_cleared), the jet of f is that of num over that of
-    den, defined when den(c) is a unit mod q.
+    on integer lists, the jet of f is that of num over that of den,
+    defined when den(c) is a unit mod q.
     """
-    num, den = (_poly_jet_mod(ints, c, n, q) for ints in _cleared(f))
+    num, den = (_poly_jet_mod(ints, c, n, q) for ints in (f.num, f.den))
     if not den[0]:
         return None
     inv = pow(den[0], -1, q)
@@ -955,9 +959,9 @@ def _point_bound(pair, b, e, r):
     exact = _exact_values(pair, b)
     values = exact.prefix(e)
     delta = exact.lcm(len(values))
-    h = max(0, max(v.num.total_degree() - v.den.total_degree()
-                   for v in values))
-    return values, delta, r * (delta.total_degree() + h)
+    degree = pair.ff.ring.degree
+    h = max(0, max(degree(v.num) - degree(v.den) for v in values))
+    return values, delta, r * (degree(delta) + h)
 
 
 def _relation_holds(pair, words, b, lam):
@@ -994,9 +998,10 @@ def _relation_holds(pair, words, b, lam):
     if ff.char or ff.nvars > 1:
         values = exact.prefix(e)
         delta, nums = _common_denominator(values, exact.lcm(len(values)))
+        if ff.nvars == 1:  # MPolys for the series step, as _xinv_word_series
+            delta, *nums = (_from_dense(ff, h) for h in [delta] + nums)
         return vanishes(nums, delta, ff.poly_zero(), ff.poly_one())
     values, _, B = _point_bound(pair, exact, e, r)
-    cleared = [_cleared(v) for v in values]
 
     def at(ints, P):
         return functools.reduce(lambda acc, c: acc * P + c, reversed(ints), 0)
@@ -1004,8 +1009,8 @@ def _relation_holds(pair, words, b, lam):
     P, left = -1, B + 1
     while left:
         P += 1
-        nums = [at(n, P) for n, _ in cleared]
-        dens = [at(d, P) for _, d in cleared]
+        nums = [at(v.num, P) for v in values]
+        dens = [at(v.den, P) for v in values]
         if not all(dens):
             continue
         s = math.lcm(*dens)
@@ -1124,8 +1129,8 @@ def freeness_certify(pair, b, L):
             and all(img.is_poly() for img in pair.delta.images)):
         exact = _ExactValues(pair, b)
         rows = _split_by_monomial(
-            _xinv_word_series(pair, words, exact, _truncation_order(L)),
-            base.zero())
+            [[c.terms for c in s] for s in _xinv_word_series(
+                pair, words, exact, _truncation_order(L))], base.zero())
         rank, lam = _rank_and_relation(
             rows, base, lambda lam: _relation_holds(pair, words, exact, lam))
     else:

@@ -6,10 +6,10 @@ a trimmed list has a nonzero last entry.  Over F_p (``p > 0``) entries are
 reduced mod p by the functions that take ``p``; over Q (``p = 0``) they are
 integers and a rational polynomial is an int list over one common
 denominator, which the caller keeps.  Nothing here builds an object
-per coefficient: :mod:`field` moves its univariate products, divisions
-and gcds onto these lists, :mod:`skew` applies the Moebius maps of k(t)
-on them, and :mod:`orepoly` keeps a whole Ore polynomial over k(t) as one
-denominator plus numerator lists.
+per coefficient: a fraction of k(t) in :mod:`field` is two of these
+lists, :mod:`skew` applies the Moebius maps of k(t) on them, and
+:mod:`orepoly` keeps a whole Ore polynomial over k(t) as one denominator
+plus numerator lists.
 
 Every product of two lists is :func:`_conv`, which picks its method from
 the length of the shorter operand.  One coefficient scales the other list

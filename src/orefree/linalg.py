@@ -63,7 +63,8 @@ from .intpoly import _primitive_ints
 
 
 def _split_by_monomial(polys, zero):
-    """Matrix over k of a matrix of polynomials, one row per row.
+    """Matrix over k of a matrix of polynomials, one row per row, each
+    given by its {exponent: coefficient} dict.
 
     Each column is split into one column per monomial that occurs in it,
     in descending graded-lex order; zero fills the monomials a polynomial
@@ -73,10 +74,10 @@ def _split_by_monomial(polys, zero):
     for col in zip(*polys):
         monos = set()
         for nm in col:
-            monos.update(nm.terms)
+            monos.update(nm)
         order = sorted(monos, key=_grlex_key, reverse=True)
         for row, nm in zip(rows, col):
-            row.extend(nm.terms.get(e, zero) for e in order)
+            row.extend(nm.get(e, zero) for e in order)
     return rows
 
 
@@ -101,8 +102,11 @@ def flatten_to_k(vectors):
                 raise UsageError("vectors over different fields")
     if width == 0:
         return [[] for _ in vectors]
-    cols = [_common_denominator([v[j] for v in vectors])[1]
-            for j in range(width)]
+    cols = []
+    for j in range(width):
+        den, nums = _common_denominator([v[j] for v in vectors])
+        # coefficients over den made monic, as over the monic lcm
+        cols.append([ff.ring.terms(n, den) for n in nums])
     return _split_by_monomial(list(zip(*cols)), ff.base.zero())
 
 

@@ -10,16 +10,19 @@ one-sided division algorithms terminate: right division is ordinary
 Euclid, left division twists the candidate coefficient by sigma^{-deg g}.
 
 Every element is fraction-free: one denominator D and numerators N_j with
-a_j = N_j / D, polynomials in the ring that the context's kernel picks
-once: dense int lists of :mod:`intpoly` over k(t) (mod p over F_p), an
-:class:`~orefree.field.MPoly` in several variables.  The form is
-canonical, so equality compares the polynomials: gcd(D, N_0, ..., N_n) =
-1, and over Q(t) the integers of D and the N_j together are coprime with
-lc(D) > 0; otherwise D is monic (in graded-lex order in several
-variables).  Each operation reduces once at its end, by one gcd of D and
-all numerators; right division is pseudo-division over one running
-denominator.  ``coeffs``, ``coeff`` and ``lc`` build reduced RatFuncs
-only when asked.
+a_j = N_j / D, polynomials in the field's ring (``FunctionField.ring``),
+which also holds the num and den of a RatFunc: dense int lists of
+:mod:`intpoly` over k(t) (mod p over F_p), an
+:class:`~orefree.field.MPoly` in several variables.  The form is the
+ring's canonical one (``canon``), which RatFunc also takes, so equality
+compares the polynomials: gcd(D, N_0, ..., N_n) = 1, and over Q(t) the
+integers of D and the N_j together are coprime with lc(D) > 0; otherwise
+D is monic (in graded-lex order in several variables).  Each operation
+reduces once at its end, by one gcd of D and all numerators; right
+division is pseudo-division over one running denominator.  A
+coefficient enters by its own num and den, and ``coeffs``, ``coeff`` and
+``lc`` build RatFuncs from N_j and D only when asked, with no conversion
+either way.
 
 The x-step needs no RatFunc either.  sigma^k(n / D) = sigma^k(n) /
 sigma^k(D) is two numerators over one shared factor, which
@@ -53,14 +56,10 @@ checked on every run.  A greatest common left divisor (via left-division
 Euclid) supports cancellation inside left fractions.
 """
 
-import itertools
-import math
-
 from . import config
 from .errors import ContextMismatch, DivisionByZero, ResourceBoundExceeded
 from .field import RatFunc, _check_same_field
-from .intpoly import _gcd_cofactors, _trim
-from .skew import _IntRing, _MPolyRing
+from .intpoly import _trim
 
 
 def _same_ctx(a, b):
@@ -68,25 +67,18 @@ def _same_ctx(a, b):
         raise ContextMismatch("operands from different Ore contexts")
 
 
-def _check_terms(worst):
-    if worst > config.MAX_FRACTION_TERMS:
-        raise ResourceBoundExceeded("fraction grew to %d terms (bound %d)"
-                                    % (worst, config.MAX_FRACTION_TERMS))
-
-
 # ---------------------------------------------------------------------------
-# the kernel: the polynomial ring of a context and its x-step
+# the kernel: the x-step of a context
 # ---------------------------------------------------------------------------
 
 class _Kernel:
-    """x^k * (sum N_j / D x^j) for one context, in the numerator ring of
-    :mod:`skew` that a subclass extends by ``canon``; ``coprime_sigma``:
-    sigma keeps coprime numerators so.  delta's cn, cd and D on numerators
-    are the context's ``SkewDerivation``'s."""
+    """x^k * (sum N_j / D x^j) for one context, in the field's ring;
+    ``coprime_sigma``: sigma keeps coprime numerators so.  delta's cn, cd
+    and D on numerators are the context's ``SkewDerivation``'s."""
 
     def __init__(self, ctx):
         sigma, delta = ctx.sigma, ctx.delta
-        super().__init__(ctx.ff)
+        self.ring = ctx.ff.ring
         self.sigma = sigma
         self.coprime_sigma = ctx.ff.nvars == 1 or sigma._is_poly
         self.kind = "comm"
@@ -96,44 +88,30 @@ class _Kernel:
             self.kind = "sd" if self.kind == "aut" else "der"
             self.cn, self.cd, self.derive = delta.cn, delta.cd, delta.derive
 
-    def cleared(self, c):
-        """(n, d) with c = n / d, for c in the context's field only."""
-        _check_same_field(self, c)
-        return self.split(c)
-
-    def over_lcm(self, d1, n1, d2, n2):
-        """(den, nums) with nums[j] / den = n1[j] / d1 + n2[j] / d2, den the
-        product of d1 and d2 over their gcd; not reduced."""
-        add, times = self.add, self.times
-        pairs = itertools.zip_longest(n1, n2, fillvalue=self.zero)
-        if d1 == d2:
-            return d1, [add(a, b) for a, b in pairs]
-        f2, f1 = self.cofactors([d1, d2])
-        return times(d1, f1), [add(times(a, f1), times(b, f2))
-                               for a, b in pairs]
-
     def step(self, den, nums, k=1):
         """The canonical form of x^k * (sum nums[j] / den x^j), k >= 1:
         one substitution sigma^k without delta, k single steps with it."""
+        zero = self.ring.zero
         if self.kind == "comm":
-            return den, [self.zero] * k + nums
+            return den, [zero] * k + nums
         if self.kind == "aut":
             sden, *hi = self.sigma.numerators([den] + nums, k)
-            return self.canon(sden, [self.zero] * k + hi,
-                              coprime=self.coprime_sigma)
+            return self.ring.canon(sden, [zero] * k + hi,
+                                   coprime=self.coprime_sigma)
         for _ in range(k):
             den, nums = self._delta_step(den, nums)
         return den, nums
 
     def _delta_step(self, den, nums):
         """The canonical form of x * (sum nums[j] / den x^j), delta != 0."""
-        times, sub = self.times, self.sub
+        r = self.ring
+        times, sub = r.times, r.sub
         if self.kind == "der":
             # x a = a x + delta(a): (den D(n) - n D(den)) / cd den^2 is
             # (f D(n) - n e) / cd den f for g = gcd(den, D(den)), den = g f
             # and D(den) = g e; canon stays for what g leaves (the integers'
             # content, the leading coefficient, factors of cd)
-            f, e = self.cofactors([den, self.derive(den)])
+            f, e = r.cofactors([den, self.derive(den)])
             lo = [sub(times(f, self.derive(n)), times(n, e)) for n in nums]
             hi, hden, rest = nums, den, f
         else:
@@ -147,66 +125,15 @@ class _Kernel:
         scale = times(self.cd, rest)
         hi = [times(s, scale) for s in hi]
         den = times(hden, scale)
-        zero = self.zero
-        out = [self.add(a, b) for a, b in zip(lo + [zero], [zero] + hi)]
-        return self.canon(den, out)
-
-
-class _IntKernel(_Kernel, _IntRing):
-    """The kernel over k(t): dense int lists, mod p over F_p."""
-
-    def canon(self, den, nums, coprime=False):
-        """The canonical form of sum nums[j] / den x^j: nums is a fresh
-        list, its trailing zeros popped; ``coprime`` skips the polynomial
-        gcd when no factor of den can divide every numerator."""
-        p = self.p
-        _trim(nums)
-        if not nums:
-            return [1], []
-        if not p:
-            # coprime integers first: dividing by a primitive gcd keeps them
-            # coprime and the sign of lc(den)
-            c = math.gcd(*den, *itertools.chain.from_iterable(nums))
-            if den[-1] < 0:
-                c = -c
-            if c != 1:
-                den = [x // c for x in den]
-                nums = [[x // c for x in n] for n in nums]
-        if len(den) > 1 and not coprime:
-            den, *nums = _gcd_cofactors([den] + nums, p)[1]
-        if p and den[-1] != 1:
-            inv = pow(den[-1], -1, p)
-            den = [x * inv % p for x in den]
-            nums = [[x * inv % p for x in n] for n in nums]
-        if len(den) + max(map(len, nums)) > config.MAX_FRACTION_TERMS:
-            _check_terms(len(den) - den.count(0)
-                         + max(len(n) - n.count(0) for n in nums))
-        return den, nums
-
-
-class _MPolyKernel(_Kernel, _MPolyRing):
-    """The kernel in several variables: MPolys."""
-
-    def canon(self, den, nums, coprime=False):
-        """As over k(t), with the gcd of field.poly_gcd."""
-        _trim(nums)
-        if not nums:
-            return self.one, []
-        if not (coprime or den.is_const()):
-            den, *nums = self.cofactors([den] + nums)
-        c = den.lc()
-        if c != 1:
-            c = self.ff.base.inv(c)
-            den, nums = den.scalar_mul(c), [n.scalar_mul(c) for n in nums]
-        _check_terms(len(den.terms) + max(len(n.terms) for n in nums))
-        return den, nums
+        zero = r.zero
+        out = [r.add(a, b) for a, b in zip(lo + [zero], [zero] + hi)]
+        return r.canon(den, out)
 
 
 def _kernel(ctx):
     k = ctx._kernel
     if k is None:
-        cls = _IntKernel if ctx.ff.nvars == 1 else _MPolyKernel
-        k = ctx._kernel = cls(ctx)
+        k = ctx._kernel = _Kernel(ctx)
     return k
 
 
@@ -230,13 +157,14 @@ class OrePoly:
     __slots__ = ("ctx", "_cs", "_den", "_nums")
 
     def __init__(self, ctx, coeffs):
-        k = _kernel(ctx)
-        den, nums = k.one, []
+        ring = ctx.ff.ring
+        den, nums = ring.one, []
         for j, c in enumerate(coeffs):
-            n, d = k.cleared(c)
-            den, nums = k.over_lcm(den, nums, d, [k.zero] * j + [n])
+            _check_same_field(ctx, c)
+            den, nums = ring.over_lcm(den, nums, c.den,
+                                      [ring.zero] * j + [c.num])
         self.ctx, self._cs = ctx, None
-        self._den, self._nums = k.canon(den, nums)
+        self._den, self._nums = ring.canon(den, nums)
 
     @classmethod
     def _make(cls, ctx, den, nums):
@@ -249,7 +177,7 @@ class OrePoly:
 
     @classmethod
     def zero(cls, ctx):
-        return cls._make(ctx, _kernel(ctx).one, [])
+        return cls._make(ctx, ctx.ff.ring.one, [])
 
     @classmethod
     def one(cls, ctx):
@@ -265,8 +193,8 @@ class OrePoly:
 
     @classmethod
     def x_pow(cls, ctx, n):
-        k = _kernel(ctx)
-        return cls._make(ctx, k.one, [k.zero] * n + [k.one])
+        ring = ctx.ff.ring
+        return cls._make(ctx, ring.one, [ring.zero] * n + [ring.one])
 
     @classmethod
     def from_coeffs(cls, ctx, coeffs):
@@ -279,9 +207,8 @@ class OrePoly:
     def coeffs(self):
         """The coefficients as reduced RatFuncs, index = power of x."""
         if self._cs is None:
-            k = _kernel(self.ctx)
-            den = k.mpoly(self._den)
-            self._cs = tuple(RatFunc(k.mpoly(n), den) for n in self._nums)
+            ff = self.ctx.ff
+            self._cs = tuple(RatFunc(ff, n, self._den) for n in self._nums)
         return self._cs
 
     @property
@@ -332,12 +259,12 @@ class OrePoly:
             return other
         if not other._nums:
             return self
-        k = _kernel(self.ctx)
-        return OrePoly._make(self.ctx, *k.canon(*k.over_lcm(
+        ring = self.ctx.ff.ring
+        return OrePoly._make(self.ctx, *ring.canon(*ring.over_lcm(
             self._den, self._nums, other._den, other._nums)))
 
     def __neg__(self):
-        neg = _kernel(self.ctx).neg
+        neg = self.ctx.ff.ring.neg
         return OrePoly._make(self.ctx, self._den, [neg(n) for n in self._nums])
 
     def __sub__(self, other):
@@ -349,13 +276,15 @@ class OrePoly:
         """a * self for a scalar coefficient a (degree zero, no twisting)."""
         if a.is_zero():
             return OrePoly.zero(self.ctx)
-        return self._scale(*_kernel(self.ctx).cleared(a))
+        _check_same_field(self.ctx, a)
+        return self._scale(a.num, a.den)
 
     def _scale(self, an, ad):
         """(an / ad) * self for nonzero polynomials an, ad."""
-        k = _kernel(self.ctx)
-        return OrePoly._make(self.ctx, *k.canon(
-            k.times(ad, self._den), [k.times(an, n) for n in self._nums]))
+        ring = self.ctx.ff.ring
+        return OrePoly._make(self.ctx, *ring.canon(
+            ring.times(ad, self._den),
+            [ring.times(an, n) for n in self._nums]))
 
     def _x_step(self, k=1):
         """x^k * self, k >= 1, by the commutation rule."""
@@ -379,17 +308,18 @@ class OrePoly:
             return self
         # sum_i (N_i / D) x^i other over one denominator
         # x^i other is advanced from the last nonzero term's power
-        k = _kernel(self.ctx)
-        times = k.times
-        den, nums = k.one, []
+        ring = self.ctx.ff.ring
+        times = ring.times
+        den, nums = ring.one, []
         xk, i0 = other, 0
         for i, a in enumerate(self._nums):
             if a:
                 if i > i0:
                     xk, i0 = xk._x_step(i - i0), i
-                den, nums = k.over_lcm(den, nums, xk._den,
+                den, nums = ring.over_lcm(den, nums, xk._den,
                                        [times(a, n) for n in xk._nums])
-        return OrePoly._make(self.ctx, *k.canon(times(den, self._den), nums))
+        return OrePoly._make(self.ctx,
+                             *ring.canon(times(den, self._den), nums))
 
     def __rmul__(self, other):
         # scalar * poly only; poly * poly goes through __mul__
@@ -440,10 +370,10 @@ class OrePoly:
         xg = [g]
         for _ in range(self.degree - dg):
             xg.append(xg[-1]._x_step())
-        k = _kernel(ctx)
-        times, sub = k.times, k.sub
+        ring = ctx.ff.ring
+        times, sub = ring.times, ring.sub
         den, rn = self._den, list(self._nums)
-        qn = [k.zero for _ in xg]
+        qn = [ring.zero for _ in xg]
         while len(rn) > dg:
             m = len(rn) - 1 - dg
             gd, gn = xg[m]._den, xg[m]._nums
@@ -451,10 +381,10 @@ class OrePoly:
             rn = _trim([sub(times(gt, a), times(rt, b))
                         for a, b in zip(rn, gn)])
             qn = [times(gt, a) for a in qn]
-            qn[m] = k.add(qn[m], times(rt, gd))
+            qn[m] = ring.add(qn[m], times(rt, gd))
             den = times(den, gt)
-        return (OrePoly._make(ctx, *k.canon(den, qn)),
-                OrePoly._make(ctx, *k.canon(den, rn)))
+        return (OrePoly._make(ctx, *ring.canon(den, qn)),
+                OrePoly._make(ctx, *ring.canon(den, rn)))
 
     def left_quo_rem(self, g):
         """(q, r) with self = g*q + r and deg r < deg g.
@@ -472,17 +402,17 @@ class OrePoly:
         dg = g.degree
         if self.degree < dg:
             return OrePoly.zero(ctx), self
-        k = _kernel(ctx)
+        ring = ctx.ff.ring
         gd, gt = g._den, g._nums[-1]
-        r, qden, qn = self, k.one, []
+        r, qden, qn = self, ring.one, []
         while r.degree >= dg:
             m = r.degree - dg
-            cn, cd = k.sigma.numerators([k.times(r._nums[-1], gd),
-                              k.times(r._den, gt)], -dg)
-            mono = OrePoly._make(ctx, *k.canon(cd, [k.zero] * m + [cn]))
-            qden, qn = k.over_lcm(qden, qn, mono._den, mono._nums)
+            cn, cd = ctx.sigma.numerators([ring.times(r._nums[-1], gd),
+                                           ring.times(r._den, gt)], -dg)
+            mono = OrePoly._make(ctx, *ring.canon(cd, [ring.zero] * m + [cn]))
+            qden, qn = ring.over_lcm(qden, qn, mono._den, mono._nums)
             r = r - g * mono
-        return OrePoly._make(ctx, *k.canon(qden, qn)), r
+        return OrePoly._make(ctx, *ring.canon(qden, qn)), r
 
     # -- printing -------------------------------------------------------------
 
@@ -523,9 +453,9 @@ def left_monic(f, *others):
     if f.is_monic():
         return [f, *others]
     # lc(f) = N_n / D, so c f = (1 / N_n) sum N_j x^j
-    k = _kernel(f.ctx)
+    ring = f.ctx.ff.ring
     an, ad = f._den, f._nums[-1]
-    return [OrePoly._make(f.ctx, *k.canon(ad, list(f._nums)))] + [
+    return [OrePoly._make(f.ctx, *ring.canon(ad, list(f._nums)))] + [
         h._scale(an, ad) if h else h for h in others]
 
 
@@ -552,9 +482,9 @@ def gcld(f, g):
     if a.is_zero() or a.is_monic():
         return a
     # lc(a) = N_n / D, so c = sigma^-deg(D / N_n)
-    k = _kernel(a.ctx)
-    cn, cd = k.sigma.numerators([a._den, a._nums[-1]], -a.degree)
-    return a * OrePoly._make(a.ctx, *k.canon(cd, [cn]))
+    ring = a.ctx.ff.ring
+    cn, cd = a.ctx.sigma.numerators([a._den, a._nums[-1]], -a.degree)
+    return a * OrePoly._make(a.ctx, *ring.canon(cd, [cn]))
 
 
 def lclm(f, g):

@@ -29,11 +29,13 @@ equivalent to the constraint above over all pairs of generators: they
 are its instances with b = y_j, and given them both sides of any pair
 are c*(sigma(y_i) - y_i)*(sigma(y_k) - y_k).
 
-Both act on numerators in one ring, int lists over k(t) and MPolys in
-several variables, which orepoly's kernel extends: ``SkewEndo.numerators``
-maps them by sigma^k, and a SkewDerivation keeps delta over one
-denominator, c = cn / cd or delta = D / cd with D = sum_i cn_i d/dy_i on
-numerators (``derive``).  Each ``apply`` forms one fraction from them.
+Both act on the numerators and denominators of the field's ring
+(``FunctionField.ring``: int lists over k(t), MPolys in several
+variables), which a RatFunc holds and orepoly's kernel steps:
+``SkewEndo.numerators`` maps them by sigma^k, and a SkewDerivation keeps
+delta over one denominator, c = cn / cd or delta = D / cd with D =
+sum_i cn_i d/dy_i on numerators (``derive``).  Each ``apply`` reads num
+and den and forms one fraction from them, with no conversion.
 
 :class:`SkewPair` bundles (sigma, delta) acting on one field, the map
 psi = (sigma - 1) + delta whose kernel is the constant subring, and any
@@ -74,7 +76,6 @@ such closed form and keep bounded iteration.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -89,14 +90,8 @@ from .errors import (
     WrongCharacteristic,
     ZeroArgument,
 )
-from .field import (
-    RatFunc, _check_same_field, _cleared, _common_denominator, _from_dense,
-    poly_gcd,
-)
-from .intpoly import (
-    _add, _compose, _derivative, _gcd_cofactors, _mul, _prime_factors, _sub,
-    _trim,
-)
+from .field import RatFunc, _check_same_field, _common_denominator
+from .intpoly import _compose, _derivative, _mul, _prime_factors, _trim
 
 
 def _mat_mul(x, y, p):
@@ -133,72 +128,6 @@ def _least_period(n, factors, returns):
     return n, out
 
 
-class _IntRing:
-    """Numerators over k(t): dense int lists, mod p over F_p.  orepoly's
-    kernel extends it, and a SkewDerivation computes in it."""
-
-    zero, one = [], [1]
-    split = staticmethod(_cleared)
-
-    def __init__(self, ff):
-        self.ff, self.p = ff, ff.char
-
-    def add(self, a, b):
-        return _add(a, b, self.p)
-
-    def sub(self, a, b):
-        return _sub(a, b, self.p)
-
-    def neg(self, a):
-        p = self.p
-        return [-x % p for x in a] if p else [-x for x in a]
-
-    def times(self, a, b):
-        """a * b as _mul gives it, skipped when a factor is [1]: the other
-        factor itself comes back, so results are read, never mutated."""
-        if a == [1]:
-            return b
-        if b == [1]:
-            return a
-        return _mul(a, b, self.p)
-
-    def cofactors(self, polys):
-        return _gcd_cofactors(polys, self.p)[1]
-
-    def mpoly(self, n):
-        return _from_dense(self.ff, n)
-
-
-class _MPolyRing:
-    """Numerators in several variables: MPolys, as _IntRing over k(t)."""
-
-    add, sub, neg = operator.add, operator.sub, operator.neg
-    split = operator.attrgetter("num", "den")
-
-    def __init__(self, ff):
-        self.ff, self.zero, self.one = ff, ff.poly_zero(), ff.poly_one()
-
-    def times(self, a, b):
-        """a * b, the product skipped when a factor is 1, as over k(t)."""
-        if a == self.one:
-            return b
-        if b == self.one:
-            return a
-        return a * b
-
-    def cofactors(self, polys):
-        g = self.zero
-        for f in polys:
-            if f:
-                g = poly_gcd(g, f)
-                if g.is_const():
-                    return polys
-        return [f.divide_exact(g) for f in polys]
-
-    def mpoly(self, n):
-        return n
-
-
 class SkewEndo:
     """k-automorphism of K with verified inverse.
 
@@ -210,11 +139,10 @@ class SkewEndo:
     # _moebius: power n -> moebius_table entry, in one variable;
     # _order: (order or None when infinite, its prime factors), on first use
     __slots__ = ("ff", "images", "inverse_images", "_pow", "_moebius",
-                 "_order", "_is_poly", "_is_identity", "_ring")
+                 "_order", "_is_poly", "_is_identity")
 
     def __init__(self, ff, images, inverse_images):
         self.ff = ff
-        self._ring = (_IntRing if ff.nvars == 1 else _MPolyRing)(ff)
         gens = ff.gens()
         self.images = self._as_image_list(ff, images, gens)
         self.inverse_images = self._as_image_list(ff, inverse_images, gens)
@@ -301,8 +229,7 @@ class SkewEndo:
             return cache[n]
         if self.ff.nvars == 1:
             a, bpow = self.moebius_table(n)
-            cache[n] = [RatFunc(_from_dense(self.ff, a),
-                                _from_dense(self.ff, bpow[1]), reduce=False)]
+            cache[n] = [RatFunc(self.ff, a, bpow[1], coprime=True)]
             return cache[n]
         step = 1 if n > 0 else -1
         base = self._pow[step]
@@ -345,14 +272,14 @@ class SkewEndo:
     def _matrix(self, inverse=False):
         """(a, b, c, d) with sigma(t) = (a t + b) / (c t + d), or with
         sigma^-1(t) when inverse, for the one generator t: ints, mod p
-        over F_p; None when that image is not of this form.  Over Q they
-        carry the common scale of the cleared image, a positive factor
-        that no reader sees: moebius_table divides it out, and the
+        over F_p; None when that image is not of this form.  They are
+        read off the image's num and den, which over Q carry a positive
+        scale that no reader sees: moebius_table divides it out, and the
         inverse check, the order test, the point map of the evaluated
         series and orbit_analyze's reason are homogeneous in the
         entries."""
-        num, den = _cleared(self.inverse_images[0] if inverse
-                            else self.images[0])
+        g = self.inverse_images[0] if inverse else self.images[0]
+        num, den = g.num, g.den
         if len(num) > 2 or len(den) > 2:
             return None
         b, a = num + [0] * (2 - len(num))
@@ -392,10 +319,9 @@ class SkewEndo:
         _check_same_field(self, f)
         if n == 0 or self.is_identity():
             return f
-        r = self._ring
-        num, den = self.numerators(list(r.split(f)), n)
-        return RatFunc(r.mpoly(num), r.mpoly(den),
-                       reduce=self.ff.nvars > 1 and not self._is_poly)
+        num, den = self.numerators([f.num, f.den], n)
+        return RatFunc(self.ff, num, den,
+                       coprime=self.ff.nvars == 1 or self._is_poly)
 
     def numerators(self, polys, n):
         """[F_f for f in polys] with sigma^n(f / d) = F_f / F_d for any two
@@ -458,7 +384,7 @@ class SkewDerivation:
     id (cn = delta(t) cd over k(t)), c = cn / cd when twisted; apply and
     orepoly's x-step read them."""
 
-    __slots__ = ("ff", "images", "twist", "inner", "cn", "cd", "_ring")
+    __slots__ = ("ff", "images", "twist", "inner", "cn", "cd")
 
     def __init__(self, ff, images, twist):
         if twist.ff != ff:
@@ -478,12 +404,11 @@ class SkewDerivation:
                         "delta(%s) != c*(sigma(%s) - %s) with "
                         "c = delta(%s) / (sigma(%s) - %s) = %s"
                         % ((ff.names[i],) * 3 + (ff.names[j],) * 3 + (c,)))
-        self._ring = twist._ring
         if c is None and ff.nvars > 1:
             self.cd, self.cn = _common_denominator(self.images)
         else:
-            self.cn, self.cd = self._ring.split(
-                self.images[0] if c is None else c)
+            g = self.images[0] if c is None else c
+            self.cn, self.cd = g.num, g.den
 
     @classmethod
     def zero(cls, ff, twist=None):
@@ -495,7 +420,7 @@ class SkewDerivation:
     def derive(self, n):
         """D(n) = sum_i cn[i] dn/dy_i for a numerator n, sigma = id."""
         if self.ff.nvars == 1:
-            return self._ring.times(self.cn, _derivative(n, self.ff.char))
+            return self.ff.ring.times(self.cn, _derivative(n, self.ff.char))
         parts = ((c, n.partial(i)) for i, c in enumerate(self.cn) if c)
         return sum((c * dn for c, dn in parts if dn), self.ff.poly_zero())
 
@@ -507,8 +432,7 @@ class SkewDerivation:
         _check_same_field(self, f)
         if f.is_const() or self.is_zero():
             return self.ff.zero()
-        r = self._ring
-        n, d = r.split(f)
+        r, n, d = self.ff.ring, f.num, f.den
         if self.inner is None and f.is_poly():
             num, dens = self.derive(n), [self.cd, d]
         elif self.inner is None:
@@ -523,7 +447,7 @@ class SkewDerivation:
         for g in dens:
             g, num = r.cofactors([g, num])
             den = r.times(den, g)
-        return RatFunc(r.mpoly(num), r.mpoly(den), reduce=False)
+        return RatFunc(self.ff, num, den, coprime=True)
 
     def __eq__(self, other):
         return (isinstance(other, SkewDerivation) and self.ff == other.ff
@@ -696,9 +620,10 @@ class TowerReport:
 
 def _scaled_generator_index(f):
     """Index i when f = c*y_i with c a nonzero scalar, else None."""
-    if not f.den.is_const() or len(f.num.terms) != 1:
+    terms = f.ff.ring.terms(f.num)
+    if not f.is_poly() or len(terms) != 1:
         return None
-    (e, _), = f.num.terms.items()
+    (e, _), = terms.items()
     if sum(e) != 1:
         return None
     return e.index(1)

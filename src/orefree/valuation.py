@@ -96,7 +96,7 @@ def _is_irreducible(poly, v):
     ints = _dense(poly.terms, p, v)[0]
     if p:
         return _rabin_irreducible(ints, p)
-    if _rational_roots(poly, v):
+    if _rational_roots(ints, p):
         return False
     if deg <= 3:
         return True
@@ -109,14 +109,18 @@ def _is_irreducible(poly, v):
 
 
 class Place:
-    """A discrete valuation: finite (monic irreducible poly) or infinite."""
+    """A discrete valuation: finite (monic irreducible poly) or infinite.
 
-    __slots__ = ("ff", "poly", "var")
+    ``divisor`` is poly in the field's ring, which divides numerators and
+    denominators."""
+
+    __slots__ = ("ff", "poly", "var", "divisor")
 
     def __init__(self, ff, poly=None, var=None):
         self.ff = ff
         self.poly = poly          # None <=> infinite place
         self.var = var
+        self.divisor = None if poly is None else ff.ring.of_poly(poly)[0]
 
     @classmethod
     def finite(cls, poly):
@@ -140,7 +144,7 @@ class Place:
     def _multiplicity(self, poly):
         m = 0
         while True:
-            q = poly.divide_exact(self.poly)
+            q = self.ff.ring.divide_exact(poly, self.divisor)
             if q is None:
                 return m
             poly = q
@@ -151,7 +155,8 @@ class Place:
         if f.is_zero():
             raise ZeroArgument("valuation of zero is undefined")
         if self.poly is None:
-            return f.den.total_degree() - f.num.total_degree()
+            degree = f.ff.ring.degree
+            return degree(f.den) - degree(f.num)
         return self._multiplicity(f.num) - self._multiplicity(f.den)
 
     def __str__(self):
@@ -229,15 +234,13 @@ def length_profile(sigma, place, u, window=16):
             "sigma acts on %r, but u lies in %r and the place in %r"
             % (sigma.ff, u.ff, place.ff))
     if sigma.ff.nvars == 1:
-        p = sigma.ff.char
-        num, den = _dense(u.num.terms, p)[0], _dense(u.den.terms, p)[0]
-        poly = None if place.poly is None else _dense(place.poly.terms, p)[0]
+        p, num, den = sigma.ff.char, u.num, u.den
 
         def pole(n):
             # u = N / D is reduced: v_Q(u) < 0 iff Q divides D, or
             # deg N > deg D at infinity.  Over Q _long_div pseudo-divides,
             # and its remainder is zero iff Q divides D.
-            q = _moved_place(sigma, poly, n)
+            q = _moved_place(sigma, place.divisor, n)
             if q is None:
                 return len(num) > len(den)
             return not _long_div(den, q, p)[1]

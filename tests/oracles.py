@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from orefree.field import RatFunc
+from orefree.field import MPoly
 
 
 def gauss_rank_fractions(rows):
@@ -133,8 +133,32 @@ def random_poly_nonzero(rng, ff, max_deg=3, max_terms=4):
             return p
 
 
+def ratfunc(num, den):
+    """num / den in the field of the MPolys num and den."""
+    one = num.ff.one()
+    return (one * num) / (one * den)
+
+
+def poly_parts(f):
+    """(num, den) of a RatFunc as MPolys with den monic, in every field.
+
+    Over k(t) a RatFunc holds int lists; their coefficients are read here
+    as c / lc(den), mod p over F_p, apart from the library's own printer
+    and flattening."""
+    ff = f.ff
+    if ff.nvars > 1:
+        return f.num, f.den
+    p, lc = ff.char, f.den[-1]
+
+    def poly(ints):
+        return MPoly(ff, {(k,): c * pow(lc, -1, p) % p if p
+                          else Fraction(c, lc)
+                          for k, c in enumerate(ints) if c})
+    return poly(f.num), poly(f.den)
+
+
 def random_ratfunc(rng, ff, max_deg=3, max_terms=3):
-    return RatFunc(random_poly(rng, ff, max_deg, max_terms),
+    return ratfunc(random_poly(rng, ff, max_deg, max_terms),
                    random_poly_nonzero(rng, ff, max_deg, max_terms))
 
 
@@ -162,13 +186,22 @@ def ore_to_commutative(frac, biv):
     gens = [biv.var(i) for i in range(biv.nvars - 1)]
     x = biv.var(biv.nvars - 1)
 
+    def lift_mpoly(m):
+        acc = biv.zero()
+        for e, c in m.terms.items():
+            term = biv.const(c)
+            for g, k in zip(gens, e):
+                term = term * g ** k
+            acc = acc + term
+        return acc
+
     def lift_poly(p):
         acc = biv.zero()
         for i, c in enumerate(p.coeffs):
             if c.is_zero():
                 continue
-            val = c.substitute(gens)
-            acc = acc + val * x ** i
+            num, den = poly_parts(c)
+            acc = acc + lift_mpoly(num) / lift_mpoly(den) * x ** i
         return acc
 
     return lift_poly(frac.num) / lift_poly(frac.den)
@@ -185,28 +218,30 @@ def series_xstep_sigma(ff, sigma, coeffs):
 def _ref_delta_poly(delta, p):
     """delta(p) for a polynomial p, sigma = id: the chain rule through
     formal partials, one RatFunc product per generator."""
-    ff = delta.ff
-    out = ff.zero()
+    out = delta.ff.zero()
     for i, img in enumerate(delta.images):
         if not img.is_zero():
             d = p.partial(i)
             if not d.is_zero():
-                out = out + RatFunc(d, ff.poly_one(), reduce=False) * img
+                out = out + img * d
     return out
 
 
 def ref_delta_apply(delta, f):
     """delta(f) on RatFuncs: c*(sigma(f) - f) when twisted, c =
-    delta.inner, else the quotient rule over the chain rule above.  The
-    reference for ``SkewDerivation.apply``, which forms one fraction over
-    numerators instead."""
+    delta.inner, else the quotient rule over the chain rule above, which
+    is the chain rule alone for a polynomial (den = 1).  The reference
+    for ``SkewDerivation.apply``, which forms one fraction over numerators
+    instead."""
     if delta.inner is not None:
         return delta.inner * (delta.twist.apply(f) - f)
-    one = delta.ff.poly_one()
-    n = RatFunc(f.num, one, reduce=False)
-    d = RatFunc(f.den, one, reduce=False)
-    return ((_ref_delta_poly(delta, f.num) * d
-             - n * _ref_delta_poly(delta, f.den)) / (d * d))
+    num, den = poly_parts(f)
+    if f.is_poly():
+        return _ref_delta_poly(delta, num)
+    one = delta.ff.one()
+    n, d = one * num, one * den
+    return ((_ref_delta_poly(delta, num) * d
+             - n * _ref_delta_poly(delta, den)) / (d * d))
 
 
 def series_xstep_delta(ff, delta, coeffs):
@@ -290,10 +325,11 @@ def eval_poly(p, point):
 
 def eval_ratfunc(f, point):
     """Value at a point, or None when the point meets the denominator."""
-    den = eval_poly(f.den, point)
+    num, den = poly_parts(f)
+    den = eval_poly(den, point)
     if den == 0:
         return None
-    num = eval_poly(f.num, point)
+    num = eval_poly(num, point)
     if f.ff.char:
         return num * pow(den, f.ff.char - 2, f.ff.char) % f.ff.char
     return Fraction(num) / den

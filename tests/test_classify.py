@@ -343,22 +343,19 @@ def test_free_verdicts_always_carry_independent_certificates():
 
 
 def test_rational_root_scan():
-    poly = QT.poly_var(0) ** 2 - QT.poly_const(1)
-    assert sorted(_rational_roots(poly, 0)) == [-1, 1]
-    ff5 = FunctionField(5, ["y"])
-    poly5 = ff5.poly_var(0) ** 2 + ff5.poly_const(1)
-    assert sorted(_rational_roots(poly5, 0)) == [2, 3]
-    no_roots = QT.poly_var(0) ** 2 + QT.poly_const(1)
-    assert _rational_roots(no_roots, 0) == []
+    # _rational_roots reads the int list of a polynomial of k(t)
+    t = QT.var(0)
+    assert sorted(_rational_roots((t ** 2 - 1).num, 0)) == [-1, 1]
+    y = FunctionField(5, ["y"]).var(0)
+    assert sorted(_rational_roots((y ** 2 + 1).num, 5)) == [2, 3]
+    assert _rational_roots((t ** 2 + 1).num, 0) == []
     # the order feeds the witness pool: candidates +-p/q with p, then q,
     # running through the divisors in increasing order
     assert _divisors(-12) == [1, 2, 3, 4, 6, 12]
     assert _divisors(9) == [1, 3, 9] and _divisors(0) == []
-    t = QT.poly_var(0)
-    cubic = (t - QT.poly_const(2)) * (t + QT.poly_const(1)) \
-        * (2 * t - QT.poly_const(1))
-    assert _rational_roots(cubic, 0) == [-1, Fraction(1, 2), 2]
-    assert _rational_roots(t * cubic, 0) == [0, -1, Fraction(1, 2), 2]
+    cubic = (t - 2) * (t + 1) * (2 * t - 1)
+    assert _rational_roots(cubic.num, 0) == [-1, Fraction(1, 2), 2]
+    assert _rational_roots((t * cubic).num, 0) == [0, -1, Fraction(1, 2), 2]
 
 
 _FAILED_WEYL_CHECK = """

@@ -1,5 +1,6 @@
 """Exact field arithmetic: frozen examples plus seeded algebraic laws."""
 
+import math
 import os
 import random
 import subprocess
@@ -15,14 +16,14 @@ from orefree.errors import (
     ResourceBoundExceeded,
 )
 from orefree.field import (
-    BaseField, FunctionField, MPoly, RatFunc, _cleared, _common_denominator,
-    _from_dense, poly_gcd,
+    BaseField, FunctionField, MPoly, RatFunc, _common_denominator, poly_gcd,
 )
 from orefree.intpoly import _MR_EXACT_BELOW, _conv, _is_prime, _uni_gcd_q
 
 from oracles import (
-    prs_gcd_ints, random_poly, random_poly_nonzero, random_ratfunc,
-    ref_divide_exact, sparse_uni_divmod, sparse_uni_mul, sparse_uni_substitute,
+    poly_parts, prs_gcd_ints, random_poly, random_poly_nonzero, random_ratfunc,
+    ratfunc, ref_divide_exact, sparse_uni_divmod, sparse_uni_mul,
+    sparse_uni_substitute,
 )
 
 
@@ -323,19 +324,20 @@ def test_divide_exact_in_several_variables_matches_scan(char, nvars):
 
 def test_ratfunc_normalization_den_monic_and_reduced():
     t = QT.poly_var("t")
-    f = RatFunc((t + 1) * (t - 1), (t + 1) * (2 * t))
-    # reduction strips t+1, normalization makes den monic
-    assert f.den == t
-    assert f.num == Fraction(1, 2) * (t - 1)
+    f = ratfunc((t + 1) * (t - 1), (t + 1) * (2 * t))
+    # reduction strips t+1; over Q(t) the int lists are primitive with
+    # lc(den) > 0, and read over den made monic
+    assert (f.num, f.den) == ([-1, 1], [0, 2])
+    assert poly_parts(f) == (Fraction(1, 2) * (t - 1), t)
     assert str(f) == "(1/2*t - 1/2)/t"
 
 
 def test_ratfunc_zero_canonical():
     z = QT.zero()
     assert z.is_zero()
-    assert z.den == QT.poly_one()
+    assert (z.num, z.den) == ([], [1])
     f = QT.var("t") - QT.var("t")
-    assert f.is_zero() and f.den == QT.poly_one()
+    assert f.is_zero() and f.den == [1]
 
 
 def test_ratfunc_field_laws_char0_and_charp():
@@ -383,25 +385,32 @@ def test_ratfunc_reduced_after_ops():
             for r in (a + b, a * b, a - b) + quotients:
                 if r.is_zero():
                     continue
-                assert r.den.lc() == ff.base.one()
-                assert poly_gcd(r.num, r.den) == ff.poly_one()
+                num, den = poly_parts(r)
+                assert poly_gcd(num, den) == ff.poly_one()
+                if ff.nvars > 1:
+                    assert r.den.lc() == ff.base.one()
+                elif ff.char:
+                    assert r.den[-1] == 1
+                else:
+                    assert r.den[-1] > 0 and math.gcd(*r.num, *r.den) == 1
 
 
 def test_equality_survives_unreduced_representation():
-    t = QT.poly_var("t")
-    raw = RatFunc((t + 1) * (t - 1), (t + 1) * t, reduce=False)
-    assert raw.num == (t + 1) * (t - 1)
-    cooked = RatFunc(t - 1, t)
+    # an unreduced pair is reduced at construction, so equality compares
+    # canonical forms
+    t = QT.var("t")
+    raw = RatFunc(QT, ((t + 1) * (t - 1)).num, ((t + 1) * t).num)
+    assert (raw.num, raw.den) == ((t - 1).num, t.num)
+    cooked = (t - 1) / t
     assert raw == cooked
-    assert not (raw == RatFunc(t + 1, t))
+    assert not (raw == (t + 1) / t)
 
 
 def test_fraction_term_bound(monkeypatch):
-    t = QT.poly_var("t")
     monkeypatch.setattr(config, "MAX_FRACTION_TERMS", 2)
-    assert RatFunc(t, QT.poly_one()).num == t
+    assert RatFunc(QT, [0, 1], [1]).num == [0, 1]
     with pytest.raises(ResourceBoundExceeded, match="fraction grew"):
-        RatFunc(t + 1, t)
+        RatFunc(QT, [1, 1], [0, 1])
 
 
 def test_pow_negative_and_zero():
@@ -476,34 +485,45 @@ def test_cleared_form_is_the_fraction():
              / (t / 5 - Fraction(2, 3)), (t / 7 + 1) / 3, QT.const(5),
              (3 * f5 * f5 + 2) / (2 * f5 + 1), F5T.zero()]
     for f in cases:
-        n, d = _cleared(f)
+        n, d = f.num, f.den
         assert all(isinstance(x, int) for x in n + d)
-        assert RatFunc(_from_dense(f.ff, n), _from_dense(f.ff, d)) == f
-    assert _cleared(cases[0]) == ([1, 2], [1, 3])
-    assert _cleared(cases[1]) == ([90, 0, 15], [-40, 12])
+        assert RatFunc(f.ff, n, d) == f
+        num, den = poly_parts(f)
+        assert f.ff.one() * num / den == f
+    assert (cases[0].num, cases[0].den) == ([1, 2], [1, 3])
+    assert (cases[1].num, cases[1].den) == ([90, 0, 15], [-40, 12])
     rng = random.Random(12)
     for ff in (QT, F5T):
         for _ in range(30):
             f = random_ratfunc(rng, ff) / ff.const(rng.randint(1, 4))
-            n, d = _cleared(f)
-            assert RatFunc(_from_dense(ff, n), _from_dense(ff, d)) == f
+            assert RatFunc(ff, f.num, f.den) == f
 
 
 def test_common_denominator_clears_every_fraction():
-    # den * f_i == nums_i, and every denominator divides den
+    # den * f_i == nums_i, and every denominator divides den: in the
+    # field's ring, monic over F_p and in several variables
     rng = random.Random(13)
     t = QT.var("t")
     fixed = [t / 3, (t + 1) / (t / 2 - 1), QT.one() / (t * t - 4),
              Fraction(2, 3) * (t - 2).inverse()]
     for fs in [fixed] + [[random_ratfunc(rng, ff) for _ in range(4)]
                          for ff in (QT, F5T, QTU) for _ in range(10)]:
+        ff = fs[0].ff
+        ring = ff.ring
         den, nums = _common_denominator(fs)
-        assert den.lc() == den.ff.base.one()
+        if ff.nvars > 1:
+            assert den.lc() == ff.base.one()
+        elif ff.char:
+            assert den[-1] == 1
         for f, n in zip(fs, nums):
-            assert RatFunc(den, den.ff.poly_one()) * f == n
-            assert den.divide_exact(f.den) is not None
+            assert RatFunc(ff, den, ring.one) * f == RatFunc(ff, n, ring.one)
+            assert ring.divide_exact(den, f.den) is not None
+    # over Q(t) den is the least multiple in Z[t]: 3 (t - 2)(t + 2) for
+    # the denominator 3 of t / 3, and a denominator it already holds, with
+    # its content, does not grow it
     den, _ = _common_denominator(fixed)
-    assert den == (QT.poly_var("t") - 2) * (QT.poly_var("t") + 2)
+    assert den == (3 * (t - 2) * (t + 2)).num
+    assert _common_denominator([1 / (3 * t + 3)] * 6) == ([3, 3], [[1]] * 6)
 
 
 def test_substitution_shift():
@@ -529,6 +549,64 @@ def test_char_mismatch_raises():
         QT.var("t") + F5T.var("t")
 
 
+def test_scalars_enter_through_poly_const():
+    # over F_5 the Fraction 1/2 is 3 = 2^-1 and 3/4 is 2; 1/5 has no value
+    # there; a scalar that is neither an int nor a Fraction is refused
+    # before it reaches any arithmetic
+    h = F5T.const(Fraction(1, 2))
+    assert h == F5T.const(3) and str(F5T.var("t") * h) == "3*t"
+    assert all(type(c) is int for c in h.num + h.den)
+    assert F5T.poly_const(Fraction(3, 4)).terms == {(0,): 2}
+    assert FunctionField(5, ["t", "s"]).const(Fraction(-1, 3)) == 3
+    with pytest.raises(DivisionByZero):
+        F5T.const(Fraction(1, 5))
+    for bad in (0.1, "1", 1j):
+        with pytest.raises(TypeError):
+            QT.const(bad)
+    assert str(QT.const(Fraction(1, 2)) * QT.var("t")) == "1/2*t"
+
+
+def _coefficients(rng, p):
+    """A random polynomial of k(t) as its list of coefficients."""
+    return [rng.randint(0, p - 1) if p else
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 4))]
+
+
+def _build(ff, cs):
+    """sum_k cs[k] t^k in ff, t its first generator."""
+    t = ff.var(0)
+    return sum((ff.const(c) * t ** k for k, c in enumerate(cs)), ff.zero())
+
+
+@pytest.mark.parametrize("p,seed", [(0, 5), (7, 12), (0, 12), (7, 5)])
+def test_int_list_and_mpoly_rings_agree(p, seed):
+    # the same operands over k(t), on int lists, and lifted into k(t, s),
+    # on MPolys: every result of +, -, *, /, **3 and == prints the same
+    one, two = FunctionField(p, ["t"]), FunctionField(p, ["t", "s"])
+    assert type(one.ring) is not type(two.ring)
+    rng = random.Random(seed)
+    results = 0
+    for _ in range(200):
+        parts = [_coefficients(rng, p) for _ in range(4)]
+        if not any(parts[1]) or not any(parts[3]):
+            continue
+        a1, b1 = (_build(one, n) / _build(one, d)
+                  for n, d in (parts[:2], parts[2:]))
+        a2, b2 = (_build(two, n) / _build(two, d)
+                  for n, d in (parts[:2], parts[2:]))
+        pairs = [(a1 + b1, a2 + b2), (a1 - b1, a2 - b2),
+                 (a1 * b1, a2 * b2), (a1 ** 3, a2 ** 3)]
+        if b1:
+            pairs.append((a1 / b1, a2 / b2))
+        for x, y in pairs:
+            assert str(x) == str(y), (parts, x, y)
+        assert (a1 == b1) == (a2 == b2)
+        assert a1 == pairs[0][0] - b1 and a2 == pairs[0][1] - b2
+        results += len(pairs) + 2
+    assert results > 1000
+
+
 def test_printing_round_shapes():
     t = QTU.poly_var("t")
     u = QTU.poly_var("u")
@@ -541,8 +619,7 @@ def test_printing_round_shapes():
 
 
 def test_fraction_coefficients_print_parseably():
-    t = QT.poly_var("t")
-    f = RatFunc(t, QT.poly_const(2))
+    f = RatFunc(QT, [0, 1], [2])
     assert str(f) == "1/2*t"
 
 

@@ -749,7 +749,7 @@ def _check_terms(worst):
 def _common_denominator(fs, den=None):
     """(den, nums) with f_i = nums[i] / den for a nonempty list of RatFuncs,
     in their field's ring: den the lcm of their denominators, and of den
-    when given (up to an integer factor over Q, monic otherwise)."""
+    when given, in Z[t] over Q and monic otherwise."""
     ring = fs[0].ff.ring
     if den is None:
         den = ring.one

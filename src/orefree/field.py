@@ -156,10 +156,10 @@ class FunctionField:
     def poly_one(self):
         return MPoly(self, {(0,) * self.nvars: self.base.one()})
 
-    def poly_const(self, c):
-        """The constant c, an int or a Fraction, the one entry point of
-        scalars: over F_p a Fraction n/d is n d^-1 mod p, and p dividing d
-        raises DivisionByZero."""
+    def scalar(self, c):
+        """c, an int or a Fraction, in the prime field, the one entry point
+        of scalars: over F_p a Fraction n/d is n d^-1 mod p, and p dividing
+        d raises DivisionByZero."""
         p = self.char
         if isinstance(c, Fraction) and p:
             if c.denominator % p == 0:
@@ -168,11 +168,11 @@ class FunctionField:
         elif not isinstance(c, (int, Fraction)):
             raise TypeError("scalar %r is neither an int nor a Fraction"
                             % (c,))
-        if isinstance(c, int):
-            c = self.base.of_int(c)
-        if not c:
-            return MPoly(self, {})
-        return MPoly(self, {(0,) * self.nvars: c})
+        return self.base.of_int(c) if isinstance(c, int) else c
+
+    def poly_const(self, c):
+        c = self.scalar(c)
+        return MPoly(self, {(0,) * self.nvars: c} if c else {})
 
     def poly_var(self, which):
         i = which if isinstance(which, int) else self.index(which)
@@ -189,8 +189,13 @@ class FunctionField:
         return RatFunc(self, self.ring.one, self.ring.one, coprime=True)
 
     def const(self, c):
-        return RatFunc(self, *self.ring.of_poly(self.poly_const(c)),
-                       coprime=True)
+        """The constant c in the ring's form: n over d for c = n/d in
+        k(t), as int lists, and the constant MPoly in several variables."""
+        if self.nvars > 1:
+            return RatFunc(self, self.poly_const(c), self.ring.one, True)
+        c = self.scalar(c)
+        return RatFunc(self, [c.numerator] if c else [], [c.denominator],
+                       True)
 
     def from_int(self, n):
         return self.const(n)

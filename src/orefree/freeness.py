@@ -53,17 +53,17 @@ on i = 1 right-multiply by b, then take a prefix sum.
   orbit runs through all of F_p and meets each pole of b.  The series
   are evaluated instead in F_p[y]/(f), with f monic irreducible of
   degree k, p^k >= 2^61, k > 8 and k at most two past the least such
-  degree (_extension_modulus), so that y has degree k over F_p, along
-  the orbit of the first of the points (y^j, y^{j+1}, ..., y^{j+n-1}),
+  degree (_extension), so that y has degree k over F_p, along the
+  orbit of the first of the points (y^j, y^{j+1}, ..., y^{j+n-1}),
   j = 1, 2, ..., whose orbit meets no pole; (y^j, y^{2j}) would all lie
-  on y2 = y1^2.  Each entry is written as its k coordinates.  A
+  on y2 = y1^2.  An element is one int, its k coordinates packed in
+  slots (intpoly._Packed), so a product is one int multiplication and
+  a fold, and the rows hold the k coordinates of each entry.  A
   combination of words vanishes there only when f divides its
   numerator: a factor of degree k, where a point mod q forces one of
-  degree 1.  Z/q and F_p[y]/(f) are each given as four operations and
-  a zero, so one evaluator (_evaluate), one point map (_point_map) and
-  one point loop (_evaluated_word_rows) serve both; only the series
-  step over F_p, on k-coordinate entries, is its own
-  (_extension_series).
+  degree 1.  Z/q and F_p[y]/(f) are each given as five operations on
+  ints, so one evaluator (_evaluate), one point map (_point_map), one
+  point loop (_evaluated_word_rows) and one series step serve both.
 * Pure derivations, in K((x^{-1}; delta)) with
   (1-x)^{-1} = -sum_{k>=1} x^{-k}: x^0 b = b and, for n >= 1,
   x^{-n} b = sum_j (-1)^j C(n+j-1, j) delta^j(b) x^{-n-j}.  A nonzero
@@ -152,9 +152,7 @@ from .errors import (
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
 from .field import RatFunc, _common_denominator, _from_dense
-from .intpoly import (
-    _ext_inv, _ext_mul, _ext_times, _poly_jet_mod, _rational_reconstruct,
-)
+from .intpoly import _Packed, _poly_jet_mod, _rational_reconstruct
 from .linalg import (
     _Echelon, _normalize_int_vector, _split_by_monomial,
     flatten_to_k, rank_over_k,
@@ -250,13 +248,17 @@ def common_left_denominator(fracs):
     return den, nums
 
 
-def _matrix_digest(rows, header):
+def _matrix_digest(rows, header, p=0):
+    """SHA-256 of the header, the shape and the rows' decimal entries.
+    With p > 0 the entries are residues in [0, p), each formatted by a
+    lookup in one list of the p strings while p is below 2^16."""
     h = hashlib.sha256()
     ncols = len(rows[0]) if rows else 0
     h.update(("%s;%dx%d" % (header, len(rows), ncols)).encode())
+    text = [str(c) for c in range(p)].__getitem__ if 0 < p < 1 << 16 else str
     for row in rows:
         h.update(b"|")
-        h.update(",".join(map(str, row)).encode())
+        h.update(",".join(map(text, row)).encode())
     return h.hexdigest()
 
 
@@ -397,8 +399,9 @@ class FreenessCertificate:
 
 def _certificate(b, L, words, rows, header, rank, lam):
     """The certificate of a rank, Independent when the relation lam is
-    None, with the digest of rows under header."""
-    digest = _matrix_digest(rows, header)
+    None, with the digest of rows under header, whose entries over F_p
+    are residues on every route."""
+    digest = _matrix_digest(rows, header, b.ff.char)
     if lam is None:
         return FreenessCertificate(b, L, len(words), rank, digest,
                                    "Independent")
@@ -537,34 +540,34 @@ def _exact_values(pair, b):
     return b if isinstance(b, _ExactValues) else _ExactValues(pair, b)
 
 
-def _sigma_step(values, q=None):
+def _sigma_step(values, F=None):
     """Series step in K[[x; sigma]] (see _series_step).
 
-    values[m] stands for sigma^m(b), exactly or as a value at a point;
-    with q every coefficient is reduced mod q.  x^m b = sigma^m(b) x^m,
-    so a product by b multiplies order m by values[m], and
+    values[m] stands for sigma^m(b), exactly or as a value at a point,
+    in the field F (its mul, and reduce to bring a sum to normal form)
+    or, without F, on exact values.  x^m b = sigma^m(b) x^m, so a
+    product by b multiplies order m by values[m], and
     (1-x)^{-1} = sum_n x^n makes the geometric step a prefix sum.
     """
-    if q is None:
+    if F is None:
         return _series_step(lambda a: list(map(operator.mul, a, values)),
                             lambda a: list(itertools.accumulate(a)))
-    return _series_step(lambda a: [x * c % q for x, c in zip(a, values)],
-                        lambda a: [s % q for s in itertools.accumulate(a)])
+    return _series_step(lambda a: list(map(F.mul, a, values)),
+                        lambda a: list(map(F.reduce, itertools.accumulate(a))))
 
 
-def _word_series(pair, words, values, n, zero, one, q=None):
+def _word_series(pair, words, values, n, zero, one, F=None):
     """Series of every word at orders 0..n, one list of coefficients each.
 
     values[j] stands for sigma^j(b) under an automorphism and for
     delta^j(b) under a derivation, in a coefficient ring with the given
-    zero and one: exact values, or values at a point mod q.  With q every
-    coefficient is reduced mod q; without, none is.
+    zero and one: exact values, or values at a point in the field F
+    (Z/q, F_p[y]/(f)), whose operations reduce every coefficient.
     """
     if pair.is_pure_automorphism():
-        step = _sigma_step(values, q)
+        step = _sigma_step(values, F)
     else:
-        reduce = (lambda c: c) if q is None else (lambda c: c % q)
-        step = _xinv_step(values, n, zero, reduce)
+        step = _xinv_step(values, n, zero, F.reduce if F else lambda c: c)
     return _prefix_shared(words, [one] + [zero] * n, step)
 
 
@@ -603,10 +606,12 @@ _EVAL_STARTS = (
     10950242936855078, 32022090439176414, 30564773206849362)
 
 
-# a field that the series are evaluated in, built once per run: scalar(c)
-# is the value of a coefficient c of the function field, or None when c
-# has none there, and inv(0) is None
-_Field = collections.namedtuple("_Field", "scalar add mul inv zero")
+# a field that the series are evaluated in, built once per run, on ints
+# with 0 and + for sums: scalar(c) is the value of a coefficient c of the
+# function field, or None when c has none there, inv(0) is None,
+# power(v, n) is v^n for n >= 1, and reduce(c) the normal form of a sum
+# of up to config.MAX_DEN_DEGREE + 1 values
+_Field = collections.namedtuple("_Field", "scalar mul inv power reduce")
 
 
 def _residues(q):
@@ -616,53 +621,54 @@ def _residues(q):
         if c.denominator % q == 0:
             return None
         return c.numerator * pow(c.denominator, -1, q) % q
-    return _Field(scalar, lambda a, b: (a + b) % q, lambda a, b: a * b % q,
-                  lambda a: pow(a, -1, q) if a else None, 0)
+    return _Field(scalar, lambda a, b: a * b % q,
+                  lambda a: pow(a, -1, q) if a else None,
+                  lambda a, n: pow(a, n, q), lambda c: c % q)
 
 
-def _extension(p):
-    """F_p[y]/(f) for f = _extension_modulus(p), on the lists of the k
-    coordinates on 1, y, ..., y^(k-1); a scalar is a one-entry list, and
-    sums pad the shorter operand."""
-    f = _extension_modulus(p)
-    return _Field(lambda c: [c % p],
-                  lambda a, b: [(x + y) % p for x, y in itertools.zip_longest(
-                      a, b, fillvalue=0)],
-                  lambda a, b: _ext_mul(a, b, f, p),
-                  lambda a: _ext_inv(a, f, p), [0] * (len(f) - 1))
-
-
-def _power(v, n, F):
-    """v^n in the field F for n >= 1, by repeated squaring."""
-    out = v
-    for bit in bin(n)[3:]:
-        out = F.mul(out, out)
-        if bit == "1":
-            out = F.mul(out, v)
+def _inverses(xs, F):
+    """[x^{-1} for x in xs] in the field F, or None when one x is 0: one
+    inversion of their product and three products each (Montgomery)."""
+    prefix = list(itertools.accumulate(xs, F.mul))
+    inv = F.inv(prefix[-1])
+    if inv is None:
+        return None
+    out = [inv] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):  # out[i] is 1 / prefix[i]
+        out[i - 1], out[i] = F.mul(out[i], xs[i]), F.mul(out[i], prefix[i - 1])
     return out
 
 
-def _evaluate(g, point, F):
-    """g(point) in the field F for g in the function field, or None where a
-    coefficient of g has no value in F or the denominator of g vanishes.
-    Over Q(t) the coefficients are the integers of num and den."""
+def _evaluate(g, points, F):
+    """[g(P) for P in points] in the field F for g in the function field,
+    or None where a coefficient of g has no value in F or the denominator
+    of g vanishes at a point.  The denominator's values are inverted
+    together (_inverses).  Over Q(t) the coefficients are the integers of
+    num and den."""
+    ring = g.ff.ring
+
     def poly(h):
-        acc = F.zero
-        for e, c in g.ff.ring.terms(h).items():
-            term = F.scalar(c)
-            if term is None:
-                return None
-            for v, n in zip(point, e):
-                if n:
-                    term = F.mul(term, _power(v, n, F))
-            acc = F.add(acc, term)
-        return acc
-    num = poly(g.num)
-    if num is None or g.den == g.ff.ring.one:
-        return num
-    den = poly(g.den)
-    inv = None if den is None else F.inv(den)
-    return None if inv is None else F.mul(num, inv)
+        terms = [(F.scalar(c), e) for e, c in ring.terms(h).items()]
+        if any(c is None for c, _ in terms):
+            return None
+        out = []
+        for P in points:
+            acc = 0
+            for term, e in terms:
+                for v, n in zip(P, e):
+                    if n:
+                        term = F.mul(term, F.power(v, n))
+                acc = F.reduce(acc + term)
+            out.append(acc)
+        return out
+    nums = poly(g.num)
+    if nums is None or g.den == ring.one:
+        return nums
+    dens = poly(g.den)
+    invs = None if dens is None else _inverses(dens, F)
+    if invs is None or g.num == ring.one:
+        return invs
+    return list(map(F.mul, nums, invs))
 
 
 def _orbit_values(images, b, point, N, F, step=None):
@@ -672,23 +678,19 @@ def _orbit_values(images, b, point, N, F, step=None):
     step(P) is s(P), or None at a pole of s; without it each generator
     image is evaluated at P.  None comes back when b or a generator image
     meets a pole along the orbit, which is exactly when sigma^i(b)(P) =
-    b(s^i(P)) could fail.
+    b(s^i(P)) could fail.  The orbit is stepped first, and b evaluated
+    at all its points with one inversion (_evaluate).
     """
     if step is None:
         def step(P):
-            P = tuple(_evaluate(g, P, F) for g in images)
-            return None if None in P else P
-    vals = []
-    for i in range(N + 1):
-        v = _evaluate(b, point, F)
-        if v is None:
+            P = [_evaluate(g, [P], F) for g in images]
+            return None if None in P else tuple(v for v, in P)
+    points = [point]
+    for _ in range(N):
+        points.append(step(points[-1]))
+        if points[-1] is None:
             return None
-        vals.append(v)
-        if i < N:
-            point = step(point)
-            if point is None:
-                return None
-    return vals
+    return _evaluate(b, points, F)
 
 
 def _point_map(sigma, F):
@@ -705,38 +707,26 @@ def _point_map(sigma, F):
     a, b, c, d = map(F.scalar, sigma._matrix())
 
     def step(P):
-        inv = F.inv(F.add(F.mul(c, P[0]), d))
+        inv = F.inv(F.reduce(F.mul(c, P[0]) + d))
         return None if inv is None else (
-            F.mul(F.add(F.mul(a, P[0]), b), inv),)
+            F.mul(F.reduce(F.mul(a, P[0]) + b), inv),)
     return step
 
 
-# F_p[y]/(f) for pure automorphisms over F_p: an element is the list of its
-# k coordinates on 1, y, ..., y^(k-1), and f is monic irreducible of degree k
+# F_p[y]/(f) for pure automorphisms over F_p, one per p and denominator
+# bound: an intpoly._Packed, which holds f and the constants of its slots
 _EXTENSION_CACHE = {}
 
 
-def _coefficient_tuples(top, w):
-    """The w-tuples over 1..top-1 in lexicographic order, made lazily:
-    itertools.product would first store all of range(1, top), which for
-    top = p may hold billions of values."""
-    if w == 0:
-        yield ()
-        return
-    for c in range(1, top):
-        for rest in _coefficient_tuples(top, w - 1):
-            yield (c,) + rest
-
-
-def _extension_modulus(p):
-    """The modulus f over F_p: the first irreducible candidate, proved by
-    Rabin's test.  Its degree is m, m + 1 or m + 2, for the least
-    m >= L_max + 1 with p^m >= 2^61, where L_max is the largest L whose
-    trie order fits ``config.MAX_DEN_DEGREE`` (8 by default).  At y of
-    degree k no nonzero F_p-polynomial of degree below k vanishes, while
-    one of degree k <= L may lie in the word span: at p = 2^61 - 1 and
-    k = 2 the shift's 1/u ranks 13 of 14 at L = 3.  The floor keeps every
-    L that evaluates clear of that, and leaves small p unchanged.
+def _modulus_candidates(p):
+    """The candidates for the modulus f over F_p, in the order tried.
+    Their degree is m, m + 1 or m + 2, for the least m >= L_max + 1 with
+    p^m >= 2^61, where L_max is the largest L whose trie order fits
+    ``config.MAX_DEN_DEGREE`` (8 by default).  At y of degree k no
+    nonzero F_p-polynomial of degree below k vanishes, while one of
+    degree k <= L may lie in the word span: at p = 2^61 - 1 and k = 2 the
+    shift's 1/u ranks 13 of 14 at L = 3.  The floor keeps every L that
+    evaluates clear of that, and leaves small p unchanged.
 
     Candidates go sparsest first: by their number of terms, then by the
     exponents of the lower terms, then by degree, then by coefficients.
@@ -747,52 +737,41 @@ def _extension_modulus(p):
     all of F_p^*, nor the 7^w coefficient tuples of every sparsity w <= m
     are tried first.  A second round takes all of F_p^*: it contains
     every monic f of degree m with f(0) != 0, among them irreducible
-    ones, so the search always ends.
+    ones, so the search always ends.  The coefficient tuples are counted
+    in base top - 1, so none of them is stored: itertools.product would
+    first store all of range(1, top), which for top = p may hold
+    billions of values.
     """
     m = (config.MAX_DEN_DEGREE + 2).bit_length() - 1
     while p ** m < 1 << 61:
         m += 1
-    if (p, m) in _EXTENSION_CACHE:
-        return _EXTENSION_CACHE[p, m]
     for top, most in sorted({(min(p, 8), 3), (p, m)}):
         for w in range(1, most + 1):
             for lower in itertools.combinations(range(1, m + 2), w - 1):
                 for d in range(max((m - 1,) + lower) + 1, m + 3):
-                    for cs in _coefficient_tuples(top, w):
+                    for n in range((top - 1) ** w):
+                        cs = [n // (top - 1) ** i % (top - 1) + 1
+                              for i in reversed(range(w))]
                         f = [0] * d + [1]
                         for j, c in zip((0,) + lower, cs):
                             f[j] = c
-                        if _rabin_irreducible(f, p):
-                            _EXTENSION_CACHE[p, m] = f
-                            return f
+                        yield f
 
 
-def _extension_series(words, values, N, p):
-    """Word series in K[[x; sigma]] over F_p at orders 0..N, on the values
-    b(s^m(P)) in F_p[y]/(f) along the orbit of a point P.
+def _extension(p):
+    """F_p[y]/(f) on packed ints, f the first candidate that Rabin's test
+    proves irreducible (_modulus_candidates), with slots that hold a
+    prefix sum at any series order up to ``config.MAX_DEN_DEGREE``."""
+    key = (p, config.MAX_DEN_DEGREE)
+    if key not in _EXTENSION_CACHE:
+        f = next(f for f in _modulus_candidates(p) if _rabin_irreducible(f, p))
+        _EXTENSION_CACHE[key] = _Packed(f, p, config.MAX_DEN_DEGREE + 1)
+    return _EXTENSION_CACHE[key]
 
-    The products by b work as _sigma_step, with the product by b(s^m(P))
-    applied to the k coordinates of order m by _ext_times, and the prefix
-    sum taken coordinate by coordinate: its entries are k-vectors, so it
-    keeps its own step.  Each row holds the k coordinates of each order
-    in turn.
-    """
-    f = _extension_modulus(p)
-    k = len(f) - 1
-    mults = [_ext_times(c, f, p) for c in values]
 
-    def times_b(a):
-        return [x for m, times in enumerate(mults)
-                for x in times(a[m * k:m * k + k])]
-
-    def geometric(a):
-        out = a[:]
-        for j in range(k):
-            out[j::k] = [s % p for s in itertools.accumulate(a[j::k])]
-        return out
-
-    root = [1] + [0] * ((N + 1) * k - 1)
-    return _prefix_shared(words, root, _series_step(times_b, geometric))
+def _extension_modulus(p):
+    """The modulus f of _extension(p), a monic irreducible mod-p list."""
+    return _extension(p).f
 
 
 def _jet_mod(f, c, n, q):
@@ -838,14 +817,15 @@ def _evaluated_word_rows(pair, words, b, N):
     """Word series at orders 0..N, evaluated at points, one point at a time.
 
     Yields (rows, point) with one row per word for each usable point.  One
-    evaluator (_evaluate) and one point map (_point_map) serve both
-    fields, given as four operations and a zero: Z/q over Q (_residues),
-    F_p[y]/(f) over F_p (_extension).  Over Q the points come from
-    _EVAL_STARTS, and over F_p they are (y^j, y^{j+1}, ..., y^{j+n-1}) for
-    j = 1, 2, ...; as many are tried over F_p as there are starts over Q.
-    For pure automorphisms the values are sigma^m(b)(P) = b(s^m(P)) along
-    the orbit of P (_orbit_values), on which _word_series runs mod q over
-    Q and _extension_series over F_p; for derivations of Q(t) they are
+    evaluator (_evaluate), one point map (_point_map) and one series
+    builder (_word_series) serve both fields, given as five operations
+    on ints: Z/q over Q (_residues), F_p[y]/(f) over F_p (_extension),
+    where the rows and the point are unpacked into the coordinates of
+    each entry.  Over Q the points come from _EVAL_STARTS, and over F_p
+    they are (y^j, y^{j+1}, ..., y^{j+n-1}) for j = 1, 2, ...; as many
+    are tried over F_p as there are starts over Q.  For pure
+    automorphisms the values are sigma^m(b)(P) = b(s^m(P)) along the
+    orbit of P (_orbit_values); for derivations of Q(t) they are
     delta^j(b)(P) mod q (_derivative_values).  A point where a value is
     undefined is skipped.
     """
@@ -853,12 +833,10 @@ def _evaluated_word_rows(pair, words, b, N):
     F = _extension(p) if p else _residues(_EVAL_PRIME)
     auto = pair.is_pure_automorphism()
     step = _point_map(pair.sigma, F) if auto else None
-    if p:
-        y = [0, 1] + [0] * (len(F.zero) - 2)
     for j in range(len(_EVAL_STARTS)):
         if p:
             point = tuple(itertools.accumulate(
-                itertools.repeat(y, j + n), F.mul))[j:]
+                itertools.repeat(F.pack([0, 1]), j + n), F.mul))[j:]
         else:
             point = tuple(_EVAL_STARTS[(j + i) % len(_EVAL_STARTS)]
                           for i in range(n))
@@ -869,11 +847,11 @@ def _evaluated_word_rows(pair, words, b, N):
                                         N, _EVAL_PRIME)
         if values is None:
             continue
+        series = _word_series(pair, words, values, N, 0, 1, F)
         if p:
-            yield _extension_series(words, values, N, p), point
-        else:
-            yield _word_series(pair, words, values, N, 0, 1,
-                               _EVAL_PRIME), point
+            series = list(map(F.unpack, series))
+            point = tuple(F.unpack([v]) for v in point)
+        yield series, point
 
 
 def _one_letter_multiples(lam, words, index):

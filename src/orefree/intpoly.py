@@ -25,10 +25,8 @@ products of the benchmark's arith workload; it is a code constant, not a
 The evaluated series of :mod:`freeness` take three more things from
 here: Taylor jets of int lists mod q, rational reconstruction of a
 residue, and the field F_p[y]/(f), f monic irreducible of degree k,
-whose elements are the lists of their k coordinates (products, inverses
-and multiplication maps).  A product comes back with all k coordinates,
-an inverse as a trimmed list: the inverse of a scalar is then one entry,
-and a product by it one pass of :func:`_conv`.
+with each element one int that packs its k coordinates
+(:class:`_Packed`), which Rabin's test in :mod:`valuation` powers too.
 
 Primality is deterministic Miller-Rabin, exact below ``_MR_EXACT_BELOW``
 (about 3.3e24); a larger n is refuted by a witness or refused with
@@ -38,7 +36,7 @@ then Brent's variant of Pollard's rho, each factor proved prime.
 
 import itertools
 import math
-import operator
+import struct
 import sys
 from array import array
 from fractions import Fraction
@@ -469,50 +467,99 @@ def _rational_reconstruct(a, p):
     return Fraction(r1, s1)
 
 
-# F_p[y]/(f) for f monic irreducible of degree k: an element is the list
-# of its k coordinates on 1, y, ..., y^(k-1)
+class _Packed:
+    """F_p[y]/(f), f a monic mod-p list of degree k, irreducible for a
+    field, with each element one int: its coordinates c_i in [0, p) on
+    y^i packed as sum_i c_i 2^(W i), in k slots of W bits.
 
-def _ext_times(a, f, p):
-    """Multiplication by a, as a function on coordinate lists.
-
-    Its matrix has the columns a y^j.  Each column is packed into one
-    integer, B bits per coordinate, so a product is one sum of k integer
-    multiples: no slot exceeds k (p-1)^2 < 2^B, so none carries.
+    A product is one int multiplication, whose 2k - 1 slots hold the
+    coefficients of the polynomial product, each at most k (p-1)^2; the
+    part from y^k up is then folded down by y^k = -g, g = f - y^k, a
+    product by the packed -g mod p.  Each fold lowers the top degree by
+    k - deg g, so a modulus takes a fixed number (two for
+    y^22 + 4y^2 + 1), each multiplying the slot bound by at most
+    1 + t (p-1), t the terms of g.  reduce takes every slot mod p at
+    once: for a slot s < 2^h, e = h + bits(p) and m = ceil(2^e / p),
+    floor(s m / 2^e) = floor(s / p), as s (m p - 2^e) / (p 2^e) < 1/p,
+    and s m < 2^(2h + 2) <= 2^W, so a product by m, a shift, a mask and
+    a product by p give every slot's quotient with no carry between
+    slots.  A sum is the plain int sum, slot by slot, and h covers a
+    folded product and a sum of ``terms`` reduced elements; W is 8 to 64
+    bits where that fits, so that struct unpacks the slots in C, and
+    whole bytes beyond.
     """
-    k = len(a)
-    low = [(i, g) for i, g in enumerate(f[:-1]) if g]
-    B = (k * (p - 1) ** 2).bit_length()
-    shifts, mask = range(0, B * k, B), (1 << B) - 1
-    col, cols = a, []
-    for _ in range(k):
-        cols.append(sum(x << s for x, s in zip(col, shifts)))
-        # times y: shift up, and replace y^k by y^k - f
-        top, col = col[-1], [0] + col[:-1]
-        for i, g in low:
-            col[i] = (col[i] - top * g) % p
 
-    def times(x):
-        v = sum(map(operator.mul, x, cols))
-        return [(v >> s & mask) % p for s in shifts]
-    return times
+    def __init__(self, f, p, terms=2):
+        k = len(f) - 1
+        neg = [-c % p for c in f[:-1]]
+        # each fold lowers the top degree, 2k - 2 at first, by k - deg g
+        folds = -(-(k - 1) // (k - max(
+            (i for i, c in enumerate(neg) if c), default=0)))
+        bound = k * (p - 1) ** 2 * (1 + (k - neg.count(0)) * (p - 1)) ** folds
+        h = max(bound, terms * (p - 1)).bit_length()
+        nb = next((n for n in (1, 2, 4, 8) if 8 * n >= 2 * h + 2),
+                  (2 * h + 9) // 8)
+        self.f, self.p, self.nb, self.folds = f, p, nb, folds
+        self.code = {1: "<%dB", 2: "<%dH", 4: "<%dI", 8: "<%dQ"}.get(nb)
+        self.size, self.shift, self.e = k * nb, 8 * k * nb, h + p.bit_length()
+        self.low = (1 << self.shift) - 1
+        self.m = -(-(1 << self.e) // p)
+        self.mask = ((1 << 8 * nb - self.e) - 1) * (self.low // (
+            (1 << 8 * nb) - 1))
+        self.neg = self.pack(neg)
 
+    def pack(self, coords):
+        """The element with these coordinates, at most k of them."""
+        return int.from_bytes(b"".join(
+            [c.to_bytes(self.nb, "little") for c in coords]), "little")
 
-def _ext_mul(a, b, f, p):
-    r = _long_div(_conv(a, b), f, p)[1]
-    return r + [0] * (len(f) - 1 - len(r))
+    def unpack(self, xs):
+        """The k coordinates of each element of xs in turn, in one list."""
+        nb, raw = self.nb, b"".join([x.to_bytes(self.size, "little")
+                                     for x in xs])
+        if self.code:
+            return list(struct.unpack(self.code % (len(raw) // nb), raw))
+        return [int.from_bytes(raw[i:i + nb], "little")
+                for i in range(0, len(raw), nb)]
 
+    def scalar(self, c):
+        return c % self.p
 
-def _ext_inv(a, f, p):
-    """a^{-1} by the extended Euclidean algorithm on f and a, as a trimmed
-    list, so that a product by the inverse of a scalar takes _conv's
-    one-coefficient pass; None for 0."""
-    r0, r1, s0, s1 = f, _trim(a[:]), [], [1]
-    while len(r1) > 1:
-        quo, r2 = _long_div(r0, r1, p)
-        s2 = [(x - y) % p for x, y in itertools.zip_longest(
-            s0, _conv(quo, s1), fillvalue=0)]
-        r0, r1, s0, s1 = r1, r2, s1, s2
-    if not r1:
-        return None
-    c = pow(r1[0], -1, p)
-    return _trim([x * c % p for x in s1])
+    def reduce(self, x):
+        """x with every slot, below 2^h, taken mod p."""
+        return x - (x * self.m >> self.e & self.mask) * self.p
+
+    def mul(self, a, b):
+        x = a * b
+        for _ in range(self.folds):
+            x = (x & self.low) + (x >> self.shift) * self.neg
+        if x >> self.shift:
+            raise AssertionError("packed product not folded below y^k")
+        return self.reduce(x)
+
+    def power(self, a, n):
+        """a^n for n >= 1, by repeated squaring."""
+        out = a
+        for bit in bin(n)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def inv(self, a):
+        """a^{-1}, or None for 0: a scalar, one slot below p, by pow, and
+        any other element by the extended Euclidean algorithm on f and
+        its coordinates."""
+        p = self.p
+        if a < p:
+            return pow(a, -1, p) if a else None
+        r0, r1, s0, s1 = self.f, _trim(self.unpack([a])), [], [1]
+        while len(r1) > 1:
+            quo, r2 = _long_div(r0, r1, p)
+            s2 = _trim([(x - y) % p for x, y in itertools.zip_longest(
+                s0, _conv(quo, s1), fillvalue=0)])
+            r0, r1, s0, s1 = r1, r2, s1, s2
+        if not r1:
+            return None
+        c = pow(r1[0], -1, p)
+        return self.pack([x * c % p for x in s1])

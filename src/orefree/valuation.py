@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import CharacteristicMismatch, UsageError, ZeroArgument
 from .field import _dense, _rational_roots, poly_gcd
-from .intpoly import _compose, _conv, _is_prime, _long_div, _uni_gcd_p
+from .intpoly import _Packed, _compose, _long_div, _uni_gcd_p
 
 
 def _univariate_var(poly):
@@ -56,24 +56,24 @@ def _rabin_irreducible(f, p):
 
     f of degree n >= 2 is irreducible over F_p exactly when x^(p^n) = x
     mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n.
-    The gcd is also taken for every k <= n/2: an irreducible f has no
-    factor of degree dividing k < n, so it stays 1 there, and a reducible
-    f is rejected at the degree of its smallest factor.
+    The gcd is taken for every k <= n/2, each n/r among them: a
+    reducible f has a factor of degree k <= n/2, which divides
+    x^(p^k) - x, and an irreducible f none.  One gcd serves each batch
+    k = 1, 2..3, 4..7, ..., up to n/2, on the product of its x^(p^k) - x
+    mod f: an irreducible factor of f divides that product only if it
+    divides one factor.  Powers are taken on packed ints (_Packed).
     """
-    n = len(f) - 1
-    h = x = [0, 1]
+    n, E = len(f) - 1, _Packed(f, p)
+    h = x = E.pack([0, 1])
+    minus_x, batch = E.pack([0, p - 1]), 1
     for k in range(1, n + 1):
-        acc = [1]
-        for bit in bin(p)[2:]:  # h^p mod f, square and multiply
-            acc = _long_div(_conv(acc, acc), f, p)[1]
-            if bit == "1":
-                acc = _long_div(_conv(acc, h), f, p)[1]
-        h = acc
-        if 2 * k <= n or (n % k == 0 and _is_prime(n // k)):
-            d = h + [0] * (2 - len(h))
-            d[1] -= 1
-            if len(_uni_gcd_p([c % p for c in d], f, p)) > 1:
-                return False
+        h = E.power(h, p)
+        if 2 * k <= n:
+            batch = E.mul(batch, E.reduce(h + minus_x))
+            if k & (k + 1) == 0 or 2 * k + 2 > n:
+                if len(_uni_gcd_p(E.unpack([batch]), f, p)) > 1:
+                    return False
+                batch = 1
     return h == x
 
 

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from orefree.field import MPoly
+from orefree.intpoly import _conv, _is_prime, _long_div, _uni_gcd_p
 
 
 def gauss_rank_fractions(rows):
@@ -525,6 +526,34 @@ def reducible_monic_modp(p, n):
                 out.add(tuple(prod))
     return out
 
+
+
+def ref_rabin_irreducible(f, p):
+    """Rabin's test (SIAM J. Comput. 9, 1980) for the monic mod-p list f,
+    one Euclid per step on dense lists: the reference for the batched
+    test on packed ints.
+
+    f of degree n >= 2 is irreducible over F_p exactly when x^(p^n) = x
+    mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n.
+    The gcd is also taken for every k <= n/2: an irreducible f has no
+    factor of degree dividing k < n, so it stays 1 there, and a reducible
+    f is rejected at the degree of its smallest factor.
+    """
+    n = len(f) - 1
+    h = x = [0, 1]
+    for k in range(1, n + 1):
+        acc = [1]
+        for bit in bin(p)[2:]:  # h^p mod f, square and multiply
+            acc = _long_div(_conv(acc, acc), f, p)[1]
+            if bit == "1":
+                acc = _long_div(_conv(acc, h), f, p)[1]
+        h = acc
+        if 2 * k <= n or (n % k == 0 and _is_prime(n // k)):
+            d = h + [0] * (2 - len(h))
+            d[1] -= 1
+            if len(_uni_gcd_p([c % p for c in d], f, p)) > 1:
+                return False
+    return h == x
 
 # Sparse univariate kernels on term dicts {(k,): c}, one scalar pair at a
 # time through BaseField: the reference for the dense integer kernels of

@@ -566,6 +566,33 @@ def test_scalars_enter_through_poly_const():
     assert str(QT.const(Fraction(1, 2)) * QT.var("t")) == "1/2*t"
 
 
+@pytest.mark.parametrize("ff", [QT, F5T, FunctionField(7, ["t"]), QTU,
+                                FunctionField(5, ["t", "s"])],
+                         ids=["Q(t)", "F5(t)", "F7(t)", "Q(t,u)", "F5(t,s)"])
+def test_const_matches_the_polynomial_path(ff):
+    # FunctionField.const builds the ring's constant directly: equal num
+    # and den to the MPoly path through poly_const and ring.of_poly, for
+    # ints, Fractions and, over F_p, Fractions mapped to n d^-1 mod p;
+    # and the same refusals, DivisionByZero for p | d and TypeError for
+    # a scalar that is neither an int nor a Fraction
+    p = ff.char
+    for c in (0, 1, -1, 6, -35, 2 ** 70, Fraction(1, 2), Fraction(-5, 6),
+              Fraction(3, 4), Fraction(2 ** 65, 9), Fraction(7, 5 * 7)):
+        if p and Fraction(c).denominator % p == 0:
+            for build in (ff.const, ff.poly_const):
+                with pytest.raises(DivisionByZero):
+                    build(c)
+            continue
+        old = RatFunc(ff, *ff.ring.of_poly(ff.poly_const(c)), coprime=True)
+        new = ff.const(c)
+        assert (new.num, new.den) == (old.num, old.den) and new == old
+        assert str(new) == str(old)
+    for bad in (0.5, "1", 1j, None):
+        for build in (ff.const, ff.poly_const):
+            with pytest.raises(TypeError):
+                build(bad)
+
+
 def _coefficients(rng, p):
     """A random polynomial of k(t) as its list of coefficients."""
     return [rng.randint(0, p - 1) if p else

@@ -794,17 +794,17 @@ def test_evaluate_matches_exact_values():
         g = dense() / dense()
         P = (rng.randrange(2, 99), rng.randrange(2, 99))
         want = eval_ratfunc(g, tuple(map(Fraction, P)))
-        assert freeness._evaluate(g, P, R) == (
-            want.numerator * pow(want.denominator, -1, q) % q)
+        assert freeness._evaluate(g, [P], R) == [
+            want.numerator * pow(want.denominator, -1, q) % q]
     F = freeness._extension(7)
     f = freeness._extension_modulus(7)
     k = len(f) - 1
     t = FunctionField(7, ["t"]).var(0)
-    y = [0, 1] + [0] * (k - 2)
+    y = F.pack([0, 1])
     for n in (1, 2, 5, 40, 343):
         rem = _long_div([0] * n + [1], f, 7)[1]
-        assert freeness._evaluate(t ** n, (y,), F) == rem + [0] * (
-            k - len(rem))
+        assert F.unpack(freeness._evaluate(t ** n, [(y,)], F)) == (
+            rem + [0] * (k - len(rem)))
 
 
 @pytest.mark.parametrize("image,inverse", [
@@ -834,9 +834,9 @@ def test_point_map_mod_q_equals_image_evaluation(image, inverse):
     poles = 0
     for P in points:
         for _ in range(6):
-            want = freeness._evaluate(g, (P,), F)
+            want = freeness._evaluate(g, [(P,)], F)
             got = step((P,))
-            assert got == (None if want is None else (want,))
+            assert got == (None if want is None else tuple(want))
             if got is None:
                 poles += 1
                 break
@@ -869,11 +869,11 @@ def test_point_map_in_the_extension_equals_image_evaluation():
         ctx = _moebius_ctx(ff, image, inverse)
         (g,) = ctx.sigma.images
         step = freeness._point_map(ctx.sigma, F)
-        P = ([0, 1] + [0] * (len(F.zero) - 2),)
+        P = (F.pack([0, 1]),)
         for _ in range(12):
-            want = freeness._evaluate(g, P, F)
+            want = freeness._evaluate(g, [P], F)
             got = step(P)
-            assert got == (want,)
+            assert got == tuple(want)
             P = got
 
 
@@ -922,7 +922,7 @@ def _assert_next_extension_point(monkeypatch, ctx, b, L, first, second):
     monkeypatch.setattr(freeness, "common_left_denominator",
                         lambda *a: pytest.fail("fold"))
     cert = freeness_certify(ctx, b, L)
-    assert points == [second]
+    assert points == [tuple(F.unpack([v]) for v in second)]
     assert (cert.verdict, cert.rank, cert.relation) == (
         fold.verdict, fold.rank, fold.relation)
 
@@ -936,7 +936,7 @@ def test_extension_point_pole_takes_the_next_point(monkeypatch, L):
     b = sum((c * u ** j for j, c in enumerate(freeness._extension_modulus(5))),
             ctx.ff.zero()).inverse()
     F = freeness._extension(5)
-    y = [0, 1] + [0] * (len(F.zero) - 2)
+    y = F.pack([0, 1])
     _assert_next_extension_point(monkeypatch, ctx, b, L, (y,),
                                  (F.mul(y, y),))
 
@@ -949,7 +949,7 @@ def test_diag7_point_pole_takes_the_next_point(monkeypatch, L):
     ctx = diag7_ctx()
     y1, y2 = ctx.ff.gens()
     F = freeness._extension(7)
-    y = [0, 1] + [0] * (len(F.zero) - 2)
+    y = F.pack([0, 1])
     y2_, y3_ = F.mul(y, y), F.mul(F.mul(y, y), y)
     _assert_next_extension_point(monkeypatch, ctx, (y2 - y1 * y1).inverse(),
                                  L, (y, y2_), (y2_, y3_))
@@ -1014,15 +1014,6 @@ def test_two_variable_derivation_L3_known_answer(monkeypatch):
         "Independent", 15, 15)
 
 
-def _ext_power(a, n, f, p):
-    out = [1] + [0] * (len(a) - 1)
-    for bit in bin(n)[2:]:
-        out = freeness._ext_mul(out, out, f, p)
-        if bit == "1":
-            out = freeness._ext_mul(out, a, f, p)
-    return out
-
-
 # every candidate of degree 2 with coefficients below 8 is reducible mod
 # this prime: their discriminants are all squares
 QR_PRIME = 1518520249
@@ -1030,51 +1021,62 @@ QR_PRIME = 1518520249
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, QR_PRIME, (1 << 61) - 1])
 def test_extension_field_kernel(p):
-    # F_p[y]/(f) of the evaluated route over F_p, checked on seeded
-    # elements against the dense kernels of field.py
-    f = freeness._extension_modulus(p)
+    # F_p[y]/(f) of the evaluated route over F_p on packed ints: products,
+    # sums, inverses and the batch inversion of the orbit values against
+    # _long_div(_conv(a, b), f, p), on seeded elements, on zero and on the
+    # largest slots.  The two large primes take slots wider than a machine
+    # word, packed as whole bytes
+    F = freeness._extension(p)
+    f = F.f
     k = len(f) - 1
     # past every L whose trie order fits the denominator bound (L <= 8)
     floor = next(L for L in range(1, 64)
                  if freeness._truncation_order(L) > config.MAX_DEN_DEGREE)
     least = next(m for m in range(floor, 64) if p ** m >= 1 << 61)
     assert f[-1] == 1 and least <= k <= least + 2
-    one = [1] + [0] * (k - 1)
+    assert (F.code is None) == (p > 7)
+    one = F.pack([1])
 
-    def mul(a, b):
-        return freeness._ext_mul(a, b, f, p)
-
-    def power(a, n):
-        return _ext_power(a, n, f, p)
+    def coords(a):
+        return F.unpack([a])
 
     # f is irreducible by Rabin's criterion, on the kernel's own powers
     # and inverses: y^(p^k) = y, and y^(p^(k/r)) - y is a unit for every
     # prime r dividing k
-    y = [0, 1] + [0] * (k - 2)
-    assert power(y, p ** k) == y
+    y = F.pack([0, 1])
+    assert F.power(y, p ** k) == y
     for r in range(2, k + 1):
         if k % r == 0 and all(r % d for d in range(2, r)):
-            h = power(y, p ** (k // r))
-            h[1] = (h[1] - 1) % p
-            assert mul(h, freeness._ext_inv(h, f, p)) == one
-    assert freeness._ext_inv([0] * k, f, p) is None
+            h = F.reduce(F.power(y, p ** (k // r)) + F.pack([0, p - 1]))
+            assert F.mul(h, F.inv(h)) == one
     rng = random.Random(p)
-    for _ in range(12):
-        a = [rng.randrange(p) for _ in range(k)]
-        b = [rng.randrange(p) for _ in range(k)]
+    elems = [[rng.randrange(p) for _ in range(k)] for _ in range(12)]
+    elems += [[0] * k, [p - 1] * k]
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        A, B = F.pack(a), F.pack(b)
         rem = _long_div(_conv(a, b), f, p)[1]
-        expect = rem + [0] * (k - len(rem))
-        assert mul(a, b) == expect
-        assert freeness._ext_times(a, f, p)(b) == expect
+        assert coords(F.mul(A, B)) == rem + [0] * (k - len(rem))
+        assert coords(F.reduce(A + B)) == [(x + z) % p for x, z in zip(a, b)]
         if any(a):
-            assert mul(a, freeness._ext_inv(a, f, p)) == one
-        assert power(a, p ** k) == a
-    # the inverse of a scalar is one entry, and a product by it scales
+            assert _long_div(_conv(a, coords(F.inv(A))), f, p)[1] == [1]
+        assert F.power(A, p ** k) == A
+    assert F.inv(0) is None and F.mul(0, B) == 0
+    # a prefix sum of the most terms the slots are sized for, each slot at
+    # p - 1, comes back reduced
+    top = F.pack([p - 1] * k)
+    total = sum([top] * (config.MAX_DEN_DEGREE + 1))
+    assert coords(F.reduce(total)) == [
+        (config.MAX_DEN_DEGREE + 1) * (p - 1) % p] * k
+    # one inversion for the whole list, and None when one element is 0
+    xs = [F.pack(a) for a in elems if any(a)]
+    assert freeness._inverses(xs, F) == [F.inv(x) for x in xs]
+    assert freeness._inverses(xs[:3] + [0] + xs[3:], F) is None
+    # the inverse of a scalar is one slot, and a product by it scales
     # the coordinates
     c = rng.randrange(1, p)
-    inv = freeness._ext_inv([c] + [0] * (k - 1), f, p)
-    assert inv == [pow(c, -1, p)]
-    assert mul(a, inv) == [x * inv[0] % p for x in a]
+    inv = F.inv(c)
+    assert inv == pow(c, -1, p)
+    assert coords(F.mul(A, inv)) == [x * inv % p for x in a]
 
 
 def test_extension_modulus_search_always_ends(monkeypatch):

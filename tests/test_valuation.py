@@ -5,12 +5,15 @@ import random
 
 import pytest
 
+from orefree import freeness, valuation
 from orefree.errors import CharacteristicMismatch, UsageError, ZeroArgument
 from orefree.field import FunctionField, _rational_roots
 from orefree.skew import SkewEndo
 from orefree.valuation import Place, _rabin_irreducible, length_profile
 
-from oracles import random_ratfunc_nonzero, reducible_monic_modp
+from oracles import (
+    random_ratfunc_nonzero, reducible_monic_modp, ref_rabin_irreducible,
+)
 
 QT = FunctionField(0, ["t"])
 
@@ -117,6 +120,43 @@ def test_rabin_matches_product_sieve():
             for c in itertools.product(range(p), repeat=n):
                 f = c + (1,)
                 assert _rabin_irreducible(list(f), p) == (f not in reducible)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_rabin_matches_reference_on_modulus_candidates(p):
+    # the batched test on packed ints gives the per-k Euclid reference's
+    # verdict on the first 200 candidates of the modulus search over F_p
+    candidates = list(itertools.islice(freeness._modulus_candidates(p), 200))
+    verdicts = [_rabin_irreducible(f, p) for f in candidates]
+    assert verdicts == [ref_rabin_irreducible(f, p) for f in candidates]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_rabin_matches_reference_on_tested_places(monkeypatch):
+    # every call Rabin's test gets while the places of degree >= 2 of the
+    # tests above are built, over F_p and for the reductions of Q mod
+    # small primes, gives the reference's verdict
+    t, t5, t7 = (FunctionField(p, ["t"]).poly_var("t") for p in (0, 5, 7))
+    polys = [t * t + 1, (t * t + 1) * (t * t + 2), (t * t + 1) * (t ** 3 + 2),
+             t ** 4 + 1, t ** 4 - 10 * t * t + 1, t ** 4 + 2, t ** 4 - 2,
+             t ** 5 - t - 1, t ** 10 - 2, t ** 12 - 3,
+             (2 * t * t + 1) * (t * t + t + 1), t5 * t5 + 1, t5 * t5 + 2,
+             t5 ** 4 + 2, t7 * t7 + 1, t7 ** 14 + 3 * t7 + 1,
+             t7 ** 9 + t7 + 3]
+    calls = []
+
+    def recording(f, p):
+        calls.append((f, p, _rabin_irreducible(f, p)))
+        return calls[-1][2]
+    monkeypatch.setattr(valuation, "_rabin_irreducible", recording)
+    for poly in polys:
+        try:
+            Place.finite(poly)
+        except UsageError:
+            pass
+    assert len(calls) > 100
+    for f, p, verdict in calls:
+        assert verdict == ref_rabin_irreducible(f, p), (f, p)
 
 
 def test_place_normalizes_monic():

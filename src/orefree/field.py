@@ -47,7 +47,7 @@ from .errors import (
 )
 from .intpoly import (
     _add, _compose, _exact_quo, _gcd_cofactors, _is_prime, _long_div, _mul,
-    _primitive_ints, _sub, _trim, _uni_gcd_p, _uni_gcd_q,
+    _power, _primitive_ints, _sub, _trim, _uni_gcd_p, _uni_gcd_q,
 )
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -819,12 +819,7 @@ class _IntRing(_Ring):
 
     def power(self, a, n):
         """a^n for n >= 1, by repeated squaring."""
-        out = a
-        for bit in bin(n)[3:]:
-            out = _mul(out, out, self.p)
-            if bit == "1":
-                out = _mul(out, a, self.p)
-        return out
+        return _power(a, n, lambda x, y: _mul(x, y, self.p))
 
     def cofactors(self, polys):
         """Each polynomial over the gcd of all, over Q with the gcd of

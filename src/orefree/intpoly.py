@@ -419,6 +419,16 @@ def _mul(a, b, p):
     return _trim([x % p for x in out]) if p else out
 
 
+def _power(a, n, mul):
+    """a^n for n >= 1, by repeated squaring with the product mul."""
+    out = a
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
+    return out
+
+
 def _derivative(a, p):
     out = [k * c for k, c in enumerate(a)][1:]
     return _trim([x % p for x in out]) if p else out
@@ -538,13 +548,7 @@ class _Packed:
         return self.reduce(x)
 
     def power(self, a, n):
-        """a^n for n >= 1, by repeated squaring."""
-        out = a
-        for bit in bin(n)[3:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, a)
-        return out
+        return _power(a, n, self.mul)
 
     def inv(self, a):
         """a^{-1}, or None for 0: a scalar, one slot below p, by pow, and

@@ -249,13 +249,14 @@ def common_left_denominator(fracs):
 
 
 def _matrix_digest(rows, header, p=0):
-    """SHA-256 of the header, the shape and the rows' decimal entries.
-    With p > 0 the entries are residues in [0, p), each formatted by a
-    lookup in one list of the p strings while p is below 2^16."""
+    """SHA-256 of the header, the shape and the rows' decimal entries, over
+    F_p (p > 0) residues, which from 8p entries on (measured to beat str)
+    are formatted by a table of the p strings that no other value hits."""
     h = hashlib.sha256()
     ncols = len(rows[0]) if rows else 0
     h.update(("%s;%dx%d" % (header, len(rows), ncols)).encode())
-    text = [str(c) for c in range(p)].__getitem__ if 0 < p < 1 << 16 else str
+    text = ({c: str(c) for c in range(p)}.__getitem__
+            if 0 < 8 * p <= len(rows) * ncols else str)
     for row in rows:
         h.update(b"|")
         h.update(",".join(map(text, row)).encode())
@@ -606,11 +607,10 @@ _EVAL_STARTS = (
     10950242936855078, 32022090439176414, 30564773206849362)
 
 
-# a field that the series are evaluated in, built once per run, on ints
-# with 0 and + for sums: scalar(c) is the value of a coefficient c of the
-# function field, or None when c has none there, inv(0) is None,
-# power(v, n) is v^n for n >= 1, and reduce(c) the normal form of a sum
-# of up to config.MAX_DEN_DEGREE + 1 values
+# a field that the series are evaluated in, on ints with 0 and + for sums:
+# scalar(c) is the value of a coefficient c of the function field or None,
+# inv(0) is None, power(v, n) is v^n for n >= 1, and reduce(c) the normal
+# form of a sum of up to config.MAX_DEN_DEGREE + 1 values
 _Field = collections.namedtuple("_Field", "scalar mul inv power reduce")
 
 
@@ -642,9 +642,8 @@ def _inverses(xs, F):
 def _evaluate(g, points, F):
     """[g(P) for P in points] in the field F for g in the function field,
     or None where a coefficient of g has no value in F or the denominator
-    of g vanishes at a point.  The denominator's values are inverted
-    together (_inverses).  Over Q(t) the coefficients are the integers of
-    num and den."""
+    of g vanishes at a point, whose values are inverted together
+    (_inverses).  Over Q(t) the coefficients are num's and den's ints."""
     ring = g.ff.ring
 
     def poly(h):
@@ -672,8 +671,7 @@ def _evaluate(g, points, F):
 
 
 def _orbit_values(images, b, point, N, F, step=None):
-    """b(s^i(P)) for i = 0..N in the field F, s the point map of sigma, or
-    None.
+    """b(s^i(P)) for i = 0..N in the field F, s the point map of sigma.
 
     step(P) is s(P), or None at a pole of s; without it each generator
     image is evaluated at P.  None comes back when b or a generator image
@@ -738,9 +736,7 @@ def _modulus_candidates(p):
     are tried first.  A second round takes all of F_p^*: it contains
     every monic f of degree m with f(0) != 0, among them irreducible
     ones, so the search always ends.  The coefficient tuples are counted
-    in base top - 1, so none of them is stored: itertools.product would
-    first store all of range(1, top), which for top = p may hold
-    billions of values.
+    in base top - 1: itertools.product would store range(1, top) first.
     """
     m = (config.MAX_DEN_DEGREE + 2).bit_length() - 1
     while p ** m < 1 << 61:
@@ -767,11 +763,6 @@ def _extension(p):
         f = next(f for f in _modulus_candidates(p) if _rabin_irreducible(f, p))
         _EXTENSION_CACHE[key] = _Packed(f, p, config.MAX_DEN_DEGREE + 1)
     return _EXTENSION_CACHE[key]
-
-
-def _extension_modulus(p):
-    """The modulus f of _extension(p), a monic irreducible mod-p list."""
-    return _extension(p).f
 
 
 def _jet_mod(f, c, n, q):
@@ -816,17 +807,14 @@ def _derivative_values(f, b, c, n, q):
 def _evaluated_word_rows(pair, words, b, N):
     """Word series at orders 0..N, evaluated at points, one point at a time.
 
-    Yields (rows, point) with one row per word for each usable point.  One
-    evaluator (_evaluate), one point map (_point_map) and one series
-    builder (_word_series) serve both fields, given as five operations
-    on ints: Z/q over Q (_residues), F_p[y]/(f) over F_p (_extension),
-    where the rows and the point are unpacked into the coordinates of
-    each entry.  Over Q the points come from _EVAL_STARTS, and over F_p
-    they are (y^j, y^{j+1}, ..., y^{j+n-1}) for j = 1, 2, ...; as many
-    are tried over F_p as there are starts over Q.  For pure
-    automorphisms the values are sigma^m(b)(P) = b(s^m(P)) along the
-    orbit of P (_orbit_values); for derivations of Q(t) they are
-    delta^j(b)(P) mod q (_derivative_values).  A point where a value is
+    Yields (rows, point) with one row per word for each usable point, in
+    Z/q over Q (_residues) and in F_p[y]/(f) over F_p (_extension), whose
+    rows and point are unpacked into coordinates.  Over Q the points
+    come from _EVAL_STARTS, over F_p they are (y^j, ..., y^{j+n-1}) for
+    j = 1, 2, ..., as many as there are starts.  The values are
+    sigma^m(b)(P) = b(s^m(P)) along the orbit of P for pure
+    automorphisms (_orbit_values) and delta^j(b)(P) mod q for
+    derivations of Q(t) (_derivative_values); a point where one is
     undefined is skipped.
     """
     p, n = pair.ff.char, pair.ff.nvars
@@ -1025,7 +1013,7 @@ def _certify_by_evaluation(pair, words, b, L):
         return None
     rank = echelon.rank
     if p:
-        header = "p:%d;f:%s;points:%s" % (p, _extension_modulus(p), points)
+        header = "p:%d;f:%s;points:%s" % (p, _extension(p).f, points)
     elif pair.is_pure_automorphism():
         header = "q:%d;points:%s" % (_EVAL_PRIME, points)
     else:
@@ -1053,25 +1041,20 @@ def freeness_certify(pair, b, L):
     * with the trie order N = 2^{L+1} - 2 at most
       ``config.MAX_DEN_DEGREE`` (L <= 8 by default), pure automorphisms
       take the evaluated K[[x; sigma]] series, mod q = 2^61 - 1 over Q and
-      at the first point (y^j, ..., y^{j+n-1}), j = 1, 2, ..., of
-      F_p[y]/(f) whose orbit meets no pole over F_p, by one evaluator
-      and one point map in either field, and derivations of Q(t) the
-      evaluated K((x^{-1}; delta)) series mod q.  Over Q points are added
-      until the rank is full or has not risen over two more points, and
-      only then are relations lifted.  A Dependent result there proves
-      only the generators of its relations; the rest are their
-      multiples g_j R and R g_j, index moves that need no arithmetic.
-      A generator is proved by its series at orders 0..e, e + 1 the size
-      of its support's prefix closure (_relation_holds): evaluated
-      exactly at B + 1 integer points over Q(t), B a degree bound read
-      off the exact sigma^j(b) or delta^j(b), and computed as exact
-      polynomials over F_p and in several variables (module docstring).
-      The d relations so obtained are independent mod q, so over k,
-      while the evaluated rank bounds the nullity by d: the rank is
-      exact.  The digest covers the evaluated matrix and a header naming
-      q and the points, with a mark of its own for the x^{-1} series, or
-      p, f and the point.  No usable point, a failed lift or a failed
-      check go on to the next route;
+      at the first point of F_p[y]/(f) whose orbit meets no pole over
+      F_p, and derivations of Q(t) the evaluated K((x^{-1}; delta))
+      series mod q.  Over Q points are added until the rank is full or
+      has not risen over two more points, and only then are relations
+      lifted.  A Dependent result there proves only the generators of
+      its relations, each by its series at orders 0..e, e + 1 the size
+      of its support's prefix closure (_relation_holds, module
+      docstring); the rest are their multiples g_j R and R g_j, index
+      moves that need no arithmetic.  The d relations so obtained are
+      independent mod q, so over k, while the evaluated rank bounds the
+      nullity by d: the rank is exact.  The digest covers the evaluated
+      matrix and a header naming q and the points, with a mark of its
+      own for the x^{-1} series, or p, f and the point.  No usable
+      point, a failed lift or a failed check go on to the next route;
     * pure derivations with a polynomial witness and polynomial images
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.

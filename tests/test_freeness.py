@@ -797,7 +797,7 @@ def test_evaluate_matches_exact_values():
         assert freeness._evaluate(g, [P], R) == [
             want.numerator * pow(want.denominator, -1, q) % q]
     F = freeness._extension(7)
-    f = freeness._extension_modulus(7)
+    f = F.f
     k = len(f) - 1
     t = FunctionField(7, ["t"]).var(0)
     y = F.pack([0, 1])
@@ -933,9 +933,8 @@ def test_extension_point_pole_takes_the_next_point(monkeypatch, L):
     # itself: the route takes the next point, y^2
     ctx = shift_f5_ctx()
     u = ctx.ff.var(0)
-    b = sum((c * u ** j for j, c in enumerate(freeness._extension_modulus(5))),
-            ctx.ff.zero()).inverse()
     F = freeness._extension(5)
+    b = sum((c * u ** j for j, c in enumerate(F.f)), ctx.ff.zero()).inverse()
     y = F.pack([0, 1])
     _assert_next_extension_point(monkeypatch, ctx, b, L, (y,),
                                  (F.mul(y, y),))
@@ -1093,7 +1092,7 @@ def test_extension_modulus_search_always_ends(monkeypatch):
     monkeypatch.setattr(freeness, "_rabin_irreducible",
                         lambda f, p: max(f) >= 8 and real(f, p))
     monkeypatch.setattr(freeness, "_EXTENSION_CACHE", {})
-    f = freeness._extension_modulus(QR_PRIME)
+    f = freeness._extension(QR_PRIME).f
     assert max(f) >= 8 and real(f, QR_PRIME)
     _assert_series_route_agrees_with_fold(monkeypatch, ctx, u.inverse(), 2)
 
@@ -1108,7 +1107,7 @@ def test_large_prime_shift_stays_evaluated(monkeypatch):
     ff = FunctionField(p, ["u"])
     u = ff.var(0)
     ctx = SkewPair.automorphism(SkewEndo(ff, [u + 1], [u - 1]))
-    assert len(freeness._extension_modulus(p)) - 1 >= 9
+    assert len(freeness._extension(p).f) - 1 >= 9
     for L, rank in ((3, 14), (4, 25), (5, 41)):
         with monkeypatch.context() as m:
             m.setattr(freeness, "common_left_denominator",
@@ -1502,6 +1501,51 @@ def test_series_route_digest_determinism():
     # the evaluated x^{-1}-series route: 1/t under d/dt
     assert freeness_certify(ddt_ctx(), t.inverse(), 3).matrix_digest == (
         "f177d19f3db5fbb712144daffca7ecf4cd1fec3feeb1a499a05c99bb49fe6c60")
+
+
+def test_matrix_digest_table_hashes_as_str_and_refuses_non_residues():
+    # 40 = 8 * 5 residues mod 5 go through the table of the five strings,
+    # 32 through str; either way the bytes are str's.  A value outside
+    # [0, 5) misses the table instead of hashing as another residue
+    rows = [[c % 5 for c in range(i, i + 8)] for i in range(5)]
+    for part in (rows, rows[:4]):
+        assert freeness._matrix_digest(part, "h", 5) == (
+            freeness._matrix_digest(part, "h"))
+    for bad in (-1, 5, Fraction(1, 2)):
+        with pytest.raises(KeyError):
+            freeness._matrix_digest(rows[:4] + [[bad] + rows[4][1:]], "h", 5)
+
+
+@pytest.mark.parametrize("make_ctx,witness,L,header", [
+    (shift_f5_ctx, lambda g: g[0].inverse(), 3, "p:5;"),
+    (shift_f5_ctx, lambda g: g[0].inverse(), 3, "k:5"),
+    (lambda: f5_ctx(lambda t: t.ff.one()), lambda g: g[0], 3, "k:5"),
+    (f3_ac_ctx, lambda g: g[0] * g[1], 3, "k:3"),
+    (f7_t2ddt_ctx, lambda g: g[0].inverse(), 2, "k:7"),
+], ids=["evaluated:shift-F5:1/u:L3", "fold:shift-F5:1/u:L3",
+        "exact-xinv:F5-ddt:t:L3", "exact-xinv:F3(a,c):ac:L3",
+        "fold:F7-t2ddt:1/t:L2"])
+def test_fp_rows_are_residues_on_every_route(monkeypatch, make_ctx, witness,
+                                             L, header):
+    # the digest over F_p formats its entries through a table of the p
+    # strings: every route's rows hold residues in [0, p), at least 8p of
+    # them here, and the certificate's digest is the one str gives
+    ctx = make_ctx()
+    real, seen = freeness._matrix_digest, []
+
+    def spy(rows, head, p=0):
+        seen.append((rows, head, p))
+        return real(rows, head, p)
+    monkeypatch.setattr(freeness, "_matrix_digest", spy)
+    if header == "k:5" and ctx.is_pure_automorphism():
+        monkeypatch.setattr(freeness, "_evaluated_word_rows",
+                            lambda *a: iter(()))
+    cert = freeness_certify(ctx, witness(ctx.ff.gens()), L)
+    (rows, head, p), = seen
+    assert head.startswith(header) and p == ctx.ff.char
+    assert 8 * p <= len(rows) * len(rows[0])
+    assert all(type(c) is int and 0 <= c < p for row in rows for c in row)
+    assert cert.matrix_digest == real(rows, head)
 
 
 def test_certificate_usage_errors_and_bounds(monkeypatch):

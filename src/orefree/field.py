@@ -102,11 +102,6 @@ class BaseField:
             return pow(a, self.p - 2, self.p)
         return 1 / a
 
-    def pow_(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
-        return pow(a, n, self.p) if self.p else a ** n
-
     def __eq__(self, other):
         return isinstance(other, BaseField) and self.p == other.p
 
@@ -189,8 +184,7 @@ class FunctionField:
         return RatFunc(self, self.ring.one, self.ring.one, coprime=True)
 
     def const(self, c):
-        """The constant c in the ring's form: n over d for c = n/d in
-        k(t), as int lists, and the constant MPoly in several variables."""
+        """The constant c in the ring's form: [n] over [d] for n/d in k(t)."""
         if self.nvars > 1:
             return RatFunc(self, self.poly_const(c), self.ring.one, True)
         c = self.scalar(c)

@@ -478,24 +478,21 @@ def _rational_reconstruct(a, p):
 
 
 class _Packed:
-    """F_p[y]/(f), f a monic mod-p list of degree k, irreducible for a
-    field, with each element one int: its coordinates c_i in [0, p) on
-    y^i packed as sum_i c_i 2^(W i), in k slots of W bits.
+    """F_p[y]/(f), f a monic mod-p list of degree k (irreducible for a
+    field), each element one int: its coordinates c_i in [0, p) on y^i
+    packed as sum_i c_i 2^(W i), in k slots of W bits.
 
-    A product is one int multiplication, whose 2k - 1 slots hold the
-    coefficients of the polynomial product, each at most k (p-1)^2; the
-    part from y^k up is then folded down by y^k = -g, g = f - y^k, a
-    product by the packed -g mod p.  Each fold lowers the top degree by
-    k - deg g, so a modulus takes a fixed number (two for
-    y^22 + 4y^2 + 1), each multiplying the slot bound by at most
-    1 + t (p-1), t the terms of g.  reduce takes every slot mod p at
-    once: for a slot s < 2^h, e = h + bits(p) and m = ceil(2^e / p),
+    A product is one int multiplication, its 2k - 1 slots at most
+    k (p-1)^2, then a fixed number of folds of the part from y^k down by
+    y^k = -g, g = f - y^k (two for y^22 + 4y^2 + 1), each a product by
+    the packed -g mod p that multiplies the slot bound by at most
+    1 + t (p-1), t the terms of g.  reduce takes every slot s < 2^h mod
+    p at once: with e = h + bits(p) and m = ceil(2^e / p),
     floor(s m / 2^e) = floor(s / p), as s (m p - 2^e) / (p 2^e) < 1/p,
     and s m < 2^(2h + 2) <= 2^W, so a product by m, a shift, a mask and
-    a product by p give every slot's quotient with no carry between
-    slots.  A sum is the plain int sum, slot by slot, and h covers a
-    folded product and a sum of ``terms`` reduced elements; W is 8 to 64
-    bits where that fits, so that struct unpacks the slots in C, and
+    a product by p carry nothing between slots.  Sums are int sums; h
+    covers a folded product and a sum of ``terms`` reduced elements.  W
+    is 8 to 64 bits where that fits, for struct to unpack in C, and
     whole bytes beyond.
     """
 
@@ -525,12 +522,11 @@ class _Packed:
 
     def unpack(self, xs):
         """The k coordinates of each element of xs in turn, in one list."""
-        nb, raw = self.nb, b"".join([x.to_bytes(self.size, "little")
-                                     for x in xs])
+        raw = b"".join([x.to_bytes(self.size, "little") for x in xs])
         if self.code:
-            return list(struct.unpack(self.code % (len(raw) // nb), raw))
-        return [int.from_bytes(raw[i:i + nb], "little")
-                for i in range(0, len(raw), nb)]
+            return list(struct.unpack(self.code % (len(raw) // self.nb), raw))
+        return [int.from_bytes(raw[i:i + self.nb], "little")
+                for i in range(0, len(raw), self.nb)]
 
     def scalar(self, c):
         return c % self.p
@@ -551,9 +547,8 @@ class _Packed:
         return _power(a, n, self.mul)
 
     def inv(self, a):
-        """a^{-1}, or None for 0: a scalar, one slot below p, by pow, and
-        any other element by the extended Euclidean algorithm on f and
-        its coordinates."""
+        """a^{-1}, or None for 0: by pow for a scalar (below p), else by
+        the extended Euclidean algorithm on f and the coordinates."""
         p = self.p
         if a < p:
             return pow(a, -1, p) if a else None

@@ -59,9 +59,8 @@ def _rabin_irreducible(f, p):
     The gcd is taken for every k <= n/2, each n/r among them: a
     reducible f has a factor of degree k <= n/2, which divides
     x^(p^k) - x, and an irreducible f none.  One gcd serves each batch
-    k = 1, 2..3, 4..7, ..., up to n/2, on the product of its x^(p^k) - x
-    mod f: an irreducible factor of f divides that product only if it
-    divides one factor.  Powers are taken on packed ints (_Packed).
+    k = 1, 2..3, 4..7, ..., n/2, on the product of its x^(p^k) - x mod f,
+    which an irreducible factor divides only if it divides one factor.
     """
     n, E = len(f) - 1, _Packed(f, p)
     h = x = E.pack([0, 1])

@@ -101,7 +101,6 @@ def test_scalar_arithmetic_mod_p():
     k = BaseField(7)
     assert k.add(5, 4) == 2
     assert k.inv(3) == 5  # 3*5 = 15 = 1 mod 7
-    assert k.pow_(3, -1) == 5
     with pytest.raises(DivisionByZero):
         k.inv(0)
 

@@ -92,20 +92,30 @@ a lower bound: full rank proves independence, and on a deficit d the
 exact nullity is at most d.  Over Q the points are added one at a time,
 each block of columns eliminated once, until the rank is full or has not
 risen over two more points.  No fixed count serves every L: t under d/dt
-reaches its rank at L = 5 only with the fifth point.  The words are the
-monomials of the free algebra on g0 = (1-x)^{-1} and g1 = b(1-x)^{-1}:
-g_j W_I = W_{jI} and W_I g_j = W_{Ij}, so a relation R yields the
-relations g_j R and R g_j by moving indices alone.  Length by length,
-only a nullspace vector outside the span of the shorter relations and
-their one-letter multiples becomes a generator: over Q it is lifted by
-rational reconstruction, and over F_p it is already an exact relation.
-Only these generators are proved exactly.  The relations derived from
-them are then exact as well, and together they span d dimensions mod q
-(mod p over F_p), so at least d over k (integer vectors independent mod
-q are independent over Q): the nullity is d, the rank is exact, and the
-first generator is the reported relation.  A failed lift or check, or a
-basis short of d, falls back to the exact x^{-1} series where it
-applies, and to the fold otherwise.
+reaches its rank at L = 5 only with the fifth point.
+
+The relations are checked by the leading-word argument of Bergman's
+diamond lemma (Adv. Math. 29, 1978).  The words are the monomials of the
+free algebra on g0 = (1-x)^{-1} and g1 = b(1-x)^{-1}: g_j W_I = W_{jI}
+and W_I g_j = W_{Ij}, so a relation R yields the relations g_j R and
+R g_j by moving indices alone.  Words are ordered by length, then
+lexicographically, as words_up_to lists them, so the last word of R g_j
+is (last word of R) j, and the last word of g_j R is j (last word of R).
+Let D be the set of words dependent mod q (mod p over F_p), each the end
+of its canonical nullspace vector (linalg module docstring), and
+d = |D|.  Only the obstructions are proved: the words w in D whose
+prefix w[:-1] and suffix w[1:] both lie outside D.  Over Q the vector
+ending at an obstruction is lifted by rational reconstruction; over F_p
+it is exact already.  Each is proved as below.  By induction on
+length every w in D then has an exact relation whose last word is w: if
+w is an obstruction, its own; if w[:-1] (or w[1:]) is in D, a
+one-letter multiple of the relation of that shorter word.  Relations
+whose last words differ are independent, so the exact nullity is at
+least d; the evaluated rank bounds it by d, so the rank is exact.  The
+first dependent word is always an obstruction, since its prefix and
+suffix come before it, so the reported relation is the lift of the
+first nullspace vector.  A failed lift or check falls back to the exact
+x^{-1} series where it applies, and to the fold otherwise.
 
 Every relation R found on a series route, evaluated or exact, is proved
 one way, on its own series, with no Ore arithmetic.  Let C be the prefix
@@ -282,37 +292,6 @@ def _relation_vanishes(fracs, lam):
     for (c, _), n in zip(support, nums):
         total = total + n.scale_left(ctx.ff.const(c))
     return total.is_zero()
-
-
-def _last_nonzero(vec):
-    return max((i for i, x in enumerate(vec) if x), default=-1)
-
-
-def _reduce_by_last(basis, vec, p):
-    """(remainder, its last nonzero index) of vec mod p against basis.
-
-    basis maps a last nonzero index to a vector that ends there with a 1.
-    Each step clears the last entry and touches none after it, and every
-    nonzero vector of the span ends at an index of basis, so the
-    remainder is zero (index -1) exactly when vec lies in the span.
-    """
-    vec = [x % p for x in vec]
-    last = _last_nonzero(vec)
-    while last in basis:
-        f = vec[last]
-        vec = [(x - f * y) % p for x, y in zip(vec, basis[last])]
-        last = _last_nonzero(vec)
-    return vec, last
-
-
-def _add_by_last(basis, vec, p):
-    """Extend basis by vec unless it lies in the span; True if added."""
-    vec, last = _reduce_by_last(basis, vec, p)
-    if last < 0:
-        return False
-    inv = pow(vec[last], -1, p)
-    basis[last] = [x * inv % p for x in vec]
-    return True
 
 
 def _rank_and_relation(rows, base, verify):
@@ -536,11 +515,6 @@ class _ExactValues:
         return lcms[k - 1]
 
 
-def _exact_values(pair, b):
-    """b itself when it is an _ExactValues, else one built for it."""
-    return b if isinstance(b, _ExactValues) else _ExactValues(pair, b)
-
-
 def _sigma_step(values, F=None):
     """Series step in K[[x; sigma]] (see _series_step).
 
@@ -572,22 +546,21 @@ def _word_series(pair, words, values, n, zero, one, F=None):
     return _prefix_shared(words, [one] + [zero] * n, step)
 
 
-def _xinv_word_series(pair, words, b, N):
+def _xinv_word_series(pair, words, exact, N):
     """Exact word series in K((x^{-1}; delta)) at orders 0..N, as MPolys.
 
     b and the images of delta are polynomials, so every delta^j(b) is one,
     and so is every coefficient: the series run on _ExactValues.prefix(N)
     as MPolys, whose Python operators the series step uses (over k(t)
-    each int list is viewed as one); b is the witness or its
-    _ExactValues.  N is held to ``config.MAX_DEN_DEGREE``, the fold's
-    bound on the same degree.
+    each int list is viewed as one).  N is held to
+    ``config.MAX_DEN_DEGREE``, the fold's bound on the same degree.
     """
     if N > config.MAX_DEN_DEGREE:
         raise ResourceBoundExceeded(
             "series order %d exceeds the denominator bound %d"
             % (N, config.MAX_DEN_DEGREE))
     ff = pair.ff
-    values = _exact_values(pair, b).prefix(N)
+    values = exact.prefix(N)
     polys = [v.num if ff.nvars > 1 else _from_dense(ff, v.num, v.den[0])
              for v in values]
     return _word_series(pair, words, polys, N, ff.poly_zero(), ff.poly_one())
@@ -842,67 +815,31 @@ def _evaluated_word_rows(pair, words, b, N):
         yield series, point
 
 
-def _one_letter_multiples(lam, words, index):
-    """g_j R and R g_j for j = 0, 1, for a relation R = lam shorter than L.
-
-    Every word is a monomial in g0 = (1-x)^{-1} and g1 = b(1-x)^{-1}, so
-    g_j W_I = W_{jI} and W_I g_j = W_{Ij}: a multiple of a relation is a
-    relation again, and only its indices move.
-    """
-    support = [(w, c) for w, c in zip(words, lam) if c]
-    for j in (0, 1):
-        for left in (True, False):
-            vec = [0] * len(words)
-            for w, c in support:
-                vec[index[(j,) + w if left else w + (j,)]] = c
-            yield vec
-
-
-def _relation_generators(null, words, L, p):
-    """Generators of the relation space, or None.
+def _obstruction_relations(null, words, p):
+    """The exact relations of the obstructions, first word first, or None.
 
     null is the canonical basis of the evaluated relations (linalg module
-    docstring): mod q = 2^61 - 1 over Q, whose generators are lifted to Q
-    by rational reconstruction, and mod p, already exact, over F_p.  Its
-    vector for a dependent word ends at that word and is zero at every
-    other dependent word, so the vectors ending at length <= r span the
-    relations among the words of length <= r, for every r at once.
-    One span mod q is kept across the lengths.  At length r it takes the
-    one-letter multiples of the vectors it took at length r - 1; those of
-    the vectors taken earlier are in it already, and a multiple is linear
-    in the vector, so it then holds the multiples of every relation it
-    held before.  Only a vector of length r outside it is lifted to a
-    generator, so every relation is a sum of multiples of generators.
-    The first generator is the lift of the first vector, the relation
-    ending at the first dependent word (_rank_and_relation).  None when a
-    lift fails or the span does not come out at dimension len(null).
+    docstring), mod q = 2^61 - 1 over Q and mod p over F_p: each vector
+    ends at its own dependent word.  An obstruction is a dependent word w
+    whose prefix w[:-1] and suffix w[1:] are not dependent.  Its vector is
+    lifted to Q by rational reconstruction, and over F_p it is exact
+    already.  The first dependent word is always an obstruction, so the
+    first relation is the lift of the first vector.  None when a lift
+    fails.
     """
-    q = p or _EVAL_PRIME
-    end_lengths = [len(words[_last_nonzero(vec)]) for vec in null]
-    index = {w: i for i, w in enumerate(words)}
-    span, added, generators = {}, [], []
-    for length in range(1, L + 1):
-        shorter, added = added, []
-        for rel in itertools.chain.from_iterable(
-                _one_letter_multiples(r, words, index) for r in shorter):
-            if _add_by_last(span, rel, q):
-                added.append(rel)
-        for end, vec in zip(end_lengths, null):
-            if end == length and _reduce_by_last(span, vec, q)[1] >= 0:
-                if p:
-                    lam = vec
-                else:
-                    lam = [_rational_reconstruct(x, q) for x in vec]
-                    if None in lam:
-                        return None
-                    lam = _normalize_int_vector(lam)
-                if not _add_by_last(span, lam, q):
-                    return None
-                generators.append(lam)
-                added.append(lam)
-    if len(span) != len(null):
-        return None
-    return generators
+    ends = {words[max(i for i, c in enumerate(vec) if c)]: vec
+            for vec in null}
+    relations = []
+    for w, vec in ends.items():
+        if w[:-1] in ends or w[1:] in ends:
+            continue
+        if not p:
+            vec = [_rational_reconstruct(x, _EVAL_PRIME) for x in vec]
+            if None in vec:
+                return None
+            vec = _normalize_int_vector(vec)
+        relations.append(vec)
+    return relations
 
 
 def _prefix_closure(support):
@@ -911,7 +848,7 @@ def _prefix_closure(support):
                   key=lambda w: (len(w), w))
 
 
-def _point_bound(pair, b, e, r):
+def _point_bound(pair, exact, e, r):
     """(values, Delta, B) for the proof of a relation.
 
     values are the exact v_j that the series of a relation read at
@@ -919,10 +856,9 @@ def _point_bound(pair, b, e, r):
     denominators, h = max(0, max_j(deg num v_j - deg den v_j)) and
     B = r (deg Delta + h).  Every order's coefficient of a word with at
     most r ones is an integer combination of products of as many values,
-    so times Delta^r it is a polynomial of degree at most B.  b is the
-    witness or its _ExactValues.
+    so times Delta^r it is a polynomial of degree at most B.  exact is
+    the witness's _ExactValues.
     """
-    exact = _exact_values(pair, b)
     values = exact.prefix(e)
     delta = exact.lcm(len(values))
     degree = pair.ff.ring.degree
@@ -930,7 +866,7 @@ def _point_bound(pair, b, e, r):
     return values, delta, r * (degree(delta) + h)
 
 
-def _relation_holds(pair, words, b, lam):
+def _relation_holds(pair, words, exact, lam):
     """True when sum(lam[i] W_{words[i]}) = 0, decided exactly.
 
     C is the prefix closure of the support and e = |C| - 1: the relation
@@ -942,8 +878,8 @@ def _relation_holds(pair, words, b, lam):
     evaluated at the first B + 1 integers P >= 0 where Delta does not
     vanish, each point's values scaled by one integer in place of
     Delta(P); elsewhere they are computed once, as exact polynomials.
-    b is the witness, or its _ExactValues to share the values and their
-    lcms with the other proofs of one certificate.
+    exact is the witness's _ExactValues, which shares the values and
+    their lcms with the other proofs of one certificate.
     """
     support = [(w, c) for w, c in zip(words, lam) if c]
     closure = _prefix_closure(w for w, _ in support)
@@ -960,7 +896,6 @@ def _relation_holds(pair, words, b, lam):
         return not any(total)
 
     ff = pair.ff
-    exact = _exact_values(pair, b)
     if ff.char or ff.nvars > 1:
         values = exact.prefix(e)
         delta, nums = _common_denominator(values, exact.lcm(len(values)))
@@ -991,11 +926,12 @@ def _certify_by_evaluation(pair, words, b, L):
 
     Over Q points are added until the rank is full or has not risen over
     two more points; over F_p the first usable point is taken.  Full
-    rank mod q proves independence.  On a deficit d only the generators
-    of _relation_generators are verified, each by _relation_holds.  The
-    basis they derive then pins the rank (module docstring).  The first
-    generator, the relation ending at the first dependent word, is
-    reported.
+    rank mod q proves independence.  On a deficit d only the relations
+    of the obstructions (_obstruction_relations) are verified, each by
+    _relation_holds.  Their one-letter multiples give every dependent
+    word an exact relation ending there, which pins the rank (module
+    docstring).  The first of them, the relation ending at the first
+    dependent word, is reported.
     """
     p = pair.ff.char
     echelon = _Echelon(len(words), p or _EVAL_PRIME)
@@ -1020,12 +956,12 @@ def _certify_by_evaluation(pair, words, b, L):
         header = "q:%d;x^-1;points:%s" % (_EVAL_PRIME, points)
     lam = None
     if rank < len(words):
-        generators = _relation_generators(echelon.nullspace(), words, L, p)
+        relations = _obstruction_relations(echelon.nullspace(), words, p)
         exact = _ExactValues(pair, b)
-        if generators is None or not all(
-                _relation_holds(pair, words, exact, g) for g in generators):
+        if relations is None or not all(
+                _relation_holds(pair, words, exact, r) for r in relations):
             return None
-        lam = generators[0]
+        lam = relations[0]
     return _certificate(b, L, words, rows, header, rank, lam)
 
 
@@ -1045,13 +981,16 @@ def freeness_certify(pair, b, L):
       F_p, and derivations of Q(t) the evaluated K((x^{-1}; delta))
       series mod q.  Over Q points are added until the rank is full or
       has not risen over two more points, and only then are relations
-      lifted.  A Dependent result there proves only the generators of
-      its relations, each by its series at orders 0..e, e + 1 the size
-      of its support's prefix closure (_relation_holds, module
-      docstring); the rest are their multiples g_j R and R g_j, index
-      moves that need no arithmetic.  The d relations so obtained are
-      independent mod q, so over k, while the evaluated rank bounds the
-      nullity by d: the rank is exact.  The digest covers the evaluated
+      lifted.  A Dependent result there proves only the relations of
+      its obstructions, the dependent words whose prefix and suffix of
+      one letter fewer are not dependent, each by its series at orders
+      0..e, e + 1 the size of its support's prefix closure
+      (_relation_holds, module docstring).  Every other dependent word
+      gets a relation ending there as a multiple g_j R or R g_j of a
+      shorter one, an index move that needs no arithmetic.  These d
+      relations end at distinct words, so they are independent over k,
+      while the evaluated rank bounds the nullity by d: the rank is
+      exact.  The digest covers the evaluated
       matrix and a header naming q and the points, with a mark of its
       own for the x^{-1} series, or p, f and the point.  No usable
       point, a failed lift or a failed check go on to the next route;

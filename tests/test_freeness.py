@@ -444,55 +444,69 @@ def test_spurious_evaluated_relation_falls_back(monkeypatch, make_ctx, b, L):
     assert_relation_vanishes(ctx, b, cert.relation)
 
 
-@pytest.mark.parametrize("make_ctx,b", [
-    (shift_ctx, QU.var(0).inverse()),
-    (ddt_ctx, QT.var(0).inverse()),
-], ids=["shift:1/u", "ddt:1/t"])
-@pytest.mark.parametrize("name,patch", [
-    ("_rational_reconstruct", lambda a, q: None),
-    ("_add_by_last", lambda basis, vec, q: False),
-    ("_add_by_last", lambda basis, vec, q: True),
-], ids=["no-lift", "lift-in-span", "short-span"])
-def test_relation_generators_fallback_keeps_the_relation(monkeypatch, make_ctx,
-                                                         b, name, patch):
-    # a lift that fails, a lift already in the span, and a span that comes
-    # out short each leave no relation generators: the evaluated route then
-    # steps aside, and the route after it must give the same relation
-    ctx = make_ctx()
-    cert = freeness_certify(ctx, b, 3)
-    results = []
-    real = freeness._relation_generators
+def _last_word(relation):
+    return max(relation, key=lambda w: (len(w), w))
 
-    def recording(*args):
-        results.append(real(*args))
-        return results[-1]
+
+@pytest.mark.parametrize("make_ctx,b,L,rank,refused", [
+    (shift_ctx, QU.var(0).inverse(), 3, 14, None),
+    (ddt_ctx, QT.var(0).inverse(), 3, 14, None),
+    (shift_ctx, QU.var(0).inverse(), 4, 25, (1, 0, 0, 1)),
+    (ddt_ctx, QT.var(0).inverse(), 4, 25, (1, 0, 0, 1)),
+    (shift_f5_ctx, FunctionField(5, ["u"]).var(0).inverse(), 4, 25,
+     (1, 0, 0, 1)),
+], ids=["no-lift-shift:1/u", "no-lift-ddt:1/t", "second-proof-shift:1/u:L4",
+        "second-proof-ddt:1/t:L4", "second-proof-shift-F5:1/u:L4"])
+def test_obstruction_fallback_keeps_the_relation(monkeypatch, make_ctx, b, L,
+                                                 rank, refused):
+    # a lift that fails (refused is None), or a proof that fails only at
+    # the obstruction refused, the second after W_101 at L = 4: the
+    # evaluated route then steps aside, and the route after it must give
+    # the same relation and rank
+    ctx = make_ctx()
+    cert = freeness_certify(ctx, b, L)
+    real = freeness._relation_holds
+    refusals = []
+
+    def proof(pair, words, exact, lam):
+        word = _last_word({w: c for w, c in zip(words, lam) if c})
+        if word == refused:
+            refusals.append(word)
+            return False
+        return real(pair, words, exact, lam)
 
     with monkeypatch.context() as m:
-        m.setattr(freeness, name, patch)
-        m.setattr(freeness, "_relation_generators", recording)
-        fallback = freeness_certify(ctx, b, 3)
-    assert results == [None]
+        if refused is None:
+            m.setattr(freeness, "_rational_reconstruct", lambda a, q: None)
+        m.setattr(freeness, "_relation_holds", proof)
+        fallback = freeness_certify(ctx, b, L)
+    assert refusals == ([] if refused is None else [refused])
+    # the evaluated digest names q and its points, the fold's does not
+    assert fallback.matrix_digest != cert.matrix_digest
     assert cert.verdict == fallback.verdict == "Dependent"
-    assert (fallback.rank, fallback.word_count) == (14, 15)
+    assert (fallback.rank, fallback.word_count) == (rank, 2 ** (L + 1) - 1)
     assert fallback.relation == cert.relation
 
 
-@pytest.mark.parametrize("make_ctx,b,L,rank", [
-    (shift_ctx, QU.var(0).inverse(), 4, 25),
-    (ddt_ctx, QT.var(0), 3, 13),
-], ids=["shift:1/u:L4", "ddt:t:L3"])
+@pytest.mark.parametrize("make_ctx,b,L,rank,obstructions", [
+    (shift_ctx, QU.var(0).inverse(), 4, 25, ["101", "1001"]),
+    (shift_ctx, QU.var(0).inverse(), 5, 41, ["101", "1001", "10001"]),
+    (ddt_ctx, QT.var(0), 3, 13, ["000", "100"]),
+    (ddt_ctx, QT.var(0), 4, 21, ["000", "100", "0010", "1010"]),
+], ids=["shift:1/u:L4", "shift:1/u:L5", "ddt:t:L3", "ddt:t:L4"])
 def test_evaluated_route_verifies_only_generators(monkeypatch, make_ctx, b, L,
-                                                  rank):
-    # 1/u at L = 4 has 6 relations: the L = 3 one, its four one-letter
-    # multiples and one more generator.  t at L = 3 has two generators.
-    # Everything else is derived, so two exact point checks suffice
+                                                  rank, obstructions):
+    # only the obstructions, the dependent words whose prefix and suffix
+    # of one letter fewer are independent, have their relations proved:
+    # 1/u at L = 4 has 6 relations, 2 of them proved.  Every other
+    # dependent word ends a one-letter multiple of a shorter relation
     cert, checked = _checked_generators(monkeypatch, make_ctx(), b, L)
     assert cert.verdict == "Dependent" and cert.rank == rank
-    assert len(checked) == 2
+    assert [word_key(_last_word(r)) for r in checked] == obstructions
 
 
 def _checked_generators(monkeypatch, ctx, b, L):
-    """The certificate, and the generators it proved by the point check."""
+    """The certificate, and the relations it proved by the point check."""
     checked = []
     real = freeness._relation_holds
 
@@ -535,7 +549,8 @@ def test_point_bound_covers_every_order(monkeypatch, make_ctx, witness):
     assert cert.verdict == "Dependent" and generators
     for relation in generators:
         e, r = _closure_order_and_ones(relation)
-        _, delta, B = freeness._point_bound(ctx, b, e, r)
+        _, delta, B = freeness._point_bound(
+            ctx, freeness._ExactValues(ctx, b), e, r)
         scale = RatFunc(ff, delta, ff.ring.one) ** r
         if not ctx.is_pure_automorphism():
             geom = [ff.zero()] + [-ff.one()] * e
@@ -582,12 +597,13 @@ def test_point_check_rejects_a_changed_coefficient(monkeypatch, make_ctx,
     words = words_up_to(4)
     cert, generators = _checked_generators(monkeypatch, ctx, b, 4)
     assert cert.verdict == "Dependent" and generators
+    exact = freeness._ExactValues(ctx, b)
     for relation in generators:
         lam = [relation.get(w, 0) for w in words]
-        assert freeness._relation_holds(ctx, words, b, lam)
+        assert freeness._relation_holds(ctx, words, exact, lam)
         for w in relation:
             changed = [c + (v == w) for v, c in zip(words, lam)]
-            assert not freeness._relation_holds(ctx, words, b, changed)
+            assert not freeness._relation_holds(ctx, words, exact, changed)
 
 
 @pytest.mark.parametrize("make_ctx,witness", [
@@ -610,8 +626,9 @@ def test_relation_proof_reads_every_order_of_the_closure(make_ctx, witness):
     words = words_up_to(4)
     cert = freeness_certify(ctx, b, 4)
     assert cert.verdict == "Dependent"
+    exact = freeness._ExactValues(ctx, b)
     assert freeness._relation_holds(
-        ctx, words, b, [cert.relation.get(w, 0) for w in words])
+        ctx, words, exact, [cert.relation.get(w, 0) for w in words])
     auto = ctx.is_pure_automorphism()
     false = {(): 1, (0,): -1} if auto else {(0, 0): 1}
     e, _ = _closure_order_and_ones(false)
@@ -625,7 +642,7 @@ def test_relation_proof_reads_every_order_of_the_closure(make_ctx, witness):
              for m in range(e + 1)]
     assert all(x.is_zero() for x in total[:-1]) and not total[-1].is_zero()
     assert not freeness._relation_holds(
-        ctx, words, b, [false.get(w, 0) for w in words])
+        ctx, words, exact, [false.get(w, 0) for w in words])
 
 
 def test_shift_inverse_square_L6_known_answer(monkeypatch):
@@ -648,10 +665,11 @@ def test_shift_inverse_square_L6_known_answer(monkeypatch):
                 "1001": 2, "1010": -1, "1011": 4, "1101": 4, "10011": -2,
                 "10101": -6, "11001": -2, "100101": 2, "101001": 2}
     words = words_up_to(6)
+    exact = freeness._ExactValues(ctx, b)
     lam = [relation.get(word_key(w), 0) for w in words]
-    assert freeness._relation_holds(ctx, words, b, lam)
+    assert freeness._relation_holds(ctx, words, exact, lam)
     lam[words.index((1, 0, 1, 1))] += 1
-    assert not freeness._relation_holds(ctx, words, b, lam)
+    assert not freeness._relation_holds(ctx, words, exact, lam)
 
 
 # -- the trie order and the point loop ----------------------------------------
@@ -1125,23 +1143,17 @@ def test_large_prime_shift_stays_evaluated(monkeypatch):
 
 def test_one_letter_multiples_of_a_relation_vanish():
     # g_j W_I = W_{jI} and W_I g_j = W_{Ij}: the multiples of the L = 3
-    # relation of 1/u vanish as fraction sums built by build_word_W, and
-    # they are the vectors the certifier derives without arithmetic
+    # relation of 1/u vanish as fraction sums built by build_word_W
     ctx = shift_ctx()
     b = QU.var(0).inverse()
     cert = freeness_certify(ctx, b, 3)
     assert rel_by_key(cert) == {"01": 1, "10": -1, "11": -1, "101": 1}
     relation = cert.relation
-    words = words_up_to(4)
-    index = {w: i for i, w in enumerate(words)}
     multiples = [{(j,) + w: c for w, c in relation.items()} if left
                  else {w + (j,): c for w, c in relation.items()}
                  for j in (0, 1) for left in (True, False)]
     for rel in multiples:
         assert_relation_vanishes(ctx, b, rel)
-    lam = [relation.get(w, 0) for w in words]
-    derived = list(freeness._one_letter_multiples(lam, words, index))
-    assert derived == [[rel.get(w, 0) for w in words] for rel in multiples]
 
 
 def test_shift_inverse_witness_L5_known_answer():
@@ -1380,7 +1392,7 @@ def test_series_rows_match_fraction_route_on_ddt():
     words = words_up_to(2)
     rows_series = _split_by_monomial(
         [[c.terms for c in row] for row in _xinv_word_series(
-            ctx, words, t, 10)], QT.base.zero())
+            ctx, words, freeness._ExactValues(ctx, t), 10)], QT.base.zero())
     rank_s, _ = rank_over_k(rows_series, QT.base)
     ind, rank_f, _ = independence_check(_expand_words(ctx, words, t))
     assert rank_s == rank_f == 7 and ind
@@ -1392,7 +1404,8 @@ def test_series_rows_match_fraction_route_on_ddt():
         ff = pair.ff
         step = lambda f, c: series_xinv_step_delta(f, pair.delta, c)
         geom = [ff.zero()] + [-ff.one()] * 10
-        rows = _xinv_word_series(pair, words, b, 10)
+        rows = _xinv_word_series(pair, words,
+                                 freeness._ExactValues(pair, b), 10)
         for w, row in zip(words, rows):
             assert len(row) == 11
             oracle = word_series(ff, w, b, 10, step, geom)
@@ -1419,8 +1432,9 @@ def test_exact_xinv_rows_split_polynomials_as_flatten(make_ctx, witness, L):
     ctx = make_ctx()
     ff = ctx.ff
     words = words_up_to(L)
-    series = _xinv_word_series(ctx, words, witness(ff.gens()),
-                               2 ** (L + 1) - 2)
+    series = _xinv_word_series(
+        ctx, words, freeness._ExactValues(ctx, witness(ff.gens())),
+        2 ** (L + 1) - 2)
     assert all(isinstance(c, MPoly) for row in series for c in row)
     rows = _split_by_monomial([[c.terms for c in row] for row in series],
                               ff.base.zero())

@@ -89,10 +89,11 @@ Z_(q)-linear and a primitive integer relation stays nonzero mod q; over
 F_p, evaluation is a ring homomorphism where it is defined, and
 truncation and the coordinates are F_p-linear.  So the evaluated rank is
 a lower bound: full rank proves independence, and on a deficit d the
-exact nullity is at most d.  Over Q the points are added one at a time,
-each block of columns eliminated once, until the rank is full or has not
-risen over two more points.  No fixed count serves every L: t under d/dt
-reaches its rank at L = 5 only with the fifth point.
+exact nullity is at most d.  The points are added one at a time, each
+block of columns eliminated once, and the obstructions below are proved
+at every point: the first point whose proofs pass ends the loop.  A
+failed lift or proof adds a point (t under d/dt at L = 5 needs five),
+until the rank has not risen over two more points.
 
 The relations are checked by the leading-word argument of Bergman's
 diamond lemma (Adv. Math. 29, 1978).  The words are the monomials of the
@@ -114,8 +115,8 @@ whose last words differ are independent, so the exact nullity is at
 least d; the evaluated rank bounds it by d, so the rank is exact.  The
 first dependent word is always an obstruction, since its prefix and
 suffix come before it, so the reported relation is the lift of the
-first nullspace vector.  A failed lift or check falls back to the exact
-x^{-1} series where it applies, and to the fold otherwise.
+first nullspace vector.  Once the points settle, a failed lift or
+check falls back to the exact x^{-1} series, or else to the fold.
 
 Every relation R found on a series route, evaluated or exact, is proved
 one way, on its own series, with no Ore arithmetic.  Let C be the prefix
@@ -924,45 +925,43 @@ def _relation_holds(pair, words, exact, lam):
 def _certify_by_evaluation(pair, words, b, L):
     """Certificate from the evaluated series, or None to run an exact route.
 
-    Over Q points are added until the rank is full or has not risen over
-    two more points; over F_p the first usable point is taken.  Full
-    rank mod q proves independence.  On a deficit d only the relations
-    of the obstructions (_obstruction_relations) are verified, each by
-    _relation_holds.  Their one-letter multiples give every dependent
-    word an exact relation ending there, which pins the rank (module
-    docstring).  The first of them, the relation ending at the first
-    dependent word, is reported.
+    Points are added one at a time.  Full rank mod q proves independence.
+    On a deficit the relations of the obstructions (_obstruction_relations)
+    are lifted and proved by _relation_holds at once; their one-letter
+    multiples pin the rank (module docstring), so the first point whose
+    proofs pass ends the loop.  A failed lift or proof adds the next
+    point, until the rank has not risen over two more points.  The
+    relation ending at the first dependent word is reported.
     """
     p = pair.ff.char
     echelon = _Echelon(len(words), p or _EVAL_PRIME)
-    rows, points, ranks = [[] for _ in words], [], []
+    exact = _ExactValues(pair, b)
+    rows, points, risen = [[] for _ in words], [], 0
     for block, point in _evaluated_word_rows(pair, words, b,
                                              _truncation_order(L)):
         for row, part in zip(rows, block):
             row.extend(part)
         points.append(point)
-        ranks.append(echelon.add(block))
-        if p or ranks[-1] == len(words) or (len(ranks) > 2
-                                            and ranks[-3] == ranks[-1]):
+        rank = echelon.rank
+        if echelon.add(block) > rank:
+            risen = len(points)
+        # at full rank the nullspace, and so the list of relations, is empty
+        relations = _obstruction_relations(echelon.nullspace(), words, p)
+        if relations is not None and all(
+                _relation_holds(pair, words, exact, r) for r in relations):
             break
-    if not points:
+        if len(points) - risen == 2:
+            return None
+    else:
         return None
-    rank = echelon.rank
     if p:
         header = "p:%d;f:%s;points:%s" % (p, _extension(p).f, points)
     elif pair.is_pure_automorphism():
         header = "q:%d;points:%s" % (_EVAL_PRIME, points)
     else:
         header = "q:%d;x^-1;points:%s" % (_EVAL_PRIME, points)
-    lam = None
-    if rank < len(words):
-        relations = _obstruction_relations(echelon.nullspace(), words, p)
-        exact = _ExactValues(pair, b)
-        if relations is None or not all(
-                _relation_holds(pair, words, exact, r) for r in relations):
-            return None
-        lam = relations[0]
-    return _certificate(b, L, words, rows, header, rank, lam)
+    return _certificate(b, L, words, rows, header, echelon.rank,
+                        relations[0] if relations else None)
 
 
 def freeness_certify(pair, b, L):
@@ -979,21 +978,22 @@ def freeness_certify(pair, b, L):
       take the evaluated K[[x; sigma]] series, mod q = 2^61 - 1 over Q and
       at the first point of F_p[y]/(f) whose orbit meets no pole over
       F_p, and derivations of Q(t) the evaluated K((x^{-1}; delta))
-      series mod q.  Over Q points are added until the rank is full or
-      has not risen over two more points, and only then are relations
-      lifted.  A Dependent result there proves only the relations of
-      its obstructions, the dependent words whose prefix and suffix of
-      one letter fewer are not dependent, each by its series at orders
-      0..e, e + 1 the size of its support's prefix closure
-      (_relation_holds, module docstring).  Every other dependent word
-      gets a relation ending there as a multiple g_j R or R g_j of a
-      shorter one, an index move that needs no arithmetic.  These d
-      relations end at distinct words, so they are independent over k,
-      while the evaluated rank bounds the nullity by d: the rank is
-      exact.  The digest covers the evaluated
-      matrix and a header naming q and the points, with a mark of its
-      own for the x^{-1} series, or p, f and the point.  No usable
-      point, a failed lift or a failed check go on to the next route;
+      series mod q.  Points are added one at a time, and the relations
+      are proved at each: the first point whose proofs pass ends the
+      loop.  A Dependent result there proves only the relations of its
+      obstructions, the dependent words whose prefix and suffix of one
+      letter fewer are not dependent, each by its series at orders 0..e,
+      e + 1 the size of its support's prefix closure (_relation_holds,
+      module docstring).  Every other dependent word gets a relation
+      ending there as a multiple g_j R or R g_j of a shorter one, an
+      index move that needs no arithmetic.  These d relations end at
+      distinct words, so they are independent over k, while the
+      evaluated rank bounds the nullity by d: the rank is exact.  The
+      digest covers the evaluated matrix and a header naming q and the
+      points, with a mark of its own for the x^{-1} series, or p, f and
+      the points.  No usable point, or a lift or check still failing
+      once the rank has not risen over two more points, goes on to the
+      next route;
     * pure derivations with a polynomial witness and polynomial images
       take the exact K((x^{-1}; delta)) series;
     * everything else goes through the common left denominator.

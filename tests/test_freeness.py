@@ -448,6 +448,17 @@ def _last_word(relation):
     return max(relation, key=lambda w: (len(w), w))
 
 
+def _settle_rule_points(blocks, n, p):
+    """How many of the given point blocks a loop takes that stops once the
+    rank is full or has not risen over two more points."""
+    echelon, ranks = freeness._Echelon(n, p or freeness._EVAL_PRIME), []
+    for k, block in enumerate(blocks, 1):
+        ranks.append(echelon.add(block))
+        if ranks[-1] == n or k > 2 and ranks[-3] == ranks[-1]:
+            return k
+    return len(blocks)
+
+
 @pytest.mark.parametrize("make_ctx,b,L,rank,refused", [
     (shift_ctx, QU.var(0).inverse(), 3, 14, None),
     (ddt_ctx, QT.var(0).inverse(), 3, 14, None),
@@ -460,13 +471,14 @@ def _last_word(relation):
 def test_obstruction_fallback_keeps_the_relation(monkeypatch, make_ctx, b, L,
                                                  rank, refused):
     # a lift that fails (refused is None), or a proof that fails only at
-    # the obstruction refused, the second after W_101 at L = 4: the
-    # evaluated route then steps aside, and the route after it must give
-    # the same relation and rank
+    # the obstruction refused, the second after W_101 at L = 4: every
+    # point then adds the next one, until the rank has not risen over two
+    # more points, and the evaluated route steps aside.  The route after
+    # it must give the same relation and rank
     ctx = make_ctx()
     cert = freeness_certify(ctx, b, L)
-    real = freeness._relation_holds
-    refusals = []
+    real, rows = freeness._relation_holds, freeness._evaluated_word_rows
+    refusals, blocks = [], []
 
     def proof(pair, words, exact, lam):
         word = _last_word({w: c for w, c in zip(words, lam) if c})
@@ -475,16 +487,27 @@ def test_obstruction_fallback_keeps_the_relation(monkeypatch, make_ctx, b, L,
             return False
         return real(pair, words, exact, lam)
 
+    def recording(*args):
+        for block, point in rows(*args):
+            blocks.append(block)
+            yield block, point
+
     with monkeypatch.context() as m:
         if refused is None:
             m.setattr(freeness, "_rational_reconstruct", lambda a, q: None)
         m.setattr(freeness, "_relation_holds", proof)
+        m.setattr(freeness, "_evaluated_word_rows", recording)
         fallback = freeness_certify(ctx, b, L)
-    assert refusals == ([] if refused is None else [refused])
+    assert set(refusals) == ({refused} if refused else set())
+    n, p = 2 ** (L + 1) - 1, ctx.ff.char
+    every = [block for block, _ in itertools.islice(
+        rows(ctx, words_up_to(L), b, freeness._truncation_order(L)),
+        len(blocks) + 2)]
+    assert len(blocks) == _settle_rule_points(every, n, p)
     # the evaluated digest names q and its points, the fold's does not
     assert fallback.matrix_digest != cert.matrix_digest
     assert cert.verdict == fallback.verdict == "Dependent"
-    assert (fallback.rank, fallback.word_count) == (rank, 2 ** (L + 1) - 1)
+    assert (fallback.rank, fallback.word_count) == (rank, n)
     assert fallback.relation == cert.relation
 
 
@@ -506,17 +529,30 @@ def test_evaluated_route_verifies_only_generators(monkeypatch, make_ctx, b, L,
 
 
 def _checked_generators(monkeypatch, ctx, b, L):
-    """The certificate, and the relations it proved by the point check."""
-    checked = []
-    real = freeness._relation_holds
+    """The certificate, and the relations proved at its accepted point.
+
+    Proofs are tried at every point with a rank deficit; the attempts
+    before the accepted point were rejected, each at a rank below the
+    certificate's.
+    """
+    attempts = []
+    lift, real = freeness._obstruction_relations, freeness._relation_holds
+
+    def lifting(null, words, p):
+        attempts.append((len(words) - len(null), []))
+        return lift(null, words, p)
 
     def recording(pair, words, b, lam):
-        checked.append({w: c for w, c in zip(words, lam) if c})
+        attempts[-1][1].append({w: c for w, c in zip(words, lam) if c})
         return real(pair, words, b, lam)
 
     with monkeypatch.context() as m:
+        m.setattr(freeness, "_obstruction_relations", lifting)
         m.setattr(freeness, "_relation_holds", recording)
         cert = freeness_certify(ctx, b, L)
+    *rejected, (rank, checked) = attempts
+    assert rank == cert.rank
+    assert all(r < cert.rank for r, _ in rejected)
     return cert, checked
 
 
@@ -749,6 +785,79 @@ def test_point_loop_waits_two_points_for_a_rise(monkeypatch):
     cert = freeness_certify(ddt_ctx(), QT.var(0), 5)
     assert (cert.verdict, cert.rank) == ("Dependent", 31)
     assert rel_by_key(cert) == {"01": 1, "10": -1, "000": -1}
+
+
+@pytest.mark.parametrize("make_ctx,witness,L,points", [
+    (shift_ctx, lambda u: u.inverse(), 4, 3),
+    (shift_ctx, lambda u: (u * u).inverse(), 3, 2),
+    (double_ctx, lambda t: (t - 1).inverse(), 3, 2),
+    (double_ctx, lambda t: t.inverse(), 4, 3),
+    (shift_f5_ctx, lambda u: u.inverse(), 4, 1),
+    (ddt_ctx, lambda t: t, 3, 3),
+    (ddt_ctx, lambda t: t.inverse(), 4, 3),
+], ids=["shift-Q:1/u:L4", "shift-Q:1/u^2:L3", "double-Q:1/(t-1):L3",
+        "double-Q:1/t:L4", "shift-F5:1/u:L4", "ddt-Q:t:L3", "ddt-Q:1/t:L4"])
+def test_point_loop_stops_at_the_first_proved_point(monkeypatch, make_ctx,
+                                                    witness, L, points):
+    # the benchmark's evaluated entries: a Dependent certificate stops at
+    # the first point whose obstructions are proved, with no points after
+    # it to confirm the rank, and an Independent one at full rank
+    ctx = make_ctx()
+    real, taken = freeness._evaluated_word_rows, []
+
+    def counting(*args):
+        for found in real(*args):
+            taken.append(found[1])
+            yield found
+
+    monkeypatch.setattr(freeness, "_evaluated_word_rows", counting)
+    cert = freeness_certify(ctx, witness(ctx.ff.var(0)), L)
+    assert len(taken) == points
+    assert cert.verdict == ("Independent" if points == 2 else "Dependent")
+
+
+@pytest.mark.parametrize("make_ctx,b,L", [
+    (shift_ctx, QU.var(0).inverse(), 3),
+    (ddt_ctx, QT.var(0), 3),
+    (shift_f5_ctx, FunctionField(5, ["u"]).var(0).inverse(), 3),
+], ids=["shift:1/u:L3", "ddt:t:L3", "shift-F5:1/u:L3"])
+def test_spurious_first_point_takes_the_next(monkeypatch, make_ctx, b, L):
+    # only the first point's block has the last word's row overwritten by
+    # the empty word's, so its nullspace gains the false relation
+    # W_111 = W_(): that point's lift or proof is rejected, the next
+    # point restores the rank, and the certificate keeps the verdict,
+    # rank and relation of the unpatched one.  Over F_5 the unpatched
+    # certificate proves at the first point
+    ctx = make_ctx()
+    cert = freeness_certify(ctx, b, L)
+    rows = freeness._evaluated_word_rows
+    lift, proof = freeness._obstruction_relations, freeness._relation_holds
+    outcomes = []
+
+    def spurious(pair, words, b, N):
+        for k, (block, point) in enumerate(rows(pair, words, b, N)):
+            outcomes.append([])
+            yield (block[:-1] + [block[0]] if k == 0 else block), point
+
+    def lifting(*args):
+        relations = lift(*args)
+        outcomes[-1].append(relations is not None)
+        return relations
+
+    def proving(*args):
+        outcomes[-1].append(proof(*args))
+        return outcomes[-1][-1]
+
+    _no_exact_route(monkeypatch)
+    monkeypatch.setattr(freeness, "_evaluated_word_rows", spurious)
+    monkeypatch.setattr(freeness, "_obstruction_relations", lifting)
+    monkeypatch.setattr(freeness, "_relation_holds", proving)
+    patched = freeness_certify(ctx, b, L)
+    assert False in outcomes[0]
+    assert len(outcomes) >= 2 and all(outcomes[-1])
+    assert (patched.verdict, patched.rank, patched.relation) == (
+        cert.verdict, cert.rank, cert.relation)
+    assert patched.verdict == "Dependent"
 
 
 def test_witness_pole_on_the_orbit_skips_the_point(monkeypatch):
@@ -1208,23 +1317,23 @@ def test_shift_f5_known_answers(witness, L, verdict, rank, count, relation):
                          "digest", [
     (shift_ctx, lambda u: u.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": -1, "11": -1, "101": 1},
-     "18c960bdfd18e366b4e73b84098a47f7da91ce382f5945138421f2d22e47f915"),
+     "3310eaf079524d177874439be246c1b7eb290cf0ac861b0d5fb9cfa3284ad542"),
     (shift_ctx, lambda u: (u * u).inverse(), 3, "Independent", 15, 15, {},
      "67363db744a64987794ddf2fa48c6fcbfcc9c98100b573288b9b9c610ee90204"),
     (double_ctx, lambda t: (t - 1).inverse(), 3, "Independent", 15, 15, {},
      "65dd619313e20c96ab5ae025d8b65d3c84aa02dedf0ede81a01f96a2ca5ffbf8"),
     (double_ctx, lambda t: t.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": -2, "010": 1},
-     "48fde8770552eed28e701f56d0b4458e48f2a4c962285a9a70cd1d9649915f4c"),
+     "69c4b4ce2e280cc61044b204afa80d4ab00739b18a6b167d9392f3c892111595"),
     (shift_f5_ctx, lambda u: u.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": 4, "11": 4, "101": 1},
      "20886d5c8107cd9e78825c442453a104d2363473630c2f7bcfc45bbda9da7601"),
     (ddt_ctx, lambda t: t, 3, "Dependent", 13, 15,
      {"000": -1, "01": 1, "10": -1},
-     "77a94131b21aa68be08cf46f2530c89850e45e3ff5e1f156317802e268dc2994"),
+     "cd0e11b1cceb7dfe1249f145c97f49a22850ccd6ab4e6f2782b7cb5a1a6e74e4"),
     (ddt_ctx, lambda t: t.inverse(), 4, "Dependent", 25, 31,
      {"01": 1, "10": -1, "101": 1},
-     "c10e8514470a540dc0ca6e3629f5d7316ccbe6936b8d54cc1c2240943b0dc85a"),
+     "7a1565eb1e3015ad7ffb79908814540d79404e0c5512d1cf53c871f7361cd5e8"),
     (tower_ctx, lambda x0: x0, 3, "Independent", 15, 15, {},
      "45f8f70db69a57b844a03786f6e2870ff2fde0e7ff20f4a1a3b46892c809b495"),
 ], ids=["shift-Q:1/u:L4", "shift-Q:1/u^2:L3", "double-Q:1/(t-1):L3",
@@ -1500,7 +1609,7 @@ def test_series_route_digest_determinism():
     # tower the exact one
     t = QT.var(0)
     assert freeness_certify(ddt_ctx(), t, 3).matrix_digest == (
-        "77a94131b21aa68be08cf46f2530c89850e45e3ff5e1f156317802e268dc2994")
+        "cd0e11b1cceb7dfe1249f145c97f49a22850ccd6ab4e6f2782b7cb5a1a6e74e4")
     tower = tower_ctx()
     x0 = tower.ff.var(0)
     assert freeness_certify(tower, x0, 3).matrix_digest == (
@@ -1514,7 +1623,7 @@ def test_series_route_digest_determinism():
         "303d7fab0dbf099acf3b0cca338d310540de1477fb91209d56de25e4237aa24f")
     # the evaluated x^{-1}-series route: 1/t under d/dt
     assert freeness_certify(ddt_ctx(), t.inverse(), 3).matrix_digest == (
-        "f177d19f3db5fbb712144daffca7ecf4cd1fec3feeb1a499a05c99bb49fe6c60")
+        "ea309df4fb1ceda69751ae7797893284e3c2c0ba3d40390955c137e848ed4597")
 
 
 def test_matrix_digest_table_hashes_as_str_and_refuses_non_residues():

@@ -82,7 +82,12 @@ on i = 1 right-multiply by b, then take a prefix sum.
   the same product runs on the values e_j(P) mod q at points from the
   same list, read off the Taylor jets of b and delta(t) at P.  A point
   where either has a pole mod q is skipped, so every delta^j(b) is
-  regular there.
+  regular there.  Mod q > N every factorial up to N is a unit, and
+  C(n-1, n-m) = (n-1)! / ((m-1)! (n-m)!) makes order n >= 1 of a
+  product by b (n-1)! times order n of one convolution, of a_m/(m-1)!
+  by (-1)^j e_j/j!, each packed into one int (_xinv_times_mod).  The
+  exact rows and the proofs keep the binomial dot product: factorials
+  are not integral over Z, nor units mod a small p.
 
 In the evaluated routes over Q, truncation and evaluation are
 Z_(q)-linear and a primitive integer relation stays nonzero mod q; over
@@ -128,16 +133,21 @@ Delta = lcm_j den(v_j) and r the most ones in a support word.  Every
 order's coefficient of a word with r_w <= r ones is an integer
 combination of products of r_w values, so the series run fraction-free
 on the values Delta v_j, with the coefficient of each word weighted by
-Delta^{r - r_w}: that is the series of R times Delta^r.  Over F_p and in
-several variables these are computed once, as exact polynomials.  Over
-Q(t), where exact coefficients grow too fast, they are evaluated at
-integer points.  Let h = max(0, max_j(deg num v_j - deg den v_j)).  Each
-Delta v_j is a polynomial of degree at most deg Delta + h, so every
-coefficient of the series of R times Delta^r has degree at most
-B = r (deg Delta + h).  Evaluation at a point P with Delta(P) != 0 is a
-ring homomorphism on these coefficients, so when the series vanishes
-exactly at B + 1 such integers, every order 0..e is zero (Schwartz,
-J. ACM 1980) and R = 0.
+Delta^{r - r_w}: that is the series of R times Delta^r.  In several
+variables these are computed once, as exact polynomials.  In one, let
+h = max(0, max_j(deg num v_j - deg den v_j)).  Each Delta v_j is a
+polynomial of degree at most deg Delta + h, so every coefficient of the
+series of R times Delta^r has degree at most B = r (deg Delta + h).
+Over F_p(t) the series are computed once in F_p[y]/(y^(B+1)), one
+packed int per element (intpoly._Packed), which holds them exactly: a
+product that would reach y^(B+1) raises.  Over Q(t), where exact
+coefficients grow too fast, they are evaluated at integer points.
+Evaluation at a point P with Delta(P) != 0 is a ring homomorphism on
+these coefficients, so when the series vanishes exactly at B + 1 such
+integers, every order 0..e is zero (Schwartz, J. ACM 1980) and R = 0.
+Over Q(t), before any exact value is built, the series mod q at the
+last evaluation start screens R: a nonzero order there refutes it, and
+zero ones decide nothing.
 
 Everything else brings all words over one common left denominator by an
 lclm fold, flattens the numerator coefficient vectors, and proves its
@@ -163,7 +173,9 @@ from .errors import (
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
 from .field import RatFunc, _common_denominator, _from_dense
-from .intpoly import _Packed, _poly_jet_mod, _rational_reconstruct
+from .intpoly import (
+    _Packed, _conv, _poly_jet_mod, _rational_reconstruct, _trim,
+)
 from .linalg import (
     _Echelon, _normalize_int_vector, _split_by_monomial,
     flatten_to_k, rank_over_k,
@@ -437,35 +449,84 @@ def _truncation_order(L):
     return 2 ** (L + 1) - 2
 
 
-def _xinv_step(e, N, zero, reduce):
+def _xinv_step(e, N, zero, F=None):
     """Series step in K((x^{-1}; delta)) on orders 0..N (see _series_step).
 
-    e lists e_j = delta^j(b), exactly or as values at a point mod q, and
-    every e_j past its end is zero; reduce brings a coefficient to normal
-    form (the residue mod q, or itself).  x^0 b = b, and
-    x^{-m} b = sum_j (-1)^j C(m+j-1, j) e_j x^{-m-j} for m >= 1, so order
-    n >= 1 of A b is the binomial convolution
-    sum_m a_m (-1)^{n-m} C(n-1, n-m) e_{n-m}.  Orders only move down, so
-    orders 0..N need no padding.
+    e lists e_j = delta^j(b), exactly or as values in the field F, whose
+    operations reduce every coefficient, and every e_j past its end is
+    zero.  x^0 b = b, and x^{-m} b = sum_j (-1)^j C(m+j-1, j) e_j x^{-m-j}
+    for m >= 1, so order n >= 1 of A b is the binomial convolution
+    sum_m a_m (-1)^{n-m} C(n-1, n-m) e_{n-m}.  In Z/q, a _Field, it is
+    one factorial-scaled product (_xinv_times_mod).  Exact values and
+    F_p[y]/(y^k) take a dot product per order over a table of weights,
+    through F's mul: factorials are not integral over Z, nor units mod a
+    small p.  Orders only move down, so orders 0..N need no padding.
     """
-    weights = [None]            # order n: first m, then the factors of a_m
-    binom = [1]                 # row n - 1 of Pascal's triangle
-    for n in range(1, N + 1):
-        lo = max(1, n - len(e) + 1)
-        weights.append((lo, [reduce((-1) ** (n - m) * binom[n - m] * e[n - m])
-                             for m in range(lo, n + 1)]))
-        binom = [1] + [reduce(binom[i - 1] + binom[i])
-                       for i in range(1, n)] + [1]
+    if isinstance(F, _Field):
+        times_b = _xinv_times_mod(e, N, F.p)
+    else:
+        def same(c):
+            return c
+        mul, scalar, reduce = (F.mul, F.scalar, F.reduce) if F else (
+            operator.mul, same, same)
+        weights = [None]        # order n: first m, then the factors of a_m
+        binom = [1]             # row n - 1 of Pascal's triangle
+        for n in range(1, N + 1):
+            lo = max(1, n - len(e) + 1)
+            weights.append((lo, [
+                mul(scalar((-1) ** (n - m) * binom[n - m]), e[n - m])
+                for m in range(lo, n + 1)]))
+            binom = [1] + [scalar(binom[i - 1] + binom[i])
+                           for i in range(1, n)] + [1]
 
-    def times_b(a):
-        return [reduce(a[0] * e[0])] + [
-            reduce(sum(map(operator.mul, a[lo:n + 1], w), zero))
-            for n, (lo, w) in enumerate(weights[1:], 1)]
+        def times_b(a):
+            return [mul(a[0], e[0])] + [
+                reduce(sum(map(mul, a[lo:n + 1], w), zero))
+                for n, (lo, w) in enumerate(weights[1:], 1)]
+
+    neg = F.neg if F else operator.neg
 
     def geometric(a):
-        return [zero] + [reduce(-s) for s in itertools.accumulate(a[:-1])]
+        return [zero] + list(map(neg, itertools.accumulate(a[:-1])))
 
     return _series_step(times_b, geometric)
+
+
+def _xinv_times_mod(e, N, q):
+    """The product by b of _xinv_step on orders 0..N of residues mod the
+    prime q > N, as one int multiplication.
+
+    Since C(n-1, n-m) = (n-1)! / ((m-1)! (n-m)!), order n >= 1 of A b is
+    (n-1)! (s * e')_n for s_m = a_m / (m-1)!, m >= 1, and
+    e'_j = (-1)^j e_j / j!.  Each is packed as one int, s_m in slot
+    m - 1 and e'_j in slot j, as residues in [0, q); e' once per point.
+    A slot of the product sums at most N products below q^2, so it is
+    below 2^(2 bits(q) + bits(N)), and slots of that many bits, rounded
+    up to whole bytes, carry nothing: slot n - 1 of the product is
+    (s * e')_n.
+    """
+    def times(x, i):
+        return x * i % q
+    fact = list(itertools.accumulate(range(1, N), times, initial=1))
+    inv = list(itertools.accumulate(range(N - 1, 0, -1), times,
+                                    initial=pow(fact[-1], -1, q)))[::-1]
+    nb = -(-(2 * q.bit_length() + N.bit_length()) // 8)
+    qs, nbs, little = (itertools.repeat(x) for x in (q, nb, "little"))
+    packed_e = int.from_bytes(b"".join(map(
+        int.to_bytes, [(-1) ** j * c * i % q for j, (c, i) in enumerate(
+            zip(e, inv))], nbs, little)), "little")
+    size = nb * (N + len(inv))
+    cuts = [slice(i, i + nb) for i in range(0, nb * N, nb)]
+    mul, mod = operator.mul, operator.mod
+
+    def times_b(a):
+        s = int.from_bytes(b"".join(map(int.to_bytes, map(
+            mod, map(mul, a[1:], inv), qs), nbs, little)), "little")
+        raw = (s * packed_e).to_bytes(size, "little")
+        return [a[0] * e[0] % q] + list(map(mod, map(mul, map(
+            int.from_bytes, map(raw.__getitem__, cuts), little), fact), qs))
+
+    return times_b
 
 
 class _ExactValues:
@@ -474,10 +535,11 @@ class _ExactValues:
     sigma^j(b) under an automorphism and delta^j(b) under a derivation,
     grown on demand, with the running lcm of their denominators: built
     once and shared by the proofs of one certificate, each of which
-    reads its own prefix.
+    reads its own prefix.  The screen of those proofs over Q(t) reads
+    their values mod q at one point, kept here too (screen).
     """
 
-    __slots__ = ("pair", "values", "_lcms", "_ended")
+    __slots__ = ("pair", "values", "_lcms", "_ended", "_screen")
 
     def __init__(self, pair, b):
         self.pair = pair
@@ -485,6 +547,8 @@ class _ExactValues:
         self._lcms = []
         # a derivation has reached delta^j(b) = 0
         self._ended = False
+        # (n, the values that orders 0..n read at the screening point)
+        self._screen = (-1, None)
 
     def prefix(self, n):
         """The exact values that orders 0..n of a word series read.
@@ -505,6 +569,18 @@ class _ExactValues:
             else:
                 values.append(nxt)
         return values[:max(n, 1)]
+
+    def screen(self, n):
+        """The values mod q that orders 0..n of a word series read at the
+        last evaluation start (_point_values), or None where one is
+        undefined; computed for the largest n asked."""
+        if self._screen[0] < n:
+            pair, F = self.pair, _residues(_EVAL_PRIME)
+            step = _point_map(pair.sigma, F) \
+                if pair.is_pure_automorphism() else None
+            self._screen = (n, _point_values(
+                pair, self.values[0], (_EVAL_STARTS[-1],), n, F, step))
+        return self._screen[1]
 
     def lcm(self, k):
         """The lcm of the denominators of the first k values, in the
@@ -537,13 +613,14 @@ def _word_series(pair, words, values, n, zero, one, F=None):
 
     values[j] stands for sigma^j(b) under an automorphism and for
     delta^j(b) under a derivation, in a coefficient ring with the given
-    zero and one: exact values, or values at a point in the field F
-    (Z/q, F_p[y]/(f)), whose operations reduce every coefficient.
+    zero and one: exact values, or values in the ring F (Z/q and
+    F_p[y]/(f) at a point, F_p[y]/(y^k) for a proof), whose operations
+    reduce every coefficient.
     """
     if pair.is_pure_automorphism():
         step = _sigma_step(values, F)
     else:
-        step = _xinv_step(values, n, zero, F.reduce if F else lambda c: c)
+        step = _xinv_step(values, n, zero, F)
     return _prefix_shared(words, [one] + [zero] * n, step)
 
 
@@ -581,11 +658,12 @@ _EVAL_STARTS = (
     10950242936855078, 32022090439176414, 30564773206849362)
 
 
-# a field that the series are evaluated in, on ints with 0 and + for sums:
-# scalar(c) is the value of a coefficient c of the function field or None,
-# inv(0) is None, power(v, n) is v^n for n >= 1, and reduce(c) the normal
-# form of a sum of up to config.MAX_DEN_DEGREE + 1 values
-_Field = collections.namedtuple("_Field", "scalar mul inv power reduce")
+# a field that the series are evaluated in, on ints with 0 and + for sums
+# (Z/p here; intpoly._Packed has the same operations): scalar(c) is the
+# value of a coefficient c of the function field or None, inv(0) is None,
+# power(v, n) is v^n for n >= 1, and reduce(c) and neg(c) the normal forms
+# of c and -c for a sum c of up to config.MAX_DEN_DEGREE + 1 values
+_Field = collections.namedtuple("_Field", "p scalar mul inv power reduce neg")
 
 
 def _residues(q):
@@ -595,9 +673,10 @@ def _residues(q):
         if c.denominator % q == 0:
             return None
         return c.numerator * pow(c.denominator, -1, q) % q
-    return _Field(scalar, lambda a, b: a * b % q,
+    return _Field(q, scalar, lambda a, b: a * b % q,
                   lambda a: pow(a, -1, q) if a else None,
-                  lambda a, n: pow(a, n, q), lambda c: c % q)
+                  lambda a, n: pow(a, n, q), lambda c: c % q,
+                  lambda c: -c % q)
 
 
 def _inverses(xs, F):
@@ -762,20 +841,32 @@ def _jet_mod(f, c, n, q):
 def _derivative_values(f, b, c, n, q):
     """delta^j(b)(c) mod q for j < n, where delta = f d/dt, or None.
 
-    On jets at c, delta acts as F d/d(eps) with F the jet of f; each
-    application loses the top order, so n orders give n values exactly.
+    On jets at c, delta acts as F d/d(eps) with F the jet of f, a product
+    of lists (intpoly._conv); each application loses the top order, so n
+    orders give n values exactly.
     """
     jet, fjet = _jet_mod(b, c, n, q), _jet_mod(f, c, n, q)
     if jet is None or fjet is None:
         return None
-    fs = [(i, v) for i, v in enumerate(fjet) if v]
+    fjet = _trim(fjet) or [0]
     vals = [jet[0]]
     while len(vals) < n:
-        d = [k * jet[k] % q for k in range(1, len(jet))]
-        jet = [sum(v * d[k - i] for i, v in fs if i <= k) % q
-               for k in range(len(d))]
+        d = [k * jet[k] for k in range(1, len(jet))]
+        jet = [x % q for x in _conv(fjet, d)[:len(d)]]
         vals.append(jet[0])
     return vals
+
+
+def _point_values(pair, b, point, N, F, step):
+    """The values that orders 0..N of the word series read at the point,
+    in the field F, or None where one is undefined: sigma^m(b)(P) =
+    b(s^m(P)) for m <= N along the orbit of P (_orbit_values, step the
+    point map or None) under a pure automorphism, and delta^j(b)(P) mod
+    q for j < N under a derivation of Q(t) (_derivative_values)."""
+    if pair.is_pure_automorphism():
+        return _orbit_values(pair.sigma.images, b, point, N, F, step)
+    return _derivative_values(pair.delta.images[0], b, point[0], N,
+                              _EVAL_PRIME)
 
 
 def _evaluated_word_rows(pair, words, b, N):
@@ -793,8 +884,7 @@ def _evaluated_word_rows(pair, words, b, N):
     """
     p, n = pair.ff.char, pair.ff.nvars
     F = _extension(p) if p else _residues(_EVAL_PRIME)
-    auto = pair.is_pure_automorphism()
-    step = _point_map(pair.sigma, F) if auto else None
+    step = _point_map(pair.sigma, F) if pair.is_pure_automorphism() else None
     for j in range(len(_EVAL_STARTS)):
         if p:
             point = tuple(itertools.accumulate(
@@ -802,11 +892,7 @@ def _evaluated_word_rows(pair, words, b, N):
         else:
             point = tuple(_EVAL_STARTS[(j + i) % len(_EVAL_STARTS)]
                           for i in range(n))
-        if auto:
-            values = _orbit_values(pair.sigma.images, b, point, N, F, step)
-        else:
-            values = _derivative_values(pair.delta.images[0], b, point[0],
-                                        N, _EVAL_PRIME)
+        values = _point_values(pair, b, point, N, F, step)
         if values is None:
             continue
         series = _word_series(pair, words, values, N, 0, 1, F)
@@ -867,6 +953,36 @@ def _point_bound(pair, exact, e, r):
     return values, delta, r * (degree(delta) + h)
 
 
+def _closure_total(pair, support, closure, values, scale, zero, one, F=None):
+    """Orders 0..e of the series of sum_w c_w scale^(r - r_w) W_w over the
+    support's prefix closure, e = |closure| - 1, r_w the ones in w and r
+    their most, from the values that the series read (_word_series), in
+    normal form in the ring F when given."""
+    series = dict(zip(closure, _word_series(
+        pair, closure, values, len(closure) - 1, zero, one, F)))
+    mul = F.mul if F else operator.mul
+    r = max(sum(w) for w, _ in support)
+    total = [zero] * len(closure)
+    for w, c in support:
+        f = functools.reduce(mul, [scale] * (r - sum(w)),
+                             F.scalar(c) if F else c)
+        total = [x + mul(f, y) for x, y in zip(total, series[w])]
+    return list(map(F.reduce, total)) if F else total
+
+
+def _refuted_mod_q(pair, exact, support, closure):
+    """True when the relation's series over its prefix closure does not
+    vanish mod q at the last evaluation start (_ExactValues.screen),
+    which refutes it: an exact relation's series vanishes under
+    evaluation, a ring homomorphism where b and the map are regular.
+    False decides nothing.  The point loop stops long before that
+    start; had its rows met it, a false lift would pass here and fail
+    its proof."""
+    values = exact.screen(len(closure) - 1)
+    return values is not None and any(_closure_total(
+        pair, support, closure, values, 1, 0, 1, _residues(_EVAL_PRIME)))
+
+
 def _relation_holds(pair, words, exact, lam):
     """True when sum(lam[i] W_{words[i]}) = 0, decided exactly.
 
@@ -875,10 +991,15 @@ def _relation_holds(pair, words, exact, lam):
     docstring).  The series run fraction-free.  Each value v_j is scaled
     by Delta, the lcm of their denominators, which scales the series of
     a word with r_w ones by Delta^{r_w}, and the weight Delta^{r - r_w}
-    of its coefficient evens that out.  Over Q(t) the scaled coefficients are
-    evaluated at the first B + 1 integers P >= 0 where Delta does not
-    vanish, each point's values scaled by one integer in place of
-    Delta(P); elsewhere they are computed once, as exact polynomials.
+    of its coefficient evens that out (_closure_total).  In several
+    variables they are computed once, as exact polynomials.  Over
+    F_p(t) they are computed once in F_p[y]/(y^(B+1)), B the degree bound
+    of _point_bound, which holds every scaled coefficient exactly: a
+    product that reaches y^(B+1) raises (intpoly._Packed).  Over Q(t) the
+    scaled coefficients are evaluated at the first B + 1 integers P >= 0
+    where Delta does not vanish, each point's values scaled by one
+    integer in place of Delta(P), after a screen mod q that refutes most
+    false relations before any exact value is built (_refuted_mod_q).
     exact is the witness's _ExactValues, which shares the values and
     their lcms with the other proofs of one certificate.
     """
@@ -887,22 +1008,23 @@ def _relation_holds(pair, words, exact, lam):
     e = len(closure) - 1
     r = max(sum(w) for w, _ in support)
 
-    def vanishes(vals, scale, zero, one):
-        series = dict(zip(closure, _word_series(pair, closure, vals, e,
-                                                zero, one)))
-        total = [zero] * (e + 1)
-        for w, c in support:
-            f = c * scale ** (r - sum(w))
-            total = [x + f * y for x, y in zip(total, series[w])]
-        return not any(total)
+    def vanishes(vals, scale, zero=0, one=1, F=None):
+        return not any(_closure_total(pair, support, closure, vals, scale,
+                                      zero, one, F))
 
     ff = pair.ff
-    if ff.char or ff.nvars > 1:
+    if ff.nvars > 1:
         values = exact.prefix(e)
         delta, nums = _common_denominator(values, exact.lcm(len(values)))
-        if ff.nvars == 1:  # MPolys for the series step, as _xinv_word_series
-            delta, *nums = (_from_dense(ff, h) for h in [delta] + nums)
         return vanishes(nums, delta, ff.poly_zero(), ff.poly_one())
+    if ff.char:
+        # with no ones in the support the ring still holds each Delta v_j
+        values, delta, B = _point_bound(pair, exact, e, max(r, 1))
+        _, nums = _common_denominator(values, delta)
+        F = _Packed([0] * (B + 1) + [1], ff.char, e + 1)
+        return vanishes(list(map(F.pack, nums)), F.pack(delta), F=F)
+    if _refuted_mod_q(pair, exact, support, closure):
+        return False
     values, _, B = _point_bound(pair, exact, e, r)
 
     def at(ints, P):
@@ -916,7 +1038,7 @@ def _relation_holds(pair, words, exact, lam):
         if not all(dens):
             continue
         s = math.lcm(*dens)
-        if not vanishes([n * (s // d) for n, d in zip(nums, dens)], s, 0, 1):
+        if not vanishes([n * (s // d) for n, d in zip(nums, dens)], s):
             return False
         left -= 1
     return True

@@ -26,7 +26,8 @@ The evaluated series of :mod:`freeness` take three more things from
 here: Taylor jets of int lists mod q, rational reconstruction of a
 residue, and the field F_p[y]/(f), f monic irreducible of degree k,
 with each element one int that packs its k coordinates
-(:class:`_Packed`), which Rabin's test in :mod:`valuation` powers too.
+(:class:`_Packed`), which Rabin's test in :mod:`valuation` powers too;
+its relation proofs over F_p(t) run in F_p[y]/(y^k) on the same ints.
 
 Primality is deterministic Miller-Rabin, exact below ``_MR_EXACT_BELOW``
 (about 3.3e24); a larger n is refuted by a witness or refused with
@@ -486,7 +487,10 @@ class _Packed:
     k (p-1)^2, then a fixed number of folds of the part from y^k down by
     y^k = -g, g = f - y^k (two for y^22 + 4y^2 + 1), each a product by
     the packed -g mod p that multiplies the slot bound by at most
-    1 + t (p-1), t the terms of g.  reduce takes every slot s < 2^h mod
+    1 + t (p-1), t the terms of g.  For f = y^k, g = 0 and there is no
+    fold: F_p[y]/(y^k) holds polynomials of degree below k, and a
+    product that reaches y^k raises instead of losing its top part.
+    reduce takes every slot s < 2^h mod
     p at once: with e = h + bits(p) and m = ceil(2^e / p),
     floor(s m / 2^e) = floor(s / p), as s (m p - 2^e) / (p 2^e) < 1/p,
     and s m < 2^(2h + 2) <= 2^W, so a product by m, a shift, a mask and
@@ -500,8 +504,8 @@ class _Packed:
         k = len(f) - 1
         neg = [-c % p for c in f[:-1]]
         # each fold lowers the top degree, 2k - 2 at first, by k - deg g
-        folds = -(-(k - 1) // (k - max(
-            (i for i, c in enumerate(neg) if c), default=0)))
+        top = max((i for i, c in enumerate(neg) if c), default=None)
+        folds = 0 if top is None else -(-(k - 1) // (k - top))
         bound = k * (p - 1) ** 2 * (1 + (k - neg.count(0)) * (p - 1)) ** folds
         h = max(bound, terms * (p - 1)).bit_length()
         nb = next((n for n in (1, 2, 4, 8) if 8 * n >= 2 * h + 2),
@@ -513,7 +517,7 @@ class _Packed:
         self.m = -(-(1 << self.e) // p)
         self.mask = ((1 << 8 * nb - self.e) - 1) * (self.low // (
             (1 << 8 * nb) - 1))
-        self.neg = self.pack(neg)
+        self.minus_g, self.ps = self.pack(neg), self.pack([p] * k)
 
     def pack(self, coords):
         """The element with these coordinates, at most k of them."""
@@ -535,10 +539,15 @@ class _Packed:
         """x with every slot, below 2^h, taken mod p."""
         return x - (x * self.m >> self.e & self.mask) * self.p
 
+    def neg(self, x):
+        """-x, for x as reduce takes it: p - (x mod p) in every slot, then
+        mod p."""
+        return self.reduce(self.ps - self.reduce(x))
+
     def mul(self, a, b):
         x = a * b
         for _ in range(self.folds):
-            x = (x & self.low) + (x >> self.shift) * self.neg
+            x = (x & self.low) + (x >> self.shift) * self.minus_g
         if x >> self.shift:
             raise AssertionError("packed product not folded below y^k")
         return self.reduce(x)

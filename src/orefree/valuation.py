@@ -61,7 +61,11 @@ def _rabin_irreducible(f, p):
     x^(p^k) - x, and an irreducible f none.  One gcd serves each batch
     k = 1, 2..3, 4..7, ..., n/2, on the product of its x^(p^k) - x mod f,
     which an irreducible factor divides only if it divides one factor.
+    An f with f(0) = 0 has the factor y, and is refused first: for
+    f = y^n the packed ring keeps no product that reaches y^n.
     """
+    if not f[0]:
+        return False
     n, E = len(f) - 1, _Packed(f, p)
     h = x = E.pack([0, 1])
     minus_x, batch = E.pack([0, p - 1]), 1

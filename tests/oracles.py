@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from orefree.field import MPoly
+from orefree.field import MPoly, _common_denominator, _from_dense
 from orefree.intpoly import _conv, _is_prime, _long_div, _uni_gcd_p
 
 
@@ -273,6 +273,53 @@ def series_xinv_step_delta(ff, delta, coeffs):
             c = ref_delta_apply(delta, c)
             k, sign = k + 1, -sign
     return out
+
+
+def ref_relation_holds_fp(pair, words, exact, lam):
+    """The exact proof of sum lam_i W_{words[i]} = 0 over F_p(t) on MPoly
+    views: the series of the support's prefix closure C at orders
+    0..|C| - 1, fraction-free on the values Delta v_j (exact is the
+    library's _ExactValues), each word's coefficient weighted by
+    Delta^(r - r_w), must vanish.  The series step is written out: a
+    pointwise product and a prefix sum under sigma, the binomial dot
+    product by math.comb and a negated shifted prefix sum under delta.
+    """
+    support = {w: c for w, c in zip(words, lam) if c}
+    closure = sorted({w[:k] for w in support for k in range(len(w) + 1)},
+                     key=lambda w: (len(w), w))
+    e = len(closure) - 1
+    r = max(map(sum, support))
+    ff = pair.ff
+    values = exact.prefix(e)
+    delta, nums = _common_denominator(values, exact.lcm(len(values)))
+    delta, *vals = (_from_dense(ff, h) for h in [delta] + nums)
+    zero = ff.poly_zero()
+    auto = pair.is_pure_automorphism()
+
+    def times_b(a):
+        if auto:
+            return [x * v for x, v in zip(a, vals)]
+        return [a[0] * vals[0]] + [
+            sum(((-1) ** (n - m) * math.comb(n - 1, n - m) * a[m]
+                 * vals[n - m] for m in range(1, n + 1) if n - m < len(vals)),
+                zero) for n in range(1, e + 1)]
+
+    def geometric(a):
+        if auto:
+            return list(itertools.accumulate(a))
+        return [zero] + [-s for s in itertools.accumulate(a[:-1])]
+
+    series = {(): [ff.poly_one()] + [zero] * e}
+    for w in closure[1:]:
+        prefix = series[w[:-1]]
+        series[w] = geometric(times_b(prefix) if w[-1] else prefix)
+    scales = [ff.poly_one()]
+    while len(scales) <= r:
+        scales.append(scales[-1] * delta)
+    return not any(
+        sum((c * scales[r - sum(w)] * series[w][m]
+             for w, c in support.items()), zero)
+        for m in range(e + 1))
 
 
 def series_mul(ff, A, B, xstep):

@@ -27,8 +27,8 @@ from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 from orefree.valuation import Place
 
 from oracles import eval_ratfunc, k_rank_by_evaluation, poly_parts, \
-    series_xinv_step_delta, series_xstep_delta, series_xstep_sigma, \
-    word_series
+    ref_relation_holds_fp, series_xinv_step_delta, series_xstep_delta, \
+    series_xstep_sigma, word_series
 
 QU = FunctionField(0, ["u"])
 QT = FunctionField(0, ["t"])
@@ -706,6 +706,157 @@ def test_shift_inverse_square_L6_known_answer(monkeypatch):
     assert freeness._relation_holds(ctx, words, exact, lam)
     lam[words.index((1, 0, 1, 1))] += 1
     assert not freeness._relation_holds(ctx, words, exact, lam)
+
+
+@pytest.mark.parametrize("N", [1, 2, 14, 30, 62, 126, 254, 510])
+def test_xinv_convolution_matches_binomial_dot_product(N):
+    # the x^{-1} product mod q as one factorial-scaled convolution gives
+    # the binomial dot product's residues: on random rows, on rows of
+    # q - 1, and on rows whose packed entries a_m / (m-1)! and
+    # (-1)^j e_j / j! are all q - 1, which fill every slot the most
+    q = freeness._EVAL_PRIME
+    rng = random.Random(N)
+    fact = list(itertools.accumulate(range(1, N + 1), lambda x, i: x * i % q,
+                                     initial=1))
+    rows = [([rng.randrange(q) for _ in range(N + 1)],
+             [rng.randrange(q) for _ in range(rng.randint(1, N))]),
+            ([q - 1] * (N + 1), [q - 1] * N),
+            ([q - 1] + [-fact[m - 1] % q for m in range(1, N + 1)],
+             [(-1) ** (j + 1) * fact[j] % q for j in range(N)])]
+    F = freeness._residues(q)
+    for a, e in rows:
+        want, binom = [a[0] * e[0] % q], [1]     # binom: C(n - 1, .) mod q
+        for n in range(1, N + 1):
+            want.append(sum(
+                a[m] * (-1) ** (n - m) * binom[n - m] * e[n - m]
+                for m in range(max(1, n - len(e) + 1), n + 1)) % q)
+            binom = [1] + [(x + y) % q for x, y in zip(binom, binom[1:])] \
+                + [1]
+        step = freeness._xinv_step(e, N, 0, F)
+        assert step(a, 1) == [0] + [
+            -s % q for s in itertools.accumulate(want[:-1])]
+        assert step(a, 0) == [0] + [
+            -s % q for s in itertools.accumulate(a[:-1])]
+
+
+def _fp_relation_cases():
+    """(pair, b, L) over F_2, F_5, F_7 and F_(2^31 - 1): the shift with
+    b = 1/t, and d/dt with b = t^2 and with b = 1/t."""
+    for p in (2, 5, 7, 2 ** 31 - 1):
+        ff = FunctionField(p, ["t"])
+        t = ff.var(0)
+        shift = SkewPair.automorphism(SkewEndo(ff, [t + 1], [t - 1]))
+        ddt = SkewPair.derivation(
+            SkewDerivation(ff, [ff.one()], SkewEndo.identity(ff)))
+        yield pytest.param(shift, t.inverse(), 4, id="F%d-shift:1/t" % p)
+        yield pytest.param(ddt, t * t, 4, id="F%d-ddt:t^2" % p)
+        yield pytest.param(ddt, t.inverse(), 3, id="F%d-ddt:1/t" % p)
+
+
+@pytest.mark.parametrize("pair,b,L", _fp_relation_cases())
+def test_packed_proof_matches_mpoly_proof(pair, b, L):
+    # seeded combinations of a certificate's relation R and its one-letter
+    # multiples g_j R and R g_j hold; with one coefficient changed they
+    # differ from a relation by a word, so they fail.  The proof in
+    # F_p[y]/(y^(B+1)) gives the verdict of the MPoly reference each time
+    p = pair.ff.char
+    cert = freeness_certify(pair, b, L)
+    assert cert.verdict == "Dependent"
+    R = cert.relation
+    multiples = [R] + [{(j,) + w: c for w, c in R.items()} for j in (0, 1)] \
+        + [{w + (j,): c for w, c in R.items()} for j in (0, 1)]
+    words = words_up_to(L + 1)
+    exact = freeness._ExactValues(pair, b)
+    rng = random.Random(p)
+    for _ in range(3):
+        lam = [0] * len(words)
+        for rel in rng.sample(multiples, 2):
+            c = rng.randrange(1, p)
+            for w, x in rel.items():
+                lam[words.index(w)] = (lam[words.index(w)] + c * x) % p
+        assert freeness._relation_holds(pair, words, exact, lam)
+        assert ref_relation_holds_fp(pair, words, exact, lam)
+        i = rng.choice([i for i, c in enumerate(lam) if c])
+        lam[i] += 1
+        assert not freeness._relation_holds(pair, words, exact, lam)
+        assert not ref_relation_holds_fp(pair, words, exact, lam)
+
+
+def test_truncated_packed_ring_raises_at_its_degree():
+    # F_p[y]/(y^k) has no fold: products of degree below k are the list
+    # products mod p, and one that reaches y^k raises instead of losing
+    # its top part
+    rng = random.Random(38)
+    for p, k in ((2, 1), (5, 9), (7, 40), (2 ** 31 - 1, 17)):
+        F = freeness._Packed([0] * k + [1], p, k)
+        for _ in range(20):
+            da = rng.randrange(k)
+            a = [rng.randrange(p) for _ in range(da)] + [rng.randrange(1, p)]
+            b = [rng.randrange(p) for _ in range(k - 1 - da)] + [1]
+            want = [c % p for c in _conv(a, b)]
+            assert F.unpack([F.mul(F.pack(a), F.pack(b))]) == want + [0] * (
+                k - len(want))
+            with pytest.raises(AssertionError):
+                F.mul(F.pack(a), F.pack([0] + b))
+
+
+def test_packed_proof_raises_on_a_short_degree_bound(monkeypatch):
+    # the proof ring is sized by _point_bound's B: were B too small, the
+    # values or their products would reach y^(B+1), and the proof must
+    # raise rather than decide on truncated series
+    pair, b, L = shift_f5_ctx(), FunctionField(5, ["u"]).var(0).inverse(), 4
+    words = words_up_to(L)
+    lam = [freeness_certify(pair, b, L).relation.get(w, 0) for w in words]
+    exact = freeness._ExactValues(pair, b)
+    assert freeness._relation_holds(pair, words, exact, lam)
+    real = freeness._point_bound
+
+    def halved(*args):
+        values, delta, B = real(*args)
+        assert B >= 4
+        return values, delta, B // 2
+    monkeypatch.setattr(freeness, "_point_bound", halved)
+    with pytest.raises(AssertionError, match="not folded below"):
+        freeness._relation_holds(pair, words, exact, lam)
+
+
+@pytest.mark.parametrize("make_ctx,witness,L", [
+    (shift_ctx, lambda u: (u * u).inverse(), 3),
+    (double_ctx, lambda t: (t - 1).inverse(), 3),
+    (shift_ctx, lambda u: u.inverse(), 4),
+    (ddt_ctx, lambda t: t.inverse(), 4),
+], ids=["shift-Q:1/u^2:L3", "double-Q:1/(t-1):L3", "shift-Q:1/u:L4",
+        "ddt-Q:1/t:L4"])
+def test_screen_refutes_false_lifts_before_exact_values(monkeypatch,
+                                                        make_ctx, witness, L):
+    # the one lift that each point loop rejects, at its first point for
+    # the Independent two and at its second for the Dependent two, is
+    # refuted by the screen mod q with no exact value built for it: every
+    # _point_bound belongs to a proof that passes.  The screen never
+    # refutes those, and with it switched off the certificate is the
+    # same, as it only refutes
+    ctx = make_ctx()
+    b = witness(ctx.ff.var(0))
+    cert = freeness_certify(ctx, b, L)
+    screen, bound = freeness._refuted_mod_q, freeness._point_bound
+    outcomes, bounds = [], []
+
+    def screening(*args):
+        outcomes.append(screen(*args))
+        return outcomes[-1]
+
+    def bounding(*args):
+        bounds.append(args)
+        return bound(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(freeness, "_refuted_mod_q", screening)
+        m.setattr(freeness, "_point_bound", bounding)
+        assert freeness_certify(ctx, b, L) == cert
+    assert outcomes.count(True) == 1
+    assert len(bounds) == outcomes.count(False)
+    monkeypatch.setattr(freeness, "_refuted_mod_q", lambda *args: False)
+    assert freeness_certify(ctx, b, L) == cert
 
 
 # -- the trie order and the point loop ----------------------------------------

@@ -449,7 +449,24 @@ def _truncation_order(L):
     return 2 ** (L + 1) - 2
 
 
-def _xinv_step(e, N, zero, F=None):
+def _same(c):
+    return c
+
+
+def _signed_pascal(N, scalar=_same):
+    """Rows 0..N-1 of Pascal's triangle with alternating signs,
+    (-1)^i C(n, i), through a coefficient ring's scalar map: _xinv_step's
+    weights before their products with the e_j, which a proof at many
+    points builds once."""
+    rows, row = [], [1]
+    for n in range(N):
+        rows.append([scalar((-1) ** i * c) for i, c in enumerate(row)])
+        row = [1] + [scalar(row[i - 1] + row[i])
+                     for i in range(1, n + 1)] + [1]
+    return rows
+
+
+def _xinv_step(e, N, zero, F=None, pascal=None):
     """Series step in K((x^{-1}; delta)) on orders 0..N (see _series_step).
 
     e lists e_j = delta^j(b), exactly or as values in the field F, whose
@@ -460,24 +477,23 @@ def _xinv_step(e, N, zero, F=None):
     one factorial-scaled product (_xinv_times_mod).  Exact values and
     F_p[y]/(y^k) take a dot product per order over a table of weights,
     through F's mul: factorials are not integral over Z, nor units mod a
-    small p.  Orders only move down, so orders 0..N need no padding.
+    small p.  pascal, when given, holds the signed binomials
+    (_signed_pascal(N) in F), so that only their products with the e_j
+    are formed here.  Orders only move down, so orders 0..N need no
+    padding.
     """
     if isinstance(F, _Field):
         times_b = _xinv_times_mod(e, N, F.p)
     else:
-        def same(c):
-            return c
         mul, scalar, reduce = (F.mul, F.scalar, F.reduce) if F else (
-            operator.mul, same, same)
+            operator.mul, _same, _same)
+        if pascal is None:
+            pascal = _signed_pascal(N, scalar)
         weights = [None]        # order n: first m, then the factors of a_m
-        binom = [1]             # row n - 1 of Pascal's triangle
-        for n in range(1, N + 1):
+        for n, row in enumerate(pascal, 1):
             lo = max(1, n - len(e) + 1)
-            weights.append((lo, [
-                mul(scalar((-1) ** (n - m) * binom[n - m]), e[n - m])
-                for m in range(lo, n + 1)]))
-            binom = [1] + [scalar(binom[i - 1] + binom[i])
-                           for i in range(1, n)] + [1]
+            weights.append((lo, [mul(row[n - m], e[n - m])
+                                 for m in range(lo, n + 1)]))
 
         def times_b(a):
             return [mul(a[0], e[0])] + [
@@ -608,19 +624,20 @@ def _sigma_step(values, F=None):
                         lambda a: list(map(F.reduce, itertools.accumulate(a))))
 
 
-def _word_series(pair, words, values, n, zero, one, F=None):
+def _word_series(pair, words, values, n, zero, one, F=None, pascal=None):
     """Series of every word at orders 0..n, one list of coefficients each.
 
     values[j] stands for sigma^j(b) under an automorphism and for
     delta^j(b) under a derivation, in a coefficient ring with the given
     zero and one: exact values, or values in the ring F (Z/q and
     F_p[y]/(f) at a point, F_p[y]/(y^k) for a proof), whose operations
-    reduce every coefficient.
+    reduce every coefficient.  A derivation's step reads its signed
+    binomials from pascal when given (_xinv_step).
     """
     if pair.is_pure_automorphism():
         step = _sigma_step(values, F)
     else:
-        step = _xinv_step(values, n, zero, F)
+        step = _xinv_step(values, n, zero, F, pascal)
     return _prefix_shared(words, [one] + [zero] * n, step)
 
 
@@ -953,13 +970,14 @@ def _point_bound(pair, exact, e, r):
     return values, delta, r * (degree(delta) + h)
 
 
-def _closure_total(pair, support, closure, values, scale, zero, one, F=None):
+def _closure_total(pair, support, closure, values, scale, zero, one, F=None,
+                   pascal=None):
     """Orders 0..e of the series of sum_w c_w scale^(r - r_w) W_w over the
     support's prefix closure, e = |closure| - 1, r_w the ones in w and r
     their most, from the values that the series read (_word_series), in
     normal form in the ring F when given."""
     series = dict(zip(closure, _word_series(
-        pair, closure, values, len(closure) - 1, zero, one, F)))
+        pair, closure, values, len(closure) - 1, zero, one, F, pascal)))
     mul = F.mul if F else operator.mul
     r = max(sum(w) for w, _ in support)
     total = [zero] * len(closure)
@@ -999,7 +1017,9 @@ def _relation_holds(pair, words, exact, lam):
     scaled coefficients are evaluated at the first B + 1 integers P >= 0
     where Delta does not vanish, each point's values scaled by one
     integer in place of Delta(P), after a screen mod q that refutes most
-    false relations before any exact value is built (_refuted_mod_q).
+    false relations before any exact value is built (_refuted_mod_q);
+    under a derivation the signed binomials of the series step are built
+    once for all the points (_signed_pascal).
     exact is the witness's _ExactValues, which shares the values and
     their lcms with the other proofs of one certificate.
     """
@@ -1008,9 +1028,9 @@ def _relation_holds(pair, words, exact, lam):
     e = len(closure) - 1
     r = max(sum(w) for w, _ in support)
 
-    def vanishes(vals, scale, zero=0, one=1, F=None):
+    def vanishes(vals, scale, zero=0, one=1, F=None, pascal=None):
         return not any(_closure_total(pair, support, closure, vals, scale,
-                                      zero, one, F))
+                                      zero, one, F, pascal))
 
     ff = pair.ff
     if ff.nvars > 1:
@@ -1026,6 +1046,7 @@ def _relation_holds(pair, words, exact, lam):
     if _refuted_mod_q(pair, exact, support, closure):
         return False
     values, _, B = _point_bound(pair, exact, e, r)
+    pascal = None if pair.is_pure_automorphism() else _signed_pascal(e)
 
     def at(ints, P):
         return functools.reduce(lambda acc, c: acc * P + c, reversed(ints), 0)
@@ -1038,7 +1059,8 @@ def _relation_holds(pair, words, exact, lam):
         if not all(dens):
             continue
         s = math.lcm(*dens)
-        if not vanishes([n * (s // d) for n, d in zip(nums, dens)], s):
+        if not vanishes([n * (s // d) for n, d in zip(nums, dens)], s,
+                        pascal=pascal):
             return False
         left -= 1
     return True

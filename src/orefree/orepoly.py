@@ -19,10 +19,11 @@ compares the polynomials: gcd(D, N_0, ..., N_n) = 1, and over Q(t) the
 integers of D and the N_j together are coprime with lc(D) > 0; otherwise
 D is monic (in graded-lex order in several variables).  Each operation
 reduces once at its end, by one gcd of D and all numerators; right
-division is pseudo-division over one running denominator.  A
-coefficient enters by its own num and den, and ``coeffs``, ``coeff`` and
-``lc`` build RatFuncs from N_j and D only when asked, with no conversion
-either way.
+division is pseudo-division over one running denominator, where each
+step first cancels the gcd of the two leading numerators it combines.
+A coefficient enters by its own num and den, and ``coeffs``, ``coeff``
+and ``lc`` build RatFuncs from N_j and D only when asked, with no
+conversion either way.
 
 The x-step needs no RatFunc either.  sigma^k(n / D) = sigma^k(n) /
 sigma^k(D) is two numerators over one shared factor, which
@@ -41,9 +42,15 @@ D(den) = g e first:
 
     x (n / den) = (n / den) x + (f D(n) - n e) / (cd den f),
 
-over cd den f where the quotient rule gives cd den^2.  ``canon`` still
-reduces the result once: g leaves the integers' content, the leading
-coefficient and any factor of cd that every new numerator shares.
+over cd den f where the quotient rule gives cd den^2.  A
+sigma-derivation takes g = gcd(den, sden) for sigma(n / den) = s / sden
+alike, den = g f and sden = g e:
+
+    x (n / den) = (s / sden) x + cn (s f - n e) / (cd sden f),
+
+over cd sden f in place of cd sden den.  ``canon`` still reduces the
+result once: g leaves the integers' content, the leading coefficient
+and any factor of cd that every new numerator shares.
 
 Greatest common right divisors come from the right Euclidean algorithm;
 least common left multiples from its extended form (the cofactor of f
@@ -52,8 +59,11 @@ the degree law
 
     deg lclm(f, g) = deg f + deg g - deg gcrd(f, g)
 
-checked on every run.  A greatest common left divisor (via left-division
-Euclid) supports cancellation inside left fractions.
+checked on every run.  For monic f, lc(u f) = lc(u), so the cofactor
+is made monic first and u f comes out monic and canonical.  A unit
+argument c runs no Euclid: lclm(c, h) = monic(h), with cofactors
+monic(h) c^{-1} and lc(h)^{-1}.  A greatest common left divisor (via
+left-division Euclid) supports cancellation inside left fractions.
 """
 
 from . import config
@@ -103,7 +113,9 @@ class _Kernel:
         return den, nums
 
     def _delta_step(self, den, nums):
-        """The canonical form of x * (sum nums[j] / den x^j), delta != 0."""
+        """The canonical form of x * (sum nums[j] / den x^j), delta != 0;
+        delta's part adds the factor f = den / gcd(den, D(den)), or den
+        over its gcd with sigma's denominator sden (module docstring)."""
         r = self.ring
         times, sub = r.times, r.sub
         if self.kind == "der":
@@ -116,11 +128,13 @@ class _Kernel:
             hi, hden, rest = nums, den, f
         else:
             sden, *hi = self.sigma.numerators([den] + nums, 1)
-            # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden,
-            # over cd sden den
-            lo = [times(self.cn, sub(times(s, den), times(n, sden)))
+            # x a = sigma(a) x + c (sigma(a) - a) with sigma(a) = s / sden:
+            # for g = gcd(den, sden), den = g f and sden = g e, the
+            # difference s / sden - n / den is (s f - n e) / (sden f)
+            f, e = r.cofactors([den, sden])
+            lo = [times(self.cn, sub(times(s, f), times(n, e)))
                   for s, n in zip(hi, nums)]
-            hden, rest = sden, den
+            hden, rest = sden, f
         # hi's terms are over hden, lo's over cd hden rest
         scale = times(self.cd, rest)
         hi = [times(s, scale) for s in hi]
@@ -356,8 +370,11 @@ class OrePoly:
         q and r share one denominator.  Removing the leading term of r by
         c x^m g with c = (rt / den) / (gt / gd), where rt / den and
         gt / gd are the leading coefficients of r and x^m g, multiplies q
-        and r by gt and adds rt gd to q's numerator at x^m: the steps
-        stay polynomial, and each result is reduced once at the end.
+        and r by gt' and adds rt' gd to q's numerator at x^m, where
+        gt' and rt' are gt and rt over their gcd: the steps stay
+        polynomial and the denominator grows by gt' alone.  A step that
+        leaves a leading term raises; each result is reduced once at the
+        end.
         """
         _same_ctx(self, g)
         if g.is_zero():
@@ -377,9 +394,12 @@ class OrePoly:
         while len(rn) > dg:
             m = len(rn) - 1 - dg
             gd, gn = xg[m]._den, xg[m]._nums
-            gt, rt = gn[-1], rn[-1]
-            rn = _trim([sub(times(gt, a), times(rt, b))
-                        for a, b in zip(rn, gn)])
+            gt, rt = ring.cofactors([gn[-1], rn[-1]])
+            rn = [sub(times(gt, a), times(rt, b)) for a, b in zip(rn, gn)]
+            if rn.pop():
+                raise AssertionError("right division: a step left its "
+                                     "leading term")
+            _trim(rn)
             qn = [times(gt, a) for a in qn]
             qn[m] = ring.add(qn[m], times(rt, gd))
             den = times(den, gt)
@@ -491,17 +511,27 @@ def lclm(f, g):
     """(m, u, v) with m = u*f = v*g monic of minimal degree.
 
     Extended right Euclid on (f, g), tracking only the cofactor of f: when
-    the remainder reaches zero, its row u gives the multiple m = u*f.
-    Then v is the right quotient of m by g, and its zero remainder proves
-    m = v*g.  When the first division, of the longer argument (f on a
-    tie) by the other, leaves no remainder, the longer one made monic is
-    the lclm, and Euclid stops there.  Requires f, g nonzero.
+    the remainder reaches zero, its row u gives the multiple m = u*f,
+    with u made monic first when f is monic, so that m needs no
+    rescaling.  Then v is the right quotient of m by g, and its zero
+    remainder proves m = v*g.  When the first division, of the longer
+    argument (f on a tie) by the other, leaves no remainder, the longer
+    one made monic is the lclm, and Euclid stops there; when exactly one
+    argument is a unit, it runs no division at all.  Requires f, g
+    nonzero.
     """
     _same_ctx(f, g)
     if f.is_zero() or g.is_zero():
         raise DivisionByZero("lclm needs nonzero arguments")
     ctx = f.ctx
     one, zero = OrePoly.one(ctx), OrePoly.zero(ctx)
+    if (f.degree == 0) != (g.degree == 0):
+        # a unit c and h: lclm(c, h) = monic(h) = lc(h)^{-1} h, and c's
+        # cofactor is monic(h) c^{-1}
+        c, h = (f, g) if f.degree == 0 else (g, f)
+        m, s = left_monic(h, one)
+        w = m * one._scale(c._den, c._nums[0])
+        return (m, w, s) if c is f else (m, s, w)
     # for deg f < deg g Euclid's first step only swaps f and g
     swap = f.degree < g.degree
     r0, r1 = (g, f) if swap else (f, g)
@@ -519,10 +549,14 @@ def lclm(f, g):
             break
         q, r2 = r0.right_quo_rem(r1)
     # r1 = u1*f + v1*g = 0 for the untracked row v1
-    m = u1 * f
-    if m.is_zero():
+    if u1.is_zero():
         raise AssertionError("lclm: the cofactor row gave zero")
-    m, u = left_monic(m, u1)
+    if f.is_monic():
+        # lc(u f) = lc(u) for monic f, so u f is monic for monic u
+        u = u1.monic()
+        m = u * f
+    else:
+        m, u = left_monic(u1 * f, u1)
     if m.degree != f.degree + g.degree - last_nonzero.degree:
         raise AssertionError("lclm: degree law violated")
     v, r = m.right_quo_rem(g)

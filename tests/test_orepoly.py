@@ -8,7 +8,7 @@ import pytest
 from orefree.errors import (
     CharacteristicMismatch, ContextMismatch, DivisionByZero,
 )
-from orefree.field import FunctionField
+from orefree.field import FunctionField, RatFunc
 from orefree.orefrac import OreFraction
 from orefree.orepoly import OrePoly, gcld, gcrd, lclm
 from orefree.skew import SkewDerivation, SkewEndo, SkewPair
@@ -369,11 +369,27 @@ def assert_coeffs(p, ref):
     assert got == [(c.num, c.den) for c in ref]
 
 
+def reference_checked_lclm(ctx, f, g):
+    """m of lclm(f, g) = (m, u, v), once m is monic, u f and v g equal m
+    by the reference product, and the degree law holds by the reference
+    gcrd."""
+    m, u, v = lclm(f, g)
+    assert m.is_monic()
+    assert_coeffs(m, ref_ore_mul(ctx, u.coeffs, f.coeffs))
+    assert_coeffs(m, ref_ore_mul(ctx, v.coeffs, g.coeffs))
+    assert m.degree == (f.degree + g.degree
+                        - ref_ore_gcrd_degree(ctx, f.coeffs, g.coeffs))
+    return m
+
+
 @pytest.mark.parametrize("char,name", KERNEL_CASES)
 def test_fraction_free_kernel_matches_reference(char, name):
     ctx = kernel_context(char, name)
     rng = random.Random("kernel:%d:%s" % (char, name))
-    for _ in range(5):
+    # the draws of the lclm and division cases below, apart from rng's
+    more = random.Random("kernel-units:%d:%s" % (char, name))
+    t = ctx.ff.var(0)
+    for i in range(5):
         f = nonzero_orepoly(rng, ctx, 3)
         g = nonzero_orepoly(rng, ctx, 1)
         fc, gc = f.coeffs, g.coeffs
@@ -390,11 +406,7 @@ def test_fraction_free_kernel_matches_reference(char, name):
         assert_coeffs(q, ref_q)
         assert_coeffs(r, ref_r)
         assert g * q + r == f
-        m, u, v = lclm(f, g)
-        assert_coeffs(m, ref_ore_mul(ctx, u.coeffs, fc))
-        assert_coeffs(m, ref_ore_mul(ctx, v.coeffs, gc))
-        assert m.degree == (f.degree + g.degree
-                            - ref_ore_gcrd_degree(ctx, fc, gc))
+        reference_checked_lclm(ctx, f, g)
         h = nonzero_orepoly(rng, ctx, 1)
         if h.degree < 1:
             h = h * OrePoly.x(ctx) + OrePoly.one(ctx)
@@ -405,6 +417,28 @@ def test_fraction_free_kernel_matches_reference(char, name):
         assert ref_ore_left_quo_rem(ctx, hg, d.coeffs)[1] == []
         assert ref_ore_left_quo_rem(ctx, d.coeffs, h.coeffs)[1] == []
         assert [stored_form(p) for p in (f, g)] == stored
+        # the reference RatFunc arithmetic is slow in several variables
+        if ctx.ff.nvars > 1 and i >= 2:
+            continue
+        # a unit c != 1 on either side (lclm is monic(f), and c's cofactor
+        # takes c^{-1}), and f monic and not monic in Euclid
+        c = OrePoly.const(ctx, (t + 2) * random_ratfunc_nonzero(
+            more, ctx.ff, max_deg=1, max_terms=2))
+        for a, b in ((c, f), (f, c)):
+            assert reference_checked_lclm(ctx, a, b) == f.monic()
+        reference_checked_lclm(ctx, f.monic(), h)
+        reference_checked_lclm(ctx, c * f.monic(), h)
+        # h3 g3 by g3, lc(h3) a multiple of lc(g3)'s numerator, which has
+        # the factor t + 3: the right division's steps have factors to cancel
+        g3 = OrePoly.const(ctx, t + 3) * g
+        h3 = OrePoly(ctx, list(h.coeffs[:-1]) + [
+            h.lc() * RatFunc(ctx.ff, g3.lc().num, ctx.ff.ring.one)])
+        q, r = (h3 * g3).right_quo_rem(g3)
+        ref_q, ref_r = ref_ore_right_quo_rem(
+            ctx, ref_ore_mul(ctx, h3.coeffs, g3.coeffs), g3.coeffs)
+        assert_coeffs(q, ref_q)
+        assert_coeffs(r, ref_r)
+        assert q == h3 and r.is_zero()
 
 
 @pytest.mark.parametrize("char,name", KERNEL_CASES)

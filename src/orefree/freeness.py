@@ -98,7 +98,12 @@ exact nullity is at most d.  The points are added one at a time, each
 block of columns eliminated once, and the obstructions below are proved
 at every point: the first point whose proofs pass ends the loop.  A
 failed lift or proof adds a point (t under d/dt at L = 5 needs five),
-until the rank has not risen over two more points.
+until the rank has not risen over two more points.  Over Q nothing is
+lifted at the first point unless b is constant: W_{1I} = b W_{0I}, b on
+the far left, so at one point P the row of every word 1I is b(P) times
+that of 0I, and the first nullspace holds b(P) W_0 = W_1, a relation
+only when b is constant.  Over F_p the rows hold coordinates over F_p,
+of which b(P) in F_p[y]/(f) is no scalar, so the first point may prove.
 
 The relations are checked by the leading-word argument of Bergman's
 diamond lemma (Adv. Math. 29, 1978).  The words are the monomials of the
@@ -145,9 +150,6 @@ coefficients grow too fast, they are evaluated at integer points.
 Evaluation at a point P with Delta(P) != 0 is a ring homomorphism on
 these coefficients, so when the series vanishes exactly at B + 1 such
 integers, every order 0..e is zero (Schwartz, J. ACM 1980) and R = 0.
-Over Q(t), before any exact value is built, the series mod q at the
-last evaluation start screens R: a nonzero order there refutes it, and
-zero ones decide nothing.
 
 Everything else brings all words over one common left denominator by an
 lclm fold, flattens the numerator coefficient vectors, and proves its
@@ -551,11 +553,10 @@ class _ExactValues:
     sigma^j(b) under an automorphism and delta^j(b) under a derivation,
     grown on demand, with the running lcm of their denominators: built
     once and shared by the proofs of one certificate, each of which
-    reads its own prefix.  The screen of those proofs over Q(t) reads
-    their values mod q at one point, kept here too (screen).
+    reads its own prefix.
     """
 
-    __slots__ = ("pair", "values", "_lcms", "_ended", "_screen")
+    __slots__ = ("pair", "values", "_lcms", "_ended")
 
     def __init__(self, pair, b):
         self.pair = pair
@@ -563,8 +564,6 @@ class _ExactValues:
         self._lcms = []
         # a derivation has reached delta^j(b) = 0
         self._ended = False
-        # (n, the values that orders 0..n read at the screening point)
-        self._screen = (-1, None)
 
     def prefix(self, n):
         """The exact values that orders 0..n of a word series read.
@@ -585,18 +584,6 @@ class _ExactValues:
             else:
                 values.append(nxt)
         return values[:max(n, 1)]
-
-    def screen(self, n):
-        """The values mod q that orders 0..n of a word series read at the
-        last evaluation start (_point_values), or None where one is
-        undefined; computed for the largest n asked."""
-        if self._screen[0] < n:
-            pair, F = self.pair, _residues(_EVAL_PRIME)
-            step = _point_map(pair.sigma, F) \
-                if pair.is_pure_automorphism() else None
-            self._screen = (n, _point_values(
-                pair, self.values[0], (_EVAL_STARTS[-1],), n, F, step))
-        return self._screen[1]
 
     def lcm(self, k):
         """The lcm of the denominators of the first k values, in the
@@ -874,18 +861,6 @@ def _derivative_values(f, b, c, n, q):
     return vals
 
 
-def _point_values(pair, b, point, N, F, step):
-    """The values that orders 0..N of the word series read at the point,
-    in the field F, or None where one is undefined: sigma^m(b)(P) =
-    b(s^m(P)) for m <= N along the orbit of P (_orbit_values, step the
-    point map or None) under a pure automorphism, and delta^j(b)(P) mod
-    q for j < N under a derivation of Q(t) (_derivative_values)."""
-    if pair.is_pure_automorphism():
-        return _orbit_values(pair.sigma.images, b, point, N, F, step)
-    return _derivative_values(pair.delta.images[0], b, point[0], N,
-                              _EVAL_PRIME)
-
-
 def _evaluated_word_rows(pair, words, b, N):
     """Word series at orders 0..N, evaluated at points, one point at a time.
 
@@ -901,7 +876,8 @@ def _evaluated_word_rows(pair, words, b, N):
     """
     p, n = pair.ff.char, pair.ff.nvars
     F = _extension(p) if p else _residues(_EVAL_PRIME)
-    step = _point_map(pair.sigma, F) if pair.is_pure_automorphism() else None
+    auto = pair.is_pure_automorphism()
+    step = _point_map(pair.sigma, F) if auto else None
     for j in range(len(_EVAL_STARTS)):
         if p:
             point = tuple(itertools.accumulate(
@@ -909,7 +885,11 @@ def _evaluated_word_rows(pair, words, b, N):
         else:
             point = tuple(_EVAL_STARTS[(j + i) % len(_EVAL_STARTS)]
                           for i in range(n))
-        values = _point_values(pair, b, point, N, F, step)
+        if auto:
+            values = _orbit_values(pair.sigma.images, b, point, N, F, step)
+        else:
+            values = _derivative_values(pair.delta.images[0], b, point[0],
+                                        N, _EVAL_PRIME)
         if values is None:
             continue
         series = _word_series(pair, words, values, N, 0, 1, F)
@@ -970,37 +950,6 @@ def _point_bound(pair, exact, e, r):
     return values, delta, r * (degree(delta) + h)
 
 
-def _closure_total(pair, support, closure, values, scale, zero, one, F=None,
-                   pascal=None):
-    """Orders 0..e of the series of sum_w c_w scale^(r - r_w) W_w over the
-    support's prefix closure, e = |closure| - 1, r_w the ones in w and r
-    their most, from the values that the series read (_word_series), in
-    normal form in the ring F when given."""
-    series = dict(zip(closure, _word_series(
-        pair, closure, values, len(closure) - 1, zero, one, F, pascal)))
-    mul = F.mul if F else operator.mul
-    r = max(sum(w) for w, _ in support)
-    total = [zero] * len(closure)
-    for w, c in support:
-        f = functools.reduce(mul, [scale] * (r - sum(w)),
-                             F.scalar(c) if F else c)
-        total = [x + mul(f, y) for x, y in zip(total, series[w])]
-    return list(map(F.reduce, total)) if F else total
-
-
-def _refuted_mod_q(pair, exact, support, closure):
-    """True when the relation's series over its prefix closure does not
-    vanish mod q at the last evaluation start (_ExactValues.screen),
-    which refutes it: an exact relation's series vanishes under
-    evaluation, a ring homomorphism where b and the map are regular.
-    False decides nothing.  The point loop stops long before that
-    start; had its rows met it, a false lift would pass here and fail
-    its proof."""
-    values = exact.screen(len(closure) - 1)
-    return values is not None and any(_closure_total(
-        pair, support, closure, values, 1, 0, 1, _residues(_EVAL_PRIME)))
-
-
 def _relation_holds(pair, words, exact, lam):
     """True when sum(lam[i] W_{words[i]}) = 0, decided exactly.
 
@@ -1009,17 +958,15 @@ def _relation_holds(pair, words, exact, lam):
     docstring).  The series run fraction-free.  Each value v_j is scaled
     by Delta, the lcm of their denominators, which scales the series of
     a word with r_w ones by Delta^{r_w}, and the weight Delta^{r - r_w}
-    of its coefficient evens that out (_closure_total).  In several
-    variables they are computed once, as exact polynomials.  Over
-    F_p(t) they are computed once in F_p[y]/(y^(B+1)), B the degree bound
-    of _point_bound, which holds every scaled coefficient exactly: a
-    product that reaches y^(B+1) raises (intpoly._Packed).  Over Q(t) the
-    scaled coefficients are evaluated at the first B + 1 integers P >= 0
-    where Delta does not vanish, each point's values scaled by one
-    integer in place of Delta(P), after a screen mod q that refutes most
-    false relations before any exact value is built (_refuted_mod_q);
-    under a derivation the signed binomials of the series step are built
-    once for all the points (_signed_pascal).
+    of its coefficient evens that out.  In several variables they are
+    computed once, as exact polynomials.  Over F_p(t) they are computed
+    once in F_p[y]/(y^(B+1)), B the degree bound of _point_bound, which
+    holds every scaled coefficient exactly: a product that reaches
+    y^(B+1) raises (intpoly._Packed).  Over Q(t) the scaled coefficients
+    are evaluated at the first B + 1 integers P >= 0 where Delta does not
+    vanish, each point's values scaled by one integer in place of
+    Delta(P); under a derivation the signed binomials of the series step
+    are built once for all the points (_signed_pascal).
     exact is the witness's _ExactValues, which shares the values and
     their lcms with the other proofs of one certificate.
     """
@@ -1029,8 +976,15 @@ def _relation_holds(pair, words, exact, lam):
     r = max(sum(w) for w, _ in support)
 
     def vanishes(vals, scale, zero=0, one=1, F=None, pascal=None):
-        return not any(_closure_total(pair, support, closure, vals, scale,
-                                      zero, one, F, pascal))
+        series = dict(zip(closure, _word_series(pair, closure, vals, e,
+                                                zero, one, F, pascal)))
+        mul = F.mul if F else operator.mul
+        total = [zero] * (e + 1)
+        for w, c in support:
+            f = functools.reduce(mul, [scale] * (r - sum(w)),
+                                 F.scalar(c) if F else c)
+            total = [x + mul(f, y) for x, y in zip(total, series[w])]
+        return not any(map(F.reduce, total) if F else total)
 
     ff = pair.ff
     if ff.nvars > 1:
@@ -1043,8 +997,6 @@ def _relation_holds(pair, words, exact, lam):
         _, nums = _common_denominator(values, delta)
         F = _Packed([0] * (B + 1) + [1], ff.char, e + 1)
         return vanishes(list(map(F.pack, nums)), F.pack(delta), F=F)
-    if _refuted_mod_q(pair, exact, support, closure):
-        return False
     values, _, B = _point_bound(pair, exact, e, r)
     pascal = None if pair.is_pure_automorphism() else _signed_pascal(e)
 
@@ -1073,9 +1025,10 @@ def _certify_by_evaluation(pair, words, b, L):
     On a deficit the relations of the obstructions (_obstruction_relations)
     are lifted and proved by _relation_holds at once; their one-letter
     multiples pin the rank (module docstring), so the first point whose
-    proofs pass ends the loop.  A failed lift or proof adds the next
-    point, until the rank has not risen over two more points.  The
-    relation ending at the first dependent word is reported.
+    proofs pass ends the loop; over Q, unless b is constant, nothing is
+    lifted at the first (module docstring).  A failed lift or proof adds
+    the next point, until the rank has not risen over two more points.
+    The relation ending at the first dependent word is reported.
     """
     p = pair.ff.char
     echelon = _Echelon(len(words), p or _EVAL_PRIME)
@@ -1089,11 +1042,15 @@ def _certify_by_evaluation(pair, words, b, L):
         rank = echelon.rank
         if echelon.add(block) > rank:
             risen = len(points)
-        # at full rank the nullspace, and so the list of relations, is empty
-        relations = _obstruction_relations(echelon.nullspace(), words, p)
-        if relations is not None and all(
-                _relation_holds(pair, words, exact, r) for r in relations):
-            break
+        # W_{1I} = b W_{0I}, so over Q the first point's row of every 1I is
+        # b(P) times that of 0I: b(P) W_0 = W_1 holds only for constant b.
+        # At full rank the nullspace, and so the list of relations, is empty
+        if p or len(points) > 1 or b.is_const():
+            relations = _obstruction_relations(echelon.nullspace(), words, p)
+            if relations is not None and all(
+                    _relation_holds(pair, words, exact, r)
+                    for r in relations):
+                break
         if len(points) - risen == 2:
             return None
     else:
@@ -1122,9 +1079,10 @@ def freeness_certify(pair, b, L):
       take the evaluated K[[x; sigma]] series, mod q = 2^61 - 1 over Q and
       at the first point of F_p[y]/(f) whose orbit meets no pole over
       F_p, and derivations of Q(t) the evaluated K((x^{-1}; delta))
-      series mod q.  Points are added one at a time, and the relations
-      are proved at each: the first point whose proofs pass ends the
-      loop.  A Dependent result there proves only the relations of its
+      series mod q.  Points are added one at a time, and the first whose
+      proofs pass ends the loop; over Q that is never the first unless b
+      is constant, as there the row of every word 1I is b(P) times that
+      of 0I.  A Dependent result proves only the relations of its
       obstructions, the dependent words whose prefix and suffix of one
       letter fewer are not dependent, each by its series at orders 0..e,
       e + 1 the size of its support's prefix closure (_relation_holds,

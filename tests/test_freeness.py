@@ -212,11 +212,19 @@ def test_independence_one_and_b():
 
 
 def test_trivial_witness_one_gives_relation():
-    for ctx in (shift_ctx(), ddt_ctx()):
+    # a constant witness is the one case over Q whose evaluated route may
+    # prove at its first point: W_1 = b W_0 holds exactly.  The digests
+    # name the points taken, so they pin that the loop stopped there
+    for ctx, digest in (
+            (shift_ctx(), "36b7da3f0e9a916dc32be910ea3bc99e"
+                          "9a171d65cadb2ee01aab083507e776d6"),
+            (ddt_ctx(), "7f121ebd420ced66efcad8f4e143c238"
+                        "3e233e5f0d01ca87e7ba49872215c0c9")):
         cert = freeness_certify(ctx, 1, 1)
         assert cert.verdict == "Dependent"
         assert cert.word_count == 3 and cert.rank == 2
         assert rel_by_key(cert) == {"0": 1, "1": -1}
+        assert cert.matrix_digest == digest
 
 
 # -- frozen certificates, cross-checked against the oracles ------------------
@@ -820,43 +828,86 @@ def test_packed_proof_raises_on_a_short_degree_bound(monkeypatch):
         freeness._relation_holds(pair, words, exact, lam)
 
 
-@pytest.mark.parametrize("make_ctx,witness,L", [
-    (shift_ctx, lambda u: (u * u).inverse(), 3),
-    (double_ctx, lambda t: (t - 1).inverse(), 3),
-    (shift_ctx, lambda u: u.inverse(), 4),
-    (ddt_ctx, lambda t: t.inverse(), 4),
+@pytest.mark.parametrize("make_ctx,witness,L,verdict,rank,digest", [
+    (shift_ctx, lambda u: (u * u).inverse(), 3, "Independent", 15,
+     "67363db744a64987794ddf2fa48c6fcbfcc9c98100b573288b9b9c610ee90204"),
+    (double_ctx, lambda t: (t - 1).inverse(), 3, "Independent", 15,
+     "65dd619313e20c96ab5ae025d8b65d3c84aa02dedf0ede81a01f96a2ca5ffbf8"),
+    (shift_ctx, lambda u: u.inverse(), 4, "Dependent", 25,
+     "3310eaf079524d177874439be246c1b7eb290cf0ac861b0d5fb9cfa3284ad542"),
+    (ddt_ctx, lambda t: t.inverse(), 4, "Dependent", 25,
+     "7a1565eb1e3015ad7ffb79908814540d79404e0c5512d1cf53c871f7361cd5e8"),
 ], ids=["shift-Q:1/u^2:L3", "double-Q:1/(t-1):L3", "shift-Q:1/u:L4",
         "ddt-Q:1/t:L4"])
-def test_screen_refutes_false_lifts_before_exact_values(monkeypatch,
-                                                        make_ctx, witness, L):
-    # the one lift that each point loop rejects, at its first point for
-    # the Independent two and at its second for the Dependent two, is
-    # refuted by the screen mod q with no exact value built for it: every
-    # _point_bound belongs to a proof that passes.  The screen never
-    # refutes those, and with it switched off the certificate is the
-    # same, as it only refutes
+def test_first_point_over_q_lifts_nothing(monkeypatch, make_ctx, witness, L,
+                                          verdict, rank, digest):
+    # over Q with a witness that is not constant the first point's
+    # nullspace holds the false relation b(P) W_0 = W_1, so no lift or
+    # proof runs there.  The Independent two reach full rank at their
+    # second point and prove nothing; every certificate keeps its pin
+    ctx = make_ctx()
+    rows = freeness._evaluated_word_rows
+    lift, proof = freeness._obstruction_relations, freeness._relation_holds
+    taken, lifts, proofs = [], [], []
+
+    def counting(*args):
+        for found in rows(*args):
+            taken.append(found[1])
+            yield found
+
+    def lifting(*args):
+        lifts.append(len(taken))
+        return lift(*args)
+
+    def proving(*args):
+        proofs.append(len(taken))
+        return proof(*args)
+
+    monkeypatch.setattr(freeness, "_evaluated_word_rows", counting)
+    monkeypatch.setattr(freeness, "_obstruction_relations", lifting)
+    monkeypatch.setattr(freeness, "_relation_holds", proving)
+    cert = freeness_certify(ctx, witness(ctx.ff.var(0)), L)
+    assert lifts and min(lifts + proofs) == 2
+    assert (cert.verdict, cert.rank) == (verdict, rank)
+    assert not proofs if cert.independent else proofs
+    assert cert.matrix_digest == digest
+
+
+@pytest.mark.parametrize("make_ctx,witness,L", [
+    (shift_ctx, lambda u: u.inverse(), 4),
+    (shift_ctx, lambda u: (u * u).inverse(), 3),
+    (double_ctx, lambda t: (t - 1).inverse(), 3),
+    (ddt_ctx, lambda t: t.inverse(), 4),
+    (ddt_ctx, lambda t: t, 3),
+], ids=["shift:1/u:L4", "shift:1/u^2:L3", "double:1/(t-1):L3",
+        "ddt:1/t:L4", "ddt:t:L3"])
+def test_first_point_rows_of_1i_are_b_times_0i(make_ctx, witness, L):
+    # W_{1I} = b W_{0I} with b on the far left, so at one point P mod q,
+    # on the automorphism and the x^{-1} derivation routes alike, the row
+    # of every word 1I is b(P) times the row of 0I
     ctx = make_ctx()
     b = witness(ctx.ff.var(0))
-    cert = freeness_certify(ctx, b, L)
-    screen, bound = freeness._refuted_mod_q, freeness._point_bound
-    outcomes, bounds = [], []
+    q = freeness._EVAL_PRIME
+    words = words_up_to(L)
+    block, point = next(freeness._evaluated_word_rows(
+        ctx, words, b, freeness._truncation_order(L)))
+    bP, = freeness._evaluate(b, [point], freeness._residues(q))
+    row = dict(zip(words, block))
+    for w in words[:2 ** L - 1]:
+        assert row[(1,) + w] == [bP * c % q for c in row[(0,) + w]]
 
-    def screening(*args):
-        outcomes.append(screen(*args))
-        return outcomes[-1]
 
-    def bounding(*args):
-        bounds.append(args)
-        return bound(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(freeness, "_refuted_mod_q", screening)
-        m.setattr(freeness, "_point_bound", bounding)
-        assert freeness_certify(ctx, b, L) == cert
-    assert outcomes.count(True) == 1
-    assert len(bounds) == outcomes.count(False)
-    monkeypatch.setattr(freeness, "_refuted_mod_q", lambda *args: False)
-    assert freeness_certify(ctx, b, L) == cert
+def test_first_point_rows_over_fp_are_no_multiples():
+    # over F_5[y]/(f) the rows hold coordinates over F_5, of which b(P) is
+    # no scalar: no c in F_5 takes the row of W_0 to that of W_1, so the
+    # first point may prove (1/u at L = 4 does, as
+    # test_point_loop_stops_at_the_first_proved_point checks)
+    ctx = shift_f5_ctx()
+    block, _ = next(freeness._evaluated_word_rows(
+        ctx, words_up_to(4), ctx.ff.var(0).inverse(),
+        freeness._truncation_order(4)))
+    w0, w1 = block[1], block[2]
+    assert all(w1 != [c * x % 5 for x in w0] for c in range(5))
 
 
 # -- the trie order and the point loop ----------------------------------------
@@ -973,22 +1024,24 @@ def test_point_loop_stops_at_the_first_proved_point(monkeypatch, make_ctx,
     (shift_f5_ctx, FunctionField(5, ["u"]).var(0).inverse(), 3),
 ], ids=["shift:1/u:L3", "ddt:t:L3", "shift-F5:1/u:L3"])
 def test_spurious_first_point_takes_the_next(monkeypatch, make_ctx, b, L):
-    # only the first point's block has the last word's row overwritten by
-    # the empty word's, so its nullspace gains the false relation
-    # W_111 = W_(): that point's lift or proof is rejected, the next
-    # point restores the rank, and the certificate keeps the verdict,
-    # rank and relation of the unpatched one.  Over F_5 the unpatched
-    # certificate proves at the first point
+    # the blocks up to the first point that the loop proves at, the
+    # second over Q and the first over F_5, have the last word's row
+    # overwritten by the empty word's, so the nullspace there gains the
+    # false relation W_111 = W_(): that point's lift or proof is
+    # rejected, the next point restores the rank, and the certificate
+    # keeps the verdict, rank and relation of the unpatched one.  Over
+    # F_5 the unpatched certificate proves at the first point
     ctx = make_ctx()
     cert = freeness_certify(ctx, b, L)
     rows = freeness._evaluated_word_rows
     lift, proof = freeness._obstruction_relations, freeness._relation_holds
+    first = 0 if ctx.ff.char else 1
     outcomes = []
 
     def spurious(pair, words, b, N):
         for k, (block, point) in enumerate(rows(pair, words, b, N)):
             outcomes.append([])
-            yield (block[:-1] + [block[0]] if k == 0 else block), point
+            yield (block[:-1] + [block[0]] if k <= first else block), point
 
     def lifting(*args):
         relations = lift(*args)
@@ -1004,8 +1057,8 @@ def test_spurious_first_point_takes_the_next(monkeypatch, make_ctx, b, L):
     monkeypatch.setattr(freeness, "_obstruction_relations", lifting)
     monkeypatch.setattr(freeness, "_relation_holds", proving)
     patched = freeness_certify(ctx, b, L)
-    assert False in outcomes[0]
-    assert len(outcomes) >= 2 and all(outcomes[-1])
+    assert outcomes[:first] == [[]] * first and False in outcomes[first]
+    assert len(outcomes) >= first + 2 and all(outcomes[-1])
     assert (patched.verdict, patched.rank, patched.relation) == (
         cert.verdict, cert.rank, cert.relation)
     assert patched.verdict == "Dependent"

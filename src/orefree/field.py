@@ -22,8 +22,11 @@ brought over one denominator by the ring's ``over_lcm``.  A fraction
 prints its coefficients as c / lc(den), through the term printer of
 MPoly, so it reads as num and den made monic.  MPoly stays the type of
 one-variable polynomials given from outside (``poly_var``, a place's
-polynomial); :func:`_dense` turns one into an int list and a scale.  No
-floating point is used anywhere.
+polynomial); :func:`_dense` turns one into an int list and a scale.  The
+exact word series of :mod:`freeness` run on :class:`_SparseRing`
+instead: int coefficients keyed by packed monomials, one int each, in
+fields wide enough for a proven degree bound.  No floating point is
+used anywhere.
 
 gcds use dense Euclid for univariate polynomials over F_p, the heuristic
 gcd over Z (evaluation at one integer, proved by division) over Q; in
@@ -336,13 +339,15 @@ class MPoly(_RingElement):
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):
+        # the MPoly test first: almost every operand passes it, and the
+        # Fraction test is an ABCMeta instance check (MPoly has no subclass)
+        if type(other) is MPoly:
+            _check_same_field(self, other)
+            return other
         if isinstance(other, int):
             return self.ff.poly_const(other)
         if isinstance(other, Fraction) and self.ff.char == 0:
             return self.ff.poly_const(other)
-        if isinstance(other, MPoly):
-            _check_same_field(self, other)
-            return other
         return None
 
     def __add__(self, other):
@@ -583,6 +588,107 @@ def _from_dense(ff, ints, scale=1, v=0):
     p, head, tail = ff.char, (0,) * v, (0,) * (ff.nvars - v - 1)
     cs = ((k, c % p if p else Fraction(c, scale)) for k, c in enumerate(ints))
     return MPoly(ff, {head + (k,) + tail: c for k, c in cs if c})
+
+
+class _Terms(dict):
+    """A polynomial of a _SparseRing: {packed monomial: int coefficient}.
+
+    + adds coefficients as ints with no reduction, and keeps zeros: a
+    sum of series coefficients is brought to normal form after, by the
+    ring's reduce.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = _Terms(self)
+        get = out.get
+        for k, c in other.items():
+            out[k] = get(k, 0) + c
+        return out
+
+
+class _SparseRing:
+    """Polynomials over k of total degree at most a proven bound D, as
+    _Terms dicts from packed monomials to nonzero ints: residues mod p
+    over F_p, and integers over Q, where the caller keeps one common
+    denominator (integral).
+
+    The monomial y^e packs into one int: the total degree in the top
+    field, then one field per variable, y_1 highest, each of w = bits(D)
+    bits.  No exponent of a monomial of degree at most D reaches 2^w, so
+    no carry crosses a field: adding two keys multiplies the monomials,
+    and integer order is graded-lex order (_grlex_key).  A scalar is a
+    plain int, which mul scales by.  dot forms a sum of products in one
+    pass over one dict and reduces it once.
+    """
+
+    __slots__ = ("p", "width", "zero", "one")
+
+    def __init__(self, p, degree):
+        self.p, self.width = p, max(degree, 1).bit_length()
+        self.zero, self.one = _Terms(), _Terms({0: 1})
+
+    def key(self, e):
+        """The packed monomial of the exponent tuple e."""
+        k = sum(e)
+        for x in e:
+            k = (k << self.width) + x
+        return k
+
+    def integral(self, terms):
+        """(d, xs) for {exponent tuple: coefficient} dicts over k: xs[i]
+        is d terms[i], with integer coefficients, and d the lcm of the
+        coefficients' denominators (1 over F_p)."""
+        d = math.lcm(*(c.denominator for t in terms for c in t.values()))
+        key = self.key
+        return d, [_Terms({key(e): c.numerator * (d // c.denominator)
+                           for e, c in t.items()}) for t in terms]
+
+    def scalar(self, c):
+        return c % self.p if self.p else c
+
+    def reduce(self, a):
+        """a with coefficients in normal form and its zeros dropped."""
+        p = self.p
+        if p:
+            return _Terms({k: r for k, c in a.items() if (r := c % p)})
+        return _Terms({k: c for k, c in a.items() if c})
+
+    def neg_sums(self, xs):
+        """[-x_0, -(x_0 + x_1), ...] for reduced xs, in one pass over each
+        x_i; a sum that x_i leaves unchanged is the same object."""
+        p, out, run = self.p, [], self.zero
+        for x in xs:
+            if x:
+                run = _Terms(run)
+                get = run.get
+                for k, c in x.items():
+                    v = (get(k, 0) - c) % p if p else get(k, 0) - c
+                    if v:
+                        run[k] = v
+                    else:
+                        del run[k]
+            out.append(run)
+        return out
+
+    def mul(self, a, b):
+        if isinstance(a, int):
+            return self.reduce({k: a * c for k, c in b.items()})
+        return self.dot((a,), (b,))
+
+    def dot(self, xs, ys):
+        """sum(x * y for x, y in zip(xs, ys)), reduced once."""
+        acc = {}
+        get = acc.get
+        for x, y in zip(xs, ys):
+            if len(x) < len(y):
+                x, y = y, x
+            for k, c in y.items():
+                for j, d in x.items():
+                    j += k
+                    acc[j] = get(j, 0) + c * d
+        return self.reduce(acc)
 
 
 # ---------------------------------------------------------------------------

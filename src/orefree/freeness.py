@@ -73,11 +73,19 @@ on i = 1 right-multiply by b, then take a prefix sum.
   coefficient is an integer polynomial in the e_j = delta^j(b): products
   by b act on the right, so coefficients already on the left are never
   differentiated.  For a polynomial witness under polynomial images the
-  entries stay polynomials.  They are computed exactly, as polynomials,
-  from the e_j up to the last nonzero one, by the same builder as the
-  relation proof below (_word_series), and split by monomial into rows
-  over k with no denominator pass.  Rational entries grow faster than
-  the fold's numerators, so other exact inputs fold.  For derivations
+  entries stay polynomials.  They are computed exactly from the e_j up
+  to the last nonzero one, by the same builder as the relation proof
+  below (_word_series), in a sparse ring over k (field._SparseRing): a
+  polynomial is a dict from packed monomials to ints, each monomial one
+  int whose fields hold the total degree, then the exponents, wide
+  enough for a proven degree bound, so that adding two keys multiplies
+  the monomials and int order is graded-lex order.  Each series order is
+  one fused multiply-accumulate into one dict.  Over Q the e_j run as
+  integers over one common denominator d, and a word with r ones is
+  divided by d^r at the end.  The rows split each entry by monomial,
+  in descending int order, with no denominator pass.  Rational entries
+  grow faster than the fold's numerators, so other exact inputs fold.
+  For derivations
   of Q(t), evaluation at P is a ring homomorphism on every entry, so
   the same product runs on the values e_j(P) mod q at points from the
   same list, read off the Taylor jets of b and delta(t) at P.  A point
@@ -138,12 +146,13 @@ Delta = lcm_j den(v_j) and r the most ones in a support word.  Every
 order's coefficient of a word with r_w <= r ones is an integer
 combination of products of r_w values, so the series run fraction-free
 on the values Delta v_j, with the coefficient of each word weighted by
-Delta^{r - r_w}: that is the series of R times Delta^r.  In several
-variables these are computed once, as exact polynomials.  In one, let
-h = max(0, max_j(deg num v_j - deg den v_j)).  Each Delta v_j is a
-polynomial of degree at most deg Delta + h, so every coefficient of the
-series of R times Delta^r has degree at most B = r (deg Delta + h).
-Over F_p(t) the series are computed once in F_p[y]/(y^(B+1)), one
+Delta^{r - r_w}: that is the series of R times Delta^r.  Let
+h = max(0, max_j(deg num v_j - deg den v_j)), in total degree.  Each
+Delta v_j is a polynomial of degree at most deg Delta + h, so every
+coefficient of the series of R times Delta^r has degree at most
+B = r (deg Delta + h).  In several variables the series are computed
+once, exactly, in the sparse ring of the exact rows, whose fields B
+sets.  Over F_p(t) the series are computed once in F_p[y]/(y^(B+1)), one
 packed int per element (intpoly._Packed), which holds them exactly: a
 product that would reach y^(B+1) raises.  Over Q(t), where exact
 coefficients grow too fast, they are evaluated at integer points.
@@ -168,13 +177,14 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import config
 from .errors import (
     ContextMismatch, NotAdditiveEigen, RequiresPureAutomorphism,
     ResourceBoundExceeded, UsageError, ZeroArgument,
 )
-from .field import RatFunc, _common_denominator, _from_dense
+from .field import RatFunc, _SparseRing, _common_denominator
 from .intpoly import (
     _Packed, _conv, _poly_jet_mod, _rational_reconstruct, _trim,
 )
@@ -476,19 +486,23 @@ def _xinv_step(e, N, zero, F=None, pascal=None):
     zero.  x^0 b = b, and x^{-m} b = sum_j (-1)^j C(m+j-1, j) e_j x^{-m-j}
     for m >= 1, so order n >= 1 of A b is the binomial convolution
     sum_m a_m (-1)^{n-m} C(n-1, n-m) e_{n-m}.  In Z/q, a _Field, it is
-    one factorial-scaled product (_xinv_times_mod).  Exact values and
-    F_p[y]/(y^k) take a dot product per order over a table of weights,
-    through F's mul: factorials are not integral over Z, nor units mod a
-    small p.  pascal, when given, holds the signed binomials
-    (_signed_pascal(N) in F), so that only their products with the e_j
-    are formed here.  Orders only move down, so orders 0..N need no
-    padding.
+    one factorial-scaled product (_xinv_times_mod).  Integers,
+    F_p[y]/(y^k) and the sparse polynomials of field._SparseRing take a
+    dot product per order over a table of weights, through F's mul:
+    factorials are not integral over Z, nor units mod a small p.  The
+    sparse ring forms each dot product, and each negated prefix sum of
+    the geometric step, in one pass (its dot and neg_sums).  pascal,
+    when given, holds the signed binomials (_signed_pascal(N) in F), so
+    that only their products with the e_j are formed here.  Orders only
+    move down, so orders 0..N need no padding.
     """
     if isinstance(F, _Field):
         times_b = _xinv_times_mod(e, N, F.p)
     else:
         mul, scalar, reduce = (F.mul, F.scalar, F.reduce) if F else (
             operator.mul, _same, _same)
+        dot = F.dot if isinstance(F, _SparseRing) else (
+            lambda xs, ys: reduce(sum(map(mul, xs, ys), zero)))
         if pascal is None:
             pascal = _signed_pascal(N, scalar)
         weights = [None]        # order n: first m, then the factors of a_m
@@ -499,13 +513,19 @@ def _xinv_step(e, N, zero, F=None, pascal=None):
 
         def times_b(a):
             return [mul(a[0], e[0])] + [
-                reduce(sum(map(mul, a[lo:n + 1], w), zero))
+                dot(a[lo:n + 1], w)
                 for n, (lo, w) in enumerate(weights[1:], 1)]
 
-    neg = F.neg if F else operator.neg
+    if isinstance(F, _SparseRing):
+        neg_sums = F.neg_sums
+    else:
+        neg = F.neg if F else operator.neg
+
+        def neg_sums(xs):
+            return list(map(neg, itertools.accumulate(xs)))
 
     def geometric(a):
-        return [zero] + list(map(neg, itertools.accumulate(a[:-1])))
+        return [zero] + neg_sums(a[:-1])
 
     return _series_step(times_b, geometric)
 
@@ -616,9 +636,11 @@ def _word_series(pair, words, values, n, zero, one, F=None, pascal=None):
 
     values[j] stands for sigma^j(b) under an automorphism and for
     delta^j(b) under a derivation, in a coefficient ring with the given
-    zero and one: exact values, or values in the ring F (Z/q and
-    F_p[y]/(f) at a point, F_p[y]/(y^k) for a proof), whose operations
-    reduce every coefficient.  A derivation's step reads its signed
+    zero and one: integers, or values in the ring F (Z/q and
+    F_p[y]/(f) at a point, F_p[y]/(y^k) for a proof, the sparse
+    polynomials of field._SparseRing for the exact x^{-1} rows and the
+    proofs in several variables), whose operations reduce every
+    coefficient.  A derivation's step reads its signed
     binomials from pascal when given (_xinv_step).
     """
     if pair.is_pure_automorphism():
@@ -628,14 +650,31 @@ def _word_series(pair, words, values, n, zero, one, F=None, pascal=None):
     return _prefix_shared(words, [one] + [zero] * n, step)
 
 
+def _xinv_ring(ff, words, values):
+    """The sparse ring (field._SparseRing) of the exact x^{-1} series of
+    words on the polynomials values, e_j = delta^j(b).
+
+    A coefficient of a word with r ones is an integer combination of
+    products of r values, and each product the series step forms is a
+    term of one, so its total degree is at most r max_j deg e_j: the
+    most ones in a word bound r, and so the ring's width.
+    """
+    degree = ff.ring.degree
+    return _SparseRing(ff.char, max(map(sum, words)) * max(
+        degree(v.num) for v in values))
+
+
 def _xinv_word_series(pair, words, exact, N):
-    """Exact word series in K((x^{-1}; delta)) at orders 0..N, as MPolys.
+    """Exact word series in K((x^{-1}; delta)) at orders 0..N, one
+    {packed monomial: coefficient} dict per order, in the ring of
+    _xinv_ring.
 
     b and the images of delta are polynomials, so every delta^j(b) is one,
     and so is every coefficient: the series run on _ExactValues.prefix(N)
-    as MPolys, whose Python operators the series step uses (over k(t)
-    each int list is viewed as one).  N is held to
-    ``config.MAX_DEN_DEGREE``, the fold's bound on the same degree.
+    in that ring.  Over Q the values run as integers times their common
+    denominator d, and the coefficients of a word with r ones are divided
+    by d^r at the end.  N is held to ``config.MAX_DEN_DEGREE``, the
+    fold's bound on the same degree.
     """
     if N > config.MAX_DEN_DEGREE:
         raise ResourceBoundExceeded(
@@ -643,9 +682,13 @@ def _xinv_word_series(pair, words, exact, N):
             % (N, config.MAX_DEN_DEGREE))
     ff = pair.ff
     values = exact.prefix(N)
-    polys = [v.num if ff.nvars > 1 else _from_dense(ff, v.num, v.den[0])
-             for v in values]
-    return _word_series(pair, words, polys, N, ff.poly_zero(), ff.poly_one())
+    F = _xinv_ring(ff, words, values)
+    d, polys = F.integral([ff.ring.terms(v.num, v.den) for v in values])
+    series = _word_series(pair, words, polys, N, F.zero, F.one, F)
+    if d == 1:
+        return series
+    return [[{k: Fraction(c, d ** sum(w)) for k, c in x.items()} for x in s]
+            for w, s in zip(words, series)]
 
 
 # q = 2^61 - 1 is prime.  No proof rests on its size, since a failed lift
@@ -958,11 +1001,14 @@ def _relation_holds(pair, words, exact, lam):
     docstring).  The series run fraction-free.  Each value v_j is scaled
     by Delta, the lcm of their denominators, which scales the series of
     a word with r_w ones by Delta^{r_w}, and the weight Delta^{r - r_w}
-    of its coefficient evens that out.  In several variables they are
-    computed once, as exact polynomials.  Over F_p(t) they are computed
-    once in F_p[y]/(y^(B+1)), B the degree bound of _point_bound, which
-    holds every scaled coefficient exactly: a product that reaches
-    y^(B+1) raises (intpoly._Packed).  Over Q(t) the scaled coefficients
+    of its coefficient evens that out.  With B the degree bound of
+    _point_bound, in several variables they are computed once in the
+    sparse ring of degree bound B (field._SparseRing), over Q as
+    integers: the values and Delta times one common denominator, which
+    scales the whole sum by a nonzero constant.  Over F_p(t) they are
+    computed once in F_p[y]/(y^(B+1)), which holds every scaled
+    coefficient exactly: a product that reaches y^(B+1) raises
+    (intpoly._Packed).  Over Q(t) the scaled coefficients
     are evaluated at the first B + 1 integers P >= 0 where Delta does not
     vanish, each point's values scaled by one integer in place of
     Delta(P); under a derivation the signed binomials of the series step
@@ -987,14 +1033,15 @@ def _relation_holds(pair, words, exact, lam):
         return not any(map(F.reduce, total) if F else total)
 
     ff = pair.ff
-    if ff.nvars > 1:
-        values = exact.prefix(e)
-        delta, nums = _common_denominator(values, exact.lcm(len(values)))
-        return vanishes(nums, delta, ff.poly_zero(), ff.poly_one())
-    if ff.char:
+    if ff.char or ff.nvars > 1:
         # with no ones in the support the ring still holds each Delta v_j
         values, delta, B = _point_bound(pair, exact, e, max(r, 1))
         _, nums = _common_denominator(values, delta)
+        if ff.nvars > 1:
+            F = _SparseRing(ff.char, B)
+            _, (delta, *nums) = F.integral(
+                [ff.ring.terms(h) for h in [delta] + nums])
+            return vanishes(nums, delta, F.zero, F.one, F)
         F = _Packed([0] * (B + 1) + [1], ff.char, e + 1)
         return vanishes(list(map(F.pack, nums)), F.pack(delta), F=F)
     values, _, B = _point_bound(pair, exact, e, r)
@@ -1101,9 +1148,10 @@ def freeness_certify(pair, b, L):
     * everything else goes through the common left denominator.
 
     The last two rank rows over k and verify the reported relation
-    exactly.  The exact series are polynomials, split by monomial with no
-    denominator pass, and built by the builder of the relation proof
-    (_word_series); the relation is proved as on the evaluated routes,
+    exactly.  The exact series are polynomials on packed monomials
+    (field._SparseRing), split by monomial with no denominator pass, and
+    built by the builder of the relation proof (_word_series); the
+    relation is proved as on the evaluated routes,
     on the prefix closure of its support.  The fold flattens its
     numerators over its common denominator and proves the relation by
     summing the scaled numerators of its support over the support's
@@ -1130,9 +1178,8 @@ def freeness_certify(pair, b, L):
     if (pair.is_pure_derivation() and b.is_poly()
             and all(img.is_poly() for img in pair.delta.images)):
         exact = _ExactValues(pair, b)
-        rows = _split_by_monomial(
-            [[c.terms for c in s] for s in _xinv_word_series(
-                pair, words, exact, _truncation_order(L))], base.zero())
+        rows = _split_by_monomial(_xinv_word_series(
+            pair, words, exact, _truncation_order(L)), base.zero())
         rank, lam = _rank_and_relation(
             rows, base, lambda lam: _relation_holds(pair, words, exact, lam))
     else:

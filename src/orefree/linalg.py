@@ -62,22 +62,22 @@ from .field import _common_denominator, _grlex_key
 from .intpoly import _primitive_ints
 
 
-def _split_by_monomial(polys, zero):
+def _split_by_monomial(polys, zero, key=None):
     """Matrix over k of a matrix of polynomials, one row per row, each
-    given by its {exponent: coefficient} dict.
+    given by its {monomial: coefficient} dict.
 
     Each column is split into one column per monomial that occurs in it,
-    in descending graded-lex order; zero fills the monomials a polynomial
-    lacks.
+    in descending order of key(monomial), or of the monomials themselves
+    without key; zero fills the monomials a polynomial lacks.  Exponent
+    tuples take key=_grlex_key, and the packed monomials of
+    field._SparseRing are ints in graded-lex order already.
     """
     rows = [[] for _ in polys]
     for col in zip(*polys):
-        monos = set()
-        for nm in col:
-            monos.update(nm)
-        order = sorted(monos, key=_grlex_key, reverse=True)
+        order = sorted(set().union(*col), key=key, reverse=True)
+        fill = itertools.repeat(zero)
         for row, nm in zip(rows, col):
-            row.extend(nm.get(e, zero) for e in order)
+            row.extend(map(nm.get, order, fill))
     return rows
 
 
@@ -107,7 +107,7 @@ def flatten_to_k(vectors):
         den, nums = _common_denominator([v[j] for v in vectors])
         # coefficients over den made monic, as over the monic lcm
         cols.append([ff.ring.terms(n, den) for n in nums])
-    return _split_by_monomial(list(zip(*cols)), ff.base.zero())
+    return _split_by_monomial(list(zip(*cols)), ff.base.zero(), _grlex_key)
 
 
 def _normalize_int_vector(vec):

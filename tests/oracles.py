@@ -800,3 +800,21 @@ class EagerEchelon:
                 g = math.gcd(*lam) * (1 if lead > 0 else -1)
                 out.append([x // g for x in lam])
         return out
+
+
+def sparse_terms(ring, nvars, a):
+    """{exponent tuple: coefficient} of an element a of a
+    field._SparseRing in nvars variables, read back from its packed
+    monomials: nvars fields of ring.width bits, the last variable lowest,
+    under the total degree.  A key whose top part is not the sum of its
+    fields had a carry cross a field, and fails here."""
+    mask = (1 << ring.width) - 1
+    out = {}
+    for key, c in a.items():
+        e = []
+        for _ in range(nvars):
+            e.append(key & mask)
+            key >>= ring.width
+        assert key == sum(e), "a carry crossed a field"
+        out[tuple(reversed(e))] = c
+    return out

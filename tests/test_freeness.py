@@ -27,8 +27,8 @@ from orefree.skew import SkewDerivation, SkewEndo, SkewPair
 from orefree.valuation import Place
 
 from oracles import eval_ratfunc, k_rank_by_evaluation, poly_parts, \
-    ref_relation_holds_fp, series_xinv_step_delta, series_xstep_delta, \
-    series_xstep_sigma, word_series
+    random_poly_nonzero, ref_relation_holds_fp, series_xinv_step_delta, \
+    series_xstep_delta, series_xstep_sigma, sparse_terms, word_series
 
 QU = FunctionField(0, ["u"])
 QT = FunctionField(0, ["t"])
@@ -1703,27 +1703,29 @@ def test_series_rows_match_fraction_route_on_ddt():
     ctx = ddt_ctx()
     t = QT.var(0)
     words = words_up_to(2)
-    rows_series = _split_by_monomial(
-        [[c.terms for c in row] for row in _xinv_word_series(
-            ctx, words, freeness._ExactValues(ctx, t), 10)], QT.base.zero())
+    rows_series = _split_by_monomial(_xinv_word_series(
+        ctx, words, freeness._ExactValues(ctx, t), 10), QT.base.zero())
     rank_s, _ = rank_over_k(rows_series, QT.base)
     ind, rank_f, _ = independence_check(_expand_words(ctx, words, t))
     assert rank_s == rank_f == 7 and ind
     # entrywise, on d/dt and on the tower: orders 0..10 of every word equal
     # the oracle's series, built by single x^{-1} commutation steps, whose
-    # entries are polynomials: the exact series are their numerators
+    # entries are polynomials: the exact series are their numerators, read
+    # back from the packed monomials of the sparse ring
     tower = tower_ctx()
     for pair, b in ((ctx, t), (tower, tower.ff.var(0))):
         ff = pair.ff
         step = lambda f, c: series_xinv_step_delta(f, pair.delta, c)
         geom = [ff.zero()] + [-ff.one()] * 10
-        rows = _xinv_word_series(pair, words,
-                                 freeness._ExactValues(pair, b), 10)
+        exact = freeness._ExactValues(pair, b)
+        rows = _xinv_word_series(pair, words, exact, 10)
+        ring = freeness._xinv_ring(ff, words, exact.prefix(10))
         for w, row in zip(words, rows):
             assert len(row) == 11
             oracle = word_series(ff, w, b, 10, step, geom)
             assert all(c.is_poly() for c in oracle)
-            assert row == [poly_parts(c)[0] for c in oracle]
+            assert [sparse_terms(ring, ff.nvars, c) for c in row] == [
+                poly_parts(c)[0].terms for c in oracle]
 
 
 @pytest.mark.parametrize("make_ctx,witness,L", [
@@ -1745,16 +1747,81 @@ def test_exact_xinv_rows_split_polynomials_as_flatten(make_ctx, witness, L):
     ctx = make_ctx()
     ff = ctx.ff
     words = words_up_to(L)
-    series = _xinv_word_series(
-        ctx, words, freeness._ExactValues(ctx, witness(ff.gens())),
-        2 ** (L + 1) - 2)
-    assert all(isinstance(c, MPoly) for row in series for c in row)
-    rows = _split_by_monomial([[c.terms for c in row] for row in series],
-                              ff.base.zero())
-    wrapped = [[ff.one() * c for c in row] for row in series]
+    N = 2 ** (L + 1) - 2
+    exact = freeness._ExactValues(ctx, witness(ff.gens()))
+    series = _xinv_word_series(ctx, words, exact, N)
+    ring = freeness._xinv_ring(ff, words, exact.prefix(N))
+    assert all(isinstance(c, dict) and all(isinstance(k, int) for k in c)
+               for row in series for c in row)
+    rows = _split_by_monomial(series, ff.base.zero())
+    wrapped = [[ff.one() * MPoly(ff, sparse_terms(ring, ff.nvars, c))
+                for c in row] for row in series]
     # as strings, since the digest hashes the entries' str
     assert [list(map(str, row)) for row in rows] == [
         list(map(str, row)) for row in flatten_to_k(wrapped)]
+
+
+def _sparse_series_match_oracle(pair, b, L):
+    """The exact x^{-1} series of every word of length <= L, read back from
+    the sparse ring, equal the oracle's single-step series entry by entry,
+    and their rows equal flatten_to_k of the oracle's series as strings."""
+    ff = pair.ff
+    words = words_up_to(L)
+    N = 2 ** (L + 1) - 2
+    exact = freeness._ExactValues(pair, b)
+    series = _xinv_word_series(pair, words, exact, N)
+    ring = freeness._xinv_ring(ff, words, exact.prefix(N))
+    step = lambda f, c: series_xinv_step_delta(f, pair.delta, c)
+    geom = [ff.zero()] + [-ff.one()] * N
+    oracle = [word_series(ff, w, b, N, step, geom) for w in words]
+    for row, expect in zip(series, oracle):
+        assert [sparse_terms(ring, ff.nvars, c) for c in row] == [
+            poly_parts(c)[0].terms for c in expect]
+    assert [list(map(str, row)) for row in _split_by_monomial(
+        series, ff.base.zero())] == [
+        list(map(str, row)) for row in flatten_to_k(oracle)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 0])
+@pytest.mark.parametrize("nvars", [1, 2, 5])
+def test_sparse_xinv_series_match_oracle(p, nvars):
+    # random polynomial derivations: affine images in five variables, so
+    # that the degrees of the delta^j(b) stay put, and images of degree
+    # up to 2 in one or two.  L = 3 (order 14) in one variable only: there
+    # the oracle's single steps take seconds per case in several, where
+    # the split test and the pinned digests cover L >= 3
+    rng = random.Random(4100 + 10 * p + nvars)
+    ff = FunctionField(p, ["y%d" % i for i in range(nvars)])
+    for L in (1, 2, 3) if nvars == 1 else (1, 2):
+        if nvars == 5:
+            images = [ff.const(rng.randrange(p or 3))
+                      + ff.const(rng.randrange(1, p or 3))
+                      * ff.var(rng.randrange(nvars)) for _ in range(nvars)]
+        else:
+            images = [ff.one() * random_poly_nonzero(rng, ff, 2 // nvars, 2)
+                      for _ in range(nvars)]
+        b = ff.one() * random_poly_nonzero(rng, ff, 2, 3)
+        pair = SkewPair.derivation(
+            SkewDerivation(ff, images, SkewEndo.identity(ff)))
+        _sparse_series_match_oracle(pair, b, L)
+
+
+@pytest.mark.parametrize("witness", [
+    {(0, 0, 70001): 1}, {(1, 0, 70000): 1, (0, 70001, 0): 2},
+], ids=["c^70001", "ac^70000+2s^70001"])
+def test_sparse_xinv_series_wide_exponents(witness):
+    # under d/dc at L = 2 the series reach degree 140002 > 2^16, so the
+    # fields of the packed monomials take 18 bits.  With 16-bit fields the
+    # exponent of c would carry; and a c^70000 would sort below 2 s^70001,
+    # swapping two columns of the rows
+    ff = FunctionField(0, ["a", "s", "c"])
+    pair = SkewPair.derivation(SkewDerivation(
+        ff, [ff.zero(), ff.zero(), ff.one()], SkewEndo.identity(ff)))
+    b = ff.one() * MPoly(ff, {e: Fraction(c) for e, c in witness.items()})
+    words = words_up_to(2)
+    exact = freeness._ExactValues(pair, b)
+    assert freeness._xinv_ring(ff, words, exact.prefix(6)).width == 18
+    _sparse_series_match_oracle(pair, b, 2)
 
 
 @pytest.mark.parametrize("make_ctx,witness,rank,relation,digest", [

@@ -101,17 +101,25 @@ In the evaluated routes over Q, truncation and evaluation are
 Z_(q)-linear and a primitive integer relation stays nonzero mod q; over
 F_p, evaluation is a ring homomorphism where it is defined, and
 truncation and the coordinates are F_p-linear.  So the evaluated rank is
-a lower bound: full rank proves independence, and on a deficit d the
-exact nullity is at most d.  The points are added one at a time, each
-block of columns eliminated once, and the obstructions below are proved
-at every point: the first point whose proofs pass ends the loop.  A
-failed lift or proof adds a point (t under d/dt at L = 5 needs five),
-until the rank has not risen over two more points.  Over Q nothing is
-lifted at the first point unless b is constant: W_{1I} = b W_{0I}, b on
-the far left, so at one point P the row of every word 1I is b(P) times
-that of 0I, and the first nullspace holds b(P) W_0 = W_1, a relation
-only when b is constant.  Over F_p the rows hold coordinates over F_p,
-of which b(P) in F_p[y]/(f) is no scalar, so the first point may prove.
+a lower bound, and so is the rank of any of its columns: full rank
+proves independence, and on a deficit d the exact nullity is at most d.
+The points are added one at a time, each block of columns eliminated
+one panel at a time (linalg._Echelon.panels), and the obstructions below
+are proved at the end of each block and after each panel that raises no
+rank, their vectors first checked on the block's columns still to come:
+proved, they pin the nullity at the rank so far, so the first proofs
+that pass end the loop and the rest of the elimination.  A failed lift
+or proof adds a point (t under d/dt at L = 5 needs five), until the
+rank has not risen over two more points.  Over Q nothing is lifted at
+the first point unless b is constant: W_{1I} = b W_{0I}, b on the far
+left, so at one point P the row of every word 1I is b(P) times that of
+0I.  So those rows are formed (one product per order, in place of a
+series step), the first point's elimination leaves them out, each with
+the relation of its 0I row times b(P) (linalg._Echelon.add_multiples),
+and the first nullspace holds b(P) W_0 = W_1, a relation only when b is
+constant.  Over F_p the rows hold coordinates
+over F_p, of which b(P) in F_p[y]/(f) is no scalar, so the first point
+may prove.
 
 The relations are checked by the leading-word argument of Bergman's
 diamond lemma (Adv. Math. 29, 1978).  The words are the monomials of the
@@ -120,21 +128,26 @@ and W_I g_j = W_{Ij}, so a relation R yields the relations g_j R and
 R g_j by moving indices alone.  Words are ordered by length, then
 lexicographically, as words_up_to lists them, so the last word of R g_j
 is (last word of R) j, and the last word of g_j R is j (last word of R).
-Let D be the set of words dependent mod q (mod p over F_p), each the end
-of its canonical nullspace vector (linalg module docstring), and
-d = |D|.  Only the obstructions are proved: the words w in D whose
-prefix w[:-1] and suffix w[1:] both lie outside D.  Over Q the vector
-ending at an obstruction is lifted by rational reconstruction; over F_p
-it is exact already.  Each is proved as below.  By induction on
-length every w in D then has an exact relation whose last word is w: if
-w is an obstruction, its own; if w[:-1] (or w[1:]) is in D, a
-one-letter multiple of the relation of that shorter word.  Relations
-whose last words differ are independent, so the exact nullity is at
-least d; the evaluated rank bounds it by d, so the rank is exact.  The
-first dependent word is always an obstruction, since its prefix and
-suffix come before it, so the reported relation is the lift of the
-first nullspace vector.  Once the points settle, a failed lift or
-check falls back to the exact x^{-1} series, or else to the fold.
+Let D be the set of words dependent mod q (mod p over F_p) on the
+columns eliminated so far, each the end of its canonical nullspace
+vector (linalg module docstring), and d = |D|.  Only the obstructions
+are proved: the words w in D whose prefix w[:-1] and suffix w[1:] both
+lie outside D.  Over Q the vector ending at an obstruction is lifted by
+maximal-quotient rational reconstruction (intpoly._rational_reconstruct),
+which refuses nearly every residue of no small fraction, so a false
+relation mod q rarely reaches a proof; over F_p it is exact already.
+Each is proved as below.  By induction on length every w in D then has
+an exact relation whose last word is w: if w is an obstruction, its
+own; if w[:-1] (or w[1:]) is in D, a one-letter multiple of the
+relation of that shorter word.  Relations whose last words differ are
+independent, so the exact nullity is at least d; the rank of the
+columns so far bounds it by d, so that rank is exact, and the columns
+not yet eliminated could not raise it.  The first dependent word is
+always an obstruction, since its prefix and suffix come before it, so
+the reported relation is the lift of the first nullspace vector, which
+the rest of the elimination would not change (linalg module
+docstring).  Once the points settle, a failed lift or check falls back
+to the exact x^{-1} series, or else to the fold.
 
 Every relation R found on a series route, evaluated or exact, is proved
 one way, on its own series, with no Ore arithmetic.  Let C be the prefix
@@ -692,8 +705,10 @@ def _xinv_word_series(pair, words, exact, N):
 
 
 # q = 2^61 - 1 is prime.  No proof rests on its size, since a failed lift
-# falls back to an exact route; the size makes that rare, as rational
-# reconstruction recovers coefficients up to about 10^9
+# adds a point or falls back to an exact route; the size makes that rare,
+# as rational reconstruction recovers every n/d with |n| d below about
+# 10^9, and a random residue passes its quotient margin with probability
+# about 6 * 10^-6 (intpoly._RECONSTRUCT_MARGIN)
 _EVAL_PRIME = (1 << 61) - 1
 # orbit starts tried in this order, fixed residues in [10^6, 10^17) drawn
 # once at random, so that no small pole or fixed point of a map meets
@@ -935,11 +950,29 @@ def _evaluated_word_rows(pair, words, b, N):
                                         N, _EVAL_PRIME)
         if values is None:
             continue
-        series = _word_series(pair, words, values, N, 0, 1, F)
         if p:
-            series = list(map(F.unpack, series))
+            series = list(map(F.unpack, _word_series(pair, words, values, N,
+                                                     0, 1, F)))
             point = tuple(F.unpack([v]) for v in point)
+        else:
+            series = _series_mod_q(pair, words, values, N, F)
         yield series, point
+
+
+def _series_mod_q(pair, words, values, N, F):
+    """_word_series mod q, but with the series of each word 1I formed as
+    b(P) = values[0] times that of 0I, one product per order.
+
+    W_{1I} = b W_{0I} with b on the far left, and evaluation at P is a
+    ring homomorphism, so this is the series step's own result, at the
+    cost of a scalar product in place of a convolution.  words must hold
+    0I for each 1I, as words_up_to does.
+    """
+    heads = [w for w in words if not w or not w[0]]
+    series = dict(zip(heads, _word_series(pair, heads, values, N, 0, 1, F)))
+    bP, q = values[0], F.p
+    return [series[w] if not w or not w[0]
+            else [bP * c % q for c in series[(0,) + w[1:]]] for w in words]
 
 
 def _obstruction_relations(null, words, p):
@@ -961,12 +994,43 @@ def _obstruction_relations(null, words, p):
         if w[:-1] in ends or w[1:] in ends:
             continue
         if not p:
-            vec = [_rational_reconstruct(x, _EVAL_PRIME) for x in vec]
-            if None in vec:
-                return None
-            vec = _normalize_int_vector(vec)
+            lifted = []
+            for x in vec:
+                x = x and _rational_reconstruct(x, _EVAL_PRIME)
+                if x is None:
+                    return None
+                lifted.append(x)
+            vec = _normalize_int_vector(lifted)
         relations.append(vec)
     return relations
+
+
+def _vanish_past(relations, block, lo, m):
+    """True when every relation, ints over the rows of block, vanishes
+    mod m on its columns from lo on: support times columns products."""
+    for vec in relations:
+        acc = [0] * (len(block[0]) - lo)
+        for c, row in zip(vec, block):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, row[lo:])]
+        if any(a % m for a in acc):
+            return False
+    return True
+
+
+def _proved_obstructions(pair, words, exact, echelon, block, lo):
+    """The relations of the obstructions of echelon's nullspace, proved,
+    or None: when a lift fails, when one is nonzero mod the echelon's
+    prime on a column of block from lo on, which the elimination has not
+    reached yet, or when a proof fails."""
+    relations = _obstruction_relations(echelon.nullspace(), words,
+                                       pair.ff.char)
+    if relations is None or not _vanish_past(relations, block, lo,
+                                             echelon.p):
+        return None
+    if all(_relation_holds(pair, words, exact, r) for r in relations):
+        return relations
+    return None
 
 
 def _prefix_closure(support):
@@ -1065,39 +1129,73 @@ def _relation_holds(pair, words, exact, lam):
     return True
 
 
+def _first_point_multiples(words, block, b, point):
+    """{index of 1I: (index of 0I, b(P))} for the rows of a first block mod
+    q that are b(P) times the row of 0I, as W_{1I} = b W_{0I} makes each,
+    checked entry by entry (_Echelon.add_multiples)."""
+    q = _EVAL_PRIME
+    bP, = _evaluate(b, [point], _residues(q))
+    index = {w: i for i, w in enumerate(words)}
+    out = {}
+    for i, w in enumerate(words):
+        j = index.get((0,) + w[1:]) if w and w[0] else None
+        if j is not None and block[i] == [bP * c % q for c in block[j]]:
+            out[i] = (j, bP)
+    return out
+
+
 def _certify_by_evaluation(pair, words, b, L):
     """Certificate from the evaluated series, or None to run an exact route.
 
-    Points are added one at a time.  Full rank mod q proves independence.
-    On a deficit the relations of the obstructions (_obstruction_relations)
-    are lifted and proved by _relation_holds at once; their one-letter
-    multiples pin the rank (module docstring), so the first point whose
-    proofs pass ends the loop; over Q, unless b is constant, nothing is
-    lifted at the first (module docstring).  A failed lift or proof adds
-    the next point, until the rank has not risen over two more points.
-    The relation ending at the first dependent word is reported.
+    Points are added one at a time, each block of columns eliminated one
+    panel at a time (_Echelon.panels).  Full rank mod q proves
+    independence.  On a deficit the relations of the obstructions
+    (_obstruction_relations) are lifted and proved by _relation_holds;
+    their one-letter multiples pin the rank (module docstring), so the
+    first proof that passes ends the loop.  They are tried at the end of
+    each block and after each panel that raises no rank, where the block's
+    columns still to come must first vanish on them; over Q, unless b is
+    constant, nothing is lifted at the first point, whose elimination
+    leaves out the rows that are b(P) times others (module docstring).
+    A nullspace whose relations failed is not tried again, and a failed
+    lift or proof adds the next point, until the rank has not risen over
+    two more points.  The relation ending at the first dependent word is
+    reported.
     """
     p = pair.ff.char
     echelon = _Echelon(len(words), p or _EVAL_PRIME)
     exact = _ExactValues(pair, b)
-    rows, points, risen = [[] for _ in words], [], 0
+    rows, points, risen, tried = [[] for _ in words], [], 0, None
     for block, point in _evaluated_word_rows(pair, words, b,
                                              _truncation_order(L)):
         for row, part in zip(rows, block):
             row.extend(part)
         points.append(point)
-        rank = echelon.rank
-        if echelon.add(block) > rank:
-            risen = len(points)
         # W_{1I} = b W_{0I}, so over Q the first point's row of every 1I is
-        # b(P) times that of 0I: b(P) W_0 = W_1 holds only for constant b.
-        # At full rank the nullspace, and so the list of relations, is empty
-        if p or len(points) > 1 or b.is_const():
-            relations = _obstruction_relations(echelon.nullspace(), words, p)
-            if relations is not None and all(
-                    _relation_holds(pair, words, exact, r)
-                    for r in relations):
+        # b(P) times that of 0I: b(P) W_0 = W_1 holds only for constant b
+        lifts = p or len(points) > 1 or b.is_const()
+        start = rank = echelon.rank
+        ncols, relations = len(block[0]), None
+        if not lifts:
+            echelon.add_multiples(block, _first_point_multiples(
+                words, block, b, point))
+        else:
+            # after a panel that raises no rank and at the block's end, the
+            # rank so far is a lower bound that proved obstructions pin; at
+            # full rank the nullspace, and so the list of relations, is empty
+            for end in itertools.chain(echelon.panels(block), [ncols]):
+                if echelon.rank != tried and (echelon.rank == rank
+                                              or end == ncols):
+                    tried = echelon.rank
+                    relations = _proved_obstructions(pair, words, exact,
+                                                     echelon, block, end)
+                    if relations is not None:
+                        break
+                rank = echelon.rank
+            if relations is not None:
                 break
+        if echelon.rank > start:
+            risen = len(points)
         if len(points) - risen == 2:
             return None
     else:
@@ -1126,18 +1224,21 @@ def freeness_certify(pair, b, L):
       take the evaluated K[[x; sigma]] series, mod q = 2^61 - 1 over Q and
       at the first point of F_p[y]/(f) whose orbit meets no pole over
       F_p, and derivations of Q(t) the evaluated K((x^{-1}; delta))
-      series mod q.  Points are added one at a time, and the first whose
-      proofs pass ends the loop; over Q that is never the first unless b
-      is constant, as there the row of every word 1I is b(P) times that
-      of 0I.  A Dependent result proves only the relations of its
-      obstructions, the dependent words whose prefix and suffix of one
-      letter fewer are not dependent, each by its series at orders 0..e,
-      e + 1 the size of its support's prefix closure (_relation_holds,
-      module docstring).  Every other dependent word gets a relation
-      ending there as a multiple g_j R or R g_j of a shorter one, an
-      index move that needs no arithmetic.  These d relations end at
-      distinct words, so they are independent over k, while the
-      evaluated rank bounds the nullity by d: the rank is exact.  The
+      series mod q.  Points are added one at a time, each block
+      eliminated one panel at a time, and the first proofs that pass, at
+      the end of a block or after a panel that raises no rank, end the
+      loop and the elimination; over Q that is never at the first point
+      unless b is constant, as there the row of every word 1I is b(P)
+      times that of 0I, and is formed so.  A Dependent result proves
+      only the relations of its obstructions, the dependent words whose
+      prefix and suffix of one letter fewer are not dependent, each by
+      its series at orders 0..e, e + 1 the size of its support's prefix
+      closure (_relation_holds, module docstring).  Every other
+      dependent word gets a relation ending there as a multiple g_j R or
+      R g_j of a shorter one, an index move that needs no arithmetic.
+      These d relations end at distinct words, so they are independent
+      over k, while the rank of the evaluated columns taken bounds the
+      nullity by d: the rank is exact.  The
       digest covers the evaluated matrix and a header naming q and the
       points, with a mark of its own for the x^{-1} series, or p, f and
       the points.  No usable point, or a lift or check still failing

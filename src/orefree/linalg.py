@@ -14,7 +14,9 @@ one elimination of this module, :class:`_Echelon`: over F_p, and over Z in
 characteristic 0 (rows are first scaled to integers; the scaling is undone
 on the nullspace vectors).  It takes its columns one block at a time, so a
 caller can add evaluation points until the rank settles and pay for each
-point once.  Each row not yet a pivot carries its transform, the
+point once, and a block one panel at a time (:meth:`_Echelon.panels`), so
+a caller that can prove the rank from the nullspace so far stops there.
+Each row not yet a pivot carries its transform, the
 combination of the original rows it holds: a new block's values for that
 row are its transform times the block, and the nullspace is read off the
 transforms of the rows left over.
@@ -45,7 +47,10 @@ never gets one.  The next panel's values are those transforms times its
 columns, as for a new block, so a row is never reduced on columns past
 its panel, and once the rank has settled a panel costs only the products
 of the few free transforms with it.  The pivots are those of the rule
-above, so the result is the same.
+above, so the result is the same.  Between two panels the state is the
+elimination of the columns taken so far, with its own canonical
+nullspace and a rank that bounds the whole matrix's from below; over Z
+a block is one panel.
 
 Over Z every remaining row takes the uniform one-step update of Bareiss
 (Math. Comp. 22, 1968), (pv * v - vr * w) / prev with prev the previous
@@ -179,7 +184,8 @@ class _Echelon:
     state after one block of all their columns side by side.  Over F_p a
     block is fed the same way one panel of ``_PANEL`` columns at a time,
     and the transforms are formed at the end of each panel, for the rows
-    left free only (module docstring).
+    left free only (module docstring); :meth:`panels` hands control back
+    after each one, and :meth:`add` takes them all.
     """
 
     def __init__(self, n, p):
@@ -200,21 +206,58 @@ class _Echelon:
 
     def add(self, block):
         """Append the columns of block (one row per matrix row); the rank."""
+        for _ in self.panels(block):
+            pass
+        return self.rank
+
+    def panels(self, block):
+        """Append the columns of block, yielding after each panel the
+        number of its columns taken so far: ``_PANEL`` at a time over F_p,
+        all at once over Z.  Nothing is yielded once every row is a pivot.
+        A caller that stops between panels leaves a valid echelon form of
+        the columns taken, whose rank is a lower bound for the whole
+        block's."""
         ncols = len(block[0]) if block else 0
-        if self.p:
-            for lo in range(0, ncols, _PANEL):
-                if not self.free:
-                    break
-                self._panel([row[lo:lo + _PANEL] for row in block])
-        elif ncols:
-            self._bareiss(block)
+        step = _PANEL if self.p else max(ncols, 1)
+        for lo in range(0, ncols, step):
+            if not self.free:
+                return
+            if self.p:
+                self._panel([row[lo:lo + step] for row in block])
+            else:
+                self._bareiss(block)
+            yield min(lo + step, ncols)
+
+    def add_multiples(self, block, multiples):
+        """add(block) for the first block, when each row r in multiples
+        is c times the row s < r, for (s, c) = multiples[r], over F_p.
+
+        Such a row lies in the span of the rows before it, so it is no
+        pivot, and leaving it out changes neither the pivots nor any
+        other row's relation.  The other rows are eliminated, and row r
+        then holds the relation of row s times c taken off it: e_r - c e_s
+        for a pivot s, and e_r + c (t_s - e_s) for a row s left free with
+        the transform t_s.  That is the unique relation ending at r on
+        the pivots before it, the transform the elimination would give.
+        """
+        if not self.p or self.rank:
+            raise AssertionError("multiples need the first block over F_p")
+        p = self.p
+        self.add([[0] * len(row) if r in multiples else row
+                  for r, row in enumerate(block)])
+        free = dict(self.free)
+        for r, (s, c) in sorted(multiples.items()):
+            ts = free.get(s)
+            t = [c * x % p for x in ts[:s]] if ts else [0] * s
+            free[r] = t + [0 if ts else -c % p] + [0] * (r - s - 1) + [1]
+        self.free = sorted(free.items())
         return self.rank
 
     def _panel(self, block):
         """Eliminate the columns of one panel over F_p.
 
         The remaining rows are reduced mod p only where they are read:
-        each update adds less than p^2 to an entry, so they stay small.
+        each update adds less than p^2 to an entry, so residues stay small.
         A reduction records its multiplier; :func:`_sweep` forms the
         transforms of the rows still free at the end.  A panel on which
         every remaining row is zero, as once the rank has settled, has
@@ -296,14 +339,16 @@ def rank_over_k(rows, base):
 
     Returns ``(rank, nullspace)`` where each nullspace vector lam satisfies
     sum(lam[i] * rows[i]) == 0: the canonical basis of :class:`_Echelon`.
-    Over Q the rows are scaled to integers and the columns stripped of
+    Over F_p the rows are ints, taken as they are, in any range.  Over Q
+    the rows are scaled to integers and the columns stripped of
     their contents first, and the vectors are normalized to coprime
     integers with positive leading entry; over F_p the leading nonzero
     entry is 1.
     """
     echelon = _Echelon(len(rows), base.p)
     if base.p:
-        echelon.add([[int(x) % base.p for x in row] for row in rows])
+        # F_p scalars are ints, which the elimination reduces where it reads
+        echelon.add(rows)
         return echelon.rank, echelon.nullspace()
     scaled = [_primitive_ints(row) for row in rows]
     m = [ints for ints, _ in scaled]

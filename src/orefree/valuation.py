@@ -62,16 +62,26 @@ def _rabin_irreducible(f, p):
     k = 1, 2..3, 4..7, ..., n/2, on the product of its x^(p^k) - x mod f,
     which an irreducible factor divides only if it divides one factor.
     An f with f(0) = 0 has the factor y, and is refused first: for
-    f = y^n the packed ring keeps no product that reaches y^n.
+    f = y^n the packed ring keeps no product that reaches y^n.  For
+    p <= n the first batch, gcd(x^p - x, f), is f's roots in F_p, which
+    p evaluations of its terms find faster than a gcd of degree n: most
+    reducible candidates of the modulus search have one.
     """
     if not f[0]:
         return False
-    n, E = len(f) - 1, _Packed(f, p)
+    n = len(f) - 1
+    roots = p <= n
+    if roots:
+        terms = [(e, c) for e, c in enumerate(f) if c]
+        if any(sum(c * pow(a, e, p) for e, c in terms) % p == 0
+               for a in range(1, p)):
+            return False
+    E = _Packed(f, p)
     h = x = E.pack([0, 1])
     minus_x, batch = E.pack([0, p - 1]), 1
     for k in range(1, n + 1):
         h = E.power(h, p)
-        if 2 * k <= n:
+        if 2 * k <= n and (k > 1 or not roots):
             batch = E.mul(batch, E.reduce(h + minus_x))
             if k & (k + 1) == 0 or 2 * k + 2 > n:
                 if len(_uni_gcd_p(E.unpack([batch]), f, p)) > 1:

@@ -97,6 +97,25 @@ def test_prime_factors_match_trial_division():
         assert list(got) == sorted(got)
 
 
+def test_rational_reconstruct_takes_the_largest_quotient():
+    # small fractions come back mod 2^61 - 1, and of 10^5 seeded random
+    # residues, which name no small fraction, at most a handful pass the
+    # quotient margin (about 0.6 expected)
+    q = (1 << 61) - 1
+    for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3),
+              Fraction(-7, 5), Fraction(10 ** 6), Fraction(-54, 7)):
+        a = x.numerator * pow(x.denominator, -1, q) % q
+        assert intpoly._rational_reconstruct(a, q) == x
+    # a product |n| d past q / margin is refused even where Wang's bound
+    # |n|, d <= sqrt(q / 2) would take it
+    assert intpoly._rational_reconstruct(
+        10 ** 9 * pow(10 ** 9 - 1, -1, q) % q, q) is None
+    rng = random.Random(42)
+    accepted = sum(intpoly._rational_reconstruct(rng.randrange(q), q)
+                   is not None for _ in range(10 ** 5))
+    assert accepted <= 5
+
+
 def test_scalar_arithmetic_mod_p():
     k = BaseField(7)
     assert k.add(5, 4) == 2

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from orefree import config, freeness
+from orefree import config, freeness, linalg
 from orefree.errors import (
     NotAdditiveEigen, RequiresPureAutomorphism, ResourceBoundExceeded,
     UsageError, ZeroArgument,
@@ -883,16 +883,24 @@ def test_first_point_over_q_lifts_nothing(monkeypatch, make_ctx, witness, L,
         "ddt:1/t:L4", "ddt:t:L3"])
 def test_first_point_rows_of_1i_are_b_times_0i(make_ctx, witness, L):
     # W_{1I} = b W_{0I} with b on the far left, so at one point P mod q,
-    # on the automorphism and the x^{-1} derivation routes alike, the row
-    # of every word 1I is b(P) times the row of 0I
+    # on the automorphism and the x^{-1} derivation routes alike, the
+    # series step gives the row of every word 1I as b(P) times the row of
+    # 0I; the evaluated rows, which form them so, are the series step's
+    q = freeness._EVAL_PRIME
+    F = freeness._residues(q)
     ctx = make_ctx()
     b = witness(ctx.ff.var(0))
-    q = freeness._EVAL_PRIME
-    words = words_up_to(L)
-    block, point = next(freeness._evaluated_word_rows(
-        ctx, words, b, freeness._truncation_order(L)))
-    bP, = freeness._evaluate(b, [point], freeness._residues(q))
-    row = dict(zip(words, block))
+    words, N = words_up_to(L), freeness._truncation_order(L)
+    block, point = next(freeness._evaluated_word_rows(ctx, words, b, N))
+    bP, = freeness._evaluate(b, [point], F)
+    if ctx.is_pure_automorphism():
+        values = freeness._orbit_values(ctx.sigma.images, b, point, N, F)
+    else:
+        values = freeness._derivative_values(ctx.delta.images[0], b,
+                                             point[0], N, q)
+    stepped = freeness._word_series(ctx, words, values, N, 0, 1, F)
+    assert block == stepped
+    row = dict(zip(words, stepped))
     for w in words[:2 ** L - 1]:
         assert row[(1,) + w] == [bP * c % q for c in row[(0,) + w]]
 
@@ -1016,6 +1024,136 @@ def test_point_loop_stops_at_the_first_proved_point(monkeypatch, make_ctx,
     cert = freeness_certify(ctx, witness(ctx.ff.var(0)), L)
     assert len(taken) == points
     assert cert.verdict == ("Independent" if points == 2 else "Dependent")
+
+
+def _sweep_cases():
+    """(pair, b) over Q, F_5 and F_7: the shift and doubling, and over Q
+    also d/dt and t d/dt, each with five witnesses."""
+    witnesses = [("1/t", lambda t: t.inverse()),
+                 ("1/t^2", lambda t: (t * t).inverse()), ("t", lambda t: t),
+                 ("1/(t-1)", lambda t: (t - 1).inverse()),
+                 ("t^2/(t^2+3)", lambda t: t * t / (t * t + 3))]
+    for p in (0, 5, 7):
+        ff = FunctionField(p, ["t"])
+        t = ff.var(0)
+        maps = [("shift", SkewPair.automorphism(SkewEndo(ff, [t + 1],
+                                                         [t - 1]))),
+                ("double", SkewPair.automorphism(SkewEndo(ff, [2 * t],
+                                                          [t / 2])))]
+        if not p:
+            maps += [(name, SkewPair.derivation(SkewDerivation(
+                ff, [image], SkewEndo.identity(ff))))
+                for name, image in (("ddt", ff.one()), ("tddt", t))]
+        for name, pair in maps:
+            for wname, witness in witnesses:
+                yield pytest.param(pair, witness(t), id="%s-%s:%s" % (
+                    "F%d" % p if p else "Q", name, wname))
+
+
+@pytest.mark.parametrize("pair,b", _sweep_cases())
+def test_point_loop_matches_whole_block_elimination(monkeypatch, pair, b):
+    # the elimination stopped at the panel whose obstructions prove, the
+    # rows of the words 1I formed as b(P) times those of 0I mod q, and
+    # those rows left out of the first point's elimination, give at
+    # L = 1..6 the certificate of a loop that eliminates every row of
+    # every block whole and steps every word's series: verdict, rank,
+    # word count, relation and digest
+    panels = linalg._Echelon.panels
+
+    def whole_block(self, block):
+        for _ in panels(self, block):
+            pass
+        return iter(())
+
+    def every_series(pair, words, values, N, F):
+        return freeness._word_series(pair, words, values, N, 0, 1, F)
+
+    for L in range(1, 7):
+        cert = freeness_certify(pair, b, L)
+        with monkeypatch.context() as m:
+            m.setattr(linalg._Echelon, "panels", whole_block)
+            m.setattr(freeness, "_series_mod_q", every_series)
+            m.setattr(freeness, "_first_point_multiples", lambda *a: {})
+            assert freeness_certify(pair, b, L) == cert
+
+
+def _panel_widths(monkeypatch):
+    """The width of every panel that _Echelon eliminates from now on."""
+    widths, real = [], linalg._Echelon._panel
+
+    def counting(self, block):
+        widths.append(len(block[0]))
+        return real(self, block)
+    monkeypatch.setattr(linalg._Echelon, "_panel", counting)
+    return widths
+
+
+def test_f5_shift_L5_stops_before_its_last_panel(monkeypatch):
+    # 63 rows by 1701 columns, 27 panels of 64: the rank settles early,
+    # and the obstructions prove after the first panel that raises none
+    ctx = shift_f5_ctx()
+    widths = _panel_widths(monkeypatch)
+    cert = freeness_certify(ctx, ctx.ff.var(0).inverse(), 5)
+    assert (cert.verdict, cert.rank, cert.word_count) == ("Dependent", 41,
+                                                          63)
+    assert cert.matrix_digest == (
+        "736d2063b58080b8d071956da6bcd4d57af3ec852079adf70439e62e7d1f148b")
+    assert len(widths) < 27 and sum(widths) < 1701
+
+
+def test_later_column_refutes_a_partial_relation(monkeypatch):
+    # the F_5 shift's block with its first panel repeated after it: that
+    # copy raises no rank, while the partial nullspace holds relations of
+    # the first 64 columns alone.  A later column refutes one, so no proof
+    # runs, the elimination goes on, and the certificate keeps the
+    # verdict, rank and relation of the unpatched one
+    ctx = shift_f5_ctx()
+    b = ctx.ff.var(0).inverse()
+    cert = freeness_certify(ctx, b, 4)
+    rows, check = freeness._evaluated_word_rows, freeness._vanish_past
+    proof, events = freeness._relation_holds, []
+
+    def repeated(pair, words, b, N):
+        for block, point in rows(pair, words, b, N):
+            yield [row[:64] + row for row in block], point
+
+    def checking(relations, block, lo, m):
+        events.append(("check", lo, check(relations, block, lo, m)))
+        return events[-1][2]
+
+    def proving(*args):
+        events.append(("proof", proof(*args)))
+        return events[-1][1]
+
+    widths = _panel_widths(monkeypatch)
+    monkeypatch.setattr(freeness, "_evaluated_word_rows", repeated)
+    monkeypatch.setattr(freeness, "_vanish_past", checking)
+    monkeypatch.setattr(freeness, "_relation_holds", proving)
+    patched = freeness_certify(ctx, b, 4)
+    assert events[0] == ("check", 128, False)
+    assert events[1][0] == "check" and events[1][2]
+    assert all(outcome for _, outcome in events[2:])
+    assert len(widths) > 2
+    assert (patched.verdict, patched.rank, patched.relation) == (
+        cert.verdict, cert.rank, cert.relation)
+
+
+@pytest.mark.parametrize("make_ctx", [shift_ctx, ddt_ctx],
+                         ids=["shift", "ddt"])
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_lifts_of_inverse_witness_all_prove(monkeypatch, make_ctx, L):
+    # rational reconstruction by the largest quotient lifts no false
+    # relation of 1/t over Q: every proof that runs passes
+    ctx = make_ctx()
+    real, outcomes = freeness._relation_holds, []
+
+    def proving(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+    monkeypatch.setattr(freeness, "_relation_holds", proving)
+    cert = freeness_certify(ctx, ctx.ff.var(0).inverse(), L)
+    assert cert.verdict == "Dependent"
+    assert outcomes and all(outcomes)
 
 
 @pytest.mark.parametrize("make_ctx,b,L", [
@@ -1409,6 +1547,18 @@ def test_extension_field_kernel(p):
     assert coords(F.mul(A, inv)) == [x * inv % p for x in a]
 
 
+def test_extension_modulus_is_pinned(monkeypatch):
+    # the root check that comes before Rabin's gcds for p <= deg f keeps
+    # the search's answer, which every F_p digest names: y^27 + y + 1 over
+    # F_5 and y^22 + 4y^2 + 1 over F_7, the 13th and 130th candidates
+    monkeypatch.setattr(freeness, "_EXTENSION_CACHE", {})
+    for p, f, index in ((5, [1, 1] + [0] * 25 + [1], 13),
+                        (7, [1, 0, 4] + [0] * 19 + [1], 130)):
+        assert freeness._extension(p).f == f
+        assert list(itertools.islice(freeness._modulus_candidates(p),
+                                     index))[-1] == f
+
+
 def test_extension_modulus_search_always_ends(monkeypatch):
     # a shift over F_p certifies through the evaluated route as the fold
     # does, with every degree-2 candidate with coefficients below 8
@@ -1620,13 +1770,14 @@ def test_derivative_values_match_oracle_series():
 
 
 def test_xinv_rows_equal_oracle_series_at_each_point():
-    # entrywise: the evaluated x^{-1} rows at each point are the oracle's
-    # series, built by single x^{-1} commutation steps, evaluated there
-    # mod q; a witness with a pole at the first orbit start skips it
+    # entrywise: the evaluated x^{-1} rows at each point, those of the
+    # words 1I formed as b(P) times those of 0I, are the oracle's series,
+    # built by single x^{-1} commutation steps, evaluated there mod q; a
+    # witness with a pole at the first orbit start skips it
     q = freeness._EVAL_PRIME
     starts = freeness._EVAL_STARTS
     t = QT.var(0)
-    words = words_up_to(2)
+    words = words_up_to(3)
     for ctx, b, used in ((t2ddt_ctx(), t.inverse(), starts[:3]),
                          (ddt_ctx(), (t - starts[0]).inverse(), starts[1:4])):
         blocks = itertools.islice(

@@ -7,7 +7,7 @@ import pytest
 
 from orefree.errors import UsageError
 from orefree.field import BaseField, FunctionField
-from orefree.linalg import _Echelon, flatten_to_k, rank_over_k
+from orefree.linalg import _PANEL, _Echelon, flatten_to_k, rank_over_k
 
 from oracles import (
     EagerEchelon, gauss_rank_fractions, gauss_rank_modp, generic_nullspace,
@@ -216,6 +216,67 @@ def test_panel_echelon_matches_eager_reference(p):
                 block = [row[lo:hi] for row in rows]
                 assert echelon.add(block) == eager.add(block)
             assert echelon.nullspace() == eager.nullspace()
+
+
+@pytest.mark.parametrize("p", [5, (1 << 61) - 1])
+def test_panels_yield_the_rank_of_each_column_prefix(p):
+    # a block fed one panel at a time yields after each panel the columns
+    # taken so far, with the eager reference's rank on them, and stops
+    # yielding once every row is a pivot
+    rng = random.Random(p % 1000 + 42)
+    for rows in _wide_matrices(rng, p):
+        n, ncols = len(rows), len(rows[0])
+        echelon = _Echelon(n, p)
+        ends = []
+        for end in echelon.panels(rows):
+            ends.append(end)
+            eager = EagerEchelon(n, p)
+            assert echelon.rank == eager.add([row[:end] for row in rows])
+        assert ends == [min(end, ncols) for end in range(
+            _PANEL, _PANEL * len(ends) + 1, _PANEL)]
+        assert ends[-1] == ncols or echelon.rank == n
+        eager = EagerEchelon(n, p)
+        assert echelon.rank == eager.add(rows)
+
+
+@pytest.mark.parametrize("p", [5, (1 << 61) - 1])
+def test_add_multiples_matches_full_elimination(p):
+    # a first block whose later rows are scalar multiples of earlier ones,
+    # of pivots, of dependent rows and of other multiples, 0 among the
+    # scalars: leaving those rows out of the
+    # elimination gives the same rank and transforms, so the same rank and
+    # nullspace after a second block too
+    rng = random.Random(p % 1000 + 7)
+    for _ in range(6):
+        n = rng.randint(8, 40)
+        first = _combinations(rng, n, [[rng.randrange(p) for _ in range(90)]
+                                       for _ in range(rng.randint(2, 9))], p)
+        multiples = {}
+        for r in sorted(rng.sample(range(1, n), n // 3)):
+            s, c = rng.randrange(r), rng.randrange(p)
+            multiples[r] = (s, c)
+            first[r] = [c * x % p for x in first[s]]
+        second = [[rng.randrange(p) for _ in range(70)] for _ in range(n)]
+        full, short = _Echelon(n, p), _Echelon(n, p)
+        assert full.add(first) == short.add_multiples(first, multiples)
+        assert full.free == short.free
+        assert full.add(second) == short.add(second)
+        assert full.nullspace() == short.nullspace()
+    with pytest.raises(AssertionError):
+        short.add_multiples(first, multiples)
+
+
+def test_rank_over_fp_takes_ints_in_any_range():
+    # ints outside [0, p), negative and wide, rank as their residues
+    rng = random.Random(5)
+    for p in (2, 5, 7):
+        for _ in range(10):
+            rows = [[rng.randint(-10 ** 20, 10 ** 20) for _ in range(9)]
+                    for _ in range(6)]
+            rows[5] = [x + 3 * y for x, y in zip(rows[0], rows[2])]
+            reduced = [[x % p for x in row] for row in rows]
+            assert rank_over_k(rows, BaseField(p)) == rank_over_k(
+                reduced, BaseField(p))
 
 
 def test_flatten_then_rank_detects_k_relations_only():
